@@ -9,12 +9,16 @@ Exit code 0 is success; a configurable set of exit codes (default 75, the
 conventional tempfail code) classifies as temporary failure eligible for
 restart; anything else is permanent. Restarted processes see their attempt
 number in ``TUNECTL_RESTART_COUNT``.
+
+Each trainer runs in a session (and process group) of its own, so closing
+the backend can stop it together with any children it started.
 """
 
 from __future__ import annotations
 
 import os
 import shlex
+import signal
 import subprocess
 import threading
 import time
@@ -27,6 +31,8 @@ from ..resources import CollectorKind, TrialRunSpec, TrialTemplate
 from ..controller.backend import ExecutionBackend, JobPhase, JobState
 
 DEFAULT_TEMPORARY_EXIT_CODES = (75,)
+# Seconds a trainer gets to exit after SIGTERM before its group is killed.
+TERMINATE_GRACE_S = 0.5
 
 
 @dataclass
@@ -85,6 +91,7 @@ class LocalProcessBackend(ExecutionBackend):
                 stdout=subprocess.PIPE,
                 stderr=subprocess.STDOUT,
                 env=env,
+                start_new_session=True,
             )
         except (FileNotFoundError, PermissionError, OSError, ValueError) as exc:
             job.spawn_failed = True
@@ -161,3 +168,29 @@ class LocalProcessBackend(ExecutionBackend):
 
     def emit_event(self, kind: str, payload: dict) -> None:
         pass
+
+    def close(self) -> None:
+        """Stop every trainer still running: SIGTERM to its process group,
+        SIGKILL once the grace period is over, then join its output reader.
+        Safe to call twice."""
+        with self._lock:
+            jobs = [j for j in self._jobs.values() if j.process is not None]
+        live = [j for j in jobs if j.process.poll() is None or j.reader.is_alive()]
+        for job in live:
+            _signal_group(job.process, signal.SIGTERM)
+        deadline = time.monotonic() + TERMINATE_GRACE_S
+        for job in live:
+            try:
+                job.process.wait(timeout=max(0.0, deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                pass
+            _signal_group(job.process, signal.SIGKILL)
+            job.process.wait()
+            job.reader.join(timeout=1.0)
+
+
+def _signal_group(process: subprocess.Popen, sig: int) -> None:
+    try:
+        os.killpg(process.pid, sig)
+    except (ProcessLookupError, PermissionError):
+        pass  # the whole group has exited already

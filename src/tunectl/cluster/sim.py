@@ -24,6 +24,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ..codec import from_doc, json_default, to_doc
 from ..errors import InvalidPayloadError, UnknownNamespaceError
 from ..metrics import MetricPoint, ObservationStore, parse_metric_lines
 from ..resources import (
@@ -88,7 +89,7 @@ class SimNode:
 @dataclass
 class SimNamespace:
     name: str
-    cpu_limit: float = math.inf
+    cpu_limit: float | None = None  # None: no quota
     cpu_used: float = 0.0
 
 
@@ -129,23 +130,22 @@ def _derived_rng(*entropy: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(entropy))))
 
 
+@dataclass(eq=False)
 class SimWorld:
-    def __init__(
-        self,
-        seed: int = 0,
-        gang: bool = True,
-        autoscaler: AutoscalerConfig | None = None,
-        chaos: ChaosPolicy | None = None,
-    ):
-        self.seed = seed
-        self.gang = gang
-        self.autoscaler = autoscaler
-        self.chaos = chaos
-        self.tick = 0
-        self.node_seq = 0
-        self.nodes: dict[str, SimNode] = {}
-        self.namespaces: dict[str, SimNamespace] = {}
-        self.jobs: dict[str, SimJob] = {}
+    """The simulated cluster. Its fields are the state a snapshot holds;
+    the event log and the writers are attached in ``__post_init__``."""
+
+    seed: int = 0
+    gang: bool = True
+    autoscaler: AutoscalerConfig | None = None
+    chaos: ChaosPolicy | None = None
+    tick: int = 0
+    node_seq: int = 0
+    nodes: dict[str, SimNode] = field(default_factory=dict)
+    namespaces: dict[str, SimNamespace] = field(default_factory=dict)
+    jobs: dict[str, SimJob] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
         self.events: list[dict] = []
         self.metrics: ObservationStore | None = None
         self._event_writer: Callable[[dict], None] | None = None
@@ -159,7 +159,7 @@ class SimWorld:
         return node
 
     def add_namespace(self, name: str, cpu_limit: float | None = None) -> SimNamespace:
-        ns = SimNamespace(name=name, cpu_limit=math.inf if cpu_limit is None else float(cpu_limit))
+        ns = SimNamespace(name=name, cpu_limit=None if cpu_limit is None else float(cpu_limit))
         self.namespaces[name] = ns
         return ns
 
@@ -364,7 +364,7 @@ class SimWorld:
     def _fits(self, node: SimNode, ns: SimNamespace, cpu: float) -> bool:
         return (
             node.allocated_cpu + cpu <= node.capacity_cpu + 1e-9
-            and ns.cpu_used + cpu <= ns.cpu_limit + 1e-9
+            and (ns.cpu_limit is None or ns.cpu_used + cpu <= ns.cpu_limit + 1e-9)
         )
 
     def _first_fit(self, ns: SimNamespace, cpu: float) -> SimNode | None:
@@ -507,139 +507,11 @@ class SimWorld:
     # -- serialization -----------------------------------------------------------
 
     def to_doc(self) -> dict:
-        def descriptor_doc(d: SimObjectiveDescriptor | None) -> dict | None:
-            if d is None:
-                return None
-            return {
-                "functionName": d.function_name,
-                "durationTicks": d.duration_ticks,
-                "noiseStdDev": d.noise_std_dev,
-                "rngSeedOffset": d.rng_seed_offset,
-            }
-
-        return {
-            "tick": self.tick,
-            "seed": self.seed,
-            "gang": self.gang,
-            "nodeSeq": self.node_seq,
-            "autoscaler": None
-            if self.autoscaler is None
-            else {
-                "minNodes": self.autoscaler.min_nodes,
-                "maxNodes": self.autoscaler.max_nodes,
-                "nodeCapacityCpu": self.autoscaler.node_capacity_cpu,
-                "scaleDownGraceTicks": self.autoscaler.scale_down_grace_ticks,
-            },
-            "chaos": None
-            if self.chaos is None
-            else {
-                "mode": self.chaos.mode,
-                "fraction": self.chaos.fraction,
-                "intervalTicks": self.chaos.interval_ticks,
-                "seed": self.chaos.seed,
-            },
-            "nodes": [
-                {
-                    "id": n.id,
-                    "capacityCpu": n.capacity_cpu,
-                    "idleSince": n.idle_since,
-                }
-                for _, n in sorted(self.nodes.items())
-            ],
-            "namespaces": [
-                {"name": ns.name, "cpuLimit": None if math.isinf(ns.cpu_limit) else ns.cpu_limit}
-                for _, ns in sorted(self.namespaces.items())
-            ],
-            "jobs": [
-                {
-                    "name": j.name,
-                    "namespace": j.namespace,
-                    "kind": j.kind,
-                    "workerCount": j.worker_count,
-                    "cpuPerWorker": j.cpu_per_worker,
-                    "duration": j.duration,
-                    "descriptor": descriptor_doc(j.descriptor),
-                    "assignments": [[n, v] for n, v in j.assignments],
-                    "collector": j.collector.value,
-                    "watched": list(j.watched),
-                    "phase": j.phase.value,
-                    "reason": j.reason,
-                    "completed": j.completed,
-                    "attempt": j.attempt,
-                    "units": [
-                        {"index": u.index, "cpu": u.cpu, "remaining": u.remaining, "node": u.node}
-                        for u in j.units
-                    ],
-                    "log": list(j.log),
-                }
-                for _, j in sorted(self.jobs.items())
-            ],
-        }
+        return to_doc(self)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "SimWorld":
-        autoscaler = None
-        if doc.get("autoscaler"):
-            a = doc["autoscaler"]
-            autoscaler = AutoscalerConfig(
-                min_nodes=a["minNodes"],
-                max_nodes=a["maxNodes"],
-                node_capacity_cpu=a["nodeCapacityCpu"],
-                scale_down_grace_ticks=a["scaleDownGraceTicks"],
-            )
-        chaos = None
-        if doc.get("chaos"):
-            c = doc["chaos"]
-            chaos = ChaosPolicy(
-                mode=c["mode"], fraction=c["fraction"], interval_ticks=c["intervalTicks"], seed=c["seed"]
-            )
-        world = cls(seed=doc["seed"], gang=doc["gang"], autoscaler=autoscaler, chaos=chaos)
-        world.tick = doc["tick"]
-        world.node_seq = doc["nodeSeq"]
-        for n in doc["nodes"]:
-            node = SimNode(id=n["id"], capacity_cpu=n["capacityCpu"], idle_since=n["idleSince"])
-            world.nodes[node.id] = node
-        for ns in doc["namespaces"]:
-            world.add_namespace(ns["name"], ns["cpuLimit"])
-        for j in doc["jobs"]:
-            descriptor = None
-            if j["descriptor"]:
-                d = j["descriptor"]
-                descriptor = SimObjectiveDescriptor(
-                    function_name=d["functionName"],
-                    duration_ticks=d["durationTicks"],
-                    noise_std_dev=d["noiseStdDev"],
-                    rng_seed_offset=d["rngSeedOffset"],
-                )
-            job = SimJob(
-                name=j["name"],
-                namespace=j["namespace"],
-                kind=j["kind"],
-                worker_count=j["workerCount"],
-                cpu_per_worker=j["cpuPerWorker"],
-                duration=j["duration"],
-                descriptor=descriptor,
-                assignments=tuple((a[0], a[1]) for a in j["assignments"]),
-                collector=CollectorKind(j["collector"]),
-                watched=tuple(j["watched"]),
-                phase=JobPhase(j["phase"]),
-                reason=j["reason"],
-                completed=j["completed"],
-                attempt=j["attempt"],
-                log=list(j["log"]),
-            )
-            job.units = [
-                SimUnit(job=job.name, index=u["index"], cpu=u["cpu"], remaining=u["remaining"], node=u["node"])
-                for u in j["units"]
-            ]
-            world.jobs[job.name] = job
-        # Allocation totals derive from placements: recompute on load.
-        for job in world.jobs.values():
-            for unit in job.units:
-                if unit.node is not None and unit.node in world.nodes:
-                    world.nodes[unit.node].allocated_cpu += unit.cpu
-                    world.namespaces[job.namespace].cpu_used += unit.cpu
-        return world
+        return from_doc(cls, doc)
 
 
 class SimBackend(ExecutionBackend):
@@ -704,9 +576,9 @@ class SimBackend(ExecutionBackend):
             return
         self._events_fp.flush()
         offset = self._events_fp.tell()
-        doc = {"world": self.world.to_doc(), "eventsOffset": offset}
+        doc = {"world": self.world, "eventsOffset": offset}
         tmp = self._state_dir / (self.WORLD_FILE + ".tmp")
-        tmp.write_text(json.dumps(doc))
+        tmp.write_text(json.dumps(doc, default=json_default))
         os.replace(tmp, self._state_dir / self.WORLD_FILE)
 
     # -- ExecutionBackend ----------------------------------------------------

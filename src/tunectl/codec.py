@@ -1,0 +1,102 @@
+"""One codec for every persisted document.
+
+``to_doc`` turns a dataclass into plain data: a dict with camelCase keys in
+field order, recursively, with Enums written as their values and tuples as
+lists. ``from_doc`` rebuilds a value of a given type from that data, guided
+by type hints. It checks scalar types on the way, so it also reads documents
+that come from outside the program. ``json_default`` is the same encoding as
+a ``json.dumps`` hook, for large documents written straight to JSON.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import types
+import typing
+from enum import Enum
+from functools import cache
+from typing import Any
+
+_SCALARS = (str, int, float, bool, type(None))
+
+
+@cache
+def _fields(cls: type) -> tuple[tuple[str, str, Any, bool], ...]:
+    """(attribute, document key, type hint, has a default) per field."""
+    hints = typing.get_type_hints(cls)
+    out = []
+    for f in dataclasses.fields(cls):
+        head, *rest = f.name.split("_")
+        key = head + "".join(w[:1].upper() + w[1:] for w in rest)
+        optional = f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING
+        out.append((f.name, key, hints[f.name], optional))
+    return tuple(out)
+
+
+def to_doc(obj: Any) -> Any:
+    if type(obj) in _SCALARS:
+        return obj
+    if isinstance(obj, Enum):
+        return obj.value
+    if dataclasses.is_dataclass(obj):
+        return {key: to_doc(getattr(obj, name)) for name, key, _, _ in _fields(type(obj))}
+    if isinstance(obj, (list, tuple)):
+        return [to_doc(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: to_doc(v) for k, v in obj.items()}
+    return obj
+
+
+def json_default(obj: Any) -> Any:
+    """``json.dumps(obj, default=json_default)`` writes what ``to_doc`` would
+    for documents whose Enums are ``str`` Enums, as every persisted one is."""
+    if dataclasses.is_dataclass(obj):
+        return {key: getattr(obj, name) for name, key, _, _ in _fields(type(obj))}
+    raise TypeError(f"{type(obj).__name__} is not serializable")
+
+
+def from_doc(tp: Any, doc: Any) -> Any:
+    """Rebuild a value of type ``tp`` from its ``to_doc`` form; raise
+    TypeError or ValueError on a document that does not fit."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp is Any:
+        return doc
+    if origin in (typing.Union, types.UnionType):
+        if doc is None and type(None) in args:
+            return None
+        # A dict decodes as the dataclass member; anything else as the first other one.
+        members = [a for a in args if a is not type(None)]
+        tp = next((a for a in members if dataclasses.is_dataclass(a) == isinstance(doc, dict)), members[0])
+        return from_doc(tp, doc)
+    if origin is tuple:
+        _expect(doc, list)
+        if args[-1] is Ellipsis:
+            return tuple(from_doc(args[0], v) for v in doc)
+        if len(args) != len(doc):
+            raise ValueError(f"expected {len(args)} items, got {len(doc)}")
+        return tuple(from_doc(a, v) for a, v in zip(args, doc))
+    if origin is list:
+        return [from_doc(args[0], v) for v in _expect(doc, list)]
+    if origin is dict:
+        return {k: from_doc(args[1], v) for k, v in _expect(doc, dict).items()}
+    if dataclasses.is_dataclass(tp):
+        _expect(doc, dict)
+        kwargs = {}
+        for name, key, hint, optional in _fields(tp):
+            if key in doc:
+                kwargs[name] = from_doc(hint, doc[key])
+            elif not optional:
+                raise ValueError(f"{tp.__name__}: missing field '{key}'")
+        return tp(**kwargs)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return tp(doc)
+    if tp is float:
+        return float(_expect(doc, (int, float)))
+    return _expect(doc, tp)
+
+
+def _expect(doc: Any, kinds: type | tuple[type, ...]) -> Any:
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+    if not isinstance(doc, kinds) or (isinstance(doc, bool) and bool not in kinds):
+        raise TypeError(f"expected {' or '.join(k.__name__ for k in kinds)}, got {doc!r}")
+    return doc

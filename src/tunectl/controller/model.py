@@ -10,10 +10,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
+from ..codec import from_doc, to_doc
 from ..resources import (
     AlgorithmSpec,
     ExperimentSpec,
-    SimObjectiveDescriptor,
     TrialRunSpec,
     experiment_to_doc,
     parse_experiment,
@@ -157,180 +157,41 @@ def clone_resource(resource: Resource) -> Resource:
 # Document (de)serialization for the file store
 # ---------------------------------------------------------------------------
 
-
-def _assignments_to_doc(assignments: AssignmentSet) -> list[dict]:
-    return [{"name": n, "value": v} for n, v in assignments]
-
-
-def _assignments_from_doc(doc: list[dict]) -> AssignmentSet:
-    return tuple((d["name"], d["value"]) for d in doc)
-
-
-def _run_spec_to_doc(run_spec: TrialRunSpec | None) -> dict | None:
-    if run_spec is None:
-        return None
-    payload: Any = run_spec.resolved_payload
-    if isinstance(payload, SimObjectiveDescriptor):
-        payload = {
-            "functionName": payload.function_name,
-            "durationTicks": payload.duration_ticks,
-            "noiseStdDev": payload.noise_std_dev,
-            "rngSeedOffset": payload.rng_seed_offset,
-        }
-        payload_kind = "simulated"
-    else:
-        payload_kind = "command"
-    return {
-        "trialName": run_spec.trial_name,
-        "namespace": run_spec.namespace,
-        "payloadKind": payload_kind,
-        "resolvedPayload": payload,
-        "parameterAssignments": _assignments_to_doc(run_spec.parameter_assignments),
-    }
-
-
-def _run_spec_from_doc(doc: dict | None) -> TrialRunSpec | None:
-    if doc is None:
-        return None
-    payload: Any = doc["resolvedPayload"]
-    if doc.get("payloadKind") == "simulated":
-        payload = SimObjectiveDescriptor(
-            function_name=payload["functionName"],
-            duration_ticks=payload["durationTicks"],
-            noise_std_dev=payload["noiseStdDev"],
-            rng_seed_offset=payload["rngSeedOffset"],
-        )
-    return TrialRunSpec(
-        trial_name=doc["trialName"],
-        namespace=doc["namespace"],
-        resolved_payload=payload,
-        parameter_assignments=_assignments_from_doc(doc["parameterAssignments"]),
-    )
+# (spec class, status class) per kind. Experiment specs keep their
+# user-facing form: written by ``experiment_to_doc``, read back through
+# ``parse_experiment`` so a stored spec is validated like a submitted one.
+_KINDS: dict[str, tuple[type, type]] = {
+    KIND_EXPERIMENT: (ExperimentSpec, ExperimentStatus),
+    KIND_SUGGESTION: (SuggestionSpec, SuggestionStatus),
+    KIND_TRIAL: (TrialSpec, TrialStatus),
+}
 
 
 def resource_to_doc(resource: Resource) -> dict:
-    doc: dict[str, Any] = {
+    spec = experiment_to_doc(resource.spec) if resource.kind == KIND_EXPERIMENT else to_doc(resource.spec)
+    return {
         "kind": resource.kind,
         "name": resource.name,
         "namespace": resource.namespace,
+        "spec": spec,
+        "status": to_doc(resource.status),
     }
-    if resource.kind == KIND_EXPERIMENT:
-        doc["spec"] = experiment_to_doc(resource.spec)
-        status: ExperimentStatus = resource.status
-        doc["status"] = {
-            "phase": status.phase.value,
-            "trialsPending": status.trials_pending,
-            "trialsRunning": status.trials_running,
-            "trialsSucceeded": status.trials_succeeded,
-            "trialsFailed": status.trials_failed,
-            "totalSpawned": status.total_spawned,
-            "currentOptimal": None
-            if status.current_optimal is None
-            else {
-                "assignments": _assignments_to_doc(status.current_optimal.assignments),
-                "objectiveValue": status.current_optimal.objective_value,
-            },
-        }
-    elif resource.kind == KIND_SUGGESTION:
-        spec: SuggestionSpec = resource.spec
-        doc["spec"] = {
-            "experiment": spec.experiment,
-            "algorithm": {
-                "algorithmName": spec.algorithm.algorithm_name,
-                "settings": {k: spec.algorithm.settings[k] for k in sorted(spec.algorithm.settings)},
-            },
-            "requested": spec.requested,
-        }
-        sstatus: SuggestionStatus = resource.status
-        doc["status"] = {
-            "produced": [
-                {"assignments": _assignments_to_doc(p.assignments), "consumed": p.consumed}
-                for p in sstatus.produced
-            ],
-            "exhausted": sstatus.exhausted,
-        }
-    elif resource.kind == KIND_TRIAL:
-        tspec: TrialSpec = resource.spec
-        doc["spec"] = {
-            "experiment": tspec.experiment,
-            "assignments": _assignments_to_doc(tspec.assignments),
-            "runSpec": _run_spec_to_doc(tspec.run_spec),
-        }
-        tstatus: TrialStatus = resource.status
-        doc["status"] = {
-            "phase": tstatus.phase.value,
-            "restartCount": tstatus.restart_count,
-            "observation": tstatus.observation,
-            "reason": tstatus.reason,
-            "jobAttempt": tstatus.job_attempt,
-        }
-    else:
-        raise ValueError(f"unknown resource kind '{resource.kind}'")
-    return doc
 
 
 def resource_from_doc(doc: dict, generation: int) -> Resource:
     kind = doc["kind"]
-    name = doc["name"]
-    namespace = doc["namespace"]
-    spec: Any
-    status: Any
+    if kind not in _KINDS:
+        raise ValueError(f"unknown resource kind '{kind}'")
+    spec_cls, status_cls = _KINDS[kind]
     if kind == KIND_EXPERIMENT:
         spec = parse_experiment(yaml.safe_dump(doc["spec"], sort_keys=False))
-        sdoc = doc["status"]
-        optimal = sdoc.get("currentOptimal")
-        status = ExperimentStatus(
-            phase=ExperimentPhase(sdoc["phase"]),
-            trials_pending=sdoc["trialsPending"],
-            trials_running=sdoc["trialsRunning"],
-            trials_succeeded=sdoc["trialsSucceeded"],
-            trials_failed=sdoc["trialsFailed"],
-            total_spawned=sdoc["totalSpawned"],
-            current_optimal=None
-            if optimal is None
-            else OptimalResult(
-                assignments=_assignments_from_doc(optimal["assignments"]),
-                objective_value=optimal["objectiveValue"],
-            ),
-        )
-    elif kind == KIND_SUGGESTION:
-        sp = doc["spec"]
-        spec = SuggestionSpec(
-            experiment=sp["experiment"],
-            algorithm=AlgorithmSpec(
-                algorithm_name=sp["algorithm"]["algorithmName"],
-                settings=dict(sp["algorithm"]["settings"]),
-            ),
-            requested=sp["requested"],
-        )
-        st = doc["status"]
-        status = SuggestionStatus(
-            produced=[
-                ProducedSuggestion(
-                    assignments=_assignments_from_doc(p["assignments"]),
-                    consumed=p["consumed"],
-                )
-                for p in st["produced"]
-            ],
-            exhausted=st["exhausted"],
-        )
-    elif kind == KIND_TRIAL:
-        sp = doc["spec"]
-        spec = TrialSpec(
-            experiment=sp["experiment"],
-            assignments=_assignments_from_doc(sp["assignments"]),
-            run_spec=_run_spec_from_doc(sp.get("runSpec")),
-        )
-        st = doc["status"]
-        status = TrialStatus(
-            phase=TrialPhase(st["phase"]),
-            restart_count=st["restartCount"],
-            observation=st["observation"],
-            reason=st["reason"],
-            job_attempt=st["jobAttempt"],
-        )
     else:
-        raise ValueError(f"unknown resource kind '{kind}'")
+        spec = from_doc(spec_cls, doc["spec"])
     return Resource(
-        kind=kind, namespace=namespace, name=name, spec=spec, status=status, generation=generation
+        kind=kind,
+        namespace=doc["namespace"],
+        name=doc["name"],
+        spec=spec,
+        status=from_doc(status_cls, doc["status"]),
+        generation=generation,
     )

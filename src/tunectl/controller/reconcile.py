@@ -20,6 +20,7 @@ import logging
 from dataclasses import dataclass
 from typing import Callable
 
+from ..codec import to_doc
 from ..errors import (
     CasConflictError,
     ExhaustedSearchSpace,
@@ -449,23 +450,7 @@ def all_experiments_terminal(store: ResourceStore) -> bool:
 
 
 def terminal_snapshot(store: ResourceStore, ticks: int) -> dict:
-    experiments = {}
-    for e in store.list(KIND_EXPERIMENT):
-        optimal = e.status.current_optimal
-        experiments[e.key] = {
-            "phase": e.status.phase.value,
-            "trialsPending": e.status.trials_pending,
-            "trialsRunning": e.status.trials_running,
-            "trialsSucceeded": e.status.trials_succeeded,
-            "trialsFailed": e.status.trials_failed,
-            "totalSpawned": e.status.total_spawned,
-            "currentOptimal": None
-            if optimal is None
-            else {
-                "assignments": [[n, v] for n, v in optimal.assignments],
-                "objectiveValue": optimal.objective_value,
-            },
-        }
+    experiments = {e.key: to_doc(e.status) for e in store.list(KIND_EXPERIMENT)}
     return {"ticks": ticks, "experiments": experiments}
 
 

@@ -1,8 +1,8 @@
 """Observation-log storage, the metric line format, and objective extraction.
 
-Two backends ship behind one three-call interface: an in-memory store for
-tests and an append-only JSON-lines file store as the durable default
-(one ``{"trial", "metric", "ts", "value"}`` object per line). Timestamps are
+One store implements the three-call interface: an append-only JSON-lines
+file (one ``{"trial", "metric", "ts", "value"}`` object per line), or, with
+no path, the same store kept in memory only. Timestamps are
 opaque ordinals to the store: the simulator uses integer ticks, the local
 runner wall-clock milliseconds.
 
@@ -86,76 +86,32 @@ class ObservationStore(ABC):
         """Remove a trial's points; unknown trials are a no-op."""
 
 
-def _check_batch(points: Sequence[MetricPoint]) -> str:
-    if not points:
-        raise ValueError("register requires at least one point")
-    trial = points[0].trial
-    for p in points:
-        if p.trial != trial:
-            raise ValueError("all points in one batch must share a trial name")
-    return trial
-
-
-def _ordered(entries: list[tuple[MetricPoint, int]]) -> list[MetricPoint]:
-    return [p for p, _ in sorted(entries, key=lambda e: (e[0].ts, e[0].metric, e[1]))]
-
-
-class InMemoryObservationStore(ObservationStore):
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._by_trial: dict[str, list[tuple[MetricPoint, int]]] = {}
-        self._seen: dict[str, set[tuple]] = {}
-        self._seq = 0
-
-    def register_observation_log(self, points: Sequence[MetricPoint]) -> None:
-        trial = _check_batch(points)
-        with self._lock:
-            entries = self._by_trial.setdefault(trial, [])
-            seen = self._seen.setdefault(trial, set())
-            for p in points:
-                key = (p.metric, p.ts, p.value)
-                if key in seen:
-                    continue
-                seen.add(key)
-                entries.append((p, self._seq))
-                self._seq += 1
-
-    def get_observation_log(
-        self, trial: str, flt: ObservationFilter | None = None
-    ) -> list[MetricPoint]:
-        with self._lock:
-            entries = list(self._by_trial.get(trial, []))
-        points = _ordered(entries)
-        if flt is None:
-            return points
-        return [p for p in points if flt.admits(p)]
-
-    def delete_observation_log(self, trial: str) -> None:
-        with self._lock:
-            self._by_trial.pop(trial, None)
-            self._seen.pop(trial, None)
-
-
 class FileObservationStore(ObservationStore):
-    """Append-only JSON-lines backend.
+    """Append-only JSON-lines backend; with no path it keeps the log in
+    memory only.
 
     Deletions append a tombstone line ``{"trial": ..., "deleted": true}`` so
-    the file itself stays append-only and crash-tolerant; a torn final line
-    from an interrupted write is skipped on load.
+    the file itself stays append-only and crash-tolerant. Opening the store
+    truncates a torn final line left by an interrupted write, so the next
+    append starts on a line of its own.
     """
 
-    def __init__(self, path: str | Path):
-        self._path = Path(path)
+    def __init__(self, path: str | Path | None = None):
+        self._path = None if path is None else Path(path)
         self._lock = threading.Lock()
         self._by_trial: dict[str, list[tuple[MetricPoint, int]]] = {}
         self._seen: dict[str, set[tuple]] = {}
         self._seq = 0
-        self._load()
+        if self._path is not None and self._path.exists():
+            self._load()
 
     def _load(self) -> None:
-        if not self._path.exists():
-            return
-        for line in self._path.read_text().splitlines():
+        data = self._path.read_bytes()
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            with self._path.open("r+b") as fp:
+                fp.truncate(end)
+        for line in data[:end].decode("utf-8", errors="replace").splitlines():
             if not line.strip():
                 continue
             try:
@@ -166,8 +122,7 @@ class FileObservationStore(ObservationStore):
             if not isinstance(trial, str) or not trial:
                 continue
             if doc.get("deleted"):
-                self._by_trial.pop(trial, None)
-                self._seen.pop(trial, None)
+                self._forget(trial)
                 continue
             try:
                 point = MetricPoint(
@@ -175,20 +130,29 @@ class FileObservationStore(ObservationStore):
                 )
             except (KeyError, TypeError, ValueError):
                 continue
-            self._remember(point)
+            self._remember(trial, [point])
 
-    def _remember(self, point: MetricPoint) -> bool:
-        entries = self._by_trial.setdefault(point.trial, [])
-        seen = self._seen.setdefault(point.trial, set())
-        key = (point.metric, point.ts, point.value)
-        if key in seen:
-            return False
-        seen.add(key)
-        entries.append((point, self._seq))
-        self._seq += 1
-        return True
+    def _remember(self, trial: str, points: Sequence[MetricPoint]) -> list[MetricPoint]:
+        """Index the points of ``trial`` not seen before; return them."""
+        entries = self._by_trial.setdefault(trial, [])
+        seen = self._seen.setdefault(trial, set())
+        fresh = []
+        for p in points:
+            key = (p.metric, p.ts, p.value)
+            if key not in seen:
+                seen.add(key)
+                entries.append((p, self._seq))
+                self._seq += 1
+                fresh.append(p)
+        return fresh
+
+    def _forget(self, trial: str) -> None:
+        self._by_trial.pop(trial, None)
+        self._seen.pop(trial, None)
 
     def _append(self, docs: Iterable[dict]) -> None:
+        if self._path is None:
+            return
         try:
             with self._path.open("a") as fp:
                 for doc in docs:
@@ -198,9 +162,14 @@ class FileObservationStore(ObservationStore):
             raise StorageUnavailableError(f"metric log append failed: {exc}") from exc
 
     def register_observation_log(self, points: Sequence[MetricPoint]) -> None:
-        _check_batch(points)
+        if not points:
+            raise ValueError("register requires at least one point")
+        trial = points[0].trial
+        for p in points:
+            if p.trial != trial:
+                raise ValueError("all points in one batch must share a trial name")
         with self._lock:
-            fresh = [p for p in points if self._remember(p)]
+            fresh = self._remember(trial, points)
             if fresh:
                 self._append(
                     {"trial": p.trial, "metric": p.metric, "ts": p.ts, "value": p.value}
@@ -212,17 +181,19 @@ class FileObservationStore(ObservationStore):
     ) -> list[MetricPoint]:
         with self._lock:
             entries = list(self._by_trial.get(trial, []))
-        points = _ordered(entries)
+        points = [p for p, _ in sorted(entries, key=lambda e: (e[0].ts, e[0].metric, e[1]))]
         if flt is None:
             return points
         return [p for p in points if flt.admits(p)]
 
     def delete_observation_log(self, trial: str) -> None:
         with self._lock:
-            if trial in self._by_trial:
-                self._by_trial.pop(trial, None)
-                self._seen.pop(trial, None)
+            self._forget(trial)
             self._append([{"trial": trial, "deleted": True}])
+
+
+# The in-memory store is the file store with no path.
+InMemoryObservationStore = FileObservationStore
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from typing import Any
 
 import yaml
 
+from .codec import to_doc
 from .errors import RenderError, ValidationError
 
 IDENTIFIER_RE = re.compile(r"^[a-z0-9]([a-z0-9-]*[a-z0-9])?$")
@@ -554,26 +555,6 @@ def parse_experiment(text: str) -> ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 
-def _space_to_doc(space: Range | ValueList) -> dict:
-    if isinstance(space, Range):
-        doc: dict[str, Any] = {"min": space.min, "max": space.max}
-        if space.step is not None:
-            doc["step"] = space.step
-        return doc
-    return {"values": list(space.values)}
-
-
-def _payload_to_doc(payload: str | SimObjectiveDescriptor) -> Any:
-    if isinstance(payload, str):
-        return payload
-    return {
-        "functionName": payload.function_name,
-        "durationTicks": payload.duration_ticks,
-        "noiseStdDev": payload.noise_std_dev,
-        "rngSeedOffset": payload.rng_seed_offset,
-    }
-
-
 def experiment_to_doc(spec: ExperimentSpec) -> dict:
     """Plain-dict form of a spec with a fixed key order; defaults materialized."""
     objective: dict[str, Any] = {"type": spec.objective.type.value}
@@ -598,7 +579,8 @@ def experiment_to_doc(spec: ExperimentSpec) -> dict:
             {
                 "name": p.name,
                 "parameterType": p.parameter_type.value,
-                "feasibleSpace": _space_to_doc(p.feasible_space),
+                # An absent step is left out, not written as null.
+                "feasibleSpace": {k: v for k, v in to_doc(p.feasible_space).items() if v is not None},
             }
             for p in spec.parameters
         ],
@@ -607,7 +589,7 @@ def experiment_to_doc(spec: ExperimentSpec) -> dict:
             "workerCount": spec.trial_template.worker_count,
             "cpuPerWorker": spec.trial_template.cpu_per_worker,
             "restartPolicy": spec.trial_template.restart_policy.value,
-            "payload": _payload_to_doc(spec.trial_template.payload),
+            "payload": to_doc(spec.trial_template.payload),
         },
     }
 

@@ -25,6 +25,7 @@ from typing import Any, Sequence
 import yaml
 
 from .cluster.objectives import mnist_surrogate
+from .codec import from_doc
 from .cluster.sim import AutoscalerConfig, ChaosMode, ChaosPolicy, SimBackend, SimWorld
 from .controller.model import KIND_TRIAL, TrialPhase
 from .controller.reconcile import run_control_loop, submit_experiment
@@ -117,21 +118,9 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             else:
                 cfg.namespaces[str(entry)] = None
         if doc.get("autoscaler"):
-            a = doc["autoscaler"]
-            cfg.autoscaler = AutoscalerConfig(
-                min_nodes=int(a["minNodes"]),
-                max_nodes=int(a["maxNodes"]),
-                node_capacity_cpu=float(a["nodeCapacityCpu"]),
-                scale_down_grace_ticks=int(a.get("scaleDownGraceTicks", 10)),
-            )
+            cfg.autoscaler = from_doc(AutoscalerConfig, doc["autoscaler"])
         if doc.get("chaos"):
-            c = doc["chaos"]
-            cfg.chaos = ChaosPolicy(
-                mode=c["mode"],
-                fraction=float(c["fraction"]),
-                interval_ticks=int(c["intervalTicks"]),
-                seed=int(c.get("seed", 0)),
-            )
+            cfg.chaos = from_doc(ChaosPolicy, doc["chaos"])
         cfg.max_ticks = int(doc.get("maxTicks", 10_000))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError([f"scenario: malformed structure: {exc!r}"]) from exc

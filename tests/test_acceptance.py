@@ -321,9 +321,12 @@ def test_criterion_7_storage(tmp_path):
         else:
             memory.delete_observation_log(trial)
             disk.delete_observation_log(trial)
+    # The log must also come back whole from the file alone.
+    reloaded = FileObservationStore(tmp_path / "metrics.jsonl")
     for trial in trials:
         assert memory.get_observation_log(trial) == disk.get_observation_log(trial)
-    _report(7, "backend-differential", True, f"10000 randomized calls, {checked} compared reads")
+        assert memory.get_observation_log(trial) == reloaded.get_observation_log(trial)
+    _report(7, "backend-differential", True, f"10000 randomized calls, {checked} compared reads, reload")
 
     # Push vs pull on an identical byte stream: bit-exact best objective.
     rng = np.random.default_rng(5)

@@ -172,6 +172,25 @@ def test_run_with_scenario_file(runner, tmp_path):
     assert "Succeeded" in result.output
 
 
+@pytest.mark.parametrize(
+    "block",
+    [
+        "autoscaler: {minNodes: 1, nodeCapacityCpu: 4}",
+        "chaos: {mode: fail-trial, fraction: lots, intervalTicks: 5}",
+        "chaos: {mode: fail-trial, fraction: 1.5, intervalTicks: 5}",
+    ],
+)
+def test_run_with_malformed_scenario_exits_2(runner, tmp_path, block):
+    exp = tmp_path / "exp.yaml"
+    exp.write_text(EXPERIMENT)
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(f"nodes: [4]\n{block}\nexperiments: [exp.yaml]\n")
+    store = str(tmp_path / "store")
+    result = runner.invoke(cli, ["run", "--store", store, "--scenario", str(scenario)])
+    assert result.exit_code == 2, result.output
+    assert "scenario:" in result.output
+
+
 def test_run_empty_store_exits_4(runner, tmp_path):
     result = runner.invoke(cli, ["run", "--store", str(tmp_path / "store")])
     assert result.exit_code == 4

@@ -1,0 +1,147 @@
+"""The dataclass codec: documents of every persisted kind round-trip."""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, field
+from enum import Enum
+from typing import Any
+
+import pytest
+
+from tunectl.codec import from_doc, json_default, to_doc
+from tunectl.controller.model import (
+    KIND_SUGGESTION,
+    KIND_TRIAL,
+    ExperimentStatus,
+    OptimalResult,
+    ProducedSuggestion,
+    Resource,
+    SuggestionSpec,
+    SuggestionStatus,
+    TrialPhase,
+    TrialSpec,
+    TrialStatus,
+    resource_from_doc,
+    resource_to_doc,
+)
+from tunectl.resources import AlgorithmSpec, SimObjectiveDescriptor, TrialRunSpec
+
+
+class Color(str, Enum):
+    RED = "red"
+
+
+@dataclass
+class Inner:
+    some_value: float
+    label: str | None = None
+
+
+@dataclass
+class Outer:
+    color: Color
+    pairs: tuple[tuple[str, Any], ...]
+    payload: str | Inner
+    items: list[Inner] = field(default_factory=list)
+    by_name: dict[str, Inner] = field(default_factory=dict)
+    extra: Any = None
+
+
+def _outer() -> Outer:
+    return Outer(
+        color=Color.RED,
+        pairs=(("lr", 0.5), ("opt", "sgd")),
+        payload=Inner(1.0),
+        items=[Inner(2.0, "b")],
+        by_name={"k": Inner(3.0)},
+        extra={"nested": [1, 2]},
+    )
+
+
+def test_to_doc_uses_camel_case_keys_in_field_order():
+    doc = to_doc(_outer())
+    assert list(doc) == ["color", "pairs", "payload", "items", "byName", "extra"]
+    assert doc["color"] == "red"
+    assert doc["pairs"] == [["lr", 0.5], ["opt", "sgd"]]
+    assert doc["payload"] == {"someValue": 1.0, "label": None}
+
+
+def test_from_doc_inverts_to_doc():
+    value = _outer()
+    assert from_doc(Outer, to_doc(value)) == value
+    plain = Outer(color=Color.RED, pairs=(), payload="a command")
+    assert from_doc(Outer, to_doc(plain)) == plain
+
+
+def test_json_default_writes_what_to_doc_writes():
+    value = _outer()
+    assert json.dumps(value, default=json_default) == json.dumps(to_doc(value))
+
+
+def test_from_doc_fills_defaults_and_coerces_ints_to_float():
+    assert from_doc(Inner, {"someValue": 4}) == Inner(4.0)
+    assert isinstance(from_doc(Inner, {"someValue": 4}).some_value, float)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        {"someValue": "lots"},
+        {"someValue": True},
+        {"someValue": 1.0, "label": 7},
+        [1.0],
+    ],
+)
+def test_from_doc_rejects_documents_that_do_not_fit(doc):
+    with pytest.raises((TypeError, ValueError)):
+        from_doc(Inner, doc)
+
+
+def test_resources_round_trip_through_their_documents():
+    run_spec = TrialRunSpec(
+        trial_name="exp-0001",
+        namespace="ns",
+        resolved_payload=SimObjectiveDescriptor("sphere", duration_ticks=3, noise_std_dev=0.1),
+        parameter_assignments=(("x", "0.5"),),
+    )
+    resources = [
+        Resource(
+            KIND_SUGGESTION,
+            "ns",
+            "exp",
+            SuggestionSpec("exp", AlgorithmSpec("random", {"random_state": 3}), 4),
+            SuggestionStatus([ProducedSuggestion((("x", 0.5), ("o", "sgd")), True)], exhausted=False),
+        ),
+        Resource(
+            KIND_TRIAL,
+            "ns",
+            "exp-0001",
+            TrialSpec("exp", (("x", 0.5),), run_spec),
+            TrialStatus(TrialPhase.FAILED, restart_count=1, observation=None, reason="boom"),
+        ),
+        Resource(
+            KIND_TRIAL,
+            "ns",
+            "exp-0002",
+            TrialSpec("exp", (("x", 1),), TrialRunSpec("exp-0002", "ns", "run --x=1", (("x", "1"),))),
+            TrialStatus(TrialPhase.SUCCEEDED, observation=0.25),
+        ),
+    ]
+    for resource in resources:
+        doc = json.loads(json.dumps(resource_to_doc(resource)))
+        assert resource_from_doc(doc, generation=resource.generation) == resource
+
+
+def test_experiment_status_document_keeps_its_shape():
+    status = ExperimentStatus(trials_succeeded=2, current_optimal=OptimalResult((("x", 0.5),), 1.25))
+    assert to_doc(status) == {
+        "phase": "Created",
+        "trialsPending": 0,
+        "trialsRunning": 0,
+        "trialsSucceeded": 2,
+        "trialsFailed": 0,
+        "totalSpawned": 0,
+        "currentOptimal": {"assignments": [["x", 0.5]], "objectiveValue": 1.25},
+    }

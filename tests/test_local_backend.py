@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -191,3 +192,32 @@ def test_backend_payload_mismatch_fails_trials_permanently():
     assert trial.status.phase is TrialPhase.FAILED
     assert "local-process" in trial.status.reason
     assert snapshot["experiments"]["experiment/ns/exp"]["phase"] == "Failed"
+
+
+def _submit_command(backend, trial, command):
+    run_spec = TrialRunSpec(
+        trial_name=trial, namespace="ns", resolved_payload=command, parameter_assignments=()
+    )
+    template = TrialTemplate(kind=TemplateKind.LOCAL_PROCESS, payload=command)
+    return backend.submit(
+        run_spec, template, collector_kind=CollectorKind.PULL, watched_metrics=("m",)
+    )
+
+
+def test_close_stops_running_trainers_and_their_children():
+    backend = LocalProcessBackend(InMemoryObservationStore())
+    _submit_command(backend, "sleeper", "sleep 30")
+    # A shell that ignores SIGTERM and leaves a child behind needs SIGKILL
+    # on the whole group.
+    _submit_command(backend, "stubborn", "sh -c \"trap '' TERM; sleep 30 & wait\"")
+    jobs = list(backend._jobs.values())
+    time.sleep(0.2)
+    assert all(job.process.poll() is None for job in jobs)
+    started = time.monotonic()
+    backend.close()
+    assert time.monotonic() - started < 2.0
+    assert all(job.process.returncode is not None for job in jobs)
+    # Every holder of a trainer's stdout has exited once its reader saw EOF.
+    assert not any(job.reader.is_alive() for job in jobs)
+    assert backend.job_state("ns/sleeper").phase is JobPhase.FAILED_PERMANENT
+    backend.close()  # a second close is a no-op

@@ -122,6 +122,45 @@ def test_file_store_tolerates_torn_final_line(tmp_path):
     assert [p.ts for p in reloaded.get_observation_log("t1")] == [1]
 
 
+def test_point_acked_after_torn_tail_survives_reload(tmp_path):
+    path = tmp_path / "metrics.jsonl"
+    FileObservationStore(path).register_observation_log([_point(ts=1)])
+    with path.open("a") as fp:
+        fp.write('{"metric": "loss", "tr')
+    FileObservationStore(path).register_observation_log([_point(ts=2)])
+    reloaded = FileObservationStore(path)
+    assert [p.ts for p in reloaded.get_observation_log("t1")] == [1, 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(count=st.integers(1, 6), cut=st.floats(0.0, 1.0))
+def test_every_acked_point_survives_a_torn_write_at_any_cut(tmp_path_factory, count, cut):
+    # The file is cut at a random byte, as a crash mid-append leaves it.
+    # Points whose whole line survived, and every point acked after the
+    # reopen, must all come back.
+    path = tmp_path_factory.mktemp("torn") / "metrics.jsonl"
+    first = FileObservationStore(path)
+    for ts in range(count):
+        first.register_observation_log([_point(ts=ts, value=ts / 10)])
+    data = path.read_bytes()
+    kept = data[: int(cut * len(data))]
+    path.write_bytes(kept)
+    whole_lines = kept.count(b"\n")
+    FileObservationStore(path).register_observation_log([_point(ts=99, value=9.9)])
+    reloaded = FileObservationStore(path)
+    assert [p.ts for p in reloaded.get_observation_log("t1")] == list(range(whole_lines)) + [99]
+
+
+def test_store_with_no_path_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    store = FileObservationStore()
+    store.register_observation_log([_point(ts=1)])
+    store.delete_observation_log("t1")
+    store.register_observation_log([_point(ts=2)])
+    assert [p.ts for p in store.get_observation_log("t1")] == [2]
+    assert list(tmp_path.iterdir()) == []
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     points=st.lists(

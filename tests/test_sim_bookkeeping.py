@@ -1,0 +1,106 @@
+"""Simulator CPU bookkeeping: the persisted totals must match the placements."""
+
+from __future__ import annotations
+
+import json
+import math
+
+from tunectl.cluster.sim import AutoscalerConfig, ChaosMode, ChaosPolicy, SimWorld
+from tunectl.controller.backend import JobPhase
+from tunectl.resources import (
+    CollectorKind,
+    SimObjectiveDescriptor,
+    TemplateKind,
+    TrialRunSpec,
+    TrialTemplate,
+)
+
+
+def assert_bookkeeping(world: SimWorld) -> None:
+    """Each node's and namespace's CPU total equals the sum over its placed units."""
+    by_node = {node_id: 0.0 for node_id in world.nodes}
+    by_namespace = {name: 0.0 for name in world.namespaces}
+    for job in world.jobs.values():
+        for unit in job.units:
+            if unit.node is not None:
+                by_node[unit.node] += unit.cpu
+                by_namespace[job.namespace] += unit.cpu
+    for node_id, node in world.nodes.items():
+        assert math.isclose(node.allocated_cpu, by_node[node_id], abs_tol=1e-9), node_id
+    for name, ns in world.namespaces.items():
+        assert math.isclose(ns.cpu_used, by_namespace[name], abs_tol=1e-9), name
+
+
+def _submit(world: SimWorld, trial: str, workers: int) -> None:
+    world.submit_job(
+        TrialRunSpec(
+            trial_name=trial,
+            namespace="ns",
+            resolved_payload=SimObjectiveDescriptor("sphere", duration_ticks=6),
+            parameter_assignments=(("x", "1.0"),),
+        ),
+        TrialTemplate(
+            kind=TemplateKind.SIMULATED,
+            payload=SimObjectiveDescriptor("sphere", duration_ticks=6),
+            worker_count=workers,
+            cpu_per_worker=1.5,
+        ),
+        collector_kind=CollectorKind.PULL,
+        watched_metrics=("loss",),
+    )
+
+
+def _busy_world() -> SimWorld:
+    world = SimWorld(
+        seed=17,
+        gang=True,
+        autoscaler=AutoscalerConfig(min_nodes=1, max_nodes=4, node_capacity_cpu=4.0, scale_down_grace_ticks=3),
+        chaos=ChaosPolicy(mode=ChaosMode.KILL_WORKER, fraction=0.4, interval_ticks=3, seed=2),
+    )
+    world.add_node(4.0)
+    world.add_namespace("ns", 10.0)
+    world.reserve_service("ns", "svc", 0.5)
+    return world
+
+
+def _tick(world: SimWorld, spawned: list[int]) -> None:
+    if world.tick < 30 and world.tick % 2 == 0:
+        _submit(world, f"t-{spawned[0]:03d}", workers=1 + spawned[0] % 3)
+        spawned[0] += 1
+    # Killed jobs get redeployed the way the trial controller would.
+    for name in sorted(world.jobs):
+        job = world.jobs[name]
+        if job.phase is JobPhase.FAILED_TEMPORARY:
+            _submit(world, name.split("/", 1)[1], workers=job.worker_count)
+    world.advance_tick()
+
+
+def test_cpu_totals_match_placements_every_tick():
+    world = _busy_world()
+    spawned = [0]
+    kills = 0
+    for _ in range(80):
+        _tick(world, spawned)
+        kills += sum(1 for e in world.events if e["tick"] == world.tick and e["kind"] == "chaos-kill")
+        assert_bookkeeping(world)
+    assert kills > 0
+    assert any(e["kind"] == "node-removed" for e in world.events)
+
+
+def test_cpu_totals_survive_a_snapshot_round_trip():
+    world = _busy_world()
+    spawned = [0]
+    for _ in range(20):
+        _tick(world, spawned)
+    assert any(u.node is not None for j in world.jobs.values() for u in j.units)
+    text = json.dumps(world.to_doc())
+    restored = SimWorld.from_doc(json.loads(text))
+    assert_bookkeeping(restored)
+    assert restored.to_doc() == world.to_doc()
+    restored_spawned = list(spawned)
+    for _ in range(20):
+        _tick(world, spawned)
+        _tick(restored, restored_spawned)
+        assert_bookkeeping(restored)
+    assert restored.to_doc() == world.to_doc()
+    assert restored.events[-50:] == world.events[-50:]
