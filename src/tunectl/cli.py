@@ -7,9 +7,12 @@ error, 5 scenario assertion failure.
 
 from __future__ import annotations
 
+import fcntl
 import logging
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import click
 
@@ -39,6 +42,28 @@ store_option = click.option(
 )
 
 
+def _open_store(store_dir: Path) -> FileResourceStore:
+    try:
+        return FileResourceStore(store_dir)
+    except TunectlError as exc:
+        click.echo(str(exc), err=True)
+        sys.exit(EXIT_RUNTIME)
+
+
+@contextmanager
+def _exclusive(store_dir: Path) -> Iterator[None]:
+    """Hold ``<store>/.lock`` so that a second ``run`` on the store exits
+    instead of interleaving its writes with this one."""
+    store_dir.mkdir(parents=True, exist_ok=True)
+    with open(store_dir / ".lock", "a") as lock:
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            click.echo(f"store {store_dir} is in use by another 'tunectl run'", err=True)
+            sys.exit(EXIT_RUNTIME)
+        yield
+
+
 @click.group()
 @click.option("-v", "--verbose", is_flag=True, help="Enable debug logging.")
 def cli(verbose: bool) -> None:
@@ -59,7 +84,7 @@ def submit(experiment_file: Path, store_dir: Path) -> None:
         for error in exc.errors:
             click.echo(f"{experiment_file}: {error}", err=True)
         sys.exit(EXIT_VALIDATION)
-    store = FileResourceStore(store_dir)
+    store = _open_store(store_dir)
     try:
         resource = submit_experiment(store, spec)
     except ResourceExistsError as exc:
@@ -101,7 +126,18 @@ def run(
     max_ticks: int,
 ) -> None:
     """Drive every experiment in the store to a terminal phase."""
-    store = FileResourceStore(store_dir)
+    with _exclusive(store_dir):
+        _run(store_dir, backend_name, scenario_file, seed, max_ticks)
+
+
+def _run(
+    store_dir: Path,
+    backend_name: str,
+    scenario_file: Path | None,
+    seed: int,
+    max_ticks: int,
+) -> None:
+    store = _open_store(store_dir)
     metrics = FileObservationStore(store_dir / "metrics.jsonl")
     try:
         if backend_name == "local":
@@ -170,7 +206,7 @@ def export(
     experiment: str, store_dir: Path, namespace: str | None, fmt: str, output_path: Path | None
 ) -> None:
     """Export the per-trial results table (parallel-coordinates input)."""
-    store = FileResourceStore(store_dir)
+    store = _open_store(store_dir)
     metrics = FileObservationStore(store_dir / "metrics.jsonl")
     matches = [
         e

@@ -39,6 +39,7 @@ from .objectives import eval_sim_objective
 
 CHAOS_SALT = 0xC7A05
 METRIC_SALT = 0x3E791C
+LIVE_PHASES = (JobPhase.PENDING, JobPhase.RUNNING)
 
 
 class SimulatedCrash(Exception):
@@ -133,7 +134,8 @@ def _derived_rng(*entropy: int) -> np.random.Generator:
 @dataclass(eq=False)
 class SimWorld:
     """The simulated cluster. Its fields are the state a snapshot holds;
-    the event log and the writers are attached in ``__post_init__``."""
+    the event log, the writers and the set of live (pending or running) job
+    names, which the tick phases iterate, are attached in ``__post_init__``."""
 
     seed: int = 0
     gang: bool = True
@@ -149,6 +151,7 @@ class SimWorld:
         self.events: list[dict] = []
         self.metrics: ObservationStore | None = None
         self._event_writer: Callable[[dict], None] | None = None
+        self.live_jobs: set[str] = {name for name, job in self.jobs.items() if job.phase in LIVE_PHASES}
 
     # -- world construction -------------------------------------------------
 
@@ -194,6 +197,7 @@ class SimWorld:
                 existing.attempt += 1
                 existing.phase = JobPhase.PENDING
                 existing.reason = None
+                self.live_jobs.add(handle)
                 existing.units = [
                     SimUnit(job=handle, index=i, cpu=existing.cpu_per_worker, remaining=remaining)
                     for i in range(existing.worker_count)
@@ -222,6 +226,7 @@ class SimWorld:
             for i in range(job.worker_count)
         ]
         self.jobs[handle] = job
+        self.live_jobs.add(handle)
         self.emit("job-submitted", {"job": handle, "workers": job.worker_count})
         return handle
 
@@ -241,6 +246,7 @@ class SimWorld:
         )
         job.units = [SimUnit(job=handle, index=0, cpu=cpu, remaining=None)]
         self.jobs[handle] = job
+        self.live_jobs.add(handle)
         self.emit("service-reserved", {"service": handle, "cpu": cpu})
         return handle
 
@@ -252,6 +258,7 @@ class SimWorld:
         for unit in job.units:
             self._unplace(unit)
         del self.jobs[handle]
+        self.live_jobs.discard(handle)
         self.emit("service-released", {"service": handle})
 
     def job_state(self, handle: str) -> JobState:
@@ -280,12 +287,11 @@ class SimWorld:
 
     # -- tick phases -----------------------------------------------------------
 
+    def _live(self) -> list[SimJob]:
+        return [self.jobs[name] for name in sorted(self.live_jobs)]
+
     def _running_trials(self) -> list[SimJob]:
-        return [
-            self.jobs[name]
-            for name in sorted(self.jobs)
-            if self.jobs[name].kind == "trial" and self.jobs[name].phase is JobPhase.RUNNING
-        ]
+        return [job for job in self._live() if job.kind == "trial" and job.phase is JobPhase.RUNNING]
 
     def chaos_tick(self) -> None:
         policy = self.chaos
@@ -303,6 +309,7 @@ class SimWorld:
             job = running[i]
             for unit in job.units:
                 self._unplace(unit)
+            self.live_jobs.discard(job.name)
             if policy.mode == ChaosMode.FAIL_TRIAL:
                 job.phase = JobPhase.FAILED_PERMANENT
                 job.reason = "chaos: trial payload invalidated"
@@ -329,10 +336,7 @@ class SimWorld:
             job.log.append(f"{self.tick} {metric}={value_to_string(value)}")
 
     def progress_tick(self) -> None:
-        for name in sorted(self.jobs):
-            job = self.jobs[name]
-            if job.kind != "trial" or job.phase is not JobPhase.RUNNING:
-                continue
+        for job in self._running_trials():
             placed = [u for u in job.units if u.node is not None and u.remaining]
             if not placed:
                 continue
@@ -348,13 +352,13 @@ class SimWorld:
                     self._unplace(unit)
             if all((u.remaining or 0) == 0 for u in job.units):
                 job.phase = JobPhase.SUCCEEDED
+                self.live_jobs.discard(job.name)
                 self.emit("job-succeeded", {"job": job.name})
 
     def _pending_units(self) -> list[SimUnit]:
         units = []
-        for name in sorted(self.jobs):
-            job = self.jobs[name]
-            if job.phase not in (JobPhase.PENDING, JobPhase.RUNNING):
+        for job in self._live():
+            if job.phase not in LIVE_PHASES:
                 continue
             for unit in job.units:
                 if unit.node is None and (unit.remaining is None or unit.remaining > 0):
@@ -460,15 +464,13 @@ class SimWorld:
             self.emit("node-removed", {"node": node.id})
 
     def _tick_stats(self) -> None:
-        namespaces = {}
-        for name in sorted(self.namespaces):
-            ns = self.namespaces[name]
-            running = sum(
-                1
-                for job in self.jobs.values()
-                if job.kind == "trial" and job.namespace == name and job.phase is JobPhase.RUNNING
-            )
-            namespaces[name] = {"cpuUsed": ns.cpu_used, "runningTrials": running}
+        running: dict[str, int] = {}
+        for job in self._running_trials():
+            running[job.namespace] = running.get(job.namespace, 0) + 1
+        namespaces = {
+            name: {"cpuUsed": self.namespaces[name].cpu_used, "runningTrials": running.get(name, 0)}
+            for name in sorted(self.namespaces)
+        }
         self.emit(
             "tick-stats",
             {

@@ -70,7 +70,7 @@ class SuggestionSpec:
     requested: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProducedSuggestion:
     assignments: AssignmentSet
     consumed: bool = False
@@ -122,7 +122,8 @@ def clone_resource(resource: Resource) -> Resource:
     Experiment specs are shared (treated as immutable once parsed); the
     mutable shells around them — statuses, suggestion/trial specs — are
     rebuilt so callers and the store never alias mutable state. Assignment
-    tuples and run specs are immutable and safely shared.
+    tuples, run specs and produced suggestions are immutable and safely
+    shared.
     """
     import dataclasses
 
@@ -135,7 +136,7 @@ def clone_resource(resource: Resource) -> Resource:
             requested=spec.requested,
         )
         status = SuggestionStatus(
-            produced=[ProducedSuggestion(p.assignments, p.consumed) for p in status.produced],
+            produced=list(status.produced),
             exhausted=status.exhausted,
         )
     elif resource.kind == KIND_TRIAL:

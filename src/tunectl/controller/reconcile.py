@@ -2,9 +2,18 @@
 
 Each reconciler observes current resource state and issues compare-and-swap
 mutations moving it toward the desired state; applying a reconciler twice to
-the same state is a no-op the second time. A controller step runs every
-reconciler over every resource (round-robin in key order) until the store is
-quiescent, and the outer loop advances backend time between steps.
+the same state is a no-op the second time. A controller step runs the
+reconcilers in passes, kind by kind (experiments, suggestions, trials) and in
+key order within a kind, repeating while a pass mutates anything.
+
+The first pass of a context's first step visits every resource, so a resumed
+run still releases the services of experiments that are already terminal.
+Every later pass visits only the store's live keys: resources whose
+reconciler can still act. A terminal resource has no side effect after its
+first terminal reconcile, so skipping it changes neither the mutations nor
+the order of events, and a step costs time in proportion to the live trials.
+The experiment and suggestion controllers read their trials through the
+store's per-experiment trial index rather than by listing the namespace.
 
 Budget semantics: an experiment spawns at most ``maxTrialCount`` trials and
 keeps at most ``parallelTrialCount`` in flight; it succeeds when the goal is
@@ -16,9 +25,10 @@ N tolerates exactly N failures.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 from ..codec import to_doc
 from ..errors import (
@@ -57,7 +67,7 @@ from .model import (
     TrialStatus,
     resource_key,
 )
-from .store import ResourceStore
+from .store import ResourceStore, TrialRecord, TrialSummary
 
 logger = logging.getLogger(__name__)
 
@@ -72,6 +82,9 @@ class ControllerContext:
     metrics: ObservationStore
     backend: ExecutionBackend
     on_mutation: Callable[[], None] | None = None
+    # Set once the first pass has visited every resource; later passes
+    # visit only the live ones.
+    swept: bool = field(default=False, init=False)
 
     def mutated(self) -> None:
         if self.on_mutation is not None:
@@ -103,14 +116,6 @@ def submit_experiment(store: ResourceStore, spec: ExperimentSpec) -> Resource:
     )
 
 
-def _experiment_trials(ctx: ControllerContext, experiment: Resource) -> list[Resource]:
-    return [
-        t
-        for t in ctx.store.list(KIND_TRIAL, experiment.namespace)
-        if t.spec.experiment == experiment.name
-    ]
-
-
 def _budget_of(assignments: AssignmentSet) -> float | None:
     for name, value in assignments:
         if name == BUDGET_PARAMETER:
@@ -118,25 +123,26 @@ def _budget_of(assignments: AssignmentSet) -> float | None:
     return None
 
 
-def build_history(trials: list[Resource]) -> tuple[TrialObservation, ...]:
-    """Observations for the suggestion engine: concluded trials only."""
+def build_history(trials: Iterable[TrialRecord]) -> tuple[TrialObservation, ...]:
+    """Observations for the suggestion engine: concluded trials only, in the
+    given order (the store hands them out in name order)."""
     observations = []
-    for trial in sorted(trials, key=lambda t: t.name):
-        if trial.status.phase is TrialPhase.SUCCEEDED:
+    for trial in trials:
+        if trial.phase is TrialPhase.SUCCEEDED:
             observations.append(
                 TrialObservation(
-                    assignments=trial.spec.assignments,
+                    assignments=trial.assignments,
                     status=ObservationStatus.SUCCEEDED,
-                    objective_value=trial.status.observation,
-                    resource_consumed=_budget_of(trial.spec.assignments),
+                    objective_value=trial.observation,
+                    resource_consumed=_budget_of(trial.assignments),
                 )
             )
-        elif trial.status.phase is TrialPhase.FAILED:
+        elif trial.phase is TrialPhase.FAILED:
             observations.append(
                 TrialObservation(
-                    assignments=trial.spec.assignments,
+                    assignments=trial.assignments,
                     status=ObservationStatus.FAILED,
-                    resource_consumed=_budget_of(trial.spec.assignments),
+                    resource_consumed=_budget_of(trial.assignments),
                 )
             )
     return tuple(observations)
@@ -151,16 +157,11 @@ def _goal_met(spec: ExperimentSpec, optimal: OptimalResult | None) -> bool:
     return optimal.objective_value <= goal
 
 
-def _current_optimal(spec: ExperimentSpec, trials: list[Resource]) -> OptimalResult | None:
-    best: OptimalResult | None = None
-    maximize = spec.objective.type is ObjectiveType.MAXIMIZE
-    for trial in sorted(trials, key=lambda t: t.name):
-        if trial.status.phase is not TrialPhase.SUCCEEDED or trial.status.observation is None:
-            continue
-        value = trial.status.observation
-        if best is None or (value > best.objective_value if maximize else value < best.objective_value):
-            best = OptimalResult(assignments=trial.spec.assignments, objective_value=value)
-    return best
+def _current_optimal(spec: ExperimentSpec, trials: TrialSummary) -> OptimalResult | None:
+    best = trials.highest if spec.objective.type is ObjectiveType.MAXIMIZE else trials.lowest
+    if best is None:
+        return None
+    return OptimalResult(assignments=best.assignments, objective_value=best.observation)
 
 
 def reconcile_experiment(ctx: ControllerContext, key: str) -> int:
@@ -173,12 +174,9 @@ def reconcile_experiment(ctx: ControllerContext, key: str) -> int:
         return 0
 
     mutations = 0
-    trials = _experiment_trials(ctx, experiment)
-    pending = sum(1 for t in trials if t.status.phase in (TrialPhase.CREATED, TrialPhase.PENDING))
-    running = sum(1 for t in trials if t.status.phase is TrialPhase.RUNNING)
-    succeeded = sum(1 for t in trials if t.status.phase is TrialPhase.SUCCEEDED)
-    failed = sum(1 for t in trials if t.status.phase is TrialPhase.FAILED)
-    spawned = len(trials)
+    trials = ctx.store.trial_summary(spec.namespace, spec.name)
+    pending, running = trials.pending, trials.running
+    succeeded, failed, spawned = trials.succeeded, trials.failed, trials.spawned
     active = pending + running
 
     # Ensure the suggestion resource exists and has enough requested
@@ -229,7 +227,7 @@ def reconcile_experiment(ctx: ControllerContext, key: str) -> int:
             )
             ctx.mutated()
             mutations += 1
-        produced.consumed = True
+        suggestion.status.produced[index] = dataclasses.replace(produced, consumed=True)
         consumed_dirty = True
         spawned += 1
         active += 1
@@ -240,8 +238,7 @@ def reconcile_experiment(ctx: ControllerContext, key: str) -> int:
         mutations += 1
 
     optimal = _current_optimal(spec, trials)
-    all_consumed = all(p.consumed for p in suggestion.status.produced)
-    search_spent = suggestion.status.exhausted and all_consumed
+    search_spent = suggestion.status.exhausted and all(p.consumed for p in suggestion.status.produced)
     budget_spent = (spawned >= spec.max_trial_count or search_spent) and active == 0
 
     phase = ExperimentPhase.RUNNING
@@ -302,7 +299,7 @@ def reconcile_suggestion(ctx: ControllerContext, key: str) -> int:
     spec: ExperimentSpec = experiment.spec
     plugin = get_algorithm(spec.algorithm.algorithm_name)
     state = plugin.restore_state(spec, tuple(p.assignments for p in produced))
-    history = build_history(_experiment_trials(ctx, experiment))
+    history = build_history(ctx.store.concluded_trials(suggestion.namespace, spec.name))
     request = SuggestionRequest(experiment=spec, history=history, count=need, state=state)
     try:
         result = get_suggestions(request)
@@ -418,18 +415,22 @@ _RECONCILERS = {
 
 
 def controller_step(ctx: ControllerContext) -> int:
-    """One scheduler step: reconcile everything until quiescent.
+    """One scheduler step: reconcile until quiescent.
 
     Resources are visited round-robin in key order (experiments, then
     suggestions, then trials by key), repeating while mutations occur so a
     fresh suggestion flows into spawned, submitted trials within one step.
+    Each kind's keys are read when its loop starts: every key on the
+    context's first pass, the live keys after that.
     """
     total = 0
     for _ in range(CONTROLLER_STEP_PASS_CAP):
         mutations = 0
+        keys_of = ctx.store.live_keys if ctx.swept else ctx.store.keys
+        ctx.swept = True
         for kind in (KIND_EXPERIMENT, KIND_SUGGESTION, KIND_TRIAL):
             reconciler = _RECONCILERS[kind]
-            for key in ctx.store.keys(kind):
+            for key in keys_of(kind):
                 try:
                     mutations += reconciler(ctx, key)
                 except CasConflictError:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import csv
+import fcntl
 import io
 import json
 import sys
 import textwrap
 
 import pytest
+import yaml
 from click.testing import CliRunner
 
 from tunectl.cli import cli
@@ -234,3 +236,54 @@ def test_store_flag_from_environment(runner, tmp_path, monkeypatch):
     result = runner.invoke(cli, ["submit", str(exp)])
     assert result.exit_code == 0
     assert (tmp_path / "envstore" / "experiments").exists()
+
+
+def _store_files(store):
+    return {p: p.read_bytes() for p in sorted(store.rglob("*")) if p.is_file()}
+
+
+def _precodec_trial(path):
+    # Before the dataclass codec, assignments were stored as {name, value} mappings.
+    doc = yaml.safe_load(path.read_text())
+    doc["spec"]["assignments"] = [{"name": n, "value": v} for n, v in doc["spec"]["assignments"]]
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+
+
+def _invalid_yaml(path):
+    path.write_text("kind: trial\nspec: {assignments: [\n")
+
+
+@pytest.mark.parametrize("corrupt", [_precodec_trial, _invalid_yaml])
+@pytest.mark.parametrize("command", ["submit", "run", "export"])
+def test_unreadable_store_file_exits_4_naming_the_file(runner, tmp_path, corrupt, command):
+    _submit(runner, tmp_path)
+    store = tmp_path / "store"
+    partial = runner.invoke(cli, ["run", "--store", str(store), "--seed", "5", "--max-ticks", "1"])
+    assert partial.exit_code == 0, partial.output
+    bad = sorted((store / "trials").glob("*.yaml"))[0]
+    corrupt(bad)
+    args = {
+        "submit": ["submit", str(tmp_path / "exp.yaml")],
+        "run": ["run", "--seed", "5"],
+        "export": ["export", "cli-exp"],
+    }[command]
+    result = runner.invoke(cli, [*args, "--store", str(store)])
+    assert result.exit_code == 4, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert str(bad) in result.output
+
+
+def test_second_run_on_a_locked_store_exits_4_and_leaves_it_untouched(runner, tmp_path):
+    _submit(runner, tmp_path)
+    store = tmp_path / "store"
+    partial = runner.invoke(cli, ["run", "--store", str(store), "--seed", "5", "--max-ticks", "2"])
+    assert partial.exit_code == 0, partial.output
+    before = _store_files(store)
+    with open(store / ".lock", "a") as held:
+        fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        result = runner.invoke(cli, ["run", "--store", str(store), "--seed", "5"])
+    assert result.exit_code == 4, result.output
+    assert "in use" in result.output
+    assert _store_files(store) == before
+    # Once the lock is free, the run goes ahead.
+    assert runner.invoke(cli, ["run", "--store", str(store), "--seed", "5"]).exit_code == 0

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from tunectl.cluster.sim import (
@@ -22,6 +20,8 @@ from tunectl.resources import (
     TrialRunSpec,
     TrialTemplate,
 )
+
+from test_sim_bookkeeping import assert_bookkeeping
 
 
 def _run_spec(trial: str, namespace: str = "ns", x: float = 1.0, duration: int = 3) -> TrialRunSpec:
@@ -316,11 +316,8 @@ def test_world_serialization_round_trip():
     doc = world.to_doc()
     restored = SimWorld.from_doc(doc)
     assert restored.to_doc() == doc
-    # Allocation bookkeeping must rebuild exactly from placements.
-    for node_id, node in world.nodes.items():
-        assert math.isclose(restored.nodes[node_id].allocated_cpu, node.allocated_cpu)
-    for name, ns in world.namespaces.items():
-        assert math.isclose(restored.namespaces[name].cpu_used, ns.cpu_used)
+    # The restored CPU totals must agree with the restored placements.
+    assert_bookkeeping(restored)
     # And both worlds evolve identically afterwards.
     for _ in range(6):
         world.advance_tick()

@@ -361,3 +361,24 @@ def test_suggestion_top_up_as_slots_free():
     assert suggestion.spec.requested > 2  # topped up as earlier trials completed
     run_control_loop(store, metrics, backend, max_ticks=40)
     assert store.get("experiment/ns/exp").status.trials_succeeded == 6
+
+
+def test_first_step_of_a_context_releases_services_of_finished_experiments():
+    # A crash between an experiment's terminal update and its service release
+    # leaves the service reserved; the next context's first pass must see the
+    # terminal experiment, though later passes skip it.
+    ctx, store, _metrics, backend = _context()
+    spec = make_experiment(SPHERE_PARAMS, parallel=1, max_trials=1, template=_sphere_template())
+    submit_experiment(store, spec)
+    controller_step(ctx)
+    assert "ns/svc-exp" in backend.world.jobs
+    experiment = store.get("experiment/ns/exp")
+    experiment.status.phase = ExperimentPhase.FAILED
+    store.update(experiment)
+    assert store.live_keys("experiment") == []
+
+    controller_step(ctx)  # this context has swept already: finished experiments are skipped
+    assert "ns/svc-exp" in backend.world.jobs
+    resumed = ControllerContext(store=store, metrics=ctx.metrics, backend=backend)
+    controller_step(resumed)
+    assert "ns/svc-exp" not in backend.world.jobs
