@@ -15,12 +15,11 @@ from ..resources import (
     AlgorithmSpec,
     ExperimentSpec,
     TrialRunSpec,
+    experiment_from_doc,
     experiment_to_doc,
-    parse_experiment,
+    parse_experiment,  # noqa: F401 -- perfbench/tracer.py wraps it under this module
 )
 from ..suggest.registry import AssignmentSet
-
-import yaml
 
 KIND_EXPERIMENT = "experiment"
 KIND_SUGGESTION = "suggestion"
@@ -160,7 +159,7 @@ def clone_resource(resource: Resource) -> Resource:
 
 # (spec class, status class) per kind. Experiment specs keep their
 # user-facing form: written by ``experiment_to_doc``, read back through
-# ``parse_experiment`` so a stored spec is validated like a submitted one.
+# ``experiment_from_doc`` so a stored spec is validated like a submitted one.
 _KINDS: dict[str, tuple[type, type]] = {
     KIND_EXPERIMENT: (ExperimentSpec, ExperimentStatus),
     KIND_SUGGESTION: (SuggestionSpec, SuggestionStatus),
@@ -185,7 +184,7 @@ def resource_from_doc(doc: dict, generation: int) -> Resource:
         raise ValueError(f"unknown resource kind '{kind}'")
     spec_cls, status_cls = _KINDS[kind]
     if kind == KIND_EXPERIMENT:
-        spec = parse_experiment(yaml.safe_dump(doc["spec"], sort_keys=False))
+        spec = experiment_from_doc(doc["spec"])
     else:
         spec = from_doc(spec_cls, doc["spec"])
     return Resource(

@@ -45,6 +45,12 @@ from .model import (
     resource_to_doc,
 )
 
+# libyaml reads and writes the same documents as PyYAML's pure-Python
+# loader and dumper, several times faster; PyYAML built without it has only
+# the latter.
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 
 @dataclass(frozen=True)
 class TrialRecord:
@@ -265,7 +271,7 @@ class FileResourceStore(ResourceStore):
                 generations = {}
         for sub in sorted(self.root.glob("*s/*.yaml")):
             try:
-                doc = yaml.safe_load(sub.read_text())
+                doc = yaml.load(sub.read_text(), Loader=_Loader)
                 key = resource_key(doc["kind"], doc["namespace"], doc["name"])
                 resource = resource_from_doc(doc, generation=generations.get(key, 1))
             except (OSError, yaml.YAMLError, KeyError, TypeError, ValueError, TunectlError) as exc:
@@ -275,7 +281,7 @@ class FileResourceStore(ResourceStore):
     def _persist(self, resource: Resource) -> None:
         path = self._resource_path(resource)
         path.parent.mkdir(parents=True, exist_ok=True)
-        text = yaml.safe_dump(resource_to_doc(resource), sort_keys=False, width=2**20)
+        text = yaml.dump(resource_to_doc(resource), Dumper=_Dumper, sort_keys=False, width=2**20)
         _atomic_write(path, text)
         generations = {key: res.generation for key, res in self._resources.items()}
         _atomic_write(self._index_path, json.dumps(generations, sort_keys=True, indent=0))

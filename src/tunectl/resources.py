@@ -78,6 +78,12 @@ class Range:
     step: float | int | None = None
 
 
+# Slack on ``(max - min) / step`` for float rounding: a step that spans the
+# range, as ``min: 0.24, max: 2.24001, step: 2.00001`` does, gives a ratio
+# of 0.9999999999999998 and still counts as one whole step.
+STEP_TOLERANCE = 1e-9
+
+
 @dataclass(frozen=True)
 class ValueList:
     """Enumerated feasible space for discrete/categorical parameters."""
@@ -335,7 +341,7 @@ def _read_parameter(r: _Reader, doc: Any, path: str) -> ParameterSpec:
         if step is not None:
             if step <= 0:
                 r.err(f"{path}.feasibleSpace.step", "must be > 0")
-            elif (hi - lo) / step < 1:
+            elif (hi - lo) / step + STEP_TOLERANCE < 1:
                 r.err(f"{path}.feasibleSpace.step", "(max-min)/step must be >= 1")
         space = Range(min=lo, max=hi, step=step)
     else:
@@ -484,9 +490,8 @@ def validate_experiment(spec: ExperimentSpec) -> list[str]:
     Returns the list of violations (empty when everything holds). Used by
     property tests and by callers that build experiments programmatically.
     """
-    doc = experiment_to_doc(spec)
     try:
-        parse_experiment(yaml.safe_dump(doc, sort_keys=False))
+        experiment_from_doc(experiment_to_doc(spec))
     except ValidationError as exc:
         return exc.errors
     return []
@@ -495,9 +500,8 @@ def validate_experiment(spec: ExperimentSpec) -> list[str]:
 def parse_experiment(text: str) -> ExperimentSpec:
     """Parse and validate a YAML experiment document.
 
-    Applies defaults (``metricCollectorKind: pull``, ``maxFailedTrialCount: 0``)
-    and raises :class:`ValidationError` carrying *all* violations found.
-    Syntax errors are reported with their line/column position.
+    Syntax errors are reported with their line/column position; everything
+    else is checked by :func:`experiment_from_doc`.
     """
     try:
         doc = yaml.safe_load(text)
@@ -509,7 +513,15 @@ def parse_experiment(text: str) -> ExperimentSpec:
                 [f"line {mark.line + 1}, column {mark.column + 1}: {problem}"]
             ) from exc
         raise ValidationError([f"yaml syntax error: {problem}"]) from exc
+    return experiment_from_doc(doc)
 
+
+def experiment_from_doc(doc: Any) -> ExperimentSpec:
+    """Validate a loaded experiment document and build its spec.
+
+    Applies defaults (``metricCollectorKind: pull``, ``maxFailedTrialCount: 0``)
+    and raises :class:`ValidationError` carrying *all* violations found.
+    """
     r = _Reader()
     doc = r.mapping(doc, "document")
     r.reject_unknown(doc, _TOP_LEVEL_KEYS, "document")

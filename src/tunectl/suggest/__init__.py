@@ -42,13 +42,6 @@ __all__ = [
 ]
 
 
-def _register_builtins() -> None:
-    from . import bayesopt, grid, hyperband, randomsearch, tpe
-
-    for module in (randomsearch, grid, bayesopt, tpe, hyperband):
-        register_algorithm(module.PLUGIN)
-
-
 def get_suggestions(request: SuggestionRequest) -> SuggestionResult:
     """Dispatch to the experiment's algorithm and return feasible assignment
     sets plus the updated state handle.

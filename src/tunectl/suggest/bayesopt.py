@@ -22,6 +22,7 @@ from scipy.stats import norm, qmc
 
 from ..resources import ExperimentSpec, ObjectiveType
 from .registry import (
+    BUILTINS,
     AlgorithmPlugin,
     AssignmentSet,
     EngineState,
@@ -170,7 +171,7 @@ def restore_state(experiment: ExperimentSpec, produced: tuple[AssignmentSet, ...
 
 PLUGIN = AlgorithmPlugin(
     name="bayesianoptimization",
-    allowed_settings=frozenset({"random_state"}),
+    allowed_settings=BUILTINS["bayesianoptimization"].settings,
     restore_state=restore_state,
     suggest=suggest,
 )

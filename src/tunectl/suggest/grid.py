@@ -8,6 +8,7 @@ from typing import Sequence
 from ..errors import ExhaustedSearchSpace
 from ..resources import ExperimentSpec, ParameterSpec
 from .registry import (
+    BUILTINS,
     AlgorithmPlugin,
     AssignmentSet,
     EngineState,
@@ -70,7 +71,7 @@ def restore_state(experiment: ExperimentSpec, produced: tuple[AssignmentSet, ...
 
 PLUGIN = AlgorithmPlugin(
     name="grid",
-    allowed_settings=frozenset(),
+    allowed_settings=BUILTINS["grid"].settings,
     restore_state=restore_state,
     suggest=suggest,
 )

@@ -20,6 +20,7 @@ from typing import Sequence
 from ..errors import ExhaustedSearchSpace, MissingResourceReport
 from ..resources import BUDGET_PARAMETER, ExperimentSpec, ObjectiveType
 from .registry import (
+    BUILTINS,
     AlgorithmPlugin,
     AssignmentSet,
     EngineState,
@@ -208,7 +209,7 @@ def restore_state(experiment: ExperimentSpec, produced: tuple[AssignmentSet, ...
 
 PLUGIN = AlgorithmPlugin(
     name="hyperband",
-    allowed_settings=frozenset({"max_resource", "eta", "random_state"}),
+    allowed_settings=BUILTINS["hyperband"].settings,
     restore_state=restore_state,
     suggest=suggest,
 )

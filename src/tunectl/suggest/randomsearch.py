@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from ..resources import ExperimentSpec
 from .registry import (
+    BUILTINS,
     AlgorithmPlugin,
     AssignmentSet,
     EngineState,
@@ -54,7 +55,7 @@ def restore_state(experiment: ExperimentSpec, produced: tuple[AssignmentSet, ...
 
 PLUGIN = AlgorithmPlugin(
     name="random",
-    allowed_settings=frozenset({"random_state"}),
+    allowed_settings=BUILTINS["random"].settings,
     restore_state=restore_state,
     suggest=suggest,
 )

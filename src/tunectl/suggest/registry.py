@@ -4,14 +4,19 @@ Any module may register a plugin under a new ``algorithmName``; the
 experiment format then accepts that name and the suggestion controller
 drives it exactly like the built-ins. Registration requires the algorithm
 name, the setting keys it accepts, a state constructor, and a suggest
-implementation.
+implementation. A registered plugin wins over a built-in of the same name.
+
+The built-ins are listed in ``BUILTINS`` by module and setting keys, so
+validating an experiment imports no algorithm; ``get_algorithm`` imports a
+built-in's module the first time its name is looked up.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from ..errors import AlgorithmStateError
 from ..resources import ExperimentSpec
@@ -83,6 +88,19 @@ class AlgorithmPlugin:
         return self.restore_state(experiment, ())
 
 
+class Builtin(NamedTuple):
+    module: str  # under ``tunectl.suggest``
+    settings: frozenset[str]
+
+
+BUILTINS: dict[str, Builtin] = {
+    "random": Builtin("randomsearch", frozenset({"random_state"})),
+    "grid": Builtin("grid", frozenset()),
+    "bayesianoptimization": Builtin("bayesopt", frozenset({"random_state"})),
+    "tpe": Builtin("tpe", frozenset({"random_state"})),
+    "hyperband": Builtin("hyperband", frozenset({"max_resource", "eta", "random_state"})),
+}
+
 _REGISTRY: dict[str, AlgorithmPlugin] = {}
 
 
@@ -90,36 +108,27 @@ def register_algorithm(plugin: AlgorithmPlugin) -> None:
     _REGISTRY[plugin.name] = plugin
 
 
-def _ensure_builtins() -> None:
-    # The built-in algorithms self-register when the package is imported;
-    # deferred so this module stays importable from the resource model.
-    if "random" not in _REGISTRY:
-        from . import _register_builtins
-
-        _register_builtins()
-
-
 def is_registered(name: str) -> bool:
-    _ensure_builtins()
-    return name in _REGISTRY
+    return name in _REGISTRY or name in BUILTINS
 
 
 def algorithm_names() -> list[str]:
-    _ensure_builtins()
-    return sorted(_REGISTRY)
+    return sorted(_REGISTRY.keys() | BUILTINS.keys())
 
 
 def allowed_settings(name: str) -> frozenset[str]:
-    _ensure_builtins()
-    return _REGISTRY[name].allowed_settings
+    plugin = _REGISTRY.get(name)
+    return plugin.allowed_settings if plugin is not None else BUILTINS[name].settings
 
 
 def get_algorithm(name: str) -> AlgorithmPlugin:
-    _ensure_builtins()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise AlgorithmStateError(f"no algorithm registered under '{name}'") from None
+    plugin = _REGISTRY.get(name)
+    if plugin is not None:
+        return plugin
+    if name not in BUILTINS:
+        raise AlgorithmStateError(f"no algorithm registered under '{name}'")
+    module = importlib.import_module(f"{__package__}.{BUILTINS[name].module}")
+    return _REGISTRY.setdefault(name, module.PLUGIN)
 
 
 def ensure_state(request: SuggestionRequest, algorithm: str) -> EngineState:

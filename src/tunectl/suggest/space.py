@@ -7,7 +7,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..resources import ParameterSpec, ParameterType, Range, ValueList, value_to_string
+from ..resources import STEP_TOLERANCE, ParameterSpec, ParameterType, Range, ValueList, value_to_string
 from .registry import AssignmentSet, SuggestionRequest
 
 DUPLICATE_RESAMPLE_ATTEMPTS = 10
@@ -74,7 +74,7 @@ def grid_axis(param: ParameterSpec) -> list[Any]:
         return list(range(int(space.min), int(space.max) + 1, step))
     if space.step is None:
         raise ValueError(f"double parameter '{param.name}' has no step; grid undefined")
-    count = int(np.floor((space.max - space.min) / space.step + 1e-9)) + 1
+    count = int(np.floor((space.max - space.min) / space.step + STEP_TOLERANCE)) + 1
     return [float(space.min + i * space.step) for i in range(count)]
 
 

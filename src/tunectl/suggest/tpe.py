@@ -16,6 +16,7 @@ import numpy as np
 
 from ..resources import ExperimentSpec, ObjectiveType, ParameterSpec, ParameterType, ValueList
 from .registry import (
+    BUILTINS,
     AlgorithmPlugin,
     AssignmentSet,
     EngineState,
@@ -158,7 +159,7 @@ def restore_state(experiment: ExperimentSpec, produced: tuple[AssignmentSet, ...
 
 PLUGIN = AlgorithmPlugin(
     name="tpe",
-    allowed_settings=frozenset({"random_state"}),
+    allowed_settings=BUILTINS["tpe"].settings,
     restore_state=restore_state,
     suggest=suggest,
 )

@@ -22,6 +22,7 @@ from tunectl.resources import (
     parse_experiment,
     render_trial_spec,
 )
+from tunectl.suggest.space import grid_axis
 
 LISTING_STYLE = """
 name: mnist-demo
@@ -187,6 +188,14 @@ def test_grid_requires_step_on_double_parameters():
     with pytest.raises(ValidationError) as err:
         parse_experiment(bad)
     assert any("require a step under grid search" in e for e in err.value.errors)
+
+
+def test_a_step_spanning_the_range_up_to_float_rounding_is_one_step():
+    # (2.24001 - 0.24) / 2.00001 is 0.9999999999999998 in floats.
+    text = LISTING_STYLE.replace("bayesianoptimization\n  settings:\n    random_state: 10", "grid")
+    text = text.replace("{min: 0.0, max: 1.0}", "{min: 0.24, max: 2.24001, step: 2.00001}")
+    spec = parse_experiment(text)
+    assert grid_axis(spec.parameters[0]) == [0.24, 0.24 + 2.00001]
 
 
 def test_budget_placeholder_needs_hyperband():

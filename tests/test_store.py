@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,8 @@ from tunectl.controller.model import (
     ExperimentStatus,
     KIND_EXPERIMENT,
     KIND_SUGGESTION,
+    OptimalResult,
+    ProducedSuggestion,
     Resource,
     SuggestionSpec,
     SuggestionStatus,
@@ -19,10 +22,21 @@ from tunectl.controller.model import (
     TrialSpec,
     TrialStatus,
     KIND_TRIAL,
+    resource_to_doc,
 )
+from tunectl.controller import store as store_module
 from tunectl.controller.store import FileResourceStore, ResourceStore
 from tunectl.errors import CasConflictError, ResourceExistsError
-from tunectl.resources import AlgorithmSpec, ParameterSpec, ParameterType, Range
+from tunectl.resources import (
+    AlgorithmSpec,
+    ParameterSpec,
+    ParameterType,
+    Range,
+    TemplateKind,
+    TrialTemplate,
+    ValueList,
+    render_trial_spec,
+)
 
 
 def _experiment_resource(name="exp", namespace="ns"):
@@ -239,3 +253,97 @@ def test_indexes_match_a_recomputation_after_every_write(tmp_path_factory, write
             store.update(trial)
         _assert_indexes(store)
     _assert_indexes(FileResourceStore(path))  # loading rebuilds the same indexes
+
+
+def _resources_of_every_shape():
+    """An experiment, a suggestion with consumed and open entries, and a
+    trial in each phase, with values YAML must quote or escape."""
+    local = make_experiment(
+        [
+            ParameterSpec("x", ParameterType.DOUBLE, Range(-1.5, 1e-300)),
+            ParameterSpec("opt", ParameterType.CATEGORICAL, ValueList(("yes", "null", "1.0", "é"))),
+        ],
+        name="exp",
+        namespace="ns",
+        settings={"random_state": 7},
+        template=TrialTemplate(
+            kind=TemplateKind.LOCAL_PROCESS,
+            payload="train --x=${x} --opt='${opt}' " + "--pad " * 40,
+            cpu_per_worker=2.0,
+        ),
+    )
+    experiment = Resource(
+        kind=KIND_EXPERIMENT,
+        namespace="ns",
+        name="exp",
+        spec=local,
+        status=ExperimentStatus(
+            phase=ExperimentPhase.RUNNING,
+            trials_succeeded=1,
+            current_optimal=OptimalResult(assignments=(("x", 0.25), ("opt", "yes")), objective_value=-0.5),
+        ),
+    )
+    produced = [
+        ProducedSuggestion(assignments=(("x", 0.1 * i), ("opt", ("yes", "null", "1.0", "é")[i % 4])), consumed=i < 3)
+        for i in range(6)
+    ]
+    suggestion = Resource(
+        kind=KIND_SUGGESTION,
+        namespace="ns",
+        name="exp",
+        spec=SuggestionSpec(experiment="exp", algorithm=AlgorithmSpec("random", {"random_state": 7}), requested=6),
+        status=SuggestionStatus(produced=produced),
+    )
+    trials = []
+    for i, phase in enumerate(TrialPhase):
+        name = f"exp-{i:04d}"
+        assignments = produced[i].assignments
+        trials.append(
+            Resource(
+                kind=KIND_TRIAL,
+                namespace="ns",
+                name=name,
+                spec=TrialSpec(
+                    experiment="exp",
+                    assignments=assignments,
+                    run_spec=render_trial_spec(local.trial_template, assignments, name, "ns") if i % 2 else None,
+                ),
+                status=TrialStatus(
+                    phase=phase,
+                    restart_count=i,
+                    observation=-0.5 if phase is TrialPhase.SUCCEEDED else None,
+                    reason="exit 1:\n  Traceback: 'boom' ünïcode" if phase is TrialPhase.FAILED else None,
+                    job_attempt=i,
+                ),
+            )
+        )
+    return [experiment, suggestion, *trials]
+
+
+def test_store_files_are_the_pure_python_dump_of_each_resource(tmp_path):
+    store = FileResourceStore(tmp_path)
+    for resource in _resources_of_every_shape():
+        store.create(resource)
+    paths = sorted(tmp_path.glob("*s/*.yaml"))
+    assert len(paths) == 2 + len(TrialPhase)
+    for path in paths:
+        kind_dir, stem = path.parent.name, path.stem
+        namespace, name = stem.split(".", 1)
+        stored = store.get(f"{kind_dir[:-1]}/{namespace}/{name}")
+        expected = yaml.safe_dump(resource_to_doc(stored), sort_keys=False, width=2**20)
+        assert path.read_text() == expected, path
+
+
+def test_a_store_written_by_the_pure_python_dumper_loads_to_equal_resources(tmp_path, monkeypatch):
+    resources = _resources_of_every_shape()
+    with monkeypatch.context() as patched:
+        patched.setattr(store_module, "_Dumper", yaml.SafeDumper)
+        written = FileResourceStore(tmp_path)
+        for resource in resources:
+            written.create(resource)
+    loaded = FileResourceStore(tmp_path)
+    assert loaded.list() == written.list()
+    assert {r.key: r.spec for r in loaded.list()} == {r.key: r.spec for r in resources}
+    with monkeypatch.context() as patched:
+        patched.setattr(store_module, "_Loader", yaml.SafeLoader)
+        assert FileResourceStore(tmp_path).list() == loaded.list()
