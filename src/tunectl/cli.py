@@ -1,5 +1,6 @@
 """Operator command line: submit experiments, run the control loop against a
-backend, export per-trial results, and execute canned scenarios.
+backend, export per-trial results, print the store as YAML, and execute
+canned scenarios.
 
 Exit codes: 0 success, 2 validation failure, 3 name conflict, 4 runtime
 error, 5 scenario assertion failure.
@@ -15,10 +16,11 @@ from pathlib import Path
 from typing import Iterator
 
 import click
+import yaml
 
 from .cluster.localproc import LocalProcessBackend
 from .cluster.sim import SimBackend, SimWorld
-from .controller.model import KIND_EXPERIMENT
+from .controller.model import KIND_EXPERIMENT, resource_to_doc
 from .controller.reconcile import run_control_loop, submit_experiment
 from .controller.store import FileResourceStore
 from .errors import ResourceExistsError, TunectlError, ValidationError
@@ -42,9 +44,9 @@ store_option = click.option(
 )
 
 
-def _open_store(store_dir: Path) -> FileResourceStore:
+def _open_store(store_dir: Path, readonly: bool = False) -> FileResourceStore:
     try:
-        return FileResourceStore(store_dir)
+        return FileResourceStore(store_dir, readonly=readonly)
     except TunectlError as exc:
         click.echo(str(exc), err=True)
         sys.exit(EXIT_RUNTIME)
@@ -52,14 +54,15 @@ def _open_store(store_dir: Path) -> FileResourceStore:
 
 @contextmanager
 def _exclusive(store_dir: Path) -> Iterator[None]:
-    """Hold ``<store>/.lock`` so that a second ``run`` on the store exits
-    instead of interleaving its writes with this one."""
+    """Hold ``<store>/.lock`` so that a second ``run`` or ``submit`` on the
+    store exits instead of interleaving its writes with this one, or
+    appending while a run compacts the journal."""
     store_dir.mkdir(parents=True, exist_ok=True)
     with open(store_dir / ".lock", "a") as lock:
         try:
             fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
-            click.echo(f"store {store_dir} is in use by another 'tunectl run'", err=True)
+            click.echo(f"store {store_dir} is in use by another 'tunectl run' or 'submit'", err=True)
             sys.exit(EXIT_RUNTIME)
         yield
 
@@ -84,12 +87,15 @@ def submit(experiment_file: Path, store_dir: Path) -> None:
         for error in exc.errors:
             click.echo(f"{experiment_file}: {error}", err=True)
         sys.exit(EXIT_VALIDATION)
-    store = _open_store(store_dir)
-    try:
-        resource = submit_experiment(store, spec)
-    except ResourceExistsError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_CONFLICT)
+    with _exclusive(store_dir):
+        store = _open_store(store_dir)
+        try:
+            resource = submit_experiment(store, spec)
+        except ResourceExistsError as exc:
+            click.echo(str(exc), err=True)
+            sys.exit(EXIT_CONFLICT)
+        finally:
+            store.close()
     click.echo(resource.key)
 
 
@@ -187,6 +193,7 @@ def _run(
         sys.exit(EXIT_RUNTIME)
     finally:
         backend.close()
+    store.compact()
     _print_summary(snapshot)
 
 
@@ -206,8 +213,8 @@ def export(
     experiment: str, store_dir: Path, namespace: str | None, fmt: str, output_path: Path | None
 ) -> None:
     """Export the per-trial results table (parallel-coordinates input)."""
-    store = _open_store(store_dir)
-    metrics = FileObservationStore(store_dir / "metrics.jsonl")
+    store = _open_store(store_dir, readonly=True)
+    metrics = FileObservationStore(store_dir / "metrics.jsonl", readonly=True)
     matches = [
         e
         for e in store.list(KIND_EXPERIMENT)
@@ -230,6 +237,15 @@ def export(
     else:
         output_path.write_text(text)
         click.echo(f"wrote {len(table.rows)} rows to {output_path}")
+
+
+@cli.command()
+@store_option
+def dump(store_dir: Path) -> None:
+    """Print every stored resource as a YAML document, in key order."""
+    store = _open_store(store_dir, readonly=True)
+    docs = (yaml.safe_dump(resource_to_doc(r), sort_keys=False, width=2**20) for r in store.list())
+    click.echo("---\n".join(docs), nl=False)
 
 
 @cli.command()

@@ -6,6 +6,8 @@ lists. ``from_doc`` rebuilds a value of a given type from that data, guided
 by type hints. It checks scalar types on the way, so it also reads documents
 that come from outside the program. ``json_default`` is the same encoding as
 a ``json.dumps`` hook, for large documents written straight to JSON.
+``complete_lines`` reads the resource journal and the metric log up to
+their last newline.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import types
 import typing
 from enum import Enum
 from functools import cache
+from pathlib import Path
 from typing import Any
 
 _SCALARS = (str, int, float, bool, type(None))
@@ -100,3 +103,23 @@ def _expect(doc: Any, kinds: type | tuple[type, ...]) -> Any:
     if not isinstance(doc, kinds) or (isinstance(doc, bool) and bool not in kinds):
         raise TypeError(f"expected {' or '.join(k.__name__ for k in kinds)}, got {doc!r}")
     return doc
+
+
+def complete_lines(path: Path, writing: bool) -> list[bytes]:
+    """The newline-terminated lines of a JSON-lines file, without their
+    newlines; none when the file does not exist.
+
+    Bytes after the last newline are a write cut short by a crash. They are
+    always skipped. A caller that opens the file for writing (``writing``)
+    also cuts them off, so that its next append starts on a line of its own;
+    a reader leaves them, since a writer may still be appending that line.
+    """
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return []
+    end = data.rfind(b"\n") + 1
+    if writing and end < len(data):
+        with path.open("r+b") as fp:
+            fp.truncate(end)
+    return data[:end].split(b"\n")[:-1]

@@ -1,4 +1,4 @@
-"""Typed resources managed by the controllers, plus their YAML document forms.
+"""Typed resources managed by the controllers, plus their document forms.
 
 Every resource has a Spec (desired state), a Status (current state), and a
 generation counter used for compare-and-swap updates.
@@ -154,7 +154,7 @@ def clone_resource(resource: Resource) -> Resource:
 
 
 # ---------------------------------------------------------------------------
-# Document (de)serialization for the file store
+# Document (de)serialization for the file store and ``tunectl dump``
 # ---------------------------------------------------------------------------
 
 # (spec class, status class) per kind. Experiment specs keep their
@@ -167,15 +167,22 @@ _KINDS: dict[str, tuple[type, type]] = {
 }
 
 
-def resource_to_doc(resource: Resource) -> dict:
-    spec = experiment_to_doc(resource.spec) if resource.kind == KIND_EXPERIMENT else to_doc(resource.spec)
+def resource_fields(resource: Resource) -> dict:
+    """The fields of a resource's document, with the spec and status left as
+    dataclasses: ``to_doc`` or ``json.dumps(..., default=json_default)``
+    turns it into the document."""
+    spec = experiment_to_doc(resource.spec) if resource.kind == KIND_EXPERIMENT else resource.spec
     return {
         "kind": resource.kind,
         "name": resource.name,
         "namespace": resource.namespace,
         "spec": spec,
-        "status": to_doc(resource.status),
+        "status": resource.status,
     }
+
+
+def resource_to_doc(resource: Resource) -> dict:
+    return to_doc(resource_fields(resource))
 
 
 def resource_from_doc(doc: dict, generation: int) -> Resource:

@@ -2,9 +2,18 @@
 
 An update is accepted only when the caller's expected generation matches the
 stored one; every accepted update increments the generation. The file-backed
-variant persists each resource as a canonical YAML document under
-``<dir>/<kind>s/<namespace>.<name>.yaml`` plus a generation index, making the
-whole control-plane state human-inspectable and diff-friendly.
+variant keeps one append-only journal, ``<dir>/journal.jsonl``: each create
+or update appends the resource's document plus its generation as one JSON
+line, and loading replays the journal, the last record of each key winning.
+``compact`` rewrites the journal as one record per resource. ``tunectl dump``
+prints the store as YAML for reading and diffing.
+
+Durability: every record is flushed to the operating system as it is
+written, and compaction replaces the journal atomically (a temporary file
+and ``os.replace``). A store therefore survives the kill of its process at
+any point: at worst the last record is cut short, and that torn line is
+skipped on load. Nothing calls ``fsync``, so a power loss can lose records
+the operating system had not yet written back.
 
 Every write also keeps two derived indexes current (loading rebuilds them),
 so the controllers read what they need without scanning every resource:
@@ -26,9 +35,9 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
-import yaml
-
+from ..codec import complete_lines, from_doc, json_default
 from ..errors import CasConflictError, ResourceExistsError, TunectlError
 from ..suggest.registry import AssignmentSet
 from .model import (
@@ -40,16 +49,10 @@ from .model import (
     Resource,
     TrialPhase,
     clone_resource,
+    resource_fields,
     resource_from_doc,
     resource_key,
-    resource_to_doc,
 )
-
-# libyaml reads and writes the same documents as PyYAML's pure-Python
-# loader and dumper, several times faster; PyYAML built without it has only
-# the latter.
-_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 @dataclass(frozen=True)
@@ -148,8 +151,8 @@ class ResourceStore:
                 raise ResourceExistsError(f"resource '{resource.key}' already exists")
             stored = clone_resource(resource)
             stored.generation = 1
-            self._put(stored)
             self._persist(stored)
+            self._put(stored)
             return clone_resource(stored)
 
     def get(self, key: str) -> Resource | None:
@@ -170,8 +173,8 @@ class ResourceStore:
                 )
             stored = clone_resource(resource)
             stored.generation = current.generation + 1
-            self._put(stored)
             self._persist(stored)
+            self._put(stored)
             return clone_resource(stored)
 
     def keys(self, kind: str | None = None) -> list[str]:
@@ -252,42 +255,77 @@ class ResourceStore:
 
 
 class FileResourceStore(ResourceStore):
-    def __init__(self, root: str | Path):
+    """The store kept in ``<root>/journal.jsonl``.
+
+    Opened ``readonly``, it creates nothing, cuts no torn tail and refuses
+    writes, so it can read a store that a running ``tunectl run`` is
+    appending to.
+    """
+
+    JOURNAL = "journal.jsonl"
+    # Directories of the one-YAML-file-per-resource layout of earlier versions.
+    _OLD_LAYOUT = ("experiments", "suggestions", "trials")
+
+    def __init__(self, root: str | Path, readonly: bool = False):
         super().__init__()
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._index_path = self.root / "_generations.json"
+        self.path = self.root / self.JOURNAL
+        self._readonly = readonly
+        self._journal: TextIO | None = None
+        if not readonly:
+            self.root.mkdir(parents=True, exist_ok=True)
         self._load()
 
-    def _resource_path(self, resource: Resource) -> Path:
-        return self.root / f"{resource.kind}s" / f"{resource.namespace}.{resource.name}.yaml"
-
     def _load(self) -> None:
-        generations: dict[str, int] = {}
-        if self._index_path.exists():
+        if not self.path.exists() and any((self.root / d).is_dir() for d in self._OLD_LAYOUT):
+            raise TunectlError(
+                f"store {self.root} holds the one-YAML-file-per-resource layout of an "
+                "earlier version, which this version does not read; start again in a fresh store"
+            )
+        latest: dict[str, tuple[int, dict]] = {}
+        for number, line in enumerate(complete_lines(self.path, writing=not self._readonly), 1):
             try:
-                generations = json.loads(self._index_path.read_text())
-            except json.JSONDecodeError:
-                generations = {}
-        for sub in sorted(self.root.glob("*s/*.yaml")):
+                doc = json.loads(line)
+                latest[resource_key(doc["kind"], doc["namespace"], doc["name"])] = (number, doc)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise self._unreadable(number, exc) from exc
+        for number, doc in latest.values():
             try:
-                doc = yaml.load(sub.read_text(), Loader=_Loader)
-                key = resource_key(doc["kind"], doc["namespace"], doc["name"])
-                resource = resource_from_doc(doc, generation=generations.get(key, 1))
-            except (OSError, yaml.YAMLError, KeyError, TypeError, ValueError, TunectlError) as exc:
-                raise TunectlError(f"cannot read stored resource {sub}: {exc}") from exc
+                resource = resource_from_doc(doc, generation=from_doc(int, doc["generation"]))
+            except (KeyError, TypeError, ValueError, TunectlError) as exc:
+                raise self._unreadable(number, exc) from exc
             self._put(resource)
 
+    def _unreadable(self, number: int, exc: Exception) -> TunectlError:
+        return TunectlError(f"cannot read stored resource {self.path}:{number}: {exc}")
+
     def _persist(self, resource: Resource) -> None:
-        path = self._resource_path(resource)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        text = yaml.dump(resource_to_doc(resource), Dumper=_Dumper, sort_keys=False, width=2**20)
-        _atomic_write(path, text)
-        generations = {key: res.generation for key, res in self._resources.items()}
-        _atomic_write(self._index_path, json.dumps(generations, sort_keys=True, indent=0))
+        if self._journal is None:
+            if self._readonly:
+                raise TunectlError(f"store {self.root} is open read-only")
+            self._journal = self.path.open("a", encoding="utf-8")
+        self._journal.write(_record(resource))
+        self._journal.flush()
+
+    def compact(self) -> None:
+        """Rewrite the journal as one record per resource, in key order."""
+        with self._lock:
+            tmp = self.path.with_name(self.JOURNAL + ".tmp")
+            with tmp.open("w", encoding="utf-8") as fp:
+                for key in sorted(self._resources):
+                    fp.write(_record(self._resources[key]))
+            self.close()
+            os.replace(tmp, self.path)
+
+    def close(self) -> None:
+        """Close the journal's append handle; a later write opens it again."""
+        if self._journal is not None:
+            self._journal.close()
+            self._journal = None
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+def _record(resource: Resource) -> str:
+    """One journal line: the resource's document plus its generation."""
+    doc = resource_fields(resource)
+    doc["generation"] = resource.generation
+    return json.dumps(doc, default=json_default, separators=(",", ":")) + "\n"

@@ -24,6 +24,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .codec import complete_lines
 from .errors import StorageUnavailableError
 from .resources import MetricStrategy, ObjectiveSpec
 
@@ -93,30 +94,25 @@ class FileObservationStore(ObservationStore):
     Deletions append a tombstone line ``{"trial": ..., "deleted": true}`` so
     the file itself stays append-only and crash-tolerant. Opening the store
     truncates a torn final line left by an interrupted write, so the next
-    append starts on a line of its own.
+    append starts on a line of its own; opened ``readonly``, it only skips
+    that line and refuses appends.
     """
 
-    def __init__(self, path: str | Path | None = None):
+    def __init__(self, path: str | Path | None = None, readonly: bool = False):
         self._path = None if path is None else Path(path)
+        self._readonly = readonly
         self._lock = threading.Lock()
         self._by_trial: dict[str, list[tuple[MetricPoint, int]]] = {}
         self._seen: dict[str, set[tuple]] = {}
         self._seq = 0
-        if self._path is not None and self._path.exists():
+        if self._path is not None:
             self._load()
 
     def _load(self) -> None:
-        data = self._path.read_bytes()
-        end = data.rfind(b"\n") + 1
-        if end < len(data):
-            with self._path.open("r+b") as fp:
-                fp.truncate(end)
-        for line in data[:end].decode("utf-8", errors="replace").splitlines():
-            if not line.strip():
-                continue
+        for line in complete_lines(self._path, writing=not self._readonly):
             try:
                 doc = json.loads(line)
-            except json.JSONDecodeError:
+            except ValueError:
                 continue
             trial = doc.get("trial")
             if not isinstance(trial, str) or not trial:
@@ -153,6 +149,8 @@ class FileObservationStore(ObservationStore):
     def _append(self, docs: Iterable[dict]) -> None:
         if self._path is None:
             return
+        if self._readonly:
+            raise StorageUnavailableError(f"metric log {self._path} is open read-only")
         try:
             with self._path.open("a") as fp:
                 for doc in docs:

@@ -10,7 +10,6 @@ import sys
 import textwrap
 
 import pytest
-import yaml
 from click.testing import CliRunner
 
 from tunectl.cli import cli
@@ -235,33 +234,60 @@ def test_store_flag_from_environment(runner, tmp_path, monkeypatch):
     monkeypatch.setenv("TUNECTL_STORE", str(tmp_path / "envstore"))
     result = runner.invoke(cli, ["submit", str(exp)])
     assert result.exit_code == 0
-    assert (tmp_path / "envstore" / "experiments").exists()
+    assert (tmp_path / "envstore" / "journal.jsonl").exists()
 
 
 def _store_files(store):
     return {p: p.read_bytes() for p in sorted(store.rglob("*")) if p.is_file()}
 
 
-def _precodec_trial(path):
+def _trial_line(journal):
+    """The number of a trial record in the journal that is not its last line."""
+    lines = journal.read_text().splitlines()
+    return next(n for n, line in enumerate(lines[:-1], 1) if json.loads(line)["kind"] == "trial")
+
+
+def _rewrite_line(journal, number, text):
+    lines = journal.read_text().splitlines(keepends=True)
+    lines[number - 1] = text + "\n"
+    journal.write_text("".join(lines))
+
+
+def _precodec_trial(store):
     # Before the dataclass codec, assignments were stored as {name, value} mappings.
-    doc = yaml.safe_load(path.read_text())
+    journal = store / "journal.jsonl"
+    number = _trial_line(journal)
+    doc = json.loads(journal.read_text().splitlines()[number - 1])
     doc["spec"]["assignments"] = [{"name": n, "value": v} for n, v in doc["spec"]["assignments"]]
-    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    _rewrite_line(journal, number, json.dumps(doc))
+    return f"{journal}:{number}"
 
 
-def _invalid_yaml(path):
-    path.write_text("kind: trial\nspec: {assignments: [\n")
+def _invalid_json(store):
+    journal = store / "journal.jsonl"
+    number = _trial_line(journal)
+    _rewrite_line(journal, number, '{"kind": "trial", "spec": {"assignments": [')
+    return f"{journal}:{number}"
 
 
-@pytest.mark.parametrize("corrupt", [_precodec_trial, _invalid_yaml])
+def _invalid_yaml(store):
+    # Earlier versions kept one YAML file per resource and no journal; such a
+    # store must not open as an empty one, whatever its files hold.
+    (store / "journal.jsonl").unlink()
+    (store / "trials").mkdir()
+    (store / "trials" / "team.cli-exp-0000.yaml").write_text("kind: trial\nspec: {assignments: [\n")
+    return str(store)
+
+
+@pytest.mark.parametrize("corrupt", [_precodec_trial, _invalid_yaml, _invalid_json])
 @pytest.mark.parametrize("command", ["submit", "run", "export"])
 def test_unreadable_store_file_exits_4_naming_the_file(runner, tmp_path, corrupt, command):
     _submit(runner, tmp_path)
     store = tmp_path / "store"
     partial = runner.invoke(cli, ["run", "--store", str(store), "--seed", "5", "--max-ticks", "1"])
     assert partial.exit_code == 0, partial.output
-    bad = sorted((store / "trials").glob("*.yaml"))[0]
-    corrupt(bad)
+    named = corrupt(store)
+    before = _store_files(store)
     args = {
         "submit": ["submit", str(tmp_path / "exp.yaml")],
         "run": ["run", "--seed", "5"],
@@ -270,7 +296,36 @@ def test_unreadable_store_file_exits_4_naming_the_file(runner, tmp_path, corrupt
     result = runner.invoke(cli, [*args, "--store", str(store)])
     assert result.exit_code == 4, result.output
     assert isinstance(result.exception, SystemExit)
-    assert str(bad) in result.output
+    assert named in result.output
+    assert _store_files(store) == before
+
+
+def test_export_and_dump_skip_a_torn_tail_and_cut_nothing(runner, tmp_path):
+    # A reader may open the store while a run is still appending a line.
+    _submit(runner, tmp_path)
+    store = tmp_path / "store"
+    assert runner.invoke(cli, ["run", "--store", str(store), "--seed", "5"]).exit_code == 0
+    exported = runner.invoke(cli, ["export", "cli-exp", "--store", str(store)]).output
+    dumped = runner.invoke(cli, ["dump", "--store", str(store)]).output
+    with open(store / "journal.jsonl", "a") as fp:
+        fp.write('{"kind": "trial", "name": "cli-exp-0099", "spe')
+    with open(store / "metrics.jsonl", "a") as fp:
+        fp.write('{"metric": "loss", "trial": "cli-exp-00')
+    before = _store_files(store)
+    assert runner.invoke(cli, ["export", "cli-exp", "--store", str(store)]).output == exported
+    assert runner.invoke(cli, ["dump", "--store", str(store)]).output == dumped
+    assert _store_files(store) == before
+
+
+def test_run_leaves_a_compacted_journal(runner, tmp_path):
+    _submit(runner, tmp_path)
+    store = tmp_path / "store"
+    assert runner.invoke(cli, ["run", "--store", str(store), "--seed", "5"]).exit_code == 0
+    records = [json.loads(line) for line in (store / "journal.jsonl").read_text().splitlines()]
+    keys = [f"{r['kind']}/{r['namespace']}/{r['name']}" for r in records]
+    assert keys == sorted(set(keys))
+    assert len(keys) == 2 + 4  # the experiment, its suggestion and a trial per grid point
+    assert not (store / "journal.jsonl.tmp").exists()
 
 
 def test_second_run_on_a_locked_store_exits_4_and_leaves_it_untouched(runner, tmp_path):
@@ -287,3 +342,19 @@ def test_second_run_on_a_locked_store_exits_4_and_leaves_it_untouched(runner, tm
     assert _store_files(store) == before
     # Once the lock is free, the run goes ahead.
     assert runner.invoke(cli, ["run", "--store", str(store), "--seed", "5"]).exit_code == 0
+
+
+def test_submit_on_a_locked_store_exits_4_and_leaves_it_untouched(runner, tmp_path):
+    # A submit must not append while a run holds the store (and may be compacting it).
+    _submit(runner, tmp_path)
+    store = tmp_path / "store"
+    other = tmp_path / "other.yaml"
+    other.write_text(EXPERIMENT.replace("name: cli-exp", "name: other-exp"))
+    before = _store_files(store)
+    with open(store / ".lock", "a") as held:
+        fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        result = runner.invoke(cli, ["submit", str(other), "--store", str(store)])
+    assert result.exit_code == 4, result.output
+    assert "in use" in result.output
+    assert _store_files(store) == before
+    assert runner.invoke(cli, ["submit", str(other), "--store", str(store)]).exit_code == 0

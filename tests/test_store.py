@@ -1,13 +1,17 @@
-"""Resource store: CAS semantics and file persistence."""
+"""Resource store: CAS semantics and journal persistence."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 import yaml
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_experiment
+from tunectl.cli import cli
 from tunectl.controller.model import (
     ExperimentPhase,
     ExperimentStatus,
@@ -24,9 +28,8 @@ from tunectl.controller.model import (
     KIND_TRIAL,
     resource_to_doc,
 )
-from tunectl.controller import store as store_module
 from tunectl.controller.store import FileResourceStore, ResourceStore
-from tunectl.errors import CasConflictError, ResourceExistsError
+from tunectl.errors import CasConflictError, ResourceExistsError, TunectlError
 from tunectl.resources import (
     AlgorithmSpec,
     ParameterSpec,
@@ -320,30 +323,100 @@ def _resources_of_every_shape():
     return [experiment, suggestion, *trials]
 
 
-def test_store_files_are_the_pure_python_dump_of_each_resource(tmp_path):
+def test_dump_prints_the_pure_python_dump_of_each_resource(tmp_path):
+    resources = _resources_of_every_shape()
+    store = FileResourceStore(tmp_path)
+    for resource in reversed(resources):
+        store.create(resource)
+    store.close()
+    result = CliRunner().invoke(cli, ["dump", "--store", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    stored = sorted(store.list(), key=lambda r: r.key)
+    assert len(stored) == 2 + len(TrialPhase)
+    expected = [yaml.safe_dump(resource_to_doc(r), sort_keys=False, width=2**20) for r in stored]
+    assert result.output == "---\n".join(expected)
+    assert list(yaml.safe_load_all(result.output)) == [resource_to_doc(r) for r in stored]
+
+
+def _journal_lines(path):
+    return (path / FileResourceStore.JOURNAL).read_bytes().splitlines()
+
+
+def test_journal_round_trip_through_compaction(tmp_path):
     store = FileResourceStore(tmp_path)
     for resource in _resources_of_every_shape():
         store.create(resource)
-    paths = sorted(tmp_path.glob("*s/*.yaml"))
-    assert len(paths) == 2 + len(TrialPhase)
-    for path in paths:
-        kind_dir, stem = path.parent.name, path.stem
-        namespace, name = stem.split(".", 1)
-        stored = store.get(f"{kind_dir[:-1]}/{namespace}/{name}")
-        expected = yaml.safe_dump(resource_to_doc(stored), sort_keys=False, width=2**20)
-        assert path.read_text() == expected, path
+    for key in store.keys(KIND_TRIAL)[:3]:
+        trial = store.get(key)
+        trial.status.restart_count += 1
+        store.update(store.update(trial))
+    written = store.list()
+    assert len(_journal_lines(tmp_path)) == len(written) + 6
 
-
-def test_a_store_written_by_the_pure_python_dumper_loads_to_equal_resources(tmp_path, monkeypatch):
-    resources = _resources_of_every_shape()
-    with monkeypatch.context() as patched:
-        patched.setattr(store_module, "_Dumper", yaml.SafeDumper)
-        written = FileResourceStore(tmp_path)
-        for resource in resources:
-            written.create(resource)
+    store.compact()
+    records = [json.loads(line) for line in _journal_lines(tmp_path)]
+    assert [f"{d['kind']}/{d['namespace']}/{d['name']}" for d in records] == [r.key for r in written]
+    assert [d["generation"] for d in records] == [r.generation for r in written]
     loaded = FileResourceStore(tmp_path)
-    assert loaded.list() == written.list()
-    assert {r.key: r.spec for r in loaded.list()} == {r.key: r.spec for r in resources}
-    with monkeypatch.context() as patched:
-        patched.setattr(store_module, "_Loader", yaml.SafeLoader)
-        assert FileResourceStore(tmp_path).list() == loaded.list()
+    assert loaded.list() == written
+    for kind in (KIND_EXPERIMENT, KIND_SUGGESTION, KIND_TRIAL):
+        assert loaded.keys(kind) == store.keys(kind)
+        assert loaded.live_keys(kind) == store.live_keys(kind)
+    assert loaded.trial_summary("ns", "exp") == store.trial_summary("ns", "exp")
+    assert loaded.concluded_trials("ns", "exp") == store.concluded_trials("ns", "exp")
+
+    # The compacted store takes writes again, on a journal of its own.
+    trial = store.get(store.keys(KIND_TRIAL)[0])
+    trial.status.reason = "after compaction"
+    store.update(trial)
+    assert len(_journal_lines(tmp_path)) == len(written) + 1
+    assert FileResourceStore(tmp_path).list() == store.list()
+
+
+def _write_sequence(store):
+    """Create and update resources; yield the store's contents after each write."""
+    for resource in _resources_of_every_shape():
+        store.create(resource)
+        yield store.list()
+    for key in store.keys(KIND_TRIAL):
+        trial = store.get(key)
+        trial.status.job_attempt += 1
+        store.update(trial)
+        yield store.list()
+
+
+@settings(max_examples=60, deadline=None)
+@given(cut=st.floats(0.0, 1.0))
+def test_reopening_a_journal_cut_at_any_byte_loads_exactly_its_complete_records(tmp_path_factory, cut):
+    # A kill mid-append leaves the journal cut at some byte.
+    path = tmp_path_factory.mktemp("torn")
+    store = FileResourceStore(path)
+    journal = path / FileResourceStore.JOURNAL
+    states = [[]]
+    ends = [0]
+    for contents in _write_sequence(store):
+        states.append(contents)
+        ends.append(journal.stat().st_size)
+    store.close()
+    data = journal.read_bytes()
+    kept = data[: int(cut * len(data))]
+    journal.write_bytes(kept)
+    expected = states[max(i for i, end in enumerate(ends) if end <= len(kept))]
+
+    # A reader skips the torn tail, cuts nothing and takes no writes.
+    reader = FileResourceStore(path, readonly=True)
+    assert reader.list() == expected
+    with pytest.raises(TunectlError):
+        reader.create(_experiment_resource(name="late"))
+    assert reader.list() == expected
+    assert journal.read_bytes() == kept
+
+    # A writer cuts it, so its next record starts on a line of its own.
+    reopened = FileResourceStore(path)
+    assert reopened.list() == expected
+    late = _experiment_resource(name="late")
+    reopened.create(late)
+    reopened.close()
+    assert {r.key: r for r in FileResourceStore(path).list()} == {
+        r.key: r for r in [*expected, reopened.get(late.key)]
+    }
