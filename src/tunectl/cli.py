@@ -2,6 +2,10 @@
 backend, export per-trial results, print the store as YAML, and execute
 canned scenarios.
 
+The backends, and numpy with them, are imported only by the commands that
+run trials (``run`` and ``scenario``), so ``--help``, ``submit``, ``export``
+and ``dump`` start without them.
+
 Exit codes: 0 success, 2 validation failure, 3 name conflict, 4 runtime
 error, 5 scenario assertion failure.
 """
@@ -18,8 +22,6 @@ from typing import Iterator
 import click
 import yaml
 
-from .cluster.localproc import LocalProcessBackend
-from .cluster.sim import SimBackend, SimWorld
 from .controller.model import KIND_EXPERIMENT, resource_to_doc
 from .controller.reconcile import run_control_loop, submit_experiment
 from .controller.store import FileResourceStore
@@ -27,7 +29,6 @@ from .errors import ResourceExistsError, TunectlError, ValidationError
 from .metrics import FileObservationStore
 from .resources import parse_experiment
 from .results import build_results_table, render_csv, render_jsonl
-from .scenarios import SCENARIO_NAMES, load_scenario, run_scenario
 
 EXIT_VALIDATION = 2
 EXIT_CONFLICT = 3
@@ -143,6 +144,10 @@ def _run(
     seed: int,
     max_ticks: int,
 ) -> None:
+    from .cluster.localproc import LocalProcessBackend
+    from .cluster.sim import SimBackend, SimWorld
+    from .scenarios import load_scenario
+
     store = _open_store(store_dir)
     metrics = FileObservationStore(store_dir / "metrics.jsonl")
     try:
@@ -249,7 +254,7 @@ def dump(store_dir: Path) -> None:
 
 
 @cli.command()
-@click.argument("name", type=click.Choice(SCENARIO_NAMES))
+@click.argument("name")
 @click.option("--seed", type=int, default=0)
 @click.option(
     "--store",
@@ -260,7 +265,13 @@ def dump(store_dir: Path) -> None:
     help="Optional state directory (persists world snapshots and event logs).",
 )
 def scenario(name: str, seed: int, store_dir: Path | None) -> None:
-    """Run a canned evaluation scenario and check its acceptance assertions."""
+    """Run a canned evaluation scenario and check its acceptance assertions.
+
+    An unknown NAME is refused with the list of scenarios."""
+    from .scenarios import SCENARIOS, run_scenario
+
+    if name not in SCENARIOS:
+        raise click.BadParameter(f"choose from {', '.join(SCENARIOS)}", param_hint="NAME")
     try:
         outcome = run_scenario(name, seed=seed, state_dir=store_dir)
     except TunectlError as exc:

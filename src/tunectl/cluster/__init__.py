@@ -1,29 +1,5 @@
-"""Trial execution backends: the deterministic cluster simulator and the
-local-process runner."""
+"""Trial execution backends: the deterministic cluster simulator
+(``cluster.sim``) and the local-process runner (``cluster.localproc``).
 
-from .localproc import LocalProcessBackend
-from .objectives import eval_sim_objective, is_registered_function
-from .sim import (
-    AutoscalerConfig,
-    ChaosMode,
-    ChaosPolicy,
-    SimBackend,
-    SimNamespace,
-    SimNode,
-    SimulatedCrash,
-    SimWorld,
-)
-
-__all__ = [
-    "AutoscalerConfig",
-    "ChaosMode",
-    "ChaosPolicy",
-    "LocalProcessBackend",
-    "SimBackend",
-    "SimNamespace",
-    "SimNode",
-    "SimWorld",
-    "SimulatedCrash",
-    "eval_sim_objective",
-    "is_registered_function",
-]
+The package imports none of its modules, so checking a simulated
+objective's name (``cluster.objectives``) loads neither backend nor numpy."""

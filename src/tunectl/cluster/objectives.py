@@ -8,11 +8,12 @@ the final objective as progress approaches 1, imitating a training curve.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..resources import BUDGET_PARAMETER, SimObjectiveDescriptor
+
+if TYPE_CHECKING:  # experiment validation imports this module, without numpy
+    import numpy as np
 
 
 def _as_float(value: Any) -> float | None:

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -134,8 +135,9 @@ def _derived_rng(*entropy: int) -> np.random.Generator:
 @dataclass(eq=False)
 class SimWorld:
     """The simulated cluster. Its fields are the state a snapshot holds;
-    the event log, the writers and the set of live (pending or running) job
-    names, which the tick phases iterate, are attached in ``__post_init__``."""
+    the event log, the writers, the set of live (pending or running) job
+    names, which the tick phases iterate, and the count of placed units on
+    each node and in each namespace are attached in ``__post_init__``."""
 
     seed: int = 0
     gang: bool = True
@@ -152,6 +154,13 @@ class SimWorld:
         self.metrics: ObservationStore | None = None
         self._event_writer: Callable[[dict], None] | None = None
         self.live_jobs: set[str] = {name for name, job in self.jobs.items() if job.phase in LIVE_PHASES}
+        self._units_on: Counter[str] = Counter()
+        self._units_in: Counter[str] = Counter()
+        for job in self.jobs.values():
+            for unit in job.units:
+                if unit.node is not None:
+                    self._units_on[unit.node] += 1
+                    self._units_in[job.namespace] += 1
 
     # -- world construction -------------------------------------------------
 
@@ -270,19 +279,28 @@ class SimWorld:
     # -- placement bookkeeping ------------------------------------------------
 
     def _place(self, unit: SimUnit, node: SimNode) -> None:
+        ns = self.namespaces[self.jobs[unit.job].namespace]
         node.allocated_cpu += unit.cpu
         node.idle_since = None
-        self.namespaces[self.jobs[unit.job].namespace].cpu_used += unit.cpu
+        ns.cpu_used += unit.cpu
+        self._units_on[node.id] += 1
+        self._units_in[ns.name] += 1
         unit.node = node.id
 
     def _unplace(self, unit: SimUnit) -> None:
+        """Take a unit off its node. A node or namespace left with no placed
+        unit totals exactly 0.0: subtracting CPU values that are not binary
+        fractions (0.1) would otherwise leave a residue like 2.8e-17, and
+        the autoscaler never sees such a node as empty."""
         if unit.node is None:
             return
+        ns = self.namespaces[self.jobs[unit.job].namespace]
+        self._units_on[unit.node] -= 1
+        self._units_in[ns.name] -= 1
         node = self.nodes.get(unit.node)
         if node is not None:
-            node.allocated_cpu = max(0.0, node.allocated_cpu - unit.cpu)
-        ns = self.namespaces[self.jobs[unit.job].namespace]
-        ns.cpu_used = max(0.0, ns.cpu_used - unit.cpu)
+            node.allocated_cpu = node.allocated_cpu - unit.cpu if self._units_on[node.id] else 0.0
+        ns.cpu_used = ns.cpu_used - unit.cpu if self._units_in[ns.name] else 0.0
         unit.node = None
 
     # -- tick phases -----------------------------------------------------------

@@ -5,7 +5,6 @@ from .model import (
     ExperimentPhase,
     ExperimentStatus,
     OptimalResult,
-    ProducedSuggestion,
     Resource,
     SuggestionSpec,
     SuggestionStatus,
@@ -37,7 +36,6 @@ __all__ = [
     "JobPhase",
     "JobState",
     "OptimalResult",
-    "ProducedSuggestion",
     "Resource",
     "ResourceStore",
     "SuggestionSpec",

@@ -69,16 +69,20 @@ class SuggestionSpec:
     requested: int
 
 
-@dataclass(frozen=True)
-class ProducedSuggestion:
-    assignments: AssignmentSet
-    consumed: bool = False
-
-
 @dataclass
 class SuggestionStatus:
-    produced: list[ProducedSuggestion] = field(default_factory=list)
+    """``produced`` counts the sets the algorithm has returned; set ``i``
+    becomes trial ``i``. ``pending`` holds the newest of them, numbered
+    ``produced - len(pending)`` onward: every set whose trial may not exist
+    yet. Older sets live on only as their trials' assignments."""
+
+    produced: int = 0
+    pending: list[AssignmentSet] = field(default_factory=list)
     exhausted: bool = False
+
+    def unspawned(self, spawned: int) -> list[AssignmentSet]:
+        """The pending sets from set ``spawned`` on, in index order."""
+        return self.pending[spawned - (self.produced - len(self.pending)) :]
 
 
 @dataclass
@@ -121,8 +125,7 @@ def clone_resource(resource: Resource) -> Resource:
     Experiment specs are shared (treated as immutable once parsed); the
     mutable shells around them — statuses, suggestion/trial specs — are
     rebuilt so callers and the store never alias mutable state. Assignment
-    tuples, run specs and produced suggestions are immutable and safely
-    shared.
+    tuples and run specs are immutable and safely shared.
     """
     import dataclasses
 
@@ -135,7 +138,8 @@ def clone_resource(resource: Resource) -> Resource:
             requested=spec.requested,
         )
         status = SuggestionStatus(
-            produced=list(status.produced),
+            produced=status.produced,
+            pending=list(status.pending),
             exhausted=status.exhausted,
         )
     elif resource.kind == KIND_TRIAL:

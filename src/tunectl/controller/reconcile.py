@@ -25,7 +25,6 @@ N tolerates exactly N failures.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -47,7 +46,7 @@ from ..resources import (
     render_trial_spec,
 )
 from ..suggest import SuggestionRequest, get_suggestions
-from ..suggest.registry import AssignmentSet, ObservationStatus, TrialObservation, get_algorithm
+from ..suggest.registry import AssignmentSet, ObservationStatus, TrialObservation
 from .backend import ExecutionBackend, JobPhase
 from .model import (
     KIND_EXPERIMENT,
@@ -58,7 +57,6 @@ from .model import (
     ExperimentPhase,
     ExperimentStatus,
     OptimalResult,
-    ProducedSuggestion,
     Resource,
     SuggestionSpec,
     SuggestionStatus,
@@ -204,41 +202,30 @@ def reconcile_experiment(ctx: ControllerContext, key: str) -> int:
         ctx.mutated()
         mutations += 1
 
-    # Spawn one trial per unconsumed suggestion while budget remains. The
-    # trial index equals the produced index, so creation is idempotent and a
-    # crash between create and the consumed flag cannot double-spawn.
-    consumed_dirty = False
-    for index, produced in enumerate(suggestion.status.produced):
-        if produced.consumed:
-            continue
+    # Spawn trials from the pending sets while budget remains. Set i becomes
+    # trial i and trials are created strictly in index order, so exactly the
+    # sets below ``spawned`` have a trial and a crash at any point leaves
+    # nothing to double-spawn.
+    for assignments in suggestion.status.unspawned(spawned):
         if active >= spec.parallel_trial_count or spawned >= spec.max_trial_count:
             break
-        name = trial_name_for(spec.name, index)
-        trial_key = resource_key(KIND_TRIAL, spec.namespace, name)
-        if ctx.store.get(trial_key) is None:
-            ctx.store.create(
-                Resource(
-                    kind=KIND_TRIAL,
-                    namespace=spec.namespace,
-                    name=name,
-                    spec=TrialSpec(experiment=spec.name, assignments=produced.assignments),
-                    status=TrialStatus(),
-                )
+        ctx.store.create(
+            Resource(
+                kind=KIND_TRIAL,
+                namespace=spec.namespace,
+                name=trial_name_for(spec.name, spawned),
+                spec=TrialSpec(experiment=spec.name, assignments=assignments),
+                status=TrialStatus(),
             )
-            ctx.mutated()
-            mutations += 1
-        suggestion.status.produced[index] = dataclasses.replace(produced, consumed=True)
-        consumed_dirty = True
+        )
+        ctx.mutated()
+        mutations += 1
         spawned += 1
         active += 1
         pending += 1
-    if consumed_dirty:
-        suggestion = ctx.store.update(suggestion)
-        ctx.mutated()
-        mutations += 1
 
     optimal = _current_optimal(spec, trials)
-    search_spent = suggestion.status.exhausted and all(p.consumed for p in suggestion.status.produced)
+    search_spent = suggestion.status.exhausted and spawned >= suggestion.status.produced
     budget_spent = (spawned >= spec.max_trial_count or search_spent) and active == 0
 
     phase = ExperimentPhase.RUNNING
@@ -289,22 +276,25 @@ def reconcile_suggestion(ctx: ControllerContext, key: str) -> int:
     except UnknownNamespaceError as exc:
         logger.warning("suggestion %s: service reservation failed: %s", key, exc)
 
-    if suggestion.status.exhausted:
-        return 0
-    produced = suggestion.status.produced
-    need = suggestion.spec.requested - len(produced)
-    if need <= 0:
+    status = suggestion.status
+    need = suggestion.spec.requested - status.produced
+    if status.exhausted or need <= 0:
         return 0
 
+    # The algorithm sees every set produced so far in index order: the
+    # spawned trials' assignments, then the pending sets not yet spawned.
     spec: ExperimentSpec = experiment.spec
-    plugin = get_algorithm(spec.algorithm.algorithm_name)
-    state = plugin.restore_state(spec, tuple(p.assignments for p in produced))
+    trials = ctx.store.trial_records(suggestion.namespace, spec.name)
+    unspawned = status.unspawned(len(trials))
+    produced = tuple(trials[trial_name_for(spec.name, i)].assignments for i in range(len(trials)))
     history = build_history(ctx.store.concluded_trials(suggestion.namespace, spec.name))
-    request = SuggestionRequest(experiment=spec, history=history, count=need, state=state)
+    request = SuggestionRequest(
+        experiment=spec, history=history, count=need, produced=produced + tuple(unspawned)
+    )
     try:
         result = get_suggestions(request)
     except ExhaustedSearchSpace:
-        suggestion.status.exhausted = True
+        status.exhausted = True
         ctx.store.update(suggestion)
         ctx.mutated()
         return 1
@@ -314,9 +304,9 @@ def reconcile_suggestion(ctx: ControllerContext, key: str) -> int:
 
     if not result.assignment_sets and not result.exhausted:
         return 0  # algorithm is waiting on in-flight observations
-    for assignments in result.assignment_sets:
-        produced.append(ProducedSuggestion(assignments=assignments))
-    suggestion.status.exhausted = suggestion.status.exhausted or result.exhausted
+    status.pending = unspawned + list(result.assignment_sets)
+    status.produced += len(result.assignment_sets)
+    status.exhausted = result.exhausted
     ctx.store.update(suggestion)
     ctx.mutated()
     return 1

@@ -201,6 +201,12 @@ class ResourceStore:
             trials = self._trials.get((namespace, experiment))
             return trials.summary() if trials is not None else TrialSummary()
 
+    def trial_records(self, namespace: str, experiment: str) -> dict[str, TrialRecord]:
+        """The experiment's trials by name."""
+        with self._lock:
+            trials = self._trials.get((namespace, experiment))
+            return dict(trials.records) if trials is not None else {}
+
     def concluded_trials(self, namespace: str, experiment: str) -> list[TrialRecord]:
         """The experiment's succeeded and failed trials in name order."""
         with self._lock:

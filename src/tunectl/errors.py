@@ -28,7 +28,7 @@ class ExhaustedSearchSpace(TunectlError):
 
 
 class AlgorithmStateError(TunectlError):
-    """A state handle was produced by a different algorithm or experiment."""
+    """No algorithm is registered under the requested name."""
 
 
 class MissingResourceReport(TunectlError):

@@ -48,9 +48,6 @@ from .resources import (
     parse_experiment,
 )
 
-SCENARIO_NAMES = ("multi-tenancy", "autoscale", "chaos-fail", "chaos-kill", "portability")
-
-
 @dataclass
 class ScenarioCheck:
     name: str
@@ -599,7 +596,7 @@ def _scenario_portability(seed: int, state_dir: Path | None) -> ScenarioOutcome:
     return outcome
 
 
-_SCENARIOS = {
+SCENARIOS = {
     "multi-tenancy": _scenario_multi_tenancy,
     "autoscale": _scenario_autoscale,
     "chaos-fail": _scenario_chaos_fail,
@@ -609,6 +606,6 @@ _SCENARIOS = {
 
 
 def run_scenario(name: str, seed: int = 0, state_dir: str | Path | None = None) -> ScenarioOutcome:
-    if name not in _SCENARIOS:
-        raise KeyError(f"unknown scenario '{name}' (choose from {', '.join(SCENARIO_NAMES)})")
-    return _SCENARIOS[name](seed, None if state_dir is None else Path(state_dir))
+    if name not in SCENARIOS:
+        raise KeyError(f"unknown scenario '{name}' (choose from {', '.join(SCENARIOS)})")
+    return SCENARIOS[name](seed, None if state_dir is None else Path(state_dir))

@@ -20,17 +20,15 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import norm, qmc
 
-from ..resources import ExperimentSpec, ObjectiveType
+from ..resources import ObjectiveType
 from .registry import (
     BUILTINS,
     AlgorithmPlugin,
     AssignmentSet,
-    EngineState,
     ObservationStatus,
     SuggestionRequest,
     SuggestionResult,
     TrialObservation,
-    ensure_state,
 )
 from . import randomsearch
 from .space import assignment_key, decode_unit_vector, encode_assignments, request_rng
@@ -100,26 +98,21 @@ def _succeeded(history: tuple[TrialObservation, ...]) -> list[TrialObservation]:
     return [o for o in history if o.status is ObservationStatus.SUCCEEDED]
 
 
-def _candidate_pool(request: SuggestionRequest, state: EngineState) -> list[AssignmentSet]:
-    rng = request_rng(request, len(state.produced), salt=RNG_SALT)
+def _candidate_pool(request: SuggestionRequest) -> list[AssignmentSet]:
+    rng = request_rng(request, len(request.produced), salt=RNG_SALT)
     sampler = qmc.Sobol(d=len(request.experiment.parameters), scramble=True, seed=rng)
     unit = sampler.random(CANDIDATE_POOL)
     return [decode_unit_vector(request.experiment.parameters, row) for row in unit]
 
 
 def suggest(request: SuggestionRequest) -> SuggestionResult:
-    state = ensure_state(request, "bayesianoptimization")
     params = request.experiment.parameters
     observed = _succeeded(request.history)
 
     def fallback(reason: str) -> SuggestionResult:
         if reason:
             logger.info("bayesianoptimization falling back to random: %s", reason)
-        sets = randomsearch.sample_batch(request, state, salt=RNG_SALT)
-        return SuggestionResult(
-            assignment_sets=sets,
-            state=EngineState(algorithm=state.algorithm, produced=state.produced + sets),
-        )
+        return SuggestionResult(assignment_sets=randomsearch.sample_batch(request, salt=RNG_SALT))
 
     if len(observed) < len(params) + MIN_HISTORY_MARGIN:
         return fallback("")
@@ -136,13 +129,13 @@ def suggest(request: SuggestionRequest) -> SuggestionResult:
     if gp is None:
         return fallback("surrogate fit failed for every length scale")
 
-    pool = _candidate_pool(request, state)
+    pool = _candidate_pool(request)
     mean, std = gp.predict(encode_assignments(params, pool))
     ei = expected_improvement(mean, std, best=float(np.min(y)))
     ranked = [pool[i] for i in np.argsort(-ei, kind="stable")]
 
     taken = {assignment_key(o.assignments) for o in request.history}
-    taken.update(assignment_key(p) for p in state.produced)
+    taken.update(assignment_key(p) for p in request.produced)
     picked: list[AssignmentSet] = []
     for cand in ranked:
         if len(picked) == request.count:
@@ -158,20 +151,11 @@ def suggest(request: SuggestionRequest) -> SuggestionResult:
             break
         picked.append(cand)
 
-    sets = tuple(picked)
-    return SuggestionResult(
-        assignment_sets=sets,
-        state=EngineState(algorithm=state.algorithm, produced=state.produced + sets),
-    )
-
-
-def restore_state(experiment: ExperimentSpec, produced: tuple[AssignmentSet, ...]) -> EngineState:
-    return EngineState(algorithm="bayesianoptimization", produced=produced)
+    return SuggestionResult(assignment_sets=tuple(picked))
 
 
 PLUGIN = AlgorithmPlugin(
     name="bayesianoptimization",
     allowed_settings=BUILTINS["bayesianoptimization"].settings,
-    restore_state=restore_state,
     suggest=suggest,
 )

@@ -6,16 +6,8 @@ import math
 from typing import Sequence
 
 from ..errors import ExhaustedSearchSpace
-from ..resources import ExperimentSpec, ParameterSpec
-from .registry import (
-    BUILTINS,
-    AlgorithmPlugin,
-    AssignmentSet,
-    EngineState,
-    SuggestionRequest,
-    SuggestionResult,
-    ensure_state,
-)
+from ..resources import ParameterSpec
+from .registry import BUILTINS, AlgorithmPlugin, AssignmentSet, SuggestionRequest, SuggestionResult
 from .space import grid_axis
 
 
@@ -54,24 +46,10 @@ def grid_enumerate(
 
 
 def suggest(request: SuggestionRequest) -> SuggestionResult:
-    state = ensure_state(request, "grid")
     sets, _, exhausted = grid_enumerate(
-        request.experiment.parameters, request.count, cursor=len(state.produced)
+        request.experiment.parameters, request.count, cursor=len(request.produced)
     )
-    return SuggestionResult(
-        assignment_sets=sets,
-        state=EngineState(algorithm="grid", produced=state.produced + sets),
-        exhausted=exhausted,
-    )
+    return SuggestionResult(assignment_sets=sets, exhausted=exhausted)
 
 
-def restore_state(experiment: ExperimentSpec, produced: tuple[AssignmentSet, ...]) -> EngineState:
-    return EngineState(algorithm="grid", produced=produced)
-
-
-PLUGIN = AlgorithmPlugin(
-    name="grid",
-    allowed_settings=BUILTINS["grid"].settings,
-    restore_state=restore_state,
-    suggest=suggest,
-)
+PLUGIN = AlgorithmPlugin(name="grid", allowed_settings=BUILTINS["grid"].settings, suggest=suggest)

@@ -23,12 +23,10 @@ from .registry import (
     BUILTINS,
     AlgorithmPlugin,
     AssignmentSet,
-    EngineState,
     ObservationStatus,
     SuggestionRequest,
     SuggestionResult,
     TrialObservation,
-    ensure_state,
 )
 from . import randomsearch
 from .space import assignment_key
@@ -138,21 +136,15 @@ def promote(
 
 
 def suggest(request: SuggestionRequest) -> SuggestionResult:
-    state = ensure_state(request, "hyperband")
     experiment = request.experiment
     max_resource, eta = _schedule_settings(experiment)
     brackets = successive_halving_brackets(max_resource, eta)
 
-    produced = list(state.produced)
+    produced = request.produced
     idx = 0  # cursor into produced: emission strictly follows schedule order
 
-    def emit(new_sets: list[AssignmentSet], exhausted: bool = False) -> SuggestionResult:
-        sets = tuple(new_sets[: request.count])
-        return SuggestionResult(
-            assignment_sets=sets,
-            state=EngineState(algorithm="hyperband", produced=state.produced + sets),
-            exhausted=exhausted,
-        )
+    def emit(new_sets: list[AssignmentSet]) -> SuggestionResult:
+        return SuggestionResult(assignment_sets=tuple(new_sets[: request.count]))
 
     for bracket in brackets:
         members: list[AssignmentSet] = []
@@ -169,9 +161,9 @@ def suggest(request: SuggestionRequest) -> SuggestionResult:
                         experiment=experiment,
                         history=request.history,
                         count=want,
-                        state=EngineState(algorithm="random", produced=tuple(produced[:idx])),
+                        produced=produced[:idx],
                     )
-                    for cand in randomsearch.sample_batch(sub, sub.state, salt=RNG_SALT):
+                    for cand in randomsearch.sample_batch(sub, salt=RNG_SALT):
                         fresh.append(_with_budget(cand, rung.resource))
                     return emit(fresh)
             else:
@@ -203,13 +195,4 @@ def suggest(request: SuggestionRequest) -> SuggestionResult:
     raise ExhaustedSearchSpace("hyperband schedule complete: all brackets finished")
 
 
-def restore_state(experiment: ExperimentSpec, produced: tuple[AssignmentSet, ...]) -> EngineState:
-    return EngineState(algorithm="hyperband", produced=produced)
-
-
-PLUGIN = AlgorithmPlugin(
-    name="hyperband",
-    allowed_settings=BUILTINS["hyperband"].settings,
-    restore_state=restore_state,
-    suggest=suggest,
-)
+PLUGIN = AlgorithmPlugin(name="hyperband", allowed_settings=BUILTINS["hyperband"].settings, suggest=suggest)

@@ -2,16 +2,7 @@
 
 from __future__ import annotations
 
-from ..resources import ExperimentSpec
-from .registry import (
-    BUILTINS,
-    AlgorithmPlugin,
-    AssignmentSet,
-    EngineState,
-    SuggestionRequest,
-    SuggestionResult,
-    ensure_state,
-)
+from .registry import BUILTINS, AlgorithmPlugin, AssignmentSet, SuggestionRequest, SuggestionResult
 from .space import (
     DUPLICATE_RESAMPLE_ATTEMPTS,
     assignment_key,
@@ -22,14 +13,14 @@ from .space import (
 RNG_SALT = 1
 
 
-def sample_batch(request: SuggestionRequest, state: EngineState, salt: int = RNG_SALT) -> tuple[AssignmentSet, ...]:
+def sample_batch(request: SuggestionRequest, salt: int = RNG_SALT) -> tuple[AssignmentSet, ...]:
     """Draw ``request.count`` feasible sets, resampling duplicates a few times
     before accepting them (small spaces must not livelock)."""
     taken = {assignment_key(o.assignments) for o in request.history}
-    taken.update(assignment_key(p) for p in state.produced)
+    taken.update(assignment_key(p) for p in request.produced)
     sets: list[AssignmentSet] = []
     for i in range(request.count):
-        rng = request_rng(request, len(state.produced) + i, salt=salt)
+        rng = request_rng(request, len(request.produced) + i, salt=salt)
         candidate = random_assignments(request.experiment.parameters, rng)
         for _ in range(DUPLICATE_RESAMPLE_ATTEMPTS):
             if assignment_key(candidate) not in taken:
@@ -41,21 +32,7 @@ def sample_batch(request: SuggestionRequest, state: EngineState, salt: int = RNG
 
 
 def suggest(request: SuggestionRequest) -> SuggestionResult:
-    state = ensure_state(request, "random")
-    sets = sample_batch(request, state)
-    return SuggestionResult(
-        assignment_sets=sets,
-        state=EngineState(algorithm="random", produced=state.produced + sets),
-    )
+    return SuggestionResult(assignment_sets=sample_batch(request))
 
 
-def restore_state(experiment: ExperimentSpec, produced: tuple[AssignmentSet, ...]) -> EngineState:
-    return EngineState(algorithm="random", produced=produced)
-
-
-PLUGIN = AlgorithmPlugin(
-    name="random",
-    allowed_settings=BUILTINS["random"].settings,
-    restore_state=restore_state,
-    suggest=suggest,
-)
+PLUGIN = AlgorithmPlugin(name="random", allowed_settings=BUILTINS["random"].settings, suggest=suggest)

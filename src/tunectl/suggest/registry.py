@@ -2,9 +2,10 @@
 
 Any module may register a plugin under a new ``algorithmName``; the
 experiment format then accepts that name and the suggestion controller
-drives it exactly like the built-ins. Registration requires the algorithm
-name, the setting keys it accepts, a state constructor, and a suggest
-implementation. A registered plugin wins over a built-in of the same name.
+drives it exactly like the built-ins. A plugin is the algorithm name, the
+setting keys it accepts and a suggest function; it keeps no state of its
+own, because every request carries what the experiment has produced so far.
+A registered plugin wins over a built-in of the same name.
 
 The built-ins are listed in ``BUILTINS`` by module and setting keys, so
 validating an experiment imports no algorithm; ``get_algorithm`` imports a
@@ -14,7 +15,7 @@ built-in's module the first time its name is looked up.
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, NamedTuple
 
@@ -49,43 +50,28 @@ class TrialObservation:
 
 @dataclass
 class SuggestionRequest:
+    """``produced`` is every set the algorithm has returned for the
+    experiment, in the order it returned them (trial-index order). An
+    algorithm re-derives whatever it needs from it and ``history`` on every
+    call, which makes the engine crash-recoverable by construction."""
+
     experiment: ExperimentSpec
     history: tuple[TrialObservation, ...]
     count: int
-    state: Any = None
+    produced: tuple[AssignmentSet, ...] = ()
 
 
 @dataclass
 class SuggestionResult:
     assignment_sets: tuple[AssignmentSet, ...]
-    state: Any
     exhausted: bool = False
-
-
-@dataclass
-class EngineState:
-    """State handle shared by the built-in algorithms.
-
-    Holds only what survives a process restart: the algorithm identity and
-    everything the algorithm has already emitted. Built-ins re-derive any
-    richer state from (history, produced) on every call, which makes the
-    whole engine crash-recoverable by construction.
-    """
-
-    algorithm: str
-    produced: tuple[AssignmentSet, ...] = ()
 
 
 @dataclass(frozen=True)
 class AlgorithmPlugin:
     name: str
     allowed_settings: frozenset[str]
-    restore_state: Callable[[ExperimentSpec, tuple[AssignmentSet, ...]], Any]
     suggest: Callable[[SuggestionRequest], SuggestionResult]
-    setting_defaults: dict[str, Any] = field(default_factory=dict)
-
-    def fresh_state(self, experiment: ExperimentSpec) -> Any:
-        return self.restore_state(experiment, ())
 
 
 class Builtin(NamedTuple):
@@ -130,15 +116,3 @@ def get_algorithm(name: str) -> AlgorithmPlugin:
     module = importlib.import_module(f"{__package__}.{BUILTINS[name].module}")
     return _REGISTRY.setdefault(name, module.PLUGIN)
 
-
-def ensure_state(request: SuggestionRequest, algorithm: str) -> EngineState:
-    """Validate and normalize the request's state handle for a built-in."""
-    state = request.state
-    if state is None:
-        return EngineState(algorithm=algorithm)
-    if not isinstance(state, EngineState) or state.algorithm != algorithm:
-        raise AlgorithmStateError(
-            f"state handle belongs to '{getattr(state, 'algorithm', type(state).__name__)}', "
-            f"not '{algorithm}'"
-        )
-    return state

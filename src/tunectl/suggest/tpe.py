@@ -14,16 +14,14 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..resources import ExperimentSpec, ObjectiveType, ParameterSpec, ParameterType, ValueList
+from ..resources import ObjectiveType, ParameterSpec, ParameterType, ValueList
 from .registry import (
     BUILTINS,
     AlgorithmPlugin,
     AssignmentSet,
-    EngineState,
     ObservationStatus,
     SuggestionRequest,
     SuggestionResult,
-    ensure_state,
 )
 from . import randomsearch
 from .space import numeric_bounds, request_rng
@@ -103,16 +101,11 @@ def _snap(param: ParameterSpec, value: float) -> Any:
 
 
 def suggest(request: SuggestionRequest) -> SuggestionResult:
-    state = ensure_state(request, "tpe")
     params = request.experiment.parameters
     succeeded = [o for o in request.history if o.status is ObservationStatus.SUCCEEDED]
 
     if len(succeeded) < MIN_HISTORY:
-        sets = randomsearch.sample_batch(request, state, salt=RNG_SALT)
-        return SuggestionResult(
-            assignment_sets=sets,
-            state=EngineState(algorithm=state.algorithm, produced=state.produced + sets),
-        )
+        return SuggestionResult(assignment_sets=randomsearch.sample_batch(request, salt=RNG_SALT))
 
     sign = 1.0 if request.experiment.objective.type is ObjectiveType.MINIMIZE else -1.0
     ordered = sorted(succeeded, key=lambda o: sign * o.objective_value)
@@ -125,7 +118,7 @@ def suggest(request: SuggestionRequest) -> SuggestionResult:
 
     sets: list[AssignmentSet] = []
     for i in range(request.count):
-        rng = request_rng(request, len(state.produced) + i, salt=RNG_SALT)
+        rng = request_rng(request, len(request.produced) + i, salt=RNG_SALT)
         best_set: AssignmentSet | None = None
         best_score = -math.inf
         for _ in range(CANDIDATES_PER_SUGGESTION):
@@ -146,20 +139,7 @@ def suggest(request: SuggestionRequest) -> SuggestionResult:
         assert best_set is not None
         sets.append(best_set)
 
-    result = tuple(sets)
-    return SuggestionResult(
-        assignment_sets=result,
-        state=EngineState(algorithm=state.algorithm, produced=state.produced + result),
-    )
+    return SuggestionResult(assignment_sets=tuple(sets))
 
 
-def restore_state(experiment: ExperimentSpec, produced: tuple[AssignmentSet, ...]) -> EngineState:
-    return EngineState(algorithm="tpe", produced=produced)
-
-
-PLUGIN = AlgorithmPlugin(
-    name="tpe",
-    allowed_settings=BUILTINS["tpe"].settings,
-    restore_state=restore_state,
-    suggest=suggest,
-)
+PLUGIN = AlgorithmPlugin(name="tpe", allowed_settings=BUILTINS["tpe"].settings, suggest=suggest)

@@ -171,11 +171,11 @@ def test_criterion_6_algorithm_suite():
         )
         history = _random_history(rng, parameters, algorithm, i)
         count = int(rng.integers(1, 4))
-        request = SuggestionRequest(experiment=spec, history=history, count=count, state=None)
+        request = SuggestionRequest(experiment=spec, history=history, count=count)
         try:
             first = get_suggestions(request)
             second = get_suggestions(
-                SuggestionRequest(experiment=spec, history=history, count=count, state=None)
+                SuggestionRequest(experiment=spec, history=history, count=count)
             )
         except ExhaustedSearchSpace:
             continue
@@ -225,13 +225,13 @@ def test_criterion_6_algorithm_suite():
             max_trials=50,
         )
         history: list[TrialObservation] = []
-        state = None
+        produced: tuple = ()
         best = math.inf
         for _ in range(50):
             result = get_suggestions(
-                SuggestionRequest(experiment=spec, history=tuple(history), count=1, state=state)
+                SuggestionRequest(experiment=spec, history=tuple(history), count=1, produced=produced)
             )
-            state = result.state
+            produced += result.assignment_sets
             assignments = result.assignment_sets[0]
             value = sum(v * v for _, v in assignments)
             best = min(best, value)

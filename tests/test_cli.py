@@ -192,6 +192,12 @@ def test_run_with_malformed_scenario_exits_2(runner, tmp_path, block):
     assert "scenario:" in result.output
 
 
+def test_unknown_scenario_exits_2_listing_the_scenarios(runner):
+    result = runner.invoke(cli, ["scenario", "no-such-scenario"])
+    assert result.exit_code == 2
+    assert "multi-tenancy, autoscale, chaos-fail, chaos-kill, portability" in result.output
+
+
 def test_run_empty_store_exits_4(runner, tmp_path):
     result = runner.invoke(cli, ["run", "--store", str(tmp_path / "store")])
     assert result.exit_code == 4

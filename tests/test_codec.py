@@ -15,7 +15,6 @@ from tunectl.controller.model import (
     KIND_TRIAL,
     ExperimentStatus,
     OptimalResult,
-    ProducedSuggestion,
     Resource,
     SuggestionSpec,
     SuggestionStatus,
@@ -112,7 +111,7 @@ def test_resources_round_trip_through_their_documents():
             "ns",
             "exp",
             SuggestionSpec("exp", AlgorithmSpec("random", {"random_state": 3}), 4),
-            SuggestionStatus([ProducedSuggestion((("x", 0.5), ("o", "sgd")), True)], exhausted=False),
+            SuggestionStatus(2, [(("x", 0.5), ("o", "sgd"))], exhausted=False),
         ),
         Resource(
             KIND_TRIAL,

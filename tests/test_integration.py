@@ -22,7 +22,6 @@ from tunectl.resources import (
 from tunectl.results import build_results_table, render_csv, render_jsonl
 from tunectl.suggest import (
     AlgorithmPlugin,
-    EngineState,
     SuggestionRequest,
     SuggestionResult,
     get_suggestions,
@@ -68,10 +67,10 @@ def test_full_resource_lifecycle_walkthrough():
     controller_step(ctx)
     suggestion = store.get(resource_key(KIND_SUGGESTION, "ns", "exp"))
     assert suggestion.spec.requested == 2  # equals parallelTrialCount
-    assert len(suggestion.status.produced) == 2
-    assert all(p.consumed for p in suggestion.status.produced)
+    assert suggestion.status.produced == 2
     trials = store.list(KIND_TRIAL)
     assert [t.name for t in trials] == ["exp-0000", "exp-0001"]
+    assert [t.spec.assignments for t in trials] == suggestion.status.pending
     assert all(t.spec.run_spec is not None for t in trials)  # rendered
     assert all("ns/" + t.name in world.jobs for t in trials)  # submitted
 
@@ -94,10 +93,9 @@ def test_full_resource_lifecycle_walkthrough():
 
 
 def test_custom_algorithm_plugin_runs_end_to_end():
-    # Anything registering (name, fresh-state constructor, suggest) becomes
-    # available under algorithmName, including in the YAML format.
+    # Anything registering (name, setting keys, suggest) becomes available
+    # under algorithmName, including in the YAML format.
     def suggest(request: SuggestionRequest) -> SuggestionResult:
-        state = request.state or EngineState(algorithm="midpoint")
         sets = []
         for _ in range(request.count):
             assignments = []
@@ -110,19 +108,10 @@ def test_custom_algorithm_plugin_runs_end_to_end():
                     value = space.values[0]
                 assignments.append((p.name, value))
             sets.append(tuple(assignments))
-        sets = tuple(sets)
-        return SuggestionResult(
-            assignment_sets=sets,
-            state=EngineState(algorithm="midpoint", produced=state.produced + sets),
-        )
+        return SuggestionResult(assignment_sets=tuple(sets))
 
     register_algorithm(
-        AlgorithmPlugin(
-            name="midpoint",
-            allowed_settings=frozenset({"random_state"}),
-            restore_state=lambda exp, produced: EngineState(algorithm="midpoint", produced=produced),
-            suggest=suggest,
-        )
+        AlgorithmPlugin(name="midpoint", allowed_settings=frozenset({"random_state"}), suggest=suggest)
     )
     text = """
 name: plugin-exp
@@ -139,7 +128,7 @@ trialTemplate:
   payload: {functionName: sphere, durationTicks: 1}
 """
     spec = parse_experiment(text)
-    result = get_suggestions(SuggestionRequest(experiment=spec, history=(), count=2, state=None))
+    result = get_suggestions(SuggestionRequest(experiment=spec, history=(), count=2))
     assert result.assignment_sets == ((("x", 1.0),), (("x", 1.0),))
     snapshot, _, _ = _run_sim(spec)
     exp = snapshot["experiments"]["experiment/ns/plugin-exp"]

@@ -2,21 +2,30 @@
 
 from __future__ import annotations
 
+import pytest
+
 from conftest import make_experiment
 from tunectl.cluster.sim import SimBackend, SimWorld
 from tunectl.controller.model import (
     KIND_SUGGESTION,
     KIND_TRIAL,
     ExperimentPhase,
+    Resource,
+    SuggestionSpec,
+    SuggestionStatus,
     TrialPhase,
+    TrialSpec,
+    TrialStatus,
     resource_key,
 )
 from tunectl.controller.reconcile import (
     ControllerContext,
     controller_step,
     reconcile_experiment,
+    reconcile_suggestion,
     run_control_loop,
     submit_experiment,
+    trial_name_for,
 )
 from tunectl.controller.store import ResourceStore
 from tunectl.metrics import InMemoryObservationStore
@@ -31,6 +40,13 @@ from tunectl.resources import (
     TrialTemplate,
     ValueList,
 )
+from tunectl.suggest import (
+    AlgorithmPlugin,
+    SuggestionRequest,
+    SuggestionResult,
+    register_algorithm,
+)
+from tunectl.suggest import registry
 
 SPHERE_PARAMS = [
     ParameterSpec("x1", ParameterType.DOUBLE, Range(-1.0, 1.0)),
@@ -159,8 +175,8 @@ def test_spawn_respects_parallel_and_total_budget():
     trials = store.list(KIND_TRIAL)
     assert len(trials) == 3  # parallel slots cap the first wave
     suggestion = store.get(resource_key(KIND_SUGGESTION, "ns", "exp"))
-    consumed = sum(1 for p in suggestion.status.produced if p.consumed)
-    assert consumed == 3
+    assert suggestion.status.produced == 3
+    assert [t.spec.assignments for t in trials] == suggestion.status.pending
 
 
 def test_grid_exhaustion_succeeds_with_full_cross_product():
@@ -382,3 +398,91 @@ def test_first_step_of_a_context_releases_services_of_finished_experiments():
     resumed = ControllerContext(store=store, metrics=ctx.metrics, backend=backend)
     controller_step(resumed)
     assert "ns/svc-exp" not in backend.world.jobs
+
+
+class _Killed(Exception):
+    """Stands in for the process dying: no reconciler catches it."""
+
+
+class _StoreKilledAfterTrial(ResourceStore):
+    def __init__(self, trial_name: str):
+        super().__init__()
+        self.trial_name = trial_name
+
+    def create(self, resource):
+        created = super().create(resource)
+        if resource.kind == KIND_TRIAL and resource.name == self.trial_name:
+            self.trial_name = None
+            raise _Killed
+        return created
+
+
+def test_a_step_killed_after_a_trial_create_resumes_without_counting_it_twice():
+    store = _StoreKilledAfterTrial("exp-0001")
+    metrics = InMemoryObservationStore()
+    backend = SimBackend(_world(), metrics)
+    spec = make_experiment(SPHERE_PARAMS, parallel=3, max_trials=9, template=_sphere_template())
+    submit_experiment(store, spec)
+    ctx = ControllerContext(store=store, metrics=metrics, backend=backend)
+    with pytest.raises(_Killed):
+        controller_step(ctx)
+    assert [t.name for t in store.list(KIND_TRIAL)] == ["exp-0000", "exp-0001"]
+
+    resumed = ControllerContext(store=store, metrics=metrics, backend=backend)
+    reconcile_experiment(resumed, "experiment/ns/exp")
+    trials = store.list(KIND_TRIAL)
+    status = store.get("experiment/ns/exp").status
+    assert [t.name for t in trials] == ["exp-0000", "exp-0001", "exp-0002"]
+    assert status.total_spawned == 3
+    assert status.trials_pending == 3
+    suggestion = store.get(resource_key(KIND_SUGGESTION, "ns", "exp"))
+    assert [t.spec.assignments for t in trials] == suggestion.status.pending
+
+
+def test_produced_reaches_the_algorithm_in_trial_index_order_past_index_9999(monkeypatch):
+    # trial_name_for pads to four digits, so exp-10000 sorts before exp-9999
+    # by name; the algorithm must still see its sets in the order it made them.
+    seen = []
+
+    def suggest(request: SuggestionRequest) -> SuggestionResult:
+        seen.append(request.produced)
+        return SuggestionResult(assignment_sets=((("i", len(request.produced)),),))
+
+    monkeypatch.setattr(registry, "_REGISTRY", {})
+    register_algorithm(AlgorithmPlugin(name="counter", allowed_settings=frozenset(), suggest=suggest))
+    ctx, store, _, _ = _context()
+    spec = make_experiment(
+        SPHERE_PARAMS, algorithm="counter", settings={}, parallel=20_000, max_trials=20_000
+    )
+    submit_experiment(store, spec)
+    sets = [(("i", i),) for i in range(10_001)]
+    for i in range(10_000):
+        store.create(
+            Resource(
+                kind=KIND_TRIAL,
+                namespace="ns",
+                name=trial_name_for("exp", i),
+                spec=TrialSpec(experiment="exp", assignments=sets[i]),
+                status=TrialStatus(),
+            )
+        )
+    store.create(
+        Resource(
+            kind=KIND_SUGGESTION,
+            namespace="ns",
+            name="exp",
+            spec=SuggestionSpec(experiment="exp", algorithm=spec.algorithm, requested=10_002),
+            status=SuggestionStatus(produced=10_001, pending=sets[9_999:]),
+        )
+    )
+
+    reconcile_suggestion(ctx, "suggestion/ns/exp")
+    assert seen == [tuple(sets)]
+    status = store.get("suggestion/ns/exp").status
+    assert status.produced == 10_002
+    assert status.pending == [(("i", 10_000),), (("i", 10_001),)]  # exp-9999 exists: dropped
+
+    reconcile_experiment(ctx, "experiment/ns/exp")
+    assert store.get("trial/ns/exp-10000").spec.assignments == (("i", 10_000),)
+    assert store.get("trial/ns/exp-10001").spec.assignments == (("i", 10_001),)
+    assert store.get("experiment/ns/exp").status.total_spawned == 10_002

@@ -8,7 +8,6 @@ from tunectl.suggest import registry
 from tunectl.suggest.registry import (
     BUILTINS,
     AlgorithmPlugin,
-    EngineState,
     algorithm_names,
     allowed_settings,
     get_algorithm,
@@ -21,12 +20,7 @@ def _plugin(name: str) -> AlgorithmPlugin:
     def suggest(request):
         raise AssertionError("never called")
 
-    return AlgorithmPlugin(
-        name=name,
-        allowed_settings=frozenset({"mine"}),
-        restore_state=lambda exp, produced: EngineState(algorithm=name, produced=produced),
-        suggest=suggest,
-    )
+    return AlgorithmPlugin(name=name, allowed_settings=frozenset({"mine"}), suggest=suggest)
 
 
 @pytest.fixture

@@ -104,3 +104,43 @@ def test_cpu_totals_survive_a_snapshot_round_trip():
         assert_bookkeeping(restored)
     assert restored.to_doc() == world.to_doc()
     assert restored.events[-50:] == world.events[-50:]
+
+
+def test_nodes_emptied_of_fractional_cpu_units_scale_down():
+    # 0.1 CPU is not a binary fraction: adding and removing three such units
+    # leaves 2.8e-17 behind unless an emptied node is reset to exactly zero,
+    # and a node that never reads zero is never scaled down.
+    world = SimWorld(
+        seed=5,
+        gang=False,
+        autoscaler=AutoscalerConfig(min_nodes=1, max_nodes=3, node_capacity_cpu=1.0, scale_down_grace_ticks=2),
+    )
+    world.add_node(1.0)
+    world.add_namespace("ns")
+    template = TrialTemplate(
+        kind=TemplateKind.SIMULATED,
+        payload=SimObjectiveDescriptor("sphere", duration_ticks=5),
+        cpu_per_worker=0.1,
+    )
+    for i in range(30):
+        world.submit_job(
+            TrialRunSpec(
+                trial_name=f"t-{i:03d}",
+                namespace="ns",
+                resolved_payload=template.payload,
+                parameter_assignments=(("x", "1.0"),),
+            ),
+            template,
+            collector_kind=CollectorKind.PULL,
+            watched_metrics=("loss",),
+        )
+        if i % 6 == 5:
+            world.advance_tick()
+    while world.live_jobs:
+        world.advance_tick()
+    assert sum(1 for e in world.events if e["kind"] == "node-added") == 2
+    for _ in range(40):
+        world.advance_tick()
+    assert_bookkeeping(world)
+    assert [(n.allocated_cpu, n.idle_since is not None) for n in world.nodes.values()] == [(0.0, True)]
+    assert world.namespaces["ns"].cpu_used == 0.0

@@ -18,7 +18,6 @@ from tunectl.controller.model import (
     KIND_EXPERIMENT,
     KIND_SUGGESTION,
     OptimalResult,
-    ProducedSuggestion,
     Resource,
     SuggestionSpec,
     SuggestionStatus,
@@ -259,8 +258,9 @@ def test_indexes_match_a_recomputation_after_every_write(tmp_path_factory, write
 
 
 def _resources_of_every_shape():
-    """An experiment, a suggestion with consumed and open entries, and a
-    trial in each phase, with values YAML must quote or escape."""
+    """An experiment, a suggestion whose pending sets include spawned and
+    unspawned ones, and a trial in each phase, with values YAML must quote
+    or escape."""
     local = make_experiment(
         [
             ParameterSpec("x", ParameterType.DOUBLE, Range(-1.5, 1e-300)),
@@ -286,21 +286,18 @@ def _resources_of_every_shape():
             current_optimal=OptimalResult(assignments=(("x", 0.25), ("opt", "yes")), objective_value=-0.5),
         ),
     )
-    produced = [
-        ProducedSuggestion(assignments=(("x", 0.1 * i), ("opt", ("yes", "null", "1.0", "é")[i % 4])), consumed=i < 3)
-        for i in range(6)
-    ]
+    produced = [(("x", 0.1 * i), ("opt", ("yes", "null", "1.0", "é")[i % 4])) for i in range(6)]
     suggestion = Resource(
         kind=KIND_SUGGESTION,
         namespace="ns",
         name="exp",
         spec=SuggestionSpec(experiment="exp", algorithm=AlgorithmSpec("random", {"random_state": 7}), requested=6),
-        status=SuggestionStatus(produced=produced),
+        status=SuggestionStatus(produced=6, pending=produced[3:]),
     )
     trials = []
     for i, phase in enumerate(TrialPhase):
         name = f"exp-{i:04d}"
-        assignments = produced[i].assignments
+        assignments = produced[i]
         trials.append(
             Resource(
                 kind=KIND_TRIAL,
@@ -420,3 +417,49 @@ def test_reopening_a_journal_cut_at_any_byte_loads_exactly_its_complete_records(
     assert {r.key: r for r in FileResourceStore(path).list()} == {
         r.key: r for r in [*expected, reopened.get(late.key)]
     }
+
+
+def _largest_suggestion_record(store_dir, trials: int) -> int:
+    """Run a random experiment shaped like the benchmark's file-backed CLI
+    run (parallel 10) to the end and return the byte length of the largest
+    suggestion record its journal holds before compaction, less the digits
+    of its generation counter. Every value has a fixed width, so the length
+    changes only with the number of sets a record holds."""
+    from tunectl.cluster.sim import SimBackend, SimWorld
+    from tunectl.controller.reconcile import run_control_loop, submit_experiment
+    from tunectl.metrics import InMemoryObservationStore
+
+    spec = make_experiment(
+        [
+            ParameterSpec("batch", ParameterType.INT, Range(100, 999)),
+            ParameterSpec("layers", ParameterType.INT, Range(10, 99)),
+            ParameterSpec("optimizer", ParameterType.CATEGORICAL, ValueList(("sgd", "ada", "ftr"))),
+        ],
+        settings={"random_state": 1},
+        parallel=10,
+        max_trials=trials,
+    )
+    store = FileResourceStore(store_dir)
+    submit_experiment(store, spec)
+    world = SimWorld(seed=1)
+    world.add_node(16.0)
+    world.add_namespace("ns")
+    metrics = InMemoryObservationStore()
+    snapshot = run_control_loop(store, metrics, SimBackend(world, metrics), max_ticks=10 * trials)
+    assert snapshot["experiments"]["experiment/ns/exp"]["totalSpawned"] == trials
+    store.close()
+    sizes = []
+    for line in (store_dir / FileResourceStore.JOURNAL).read_bytes().splitlines():
+        doc = json.loads(line)
+        if doc["kind"] == KIND_SUGGESTION:
+            sizes.append(len(line) - len(str(doc["generation"])))
+    return max(sizes)
+
+
+def test_suggestion_journal_records_do_not_grow_with_the_trial_count(tmp_path):
+    # The suggestion keeps only the sets whose trials may not exist yet, so
+    # its record, written on every fill, stays the same size however many
+    # trials the experiment has spawned.
+    at_100 = _largest_suggestion_record(tmp_path / "100", 100)
+    at_400 = _largest_suggestion_record(tmp_path / "400", 400)
+    assert at_400 <= at_100

@@ -14,7 +14,6 @@ from tunectl.suggest import (
 )
 from tunectl.suggest import bayesopt, randomsearch
 from tunectl.suggest.bayesopt import expected_improvement, fit_gp
-from tunectl.suggest.registry import EngineState
 from tunectl.suggest.space import encode_assignments, feasible
 
 X_PARAM = [ParameterSpec("x", ParameterType.DOUBLE, Range(0.0, 1.0))]
@@ -50,10 +49,9 @@ def _history_1d(seed=123, n=10):
 
 def test_empty_history_behaves_as_random():
     spec = _spec(MIXED)
-    result = get_suggestions(SuggestionRequest(experiment=spec, history=(), count=3, state=None))
+    result = get_suggestions(SuggestionRequest(experiment=spec, history=(), count=3))
     expected = randomsearch.sample_batch(
-        SuggestionRequest(experiment=spec, history=(), count=3, state=None),
-        EngineState(algorithm="bayesianoptimization"),
+        SuggestionRequest(experiment=spec, history=(), count=3),
         salt=bayesopt.RNG_SALT,
     )
     assert result.assignment_sets == expected
@@ -64,10 +62,9 @@ def test_empty_history_behaves_as_random():
 def test_below_minimum_history_falls_back_to_random():
     spec = _spec(X_PARAM)
     short = _history_1d(n=2)  # needs dim + 2 = 3 successes to fit
-    result = get_suggestions(SuggestionRequest(experiment=spec, history=short, count=2, state=None))
+    result = get_suggestions(SuggestionRequest(experiment=spec, history=short, count=2))
     expected = randomsearch.sample_batch(
-        SuggestionRequest(experiment=spec, history=short, count=2, state=None),
-        EngineState(algorithm="bayesianoptimization"),
+        SuggestionRequest(experiment=spec, history=short, count=2),
         salt=bayesopt.RNG_SALT,
     )
     assert result.assignment_sets == expected
@@ -80,7 +77,7 @@ def test_degenerate_constant_history_falls_back():
                          objective_value=1.0)
         for i in range(6)
     )
-    result = get_suggestions(SuggestionRequest(experiment=spec, history=history, count=1, state=None))
+    result = get_suggestions(SuggestionRequest(experiment=spec, history=history, count=1))
     assert feasible(spec.parameters, result.assignment_sets[0])
 
 
@@ -90,7 +87,7 @@ def test_failed_trials_excluded_from_fit():
         TrialObservation(assignments=(("x", 0.99),), status=ObservationStatus.FAILED)
         for _ in range(5)
     )
-    result = get_suggestions(SuggestionRequest(experiment=spec, history=history, count=2, state=None))
+    result = get_suggestions(SuggestionRequest(experiment=spec, history=history, count=2))
     assert len(result.assignment_sets) == 2
     for s in result.assignment_sets:
         assert feasible(spec.parameters, s)
@@ -101,7 +98,7 @@ def test_suggestion_maximizes_acquisition_against_dense_grid_oracle():
     # the same fitted surrogate; the pool argmax must essentially reach it.
     spec = _spec(X_PARAM, seed=7)
     history = _history_1d(seed=123, n=10)
-    result = get_suggestions(SuggestionRequest(experiment=spec, history=history, count=1, state=None))
+    result = get_suggestions(SuggestionRequest(experiment=spec, history=history, count=1))
     x_star = dict(result.assignment_sets[0])["x"]
 
     encoded = encode_assignments(spec.parameters, [h.assignments for h in history])
@@ -136,9 +133,9 @@ def test_mixed_space_suggestions_feasible_and_deterministic():
         )
         for _ in range(8)
     )
-    request = SuggestionRequest(experiment=spec, history=history, count=3, state=None)
+    request = SuggestionRequest(experiment=spec, history=history, count=3)
     first = get_suggestions(request)
-    second = get_suggestions(SuggestionRequest(experiment=spec, history=history, count=3, state=None))
+    second = get_suggestions(SuggestionRequest(experiment=spec, history=history, count=3))
     assert first.assignment_sets == second.assignment_sets
     for s in first.assignment_sets:
         assert feasible(spec.parameters, s)
@@ -149,6 +146,6 @@ def test_avoids_duplicating_observed_points():
     spec = _spec(X_PARAM)
     history = _history_1d()
     observed = {round(dict(h.assignments)["x"], 12) for h in history}
-    result = get_suggestions(SuggestionRequest(experiment=spec, history=history, count=3, state=None))
+    result = get_suggestions(SuggestionRequest(experiment=spec, history=history, count=3))
     suggested = {round(dict(s)["x"], 12) for s in result.assignment_sets}
     assert not (suggested & observed)

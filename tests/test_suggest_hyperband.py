@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 
 from conftest import make_experiment
+from tunectl.codec import from_doc, to_doc
 from tunectl.errors import ExhaustedSearchSpace, MissingResourceReport
 from tunectl.resources import ObjectiveType, ParameterSpec, ParameterType, Range
 from tunectl.suggest import (
+    AssignmentSet,
     ObservationStatus,
     SuggestionRequest,
     TrialObservation,
@@ -93,7 +96,7 @@ def _succeed(assignments, value):
 
 def test_first_rung_emits_budgeted_configs():
     spec = _spec()
-    result = get_suggestions(SuggestionRequest(experiment=spec, history=(), count=4, state=None))
+    result = get_suggestions(SuggestionRequest(experiment=spec, history=(), count=4))
     assert len(result.assignment_sets) == 4
     for s in result.assignment_sets:
         assert dict(s)["budget"] == 1  # bracket s=2 of R=9, eta=3 starts at r=1
@@ -101,18 +104,18 @@ def test_first_rung_emits_budgeted_configs():
 
 def test_rung_promotion_takes_top_third_by_objective():
     spec = _spec()
-    state = None
     emitted = []
     # Drain rung 0 of the first bracket (9 configs at r=1).
     while len(emitted) < 9:
         result = get_suggestions(
-            SuggestionRequest(experiment=spec, history=(), count=4, state=state)
+            SuggestionRequest(experiment=spec, history=(), count=4, produced=tuple(emitted))
         )
-        state = result.state
         emitted.extend(result.assignment_sets)
     assert len(emitted) == 9
     history = tuple(_succeed(s, float(i)) for i, s in enumerate(emitted))
-    result = get_suggestions(SuggestionRequest(experiment=spec, history=history, count=9, state=state))
+    result = get_suggestions(
+        SuggestionRequest(experiment=spec, history=history, count=9, produced=tuple(emitted))
+    )
     promoted = result.assignment_sets
     assert len(promoted) == 3  # floor(9/3)
     names = spec.parameter_names()
@@ -124,11 +127,11 @@ def test_rung_promotion_takes_top_third_by_objective():
 
 def test_waits_on_incomplete_rung_without_exhausting():
     spec = _spec()
-    first = get_suggestions(SuggestionRequest(experiment=spec, history=(), count=9, state=None))
+    first = get_suggestions(SuggestionRequest(experiment=spec, history=(), count=9))
     assert len(first.assignment_sets) == 9
     partial = tuple(_succeed(s, 1.0) for s in first.assignment_sets[:5])
     result = get_suggestions(
-        SuggestionRequest(experiment=spec, history=partial, count=4, state=first.state)
+        SuggestionRequest(experiment=spec, history=partial, count=4, produced=first.assignment_sets)
     )
     assert result.assignment_sets == ()
     assert not result.exhausted
@@ -136,12 +139,12 @@ def test_waits_on_incomplete_rung_without_exhausting():
 
 def test_failed_rung_members_never_promote():
     spec = _spec()
-    first = get_suggestions(SuggestionRequest(experiment=spec, history=(), count=9, state=None))
+    first = get_suggestions(SuggestionRequest(experiment=spec, history=(), count=9))
     history = [_succeed(s, float(i)) for i, s in enumerate(first.assignment_sets[:4])]
     for s in first.assignment_sets[4:]:
         history.append(TrialObservation(assignments=s, status=ObservationStatus.FAILED))
     result = get_suggestions(
-        SuggestionRequest(experiment=spec, history=tuple(history), count=9, state=first.state)
+        SuggestionRequest(experiment=spec, history=tuple(history), count=9, produced=first.assignment_sets)
     )
     names = spec.parameter_names()
     promoted_keys = {assignment_key(s, names) for s in result.assignment_sets}
@@ -152,27 +155,29 @@ def test_failed_rung_members_never_promote():
 
 def test_missing_resource_report_is_an_error():
     spec = _spec()
-    first = get_suggestions(SuggestionRequest(experiment=spec, history=(), count=9, state=None))
+    first = get_suggestions(SuggestionRequest(experiment=spec, history=(), count=9))
     bad = tuple(
         TrialObservation(assignments=s, status=ObservationStatus.SUCCEEDED, objective_value=1.0)
         for s in first.assignment_sets
     )
     with pytest.raises(MissingResourceReport):
-        get_suggestions(SuggestionRequest(experiment=spec, history=bad, count=1, state=first.state))
+        get_suggestions(
+            SuggestionRequest(experiment=spec, history=bad, count=1, produced=first.assignment_sets)
+        )
 
 
-def _drive_to_exhaustion(spec, count=4, state=None, history=()):
+def _drive_to_exhaustion(spec, count=4, history=()):
     history = list(history)
     emitted = []
-    state = state
     for _ in range(200):
         try:
             result = get_suggestions(
-                SuggestionRequest(experiment=spec, history=tuple(history), count=count, state=state)
+                SuggestionRequest(
+                    experiment=spec, history=tuple(history), count=count, produced=tuple(emitted)
+                )
             )
         except ExhaustedSearchSpace:
             return emitted, history
-        state = result.state
         for s in result.assignment_sets:
             emitted.append(s)
             history.append(_succeed(s, dict(s)["x"] ** 2))
@@ -203,29 +208,27 @@ def test_full_schedule_runs_to_exhaustion_with_expected_volume():
 
 
 def test_restart_reconstruction_resumes_identically():
-    # Reconstructing state from (produced, history) mid-schedule must yield
-    # the same continuation as the uninterrupted stream.
+    # The schedule position is re-derived from (produced, history) on every
+    # call, so a restart that rebuilds both from their stored form mid-schedule
+    # must yield the same continuation as the uninterrupted stream.
     spec = _spec(max_resource=9, eta=3, seed=8)
     full_emitted, _ = _drive_to_exhaustion(spec)
 
-    state = None
     history: list[TrialObservation] = []
     emitted: list = []
     interrupted_once = False
     for _ in range(200):
         if not interrupted_once and len(emitted) >= 7:
-            # Simulate a process restart: rebuild state from produced only.
-            from tunectl.suggest.hyperband import restore_state
-
-            state = restore_state(spec, tuple(emitted))
+            # Simulate a process restart: everything comes back from documents.
+            emitted = [from_doc(AssignmentSet, json.loads(json.dumps(to_doc(s)))) for s in emitted]
+            history = [from_doc(TrialObservation, json.loads(json.dumps(to_doc(o)))) for o in history]
             interrupted_once = True
         try:
             result = get_suggestions(
-                SuggestionRequest(experiment=spec, history=tuple(history), count=4, state=state)
+                SuggestionRequest(experiment=spec, history=tuple(history), count=4, produced=tuple(emitted))
             )
         except ExhaustedSearchSpace:
             break
-        state = result.state
         for s in result.assignment_sets:
             emitted.append(s)
             history.append(_succeed(s, dict(s)["x"] ** 2))

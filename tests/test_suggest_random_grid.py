@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import experiment_specs, make_experiment
-from tunectl.errors import AlgorithmStateError, ExhaustedSearchSpace
+from tunectl.errors import ExhaustedSearchSpace
 from tunectl.resources import ParameterSpec, ParameterType, Range, ValueList
 from tunectl.suggest import SuggestionRequest, get_suggestions
 from tunectl.suggest.grid import grid_enumerate, grid_size
-from tunectl.suggest.registry import EngineState
 from tunectl.suggest.space import feasible
 
 WIDE = [
@@ -21,8 +20,8 @@ WIDE = [
 ]
 
 
-def _request(spec, count, state=None, history=()):
-    return SuggestionRequest(experiment=spec, history=tuple(history), count=count, state=state)
+def _request(spec, count, produced=(), history=()):
+    return SuggestionRequest(experiment=spec, history=tuple(history), count=count, produced=produced)
 
 
 def test_random_samples_in_bounds():
@@ -70,14 +69,8 @@ def test_random_stream_continues_from_state():
     spec = make_experiment(WIDE, settings={"random_state": 10})
     all_at_once = get_suggestions(_request(spec, 6)).assignment_sets
     first = get_suggestions(_request(spec, 3))
-    second = get_suggestions(_request(spec, 3, state=first.state))
+    second = get_suggestions(_request(spec, 3, produced=first.assignment_sets))
     assert first.assignment_sets + second.assignment_sets == all_at_once
-
-
-def test_state_handle_from_other_algorithm_rejected():
-    spec = make_experiment(WIDE)
-    with pytest.raises(AlgorithmStateError):
-        get_suggestions(_request(spec, 1, state=EngineState(algorithm="grid")))
 
 
 @settings(max_examples=100, deadline=None)
@@ -163,4 +156,4 @@ def test_grid_through_engine_sets_exhausted_flag():
     assert len(result.assignment_sets) == 4
     assert result.exhausted
     with pytest.raises(ExhaustedSearchSpace):
-        get_suggestions(_request(spec, 1, state=result.state))
+        get_suggestions(_request(spec, 1, produced=result.assignment_sets))

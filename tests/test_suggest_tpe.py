@@ -14,7 +14,6 @@ from tunectl.suggest import (
     get_suggestions,
 )
 from tunectl.suggest import randomsearch, tpe
-from tunectl.suggest.registry import EngineState
 from tunectl.suggest.space import feasible
 
 PARAMS = [
@@ -49,10 +48,9 @@ def _history(rng, n, good_optimizer="sgd"):
 
 def test_empty_history_behaves_as_random():
     spec = _spec()
-    result = get_suggestions(SuggestionRequest(experiment=spec, history=(), count=3, state=None))
+    result = get_suggestions(SuggestionRequest(experiment=spec, history=(), count=3))
     expected = randomsearch.sample_batch(
-        SuggestionRequest(experiment=spec, history=(), count=3, state=None),
-        EngineState(algorithm="tpe"),
+        SuggestionRequest(experiment=spec, history=(), count=3),
         salt=tpe.RNG_SALT,
     )
     assert result.assignment_sets == expected
@@ -61,10 +59,9 @@ def test_empty_history_behaves_as_random():
 def test_below_minimum_history_falls_back():
     spec = _spec()
     history = _history(np.random.default_rng(0), tpe.MIN_HISTORY - 1)
-    result = get_suggestions(SuggestionRequest(experiment=spec, history=history, count=2, state=None))
+    result = get_suggestions(SuggestionRequest(experiment=spec, history=history, count=2))
     expected = randomsearch.sample_batch(
-        SuggestionRequest(experiment=spec, history=history, count=2, state=None),
-        EngineState(algorithm="tpe"),
+        SuggestionRequest(experiment=spec, history=history, count=2),
         salt=tpe.RNG_SALT,
     )
     assert result.assignment_sets == expected
@@ -76,7 +73,7 @@ def test_good_quantile_category_is_oversampled():
     spec = _spec(seed=11)
     history = _history(np.random.default_rng(1), 30, good_optimizer="sgd")
     result = get_suggestions(
-        SuggestionRequest(experiment=spec, history=history, count=1000, state=None)
+        SuggestionRequest(experiment=spec, history=history, count=1000)
     )
     counts = {"sgd": 0, "adam": 0, "ftrl": 0}
     for s in result.assignment_sets:
@@ -102,7 +99,7 @@ def test_numeric_dimension_concentrates_near_good_region():
         )
         for x in rng.random(40)
     )
-    result = get_suggestions(SuggestionRequest(experiment=spec, history=history, count=50, state=None))
+    result = get_suggestions(SuggestionRequest(experiment=spec, history=history, count=50))
     values = [dict(s)["lr"] for s in result.assignment_sets]
     assert np.median(values) < 0.5  # pulled toward the 0.25 optimum
 
@@ -122,7 +119,7 @@ def test_int_and_discrete_values_snap_to_space():
         )
         for _ in range(15)
     )
-    result = get_suggestions(SuggestionRequest(experiment=spec, history=history, count=20, state=None))
+    result = get_suggestions(SuggestionRequest(experiment=spec, history=history, count=20))
     for s in result.assignment_sets:
         assert feasible(params, s)
         by_name = dict(s)
@@ -133,8 +130,8 @@ def test_int_and_discrete_values_snap_to_space():
 def test_deterministic_given_state_and_seed():
     spec = _spec(seed=9)
     history = _history(np.random.default_rng(7), 20)
-    a = get_suggestions(SuggestionRequest(experiment=spec, history=history, count=5, state=None))
-    b = get_suggestions(SuggestionRequest(experiment=spec, history=history, count=5, state=None))
+    a = get_suggestions(SuggestionRequest(experiment=spec, history=history, count=5))
+    b = get_suggestions(SuggestionRequest(experiment=spec, history=history, count=5))
     assert a.assignment_sets == b.assignment_sets
 
 
@@ -144,5 +141,5 @@ def test_failed_observations_tolerated():
         TrialObservation(assignments=(("lr", 0.5), ("optimizer", "adam")), status=ObservationStatus.FAILED)
         for _ in range(10)
     )
-    result = get_suggestions(SuggestionRequest(experiment=spec, history=history, count=4, state=None))
+    result = get_suggestions(SuggestionRequest(experiment=spec, history=history, count=4))
     assert len(result.assignment_sets) == 4
