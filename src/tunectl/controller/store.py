@@ -271,6 +271,9 @@ class FileResourceStore(ResourceStore):
     JOURNAL = "journal.jsonl"
     # Directories of the one-YAML-file-per-resource layout of earlier versions.
     _OLD_LAYOUT = ("experiments", "suggestions", "trials")
+    # The decoder's message can quote a whole field of the record; an error
+    # shows at most this much of it.
+    UNREADABLE_DETAIL_CHARS = 300
 
     def __init__(self, root: str | Path, readonly: bool = False):
         super().__init__()
@@ -303,7 +306,10 @@ class FileResourceStore(ResourceStore):
             self._put(resource)
 
     def _unreadable(self, number: int, exc: Exception) -> TunectlError:
-        return TunectlError(f"cannot read stored resource {self.path}:{number}: {exc}")
+        detail = str(exc)
+        if len(detail) > self.UNREADABLE_DETAIL_CHARS:
+            detail = detail[: self.UNREADABLE_DETAIL_CHARS] + " ... [cut]"
+        return TunectlError(f"cannot read stored resource {self.path}:{number}: {detail}")
 
     def _persist(self, resource: Resource) -> None:
         if self._journal is None:

@@ -3,9 +3,16 @@
 The surrogate is a Gaussian process with a squared-exponential kernel, unit
 signal variance, and a small observation-noise jitter. A single isotropic
 length scale is chosen by maximum marginal likelihood over a short log-grid.
-The acquisition (expected improvement) is maximized over a quasi-random
-candidate pool; value-list parameters enter the kernel one-hot encoded and
-integer parameters are optimized continuously then rounded and clamped.
+The squared distances between the observed points are computed once and
+shared by every length scale of the grid.
+
+The acquisition (expected improvement) is maximized over a scrambled Sobol
+pool of the unit hypercube, kept as one matrix. ``encode_unit_matrix`` takes
+it straight to the kernel encoding with whole-column array operations:
+ranges scaled, integers rounded and clamped, value lists one-hot. The
+surrogate scores the whole pool at once, and only candidates taken in
+expected-improvement order are decoded into assignment sets, until the batch
+holds ``count`` sets not produced or observed before.
 
 With too little history, or when every fit attempt fails numerically, the
 batch falls back to random sampling.
@@ -31,7 +38,7 @@ from .registry import (
     TrialObservation,
 )
 from . import randomsearch
-from .space import assignment_key, decode_unit_vector, encode_assignments, request_rng
+from .space import assignment_key, decode_unit_vector, encode_assignments, encode_unit_matrix, request_rng
 
 logger = logging.getLogger(__name__)
 
@@ -54,10 +61,11 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class GaussianProcess:
     """Minimal GP regressor on standardized targets."""
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, length_scale: float):
+    def __init__(self, x: np.ndarray, y: np.ndarray, length_scale: float, sq_dists: np.ndarray):
+        """``sq_dists`` is ``_sq_dists(x, x)``, which every length scale shares."""
         self.x = x
         self.length_scale = length_scale
-        k = np.exp(-0.5 * _sq_dists(x, x) / length_scale**2)
+        k = np.exp(-0.5 * sq_dists / length_scale**2)
         k[np.diag_indices_from(k)] += JITTER
         self._chol = cho_factor(k, lower=True)
         self.alpha = cho_solve(self._chol, y)
@@ -77,9 +85,10 @@ class GaussianProcess:
 
 def fit_gp(x: np.ndarray, y: np.ndarray) -> GaussianProcess | None:
     best: GaussianProcess | None = None
+    sq_dists = _sq_dists(x, x)
     for ls in LENGTH_SCALE_GRID:
         try:
-            gp = GaussianProcess(x, y, float(ls))
+            gp = GaussianProcess(x, y, float(ls), sq_dists)
         except np.linalg.LinAlgError:
             continue
         if not math.isfinite(gp.log_likelihood):
@@ -98,11 +107,11 @@ def _succeeded(history: tuple[TrialObservation, ...]) -> list[TrialObservation]:
     return [o for o in history if o.status is ObservationStatus.SUCCEEDED]
 
 
-def _candidate_pool(request: SuggestionRequest) -> list[AssignmentSet]:
+def _candidate_pool(request: SuggestionRequest) -> np.ndarray:
+    """The Sobol points of the unit hypercube, one row per candidate."""
     rng = request_rng(request, len(request.produced), salt=RNG_SALT)
     sampler = qmc.Sobol(d=len(request.experiment.parameters), scramble=True, seed=rng)
-    unit = sampler.random(CANDIDATE_POOL)
-    return [decode_unit_vector(request.experiment.parameters, row) for row in unit]
+    return sampler.random(CANDIDATE_POOL)
 
 
 def suggest(request: SuggestionRequest) -> SuggestionResult:
@@ -129,27 +138,25 @@ def suggest(request: SuggestionRequest) -> SuggestionResult:
     if gp is None:
         return fallback("surrogate fit failed for every length scale")
 
-    pool = _candidate_pool(request)
-    mean, std = gp.predict(encode_assignments(params, pool))
+    unit = _candidate_pool(request)
+    mean, std = gp.predict(encode_unit_matrix(params, unit))
     ei = expected_improvement(mean, std, best=float(np.min(y)))
-    ranked = [pool[i] for i in np.argsort(-ei, kind="stable")]
+    ranked = np.argsort(-ei, kind="stable")
 
     taken = {assignment_key(o.assignments) for o in request.history}
     taken.update(assignment_key(p) for p in request.produced)
     picked: list[AssignmentSet] = []
-    for cand in ranked:
-        if len(picked) == request.count:
-            break
+    for i in ranked:
+        cand = decode_unit_vector(params, unit[i])
         key = assignment_key(cand)
         if key in taken:
             continue
         taken.add(key)
         picked.append(cand)
-    # Pool exhausted by duplicates: accept the best ones rather than livelock.
-    for cand in ranked:
         if len(picked) == request.count:
             break
-        picked.append(cand)
+    # Pool exhausted by duplicates: accept the best ones rather than livelock.
+    picked += [decode_unit_vector(params, unit[i]) for i in ranked[: request.count - len(picked)]]
 
     return SuggestionResult(assignment_sets=tuple(picked))
 

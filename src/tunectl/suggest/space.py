@@ -123,6 +123,35 @@ def encode_assignments(
     return rows
 
 
+def encode_unit_matrix(parameters: Sequence[ParameterSpec], unit: np.ndarray) -> np.ndarray:
+    """The encoding ``encode_assignments`` gives the sets that
+    ``decode_unit_vector`` makes of the rows of ``unit``, computed a column
+    at a time without building the sets. Every element goes through the same
+    float operations as decoding and then encoding one set, so the two agree
+    bit for bit. Value lists hold no two equal values, so the decoded index
+    is the one-hot position."""
+    u = np.clip(unit, 0.0, 1.0)
+    rows = np.zeros((len(u), encoded_width(parameters)))
+    col = 0
+    for j, p in enumerate(parameters):
+        space = p.feasible_space
+        if isinstance(space, ValueList):
+            n = len(space.values)
+            idx = np.minimum((u[:, j] * n).astype(np.int64), n - 1)
+            rows[np.arange(len(u)), col + idx] = 1.0
+            col += n
+            continue
+        lo, hi = float(space.min), float(space.max)
+        if p.parameter_type is ParameterType.INT:
+            ilo, ihi = int(space.min), int(space.max)
+            value = np.clip(np.floor(ilo + u[:, j] * (ihi - ilo) + 0.5), ilo, ihi)
+        else:
+            value = lo + u[:, j] * (hi - lo)
+        rows[:, col] = (value - lo) / (hi - lo)
+        col += 1
+    return rows
+
+
 def decode_unit_vector(parameters: Sequence[ParameterSpec], unit: np.ndarray) -> AssignmentSet:
     """Map a point of the unit hypercube (one coordinate per parameter) to a
     feasible assignment set: scale ranges, round ints, index value lists."""

@@ -4,7 +4,13 @@ History splits at the 0.25 quantile into good/bad sets; each parameter gets
 an independent Parzen density per set. Numeric dimensions use Gaussian
 kernels with bandwidth equal to the largest adjacent gap between centers,
 value lists use add-one count smoothing. Each suggestion samples 24
-candidates from the good density and keeps the one maximizing l(x)/g(x).
+candidates from the good density and keeps the one maximizing l(x)/g(x),
+the first one on a tie.
+
+The candidates are drawn first, in the order the random stream gives them;
+then each parameter scores all of them at once: a numeric density is one
+``(candidates, centers)`` kernel array and its row means. Each candidate's
+log ratio is summed in parameter order.
 """
 
 from __future__ import annotations
@@ -54,13 +60,15 @@ class _NumericParzen:
         draw = center + self.bandwidth * float(rng.standard_normal())
         return min(max(draw, self.lo), self.hi)
 
-    def log_density(self, value: float) -> float:
+    def log_densities(self, values: Sequence[Any]) -> list[float]:
+        """The log density at each value: one ``(values, centers)`` kernel
+        array and a row mean, then libm's log of each density."""
         if not len(self.centers):
-            return math.log(self.uniform_density)
-        z = (value - self.centers) / self.bandwidth
+            return [math.log(self.uniform_density)] * len(values)
+        z = (np.array(values, dtype=float)[:, None] - self.centers) / self.bandwidth
         norm = 1.0 / (self.bandwidth * math.sqrt(2.0 * math.pi))
-        density = float(np.mean(norm * np.exp(-0.5 * z**2)))
-        return math.log(max(density, 1e-300))
+        densities = np.mean(norm * np.exp(-0.5 * z**2), axis=1)
+        return [math.log(max(d, 1e-300)) for d in densities.tolist()]
 
 
 class _CategoricalParzen:
@@ -68,13 +76,13 @@ class _CategoricalParzen:
         self.values = values
         counts = np.array([1.0 + sum(1 for o in observed if o == v) for v in values])
         self.probs = counts / counts.sum()
+        self.log_probs = [math.log(float(p)) for p in self.probs]
 
     def sample(self, rng: np.random.Generator) -> Any:
         return self.values[int(rng.choice(len(self.values), p=self.probs))]
 
-    def log_density(self, value: Any) -> float:
-        idx = next(i for i, v in enumerate(self.values) if v == value)
-        return math.log(float(self.probs[idx]))
+    def log_densities(self, values: Sequence[Any]) -> list[float]:
+        return [self.log_probs[self.values.index(value)] for value in values]
 
 
 def _build_estimators(
@@ -100,6 +108,12 @@ def _snap(param: ParameterSpec, value: float) -> Any:
     return float(value)
 
 
+def _draw(param: ParameterSpec, estimator: _NumericParzen | _CategoricalParzen, rng: np.random.Generator) -> Any:
+    if isinstance(estimator, _CategoricalParzen):
+        return estimator.sample(rng)
+    return _snap(param, estimator.sample(rng))
+
+
 def suggest(request: SuggestionRequest) -> SuggestionResult:
     params = request.experiment.parameters
     succeeded = [o for o in request.history if o.status is ObservationStatus.SUCCEEDED]
@@ -119,25 +133,17 @@ def suggest(request: SuggestionRequest) -> SuggestionResult:
     sets: list[AssignmentSet] = []
     for i in range(request.count):
         rng = request_rng(request, len(request.produced) + i, salt=RNG_SALT)
-        best_set: AssignmentSet | None = None
-        best_score = -math.inf
-        for _ in range(CANDIDATES_PER_SUGGESTION):
-            candidate: list[tuple[str, Any]] = []
-            score = 0.0
-            for p, le, ge in zip(params, good_est, bad_est):
-                if isinstance(le, _CategoricalParzen):
-                    value = le.sample(rng)
-                    score += le.log_density(value) - ge.log_density(value)
-                else:
-                    raw = le.sample(rng)
-                    value = _snap(p, raw)
-                    score += le.log_density(float(value)) - ge.log_density(float(value))
-                candidate.append((p.name, value))
-            if score > best_score:
-                best_score = score
-                best_set = tuple(candidate)
-        assert best_set is not None
-        sets.append(best_set)
+        candidates = [
+            tuple((p.name, _draw(p, le, rng)) for p, le in zip(params, good_est))
+            for _ in range(CANDIDATES_PER_SUGGESTION)
+        ]
+        scores = [0.0] * CANDIDATES_PER_SUGGESTION
+        for j, (le, ge) in enumerate(zip(good_est, bad_est)):
+            column = [c[j][1] for c in candidates]
+            for k, (good_log, bad_log) in enumerate(zip(le.log_densities(column), ge.log_densities(column))):
+                scores[k] += good_log - bad_log
+        # max keeps the first of equal scores.
+        sets.append(candidates[max(range(CANDIDATES_PER_SUGGESTION), key=scores.__getitem__)])
 
     return SuggestionResult(assignment_sets=tuple(sets))
 

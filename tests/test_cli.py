@@ -285,6 +285,27 @@ def _invalid_yaml(store):
     return str(store)
 
 
+def test_unreadable_record_error_stays_short_however_large_the_record(runner, tmp_path):
+    # A suggestion record of the format that listed every produced set: the
+    # decoder's message quotes the whole list, one set per spawned trial.
+    _submit(runner, tmp_path)
+    store = tmp_path / "store"
+    assert runner.invoke(cli, ["run", "--store", str(store), "--seed", "5", "--max-ticks", "1"]).exit_code == 0
+    journal = store / "journal.jsonl"
+    lines = journal.read_text().splitlines()
+    number = next(n for n, line in enumerate(lines, 1) if json.loads(line)["kind"] == "suggestion")
+    doc = json.loads(lines[number - 1])
+    doc["status"]["produced"] = [
+        {"assignments": [["lr", 0.25], ["opt", "sgd"]], "consumed": True} for _ in range(200)
+    ]
+    _rewrite_line(journal, number, json.dumps(doc))
+    result = runner.invoke(cli, ["export", "cli-exp", "--store", str(store)])
+    assert result.exit_code == 4, result.output
+    assert f"{journal}:{number}: " in result.output
+    assert "[cut]" in result.output
+    assert len(result.output) < len(str(journal)) + 400
+
+
 @pytest.mark.parametrize("corrupt", [_precodec_trial, _invalid_yaml, _invalid_json])
 @pytest.mark.parametrize("command", ["submit", "run", "export"])
 def test_unreadable_store_file_exits_4_naming_the_file(runner, tmp_path, corrupt, command):

@@ -18,7 +18,9 @@ quartiles and IQR, how many pairs the change won (in the direction
 bound; plus the machine and both commits. A metric is ``unresolved`` when the
 parent's IQR, relative to its median, is wider than the bound and the change
 did not win every pair: the runs then spread too widely to say the metric
-held, and ``within_bound`` is false. The run prints one line per run and
+held, and ``within_bound`` is false. A metric shows a ``gain`` when the change
+won at least nine in ten pairs (a tie counts for neither side) and its median
+is better than the parent's by more than the parent's IQR. The run prints one line per run and
 takes about (10 x workloads x 2) times the run length.
 """
 
@@ -66,7 +68,8 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def compare(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Medians, the parent's quartiles and the win count of each metric."""
+    """Medians, the parent's quartiles, the win count and the verdicts of
+    each metric."""
     out = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -78,6 +81,7 @@ def compare(pairs: list[dict], metrics: list[dict]) -> dict:
         wins = sum(1 for p, c in zip(parent, change) if (c < p if lower else c > p))
         spread = (q3 - q1) / med_p if med_p else 0.0
         unresolved = spread > metric["bound"] and wins < len(pairs)
+        better_by = med_p - med_c if lower else med_c - med_p
         out[name] = {
             "parent_median": med_p,
             "change_median": med_c,
@@ -90,6 +94,7 @@ def compare(pairs: list[dict], metrics: list[dict]) -> dict:
             "bound": metric["bound"],
             "unresolved": unresolved,
             "within_bound": worse <= metric["bound"] and not unresolved,
+            "gain": 10 * wins >= 9 * len(pairs) and better_by > q3 - q1,
         }
     return out
 
