@@ -16,7 +16,6 @@ from .model import (
 from .reconcile import (
     ControllerContext,
     all_experiments_terminal,
-    build_history,
     controller_step,
     reconcile_experiment,
     reconcile_suggestion,
@@ -44,7 +43,6 @@ __all__ = [
     "TrialSpec",
     "TrialStatus",
     "all_experiments_terminal",
-    "build_history",
     "controller_step",
     "reconcile_experiment",
     "reconcile_suggestion",

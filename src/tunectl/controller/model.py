@@ -119,6 +119,17 @@ def resource_key(kind: str, namespace: str, name: str) -> str:
     return f"{kind}/{namespace}/{name}"
 
 
+def trial_name_for(experiment: str, index: int) -> str:
+    return f"{experiment}-{index:04d}"
+
+
+def trial_index(experiment: str, name: str) -> int | None:
+    """The ``index`` of ``trial_name_for(experiment, index)``; None for a name
+    not of that form."""
+    prefix, _, digits = name.rpartition("-")
+    return int(digits) if prefix == experiment and digits.isdecimal() else None
+
+
 def clone_resource(resource: Resource) -> Resource:
     """Cheap defensive copy for store reads and writes.
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from ..codec import to_doc
 from ..errors import (
@@ -39,14 +39,13 @@ from ..errors import (
 )
 from ..metrics import ObservationStore, best_objective
 from ..resources import (
-    BUDGET_PARAMETER,
     ExperimentSpec,
     ObjectiveType,
     RestartPolicy,
     render_trial_spec,
 )
 from ..suggest import SuggestionRequest, get_suggestions
-from ..suggest.registry import AssignmentSet, ObservationStatus, TrialObservation
+from ..suggest.registry import assignment_key
 from .backend import ExecutionBackend, JobPhase
 from .model import (
     KIND_EXPERIMENT,
@@ -64,8 +63,9 @@ from .model import (
     TrialSpec,
     TrialStatus,
     resource_key,
+    trial_name_for,
 )
-from .store import ResourceStore, TrialRecord, TrialSummary
+from .store import ResourceStore, TrialSummary
 
 logger = logging.getLogger(__name__)
 
@@ -93,10 +93,6 @@ def job_handle(namespace: str, trial_name: str) -> str:
     return f"{namespace}/{trial_name}"
 
 
-def trial_name_for(experiment: str, index: int) -> str:
-    return f"{experiment}-{index:04d}"
-
-
 def service_name_for(experiment: str) -> str:
     return f"svc-{experiment}"
 
@@ -112,38 +108,6 @@ def submit_experiment(store: ResourceStore, spec: ExperimentSpec) -> Resource:
             status=ExperimentStatus(),
         )
     )
-
-
-def _budget_of(assignments: AssignmentSet) -> float | None:
-    for name, value in assignments:
-        if name == BUDGET_PARAMETER:
-            return float(value)
-    return None
-
-
-def build_history(trials: Iterable[TrialRecord]) -> tuple[TrialObservation, ...]:
-    """Observations for the suggestion engine: concluded trials only, in the
-    given order (the store hands them out in name order)."""
-    observations = []
-    for trial in trials:
-        if trial.phase is TrialPhase.SUCCEEDED:
-            observations.append(
-                TrialObservation(
-                    assignments=trial.assignments,
-                    status=ObservationStatus.SUCCEEDED,
-                    objective_value=trial.observation,
-                    resource_consumed=_budget_of(trial.assignments),
-                )
-            )
-        elif trial.phase is TrialPhase.FAILED:
-            observations.append(
-                TrialObservation(
-                    assignments=trial.assignments,
-                    status=ObservationStatus.FAILED,
-                    resource_consumed=_budget_of(trial.assignments),
-                )
-            )
-    return tuple(observations)
 
 
 def _goal_met(spec: ExperimentSpec, optimal: OptimalResult | None) -> bool:
@@ -283,13 +247,17 @@ def reconcile_suggestion(ctx: ControllerContext, key: str) -> int:
 
     # The algorithm sees every set produced so far in index order: the
     # spawned trials' assignments, then the pending sets not yet spawned.
+    # The trial index keeps all but the unspawned sets, so a fill copies
+    # them rather than walking the trials.
     spec: ExperimentSpec = experiment.spec
-    trials = ctx.store.trial_records(suggestion.namespace, spec.name)
-    unspawned = status.unspawned(len(trials))
-    produced = tuple(trials[trial_name_for(spec.name, i)].assignments for i in range(len(trials)))
-    history = build_history(ctx.store.concluded_trials(suggestion.namespace, spec.name))
+    trials = ctx.store.trial_history(suggestion.namespace, spec.name)
+    unspawned = status.unspawned(len(trials.produced))
     request = SuggestionRequest(
-        experiment=spec, history=history, count=need, produced=produced + tuple(unspawned)
+        experiment=spec,
+        history=trials.observations,
+        count=need,
+        produced=trials.produced + tuple(unspawned),
+        produced_keys=trials.keys.union(map(assignment_key, unspawned)),
     )
     try:
         result = get_suggestions(request)
@@ -332,7 +300,8 @@ def reconcile_trial(ctx: ControllerContext, key: str) -> int:
     watched = [spec.objective.objective_metric_name, *spec.objective.additional_metric_names]
     before = (trial.status.phase, trial.status.restart_count, trial.status.job_attempt)
 
-    if trial.spec.run_spec is None:
+    rendered = trial.spec.run_spec is None
+    if rendered:
         trial.spec.run_spec = render_trial_spec(
             template, trial.spec.assignments, trial.name, trial.namespace
         )
@@ -389,8 +358,7 @@ def reconcile_trial(ctx: ControllerContext, key: str) -> int:
             _conclude(trial, TrialPhase.FAILED, reason=state.reason)
 
     after = (trial.status.phase, trial.status.restart_count, trial.status.job_attempt)
-    original = ctx.store.get(key)
-    if after == before and trial.spec.run_spec == original.spec.run_spec:
+    if after == before and not rendered:
         return 0
     ctx.store.update(trial)
     ctx.mutated()

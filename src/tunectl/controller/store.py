@@ -21,9 +21,13 @@ so the controllers read what they need without scanning every resource:
 - the sorted keys of each kind, and the sorted *live* keys: experiments and
   trials not yet in a terminal phase, and suggestions whose experiment is
   not (a suggestion is named after its experiment);
-- per (namespace, experiment), a summary of its trials: phase counts, the
-  best succeeded observation in each direction, and the concluded trials in
-  name order.
+- per (namespace, experiment), a summary of its trials: phase counts and
+  the best succeeded observation in each direction; and what the suggestion
+  controller hands the algorithm: the trials' assignments in trial-index
+  order, the concluded trials as ``TrialObservation``s in name order, and
+  the ``assignment_key`` of every trial's assignments. These only grow by
+  appending as trials are created and conclude, so a suggestion fill copies
+  them instead of walking the trials.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ from typing import TextIO
 
 from ..codec import complete_lines, from_doc, json_default
 from ..errors import CasConflictError, ResourceExistsError, TunectlError
-from ..suggest.registry import AssignmentSet
+from ..resources import BUDGET_PARAMETER
+from ..suggest.registry import AssignmentSet, ObservationStatus, TrialObservation, assignment_key
 from .model import (
     KIND_EXPERIMENT,
     KIND_SUGGESTION,
@@ -52,6 +57,7 @@ from .model import (
     resource_fields,
     resource_from_doc,
     resource_key,
+    trial_index,
 )
 
 
@@ -79,6 +85,29 @@ class TrialSummary:
     highest: TrialRecord | None = None
 
 
+@dataclass(frozen=True)
+class TrialHistory:
+    """One experiment's trials as the suggestion controller reads them."""
+
+    produced: tuple[AssignmentSet, ...] = ()  # in trial-index order
+    observations: tuple[TrialObservation, ...] = ()  # concluded, in name order
+    keys: frozenset[tuple] = frozenset()  # assignment_key of each trial's assignments
+
+
+def _observation(record: TrialRecord) -> TrialObservation | None:
+    """The algorithm's view of a concluded trial; None for a live one, and
+    for a succeeded one without an observation, which the controller never
+    writes."""
+    if record.phase is TrialPhase.FAILED:
+        status, value = ObservationStatus.FAILED, None
+    elif record.phase is TrialPhase.SUCCEEDED and record.observation is not None:
+        status, value = ObservationStatus.SUCCEEDED, record.observation
+    else:
+        return None
+    budget = dict(record.assignments).get(BUDGET_PARAMETER)
+    return TrialObservation(record.assignments, status, value, None if budget is None else float(budget))
+
+
 def _improves(record: TrialRecord, best: TrialRecord | None, maximize: bool) -> bool:
     if record.phase is not TrialPhase.SUCCEEDED or record.observation is None:
         return False
@@ -90,27 +119,46 @@ def _improves(record: TrialRecord, best: TrialRecord | None, maximize: bool) -> 
 
 
 class _ExperimentTrials:
-    def __init__(self) -> None:
+    def __init__(self, experiment: str) -> None:
+        self.experiment = experiment
         self.records: dict[str, TrialRecord] = {}
         self.counts: Counter[TrialPhase] = Counter()
-        self.concluded: list[str] = []  # sorted names of terminal trials
         self.best: dict[bool, TrialRecord | None] = {False: None, True: None}  # by maximize
+        # Set i is trial i's assignments; a gap left while a store loads out
+        # of index order is None until its trial arrives.
+        self.produced: list[AssignmentSet | None] = []
+        self.concluded: list[str] = []  # sorted names of the trials in ``observations``
+        self.observations: list[TrialObservation] = []  # parallel to ``concluded``
+        self.keys: set[tuple] = set()
 
     def put(self, record: TrialRecord) -> None:
         old = self.records.pop(record.name, None)
         if old is not None:
             self.counts[old.phase] -= 1
-            if old.phase in TERMINAL_TRIAL:
-                del self.concluded[bisect.bisect_left(self.concluded, old.name)]
+            at = bisect.bisect_left(self.concluded, old.name)
+            if at < len(self.concluded) and self.concluded[at] == old.name:
+                del self.concluded[at], self.observations[at]
             if old in self.best.values():  # the best was rewritten: rank again
                 self.best = {False: None, True: None}
                 for other in self.records.values():
                     self._rank(other)
         self.records[record.name] = record
         self.counts[record.phase] += 1
-        if record.phase in TERMINAL_TRIAL:
-            bisect.insort(self.concluded, record.name)
+        observation = _observation(record)
+        if observation is not None:
+            at = bisect.bisect_left(self.concluded, record.name)
+            self.concluded.insert(at, record.name)
+            self.observations.insert(at, observation)
         self._rank(record)
+        if old is None or old.assignments != record.assignments:
+            index = trial_index(self.experiment, record.name)
+            if index is not None:
+                self.produced.extend([None] * (index + 1 - len(self.produced)))
+                self.produced[index] = record.assignments
+            if old is None:
+                self.keys.add(assignment_key(record.assignments))
+            else:  # a trial's assignments were rewritten: collect the keys again
+                self.keys = {assignment_key(r.assignments) for r in self.records.values()}
 
     def _rank(self, record: TrialRecord) -> None:
         for maximize, best in self.best.items():
@@ -201,19 +249,13 @@ class ResourceStore:
             trials = self._trials.get((namespace, experiment))
             return trials.summary() if trials is not None else TrialSummary()
 
-    def trial_records(self, namespace: str, experiment: str) -> dict[str, TrialRecord]:
-        """The experiment's trials by name."""
-        with self._lock:
-            trials = self._trials.get((namespace, experiment))
-            return dict(trials.records) if trials is not None else {}
-
-    def concluded_trials(self, namespace: str, experiment: str) -> list[TrialRecord]:
-        """The experiment's succeeded and failed trials in name order."""
+    def trial_history(self, namespace: str, experiment: str) -> TrialHistory:
+        """Copies of the experiment's produced sets, observations and keys."""
         with self._lock:
             trials = self._trials.get((namespace, experiment))
             if trials is None:
-                return []
-            return [trials.records[name] for name in trials.concluded]
+                return TrialHistory()
+            return TrialHistory(tuple(trials.produced), tuple(trials.observations), frozenset(trials.keys))
 
     def _put(self, resource: Resource) -> None:
         key = resource.key
@@ -228,7 +270,10 @@ class ResourceStore:
             if suggestion is not None:
                 self._update_live(suggestion)
         elif resource.kind == KIND_TRIAL:
-            trials = self._trials.setdefault((resource.namespace, resource.spec.experiment), _ExperimentTrials())
+            experiment = resource.spec.experiment
+            trials = self._trials.get((resource.namespace, experiment))
+            if trials is None:
+                trials = self._trials[resource.namespace, experiment] = _ExperimentTrials(experiment)
             trials.put(
                 TrialRecord(
                     name=resource.name,

@@ -36,9 +36,10 @@ from .registry import (
     SuggestionRequest,
     SuggestionResult,
     TrialObservation,
+    assignment_key,
 )
 from . import randomsearch
-from .space import assignment_key, decode_unit_vector, encode_assignments, encode_unit_matrix, request_rng
+from .space import decode_unit_vector, encode_assignments, encode_unit_matrix, request_rng
 
 logger = logging.getLogger(__name__)
 
@@ -143,15 +144,15 @@ def suggest(request: SuggestionRequest) -> SuggestionResult:
     ei = expected_improvement(mean, std, best=float(np.min(y)))
     ranked = np.argsort(-ei, kind="stable")
 
-    taken = {assignment_key(o.assignments) for o in request.history}
-    taken.update(assignment_key(p) for p in request.produced)
+    taken = request.produced_keys
+    picked_keys: set[tuple] = set()
     picked: list[AssignmentSet] = []
     for i in ranked:
         cand = decode_unit_vector(params, unit[i])
         key = assignment_key(cand)
-        if key in taken:
+        if key in taken or key in picked_keys:
             continue
-        taken.add(key)
+        picked_keys.add(key)
         picked.append(cand)
         if len(picked) == request.count:
             break

@@ -14,7 +14,7 @@ restarts with no private state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from ..errors import ExhaustedSearchSpace, MissingResourceReport
@@ -27,9 +27,9 @@ from .registry import (
     SuggestionRequest,
     SuggestionResult,
     TrialObservation,
+    assignment_key,
 )
 from . import randomsearch
-from .space import assignment_key
 
 RNG_SALT = 4
 
@@ -155,14 +155,9 @@ def suggest(request: SuggestionRequest) -> SuggestionResult:
                 members = [_strip_budget(p) for p in produced[idx : idx + have]]
                 idx += have
                 if have < expected:
+                    # idx == len(produced) here, so the draw sees the whole request.
                     fresh: list[AssignmentSet] = []
-                    want = min(request.count, expected - have)
-                    sub = SuggestionRequest(
-                        experiment=experiment,
-                        history=request.history,
-                        count=want,
-                        produced=produced[:idx],
-                    )
+                    sub = replace(request, count=min(request.count, expected - have))
                     for cand in randomsearch.sample_batch(sub, salt=RNG_SALT):
                         fresh.append(_with_budget(cand, rung.resource))
                     return emit(fresh)

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-from .registry import BUILTINS, AlgorithmPlugin, AssignmentSet, SuggestionRequest, SuggestionResult
-from .space import (
-    DUPLICATE_RESAMPLE_ATTEMPTS,
+from .registry import (
+    BUILTINS,
+    AlgorithmPlugin,
+    AssignmentSet,
+    SuggestionRequest,
+    SuggestionResult,
     assignment_key,
-    random_assignments,
-    request_rng,
 )
+from .space import DUPLICATE_RESAMPLE_ATTEMPTS, random_assignments, request_rng
 
 RNG_SALT = 1
 
@@ -16,17 +18,19 @@ RNG_SALT = 1
 def sample_batch(request: SuggestionRequest, salt: int = RNG_SALT) -> tuple[AssignmentSet, ...]:
     """Draw ``request.count`` feasible sets, resampling duplicates a few times
     before accepting them (small spaces must not livelock)."""
-    taken = {assignment_key(o.assignments) for o in request.history}
-    taken.update(assignment_key(p) for p in request.produced)
+    taken = request.produced_keys
+    drawn: set[tuple] = set()
     sets: list[AssignmentSet] = []
     for i in range(request.count):
         rng = request_rng(request, len(request.produced) + i, salt=salt)
         candidate = random_assignments(request.experiment.parameters, rng)
+        key = assignment_key(candidate)
         for _ in range(DUPLICATE_RESAMPLE_ATTEMPTS):
-            if assignment_key(candidate) not in taken:
+            if key not in taken and key not in drawn:
                 break
             candidate = random_assignments(request.experiment.parameters, rng)
-        taken.add(assignment_key(candidate))
+            key = assignment_key(candidate)
+        drawn.add(key)
         sets.append(candidate)
     return tuple(sets)
 

@@ -17,15 +17,27 @@ from __future__ import annotations
 import importlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, NamedTuple, Sequence
 
 from ..errors import AlgorithmStateError
-from ..resources import ExperimentSpec
+from ..resources import ExperimentSpec, value_to_string
 
 # An assignment set is an ordered tuple of (parameterName, value) pairs, one
 # per declared parameter, optionally followed by scheduler extras ("budget").
 Assignment = tuple[str, Any]
 AssignmentSet = tuple[Assignment, ...]
+
+
+def assignment_key(assignments: AssignmentSet, names: Sequence[str] | None = None) -> tuple:
+    """Canonical hashable identity of an assignment set.
+
+    When ``names`` is given only those parameters participate, which lets
+    schedulers compare configurations while ignoring extras like budgets.
+    """
+    if names is None:
+        return tuple((n, value_to_string(v)) for n, v in assignments)
+    by_name = dict(assignments)
+    return tuple((n, value_to_string(by_name[n])) for n in names if n in by_name)
 
 
 class ObservationStatus(str, Enum):
@@ -53,12 +65,24 @@ class SuggestionRequest:
     """``produced`` is every set the algorithm has returned for the
     experiment, in the order it returned them (trial-index order). An
     algorithm re-derives whatever it needs from it and ``history`` on every
-    call, which makes the engine crash-recoverable by construction."""
+    call, which makes the engine crash-recoverable by construction.
+
+    ``produced_keys`` is the read-only set of the ``assignment_key`` of every
+    set in ``produced`` and ``history``, for deduplication. The controller
+    passes the one its trial index keeps; a caller that leaves it out gets it
+    derived from ``produced`` and ``history``."""
 
     experiment: ExperimentSpec
     history: tuple[TrialObservation, ...]
     count: int
     produced: tuple[AssignmentSet, ...] = ()
+    produced_keys: frozenset[tuple] | None = None
+
+    def __post_init__(self) -> None:
+        if self.produced_keys is None:
+            keys = {assignment_key(o.assignments) for o in self.history}
+            keys.update(assignment_key(p) for p in self.produced)
+            self.produced_keys = frozenset(keys)
 
 
 @dataclass

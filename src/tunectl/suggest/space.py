@@ -7,22 +7,10 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..resources import STEP_TOLERANCE, ParameterSpec, ParameterType, Range, ValueList, value_to_string
+from ..resources import STEP_TOLERANCE, ParameterSpec, ParameterType, Range, ValueList
 from .registry import AssignmentSet, SuggestionRequest
 
 DUPLICATE_RESAMPLE_ATTEMPTS = 10
-
-
-def assignment_key(assignments: AssignmentSet, names: Sequence[str] | None = None) -> tuple:
-    """Canonical hashable identity of an assignment set.
-
-    When ``names`` is given only those parameters participate, which lets
-    schedulers compare configurations while ignoring extras like budgets.
-    """
-    if names is None:
-        return tuple((n, value_to_string(v)) for n, v in assignments)
-    by_name = dict(assignments)
-    return tuple((n, value_to_string(by_name[n])) for n in names if n in by_name)
 
 
 def request_rng(request: SuggestionRequest, produced_count: int, salt: int = 0) -> np.random.Generator:

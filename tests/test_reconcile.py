@@ -28,6 +28,7 @@ from tunectl.controller.reconcile import (
     trial_name_for,
 )
 from tunectl.controller.store import ResourceStore
+from tunectl.errors import CasConflictError
 from tunectl.metrics import InMemoryObservationStore
 from tunectl.resources import (
     ObjectiveType,
@@ -486,3 +487,43 @@ def test_produced_reaches_the_algorithm_in_trial_index_order_past_index_9999(mon
     assert store.get("trial/ns/exp-10000").spec.assignments == (("i", 10_000),)
     assert store.get("trial/ns/exp-10001").spec.assignments == (("i", 10_001),)
     assert store.get("experiment/ns/exp").status.total_spawned == 10_002
+
+
+class _ConflictOnFill(ResourceStore):
+    """Rejects the suggestion write of fill number ``fill`` (1-based) with a
+    CAS conflict, as if another writer had moved the record first."""
+
+    def __init__(self, fill: int):
+        super().__init__()
+        self.fill = fill
+        self.fills = 0
+
+    def update(self, resource):
+        if resource.kind == KIND_SUGGESTION and resource.status.produced > self.get(resource.key).status.produced:
+            self.fills += 1
+            if self.fills == self.fill:
+                raise CasConflictError(f"injected conflict on fill {self.fill}")
+        return super().update(resource)
+
+
+def test_a_cas_conflict_on_a_fill_leaves_the_following_fills_unchanged():
+    # Eight points in all, so the dedupe set decides most draws: a set kept
+    # from the rejected fill would turn the retried fill's draws into
+    # resamples and change every set after it.
+    params = [
+        ParameterSpec("x", ParameterType.INT, Range(1, 4)),
+        ParameterSpec("c", ParameterType.CATEGORICAL, ValueList(("a", "b"))),
+    ]
+    spec = make_experiment(params, settings={"random_state": 9}, parallel=3, max_trials=8)
+    streams = []
+    for fill in (0, 2):
+        store = _ConflictOnFill(fill)
+        metrics = InMemoryObservationStore()
+        submit_experiment(store, spec)
+        snapshot = run_control_loop(store, metrics, SimBackend(_world(), metrics))
+        assert snapshot["experiments"]["experiment/ns/exp"]["totalSpawned"] == 8
+        assert store.fills > 2
+        streams.append([store.get(f"trial/ns/{trial_name_for('exp', i)}").spec.assignments for i in range(8)])
+    clean, conflicted = streams
+    assert len(set(clean)) > 4  # the draws were deduplicated
+    assert conflicted == clean

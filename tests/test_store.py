@@ -27,7 +27,7 @@ from tunectl.controller.model import (
     KIND_TRIAL,
     resource_to_doc,
 )
-from tunectl.controller.store import FileResourceStore, ResourceStore
+from tunectl.controller.store import FileResourceStore, ResourceStore, TrialHistory
 from tunectl.errors import CasConflictError, ResourceExistsError, TunectlError
 from tunectl.resources import (
     AlgorithmSpec,
@@ -39,6 +39,7 @@ from tunectl.resources import (
     ValueList,
     render_trial_spec,
 )
+from tunectl.suggest.registry import ObservationStatus, TrialObservation, assignment_key
 
 
 def _experiment_resource(name="exp", namespace="ns"):
@@ -152,11 +153,20 @@ def _expected_index(store, namespace, experiment):
             if found is None or (value > found[1] if maximize else value < found[1]):
                 found = (t.name, value, t.spec.assignments)
         best[maximize] = found
-    concluded = [
-        (t.name, t.status.phase, t.spec.assignments, t.status.observation)
-        for t in trials
-        if t.status.phase in (TrialPhase.SUCCEEDED, TrialPhase.FAILED)
-    ]
+    by_index = {int(t.name.rpartition("-")[2]): t.spec.assignments for t in trials}
+    observations = []
+    for t in trials:  # key order is name order
+        if t.status.phase is TrialPhase.FAILED:
+            observations.append(TrialObservation(t.spec.assignments, ObservationStatus.FAILED))
+        elif t.status.phase is TrialPhase.SUCCEEDED and t.status.observation is not None:
+            observations.append(
+                TrialObservation(t.spec.assignments, ObservationStatus.SUCCEEDED, t.status.observation)
+            )
+    history = TrialHistory(
+        produced=tuple(by_index.get(i) for i in range(max(by_index, default=-1) + 1)),
+        observations=tuple(observations),
+        keys=frozenset(assignment_key(t.spec.assignments) for t in trials),
+    )
     counts = (
         phases.count(TrialPhase.CREATED) + phases.count(TrialPhase.PENDING),
         phases.count(TrialPhase.RUNNING),
@@ -164,7 +174,7 @@ def _expected_index(store, namespace, experiment):
         phases.count(TrialPhase.FAILED),
         len(trials),
     )
-    return counts, best, concluded
+    return counts, best, history
 
 
 def _index_of(store, namespace, experiment):
@@ -173,12 +183,8 @@ def _index_of(store, namespace, experiment):
         maximize: None if r is None else (r.name, r.observation, r.assignments)
         for maximize, r in ((False, summary.lowest), (True, summary.highest))
     }
-    concluded = [
-        (r.name, r.phase, r.assignments, r.observation)
-        for r in store.concluded_trials(namespace, experiment)
-    ]
     counts = (summary.pending, summary.running, summary.succeeded, summary.failed, summary.spawned)
-    return counts, best, concluded
+    return counts, best, store.trial_history(namespace, experiment)
 
 
 def _expected_live(store, kind):
@@ -360,7 +366,7 @@ def test_journal_round_trip_through_compaction(tmp_path):
         assert loaded.keys(kind) == store.keys(kind)
         assert loaded.live_keys(kind) == store.live_keys(kind)
     assert loaded.trial_summary("ns", "exp") == store.trial_summary("ns", "exp")
-    assert loaded.concluded_trials("ns", "exp") == store.concluded_trials("ns", "exp")
+    assert loaded.trial_history("ns", "exp") == store.trial_history("ns", "exp")
 
     # The compacted store takes writes again, on a journal of its own.
     trial = store.get(store.keys(KIND_TRIAL)[0])
@@ -463,3 +469,42 @@ def test_suggestion_journal_records_do_not_grow_with_the_trial_count(tmp_path):
     at_100 = _largest_suggestion_record(tmp_path / "100", 100)
     at_400 = _largest_suggestion_record(tmp_path / "400", 400)
     assert at_400 <= at_100
+
+
+def test_trial_history_reads_budgets_and_follows_a_rewritten_trial():
+    store = ResourceStore()
+    sets = [(("x", 0.1 * i), ("budget", i + 1)) for i in range(3)]
+
+    def write(index, assignments, phase, observation=None):
+        name = f"exp-{index:04d}"
+        trial = store.get(f"trial/ns/{name}") or store.create(
+            Resource(
+                kind=KIND_TRIAL,
+                namespace="ns",
+                name=name,
+                spec=TrialSpec(experiment="exp", assignments=assignments),
+                status=TrialStatus(),
+            )
+        )
+        trial.spec.assignments = assignments
+        trial.status.phase, trial.status.observation = phase, observation
+        store.update(trial)
+
+    write(1, sets[1], TrialPhase.FAILED)  # out of index order
+    write(0, sets[0], TrialPhase.SUCCEEDED, 0.5)
+    assert store.trial_history("ns", "exp") == TrialHistory(
+        produced=(sets[0], sets[1]),
+        observations=(
+            TrialObservation(sets[0], ObservationStatus.SUCCEEDED, 0.5, 1.0),
+            TrialObservation(sets[1], ObservationStatus.FAILED, resource_consumed=2.0),
+        ),
+        keys=frozenset({assignment_key(sets[0]), assignment_key(sets[1])}),
+    )
+
+    write(1, sets[0], TrialPhase.FAILED)  # now a duplicate of trial 0
+    assert store.trial_history("ns", "exp").keys == {assignment_key(sets[0])}
+    write(1, sets[2], TrialPhase.RUNNING)
+    history = store.trial_history("ns", "exp")
+    assert history.produced == (sets[0], sets[2])
+    assert history.observations == (TrialObservation(sets[0], ObservationStatus.SUCCEEDED, 0.5, 1.0),)
+    assert history.keys == {assignment_key(sets[0]), assignment_key(sets[2])}

@@ -19,7 +19,7 @@ from tunectl.suggest import (
     get_suggestions,
 )
 from tunectl.suggest.hyperband import promote, successive_halving_brackets
-from tunectl.suggest.space import assignment_key
+from tunectl.suggest.registry import assignment_key
 
 
 def oracle_bracket_table(max_resource: int, eta: int) -> list[list[tuple[int, float]]]:
