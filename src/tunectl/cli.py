@@ -193,11 +193,13 @@ def _run(
         sys.exit(EXIT_RUNTIME)
     try:
         snapshot = run_control_loop(store, metrics, backend, max_ticks=max_ticks)
+        backend.compact()
     except KeyboardInterrupt:
         click.echo("interrupted; state persisted, re-run to resume", err=True)
         sys.exit(EXIT_RUNTIME)
     finally:
         backend.close()
+        metrics.close()
     store.compact()
     _print_summary(snapshot)
 

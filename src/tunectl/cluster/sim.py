@@ -10,13 +10,15 @@ The scheduler is first-fit-decreasing by cpu request with a stable tie-break
 on (trial name, worker index); in gang mode all workers of a trial place
 atomically or not at all. Namespace quotas are enforced at scheduling time.
 Nodes are never scaled down while they hold running work.
+
+``SimBackend`` persists the world in a state directory: a full snapshot,
+then one journal line per tick with only what the tick could have changed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import zlib
 from collections import Counter
 from dataclasses import dataclass, field
@@ -25,7 +27,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..codec import from_doc, json_default, to_doc
+from ..codec import Journal, from_doc, json_default, to_doc
 from ..errors import InvalidPayloadError, UnknownNamespaceError
 from ..metrics import MetricPoint, ObservationStore, parse_metric_lines
 from ..resources import (
@@ -136,8 +138,9 @@ def _derived_rng(*entropy: int) -> np.random.Generator:
 class SimWorld:
     """The simulated cluster. Its fields are the state a snapshot holds;
     the event log, the writers, the set of live (pending or running) job
-    names, which the tick phases iterate, and the count of placed units on
-    each node and in each namespace are attached in ``__post_init__``."""
+    names, which the tick phases iterate, the names of the jobs released
+    since the backend last persisted, and the count of placed units on each
+    node and in each namespace are attached in ``__post_init__``."""
 
     seed: int = 0
     gang: bool = True
@@ -153,6 +156,7 @@ class SimWorld:
         self.events: list[dict] = []
         self.metrics: ObservationStore | None = None
         self._event_writer: Callable[[dict], None] | None = None
+        self.released: list[str] = []  # released job names, until the backend persists
         self.live_jobs: set[str] = {name for name, job in self.jobs.items() if job.phase in LIVE_PHASES}
         self._units_on: Counter[str] = Counter()
         self._units_in: Counter[str] = Counter()
@@ -268,6 +272,7 @@ class SimWorld:
             self._unplace(unit)
         del self.jobs[handle]
         self.live_jobs.discard(handle)
+        self.released.append(handle)
         self.emit("service-released", {"service": handle})
 
     def job_state(self, handle: str) -> JobState:
@@ -536,9 +541,28 @@ class SimWorld:
 
 class SimBackend(ExecutionBackend):
     """Execution backend over a :class:`SimWorld`, with optional state
-    persistence (world snapshot per tick plus a JSON-lines event log)."""
+    persistence in a state directory, each file a ``codec.Journal``:
+
+    - ``events.jsonl``: one JSON line per event;
+    - ``world.json``: a full snapshot of the world plus ``eventsOffset``,
+      the size of the event log it covers, written at a fresh backend's
+      first persist;
+    - ``world.jsonl``: one line per later persist, which is the tick's
+      commit. It holds the tick, the node sequence, the nodes and the
+      namespaces; the jobs live at the previous persist or now, in
+      ``world.jobs`` order (only live jobs change: a concluded job is never
+      touched again, and a resubmitted one is live again); the names of the
+      jobs released since; and ``eventsOffset``.
+
+    So a persist writes what the tick could have changed, not every job the
+    run has spawned. ``compact``, called once a run ends cleanly, folds the
+    journal into ``world.json`` and removes it; ``resume`` folds what a
+    killed run left. A fresh backend starts with an empty event log and no
+    world files.
+    """
 
     WORLD_FILE = "world.json"
+    JOURNAL_FILE = "world.jsonl"
     EVENTS_FILE = "events.jsonl"
 
     def __init__(
@@ -551,13 +575,25 @@ class SimBackend(ExecutionBackend):
         self.world = world
         self.metrics = metrics
         self.world.metrics = metrics
-        self.crash_hook = crash_hook
-        self._state_dir = Path(state_dir) if state_dir is not None else None
-        self._events_fp = None
-        if self._state_dir is not None:
-            self._state_dir.mkdir(parents=True, exist_ok=True)
-            self._events_fp = (self._state_dir / self.EVENTS_FILE).open("a")
         self.world._event_writer = self._write_event
+        self.crash_hook = crash_hook
+        self._state_dir: Path | None = None
+        self._pending_events: list[str] = []  # emitted since the last write
+        self._events_offset = 0  # the event log's size at the last persist
+        self._live: set[str] | None = None  # live jobs at the last persist; None before a full snapshot
+        if state_dir is not None:
+            # World files first: a kill part way leaves no world.json, and so a fresh start again.
+            self._open_state(Path(state_dir))
+            self._base.remove()
+            self._journal.remove()
+            self._events.truncate(0)
+
+    def _open_state(self, state_dir: Path) -> None:
+        state_dir.mkdir(parents=True, exist_ok=True)
+        self._state_dir = state_dir
+        self._events = Journal(state_dir / self.EVENTS_FILE)
+        self._base = Journal(state_dir / self.WORLD_FILE)
+        self._journal = Journal(state_dir / self.JOURNAL_FILE)
 
     @classmethod
     def resume(
@@ -566,40 +602,85 @@ class SimBackend(ExecutionBackend):
         metrics: ObservationStore,
         crash_hook: Callable[[int, str], None] | None = None,
     ) -> "SimBackend":
-        """Rebuild a backend from a persisted snapshot; events recorded after
-        the snapshot (a torn tick) are truncated and will be re-emitted."""
+        """Rebuild a backend from ``world.json`` and the complete lines of
+        ``world.jsonl`` whose tick is above the snapshot's (older ones are
+        left by a kill between a compaction's rename and the journal's
+        removal), and fold those lines into ``world.json``. The journal then
+        holds only ticks this backend persisted, so ``compact`` never
+        writes a world changed since its last persist. Events recorded
+        after the last persisted tick (a torn tick) are truncated and will
+        be re-emitted."""
         state_dir = Path(state_dir)
-        doc = json.loads((state_dir / cls.WORLD_FILE).read_text())
-        world = SimWorld.from_doc(doc["world"])
-        events_path = state_dir / cls.EVENTS_FILE
-        offset = doc.get("eventsOffset", 0)
-        if events_path.exists():
-            with events_path.open("r+") as fp:
-                fp.truncate(offset)
-            world.events = [
-                json.loads(line)
-                for line in events_path.read_text().splitlines()
-                if line.strip()
-            ]
-        return cls(world, metrics, state_dir=state_dir, crash_hook=crash_hook)
+        base = json.loads((state_dir / cls.WORLD_FILE).read_bytes())
+        doc, offset = base["world"], base["eventsOffset"]
+        base_tick, replayed = doc["tick"], False
+        for line in Journal(state_dir / cls.JOURNAL_FILE).read(writing=False):
+            delta = json.loads(line)
+            if delta["tick"] <= base_tick:
+                continue
+            jobs = doc["jobs"]
+            for name in delta.pop("released"):
+                jobs.pop(name, None)
+            jobs.update(delta.pop("jobs"))  # a changed job keeps its place, a new one goes last
+            offset = delta.pop("eventsOffset")
+            doc.update(delta)
+            replayed = True
+        world = SimWorld.from_doc(doc)
+        backend = cls(world, metrics, crash_hook=crash_hook)
+        backend._open_state(state_dir)
+        backend._events.truncate(offset)
+        world.events = [json.loads(line) for line in backend._events.read(writing=True)]
+        backend._events_offset = offset
+        backend._live = set(world.live_jobs)
+        if replayed:
+            backend._base.replace([backend._snapshot()])
+        backend._journal.remove()
+        return backend
 
     @staticmethod
     def has_snapshot(state_dir: str | Path) -> bool:
         return (Path(state_dir) / SimBackend.WORLD_FILE).exists()
 
     def _write_event(self, event: dict) -> None:
-        if self._events_fp is not None:
-            self._events_fp.write(json.dumps(event, sort_keys=True) + "\n")
+        if self._state_dir is not None:
+            self._pending_events.append(json.dumps(event, sort_keys=True) + "\n")
+
+    def _snapshot(self) -> str:
+        return json.dumps({"world": self.world, "eventsOffset": self._events_offset}, default=json_default)
 
     def persist(self) -> None:
+        """Commit the tick: write its events, then the world's full
+        snapshot at a fresh backend's first persist, one journal line
+        after that."""
+        world = self.world
+        released, world.released = world.released, []
         if self._state_dir is None:
             return
-        self._events_fp.flush()
-        offset = self._events_fp.tell()
-        doc = {"world": self.world, "eventsOffset": offset}
-        tmp = self._state_dir / (self.WORLD_FILE + ".tmp")
-        tmp.write_text(json.dumps(doc, default=json_default))
-        os.replace(tmp, self._state_dir / self.WORLD_FILE)
+        self._events_offset = self._events.append(self._pending_events)
+        self._pending_events.clear()
+        if self._live is None:
+            self._base.replace([self._snapshot()])
+        else:
+            changed = self._live | world.live_jobs
+            delta = {
+                "tick": world.tick,
+                "nodeSeq": world.node_seq,
+                "nodes": world.nodes,
+                "namespaces": world.namespaces,
+                "jobs": {name: job for name, job in world.jobs.items() if name in changed},
+                "released": released,
+                "eventsOffset": self._events_offset,
+            }
+            self._journal.append([json.dumps(delta, default=json_default, separators=(",", ":")) + "\n"])
+        self._live = set(world.live_jobs)
+
+    def compact(self) -> None:
+        """Fold the world journal into ``world.json`` and remove it. Call it
+        only once a run has ended cleanly, when the world is as its last
+        persist left it; after a kill the world may be mid-tick."""
+        if self._state_dir is not None and self._journal.path.exists():
+            self._base.replace([self._snapshot()])
+            self._journal.remove()
 
     # -- ExecutionBackend ----------------------------------------------------
 
@@ -644,7 +725,9 @@ class SimBackend(ExecutionBackend):
         self.world.emit(kind, payload)
 
     def close(self) -> None:
-        if self._events_fp is not None:
-            self._events_fp.flush()
-            self._events_fp.close()
-            self._events_fp = None
+        if self._state_dir is not None:
+            if self._pending_events:
+                self._events.append(self._pending_events)
+                self._pending_events.clear()
+            self._events.close()
+            self._journal.close()

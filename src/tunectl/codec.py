@@ -13,12 +13,13 @@ their last newline.
 from __future__ import annotations
 
 import dataclasses
+import os
 import types
 import typing
 from enum import Enum
 from functools import cache
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO, Iterable
 
 _SCALARS = (str, int, float, bool, type(None))
 
@@ -105,21 +106,81 @@ def _expect(doc: Any, kinds: type | tuple[type, ...]) -> Any:
     return doc
 
 
-def complete_lines(path: Path, writing: bool) -> list[bytes]:
-    """The newline-terminated lines of a JSON-lines file, without their
-    newlines; none when the file does not exist.
+class Journal:
+    """A JSON-lines file that grows by appended lines and is otherwise only
+    rewritten whole, atomically (a temporary file and ``os.replace``).
 
-    Bytes after the last newline are a write cut short by a crash. They are
-    always skipped. A caller that opens the file for writing (``writing``)
-    also cuts them off, so that its next append starts on a line of its own;
-    a reader leaves them, since a writer may still be appending that line.
+    ``append`` writes through one handle, kept open until ``close``, and
+    flushes to the operating system before it returns; nothing calls
+    ``fsync``. If the path no longer names the file that handle holds, the
+    append opens the path again rather than write where no one reads.
+
+    Bytes after the last newline are a write cut short by a crash. ``read``
+    always skips them. A caller that opens the file for writing
+    (``writing``) also cuts them off, so that its next append starts on a
+    line of its own; a reader leaves them, since a writer may still be
+    appending that line.
     """
-    try:
-        data = path.read_bytes()
-    except FileNotFoundError:
-        return []
-    end = data.rfind(b"\n") + 1
-    if writing and end < len(data):
-        with path.open("r+b") as fp:
-            fp.truncate(end)
-    return data[:end].split(b"\n")[:-1]
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
+        self._fp: BinaryIO | None = None
+
+    def read(self, writing: bool) -> list[bytes]:
+        """The complete lines, without their newlines; none when the file
+        does not exist."""
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            return []
+        end = data.rfind(b"\n") + 1
+        if writing and end < len(data):
+            self.truncate(end)
+        return data[:end].split(b"\n")[:-1]
+
+    def append(self, lines: Iterable[str]) -> int:
+        """Append ``lines``, each ending in a newline, and flush them;
+        return the file's size after them."""
+        if self._fp is not None and not self._holds_path():
+            self.close()
+        if self._fp is None:
+            self._fp = self.path.open("ab")
+        for line in lines:
+            self._fp.write(line.encode("utf-8"))
+        self._fp.flush()
+        return self._fp.tell()
+
+    def _holds_path(self) -> bool:
+        try:
+            return os.path.samestat(os.fstat(self._fp.fileno()), os.stat(self.path))
+        except FileNotFoundError:
+            return False
+
+    def truncate(self, size: int) -> None:
+        """Cut the file to its first ``size`` bytes, if it is longer."""
+        self.close()
+        try:
+            with self.path.open("r+b") as fp:
+                if fp.seek(0, os.SEEK_END) > size:
+                    fp.truncate(size)
+        except FileNotFoundError:
+            pass
+
+    def replace(self, lines: Iterable[str]) -> None:
+        """Make the file hold exactly ``lines``, atomically."""
+        self.close()
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        with tmp.open("wb") as fp:
+            for line in lines:
+                fp.write(line.encode("utf-8"))
+        os.replace(tmp, self.path)
+
+    def remove(self) -> None:
+        self.close()
+        self.path.unlink(missing_ok=True)
+
+    def close(self) -> None:
+        """Close the append handle; a later append opens it again."""
+        if self._fp is not None:
+            self._fp.close()
+            self._fp = None

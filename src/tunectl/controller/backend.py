@@ -68,5 +68,9 @@ class ExecutionBackend(ABC):
     def emit_event(self, kind: str, payload: dict) -> None:  # pragma: no cover
         """Optional structured event sink (simulator writes JSON lines)."""
 
+    def compact(self) -> None:
+        """Fold persisted state into its compact form once a run has ended
+        cleanly; a backend that persists nothing does nothing."""
+
     def close(self) -> None:
         """Flush and release any backend resources; safe to call twice."""

@@ -8,9 +8,9 @@ line, and loading replays the journal, the last record of each key winning.
 ``compact`` rewrites the journal as one record per resource. ``tunectl dump``
 prints the store as YAML for reading and diffing.
 
-Durability: every record is flushed to the operating system as it is
-written, and compaction replaces the journal atomically (a temporary file
-and ``os.replace``). A store therefore survives the kill of its process at
+Durability (``codec.Journal``): every record is flushed to the operating
+system as it is written, and compaction replaces the journal atomically (a
+temporary file and ``os.replace``). A store therefore survives the kill of its process at
 any point: at worst the last record is cut short, and that torn line is
 skipped on load. Nothing calls ``fsync``, so a power loss can lose records
 the operating system had not yet written back.
@@ -34,14 +34,12 @@ from __future__ import annotations
 
 import bisect
 import json
-import os
 import threading
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TextIO
 
-from ..codec import complete_lines, from_doc, json_default
+from ..codec import Journal, from_doc, json_default
 from ..errors import CasConflictError, ResourceExistsError, TunectlError
 from ..resources import BUDGET_PARAMETER
 from ..suggest.registry import AssignmentSet, ObservationStatus, TrialObservation, assignment_key
@@ -323,9 +321,9 @@ class FileResourceStore(ResourceStore):
     def __init__(self, root: str | Path, readonly: bool = False):
         super().__init__()
         self.root = Path(root)
-        self.path = self.root / self.JOURNAL
+        self._journal = Journal(self.root / self.JOURNAL)
+        self.path = self._journal.path
         self._readonly = readonly
-        self._journal: TextIO | None = None
         if not readonly:
             self.root.mkdir(parents=True, exist_ok=True)
         self._load()
@@ -337,7 +335,7 @@ class FileResourceStore(ResourceStore):
                 "earlier version, which this version does not read; start again in a fresh store"
             )
         latest: dict[str, tuple[int, dict]] = {}
-        for number, line in enumerate(complete_lines(self.path, writing=not self._readonly), 1):
+        for number, line in enumerate(self._journal.read(writing=not self._readonly), 1):
             try:
                 doc = json.loads(line)
                 latest[resource_key(doc["kind"], doc["namespace"], doc["name"])] = (number, doc)
@@ -357,28 +355,18 @@ class FileResourceStore(ResourceStore):
         return TunectlError(f"cannot read stored resource {self.path}:{number}: {detail}")
 
     def _persist(self, resource: Resource) -> None:
-        if self._journal is None:
-            if self._readonly:
-                raise TunectlError(f"store {self.root} is open read-only")
-            self._journal = self.path.open("a", encoding="utf-8")
-        self._journal.write(_record(resource))
-        self._journal.flush()
+        if self._readonly:
+            raise TunectlError(f"store {self.root} is open read-only")
+        self._journal.append([_record(resource)])
 
     def compact(self) -> None:
         """Rewrite the journal as one record per resource, in key order."""
         with self._lock:
-            tmp = self.path.with_name(self.JOURNAL + ".tmp")
-            with tmp.open("w", encoding="utf-8") as fp:
-                for key in sorted(self._resources):
-                    fp.write(_record(self._resources[key]))
-            self.close()
-            os.replace(tmp, self.path)
+            self._journal.replace(_record(self._resources[key]) for key in sorted(self._resources))
 
     def close(self) -> None:
         """Close the journal's append handle; a later write opens it again."""
-        if self._journal is not None:
-            self._journal.close()
-            self._journal = None
+        self._journal.close()
 
 
 def _record(resource: Resource) -> str:

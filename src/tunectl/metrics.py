@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .codec import complete_lines
+from .codec import Journal
 from .errors import StorageUnavailableError
 from .resources import MetricStrategy, ObjectiveSpec
 
@@ -95,21 +95,22 @@ class FileObservationStore(ObservationStore):
     the file itself stays append-only and crash-tolerant. Opening the store
     truncates a torn final line left by an interrupted write, so the next
     append starts on a line of its own; opened ``readonly``, it only skips
-    that line and refuses appends.
+    that line and refuses appends. Appends go through one handle, kept open
+    until ``close``.
     """
 
     def __init__(self, path: str | Path | None = None, readonly: bool = False):
-        self._path = None if path is None else Path(path)
+        self._journal = None if path is None else Journal(path)
         self._readonly = readonly
         self._lock = threading.Lock()
         self._by_trial: dict[str, list[tuple[MetricPoint, int]]] = {}
         self._seen: dict[str, set[tuple]] = {}
         self._seq = 0
-        if self._path is not None:
+        if self._journal is not None:
             self._load()
 
     def _load(self) -> None:
-        for line in complete_lines(self._path, writing=not self._readonly):
+        for line in self._journal.read(writing=not self._readonly):
             try:
                 doc = json.loads(line)
             except ValueError:
@@ -147,17 +148,20 @@ class FileObservationStore(ObservationStore):
         self._seen.pop(trial, None)
 
     def _append(self, docs: Iterable[dict]) -> None:
-        if self._path is None:
+        if self._journal is None:
             return
         if self._readonly:
-            raise StorageUnavailableError(f"metric log {self._path} is open read-only")
+            raise StorageUnavailableError(f"metric log {self._journal.path} is open read-only")
         try:
-            with self._path.open("a") as fp:
-                for doc in docs:
-                    fp.write(json.dumps(doc, sort_keys=True) + "\n")
-                fp.flush()
+            self._journal.append(json.dumps(doc, sort_keys=True) + "\n" for doc in docs)
         except OSError as exc:
             raise StorageUnavailableError(f"metric log append failed: {exc}") from exc
+
+    def close(self) -> None:
+        """Close the metric log's append handle; a later append opens it again."""
+        with self._lock:
+            if self._journal is not None:
+                self._journal.close()
 
     def register_observation_log(self, points: Sequence[MetricPoint]) -> None:
         if not points:

@@ -183,6 +183,7 @@ def run_simulated(
             if len(world.nodes) <= autoscaler.min_nodes:
                 break
             backend.advance(lambda: 0)
+    backend.compact()
     backend.close()
     return SimRun(snapshot=snapshot, store=store, metrics=metrics, backend=backend, events=world.events)
 

@@ -385,3 +385,50 @@ def test_submit_on_a_locked_store_exits_4_and_leaves_it_untouched(runner, tmp_pa
     assert "in use" in result.output
     assert _store_files(store) == before
     assert runner.invoke(cli, ["submit", str(other), "--store", str(store)]).exit_code == 0
+
+
+def test_a_run_stopped_before_its_first_tick_resumes_to_the_uninterrupted_files(runner, tmp_path):
+    # --max-ticks 0 stops after the bootstrap step: its events are written,
+    # but no tick is persisted, so the next run starts a fresh world.
+    straight, stopped = tmp_path / "straight", tmp_path / "stopped"
+    for root in (straight, stopped):
+        root.mkdir()
+        assert _submit(runner, root).exit_code == 0
+    partial = runner.invoke(cli, ["run", "--store", str(stopped / "store"), "--max-ticks", "0"])
+    assert partial.exit_code == 0, partial.output
+    assert (stopped / "store" / "events.jsonl").stat().st_size > 0
+    assert not (stopped / "store" / "world.json").exists()
+    for root in (straight, stopped):
+        result = runner.invoke(cli, ["run", "--store", str(root / "store")])
+        assert result.exit_code == 0, result.output
+    for name in ("events.jsonl", "world.json"):
+        assert (stopped / "store" / name).read_bytes() == (straight / "store" / name).read_bytes(), name
+
+
+def test_run_folds_the_world_journal_and_closes_the_metric_log(runner, tmp_path, monkeypatch):
+    from tunectl.metrics import FileObservationStore
+
+    closed = []
+    close = FileObservationStore.close
+    monkeypatch.setattr(FileObservationStore, "close", lambda self: (closed.append(self), close(self)))
+    _submit(runner, tmp_path)
+    store = tmp_path / "store"
+    partial = runner.invoke(cli, ["run", "--store", str(store), "--seed", "5", "--max-ticks", "3"])
+    assert partial.exit_code == 0, partial.output
+    assert len(closed) == 1
+    world = json.loads((store / "world.json").read_text())
+    assert world["world"]["tick"] == 3
+    assert not (store / "world.jsonl").exists()
+
+
+def test_scenario_with_a_store_ends_with_a_compacted_world(runner, tmp_path):
+    store = tmp_path / "state"
+    result = runner.invoke(cli, ["scenario", "chaos-kill", "--store", str(store)])
+    assert result.exit_code == 0, result.output
+    assert sorted(p.name for p in store.iterdir()) == ["events.jsonl", "world.json"]
+    world = json.loads((store / "world.json").read_text())
+    events = [json.loads(line) for line in (store / "events.jsonl").read_text().splitlines()]
+    assert world["world"]["tick"] == max(e["tick"] for e in events) > 1
+    stats = [i for i, e in enumerate(events) if e["kind"] == "tick-stats"]
+    offset = sum(len(json.dumps(e, sort_keys=True)) + 1 for e in events[: stats[-1] + 1])
+    assert world["eventsOffset"] == offset

@@ -9,7 +9,7 @@ from typing import Any
 
 import pytest
 
-from tunectl.codec import from_doc, json_default, to_doc
+from tunectl.codec import Journal, from_doc, json_default, to_doc
 from tunectl.controller.model import (
     KIND_SUGGESTION,
     KIND_TRIAL,
@@ -144,3 +144,42 @@ def test_experiment_status_document_keeps_its_shape():
         "totalSpawned": 0,
         "currentOptimal": {"assignments": [["x", 0.5]], "objectiveValue": 1.25},
     }
+
+
+def test_journal_reads_complete_lines_and_only_a_writer_cuts_the_torn_tail(tmp_path):
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(b'{"a": 1}\n{"b": 2}\n{"c"')
+    assert Journal(path).read(writing=False) == [b'{"a": 1}', b'{"b": 2}']
+    assert path.read_bytes().endswith(b'{"c"')
+    writer = Journal(path)
+    assert writer.read(writing=True) == [b'{"a": 1}', b'{"b": 2}']
+    assert writer.append(['{"d": 4}\n']) == path.stat().st_size
+    assert path.read_bytes() == b'{"a": 1}\n{"b": 2}\n{"d": 4}\n'
+    writer.close()
+    assert Journal(tmp_path / "missing.jsonl").read(writing=True) == []
+
+
+def test_journal_replace_truncate_and_remove(tmp_path):
+    journal = Journal(tmp_path / "log.jsonl")
+    journal.append(["1\n", "2\n"])
+    journal.replace(["3\n"])
+    assert journal.path.read_bytes() == b"3\n"
+    assert not journal.path.with_name("log.jsonl.tmp").exists()
+    journal.append(["4\n"])  # the handle follows the replaced file
+    journal.truncate(99)  # never lengthens the file
+    assert journal.path.read_bytes() == b"3\n4\n"
+    journal.truncate(2)
+    assert journal.path.read_bytes() == b"3\n"
+    journal.remove()
+    assert not journal.path.exists()
+    journal.remove()  # removing a missing journal is a no-op
+
+
+def test_journal_append_reopens_a_path_that_no_longer_names_its_file(tmp_path):
+    journal = Journal(tmp_path / "log.jsonl")
+    journal.append(["1\n"])
+    journal.path.rename(tmp_path / "moved.jsonl")
+    journal.append(["2\n"])
+    assert journal.path.read_bytes() == b"2\n"
+    assert (tmp_path / "moved.jsonl").read_bytes() == b"1\n"
+    journal.close()

@@ -161,6 +161,50 @@ def test_store_with_no_path_writes_nothing(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def _count_opens(monkeypatch) -> list[str]:
+    """Record the path of every file the program opens from here on."""
+    import builtins
+    import io
+    import pathlib
+
+    opened: list[str] = []
+    real_open = io.open
+
+    def counting(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting)
+    monkeypatch.setattr(io, "open", counting)
+    monkeypatch.setattr(pathlib.Path, "open", lambda self, *a, **k: counting(self, *a, **k))
+    return opened
+
+
+def test_appends_go_through_one_kept_open_handle(tmp_path, monkeypatch):
+    path = tmp_path / "metrics.jsonl"
+    store = FileObservationStore(path)
+    opened = _count_opens(monkeypatch)
+    for ts in range(20):
+        store.register_observation_log([_point(ts=ts)])
+    store.delete_observation_log("t0")
+    assert opened == [str(path)]
+    store.close()
+    store.register_observation_log([_point(ts=99)])  # a later append opens it again
+    assert opened == [str(path)] * 2
+    store.close()
+    assert [p.ts for p in FileObservationStore(path).get_observation_log("t1")] == list(range(20)) + [99]
+
+
+def test_store_with_no_path_opens_nothing(monkeypatch):
+    store = InMemoryObservationStore()
+    opened = _count_opens(monkeypatch)
+    for ts in range(5):
+        store.register_observation_log([_point(ts=ts)])
+    store.delete_observation_log("t1")
+    store.close()
+    assert opened == []
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     points=st.lists(
