@@ -721,6 +721,9 @@ class SimBackend(ExecutionBackend):
         self.world.advance_tick(controller_step, crash_hook=self.crash_hook)
         self.persist()
 
+    def has_advanced(self) -> bool:
+        return self.world.tick > 0
+
     def emit_event(self, kind: str, payload: dict) -> None:
         self.world.emit(kind, payload)
 

@@ -65,6 +65,11 @@ class ExecutionBackend(ABC):
         """Run one unit of time, invoking the controller step at the point
         in the cycle the backend defines."""
 
+    def has_advanced(self) -> bool:
+        """Whether time has already moved for this backend's state, as for a
+        resumed simulated world; a backend without a clock has not."""
+        return False
+
     def emit_event(self, kind: str, payload: dict) -> None:  # pragma: no cover
         """Optional structured event sink (simulator writes JSON lines)."""
 

@@ -1,12 +1,14 @@
 """Typed resources managed by the controllers, plus their document forms.
 
 Every resource has a Spec (desired state), a Status (current state), and a
-generation counter used for compare-and-swap updates.
+generation counter used for compare-and-swap updates. Resources, their
+statuses and the suggestion and trial specs are frozen values: a reader may
+share one freely, and a writer builds a new one with ``dataclasses.replace``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any
 
@@ -51,7 +53,7 @@ class OptimalResult:
     objective_value: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentStatus:
     phase: ExperimentPhase = ExperimentPhase.CREATED
     trials_pending: int = 0
@@ -62,14 +64,14 @@ class ExperimentStatus:
     current_optimal: OptimalResult | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuggestionSpec:
     experiment: str
     algorithm: AlgorithmSpec
     requested: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuggestionStatus:
     """``produced`` counts the sets the algorithm has returned; set ``i``
     becomes trial ``i``. ``pending`` holds the newest of them, numbered
@@ -77,22 +79,22 @@ class SuggestionStatus:
     yet. Older sets live on only as their trials' assignments."""
 
     produced: int = 0
-    pending: list[AssignmentSet] = field(default_factory=list)
+    pending: tuple[AssignmentSet, ...] = ()
     exhausted: bool = False
 
-    def unspawned(self, spawned: int) -> list[AssignmentSet]:
+    def unspawned(self, spawned: int) -> tuple[AssignmentSet, ...]:
         """The pending sets from set ``spawned`` on, in index order."""
         return self.pending[spawned - (self.produced - len(self.pending)) :]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrialSpec:
     experiment: str
     assignments: AssignmentSet
     run_spec: TrialRunSpec | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrialStatus:
     phase: TrialPhase = TrialPhase.CREATED
     restart_count: int = 0
@@ -101,7 +103,7 @@ class TrialStatus:
     job_attempt: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Resource:
     kind: str
     namespace: str
@@ -130,42 +132,9 @@ def trial_index(experiment: str, name: str) -> int | None:
     return int(digits) if prefix == experiment and digits.isdecimal() else None
 
 
-def clone_resource(resource: Resource) -> Resource:
-    """Cheap defensive copy for store reads and writes.
-
-    Experiment specs are shared (treated as immutable once parsed); the
-    mutable shells around them — statuses, suggestion/trial specs — are
-    rebuilt so callers and the store never alias mutable state. Assignment
-    tuples and run specs are immutable and safely shared.
-    """
-    import dataclasses
-
-    spec = resource.spec
-    status = resource.status
-    if resource.kind == KIND_SUGGESTION:
-        spec = SuggestionSpec(
-            experiment=spec.experiment,
-            algorithm=AlgorithmSpec(spec.algorithm.algorithm_name, dict(spec.algorithm.settings)),
-            requested=spec.requested,
-        )
-        status = SuggestionStatus(
-            produced=status.produced,
-            pending=list(status.pending),
-            exhausted=status.exhausted,
-        )
-    elif resource.kind == KIND_TRIAL:
-        spec = TrialSpec(experiment=spec.experiment, assignments=spec.assignments, run_spec=spec.run_spec)
-        status = dataclasses.replace(status)
-    else:
-        status = dataclasses.replace(status)
-    return Resource(
-        kind=resource.kind,
-        namespace=resource.namespace,
-        name=resource.name,
-        spec=spec,
-        status=status,
-        generation=resource.generation,
-    )
+def clone_resource(resource: Resource, generation: int) -> Resource:
+    """The resource as the store keeps it at ``generation``."""
+    return replace(resource, generation=generation)
 
 
 # ---------------------------------------------------------------------------

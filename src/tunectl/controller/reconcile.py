@@ -21,12 +21,16 @@ met, when ``maxTrialCount`` trials succeed, or when the spawn budget (or the
 search space) is spent and everything in flight has concluded. It fails once
 failed trials strictly exceed ``maxFailedTrialCount``, so an error budget of
 N tolerates exactly N failures.
+
+Resources are frozen values. A reconciler reads what the store holds and
+writes a new spec or status built with ``dataclasses.replace``, and only
+when a field changes.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from ..codec import to_doc
@@ -123,7 +127,7 @@ def _current_optimal(spec: ExperimentSpec, trials: TrialSummary) -> OptimalResul
     best = trials.highest if spec.objective.type is ObjectiveType.MAXIMIZE else trials.lowest
     if best is None:
         return None
-    return OptimalResult(assignments=best.assignments, objective_value=best.observation)
+    return OptimalResult(assignments=best.spec.assignments, objective_value=best.status.observation)
 
 
 def reconcile_experiment(ctx: ControllerContext, key: str) -> int:
@@ -161,8 +165,7 @@ def reconcile_experiment(ctx: ControllerContext, key: str) -> int:
         ctx.mutated()
         mutations += 1
     elif target > suggestion.spec.requested:
-        suggestion.spec.requested = target
-        suggestion = ctx.store.update(suggestion)
+        suggestion = ctx.store.update(replace(suggestion, spec=replace(suggestion.spec, requested=target)))
         ctx.mutated()
         mutations += 1
 
@@ -210,8 +213,7 @@ def reconcile_experiment(ctx: ControllerContext, key: str) -> int:
         current_optimal=optimal,
     )
     if new_status != experiment.status:
-        experiment.status = new_status
-        ctx.store.update(experiment)
+        ctx.store.update(replace(experiment, status=new_status))
         ctx.mutated()
         mutations += 1
     if phase in TERMINAL_EXPERIMENT:
@@ -256,14 +258,13 @@ def reconcile_suggestion(ctx: ControllerContext, key: str) -> int:
         experiment=spec,
         history=trials.observations,
         count=need,
-        produced=trials.produced + tuple(unspawned),
+        produced=trials.produced + unspawned,
         produced_keys=trials.keys.union(map(assignment_key, unspawned)),
     )
     try:
         result = get_suggestions(request)
     except ExhaustedSearchSpace:
-        status.exhausted = True
-        ctx.store.update(suggestion)
+        ctx.store.update(replace(suggestion, status=replace(status, exhausted=True)))
         ctx.mutated()
         return 1
     except TunectlError as exc:
@@ -272,17 +273,14 @@ def reconcile_suggestion(ctx: ControllerContext, key: str) -> int:
 
     if not result.assignment_sets and not result.exhausted:
         return 0  # algorithm is waiting on in-flight observations
-    status.pending = unspawned + list(result.assignment_sets)
-    status.produced += len(result.assignment_sets)
-    status.exhausted = result.exhausted
-    ctx.store.update(suggestion)
+    status = SuggestionStatus(
+        produced=status.produced + len(result.assignment_sets),
+        pending=unspawned + tuple(result.assignment_sets),
+        exhausted=result.exhausted,
+    )
+    ctx.store.update(replace(suggestion, status=status))
     ctx.mutated()
     return 1
-
-
-def _conclude(trial: Resource, phase: TrialPhase, reason: str | None = None) -> None:
-    trial.status.phase = phase
-    trial.status.reason = reason
 
 
 def reconcile_trial(ctx: ControllerContext, key: str) -> int:
@@ -298,71 +296,73 @@ def reconcile_trial(ctx: ControllerContext, key: str) -> int:
     template = spec.trial_template
     handle = job_handle(trial.namespace, trial.name)
     watched = [spec.objective.objective_metric_name, *spec.objective.additional_metric_names]
-    before = (trial.status.phase, trial.status.restart_count, trial.status.job_attempt)
 
-    rendered = trial.spec.run_spec is None
-    if rendered:
-        trial.spec.run_spec = render_trial_spec(
-            template, trial.spec.assignments, trial.name, trial.namespace
-        )
+    trial_spec = trial.spec
+    if trial_spec.run_spec is None:
+        run_spec = render_trial_spec(template, trial_spec.assignments, trial.name, trial.namespace)
+        trial_spec = replace(trial_spec, run_spec=run_spec)
 
-    def submit(restart_count: int) -> bool:
+    def submit(restart_count: int) -> TrialStatus:
+        """The trial's status once its next attempt is submitted with
+        ``restart_count``, which it keeps only if the backend accepts it."""
+        status = trial.status
         try:
             ctx.backend.submit(
-                trial.spec.run_spec,
+                trial_spec.run_spec,
                 template,
                 collector_kind=spec.metric_collector_kind,
                 watched_metrics=watched,
                 restart_count=restart_count,
             )
         except (UnknownNamespaceError, InvalidPayloadError) as exc:
-            _conclude(trial, TrialPhase.FAILED, reason=str(exc))
-            return False
+            return replace(status, phase=TrialPhase.FAILED, reason=str(exc))
         except TunectlError as exc:
             logger.warning("trial %s: submit failed, staying pending: %s", key, exc)
-            trial.status.phase = TrialPhase.PENDING
-            return False
-        trial.status.job_attempt += 1
-        trial.status.phase = TrialPhase.PENDING
-        return True
+            return _with_phase(status, TrialPhase.PENDING)
+        return replace(
+            status, phase=TrialPhase.PENDING, restart_count=restart_count, job_attempt=status.job_attempt + 1
+        )
 
-    if trial.status.job_attempt == 0:
-        submit(trial.status.restart_count)
+    status = trial.status
+    if status.job_attempt == 0:
+        status = submit(status.restart_count)
     else:
         state = ctx.backend.job_state(handle)
         if state.phase is JobPhase.MISSING:
-            submit(trial.status.restart_count)  # backend lost the job: redeploy
+            status = submit(status.restart_count)  # backend lost the job: redeploy
         elif state.phase is JobPhase.PENDING:
-            trial.status.phase = TrialPhase.PENDING
+            status = _with_phase(status, TrialPhase.PENDING)
         elif state.phase is JobPhase.RUNNING:
-            trial.status.phase = TrialPhase.RUNNING
+            status = _with_phase(status, TrialPhase.RUNNING)
         elif state.phase is JobPhase.SUCCEEDED:
             ctx.backend.collect_metrics(handle)
             observation = best_objective(
                 ctx.metrics.get_observation_log(handle), spec.objective
             )
             if observation is None:
-                _conclude(trial, TrialPhase.FAILED, reason=REASON_METRICS_UNAVAILABLE)
+                status = replace(status, phase=TrialPhase.FAILED, reason=REASON_METRICS_UNAVAILABLE)
             else:
-                trial.status.observation = observation
-                _conclude(trial, TrialPhase.SUCCEEDED)
-        elif state.phase is JobPhase.FAILED_TEMPORARY:
-            if template.restart_policy is RestartPolicy.ON_TEMPORARY_FAILURE:
-                # Counted only once the redeploy is accepted, so a transient
-                # submit error cannot inflate the restart count.
-                if submit(trial.status.restart_count + 1):
-                    trial.status.restart_count += 1
-            else:
-                _conclude(trial, TrialPhase.FAILED, reason=state.reason)
-        elif state.phase is JobPhase.FAILED_PERMANENT:
-            _conclude(trial, TrialPhase.FAILED, reason=state.reason)
+                status = replace(status, phase=TrialPhase.SUCCEEDED, observation=observation, reason=None)
+        elif (
+            state.phase is JobPhase.FAILED_TEMPORARY
+            and template.restart_policy is RestartPolicy.ON_TEMPORARY_FAILURE
+        ):
+            # Counted only once the redeploy is accepted, so a transient
+            # submit error cannot inflate the restart count.
+            status = submit(status.restart_count + 1)
+        elif state.phase in (JobPhase.FAILED_TEMPORARY, JobPhase.FAILED_PERMANENT):
+            status = replace(status, phase=TrialPhase.FAILED, reason=state.reason)
 
-    after = (trial.status.phase, trial.status.restart_count, trial.status.job_attempt)
-    if after == before and not rendered:
+    if status is trial.status and trial_spec is trial.spec:
         return 0
-    ctx.store.update(trial)
+    ctx.store.update(replace(trial, spec=trial_spec, status=status))
     ctx.mutated()
     return 1
+
+
+def _with_phase(status: TrialStatus, phase: TrialPhase) -> TrialStatus:
+    """``status`` in ``phase``: the same object when it is there already."""
+    return status if status.phase is phase else replace(status, phase=phase)
 
 
 _RECONCILERS = {
@@ -426,10 +426,17 @@ def run_control_loop(
 
     Starvation-free (round-robin within each step) and crash-recoverable:
     restarting against the same persisted store and backend state continues
-    to the same terminal phases. Returns the terminal snapshot.
+    to the same terminal phases. A backend that has already advanced (a
+    resumed world) goes on with its next tick without the bootstrap step:
+    the store may hold writes of a tick the world did not persist, and a
+    bootstrap would act on them a scheduling pass early. Returns the
+    terminal snapshot.
     """
     ctx = ControllerContext(store=store, metrics=metrics, backend=backend, on_mutation=on_mutation)
-    controller_step(ctx)  # bootstrap: create suggestions/trials before time moves
+    # A backend that only duck-types ExecutionBackend may lack the hook; it
+    # keeps no clock, so it has not advanced.
+    if not getattr(backend, "has_advanced", lambda: False)():
+        controller_step(ctx)  # bootstrap: create suggestions/trials before time moves
     ticks = 0
     while not all_experiments_terminal(store):
         if ticks >= max_ticks:

@@ -1,7 +1,10 @@
 """Versioned resource store with compare-and-swap updates.
 
 An update is accepted only when the caller's expected generation matches the
-stored one; every accepted update increments the generation. The file-backed
+stored one; every accepted update increments the generation. Resources are
+frozen values, so ``get`` and ``list`` hand out the stored objects
+themselves, and ``create`` and ``update`` each store one new object at the
+next generation: no reader can change what the store holds. The file-backed
 variant keeps one append-only journal, ``<dir>/journal.jsonl``: each create
 or update appends the resource's document plus its generation as one JSON
 line, and loading replays the journal, the last record of each key winning.
@@ -21,11 +24,11 @@ so the controllers read what they need without scanning every resource:
 - the sorted keys of each kind, and the sorted *live* keys: experiments and
   trials not yet in a terminal phase, and suggestions whose experiment is
   not (a suggestion is named after its experiment);
-- per (namespace, experiment), a summary of its trials: phase counts and
-  the best succeeded observation in each direction; and what the suggestion
-  controller hands the algorithm: the trials' assignments in trial-index
-  order, the concluded trials as ``TrialObservation``s in name order, and
-  the ``assignment_key`` of every trial's assignments. These only grow by
+- per (namespace, experiment), its stored trials and a summary of them:
+  phase counts and the best succeeded trial in each direction; and what the
+  suggestion controller hands the algorithm: the trials' assignments in
+  trial-index order, the concluded trials as ``TrialObservation``s in name
+  order, and the ``assignment_key`` of every trial's assignments. These only grow by
   appending as trials are created and conclude, so a suggestion fill copies
   them instead of walking the trials.
 """
@@ -60,16 +63,6 @@ from .model import (
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    """The part of a trial that the experiment and suggestion controllers read."""
-
-    name: str
-    phase: TrialPhase
-    assignments: AssignmentSet
-    observation: float | None
-
-
-@dataclass(frozen=True)
 class TrialSummary:
     """One experiment's trials: phase counts and the best succeeded trial
     each way, ties going to the lowest trial name."""
@@ -79,8 +72,8 @@ class TrialSummary:
     succeeded: int = 0
     failed: int = 0
     spawned: int = 0
-    lowest: TrialRecord | None = None
-    highest: TrialRecord | None = None
+    lowest: Resource | None = None
+    highest: Resource | None = None
 
 
 @dataclass(frozen=True)
@@ -92,36 +85,38 @@ class TrialHistory:
     keys: frozenset[tuple] = frozenset()  # assignment_key of each trial's assignments
 
 
-def _observation(record: TrialRecord) -> TrialObservation | None:
+def _observation(trial: Resource) -> TrialObservation | None:
     """The algorithm's view of a concluded trial; None for a live one, and
     for a succeeded one without an observation, which the controller never
     writes."""
-    if record.phase is TrialPhase.FAILED:
+    phase, observation, assignments = trial.status.phase, trial.status.observation, trial.spec.assignments
+    if phase is TrialPhase.FAILED:
         status, value = ObservationStatus.FAILED, None
-    elif record.phase is TrialPhase.SUCCEEDED and record.observation is not None:
-        status, value = ObservationStatus.SUCCEEDED, record.observation
+    elif phase is TrialPhase.SUCCEEDED and observation is not None:
+        status, value = ObservationStatus.SUCCEEDED, observation
     else:
         return None
-    budget = dict(record.assignments).get(BUDGET_PARAMETER)
-    return TrialObservation(record.assignments, status, value, None if budget is None else float(budget))
+    budget = dict(assignments).get(BUDGET_PARAMETER)
+    return TrialObservation(assignments, status, value, None if budget is None else float(budget))
 
 
-def _improves(record: TrialRecord, best: TrialRecord | None, maximize: bool) -> bool:
-    if record.phase is not TrialPhase.SUCCEEDED or record.observation is None:
+def _improves(trial: Resource, best: Resource | None, maximize: bool) -> bool:
+    observation = trial.status.observation
+    if trial.status.phase is not TrialPhase.SUCCEEDED or observation is None:
         return False
     if best is None:
         return True
-    if record.observation == best.observation:
-        return record.name < best.name
-    return (record.observation > best.observation) == maximize
+    if observation == best.status.observation:
+        return trial.name < best.name
+    return (observation > best.status.observation) == maximize
 
 
 class _ExperimentTrials:
     def __init__(self, experiment: str) -> None:
         self.experiment = experiment
-        self.records: dict[str, TrialRecord] = {}
+        self.trials: dict[str, Resource] = {}
         self.counts: Counter[TrialPhase] = Counter()
-        self.best: dict[bool, TrialRecord | None] = {False: None, True: None}  # by maximize
+        self.best: dict[bool, Resource | None] = {False: None, True: None}  # by maximize
         # Set i is trial i's assignments; a gap left while a store loads out
         # of index order is None until its trial arrives.
         self.produced: list[AssignmentSet | None] = []
@@ -129,39 +124,40 @@ class _ExperimentTrials:
         self.observations: list[TrialObservation] = []  # parallel to ``concluded``
         self.keys: set[tuple] = set()
 
-    def put(self, record: TrialRecord) -> None:
-        old = self.records.pop(record.name, None)
+    def put(self, trial: Resource) -> None:
+        name, assignments = trial.name, trial.spec.assignments
+        old = self.trials.pop(name, None)
         if old is not None:
-            self.counts[old.phase] -= 1
-            at = bisect.bisect_left(self.concluded, old.name)
-            if at < len(self.concluded) and self.concluded[at] == old.name:
+            self.counts[old.status.phase] -= 1
+            at = bisect.bisect_left(self.concluded, name)
+            if at < len(self.concluded) and self.concluded[at] == name:
                 del self.concluded[at], self.observations[at]
-            if old in self.best.values():  # the best was rewritten: rank again
+            if any(old is best for best in self.best.values()):  # the best was rewritten: rank again
                 self.best = {False: None, True: None}
-                for other in self.records.values():
+                for other in self.trials.values():
                     self._rank(other)
-        self.records[record.name] = record
-        self.counts[record.phase] += 1
-        observation = _observation(record)
+        self.trials[name] = trial
+        self.counts[trial.status.phase] += 1
+        observation = _observation(trial)
         if observation is not None:
-            at = bisect.bisect_left(self.concluded, record.name)
-            self.concluded.insert(at, record.name)
+            at = bisect.bisect_left(self.concluded, name)
+            self.concluded.insert(at, name)
             self.observations.insert(at, observation)
-        self._rank(record)
-        if old is None or old.assignments != record.assignments:
-            index = trial_index(self.experiment, record.name)
+        self._rank(trial)
+        if old is None or old.spec.assignments != assignments:
+            index = trial_index(self.experiment, name)
             if index is not None:
                 self.produced.extend([None] * (index + 1 - len(self.produced)))
-                self.produced[index] = record.assignments
+                self.produced[index] = assignments
             if old is None:
-                self.keys.add(assignment_key(record.assignments))
+                self.keys.add(assignment_key(assignments))
             else:  # a trial's assignments were rewritten: collect the keys again
-                self.keys = {assignment_key(r.assignments) for r in self.records.values()}
+                self.keys = {assignment_key(t.spec.assignments) for t in self.trials.values()}
 
-    def _rank(self, record: TrialRecord) -> None:
+    def _rank(self, trial: Resource) -> None:
         for maximize, best in self.best.items():
-            if _improves(record, best, maximize):
-                self.best[maximize] = record
+            if _improves(trial, best, maximize):
+                self.best[maximize] = trial
 
     def summary(self) -> TrialSummary:
         counts = self.counts
@@ -170,7 +166,7 @@ class _ExperimentTrials:
             running=counts[TrialPhase.RUNNING],
             succeeded=counts[TrialPhase.SUCCEEDED],
             failed=counts[TrialPhase.FAILED],
-            spawned=len(self.records),
+            spawned=len(self.trials),
             lowest=self.best[False],
             highest=self.best[True],
         )
@@ -179,9 +175,8 @@ class _ExperimentTrials:
 class ResourceStore:
     """In-memory store; the base for the file-backed variant.
 
-    Reads hand out clones so callers never alias the stored mutable state;
-    experiment specs themselves are shared and treated as immutable once
-    parsed.
+    Resources are frozen values, so reads hand out the stored objects
+    themselves, and a write stores one new resource at the next generation.
     """
 
     def __init__(self) -> None:
@@ -195,16 +190,13 @@ class ResourceStore:
         with self._lock:
             if resource.key in self._resources:
                 raise ResourceExistsError(f"resource '{resource.key}' already exists")
-            stored = clone_resource(resource)
-            stored.generation = 1
+            stored = clone_resource(resource, 1)
             self._persist(stored)
             self._put(stored)
-            return clone_resource(stored)
+            return stored
 
     def get(self, key: str) -> Resource | None:
-        with self._lock:
-            found = self._resources.get(key)
-            return clone_resource(found) if found else None
+        return self._resources.get(key)
 
     def update(self, resource: Resource) -> Resource:
         """CAS write: ``resource.generation`` must equal the stored one."""
@@ -217,11 +209,10 @@ class ResourceStore:
                     f"stale write to '{resource.key}': expected generation "
                     f"{current.generation}, got {resource.generation}"
                 )
-            stored = clone_resource(resource)
-            stored.generation = current.generation + 1
+            stored = clone_resource(resource, current.generation + 1)
             self._persist(stored)
             self._put(stored)
-            return clone_resource(stored)
+            return stored
 
     def keys(self, kind: str | None = None) -> list[str]:
         with self._lock:
@@ -235,12 +226,8 @@ class ResourceStore:
     def list(self, kind: str | None = None, namespace: str | None = None) -> list[Resource]:
         with self._lock:
             keys = sorted(self._resources) if kind is None else self._keys.get(kind, ())
-            out = []
-            for key in keys:
-                res = self._resources[key]
-                if namespace is None or res.namespace == namespace:
-                    out.append(clone_resource(res))
-            return out
+            found = [self._resources[key] for key in keys]
+        return found if namespace is None else [r for r in found if r.namespace == namespace]
 
     def trial_summary(self, namespace: str, experiment: str) -> TrialSummary:
         with self._lock:
@@ -272,14 +259,7 @@ class ResourceStore:
             trials = self._trials.get((resource.namespace, experiment))
             if trials is None:
                 trials = self._trials[resource.namespace, experiment] = _ExperimentTrials(experiment)
-            trials.put(
-                TrialRecord(
-                    name=resource.name,
-                    phase=resource.status.phase,
-                    assignments=resource.spec.assignments,
-                    observation=resource.status.observation,
-                )
-            )
+            trials.put(resource)
 
     def _update_live(self, resource: Resource) -> None:
         if resource.kind == KIND_TRIAL:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Sequence
 
 from ..errors import ExhaustedSearchSpace, MissingResourceReport
@@ -156,8 +157,15 @@ def suggest(request: SuggestionRequest) -> SuggestionResult:
                 idx += have
                 if have < expected:
                     # idx == len(produced) here, so the draw sees the whole request.
+                    # Its candidates carry no budget, so it dedupes against
+                    # budget-less keys.
+                    seen = chain(produced, (obs.assignments for obs in request.history))
+                    sub = replace(
+                        request,
+                        count=min(request.count, expected - have),
+                        produced_keys=frozenset(assignment_key(_strip_budget(a)) for a in seen),
+                    )
                     fresh: list[AssignmentSet] = []
-                    sub = replace(request, count=min(request.count, expected - have))
                     for cand in randomsearch.sample_batch(sub, salt=RNG_SALT):
                         fresh.append(_with_budget(cand, rung.resource))
                     return emit(fresh)

@@ -111,7 +111,7 @@ def test_resources_round_trip_through_their_documents():
             "ns",
             "exp",
             SuggestionSpec("exp", AlgorithmSpec("random", {"random_state": 3}), 4),
-            SuggestionStatus(2, [(("x", 0.5), ("o", "sgd"))], exhausted=False),
+            SuggestionStatus(2, ((("x", 0.5), ("o", "sgd")),), exhausted=False),
         ),
         Resource(
             KIND_TRIAL,

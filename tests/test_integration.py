@@ -70,7 +70,7 @@ def test_full_resource_lifecycle_walkthrough():
     assert suggestion.status.produced == 2
     trials = store.list(KIND_TRIAL)
     assert [t.name for t in trials] == ["exp-0000", "exp-0001"]
-    assert [t.spec.assignments for t in trials] == suggestion.status.pending
+    assert tuple(t.spec.assignments for t in trials) == suggestion.status.pending
     assert all(t.spec.run_spec is not None for t in trials)  # rendered
     assert all("ns/" + t.name in world.jobs for t in trials)  # submitted
 

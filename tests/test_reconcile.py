@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import make_experiment
@@ -104,9 +106,7 @@ def test_goal_met_transitions_to_succeeded():
     submit_experiment(store, spec)
     controller_step(ctx)
     trial = store.list(KIND_TRIAL)[0]
-    trial.status.phase = TrialPhase.SUCCEEDED
-    trial.status.observation = 0.992
-    store.update(trial)
+    store.update(replace(trial, status=replace(trial.status, phase=TrialPhase.SUCCEEDED, observation=0.992)))
     reconcile_experiment(ctx, "experiment/ns/exp")
     experiment = store.get("experiment/ns/exp")
     assert experiment.status.phase is ExperimentPhase.SUCCEEDED
@@ -123,13 +123,11 @@ def test_error_budget_tolerates_exactly_its_count():
     controller_step(ctx)
     trials = store.list(KIND_TRIAL)
     for trial in trials[:2]:
-        trial.status.phase = TrialPhase.FAILED
-        store.update(trial)
+        store.update(replace(trial, status=replace(trial.status, phase=TrialPhase.FAILED)))
     reconcile_experiment(ctx, "experiment/ns/exp")
     assert store.get("experiment/ns/exp").status.phase is ExperimentPhase.RUNNING
     third = store.get(trials[2].key)
-    third.status.phase = TrialPhase.FAILED
-    store.update(third)
+    store.update(replace(third, status=replace(third.status, phase=TrialPhase.FAILED)))
     reconcile_experiment(ctx, "experiment/ns/exp")
     experiment = store.get("experiment/ns/exp")
     assert experiment.status.phase is ExperimentPhase.FAILED
@@ -177,7 +175,7 @@ def test_spawn_respects_parallel_and_total_budget():
     assert len(trials) == 3  # parallel slots cap the first wave
     suggestion = store.get(resource_key(KIND_SUGGESTION, "ns", "exp"))
     assert suggestion.status.produced == 3
-    assert [t.spec.assignments for t in trials] == suggestion.status.pending
+    assert tuple(t.spec.assignments for t in trials) == suggestion.status.pending
 
 
 def test_grid_exhaustion_succeeds_with_full_cross_product():
@@ -390,8 +388,7 @@ def test_first_step_of_a_context_releases_services_of_finished_experiments():
     controller_step(ctx)
     assert "ns/svc-exp" in backend.world.jobs
     experiment = store.get("experiment/ns/exp")
-    experiment.status.phase = ExperimentPhase.FAILED
-    store.update(experiment)
+    store.update(replace(experiment, status=replace(experiment.status, phase=ExperimentPhase.FAILED)))
     assert store.live_keys("experiment") == []
 
     controller_step(ctx)  # this context has swept already: finished experiments are skipped
@@ -437,7 +434,7 @@ def test_a_step_killed_after_a_trial_create_resumes_without_counting_it_twice():
     assert status.total_spawned == 3
     assert status.trials_pending == 3
     suggestion = store.get(resource_key(KIND_SUGGESTION, "ns", "exp"))
-    assert [t.spec.assignments for t in trials] == suggestion.status.pending
+    assert tuple(t.spec.assignments for t in trials) == suggestion.status.pending
 
 
 def test_produced_reaches_the_algorithm_in_trial_index_order_past_index_9999(monkeypatch):
@@ -473,7 +470,7 @@ def test_produced_reaches_the_algorithm_in_trial_index_order_past_index_9999(mon
             namespace="ns",
             name="exp",
             spec=SuggestionSpec(experiment="exp", algorithm=spec.algorithm, requested=10_002),
-            status=SuggestionStatus(produced=10_001, pending=sets[9_999:]),
+            status=SuggestionStatus(produced=10_001, pending=tuple(sets[9_999:])),
         )
     )
 
@@ -481,7 +478,7 @@ def test_produced_reaches_the_algorithm_in_trial_index_order_past_index_9999(mon
     assert seen == [tuple(sets)]
     status = store.get("suggestion/ns/exp").status
     assert status.produced == 10_002
-    assert status.pending == [(("i", 10_000),), (("i", 10_001),)]  # exp-9999 exists: dropped
+    assert status.pending == ((("i", 10_000),), (("i", 10_001),))  # exp-9999 exists: dropped
 
     reconcile_experiment(ctx, "experiment/ns/exp")
     assert store.get("trial/ns/exp-10000").spec.assignments == (("i", 10_000),)

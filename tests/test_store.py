@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 import yaml
@@ -71,21 +72,26 @@ def test_update_increments_generation_and_detects_staleness():
     store.create(_experiment_resource())
     first = store.get("experiment/ns/exp")
     second = store.get("experiment/ns/exp")
-    first.status.phase = ExperimentPhase.RUNNING
-    updated = store.update(first)
+    updated = store.update(replace(first, status=replace(first.status, phase=ExperimentPhase.RUNNING)))
     assert updated.generation == 2
-    second.status.phase = ExperimentPhase.FAILED
-    with pytest.raises(CasConflictError):
-        store.update(second)  # stale generation
+    with pytest.raises(CasConflictError):  # stale generation
+        store.update(replace(second, status=replace(second.status, phase=ExperimentPhase.FAILED)))
 
 
-def test_get_returns_isolated_copies():
+def test_a_read_cannot_change_what_the_store_holds():
     store = ResourceStore()
-    store.create(_experiment_resource())
-    a = store.get("experiment/ns/exp")
-    a.status.phase = ExperimentPhase.FAILED
-    b = store.get("experiment/ns/exp")
-    assert b.status.phase is ExperimentPhase.CREATED
+    written = {resource.key: resource for resource in _resources_of_every_shape()}
+    for resource in written.values():
+        store.create(resource)
+    for key, resource in written.items():
+        read = store.get(key)
+        field = fields(read.status)[0].name
+        with pytest.raises(FrozenInstanceError):
+            setattr(read.status, field, None)
+        with pytest.raises(FrozenInstanceError):
+            read.generation = 7
+        stored = store.get(key)
+        assert stored == resource and stored.generation == 1
 
 
 def test_list_sorted_and_filtered():
@@ -110,9 +116,7 @@ def test_file_store_round_trip(tmp_path):
     )
     store.create(trial)
     got = store.get("trial/ns/exp-0000")
-    got.status.phase = TrialPhase.SUCCEEDED
-    got.status.observation = 0.0625
-    store.update(got)
+    store.update(replace(got, status=replace(got.status, phase=TrialPhase.SUCCEEDED, observation=0.0625)))
 
     reloaded = FileResourceStore(tmp_path)
     exp = reloaded.get("experiment/ns/exp")
@@ -129,14 +133,13 @@ def test_file_store_preserves_generations_across_reload(tmp_path):
     store = FileResourceStore(tmp_path)
     store.create(_experiment_resource())
     res = store.get("experiment/ns/exp")
-    res.status.phase = ExperimentPhase.RUNNING
-    store.update(res)
+    store.update(replace(res, status=replace(res.status, phase=ExperimentPhase.RUNNING)))
 
     reloaded = FileResourceStore(tmp_path)
     res2 = reloaded.get("experiment/ns/exp")
     assert res2.generation == 2
-    res2.status.phase = ExperimentPhase.SUCCEEDED
-    assert reloaded.update(res2).generation == 3
+    succeeded = replace(res2, status=replace(res2.status, phase=ExperimentPhase.SUCCEEDED))
+    assert reloaded.update(succeeded).generation == 3
 
 
 def _expected_index(store, namespace, experiment):
@@ -180,7 +183,7 @@ def _expected_index(store, namespace, experiment):
 def _index_of(store, namespace, experiment):
     summary = store.trial_summary(namespace, experiment)
     best = {
-        maximize: None if r is None else (r.name, r.observation, r.assignments)
+        maximize: None if r is None else (r.name, r.status.observation, r.spec.assignments)
         for maximize, r in ((False, summary.lowest), (True, summary.highest))
     }
     counts = (summary.pending, summary.running, summary.succeeded, summary.failed, summary.spawned)
@@ -242,8 +245,7 @@ def test_indexes_match_a_recomputation_after_every_write(tmp_path_factory, write
     for write in writes:
         if len(write) == 2:
             experiment = store.get(f"{KIND_EXPERIMENT}/ns/{write[0]}")
-            experiment.status.phase = write[1]
-            store.update(experiment)
+            store.update(replace(experiment, status=replace(experiment.status, phase=write[1])))
         else:
             experiment, index, phase, observation = write
             name = f"{experiment}-{index}"
@@ -256,9 +258,7 @@ def test_indexes_match_a_recomputation_after_every_write(tmp_path_factory, write
                     status=TrialStatus(),
                 )
             )
-            trial.status.phase = phase
-            trial.status.observation = observation
-            store.update(trial)
+            store.update(replace(trial, status=replace(trial.status, phase=phase, observation=observation)))
         _assert_indexes(store)
     _assert_indexes(FileResourceStore(path))  # loading rebuilds the same indexes
 
@@ -298,7 +298,7 @@ def _resources_of_every_shape():
         namespace="ns",
         name="exp",
         spec=SuggestionSpec(experiment="exp", algorithm=AlgorithmSpec("random", {"random_state": 7}), requested=6),
-        status=SuggestionStatus(produced=6, pending=produced[3:]),
+        status=SuggestionStatus(produced=6, pending=tuple(produced[3:])),
     )
     trials = []
     for i, phase in enumerate(TrialPhase):
@@ -351,8 +351,8 @@ def test_journal_round_trip_through_compaction(tmp_path):
         store.create(resource)
     for key in store.keys(KIND_TRIAL)[:3]:
         trial = store.get(key)
-        trial.status.restart_count += 1
-        store.update(store.update(trial))
+        restarted = replace(trial, status=replace(trial.status, restart_count=trial.status.restart_count + 1))
+        store.update(store.update(restarted))
     written = store.list()
     assert len(_journal_lines(tmp_path)) == len(written) + 6
 
@@ -370,8 +370,7 @@ def test_journal_round_trip_through_compaction(tmp_path):
 
     # The compacted store takes writes again, on a journal of its own.
     trial = store.get(store.keys(KIND_TRIAL)[0])
-    trial.status.reason = "after compaction"
-    store.update(trial)
+    store.update(replace(trial, status=replace(trial.status, reason="after compaction")))
     assert len(_journal_lines(tmp_path)) == len(written) + 1
     assert FileResourceStore(tmp_path).list() == store.list()
 
@@ -383,8 +382,7 @@ def _write_sequence(store):
         yield store.list()
     for key in store.keys(KIND_TRIAL):
         trial = store.get(key)
-        trial.status.job_attempt += 1
-        store.update(trial)
+        store.update(replace(trial, status=replace(trial.status, job_attempt=trial.status.job_attempt + 1)))
         yield store.list()
 
 
@@ -486,9 +484,13 @@ def test_trial_history_reads_budgets_and_follows_a_rewritten_trial():
                 status=TrialStatus(),
             )
         )
-        trial.spec.assignments = assignments
-        trial.status.phase, trial.status.observation = phase, observation
-        store.update(trial)
+        store.update(
+            replace(
+                trial,
+                spec=replace(trial.spec, assignments=assignments),
+                status=replace(trial.status, phase=phase, observation=observation),
+            )
+        )
 
     write(1, sets[1], TrialPhase.FAILED)  # out of index order
     write(0, sets[0], TrialPhase.SUCCEEDED, 0.5)

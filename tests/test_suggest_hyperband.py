@@ -207,6 +207,21 @@ def test_full_schedule_runs_to_exhaustion_with_expected_volume():
     assert expected_first_rungs[0] == oracle[0][0][0]
 
 
+def test_new_configurations_do_not_repeat_at_a_budget():
+    # 40 values: small enough that the draws of a full schedule collide
+    # unless the produced sets are compared without their budgets.
+    spec = make_experiment(
+        [ParameterSpec("x", ParameterType.INT, Range(0, 39))],
+        algorithm="hyperband",
+        settings={"max_resource": 9, "eta": 3, "random_state": 3},
+        parallel=4,
+        max_trials=100,
+    )
+    emitted, _ = _drive_to_exhaustion(spec)
+    pairs = [assignment_key(s) for s in emitted]  # (configuration, budget)
+    assert len(pairs) == len(set(pairs))
+
+
 def test_restart_reconstruction_resumes_identically():
     # The schedule position is re-derived from (produced, history) on every
     # call, so a restart that rebuilds both from their stored form mid-schedule
