@@ -62,6 +62,9 @@ class LocalProcessBackend(ExecutionBackend):
         self._base_env = env
         self._lock = threading.Lock()
         self._jobs: dict[str, _LocalJob] = {}
+        # Set by an output reader once its trainer has exited, to cut
+        # ``advance``'s wait short.
+        self._exited = threading.Event()
 
     def submit(
         self,
@@ -120,6 +123,8 @@ class LocalProcessBackend(ExecutionBackend):
                 push.feed(job.handle, line)
         if push is not None:
             push.close(job.handle)
+        job.process.wait()
+        self._exited.set()
 
     def job_state(self, handle: str) -> JobState:
         with self._lock:
@@ -163,8 +168,10 @@ class LocalProcessBackend(ExecutionBackend):
         pass
 
     def advance(self, controller_step: Callable[[], int]) -> None:
+        """Step, then wait until a trainer exits or ``poll_interval`` passes."""
+        self._exited.clear()
         controller_step()
-        time.sleep(self.poll_interval)
+        self._exited.wait(self.poll_interval)
 
     def emit_event(self, kind: str, payload: dict) -> None:
         pass

@@ -16,6 +16,12 @@ holds ``count`` sets not produced or observed before.
 
 With too little history, or when every fit attempt fails numerically, the
 batch falls back to random sampling.
+
+The only scipy modules BO imports are ``scipy.linalg`` (the Cholesky solves)
+and ``scipy.special`` (``ndtr`` for the normal cdf). The Sobol pool, and so
+the BO suggestion stream, is defined by the numpy port in ``sobol``, which
+reads the direction numbers scipy ships; it matches
+``scipy.stats.qmc.Sobol`` bit for bit, but no longer depends on it.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import math
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.stats import norm, qmc
+from scipy.special import ndtr
 
 from ..resources import ObjectiveType
 from .registry import (
@@ -39,6 +45,7 @@ from .registry import (
     assignment_key,
 )
 from . import randomsearch
+from .sobol import scrambled_sobol
 from .space import decode_unit_vector, encode_assignments, encode_unit_matrix, request_rng
 
 logger = logging.getLogger(__name__)
@@ -101,7 +108,9 @@ def fit_gp(x: np.ndarray, y: np.ndarray) -> GaussianProcess | None:
 
 def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float) -> np.ndarray:
     z = (best - mean) / std
-    return (best - mean) * norm.cdf(z) + std * norm.pdf(z)
+    # The standard normal pdf in scipy.stats' own form, so EI keeps its bits.
+    pdf = np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi)
+    return (best - mean) * ndtr(z) + std * pdf
 
 
 def _succeeded(history: tuple[TrialObservation, ...]) -> list[TrialObservation]:
@@ -111,8 +120,7 @@ def _succeeded(history: tuple[TrialObservation, ...]) -> list[TrialObservation]:
 def _candidate_pool(request: SuggestionRequest) -> np.ndarray:
     """The Sobol points of the unit hypercube, one row per candidate."""
     rng = request_rng(request, len(request.produced), salt=RNG_SALT)
-    sampler = qmc.Sobol(d=len(request.experiment.parameters), scramble=True, seed=rng)
-    return sampler.random(CANDIDATE_POOL)
+    return scrambled_sobol(len(request.experiment.parameters), CANDIDATE_POOL, rng)
 
 
 def suggest(request: SuggestionRequest) -> SuggestionResult:

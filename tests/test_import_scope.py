@@ -1,5 +1,5 @@
 """Cold commands import only what they use: scipy loads for BO alone, and
-numpy only for the commands that run trials."""
+never scipy.stats, and numpy only for the commands that run trials."""
 
 from __future__ import annotations
 
@@ -71,3 +71,13 @@ def test_get_algorithm_imports_scipy_only_for_bayesian_optimization(tmp_path, na
         "print('scipy' in sys.modules)\n"
     )
     assert _python(code, cwd=tmp_path) == str(loads_scipy)
+
+
+def test_bayesian_optimization_leaves_scipy_stats_unloaded(tmp_path):
+    code = (
+        "import sys\n"
+        "from tunectl.suggest import get_algorithm\n"
+        "get_algorithm('bayesianoptimization')\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    assert _python(code, cwd=tmp_path) == "False"

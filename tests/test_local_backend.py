@@ -221,3 +221,27 @@ def test_close_stops_running_trainers_and_their_children():
     assert not any(job.reader.is_alive() for job in jobs)
     assert backend.job_state("ns/sleeper").phase is JobPhase.FAILED_PERMANENT
     backend.close()  # a second close is a no-op
+
+
+def test_a_step_wakes_when_its_trainer_exits_instead_of_sleeping_the_poll_interval():
+    backend = LocalProcessBackend(InMemoryObservationStore(), poll_interval=2.0)
+
+    def step():
+        _submit_command(backend, "quick", "true")
+        return 1
+
+    started = time.monotonic()
+    backend.advance(step)
+    assert time.monotonic() - started < 1.0
+    assert backend.job_state("ns/quick").phase is JobPhase.SUCCEEDED
+    backend.close()
+
+
+def test_a_step_after_an_earlier_exit_still_waits_the_poll_interval():
+    backend = LocalProcessBackend(InMemoryObservationStore(), poll_interval=0.2)
+    _submit_command(backend, "early", "true")
+    backend._jobs["ns/early"].reader.join(timeout=5.0)
+    started = time.monotonic()
+    backend.advance(lambda: 0)
+    assert time.monotonic() - started >= 0.2
+    backend.close()
