@@ -12,6 +12,12 @@ number in ``TUNECTL_RESTART_COUNT``.
 
 Each trainer runs in a session (and process group) of its own, so closing
 the backend can stop it together with any children it started.
+
+A trainer concludes once it has exited and its output is all read; a
+grandchild that holds the pipe open keeps it running until then. A trainer
+started during a controller step stays running for the rest of that step,
+so a trainer that exits at once cannot be restarted again and again within
+one step: as on the simulator, a job's phase changes only between steps.
 """
 
 from __future__ import annotations
@@ -46,6 +52,8 @@ class _LocalJob:
     failed_reason: str | None = None
     spawn_failed: bool = False
     collected: bool = False
+    finished: bool = False  # exited with its output all read; under the lock
+    step: int | None = None  # the controller step it was started in
 
 
 class LocalProcessBackend(ExecutionBackend):
@@ -65,6 +73,11 @@ class LocalProcessBackend(ExecutionBackend):
         # Set by an output reader once its trainer has exited, to cut
         # ``advance``'s wait short.
         self._exited = threading.Event()
+        self._changed: set[str] = set()  # handles for ``changed_jobs``, under the lock
+        # The controller step under way, if any: one begins when the
+        # controller drains ``changed_jobs`` and ends with ``advance``.
+        self._step: int | None = None
+        self._steps = 0
 
     def submit(
         self,
@@ -79,7 +92,9 @@ class LocalProcessBackend(ExecutionBackend):
         command = run_spec.resolved_payload
         if not isinstance(command, str):
             raise InvalidPayloadError("the local backend runs 'local-process' trial templates only")
-        job = _LocalJob(handle=handle, collector=collector_kind, watched=tuple(watched_metrics))
+        job = _LocalJob(
+            handle=handle, collector=collector_kind, watched=tuple(watched_metrics), step=self._step
+        )
         env = dict(self._base_env if self._base_env is not None else os.environ)
         env.update(
             {
@@ -115,39 +130,48 @@ class LocalProcessBackend(ExecutionBackend):
 
     def _read_stdout(self, job: _LocalJob, push: PushEndpoint | None) -> None:
         assert job.process is not None and job.process.stdout is not None
-        for raw in job.process.stdout:
-            line = raw.decode("utf-8", errors="replace")
-            with self._lock:
-                job.log.append(line.rstrip("\n"))
+        try:
+            for raw in job.process.stdout:
+                line = raw.decode("utf-8", errors="replace")
+                with self._lock:
+                    job.log.append(line.rstrip("\n"))
+                if push is not None:
+                    push.feed(job.handle, line)
             if push is not None:
-                push.feed(job.handle, line)
-        if push is not None:
-            push.close(job.handle)
-        job.process.wait()
-        self._exited.set()
+                push.close(job.handle)
+        finally:
+            # The trial's only wake-up, even if ingestion failed.
+            job.process.wait()
+            with self._lock:
+                job.finished = True
+                self._changed.add(job.handle)
+            self._exited.set()
 
     def job_state(self, handle: str) -> JobState:
         with self._lock:
             job = self._jobs.get(handle)
+            finished = job is not None and job.finished
         if job is None:
             return JobState(phase=JobPhase.MISSING)
         if job.spawn_failed:
             return JobState(phase=JobPhase.FAILED_PERMANENT, reason=job.failed_reason)
-        assert job.process is not None
-        code = job.process.poll()
-        if code is None:
+        if not finished or (job.step is not None and job.step == self._step):
             return JobState(phase=JobPhase.RUNNING)
-        if job.reader is not None and job.reader.is_alive():
-            # The full log must be visible before completion; a grandchild
-            # holding the pipe open must not wedge the control loop.
-            job.reader.join(timeout=5.0)
-            if job.reader.is_alive():
-                return JobState(phase=JobPhase.RUNNING)
+        code = job.process.returncode
         if code == 0:
             return JobState(phase=JobPhase.SUCCEEDED)
         if code in self.temporary_exit_codes:
             return JobState(phase=JobPhase.FAILED_TEMPORARY, reason=f"exit code {code} (temporary)")
         return JobState(phase=JobPhase.FAILED_PERMANENT, reason=f"exit code {code}")
+
+    def changed_jobs(self) -> set[str]:
+        """The trainers that finished since the last call, which begins a
+        controller step."""
+        self._steps += 1
+        self._step = self._steps
+        with self._lock:
+            changed, self._changed = self._changed, set()
+        return changed
 
     def collect_metrics(self, handle: str) -> None:
         with self._lock:
@@ -170,7 +194,10 @@ class LocalProcessBackend(ExecutionBackend):
     def advance(self, controller_step: Callable[[], int]) -> None:
         """Step, then wait until a trainer exits or ``poll_interval`` passes."""
         self._exited.clear()
-        controller_step()
+        try:
+            controller_step()
+        finally:
+            self._step = None
         self._exited.wait(self.poll_interval)
 
     def emit_event(self, kind: str, payload: dict) -> None:

@@ -94,14 +94,16 @@ def eval_sim_objective(
     descriptor: SimObjectiveDescriptor,
     assignments: tuple[tuple[str, Any], ...],
     progress_fraction: float,
-    rng: np.random.Generator,
+    rng: Callable[[], np.random.Generator],
 ) -> float:
-    """Deterministic base value plus seeded Gaussian noise."""
+    """Deterministic base value plus seeded Gaussian noise. ``rng`` builds
+    the noise generator; it is called only when the descriptor has noise,
+    so a noiseless point builds none."""
     try:
         fn = SIM_FUNCTIONS[descriptor.function_name]
     except KeyError:
         raise ValueError(f"unknown simulated objective '{descriptor.function_name}'") from None
     value = fn(dict(assignments), progress_fraction)
     if descriptor.noise_std_dev > 0:
-        value += descriptor.noise_std_dev * float(rng.standard_normal())
+        value += descriptor.noise_std_dev * float(rng().standard_normal())
     return value

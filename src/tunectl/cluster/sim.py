@@ -345,10 +345,14 @@ class SimWorld:
     def _emit_metric(self, job: SimJob, progress: float) -> None:
         if job.descriptor is None or not job.watched:
             return
-        rng = _derived_rng(
-            self.seed, _name_entropy(job.name), job.descriptor.rng_seed_offset, METRIC_SALT, self.tick
+        value = eval_sim_objective(
+            job.descriptor,
+            job.assignments,
+            progress,
+            lambda: _derived_rng(
+                self.seed, _name_entropy(job.name), job.descriptor.rng_seed_offset, METRIC_SALT, self.tick
+            ),
         )
-        value = eval_sim_objective(job.descriptor, job.assignments, progress, rng)
         metric = job.watched[0]
         if job.collector is CollectorKind.PUSH:
             assert self.metrics is not None
@@ -581,6 +585,7 @@ class SimBackend(ExecutionBackend):
         self._pending_events: list[str] = []  # emitted since the last write
         self._events_offset = 0  # the event log's size at the last persist
         self._live: set[str] | None = None  # live jobs at the last persist; None before a full snapshot
+        self._reported: dict[str, JobPhase] = {}  # live trial jobs' phases at the last changed_jobs
         if state_dir is not None:
             # World files first: a kill part way leaves no world.json, and so a fresh start again.
             self._open_state(Path(state_dir))
@@ -702,6 +707,22 @@ class SimBackend(ExecutionBackend):
 
     def job_state(self, handle: str) -> JobState:
         return self.world.job_state(handle)
+
+    def changed_jobs(self) -> list[str]:
+        """The trial jobs live now or at the last call whose phase differs
+        from the one recorded then; a job that turned live counts as
+        changed."""
+        jobs, reported = self.world.jobs, self._reported
+        changed, self._reported = [], {}
+        for name in reported.keys() | self.world.live_jobs:
+            job = jobs.get(name)
+            if job is None or job.kind != "trial":
+                continue
+            if reported.get(name) is not job.phase:
+                changed.append(name)
+            if job.phase in LIVE_PHASES:
+                self._reported[name] = job.phase
+        return changed
 
     def collect_metrics(self, handle: str) -> None:
         job = self.world.jobs.get(handle)

@@ -8,7 +8,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..resources import CollectorKind, TrialRunSpec, TrialTemplate
 
@@ -45,6 +45,20 @@ class ExecutionBackend(ABC):
     @abstractmethod
     def job_state(self, handle: str) -> JobState:
         ...
+
+    @abstractmethod
+    def changed_jobs(self) -> Iterable[str]:
+        """The handles of the jobs whose phase may have changed since the
+        last call. The controller reconciles only the trials it is told
+        about (besides the ones written since), so a backend must report
+        every trial job whose ``job_state`` would now read differently; a
+        handle reported without a change costs one idle reconcile.
+
+        The controller drains this at the start of each step, so a job's
+        phase must not change within a step: a job submitted during a step
+        reads as pending or running until the step ends. Otherwise a job
+        that fails at once could be restarted without end inside one step.
+        """
 
     @abstractmethod
     def collect_metrics(self, handle: str) -> None:

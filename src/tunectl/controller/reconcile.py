@@ -6,14 +6,25 @@ the same state is a no-op the second time. A controller step runs the
 reconcilers in passes, kind by kind (experiments, suggestions, trials) and in
 key order within a kind, repeating while a pass mutates anything.
 
-The first pass of a context's first step visits every resource, so a resumed
-run still releases the services of experiments that are already terminal.
-Every later pass visits only the store's live keys: resources whose
-reconciler can still act. A terminal resource has no side effect after its
-first terminal reconcile, so skipping it changes neither the mutations nor
-the order of events, and a step costs time in proportion to the live trials.
-The experiment and suggestion controllers read their trials through the
-store's per-experiment trial index rather than by listing the namespace.
+A pass visits only the keys in the context's work queue, its ``dirty`` set,
+which starts as every key in the store, so a resumed run still releases the
+services of experiments that are already terminal. Three sources put a key
+back in the queue:
+
+- a store write: the written key, its experiment and its suggestion;
+- the backend: a trial whose job changed phase (``changed_jobs``), drained
+  at the start of each step;
+- a retry: a CAS conflict, an error out of a reconciler, a submit that stays
+  pending and an algorithm error requeue their key for the next pass.
+
+A pass takes each kind's queued keys when the kind's loop starts, so a key
+queued later joins the next pass. A step ends with a pass that writes
+nothing, and it does end: a backend's job phases change only between steps,
+so a trial restarts at most once a step. Every other key would reconcile to
+a no-op, so skipping it changes neither the mutations nor the order of
+events, and a step costs time in proportion to what changed. The experiment and suggestion
+controllers read their trials through the store's per-experiment trial index
+rather than by listing the namespace.
 
 Budget semantics: an experiment spawns at most ``maxTrialCount`` trials and
 keeps at most ``parallelTrialCount`` in flight; it succeeds when the goal is
@@ -74,7 +85,6 @@ from .store import ResourceStore, TrialSummary
 logger = logging.getLogger(__name__)
 
 SERVICE_CPU = 0.5
-CONTROLLER_STEP_PASS_CAP = 12
 REASON_METRICS_UNAVAILABLE = "metrics-unavailable"
 
 
@@ -83,14 +93,22 @@ class ControllerContext:
     store: ResourceStore
     metrics: ObservationStore
     backend: ExecutionBackend
-    on_mutation: Callable[[], None] | None = None
-    # Set once the first pass has visited every resource; later passes
-    # visit only the live ones.
-    swept: bool = field(default=False, init=False)
+    # The work queue: keys the next pass reconciles.
+    dirty: set[str] = field(init=False)
 
-    def mutated(self) -> None:
-        if self.on_mutation is not None:
-            self.on_mutation()
+    def __post_init__(self) -> None:
+        self.dirty = set(self.store.keys())
+        self.store.watchers.append(self._written)
+
+    def _written(self, resource: Resource) -> None:
+        experiment = resource.name if resource.kind == KIND_EXPERIMENT else resource.spec.experiment
+        self.dirty.update(
+            (
+                resource.key,
+                resource_key(KIND_EXPERIMENT, resource.namespace, experiment),
+                resource_key(KIND_SUGGESTION, resource.namespace, experiment),
+            )
+        )
 
 
 def job_handle(namespace: str, trial_name: str) -> str:
@@ -162,11 +180,9 @@ def reconcile_experiment(ctx: ControllerContext, key: str) -> int:
                 status=SuggestionStatus(),
             )
         )
-        ctx.mutated()
         mutations += 1
     elif target > suggestion.spec.requested:
         suggestion = ctx.store.update(replace(suggestion, spec=replace(suggestion.spec, requested=target)))
-        ctx.mutated()
         mutations += 1
 
     # Spawn trials from the pending sets while budget remains. Set i becomes
@@ -185,7 +201,6 @@ def reconcile_experiment(ctx: ControllerContext, key: str) -> int:
                 status=TrialStatus(),
             )
         )
-        ctx.mutated()
         mutations += 1
         spawned += 1
         active += 1
@@ -214,7 +229,6 @@ def reconcile_experiment(ctx: ControllerContext, key: str) -> int:
     )
     if new_status != experiment.status:
         ctx.store.update(replace(experiment, status=new_status))
-        ctx.mutated()
         mutations += 1
     if phase in TERMINAL_EXPERIMENT:
         ctx.backend.release_service(spec.namespace, service_name_for(spec.name))
@@ -265,10 +279,10 @@ def reconcile_suggestion(ctx: ControllerContext, key: str) -> int:
         result = get_suggestions(request)
     except ExhaustedSearchSpace:
         ctx.store.update(replace(suggestion, status=replace(status, exhausted=True)))
-        ctx.mutated()
         return 1
     except TunectlError as exc:
         logger.warning("suggestion %s: algorithm error, will retry: %s", key, exc)
+        ctx.dirty.add(key)
         return 0
 
     if not result.assignment_sets and not result.exhausted:
@@ -279,7 +293,6 @@ def reconcile_suggestion(ctx: ControllerContext, key: str) -> int:
         exhausted=result.exhausted,
     )
     ctx.store.update(replace(suggestion, status=status))
-    ctx.mutated()
     return 1
 
 
@@ -318,6 +331,7 @@ def reconcile_trial(ctx: ControllerContext, key: str) -> int:
             return replace(status, phase=TrialPhase.FAILED, reason=str(exc))
         except TunectlError as exc:
             logger.warning("trial %s: submit failed, staying pending: %s", key, exc)
+            ctx.dirty.add(key)
             return _with_phase(status, TrialPhase.PENDING)
         return replace(
             status, phase=TrialPhase.PENDING, restart_count=restart_count, job_attempt=status.job_attempt + 1
@@ -356,7 +370,6 @@ def reconcile_trial(ctx: ControllerContext, key: str) -> int:
     if status is trial.status and trial_spec is trial.spec:
         return 0
     ctx.store.update(replace(trial, spec=trial_spec, status=status))
-    ctx.mutated()
     return 1
 
 
@@ -375,30 +388,39 @@ _RECONCILERS = {
 def controller_step(ctx: ControllerContext) -> int:
     """One scheduler step: reconcile until quiescent.
 
-    Resources are visited round-robin in key order (experiments, then
-    suggestions, then trials by key), repeating while mutations occur so a
-    fresh suggestion flows into spawned, submitted trials within one step.
-    Each kind's keys are read when its loop starts: every key on the
-    context's first pass, the live keys after that.
+    First the trials whose jobs changed phase join the work queue. Then each
+    pass visits the queued keys kind by kind (experiments, then suggestions,
+    then trials), in key order, taking a kind's keys when its loop starts, so
+    a fresh suggestion flows into spawned, submitted trials within one step.
+    The step ends with a pass that mutates nothing; a key still queued then
+    waits for the next step.
     """
+    # Only a backend whose jobs conclude before the controller next reads
+    # them may lack the hook (one that duck-types ExecutionBackend); it
+    # reports no change.
+    for handle in getattr(ctx.backend, "changed_jobs", tuple)():
+        namespace, _, name = handle.partition("/")
+        ctx.dirty.add(resource_key(KIND_TRIAL, namespace, name))
     total = 0
-    for _ in range(CONTROLLER_STEP_PASS_CAP):
+    while True:
         mutations = 0
-        keys_of = ctx.store.live_keys if ctx.swept else ctx.store.keys
-        ctx.swept = True
         for kind in (KIND_EXPERIMENT, KIND_SUGGESTION, KIND_TRIAL):
+            prefix = kind + "/"
+            keys = sorted(key for key in ctx.dirty if key.startswith(prefix))
+            ctx.dirty.difference_update(keys)
             reconciler = _RECONCILERS[kind]
-            for key in keys_of(kind):
+            for key in keys:
                 try:
                     mutations += reconciler(ctx, key)
                 except CasConflictError:
                     logger.debug("CAS conflict on %s; retrying next pass", key)
+                    ctx.dirty.add(key)
                 except TunectlError as exc:
                     logger.warning("reconcile %s failed (will retry): %s", key, exc)
+                    ctx.dirty.add(key)
         total += mutations
         if mutations == 0:
-            break
-    return total
+            return total
 
 
 def all_experiments_terminal(store: ResourceStore) -> bool:
@@ -429,35 +451,44 @@ def run_control_loop(
     to the same terminal phases. A backend that has already advanced (a
     resumed world) goes on with its next tick without the bootstrap step:
     the store may hold writes of a tick the world did not persist, and a
-    bootstrap would act on them a scheduling pass early. Returns the
-    terminal snapshot.
+    bootstrap would act on them a scheduling pass early. ``on_mutation``
+    is called after each store write until the loop returns; the loop
+    leaves no watcher on the store. Returns the terminal snapshot.
     """
-    ctx = ControllerContext(store=store, metrics=metrics, backend=backend, on_mutation=on_mutation)
-    # A backend that only duck-types ExecutionBackend may lack the hook; it
-    # keeps no clock, so it has not advanced.
-    if not getattr(backend, "has_advanced", lambda: False)():
-        controller_step(ctx)  # bootstrap: create suggestions/trials before time moves
+    ctx = ControllerContext(store=store, metrics=metrics, backend=backend)
+    watchers = [ctx._written]  # removed from the store when the loop ends
+    if on_mutation is not None:
+        watchers.append(lambda _written: on_mutation())
+        store.watchers.append(watchers[-1])
     ticks = 0
-    while not all_experiments_terminal(store):
-        if ticks >= max_ticks:
-            logger.warning("control loop stopped at max_ticks=%d before termination", max_ticks)
-            break
-        backend.advance(lambda: controller_step(ctx))
-        ticks += 1
-        for e in store.list(KIND_EXPERIMENT):
-            backend.emit_event(
-                "experiment-stats",
-                {
-                    "experiment": e.name,
-                    "namespace": e.namespace,
-                    "phase": e.status.phase.value,
-                    "running": e.status.trials_running,
-                    "pending": e.status.trials_pending,
-                    "succeeded": e.status.trials_succeeded,
-                    "failed": e.status.trials_failed,
-                    "spawned": e.status.total_spawned,
-                },
-            )
-        if stop is not None and stop(ticks):
-            break
+    try:
+        # A backend that only duck-types ExecutionBackend may lack the hook;
+        # it keeps no clock, so it has not advanced.
+        if not getattr(backend, "has_advanced", lambda: False)():
+            controller_step(ctx)  # bootstrap: create suggestions/trials before time moves
+        while not all_experiments_terminal(store):
+            if ticks >= max_ticks:
+                logger.warning("control loop stopped at max_ticks=%d before termination", max_ticks)
+                break
+            backend.advance(lambda: controller_step(ctx))
+            ticks += 1
+            for e in store.list(KIND_EXPERIMENT):
+                backend.emit_event(
+                    "experiment-stats",
+                    {
+                        "experiment": e.name,
+                        "namespace": e.namespace,
+                        "phase": e.status.phase.value,
+                        "running": e.status.trials_running,
+                        "pending": e.status.trials_pending,
+                        "succeeded": e.status.trials_succeeded,
+                        "failed": e.status.trials_failed,
+                        "spawned": e.status.total_spawned,
+                    },
+                )
+            if stop is not None and stop(ticks):
+                break
+    finally:
+        for watcher in watchers:
+            store.watchers.remove(watcher)
     return terminal_snapshot(store, ticks)

@@ -18,12 +18,14 @@ any point: at worst the last record is cut short, and that torn line is
 skipped on load. Nothing calls ``fsync``, so a power loss can lose records
 the operating system had not yet written back.
 
+Every write calls the store's watchers with the stored resource once the
+write is done; loading a store calls none. A controller watches the store to
+learn which keys it must reconcile again.
+
 Every write also keeps two derived indexes current (loading rebuilds them),
 so the controllers read what they need without scanning every resource:
 
-- the sorted keys of each kind, and the sorted *live* keys: experiments and
-  trials not yet in a terminal phase, and suggestions whose experiment is
-  not (a suggestion is named after its experiment);
+- the sorted keys of each kind;
 - per (namespace, experiment), its stored trials and a summary of them:
   phase counts and the best succeeded trial in each direction; and what the
   suggestion controller hands the algorithm: the trials' assignments in
@@ -41,17 +43,14 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from ..codec import Journal, from_doc, json_default
 from ..errors import CasConflictError, ResourceExistsError, TunectlError
 from ..resources import BUDGET_PARAMETER
 from ..suggest.registry import AssignmentSet, ObservationStatus, TrialObservation, assignment_key
 from .model import (
-    KIND_EXPERIMENT,
-    KIND_SUGGESTION,
     KIND_TRIAL,
-    TERMINAL_EXPERIMENT,
-    TERMINAL_TRIAL,
     Resource,
     TrialPhase,
     clone_resource,
@@ -183,8 +182,9 @@ class ResourceStore:
         self._lock = threading.Lock()
         self._resources: dict[str, Resource] = {}
         self._keys: dict[str, list[str]] = {}  # kind -> sorted keys
-        self._live: dict[str, list[str]] = {}  # kind -> sorted live keys
         self._trials: dict[tuple[str, str], _ExperimentTrials] = {}
+        # Called with each stored resource after its create or update.
+        self.watchers: list[Callable[[Resource], None]] = []
 
     def create(self, resource: Resource) -> Resource:
         with self._lock:
@@ -193,7 +193,9 @@ class ResourceStore:
             stored = clone_resource(resource, 1)
             self._persist(stored)
             self._put(stored)
-            return stored
+        for watcher in self.watchers:
+            watcher(stored)
+        return stored
 
     def get(self, key: str) -> Resource | None:
         return self._resources.get(key)
@@ -212,16 +214,13 @@ class ResourceStore:
             stored = clone_resource(resource, current.generation + 1)
             self._persist(stored)
             self._put(stored)
-            return stored
+        for watcher in self.watchers:
+            watcher(stored)
+        return stored
 
     def keys(self, kind: str | None = None) -> list[str]:
         with self._lock:
             return sorted(self._resources) if kind is None else list(self._keys.get(kind, ()))
-
-    def live_keys(self, kind: str) -> list[str]:
-        """Sorted keys of the resources of ``kind`` that can still change."""
-        with self._lock:
-            return list(self._live.get(kind, ()))
 
     def list(self, kind: str | None = None, namespace: str | None = None) -> list[Resource]:
         with self._lock:
@@ -247,37 +246,12 @@ class ResourceStore:
         if key not in self._resources:
             bisect.insort(self._keys.setdefault(resource.kind, []), key)
         self._resources[key] = resource
-        self._update_live(resource)
-        if resource.kind == KIND_EXPERIMENT:
-            suggestion = self._resources.get(
-                resource_key(KIND_SUGGESTION, resource.namespace, resource.name)
-            )
-            if suggestion is not None:
-                self._update_live(suggestion)
-        elif resource.kind == KIND_TRIAL:
+        if resource.kind == KIND_TRIAL:
             experiment = resource.spec.experiment
             trials = self._trials.get((resource.namespace, experiment))
             if trials is None:
                 trials = self._trials[resource.namespace, experiment] = _ExperimentTrials(experiment)
             trials.put(resource)
-
-    def _update_live(self, resource: Resource) -> None:
-        if resource.kind == KIND_TRIAL:
-            live = resource.status.phase not in TERMINAL_TRIAL
-        else:
-            experiment = resource
-            if resource.kind == KIND_SUGGESTION:
-                experiment = self._resources.get(
-                    resource_key(KIND_EXPERIMENT, resource.namespace, resource.spec.experiment)
-                )
-            live = experiment is None or experiment.status.phase not in TERMINAL_EXPERIMENT
-        keys = self._live.setdefault(resource.kind, [])
-        i = bisect.bisect_left(keys, resource.key)
-        present = i < len(keys) and keys[i] == resource.key
-        if live and not present:
-            keys.insert(i, resource.key)
-        elif present and not live:
-            del keys[i]
 
     def _persist(self, resource: Resource) -> None:
         pass

@@ -64,6 +64,43 @@ def test_echo_metric_script_succeeds():
     assert trial.status.observation == 0.9
 
 
+def test_a_trainer_whose_child_holds_its_output_open_still_concludes():
+    # The shell exits at once, but its background child keeps the output
+    # pipe open for a second: until then the trial reads Running, and the
+    # controller must look at it again once the output is all read.
+    spec = _local_experiment("sh -c 'echo 1 accuracy=0.5; sleep 1 & exit 0'", max_trials=1, parallel=1)
+    snapshot, store, _ = _run(spec)
+    assert snapshot["experiments"]["experiment/ns/exp"]["phase"] == "Succeeded"
+    assert store.list(KIND_TRIAL)[0].status.phase is TrialPhase.SUCCEEDED
+
+
+def test_trainers_that_fail_at_once_are_restarted_at_most_once_a_step():
+    # Nothing limits restarts, so the experiment never ends; each controller
+    # step must still end, and restarts each trial at most once.
+    spec = _local_experiment(
+        "sh -c 'exit 75'", parallel=3, max_trials=3, restart=RestartPolicy.ON_TEMPORARY_FAILURE
+    )
+    store, metrics = ResourceStore(), InMemoryObservationStore()
+    backend = LocalProcessBackend(metrics, poll_interval=0.005)
+    submit_experiment(store, spec)
+    writes = []
+
+    def count_write():
+        writes.append(1)
+        if len(writes) > 1000:
+            raise AssertionError("a controller step did not end")
+
+    try:
+        snapshot = run_control_loop(store, metrics, backend, max_ticks=20, on_mutation=count_write)
+    finally:
+        backend.close()
+    assert snapshot["ticks"] == 20
+    trials = store.list(KIND_TRIAL)
+    assert len(trials) == 3
+    assert all(t.status.restart_count <= 20 for t in trials)
+    assert max(t.status.restart_count for t in trials) > 1
+
+
 def test_hyperparameters_reach_command_line(tmp_path):
     script = tmp_path / "train.py"
     script.write_text(

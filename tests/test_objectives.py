@@ -15,7 +15,7 @@ from tunectl.resources import SimObjectiveDescriptor
 
 
 def _rng(seed=0):
-    return np.random.default_rng(seed)
+    return lambda: np.random.default_rng(seed)
 
 
 def test_sphere_zero_at_origin_full_progress():

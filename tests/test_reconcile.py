@@ -21,11 +21,13 @@ from tunectl.controller.model import (
     resource_key,
 )
 from tunectl.controller.reconcile import (
+    SERVICE_CPU,
     ControllerContext,
     controller_step,
     reconcile_experiment,
     reconcile_suggestion,
     run_control_loop,
+    service_name_for,
     submit_experiment,
     trial_name_for,
 )
@@ -379,9 +381,8 @@ def test_suggestion_top_up_as_slots_free():
 
 
 def test_first_step_of_a_context_releases_services_of_finished_experiments():
-    # A crash between an experiment's terminal update and its service release
-    # leaves the service reserved; the next context's first pass must see the
-    # terminal experiment, though later passes skip it.
+    # A terminal write wakes the context watching the store, so its next step
+    # releases the service.
     ctx, store, _metrics, backend = _context()
     spec = make_experiment(SPHERE_PARAMS, parallel=1, max_trials=1, template=_sphere_template())
     submit_experiment(store, spec)
@@ -389,10 +390,13 @@ def test_first_step_of_a_context_releases_services_of_finished_experiments():
     assert "ns/svc-exp" in backend.world.jobs
     experiment = store.get("experiment/ns/exp")
     store.update(replace(experiment, status=replace(experiment.status, phase=ExperimentPhase.FAILED)))
-    assert store.live_keys("experiment") == []
+    controller_step(ctx)
+    assert "ns/svc-exp" not in backend.world.jobs
 
-    controller_step(ctx)  # this context has swept already: finished experiments are skipped
-    assert "ns/svc-exp" in backend.world.jobs
+    # A crash between an experiment's terminal update and its service release
+    # leaves the service reserved; a context built over that store releases
+    # it in its first step.
+    backend.reserve_service("ns", service_name_for("exp"), SERVICE_CPU)
     resumed = ControllerContext(store=store, metrics=ctx.metrics, backend=backend)
     controller_step(resumed)
     assert "ns/svc-exp" not in backend.world.jobs

@@ -78,6 +78,17 @@ def test_update_increments_generation_and_detects_staleness():
         store.update(replace(second, status=replace(second.status, phase=ExperimentPhase.FAILED)))
 
 
+def test_watchers_see_each_accepted_write_once_it_is_stored():
+    store = ResourceStore()
+    seen = []
+    store.watchers.append(lambda r: seen.append((r.key, r.generation, store.get(r.key) is r)))
+    created = store.create(_experiment_resource())
+    store.update(replace(created, status=replace(created.status, phase=ExperimentPhase.RUNNING)))
+    with pytest.raises(CasConflictError):
+        store.update(created)
+    assert seen == [("experiment/ns/exp", 1, True), ("experiment/ns/exp", 2, True)]
+
+
 def test_a_read_cannot_change_what_the_store_holds():
     store = ResourceStore()
     written = {resource.key: resource for resource in _resources_of_every_shape()}
@@ -190,25 +201,8 @@ def _index_of(store, namespace, experiment):
     return counts, best, store.trial_history(namespace, experiment)
 
 
-def _expected_live(store, kind):
-    out = []
-    for res in store.list(kind):
-        if kind == KIND_TRIAL:
-            live = res.status.phase not in (TrialPhase.SUCCEEDED, TrialPhase.FAILED)
-        else:
-            experiment = store.get(f"{KIND_EXPERIMENT}/{res.namespace}/{res.name}")
-            live = experiment is None or experiment.status.phase not in (
-                ExperimentPhase.SUCCEEDED,
-                ExperimentPhase.FAILED,
-            )
-        if live:
-            out.append(res.key)
-    return out
-
-
 def _assert_indexes(store):
     for kind in (KIND_EXPERIMENT, KIND_SUGGESTION, KIND_TRIAL):
-        assert store.live_keys(kind) == _expected_live(store, kind)
         assert store.keys(kind) == [r.key for r in store.list(kind)]
     for name in ("exp", "other"):
         assert _index_of(store, "ns", name) == _expected_index(store, "ns", name)
@@ -364,7 +358,6 @@ def test_journal_round_trip_through_compaction(tmp_path):
     assert loaded.list() == written
     for kind in (KIND_EXPERIMENT, KIND_SUGGESTION, KIND_TRIAL):
         assert loaded.keys(kind) == store.keys(kind)
-        assert loaded.live_keys(kind) == store.live_keys(kind)
     assert loaded.trial_summary("ns", "exp") == store.trial_summary("ns", "exp")
     assert loaded.trial_history("ns", "exp") == store.trial_history("ns", "exp")
 
