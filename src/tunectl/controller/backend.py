@@ -49,10 +49,11 @@ class ExecutionBackend(ABC):
     @abstractmethod
     def changed_jobs(self) -> Iterable[str]:
         """The handles of the jobs whose phase may have changed since the
-        last call. The controller reconciles only the trials it is told
-        about (besides the ones written since), so a backend must report
-        every trial job whose ``job_state`` would now read differently; a
-        handle reported without a change costs one idle reconcile.
+        last call. Once a trial is submitted, the controller reconciles it
+        again only when told about it here (or when its job read past
+        pending right after the submit), so a backend must report every
+        trial job whose ``job_state`` would now read differently; a handle
+        reported without a change costs one idle reconcile.
 
         The controller drains this at the start of each step, so a job's
         phase must not change within a step: a job submitted during a step

@@ -8,12 +8,16 @@ key order within a kind, repeating while a pass mutates anything.
 
 A pass visits only the keys in the context's work queue, its ``dirty`` set,
 which starts as every key in the store, so a resumed run still releases the
-services of experiments that are already terminal. Three sources put a key
+services of experiments that are already terminal. Four sources put a key
 back in the queue:
 
-- a store write: the written key, its experiment and its suggestion;
+- a store write: the written key's experiment and suggestion, and the key
+  itself unless it is a trial's update (a trial is queued by its create,
+  and after that by its job);
 - the backend: a trial whose job changed phase (``changed_jobs``), drained
   at the start of each step;
+- a submit: a trial whose job already reads past Pending right after it is
+  submitted (a local trainer that started, a job that ended at once);
 - a retry: a CAS conflict, an error out of a reconciler, a submit that stays
   pending and an algorithm error requeue their key for the next pass.
 
@@ -34,8 +38,9 @@ failed trials strictly exceed ``maxFailedTrialCount``, so an error budget of
 N tolerates exactly N failures.
 
 Resources are frozen values. A reconciler reads what the store holds and
-writes a new spec or status built with ``dataclasses.replace``, and only
-when a field changes.
+writes a new spec or status, and only when a field changes. The trial
+reconciler, which makes most writes, builds each new value with its class
+constructor; the colder writes use ``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -102,13 +107,12 @@ class ControllerContext:
 
     def _written(self, resource: Resource) -> None:
         experiment = resource.name if resource.kind == KIND_EXPERIMENT else resource.spec.experiment
-        self.dirty.update(
-            (
-                resource.key,
-                resource_key(KIND_EXPERIMENT, resource.namespace, experiment),
-                resource_key(KIND_SUGGESTION, resource.namespace, experiment),
-            )
-        )
+        self.dirty.add(resource_key(KIND_EXPERIMENT, resource.namespace, experiment))
+        self.dirty.add(resource_key(KIND_SUGGESTION, resource.namespace, experiment))
+        # A trial's update (past generation 1, its create) leaves the trial
+        # out: its next change comes from its job, which the backend reports.
+        if resource.kind != KIND_TRIAL or resource.generation == 1:
+            self.dirty.add(resource.key)
 
 
 def job_handle(namespace: str, trial_name: str) -> str:
@@ -310,10 +314,12 @@ def reconcile_trial(ctx: ControllerContext, key: str) -> int:
     handle = job_handle(trial.namespace, trial.name)
     watched = [spec.objective.objective_metric_name, *spec.objective.additional_metric_names]
 
+    # The trial's write path builds its values with their constructors,
+    # positionally in field order: ``dataclasses.replace`` costs twice as much.
     trial_spec = trial.spec
     if trial_spec.run_spec is None:
         run_spec = render_trial_spec(template, trial_spec.assignments, trial.name, trial.namespace)
-        trial_spec = replace(trial_spec, run_spec=run_spec)
+        trial_spec = TrialSpec(trial_spec.experiment, trial_spec.assignments, run_spec)
 
     def submit(restart_count: int) -> TrialStatus:
         """The trial's status once its next attempt is submitted with
@@ -333,8 +339,13 @@ def reconcile_trial(ctx: ControllerContext, key: str) -> int:
             logger.warning("trial %s: submit failed, staying pending: %s", key, exc)
             ctx.dirty.add(key)
             return _with_phase(status, TrialPhase.PENDING)
-        return replace(
-            status, phase=TrialPhase.PENDING, restart_count=restart_count, job_attempt=status.job_attempt + 1
+        # Jobs that read Pending now change phase later, and the backend
+        # reports it. One that already reads otherwise (a local trainer
+        # running, a job that ended at once) is looked at again now.
+        if ctx.backend.job_state(handle).phase is not JobPhase.PENDING:
+            ctx.dirty.add(key)
+        return TrialStatus(
+            TrialPhase.PENDING, restart_count, status.observation, status.reason, status.job_attempt + 1
         )
 
     status = trial.status
@@ -356,7 +367,9 @@ def reconcile_trial(ctx: ControllerContext, key: str) -> int:
             if observation is None:
                 status = replace(status, phase=TrialPhase.FAILED, reason=REASON_METRICS_UNAVAILABLE)
             else:
-                status = replace(status, phase=TrialPhase.SUCCEEDED, observation=observation, reason=None)
+                status = TrialStatus(
+                    TrialPhase.SUCCEEDED, status.restart_count, observation, None, status.job_attempt
+                )
         elif (
             state.phase is JobPhase.FAILED_TEMPORARY
             and template.restart_policy is RestartPolicy.ON_TEMPORARY_FAILURE
@@ -369,13 +382,15 @@ def reconcile_trial(ctx: ControllerContext, key: str) -> int:
 
     if status is trial.status and trial_spec is trial.spec:
         return 0
-    ctx.store.update(replace(trial, spec=trial_spec, status=status))
+    ctx.store.update(Resource(KIND_TRIAL, trial.namespace, trial.name, trial_spec, status, trial.generation))
     return 1
 
 
 def _with_phase(status: TrialStatus, phase: TrialPhase) -> TrialStatus:
     """``status`` in ``phase``: the same object when it is there already."""
-    return status if status.phase is phase else replace(status, phase=phase)
+    if status.phase is phase:
+        return status
+    return TrialStatus(phase, status.restart_count, status.observation, status.reason, status.job_attempt)
 
 
 _RECONCILERS = {

@@ -12,7 +12,7 @@ from conftest import make_experiment
 from tunectl.cluster.localproc import LocalProcessBackend
 from tunectl.controller.backend import JobPhase
 from tunectl.controller.model import KIND_TRIAL, TrialPhase
-from tunectl.controller.reconcile import run_control_loop, submit_experiment
+from tunectl.controller.reconcile import ControllerContext, controller_step, run_control_loop, submit_experiment
 from tunectl.controller.store import ResourceStore
 from tunectl.metrics import InMemoryObservationStore
 from tunectl.resources import (
@@ -62,6 +62,24 @@ def test_echo_metric_script_succeeds():
     assert result["phase"] == "Succeeded"
     trial = store.list(KIND_TRIAL)[0]
     assert trial.status.observation == 0.9
+
+
+def test_a_trial_reads_running_once_the_step_that_starts_its_trainer_ends():
+    # A started trainer reports no phase change until it exits, so the step
+    # that submits it must also record it as running, in the trial and in
+    # its experiment's counts.
+    spec = _local_experiment("sleep 5", parallel=2, max_trials=2)
+    store, metrics = ResourceStore(), InMemoryObservationStore()
+    backend = LocalProcessBackend(metrics, poll_interval=0.005)
+    ctx = ControllerContext(store=store, metrics=metrics, backend=backend)
+    submit_experiment(store, spec)
+    try:
+        backend.advance(lambda: controller_step(ctx))
+        assert [t.status.phase for t in store.list(KIND_TRIAL)] == [TrialPhase.RUNNING] * 2
+        status = store.get("experiment/ns/exp").status
+        assert (status.trials_pending, status.trials_running) == (0, 2)
+    finally:
+        backend.close()
 
 
 def test_a_trainer_whose_child_holds_its_output_open_still_concludes():

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -528,3 +528,17 @@ def test_a_cas_conflict_on_a_fill_leaves_the_following_fills_unchanged():
     clean, conflicted = streams
     assert len(set(clean)) > 4  # the draws were deduplicated
     assert conflicted == clean
+
+
+@pytest.mark.parametrize(
+    "cls, names",
+    [
+        (Resource, ["kind", "namespace", "name", "spec", "status", "generation"]),
+        (TrialSpec, ["experiment", "assignments", "run_spec"]),
+        (TrialStatus, ["phase", "restart_count", "observation", "reason", "job_attempt"]),
+    ],
+)
+def test_the_trial_write_path_passes_every_field_in_order(cls, names):
+    # ``clone_resource`` and ``reconcile_trial`` build these positionally;
+    # a field added or moved must be added or moved there too.
+    assert [f.name for f in fields(cls)] == names

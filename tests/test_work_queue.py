@@ -3,8 +3,9 @@
 A key reaches the queue through a store write, a backend phase report or a
 retry. These tests check that nothing else needs reconciling: after every
 step of each canned scenario, a full sweep of every key writes nothing; a
-quiescent step calls no reconciler; a failed submit is retried on the
-next step; and a finished control loop leaves no watcher on its store.
+quiescent step calls no reconciler; a trial is reconciled once per phase
+change; a failed submit is retried on the next step; and a finished control
+loop leaves no watcher on its store.
 """
 
 from __future__ import annotations
@@ -111,6 +112,28 @@ def test_a_quiescent_step_calls_no_reconciler(monkeypatch):
 
     backend.advance(lambda: controller_step(ctx))  # a tick of progress changes no phase
     assert calls == []
+
+
+def test_a_trial_is_reconciled_once_per_phase_change(monkeypatch):
+    # Without chaos or restarts a trial changes phase three times (submitted,
+    # running, concluded), and each change is one reconcile that writes.
+    world = SimWorld(seed=3)
+    world.add_node(16.0)
+    world.add_namespace("ns")
+    store, metrics = ResourceStore(), InMemoryObservationStore()
+    submit_experiment(store, make_experiment(PARAMS, parallel=10, max_trials=40, template=_template(duration=3)))
+    writes = []
+    reconcile_trial = reconcile._RECONCILERS[KIND_TRIAL]
+
+    def counted(c, key):
+        writes.append(reconcile_trial(c, key))
+        return writes[-1]
+
+    monkeypatch.setitem(reconcile._RECONCILERS, KIND_TRIAL, counted)
+    snapshot = run_control_loop(store, metrics, SimBackend(world, metrics), max_ticks=100)
+    assert snapshot["experiments"]["experiment/ns/exp"]["trialsSucceeded"] == 40
+    assert len(writes) == 3 * 40
+    assert set(writes) == {1}
 
 
 class _SubmitFailsTwice(SimBackend):
