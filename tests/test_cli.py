@@ -269,6 +269,16 @@ def _precodec_trial(store):
     return f"{journal}:{number}"
 
 
+def _experiment_without_parallel_slots(store):
+    journal = store / "journal.jsonl"
+    lines = journal.read_text().splitlines()
+    number = max(n for n, line in enumerate(lines, 1) if json.loads(line)["kind"] == "experiment")
+    doc = json.loads(lines[number - 1])
+    doc["spec"]["parallelTrialCount"] = 0
+    _rewrite_line(journal, number, json.dumps(doc))
+    return f"{journal}:{number}"
+
+
 def _invalid_json(store):
     journal = store / "journal.jsonl"
     number = _trial_line(journal)
@@ -306,7 +316,9 @@ def test_unreadable_record_error_stays_short_however_large_the_record(runner, tm
     assert len(result.output) < len(str(journal)) + 400
 
 
-@pytest.mark.parametrize("corrupt", [_precodec_trial, _invalid_yaml, _invalid_json])
+@pytest.mark.parametrize(
+    "corrupt", [_precodec_trial, _experiment_without_parallel_slots, _invalid_yaml, _invalid_json]
+)
 @pytest.mark.parametrize("command", ["submit", "run", "export"])
 def test_unreadable_store_file_exits_4_naming_the_file(runner, tmp_path, corrupt, command):
     _submit(runner, tmp_path)

@@ -153,6 +153,24 @@ def test_pathological_documents_raise_aggregated_errors(document):
     assert err.value.errors
 
 
+def _errors(text):
+    with pytest.raises(ValidationError) as err:
+        parse_experiment(text)
+    return err.value.errors
+
+
+def test_errors_name_the_path_of_the_field():
+    bad_min = _errors(LISTING_STYLE.replace("{min: 0.0, max: 1.0}", "{min: a, max: 1.0}"))
+    assert any(e.startswith("parameters[0].feasibleSpace.min: ") for e in bad_min)
+    simulated = LISTING_STYLE.replace("kind: local-process", "kind: simulated").replace(
+        'payload: "train --lr=${lr} --num-layers=${num-layers} --optimizer=${optimizer}"',
+        "payload: {functionName: sphere, bogus: 1}",
+    )
+    assert "trialTemplate.payload: unknown field 'bogus'" in _errors(simulated)
+    empty = _errors(LISTING_STYLE.replace("[sgd, adam, ftrl]", "[]"))
+    assert any(e.startswith("parameters[2].feasibleSpace.values: ") and "non-empty list" in e for e in empty)
+
+
 def test_unknown_algorithm_setting_rejected():
     bad = LISTING_STYLE.replace("random_state: 10", "random_state: 10\n    surprise: 1")
     with pytest.raises(ValidationError) as err:
