@@ -710,15 +710,16 @@ class SimBackend(ExecutionBackend):
 
     def changed_jobs(self) -> list[str]:
         """The trial jobs live now or at the last call whose phase differs
-        from the one recorded then; a job that turned live counts as
-        changed."""
+        from the one recorded then. A job not seen live before counts as
+        last seen Pending, the phase its trial records at submission, so it
+        is reported once it runs or ends."""
         jobs, reported = self.world.jobs, self._reported
         changed, self._reported = [], {}
         for name in reported.keys() | self.world.live_jobs:
             job = jobs.get(name)
             if job is None or job.kind != "trial":
                 continue
-            if reported.get(name) is not job.phase:
+            if reported.get(name, JobPhase.PENDING) is not job.phase:
                 changed.append(name)
             if job.phase in LIVE_PHASES:
                 self._reported[name] = job.phase

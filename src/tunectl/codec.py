@@ -2,38 +2,75 @@
 
 ``to_doc`` turns a dataclass into plain data: a dict with camelCase keys in
 field order, recursively, with Enums written as their values and tuples as
-lists. ``from_doc`` rebuilds a value of a given type from that data, guided
-by type hints. It checks scalar types on the way, so it also reads documents
-that come from outside the program. ``json_default`` is the same encoding as
-a ``json.dumps`` hook, for large documents written straight to JSON.
-``complete_lines`` reads the resource journal and the metric log up to
-their last newline.
+lists. A field whose metadata sets ``omit_none`` is left out while None.
+``json_default`` is the same encoding as a ``json.dumps`` hook, for large
+documents written straight to JSON.
+
+``from_doc`` rebuilds a value of a given type from that data, guided by type
+hints. It is the one decoder, for stored documents and submitted ones
+alike: it checks types, rejects unknown keys, and applies the rules a field
+declares in its metadata (``minimum``, ``exclusive_minimum``, ``finite``,
+``non_empty``). It reports every problem at once, each under its path, as
+in ``parameters[0].feasibleSpace.min: must be finite``. A null stands for
+an absent key when the field has a default and its type admits no None.
+
+``Journal`` reads the resource journal and the metric log up to their last
+newline.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import types
 import typing
 from enum import Enum
 from functools import cache
 from pathlib import Path
-from typing import Any, BinaryIO, Iterable
+from typing import Any, BinaryIO, Callable, Iterable, Mapping, NamedTuple
 
 _SCALARS = (str, int, float, bool, type(None))
 
 
+class DocumentError(ValueError):
+    """A document that does not fit its type. ``errors`` holds one
+    ``path: message`` line per problem. ``value`` is what was decoded in
+    spite of them when each only breaks a field's rule or names an unknown
+    key, and None when a value is missing or of the wrong type."""
+
+    def __init__(self, errors: list[str], value: Any = None) -> None:
+        self.errors = errors
+        self.value = value
+        super().__init__("; ".join(errors))
+
+
+class _Field(NamedTuple):
+    name: str
+    key: str  # the name in camelCase
+    hint: Any
+    optional: bool  # has a default
+    null_is_default: bool  # optional, and its type admits no None
+    omit_none: bool
+    rules: Mapping[str, Any] | None  # its metadata, if any
+
+
 @cache
-def _fields(cls: type) -> tuple[tuple[str, str, Any, bool], ...]:
-    """(attribute, document key, type hint, has a default) per field."""
-    hints = typing.get_type_hints(cls)
+def _fields(cls: type) -> tuple[_Field, ...]:
+    # A module without postponed annotations holds its field types as
+    # types, which need no costly ``get_type_hints``.
+    fields = dataclasses.fields(cls)
+    hints = typing.get_type_hints(cls) if any(isinstance(f.type, str) for f in fields) else {}
     out = []
-    for f in dataclasses.fields(cls):
+    for f in fields:
         head, *rest = f.name.split("_")
         key = head + "".join(w[:1].upper() + w[1:] for w in rest)
+        hint = hints.get(f.name, f.type)
         optional = f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING
-        out.append((f.name, key, hints[f.name], optional))
+        nullable = hint is Any or type(None) in typing.get_args(hint)
+        out.append(
+            _Field(f.name, key, hint, optional, optional and not nullable, "omit_none" in f.metadata, f.metadata or None)
+        )
     return tuple(out)
 
 
@@ -43,7 +80,7 @@ def to_doc(obj: Any) -> Any:
     if isinstance(obj, Enum):
         return obj.value
     if dataclasses.is_dataclass(obj):
-        return {key: to_doc(getattr(obj, name)) for name, key, _, _ in _fields(type(obj))}
+        return {k: to_doc(v) for k, v in json_default(obj).items()}
     if isinstance(obj, (list, tuple)):
         return [to_doc(v) for v in obj]
     if isinstance(obj, dict):
@@ -55,55 +92,168 @@ def json_default(obj: Any) -> Any:
     """``json.dumps(obj, default=json_default)`` writes what ``to_doc`` would
     for documents whose Enums are ``str`` Enums, as every persisted one is."""
     if dataclasses.is_dataclass(obj):
-        return {key: getattr(obj, name) for name, key, _, _ in _fields(type(obj))}
+        fields = _fields(type(obj))
+        return {f.key: v for f in fields if (v := getattr(obj, f.name)) is not None or not f.omit_none}
     raise TypeError(f"{type(obj).__name__} is not serializable")
 
 
 def from_doc(tp: Any, doc: Any) -> Any:
     """Rebuild a value of type ``tp`` from its ``to_doc`` form; raise
-    TypeError or ValueError on a document that does not fit."""
+    :class:`DocumentError` on a document that does not fit."""
+    errors: list[list] = []
+    value = _decoder(tp)(doc, errors)
+    if errors:
+        raise DocumentError([_describe(e) for e in errors], None if _broken(errors, 0) else value)
+    return value
+
+
+# A decoder takes a document and the error list, and returns the value, or
+# None when it could not build one. An error is a list: its message, then
+# its path's segments from the innermost out, each appended on the way up,
+# so a document that fits costs no path.
+_Decoder = Callable[[Any, list], Any]
+
+
+class _Kept(list):
+    """An error that leaves the value built: a broken rule or an unknown key."""
+
+
+def _broken(errors: list, start: int) -> bool:
+    return any(type(e) is list for e in errors[start:])
+
+
+def _fail(errors: list, message: str) -> None:
+    errors.append([message])
+
+
+def _nested(decode: _Decoder, doc: Any, errors: list, segment: str | int) -> Any:
+    start = len(errors)
+    value = decode(doc, errors)
+    if len(errors) > start:
+        for error in errors[start:]:
+            error.append(segment)
+    return value
+
+
+def _describe(error: list) -> str:
+    message, *segments = error
+    path = "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in reversed(segments))
+    return f"{path.removeprefix('.')}: {message}" if path else message
+
+
+@cache
+def _decoder(tp: Any) -> _Decoder:
+    """The decoder for type ``tp``, built once."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if tp is Any:
-        return doc
+        return lambda doc, errors: doc
+
     if origin in (typing.Union, types.UnionType):
-        if doc is None and type(None) in args:
-            return None
-        # A dict decodes as the dataclass member; anything else as the first other one.
+        # A document of a member's own type decodes as that member; a dict
+        # as the dataclass member whose required keys it holds, else the one
+        # sharing the most keys with it; anything else as the first member.
         members = [a for a in args if a is not type(None)]
-        tp = next((a for a in members if dataclasses.is_dataclass(a) == isinstance(doc, dict)), members[0])
-        return from_doc(tp, doc)
-    if origin is tuple:
-        _expect(doc, list)
-        if args[-1] is Ellipsis:
-            return tuple(from_doc(args[0], v) for v in doc)
-        if len(args) != len(doc):
-            raise ValueError(f"expected {len(args)} items, got {len(doc)}")
-        return tuple(from_doc(a, v) for a, v in zip(args, doc))
-    if origin is list:
-        return [from_doc(args[0], v) for v in _expect(doc, list)]
+        exact = {a: _decoder(a) for a in members if not dataclasses.is_dataclass(a)}
+        classes = [a for a in members if dataclasses.is_dataclass(a)]
+
+        def fit(cls: type, doc: dict) -> tuple[bool, int]:
+            fields = _fields(cls)
+            return all(f.key in doc for f in fields if not f.optional), sum(f.key in doc for f in fields)
+
+        def decode_union(doc: Any, errors: list) -> Any:
+            if doc is None and len(members) < len(args):
+                return None
+            if type(doc) in exact:
+                return exact[type(doc)](doc, errors)
+            if type(doc) is dict and classes:
+                return _decoder(max(classes, key=lambda c: fit(c, doc)))(doc, errors)
+            return _decoder(members[0])(doc, errors)
+
+        return decode_union
+
+    if origin in (tuple, list):
+        fixed = [_decoder(a) for a in args] if origin is tuple and args[-1] is not Ellipsis else None
+        item = _decoder(args[0])
+
+        def decode_sequence(doc: Any, errors: list) -> Any:
+            if type(doc) is not list or (fixed is not None and len(doc) != len(fixed)):
+                return _fail(errors, f"expected a list{f' of {len(fixed)} items' if fixed else ''}, got {doc!r}")
+            decoders = fixed or [item] * len(doc)
+            out = [_nested(d, v, errors, i) for i, (d, v) in enumerate(zip(decoders, doc))]
+            return out if origin is list else tuple(out)
+
+        return decode_sequence
+
     if origin is dict:
-        return {k: from_doc(args[1], v) for k, v in _expect(doc, dict).items()}
+        key, value = _decoder(args[0]), _decoder(args[1])
+
+        def decode_dict(doc: Any, errors: list) -> Any:
+            if type(doc) is not dict:
+                return _fail(errors, f"expected a mapping, got {doc!r}")
+            return {_nested(key, k, errors, str(k)): _nested(value, v, errors, str(k)) for k, v in doc.items()}
+
+        return decode_dict
+
     if dataclasses.is_dataclass(tp):
-        _expect(doc, dict)
-        kwargs = {}
-        for name, key, hint, optional in _fields(tp):
-            if key in doc:
-                kwargs[name] = from_doc(hint, doc[key])
-            elif not optional:
-                raise ValueError(f"{tp.__name__}: missing field '{key}'")
-        return tp(**kwargs)
-    if isinstance(tp, type) and issubclass(tp, Enum):
-        return tp(doc)
-    if tp is float:
-        return float(_expect(doc, (int, float)))
-    return _expect(doc, tp)
+        fields = [(f, _decoder(f.hint)) for f in _fields(tp)]
+        keys = {f.key for f, _ in fields}
+
+        def decode_dataclass(doc: Any, errors: list) -> Any:
+            if type(doc) is not dict:
+                return _fail(errors, f"expected a mapping, got {doc!r}")
+            first = len(errors)
+            kwargs = {}
+            for f, decode in fields:
+                if f.key not in doc:
+                    if not f.optional:
+                        _fail(errors, f"missing required field '{f.key}'")
+                elif doc[f.key] is not None or not f.null_is_default:
+                    start = len(errors)
+                    value = kwargs[f.name] = _nested(decode, doc[f.key], errors, f.key)
+                    if f.rules is not None and len(errors) == start:
+                        _check(value, f.rules, f.key, errors)
+            if not keys.issuperset(doc):
+                errors.extend(_Kept([f"unknown field '{k}'"]) for k in doc if k not in keys)
+            return None if len(errors) > first and _broken(errors, first) else tp(**kwargs)
+
+        return decode_dataclass
+
+    if issubclass(tp, Enum):
+        allowed = ", ".join(m.value for m in tp)
+
+        def decode_enum(doc: Any, errors: list) -> Any:
+            try:
+                return tp(doc)
+            except (TypeError, ValueError):
+                return _fail(errors, f"expected one of [{allowed}], got {doc!r}")
+
+        return decode_enum
+
+    kinds = (int, float) if tp is float else tp
+
+    def decode_scalar(doc: Any, errors: list) -> Any:
+        if isinstance(doc, kinds) and (type(doc) is not bool or tp is bool):
+            return float(doc) if tp is float else doc
+        return _fail(errors, f"expected {tp.__name__}, got {doc!r}")
+
+    return decode_scalar
 
 
-def _expect(doc: Any, kinds: type | tuple[type, ...]) -> Any:
-    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
-    if not isinstance(doc, kinds) or (isinstance(doc, bool) and bool not in kinds):
-        raise TypeError(f"expected {' or '.join(k.__name__ for k in kinds)}, got {doc!r}")
-    return doc
+def _check(value: Any, rules: Mapping[str, Any], key: str, errors: list) -> None:
+    """Record the first of a field's rules that its value breaks."""
+    if value is None:
+        return
+    if rules.get("non_empty") and not value:
+        message = f"expected a non-empty {'string' if isinstance(value, str) else 'list'}"
+    elif rules.get("finite") and not math.isfinite(value):
+        message = "must be finite"
+    elif "minimum" in rules and not value >= rules["minimum"]:
+        message = f"must be >= {rules['minimum']}"
+    elif "exclusive_minimum" in rules and not value > rules["exclusive_minimum"]:
+        message = f"must be > {rules['exclusive_minimum']}"
+    else:
+        return
+    errors.append(_Kept([message, key]))
 
 
 class Journal:

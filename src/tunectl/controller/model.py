@@ -19,8 +19,6 @@ from ..resources import (
     AlgorithmSpec,
     ExperimentSpec,
     TrialRunSpec,
-    experiment_from_doc,
-    experiment_to_doc,
     parse_experiment,  # noqa: F401 -- perfbench/tracer.py wraps it under this module
 )
 from ..suggest.registry import AssignmentSet
@@ -143,9 +141,9 @@ def clone_resource(resource: Resource, generation: int) -> Resource:
 # Document (de)serialization for the file store and ``tunectl dump``
 # ---------------------------------------------------------------------------
 
-# (spec class, status class) per kind. Experiment specs keep their
-# user-facing form: written by ``experiment_to_doc``, read back through
-# ``experiment_from_doc`` so a stored spec is validated like a submitted one.
+# (spec class, status class) per kind. An experiment spec's document is its
+# user-facing form, and decoding it checks each field's own rules as a
+# submitted one's are checked.
 _KINDS: dict[str, tuple[type, type]] = {
     KIND_EXPERIMENT: (ExperimentSpec, ExperimentStatus),
     KIND_SUGGESTION: (SuggestionSpec, SuggestionStatus),
@@ -157,12 +155,11 @@ def resource_fields(resource: Resource) -> dict:
     """The fields of a resource's document, with the spec and status left as
     dataclasses: ``to_doc`` or ``json.dumps(..., default=json_default)``
     turns it into the document."""
-    spec = experiment_to_doc(resource.spec) if resource.kind == KIND_EXPERIMENT else resource.spec
     return {
         "kind": resource.kind,
         "name": resource.name,
         "namespace": resource.namespace,
-        "spec": spec,
+        "spec": resource.spec,
         "status": resource.status,
     }
 
@@ -176,15 +173,11 @@ def resource_from_doc(doc: dict, generation: int) -> Resource:
     if kind not in _KINDS:
         raise ValueError(f"unknown resource kind '{kind}'")
     spec_cls, status_cls = _KINDS[kind]
-    if kind == KIND_EXPERIMENT:
-        spec = experiment_from_doc(doc["spec"])
-    else:
-        spec = from_doc(spec_cls, doc["spec"])
     return Resource(
         kind=kind,
         namespace=doc["namespace"],
         name=doc["name"],
-        spec=spec,
+        spec=from_doc(spec_cls, doc["spec"]),
         status=from_doc(status_cls, doc["status"]),
         generation=generation,
     )

@@ -1,15 +1,16 @@
 """Declarative resource model: experiment format, validation, trial rendering.
 
-The user-facing experiment document is YAML with camelCase keys; this module
-parses it into typed, immutable-by-convention dataclasses, validates every
-structural invariant (aggregating errors rather than failing fast), emits a
-canonical byte-stable YAML form, and renders trial templates into concrete
-run specs.
+The user-facing experiment document is YAML with camelCase keys. It decodes
+through the one codec (:func:`tunectl.codec.from_doc`) into the typed
+dataclasses below, whose fields declare their own rules (a minimum, a
+finite number, a non-empty string or list) and whose field order is the
+document's canonical key order. :func:`_check_cross_invariants` then checks
+the rules that span fields. Both report every violation at once, each as
+``path: message``. :func:`canonical_yaml` emits the byte-stable form, and
+:func:`render_trial_spec` turns a trial template into a concrete run spec.
 
 All functions here are pure and safe to call from any thread.
 """
-
-from __future__ import annotations
 
 import math
 import re
@@ -19,7 +20,7 @@ from typing import Any
 
 import yaml
 
-from .codec import to_doc
+from .codec import DocumentError, from_doc, to_doc
 from .errors import RenderError, ValidationError
 
 IDENTIFIER_RE = re.compile(r"^[a-z0-9]([a-z0-9-]*[a-z0-9])?$")
@@ -27,6 +28,10 @@ PLACEHOLDER_RE = re.compile(r"\$\{([^}]*)\}")
 
 # Placeholders resolvable without a declared parameter.
 BUILTIN_PLACEHOLDERS = frozenset({"trial.name", "trial.namespace", "hyperparameters"})
+
+# libyaml's parser, where PyYAML has it, reads a document several times
+# faster than the pure-Python one and builds the same values.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 # Reserved assignment name used by budget-aware schedulers; templates may
 # reference it only when the experiment uses such an algorithm.
@@ -68,14 +73,21 @@ class RestartPolicy(str, Enum):
     ON_TEMPORARY_FAILURE = "on-temporary-failure"
 
 
+# Field rules, read by the codec.
+NON_EMPTY = {"non_empty": True}
+FINITE = {"finite": True}
+
+
 @dataclass(frozen=True)
 class Range:
     """Numeric feasible space. ``step`` is required for double parameters
     under grid search and optional otherwise."""
 
-    min: float | int
-    max: float | int
-    step: float | int | None = None
+    min: float | int = field(metadata=FINITE)
+    max: float | int = field(metadata=FINITE)
+    step: float | int | None = field(
+        default=None, metadata={"finite": True, "exclusive_minimum": 0, "omit_none": True}
+    )
 
 
 # Slack on ``(max - min) / step`` for float rounding: a step that spans the
@@ -88,12 +100,12 @@ STEP_TOLERANCE = 1e-9
 class ValueList:
     """Enumerated feasible space for discrete/categorical parameters."""
 
-    values: tuple[Any, ...]
+    values: tuple[Any, ...] = field(metadata=NON_EMPTY)
 
 
 @dataclass(frozen=True)
 class ParameterSpec:
-    name: str
+    name: str = field(metadata=NON_EMPTY)
     parameter_type: ParameterType
     feasible_space: Range | ValueList
 
@@ -122,19 +134,25 @@ class ParameterSpec:
         return any(value == v for v in space.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ObjectiveSpec:
     type: ObjectiveType
-    objective_metric_name: str
-    goal: float | None = None
+    goal: float | None = field(default=None, metadata={"finite": True, "omit_none": True})
+    objective_metric_name: str = field(metadata=NON_EMPTY)
     additional_metric_names: tuple[str, ...] = ()
     metric_strategy: MetricStrategy = MetricStrategy.LATEST
 
 
 @dataclass
 class AlgorithmSpec:
-    algorithm_name: str
+    """``settings`` are kept in key order, so that the order they were
+    given in never shows in a document."""
+
+    algorithm_name: str = field(metadata=NON_EMPTY)
     settings: dict[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.settings = dict(sorted(self.settings.items()))
 
 
 @dataclass(frozen=True)
@@ -142,33 +160,33 @@ class SimObjectiveDescriptor:
     """Payload of a simulated trial: which synthetic objective to run, for
     how many ticks, and how noisy its metric stream is."""
 
-    function_name: str
-    duration_ticks: int = 1
-    noise_std_dev: float = 0.0
+    function_name: str = field(metadata=NON_EMPTY)
+    duration_ticks: int = field(default=1, metadata={"minimum": 1})
+    noise_std_dev: float = field(default=0.0, metadata={"minimum": 0})
     rng_seed_offset: int = 0
 
 
-@dataclass
+@dataclass(kw_only=True)
 class TrialTemplate:
     kind: TemplateKind
-    payload: str | SimObjectiveDescriptor
-    worker_count: int = 1
-    cpu_per_worker: float = 1.0
+    worker_count: int = field(default=1, metadata={"minimum": 1})
+    cpu_per_worker: float = field(default=1.0, metadata={"exclusive_minimum": 0})
     restart_policy: RestartPolicy = RestartPolicy.NEVER
+    payload: str | SimObjectiveDescriptor = field(metadata=NON_EMPTY)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentSpec:
-    name: str
-    namespace: str
+    name: str = field(metadata=NON_EMPTY)
+    namespace: str = field(metadata=NON_EMPTY)
     objective: ObjectiveSpec
     algorithm: AlgorithmSpec
-    parameters: list[ParameterSpec]
-    trial_template: TrialTemplate
-    parallel_trial_count: int
-    max_trial_count: int
-    max_failed_trial_count: int = 0
+    parallel_trial_count: int = field(metadata={"minimum": 1})
+    max_trial_count: int = field(metadata={"minimum": 1})
+    max_failed_trial_count: int = field(default=0, metadata={"minimum": 0})
     metric_collector_kind: CollectorKind = CollectorKind.PULL
+    parameters: list[ParameterSpec] = field(metadata=NON_EMPTY)
+    trial_template: TrialTemplate
 
     def parameter_names(self) -> list[str]:
         return [p.name for p in self.parameters]
@@ -202,286 +220,112 @@ def value_to_string(value: Any) -> str:
 # ---------------------------------------------------------------------------
 
 
-class _Reader:
-    """Collects validation errors while walking a parsed YAML document."""
+def _check_cross_invariants(spec: ExperimentSpec) -> list[str]:
+    """The rules that span fields: one ``path: message`` line per
+    violation. The spec's fields have the right types but may break their
+    own rules, which the codec reports."""
+    errors: list[str] = []
 
-    def __init__(self) -> None:
-        self.errors: list[str] = []
+    def err(path: str, message: str) -> None:
+        errors.append(f"{path}: {message}")
 
-    def err(self, path: str, message: str) -> None:
-        self.errors.append(f"{path}: {message}")
-
-    def mapping(self, value: Any, path: str) -> dict:
-        if not isinstance(value, dict):
-            self.err(path, f"expected a mapping, got {type(value).__name__}")
-            return {}
-        return value
-
-    def require(self, doc: dict, key: str, path: str) -> Any:
-        if key not in doc:
-            self.err(path, f"missing required field '{key}'")
-            return None
-        return doc[key]
-
-    def string(self, value: Any, path: str) -> str:
-        if not isinstance(value, str) or not value:
-            self.err(path, "expected a non-empty string")
-            return ""
-        return value
-
-    def integer(self, value: Any, path: str) -> int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            self.err(path, "expected an integer")
-            return 0
-        return value
-
-    def number(self, value: Any, path: str) -> float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.err(path, "expected a number")
-            return 0.0
-        return value
-
-    def enum(self, cls: type[Enum], value: Any, path: str) -> Any:
-        try:
-            return cls(value)
-        except (ValueError, TypeError):
-            allowed = ", ".join(m.value for m in cls)  # type: ignore[attr-defined]
-            self.err(path, f"expected one of [{allowed}], got {value!r}")
-            return next(iter(cls))
-
-    def reject_unknown(self, doc: dict, known: set[str], path: str) -> None:
-        for key in doc:
-            if key not in known:
-                self.err(path, f"unknown field '{key}'")
-
-
-def _read_objective(r: _Reader, doc: Any) -> ObjectiveSpec:
-    doc = r.mapping(doc, "objective")
-    r.reject_unknown(
-        doc,
-        {"type", "goal", "objectiveMetricName", "additionalMetricNames", "metricStrategy"},
-        "objective",
-    )
-    obj_type = r.enum(ObjectiveType, r.require(doc, "type", "objective"), "objective.type")
-    metric = r.string(r.require(doc, "objectiveMetricName", "objective"), "objective.objectiveMetricName")
-    goal = doc.get("goal")
-    if goal is not None:
-        goal = r.number(goal, "objective.goal")
-        if not math.isfinite(goal):
-            r.err("objective.goal", "must be finite")
-        goal = float(goal)
-    additional: tuple[str, ...] = ()
-    raw_additional = doc.get("additionalMetricNames", [])
-    if not isinstance(raw_additional, list):
-        r.err("objective.additionalMetricNames", "expected a list of strings")
-    else:
-        additional = tuple(r.string(v, f"objective.additionalMetricNames[{i}]") for i, v in enumerate(raw_additional))
-    strategy = r.enum(MetricStrategy, doc.get("metricStrategy", "latest"), "objective.metricStrategy")
-    if metric and metric in additional:
-        r.err("objective.additionalMetricNames", f"must not repeat the objective metric '{metric}'")
-    return ObjectiveSpec(
-        type=obj_type,
-        objective_metric_name=metric,
-        goal=goal,
-        additional_metric_names=additional,
-        metric_strategy=strategy,
-    )
-
-
-def _read_algorithm(r: _Reader, doc: Any) -> AlgorithmSpec:
-    doc = r.mapping(doc, "algorithm")
-    r.reject_unknown(doc, {"algorithmName", "settings"}, "algorithm")
-    name = r.string(r.require(doc, "algorithmName", "algorithm"), "algorithm.algorithmName")
-    settings_doc = doc.get("settings", {})
-    if not isinstance(settings_doc, dict):
-        r.err("algorithm.settings", "expected a mapping of scalar settings")
-        settings_doc = {}
-    settings: dict[str, Any] = {}
-    for key, value in settings_doc.items():
-        if isinstance(value, (dict, list)):
-            r.err(f"algorithm.settings.{key}", "settings must be scalars")
-            continue
-        settings[str(key)] = value
-    if name:
-        from .suggest.registry import allowed_settings, is_registered
-
-        if not is_registered(name):
-            r.err("algorithm.algorithmName", f"unknown algorithm '{name}'")
-        else:
-            allowed = allowed_settings(name)
-            for key in settings:
-                if key not in allowed:
-                    r.err("algorithm.settings", f"unknown setting key '{key}' for algorithm '{name}'")
-    return AlgorithmSpec(algorithm_name=name, settings=settings)
-
-
-def _read_parameter(r: _Reader, doc: Any, path: str) -> ParameterSpec:
-    doc = r.mapping(doc, path)
-    r.reject_unknown(doc, {"name", "parameterType", "feasibleSpace"}, path)
-    name = r.string(r.require(doc, "name", path), f"{path}.name")
-    ptype = r.enum(ParameterType, r.require(doc, "parameterType", path), f"{path}.parameterType")
-    space_doc = r.mapping(r.require(doc, "feasibleSpace", path), f"{path}.feasibleSpace")
-    space: Range | ValueList
-    if ptype in (ParameterType.INT, ParameterType.DOUBLE):
-        r.reject_unknown(space_doc, {"min", "max", "step"}, f"{path}.feasibleSpace")
-        lo = r.number(r.require(space_doc, "min", f"{path}.feasibleSpace"), f"{path}.feasibleSpace.min")
-        hi = r.number(r.require(space_doc, "max", f"{path}.feasibleSpace"), f"{path}.feasibleSpace.max")
-        step = space_doc.get("step")
-        if step is not None:
-            step = r.number(step, f"{path}.feasibleSpace.step")
-        for label, v in (("min", lo), ("max", hi), ("step", step)):
-            if v is not None and not math.isfinite(v):
-                r.err(f"{path}.feasibleSpace.{label}", "must be finite")
-        if ptype is ParameterType.INT:
-            for label, v in (("min", lo), ("max", hi), ("step", step)):
-                if v is not None and not isinstance(v, int):
-                    r.err(f"{path}.feasibleSpace.{label}", "must be an integer for int parameters")
-        if not lo < hi:
-            r.err(f"{path}.feasibleSpace", f"min < max violated (min={lo}, max={hi})")
-        if step is not None:
-            if step <= 0:
-                r.err(f"{path}.feasibleSpace.step", "must be > 0")
-            elif (hi - lo) / step + STEP_TOLERANCE < 1:
-                r.err(f"{path}.feasibleSpace.step", "(max-min)/step must be >= 1")
-        space = Range(min=lo, max=hi, step=step)
-    else:
-        r.reject_unknown(space_doc, {"values"}, f"{path}.feasibleSpace")
-        raw_values = r.require(space_doc, "values", f"{path}.feasibleSpace")
-        values: tuple[Any, ...] = ()
-        if not isinstance(raw_values, list) or not raw_values:
-            r.err(f"{path}.feasibleSpace.values", "expected a non-empty list")
-        else:
-            values = tuple(raw_values)
-            seen: list[Any] = []
-            for v in values:
-                if any(v == s for s in seen):
-                    r.err(f"{path}.feasibleSpace.values", f"duplicate value {v!r}")
-                seen.append(v)
-            if ptype is ParameterType.CATEGORICAL:
-                for i, v in enumerate(values):
-                    if not isinstance(v, str):
-                        r.err(f"{path}.feasibleSpace.values[{i}]", "categorical values must be strings")
-            else:
-                for i, v in enumerate(values):
-                    if isinstance(v, bool) or not isinstance(v, (int, float)):
-                        r.err(f"{path}.feasibleSpace.values[{i}]", "discrete values must be numbers")
-                    elif not math.isfinite(v):
-                        r.err(f"{path}.feasibleSpace.values[{i}]", "must be finite")
-        space = ValueList(values=values)
-    return ParameterSpec(name=name, parameter_type=ptype, feasible_space=space)
-
-
-def _read_template(r: _Reader, doc: Any) -> TrialTemplate:
-    doc = r.mapping(doc, "trialTemplate")
-    r.reject_unknown(
-        doc,
-        {"kind", "workerCount", "cpuPerWorker", "restartPolicy", "payload"},
-        "trialTemplate",
-    )
-    kind = r.enum(TemplateKind, r.require(doc, "kind", "trialTemplate"), "trialTemplate.kind")
-    worker_count = r.integer(doc.get("workerCount", 1), "trialTemplate.workerCount")
-    if worker_count < 1:
-        r.err("trialTemplate.workerCount", "must be >= 1")
-    cpu = r.number(doc.get("cpuPerWorker", 1.0), "trialTemplate.cpuPerWorker")
-    if not cpu > 0:
-        r.err("trialTemplate.cpuPerWorker", "must be > 0")
-    policy = r.enum(RestartPolicy, doc.get("restartPolicy", "never"), "trialTemplate.restartPolicy")
-    raw_payload = r.require(doc, "payload", "trialTemplate")
-    payload: str | SimObjectiveDescriptor
-    if kind is TemplateKind.LOCAL_PROCESS:
-        payload = r.string(raw_payload, "trialTemplate.payload")
-    else:
-        pdoc = r.mapping(raw_payload, "trialTemplate.payload")
-        r.reject_unknown(
-            pdoc,
-            {"functionName", "durationTicks", "noiseStdDev", "rngSeedOffset"},
-            "trialTemplate.payload",
-        )
-        fn = r.string(r.require(pdoc, "functionName", "trialTemplate.payload"), "trialTemplate.payload.functionName")
-        duration = r.integer(pdoc.get("durationTicks", 1), "trialTemplate.payload.durationTicks")
-        if duration < 1:
-            r.err("trialTemplate.payload.durationTicks", "must be >= 1")
-        noise = float(r.number(pdoc.get("noiseStdDev", 0.0), "trialTemplate.payload.noiseStdDev"))
-        if noise < 0:
-            r.err("trialTemplate.payload.noiseStdDev", "must be >= 0")
-        offset = r.integer(pdoc.get("rngSeedOffset", 0), "trialTemplate.payload.rngSeedOffset")
-        if fn:
-            from .cluster.objectives import is_registered_function
-
-            if not is_registered_function(fn):
-                r.err("trialTemplate.payload.functionName", f"unknown simulated objective '{fn}'")
-        payload = SimObjectiveDescriptor(
-            function_name=fn,
-            duration_ticks=duration,
-            noise_std_dev=noise,
-            rng_seed_offset=offset,
-        )
-    return TrialTemplate(
-        kind=kind,
-        payload=payload,
-        worker_count=worker_count,
-        cpu_per_worker=float(cpu),
-        restart_policy=policy,
-    )
-
-
-_TOP_LEVEL_KEYS = {
-    "name",
-    "namespace",
-    "objective",
-    "algorithm",
-    "parallelTrialCount",
-    "maxTrialCount",
-    "maxFailedTrialCount",
-    "metricCollectorKind",
-    "parameters",
-    "trialTemplate",
-}
-
-
-def _template_placeholders(template: TrialTemplate) -> set[str]:
-    if isinstance(template.payload, str):
-        return set(PLACEHOLDER_RE.findall(template.payload))
-    return set()
-
-
-def _check_cross_invariants(r: _Reader, spec: ExperimentSpec) -> None:
-    if spec.parallel_trial_count < 1:
-        r.err("parallelTrialCount", "must be >= 1")
-    if spec.max_trial_count < 1:
-        r.err("maxTrialCount", "must be >= 1")
     if spec.parallel_trial_count > spec.max_trial_count:
-        r.err("parallelTrialCount", "must not exceed maxTrialCount")
-    if spec.max_failed_trial_count < 0:
-        r.err("maxFailedTrialCount", "must be >= 0")
+        err("parallelTrialCount", "must not exceed maxTrialCount")
     for label, ident in (("name", spec.name), ("namespace", spec.namespace)):
         if ident and not IDENTIFIER_RE.match(ident):
-            r.err(label, f"'{ident}' is not a valid identifier (lowercase alphanumerics and dashes)")
+            err(label, f"'{ident}' is not a valid identifier (lowercase alphanumerics and dashes)")
 
-    names = [p.name for p in spec.parameters]
+    objective = spec.objective
+    if "" in objective.additional_metric_names:
+        err("objective.additionalMetricNames", "expected non-empty strings")
+    if objective.objective_metric_name in objective.additional_metric_names:
+        err(
+            "objective.additionalMetricNames",
+            f"must not repeat the objective metric '{objective.objective_metric_name}'",
+        )
+
+    from .suggest.registry import allowed_settings, is_registered
+
+    algorithm = spec.algorithm.algorithm_name
+    if algorithm and not is_registered(algorithm):
+        err("algorithm.algorithmName", f"unknown algorithm '{algorithm}'")
+    for key, value in spec.algorithm.settings.items():
+        if isinstance(value, (dict, list)):
+            err(f"algorithm.settings.{key}", "settings must be scalars")
+        if is_registered(algorithm) and key not in allowed_settings(algorithm):
+            err("algorithm.settings", f"unknown setting key '{key}' for algorithm '{algorithm}'")
+
     seen: set[str] = set()
-    for n in names:
-        if n in seen:
-            r.err("parameters", f"duplicate parameter name '{n}'")
-        seen.add(n)
+    for i, p in enumerate(spec.parameters):
+        _check_parameter(p, f"parameters[{i}].feasibleSpace", algorithm == "grid", err)
+        if p.name in seen:
+            err("parameters", f"duplicate parameter name '{p.name}'")
+        seen.add(p.name)
     if BUDGET_PARAMETER in seen:
-        r.err("parameters", f"'{BUDGET_PARAMETER}' is reserved for scheduler-assigned budgets")
+        err("parameters", f"'{BUDGET_PARAMETER}' is reserved for scheduler-assigned budgets")
 
-    declared = set(names) | BUILTIN_PLACEHOLDERS
-    if spec.algorithm.algorithm_name == "hyperband":
+    template = spec.trial_template
+    simulated = template.kind is TemplateKind.SIMULATED
+    if simulated != isinstance(template.payload, SimObjectiveDescriptor):
+        err("trialTemplate.payload", f"{template.kind.value} templates take " + (
+            "a {functionName, ...} mapping" if simulated else "a command string"
+        ))
+    elif simulated:
+        from .cluster.objectives import is_registered_function
+
+        function = template.payload.function_name
+        if function and not is_registered_function(function):
+            err("trialTemplate.payload.functionName", f"unknown simulated objective '{function}'")
+    declared = seen | BUILTIN_PLACEHOLDERS
+    if algorithm == "hyperband":
         declared.add(BUDGET_PARAMETER)
-    for ref in sorted(_template_placeholders(spec.trial_template)):
+    command = template.payload if isinstance(template.payload, str) else ""
+    for ref in sorted(set(PLACEHOLDER_RE.findall(command))):
         if ref not in declared:
-            r.err("trialTemplate.payload", f"unresolved placeholder '${{{ref}}}'")
+            err("trialTemplate.payload", f"unresolved placeholder '${{{ref}}}'")
+    return errors
 
-    if spec.algorithm.algorithm_name == "grid":
-        for p in spec.parameters:
-            if p.parameter_type is ParameterType.DOUBLE and isinstance(p.feasible_space, Range):
-                if p.feasible_space.step is None:
-                    r.err(
-                        f"parameters.{p.name}",
-                        "double parameters require a step under grid search",
-                    )
+
+def _check_parameter(p: ParameterSpec, path: str, grid: bool, err: Any) -> None:
+    space = p.feasible_space
+    numeric = p.parameter_type in (ParameterType.INT, ParameterType.DOUBLE)
+    if numeric != isinstance(space, Range):
+        err(path, f"{p.parameter_type.value} parameters take " + ("{min, max, step}" if numeric else "{values}"))
+    elif isinstance(space, Range):
+        lo, hi, step = space.min, space.max, space.step
+        if p.parameter_type is ParameterType.INT:
+            for label, v in (("min", lo), ("max", hi), ("step", step)):
+                if v is not None and not isinstance(v, int):
+                    err(f"{path}.{label}", "must be an integer for int parameters")
+        if not lo < hi:
+            err(path, f"min < max violated (min={lo}, max={hi})")
+        if step is not None and step > 0 and (hi - lo) / step + STEP_TOLERANCE < 1:
+            err(f"{path}.step", "(max-min)/step must be >= 1")
+        if grid and step is None and p.parameter_type is ParameterType.DOUBLE:
+            err(f"parameters.{p.name}", "double parameters require a step under grid search")
+    else:
+        for i, v in enumerate(space.values):
+            if any(v == s for s in space.values[:i]):
+                err(f"{path}.values", f"duplicate value {v!r}")
+            if p.parameter_type is ParameterType.CATEGORICAL:
+                if not isinstance(v, str):
+                    err(f"{path}.values[{i}]", "categorical values must be strings")
+            elif isinstance(v, bool) or not isinstance(v, (int, float)):
+                err(f"{path}.values[{i}]", "discrete values must be numbers")
+            elif not math.isfinite(v):
+                err(f"{path}.values[{i}]", "must be finite")
+
+
+def _decode_experiment(doc: Any) -> tuple[ExperimentSpec | None, list[str]]:
+    """The spec and every violation: the codec's, then, on a spec it could
+    build, the cross-field ones."""
+    try:
+        spec, errors = from_doc(ExperimentSpec, doc), []
+    except DocumentError as exc:
+        spec, errors = exc.value, exc.errors
+    if spec is not None:
+        errors += _check_cross_invariants(spec)
+    return spec, errors
 
 
 def validate_experiment(spec: ExperimentSpec) -> list[str]:
@@ -490,21 +334,20 @@ def validate_experiment(spec: ExperimentSpec) -> list[str]:
     Returns the list of violations (empty when everything holds). Used by
     property tests and by callers that build experiments programmatically.
     """
-    try:
-        experiment_from_doc(experiment_to_doc(spec))
-    except ValidationError as exc:
-        return exc.errors
-    return []
+    return _decode_experiment(to_doc(spec))[1]
 
 
 def parse_experiment(text: str) -> ExperimentSpec:
     """Parse and validate a YAML experiment document.
 
-    Syntax errors are reported with their line/column position; everything
-    else is checked by :func:`experiment_from_doc`.
+    Syntax errors are reported with their line/column position. Everything
+    else is reported all at once in one :class:`ValidationError`: what the
+    codec finds, or else what :func:`_check_cross_invariants` finds. Missing
+    optional fields take their defaults (``metricCollectorKind: pull``,
+    ``maxFailedTrialCount: 0``, ...).
     """
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         problem = getattr(exc, "problem", None) or str(exc)
@@ -513,52 +356,9 @@ def parse_experiment(text: str) -> ExperimentSpec:
                 [f"line {mark.line + 1}, column {mark.column + 1}: {problem}"]
             ) from exc
         raise ValidationError([f"yaml syntax error: {problem}"]) from exc
-    return experiment_from_doc(doc)
-
-
-def experiment_from_doc(doc: Any) -> ExperimentSpec:
-    """Validate a loaded experiment document and build its spec.
-
-    Applies defaults (``metricCollectorKind: pull``, ``maxFailedTrialCount: 0``)
-    and raises :class:`ValidationError` carrying *all* violations found.
-    """
-    r = _Reader()
-    doc = r.mapping(doc, "document")
-    r.reject_unknown(doc, _TOP_LEVEL_KEYS, "document")
-
-    name = r.string(r.require(doc, "name", "document"), "name")
-    namespace = r.string(r.require(doc, "namespace", "document"), "namespace")
-    objective = _read_objective(r, r.require(doc, "objective", "document"))
-    algorithm = _read_algorithm(r, r.require(doc, "algorithm", "document"))
-    parallel = r.integer(r.require(doc, "parallelTrialCount", "document"), "parallelTrialCount")
-    max_trials = r.integer(r.require(doc, "maxTrialCount", "document"), "maxTrialCount")
-    max_failed = r.integer(doc.get("maxFailedTrialCount", 0), "maxFailedTrialCount")
-    collector = r.enum(CollectorKind, doc.get("metricCollectorKind", "pull"), "metricCollectorKind")
-
-    raw_params = r.require(doc, "parameters", "document")
-    parameters: list[ParameterSpec] = []
-    if not isinstance(raw_params, list) or not raw_params:
-        r.err("parameters", "expected a non-empty list")
-    else:
-        parameters = [_read_parameter(r, p, f"parameters[{i}]") for i, p in enumerate(raw_params)]
-
-    template = _read_template(r, r.require(doc, "trialTemplate", "document"))
-
-    spec = ExperimentSpec(
-        name=name,
-        namespace=namespace,
-        objective=objective,
-        algorithm=algorithm,
-        parameters=parameters,
-        trial_template=template,
-        parallel_trial_count=parallel,
-        max_trial_count=max_trials,
-        max_failed_trial_count=max_failed,
-        metric_collector_kind=collector,
-    )
-    _check_cross_invariants(r, spec)
-    if r.errors:
-        raise ValidationError(r.errors)
+    spec, errors = _decode_experiment(doc)
+    if errors:
+        raise ValidationError(errors)
     return spec
 
 
@@ -567,53 +367,15 @@ def experiment_from_doc(doc: Any) -> ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 
-def experiment_to_doc(spec: ExperimentSpec) -> dict:
-    """Plain-dict form of a spec with a fixed key order; defaults materialized."""
-    objective: dict[str, Any] = {"type": spec.objective.type.value}
-    if spec.objective.goal is not None:
-        objective["goal"] = spec.objective.goal
-    objective["objectiveMetricName"] = spec.objective.objective_metric_name
-    objective["additionalMetricNames"] = list(spec.objective.additional_metric_names)
-    objective["metricStrategy"] = spec.objective.metric_strategy.value
-    return {
-        "name": spec.name,
-        "namespace": spec.namespace,
-        "objective": objective,
-        "algorithm": {
-            "algorithmName": spec.algorithm.algorithm_name,
-            "settings": {k: spec.algorithm.settings[k] for k in sorted(spec.algorithm.settings)},
-        },
-        "parallelTrialCount": spec.parallel_trial_count,
-        "maxTrialCount": spec.max_trial_count,
-        "maxFailedTrialCount": spec.max_failed_trial_count,
-        "metricCollectorKind": spec.metric_collector_kind.value,
-        "parameters": [
-            {
-                "name": p.name,
-                "parameterType": p.parameter_type.value,
-                # An absent step is left out, not written as null.
-                "feasibleSpace": {k: v for k, v in to_doc(p.feasible_space).items() if v is not None},
-            }
-            for p in spec.parameters
-        ],
-        "trialTemplate": {
-            "kind": spec.trial_template.kind.value,
-            "workerCount": spec.trial_template.worker_count,
-            "cpuPerWorker": spec.trial_template.cpu_per_worker,
-            "restartPolicy": spec.trial_template.restart_policy.value,
-            "payload": to_doc(spec.trial_template.payload),
-        },
-    }
-
-
 def canonical_yaml(spec: ExperimentSpec) -> str:
-    """Emit the byte-stable canonical YAML form.
+    """Emit the byte-stable canonical YAML form: every key in field order,
+    defaults materialized.
 
     Round-trip stable: ``parse_experiment(canonical_yaml(s)) == s``. Two specs
     differing only in input key order produce identical bytes.
     """
     return yaml.safe_dump(
-        experiment_to_doc(spec),
+        to_doc(spec),
         sort_keys=False,
         default_flow_style=False,
         width=2**20,

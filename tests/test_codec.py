@@ -90,6 +90,7 @@ def test_from_doc_fills_defaults_and_coerces_ints_to_float():
         {"someValue": "lots"},
         {"someValue": True},
         {"someValue": 1.0, "label": 7},
+        {"someValue": 1.0, "bogus": 1},
         [1.0],
     ],
 )

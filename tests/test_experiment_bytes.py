@@ -172,10 +172,11 @@ LOCAL_LINE = (
     '"restartPolicy":"on-temporary-failure","payload":"train --lr=${lr} ${hyperparameters}"}},' + _CREATED
 )
 
-# The suggestion shares the experiment's algorithm spec.
+# The suggestion shares the experiment's algorithm spec, whose settings are
+# kept in key order from the moment it is decoded.
 SUGGESTION_LINE = (
     '{"kind":"suggestion","name":"sim-exp","namespace":"team","spec":{"experiment":"sim-exp",'
-    '"algorithm":{"algorithmName":"hyperband","settings":{"random_state":3,"max_resource":9,"eta":3}},'
+    '"algorithm":{"algorithmName":"hyperband","settings":{"eta":3,"max_resource":9,"random_state":3}},'
     '"requested":2},"status":{"produced":0,"pending":[],"exhausted":false},"generation":1}'
 )
 

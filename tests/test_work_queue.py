@@ -16,18 +16,20 @@ from conftest import make_experiment
 from tunectl.cluster import sim
 from tunectl.cluster.sim import SimBackend, SimWorld
 from tunectl.controller import reconcile
-from tunectl.controller.backend import ExecutionBackend
+from tunectl.controller.backend import ExecutionBackend, JobPhase
 from tunectl.controller.model import KIND_EXPERIMENT, KIND_SUGGESTION, KIND_TRIAL, TrialPhase
 from tunectl.controller.reconcile import ControllerContext, controller_step, run_control_loop, submit_experiment
 from tunectl.controller.store import ResourceStore
 from tunectl.errors import TunectlError
 from tunectl.metrics import InMemoryObservationStore
 from tunectl.resources import (
+    CollectorKind,
     ParameterSpec,
     ParameterType,
     Range,
     SimObjectiveDescriptor,
     TemplateKind,
+    TrialRunSpec,
     TrialTemplate,
 )
 from tunectl.scenarios import SCENARIOS, run_scenario
@@ -134,6 +136,32 @@ def test_a_trial_is_reconciled_once_per_phase_change(monkeypatch):
     assert snapshot["experiments"]["experiment/ns/exp"]["trialsSucceeded"] == 40
     assert len(writes) == 3 * 40
     assert set(writes) == {1}
+
+
+def test_a_queued_job_is_reported_once_it_runs_not_while_it_waits():
+    # Its trial recorded Pending at submission, so a job still Pending has
+    # not changed.
+    world = SimWorld(seed=3)
+    world.add_node(1.0)
+    world.add_namespace("ns")
+    backend = SimBackend(world, InMemoryObservationStore())
+    first, queued = (
+        backend.submit(
+            TrialRunSpec(name, "ns", SimObjectiveDescriptor("sphere", duration_ticks=2), (("x", "0.5"),)),
+            _template(duration=2),
+            collector_kind=CollectorKind.PULL,
+            watched_metrics=("loss",),
+        )
+        for name in ("exp-0000", "exp-0001")
+    )
+    assert backend.changed_jobs() == []
+    world.advance_tick()
+    assert world.jobs[queued].phase is JobPhase.PENDING
+    assert backend.changed_jobs() == [first]
+    world.advance_tick()
+    world.advance_tick()
+    assert world.jobs[queued].phase is JobPhase.RUNNING
+    assert sorted(backend.changed_jobs()) == [first, queued]
 
 
 class _SubmitFailsTwice(SimBackend):
