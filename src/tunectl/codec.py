@@ -57,20 +57,15 @@ class _Field(NamedTuple):
 
 @cache
 def _fields(cls: type) -> tuple[_Field, ...]:
-    # A module without postponed annotations holds its field types as
-    # types, which need no costly ``get_type_hints``.
-    fields = dataclasses.fields(cls)
-    hints = typing.get_type_hints(cls) if any(isinstance(f.type, str) for f in fields) else {}
+    hints = typing.get_type_hints(cls)
     out = []
-    for f in fields:
+    for f in dataclasses.fields(cls):
         head, *rest = f.name.split("_")
         key = head + "".join(w[:1].upper() + w[1:] for w in rest)
-        hint = hints.get(f.name, f.type)
+        hint = hints[f.name]
         optional = f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING
-        nullable = hint is Any or type(None) in typing.get_args(hint)
-        out.append(
-            _Field(f.name, key, hint, optional, optional and not nullable, "omit_none" in f.metadata, f.metadata or None)
-        )
+        null_is_default = optional and not (hint is Any or type(None) in typing.get_args(hint))
+        out.append(_Field(f.name, key, hint, optional, null_is_default, "omit_none" in f.metadata, f.metadata or None))
     return tuple(out)
 
 
@@ -150,15 +145,14 @@ def _decoder(tp: Any) -> _Decoder:
 
     if origin in (typing.Union, types.UnionType):
         # A document of a member's own type decodes as that member; a dict
-        # as the dataclass member whose required keys it holds, else the one
-        # sharing the most keys with it; anything else as the first member.
+        # as the first dataclass member whose required keys it holds, else
+        # the first dataclass member; anything else as the first member.
         members = [a for a in args if a is not type(None)]
         exact = {a: _decoder(a) for a in members if not dataclasses.is_dataclass(a)}
-        classes = [a for a in members if dataclasses.is_dataclass(a)]
-
-        def fit(cls: type, doc: dict) -> tuple[bool, int]:
-            fields = _fields(cls)
-            return all(f.key in doc for f in fields if not f.optional), sum(f.key in doc for f in fields)
+        classes = [
+            (_decoder(a), {f.key for f in _fields(a) if not f.optional}) for a in members if dataclasses.is_dataclass(a)
+        ]
+        first = _decoder(members[0])
 
         def decode_union(doc: Any, errors: list) -> Any:
             if doc is None and len(members) < len(args):
@@ -166,8 +160,9 @@ def _decoder(tp: Any) -> _Decoder:
             if type(doc) in exact:
                 return exact[type(doc)](doc, errors)
             if type(doc) is dict and classes:
-                return _decoder(max(classes, key=lambda c: fit(c, doc)))(doc, errors)
-            return _decoder(members[0])(doc, errors)
+                member = next((d for d, required in classes if required <= doc.keys()), classes[0][0])
+                return member(doc, errors)
+            return first(doc, errors)
 
         return decode_union
 

@@ -141,9 +141,10 @@ def clone_resource(resource: Resource, generation: int) -> Resource:
 # Document (de)serialization for the file store and ``tunectl dump``
 # ---------------------------------------------------------------------------
 
-# (spec class, status class) per kind. An experiment spec's document is its
-# user-facing form, and decoding it checks each field's own rules as a
-# submitted one's are checked.
+# (spec class, status class) per kind; every kind decodes through
+# ``from_doc``. An experiment spec's document is its user-facing form, so a
+# stored one must meet each field's own rules as a submitted one must; the
+# rules that span fields are checked at submission only.
 _KINDS: dict[str, tuple[type, type]] = {
     KIND_EXPERIMENT: (ExperimentSpec, ExperimentStatus),
     KIND_SUGGESTION: (SuggestionSpec, SuggestionStatus),

@@ -12,11 +12,13 @@ the rules that span fields. Both report every violation at once, each as
 All functions here are pure and safe to call from any thread.
 """
 
+from __future__ import annotations
+
 import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, Callable
 
 import yaml
 
@@ -28,10 +30,6 @@ PLACEHOLDER_RE = re.compile(r"\$\{([^}]*)\}")
 
 # Placeholders resolvable without a declared parameter.
 BUILTIN_PLACEHOLDERS = frozenset({"trial.name", "trial.namespace", "hyperparameters"})
-
-# libyaml's parser, where PyYAML has it, reads a document several times
-# faster than the pure-Python one and builds the same values.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 # Reserved assignment name used by budget-aware schedulers; templates may
 # reference it only when the experiment uses such an algorithm.
@@ -74,8 +72,8 @@ class RestartPolicy(str, Enum):
 
 
 # Field rules, read by the codec.
-NON_EMPTY = {"non_empty": True}
-FINITE = {"finite": True}
+_NON_EMPTY = {"non_empty": True}
+_FINITE = {"finite": True}
 
 
 @dataclass(frozen=True)
@@ -83,8 +81,8 @@ class Range:
     """Numeric feasible space. ``step`` is required for double parameters
     under grid search and optional otherwise."""
 
-    min: float | int = field(metadata=FINITE)
-    max: float | int = field(metadata=FINITE)
+    min: float | int = field(metadata=_FINITE)
+    max: float | int = field(metadata=_FINITE)
     step: float | int | None = field(
         default=None, metadata={"finite": True, "exclusive_minimum": 0, "omit_none": True}
     )
@@ -100,12 +98,12 @@ STEP_TOLERANCE = 1e-9
 class ValueList:
     """Enumerated feasible space for discrete/categorical parameters."""
 
-    values: tuple[Any, ...] = field(metadata=NON_EMPTY)
+    values: tuple[Any, ...] = field(metadata=_NON_EMPTY)
 
 
 @dataclass(frozen=True)
 class ParameterSpec:
-    name: str = field(metadata=NON_EMPTY)
+    name: str = field(metadata=_NON_EMPTY)
     parameter_type: ParameterType
     feasible_space: Range | ValueList
 
@@ -138,7 +136,7 @@ class ParameterSpec:
 class ObjectiveSpec:
     type: ObjectiveType
     goal: float | None = field(default=None, metadata={"finite": True, "omit_none": True})
-    objective_metric_name: str = field(metadata=NON_EMPTY)
+    objective_metric_name: str = field(metadata=_NON_EMPTY)
     additional_metric_names: tuple[str, ...] = ()
     metric_strategy: MetricStrategy = MetricStrategy.LATEST
 
@@ -148,7 +146,7 @@ class AlgorithmSpec:
     """``settings`` are kept in key order, so that the order they were
     given in never shows in a document."""
 
-    algorithm_name: str = field(metadata=NON_EMPTY)
+    algorithm_name: str = field(metadata=_NON_EMPTY)
     settings: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -160,7 +158,7 @@ class SimObjectiveDescriptor:
     """Payload of a simulated trial: which synthetic objective to run, for
     how many ticks, and how noisy its metric stream is."""
 
-    function_name: str = field(metadata=NON_EMPTY)
+    function_name: str = field(metadata=_NON_EMPTY)
     duration_ticks: int = field(default=1, metadata={"minimum": 1})
     noise_std_dev: float = field(default=0.0, metadata={"minimum": 0})
     rng_seed_offset: int = 0
@@ -172,20 +170,20 @@ class TrialTemplate:
     worker_count: int = field(default=1, metadata={"minimum": 1})
     cpu_per_worker: float = field(default=1.0, metadata={"exclusive_minimum": 0})
     restart_policy: RestartPolicy = RestartPolicy.NEVER
-    payload: str | SimObjectiveDescriptor = field(metadata=NON_EMPTY)
+    payload: str | SimObjectiveDescriptor = field(metadata=_NON_EMPTY)
 
 
 @dataclass(kw_only=True)
 class ExperimentSpec:
-    name: str = field(metadata=NON_EMPTY)
-    namespace: str = field(metadata=NON_EMPTY)
+    name: str = field(metadata=_NON_EMPTY)
+    namespace: str = field(metadata=_NON_EMPTY)
     objective: ObjectiveSpec
     algorithm: AlgorithmSpec
     parallel_trial_count: int = field(metadata={"minimum": 1})
     max_trial_count: int = field(metadata={"minimum": 1})
     max_failed_trial_count: int = field(default=0, metadata={"minimum": 0})
     metric_collector_kind: CollectorKind = CollectorKind.PULL
-    parameters: list[ParameterSpec] = field(metadata=NON_EMPTY)
+    parameters: list[ParameterSpec] = field(metadata=_NON_EMPTY)
     trial_template: TrialTemplate
 
     def parameter_names(self) -> list[str]:
@@ -247,12 +245,13 @@ def _check_cross_invariants(spec: ExperimentSpec) -> list[str]:
     from .suggest.registry import allowed_settings, is_registered
 
     algorithm = spec.algorithm.algorithm_name
-    if algorithm and not is_registered(algorithm):
+    registered = is_registered(algorithm)
+    if algorithm and not registered:
         err("algorithm.algorithmName", f"unknown algorithm '{algorithm}'")
     for key, value in spec.algorithm.settings.items():
         if isinstance(value, (dict, list)):
             err(f"algorithm.settings.{key}", "settings must be scalars")
-        if is_registered(algorithm) and key not in allowed_settings(algorithm):
+        if registered and key not in allowed_settings(algorithm):
             err("algorithm.settings", f"unknown setting key '{key}' for algorithm '{algorithm}'")
 
     seen: set[str] = set()
@@ -286,7 +285,7 @@ def _check_cross_invariants(spec: ExperimentSpec) -> list[str]:
     return errors
 
 
-def _check_parameter(p: ParameterSpec, path: str, grid: bool, err: Any) -> None:
+def _check_parameter(p: ParameterSpec, path: str, grid: bool, err: Callable[[str, str], None]) -> None:
     space = p.feasible_space
     numeric = p.parameter_type in (ParameterType.INT, ParameterType.DOUBLE)
     if numeric != isinstance(space, Range):
@@ -335,6 +334,11 @@ def validate_experiment(spec: ExperimentSpec) -> list[str]:
     property tests and by callers that build experiments programmatically.
     """
     return _decode_experiment(to_doc(spec))[1]
+
+
+# libyaml's parser, where PyYAML has it, reads a document several times
+# faster than the pure-Python one and builds the same values.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def parse_experiment(text: str) -> ExperimentSpec:

@@ -4,8 +4,9 @@ A key reaches the queue through a store write, a backend phase report or a
 retry. These tests check that nothing else needs reconciling: after every
 step of each canned scenario, a full sweep of every key writes nothing; a
 quiescent step calls no reconciler; a trial is reconciled once per phase
-change; a failed submit is retried on the next step; and a finished control
-loop leaves no watcher on its store.
+change; a queued job is reported once it runs, not while it waits; a failed
+submit is retried on the next step; and a finished control loop leaves no
+watcher on its store.
 """
 
 from __future__ import annotations
