@@ -16,6 +16,7 @@ import fcntl
 import logging
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterator
 
@@ -145,8 +146,8 @@ def _run(
     max_ticks: int,
 ) -> None:
     from .cluster.localproc import LocalProcessBackend
-    from .cluster.sim import SimBackend, SimWorld
-    from .scenarios import load_scenario
+    from .cluster.sim import SimBackend
+    from .scenarios import NodeGroup, Quota, ScenarioConfig, load_scenario
 
     store = _open_store(store_dir)
     metrics = FileObservationStore(store_dir / "metrics.jsonl")
@@ -158,28 +159,20 @@ def _run(
             if scenario_file is not None:
                 click.echo("resuming persisted world; --scenario ignored", err=True)
         else:
-            world = SimWorld(seed=seed)
+            cfg = ScenarioConfig(seed, nodes=(NodeGroup(8.0, 4),), max_ticks=max_ticks)
             if scenario_file is not None:
-                cfg = load_scenario(scenario_file)
-                world = SimWorld(seed=cfg.seed, gang=cfg.gang, autoscaler=cfg.autoscaler, chaos=cfg.chaos)
-                for capacity in cfg.node_capacities:
-                    world.add_node(capacity)
-                for name, limit in cfg.namespaces.items():
-                    world.add_namespace(name, limit)
-                for spec in cfg.experiments:
+                cfg, specs = load_scenario(scenario_file)
+                for spec in specs:
                     try:
                         submit_experiment(store, spec)
                     except ResourceExistsError:
                         pass
-                max_ticks = min(max_ticks, cfg.max_ticks)
-            else:
-                for _ in range(4):
-                    world.add_node(8.0)
+            max_ticks = min(max_ticks, cfg.max_ticks)
             # Convenience: every submitted experiment needs its namespace.
-            for exp in store.list(KIND_EXPERIMENT):
-                if exp.namespace not in world.namespaces:
-                    world.add_namespace(exp.namespace)
-            backend = SimBackend(world, metrics, state_dir=store_dir)
+            named = {ns.name if isinstance(ns, Quota) else ns for ns in cfg.namespaces}
+            unnamed = dict.fromkeys(e.namespace for e in store.list(KIND_EXPERIMENT) if e.namespace not in named)
+            cfg = replace(cfg, namespaces=(*cfg.namespaces, *unnamed))
+            backend = SimBackend(cfg.world(), metrics, state_dir=store_dir)
     except ValidationError as exc:
         for error in exc.errors:
             click.echo(error, err=True)

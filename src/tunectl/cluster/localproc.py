@@ -200,9 +200,6 @@ class LocalProcessBackend(ExecutionBackend):
             self._step = None
         self._exited.wait(self.poll_interval)
 
-    def emit_event(self, kind: str, payload: dict) -> None:
-        pass
-
     def close(self) -> None:
         """Stop every trainer still running: SIGTERM to its process group,
         SIGKILL once the grace period is over, then join its output reader.

@@ -137,10 +137,12 @@ def _derived_rng(*entropy: int) -> np.random.Generator:
 @dataclass(eq=False)
 class SimWorld:
     """The simulated cluster. Its fields are the state a snapshot holds;
-    the event log, the writers, the set of live (pending or running) job
-    names, which the tick phases iterate, the names of the jobs released
-    since the backend last persisted, and the count of placed units on each
-    node and in each namespace are attached in ``__post_init__``."""
+    the events emitted since the object was built (a resumed world starts
+    with none; ``events.jsonl`` holds them all), the writers, the set of
+    live (pending or running) job names, which the tick phases iterate, the
+    names of the jobs released since the backend last persisted, and the
+    count of placed units on each node and in each namespace are attached
+    in ``__post_init__``."""
 
     seed: int = 0
     gang: bool = True
@@ -614,7 +616,8 @@ class SimBackend(ExecutionBackend):
         holds only ticks this backend persisted, so ``compact`` never
         writes a world changed since its last persist. Events recorded
         after the last persisted tick (a torn tick) are truncated and will
-        be re-emitted."""
+        be re-emitted. The resumed world's in-memory ``events`` start
+        empty."""
         state_dir = Path(state_dir)
         base = json.loads((state_dir / cls.WORLD_FILE).read_bytes())
         doc, offset = base["world"], base["eventsOffset"]
@@ -634,7 +637,6 @@ class SimBackend(ExecutionBackend):
         backend = cls(world, metrics, crash_hook=crash_hook)
         backend._open_state(state_dir)
         backend._events.truncate(offset)
-        world.events = [json.loads(line) for line in backend._events.read(writing=True)]
         backend._events_offset = offset
         backend._live = set(world.live_jobs)
         if replayed:

@@ -10,8 +10,9 @@ documents written straight to JSON.
 hints. It is the one decoder, for stored documents and submitted ones
 alike: it checks types, rejects unknown keys, and applies the rules a field
 declares in its metadata (``minimum``, ``exclusive_minimum``, ``finite``,
-``non_empty``). It reports every problem at once, each under its path, as
-in ``parameters[0].feasibleSpace.min: must be finite``. A null stands for
+``non_empty``), and a ``ValueError`` from a class's own constructor. It
+reports every problem at once, each under its path, as in
+``parameters[0].feasibleSpace.min: must be finite``. A null stands for
 an absent key when the field has a default and its type admits no None.
 
 ``Journal`` reads the resource journal and the metric log up to their last
@@ -209,7 +210,12 @@ def _decoder(tp: Any) -> _Decoder:
                         _check(value, f.rules, f.key, errors)
             if not keys.issuperset(doc):
                 errors.extend(_Kept([f"unknown field '{k}'"]) for k in doc if k not in keys)
-            return None if len(errors) > first and _broken(errors, first) else tp(**kwargs)
+            if len(errors) > first and _broken(errors, first):
+                return None
+            try:
+                return tp(**kwargs)
+            except ValueError as exc:  # a check in the class's own constructor
+                return _fail(errors, str(exc))
 
         return decode_dataclass
 

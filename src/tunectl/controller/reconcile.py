@@ -410,10 +410,7 @@ def controller_step(ctx: ControllerContext) -> int:
     The step ends with a pass that mutates nothing; a key still queued then
     waits for the next step.
     """
-    # Only a backend whose jobs conclude before the controller next reads
-    # them may lack the hook (one that duck-types ExecutionBackend); it
-    # reports no change.
-    for handle in getattr(ctx.backend, "changed_jobs", tuple)():
+    for handle in ctx.backend.changed_jobs():
         namespace, _, name = handle.partition("/")
         ctx.dirty.add(resource_key(KIND_TRIAL, namespace, name))
     total = 0
@@ -457,7 +454,6 @@ def run_control_loop(
     *,
     stop: Callable[[int], bool] | None = None,
     max_ticks: int = 1_000_000,
-    on_mutation: Callable[[], None] | None = None,
 ) -> dict:
     """Drive every experiment in the store to a terminal phase.
 
@@ -466,20 +462,13 @@ def run_control_loop(
     to the same terminal phases. A backend that has already advanced (a
     resumed world) goes on with its next tick without the bootstrap step:
     the store may hold writes of a tick the world did not persist, and a
-    bootstrap would act on them a scheduling pass early. ``on_mutation``
-    is called after each store write until the loop returns; the loop
-    leaves no watcher on the store. Returns the terminal snapshot.
+    bootstrap would act on them a scheduling pass early. The loop leaves
+    no watcher on the store. Returns the terminal snapshot.
     """
     ctx = ControllerContext(store=store, metrics=metrics, backend=backend)
-    watchers = [ctx._written]  # removed from the store when the loop ends
-    if on_mutation is not None:
-        watchers.append(lambda _written: on_mutation())
-        store.watchers.append(watchers[-1])
     ticks = 0
     try:
-        # A backend that only duck-types ExecutionBackend may lack the hook;
-        # it keeps no clock, so it has not advanced.
-        if not getattr(backend, "has_advanced", lambda: False)():
+        if not backend.has_advanced():
             controller_step(ctx)  # bootstrap: create suggestions/trials before time moves
         while not all_experiments_terminal(store):
             if ticks >= max_ticks:
@@ -504,6 +493,5 @@ def run_control_loop(
             if stop is not None and stop(ticks):
                 break
     finally:
-        for watcher in watchers:
-            store.watchers.remove(watcher)
+        store.watchers.remove(ctx._written)
     return terminal_snapshot(store, ticks)

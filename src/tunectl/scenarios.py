@@ -9,7 +9,10 @@ per check.
 
 A scenario *file* (YAML) describes a custom world for ``tunectl run``:
 initial nodes, per-namespace quotas, autoscaler and chaos policies, gang
-scheduling, a seed, and experiment file references.
+scheduling, a seed, and experiment file references. It is the document of
+:class:`ScenarioConfig`, decoded by ``codec.from_doc``, and
+``ScenarioConfig.world`` builds every simulated world the CLI and the
+canned scenarios run.
 """
 
 from __future__ import annotations
@@ -20,12 +23,12 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Sequence
 
 import yaml
 
 from .cluster.objectives import mnist_surrogate
-from .codec import from_doc
+from .codec import DocumentError, from_doc
 from .cluster.sim import AutoscalerConfig, ChaosMode, ChaosPolicy, SimBackend, SimWorld
 from .controller.model import KIND_TRIAL, TrialPhase
 from .controller.reconcile import run_control_loop, submit_experiment
@@ -60,8 +63,6 @@ class ScenarioOutcome:
     name: str
     seed: int
     checks: list[ScenarioCheck] = field(default_factory=list)
-    extras: dict[str, Any] = field(default_factory=dict)
-    events: list[dict] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -76,62 +77,66 @@ class ScenarioOutcome:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
+class NodeGroup:
+    capacity_cpu: float
+    count: int = field(default=1, metadata={"minimum": 1})
+
+
+@dataclass(frozen=True)
+class Quota:
+    name: str
+    cpu_limit: float | None = None  # None: no quota
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
+    """A simulated world, as a scenario file describes it. A node is a
+    capacity or a group of equal nodes, a namespace a name or a quota, and
+    an experiment a file path relative to the scenario file."""
+
     seed: int = 0
     gang: bool = True
-    node_capacities: list[float] = field(default_factory=list)
-    namespaces: dict[str, float | None] = field(default_factory=dict)
+    nodes: tuple[float | NodeGroup, ...] = ()
+    namespaces: tuple[str | Quota, ...] = ()
     autoscaler: AutoscalerConfig | None = None
     chaos: ChaosPolicy | None = None
-    experiments: list[ExperimentSpec] = field(default_factory=list)
+    experiments: tuple[str, ...] = ()
     max_ticks: int = 10_000
 
+    def world(self) -> SimWorld:
+        world = SimWorld(seed=self.seed, gang=self.gang, autoscaler=self.autoscaler, chaos=self.chaos)
+        for node in self.nodes:
+            group = node if isinstance(node, NodeGroup) else NodeGroup(node)
+            for _ in range(group.count):
+                world.add_node(group.capacity_cpu)
+        for namespace in self.namespaces:
+            quota = namespace if isinstance(namespace, Quota) else Quota(namespace)
+            world.add_namespace(quota.name, quota.cpu_limit)
+        return world
 
-def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Parse a scenario YAML file; experiment references resolve relative to it."""
+
+def load_scenario(path: str | Path) -> tuple[ScenarioConfig, list[ExperimentSpec]]:
+    """Read a scenario file and the experiment files it names."""
     path = Path(path)
     try:
-        doc = yaml.safe_load(path.read_text())
+        cfg = from_doc(ScenarioConfig, yaml.safe_load(path.read_text()))
     except yaml.YAMLError as exc:
         raise ValidationError([f"scenario: yaml syntax error: {exc}"]) from exc
-    if not isinstance(doc, dict):
-        raise ValidationError(["scenario: expected a mapping"])
+    except DocumentError as exc:
+        raise ValidationError([f"scenario: {e}" for e in exc.errors]) from exc
+    specs: list[ExperimentSpec] = []
     errors: list[str] = []
-    cfg = ScenarioConfig()
-    try:
-        cfg.seed = int(doc.get("seed", 0))
-        cfg.gang = bool(doc.get("gang", True))
-        for entry in doc.get("nodes", []):
-            if isinstance(entry, dict):
-                count = int(entry.get("count", 1))
-                cfg.node_capacities.extend([float(entry["capacityCpu"])] * count)
-            else:
-                cfg.node_capacities.append(float(entry))
-        for entry in doc.get("namespaces", []):
-            if isinstance(entry, dict):
-                limit = entry.get("cpuLimit")
-                cfg.namespaces[entry["name"]] = None if limit is None else float(limit)
-            else:
-                cfg.namespaces[str(entry)] = None
-        if doc.get("autoscaler"):
-            cfg.autoscaler = from_doc(AutoscalerConfig, doc["autoscaler"])
-        if doc.get("chaos"):
-            cfg.chaos = from_doc(ChaosPolicy, doc["chaos"])
-        cfg.max_ticks = int(doc.get("maxTicks", 10_000))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError([f"scenario: malformed structure: {exc!r}"]) from exc
-    for ref in doc.get("experiments", []):
-        exp_path = path.parent / str(ref)
+    for i, ref in enumerate(cfg.experiments):
         try:
-            cfg.experiments.append(parse_experiment(exp_path.read_text()))
-        except FileNotFoundError:
-            errors.append(f"experiments: file not found: {ref}")
+            specs.append(parse_experiment((path.parent / ref).read_text()))
+        except OSError as exc:
+            errors.append(f"scenario: experiments[{i}]: {ref}: {exc.strerror}")
         except ValidationError as exc:
-            errors.extend(f"{ref}: {e}" for e in exc.errors)
+            errors.extend(f"scenario: experiments[{i}]: {ref}: {e}" for e in exc.errors)
     if errors:
         raise ValidationError(errors)
-    return cfg
+    return cfg, specs
 
 
 # ---------------------------------------------------------------------------
@@ -143,40 +148,30 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 class SimRun:
     snapshot: dict
     store: ResourceStore
-    metrics: InMemoryObservationStore
-    backend: SimBackend
     events: list[dict]
 
 
 def run_simulated(
+    cfg: ScenarioConfig,
     experiments: Sequence[ExperimentSpec],
     *,
-    seed: int,
-    node_capacities: Sequence[float],
-    namespaces: dict[str, float | None],
-    gang: bool = True,
-    autoscaler: AutoscalerConfig | None = None,
-    chaos: ChaosPolicy | None = None,
-    max_ticks: int = 10_000,
     state_dir: str | Path | None = None,
     drain_to_min_nodes: bool = False,
 ) -> SimRun:
-    """Build a world, submit the experiments, and drive them to termination.
+    """Build the world ``cfg`` describes, submit the experiments, and drive
+    them to termination.
 
     With ``drain_to_min_nodes`` the world keeps ticking after termination
     until the autoscaler has shrunk back to its floor (bounded by grace).
     """
-    world = SimWorld(seed=seed, gang=gang, autoscaler=autoscaler, chaos=chaos)
-    for capacity in node_capacities:
-        world.add_node(capacity)
-    for name, limit in namespaces.items():
-        world.add_namespace(name, limit)
+    world = cfg.world()
     store = ResourceStore()
     metrics = InMemoryObservationStore()
     backend = SimBackend(world, metrics, state_dir=state_dir)
     for spec in experiments:
         submit_experiment(store, spec)
-    snapshot = run_control_loop(store, metrics, backend, max_ticks=max_ticks)
+    snapshot = run_control_loop(store, metrics, backend, max_ticks=cfg.max_ticks)
+    autoscaler = cfg.autoscaler
     if drain_to_min_nodes and autoscaler is not None:
         budget = autoscaler.scale_down_grace_ticks + 15
         for _ in range(budget):
@@ -185,7 +180,7 @@ def run_simulated(
             backend.advance(lambda: 0)
     backend.compact()
     backend.close()
-    return SimRun(snapshot=snapshot, store=store, metrics=metrics, backend=backend, events=world.events)
+    return SimRun(snapshot=snapshot, store=store, events=world.events)
 
 
 def _sphere_parameters(count: int = 3) -> list[ParameterSpec]:
@@ -293,16 +288,11 @@ def _scenario_multi_tenancy(seed: int, state_dir: Path | None) -> ScenarioOutcom
         _sphere_experiment(f"tenancy-{user}", user, parallel=12, max_trials=12, seed=seed)
         for user in ("user1", "user2")
     ]
-    run = run_simulated(
-        experiments,
-        seed=seed,
-        node_capacities=[24.0],
-        namespaces={"user1": 18.0, "user2": 6.0},
-        max_ticks=400,
-        state_dir=state_dir,
+    cfg = ScenarioConfig(
+        seed, nodes=(24.0,), namespaces=(Quota("user1", 18.0), Quota("user2", 6.0)), max_ticks=400
     )
+    run = run_simulated(cfg, experiments, state_dir=state_dir)
     elapsed = time.monotonic() - started
-    outcome.events = run.events
     peaks = {user: _peak_running(run.events, user) for user in ("user1", "user2")}
     outcome.check(
         "user1-peak-concurrency",
@@ -322,7 +312,6 @@ def _scenario_multi_tenancy(seed: int, state_dir: Path | None) -> ScenarioOutcom
             f"{user}: phase={result['phase']}, succeeded={result['trialsSucceeded']}/12",
         )
     outcome.check("runtime", elapsed < 10.0, f"simulated scenario took {elapsed:.2f}s (< 10s)")
-    outcome.extras["peaks"] = peaks
     return outcome
 
 
@@ -335,18 +324,11 @@ def _scenario_autoscale(seed: int, state_dir: Path | None) -> ScenarioOutcome:
     experiment = _sphere_experiment(
         "autoscale-exp", "user1", parallel=250, max_trials=250, seed=seed, duration=3
     )
-    run = run_simulated(
-        [experiment],
-        seed=seed,
-        node_capacities=[4.0, 4.0, 4.0],
-        namespaces={"user1": None},
-        autoscaler=autoscaler,
-        max_ticks=600,
-        state_dir=state_dir,
-        drain_to_min_nodes=True,
+    cfg = ScenarioConfig(
+        seed, nodes=(NodeGroup(4.0, 3),), namespaces=("user1",), autoscaler=autoscaler, max_ticks=600
     )
+    run = run_simulated(cfg, [experiment], state_dir=state_dir, drain_to_min_nodes=True)
     elapsed = time.monotonic() - started
-    outcome.events = run.events
     counts = _node_counts(run.events)
     lo = min(c for _, c in counts)
     hi = max(c for _, c in counts)
@@ -374,7 +356,6 @@ def _scenario_autoscale(seed: int, state_dir: Path | None) -> ScenarioOutcome:
         f"phase={result['phase']}, succeeded={result['trialsSucceeded']}/250",
     )
     outcome.check("runtime", elapsed < 60.0, f"simulated scenario took {elapsed:.2f}s (< 60s)")
-    outcome.extras["node_counts"] = counts
     return outcome
 
 
@@ -383,7 +364,6 @@ CHAOS_FAIL_RATES = (0.0, 0.05, 0.5, 1.0)
 
 def _scenario_chaos_fail(seed: int, state_dir: Path | None) -> ScenarioOutcome:
     outcome = ScenarioOutcome(name="chaos-fail", seed=seed)
-    failures_by_rate: dict[float, int] = {}
     for rate in CHAOS_FAIL_RATES:
         label = f"{int(rate * 100)}pct"
         experiment = _sphere_experiment(
@@ -394,18 +374,10 @@ def _scenario_chaos_fail(seed: int, state_dir: Path | None) -> ScenarioOutcome:
             if rate > 0
             else None
         )
-        run = run_simulated(
-            [experiment],
-            seed=seed,
-            node_capacities=[24.0],
-            namespaces={"user1": None},
-            chaos=chaos,
-            max_ticks=1500,
-            state_dir=None if state_dir is None else state_dir / label,
-        )
+        cfg = ScenarioConfig(seed, nodes=(24.0,), namespaces=("user1",), chaos=chaos, max_ticks=1500)
+        run = run_simulated(cfg, [experiment], state_dir=None if state_dir is None else state_dir / label)
         result = _experiment_result(run.snapshot, "user1", f"chaos-{label}")
         failures = result["trialsFailed"]
-        failures_by_rate[rate] = failures
         outcome.check(
             f"{label}-succeeds-within-error-budget",
             result["phase"] == "Succeeded" and failures <= 100,
@@ -429,7 +401,6 @@ def _scenario_chaos_fail(seed: int, state_dir: Path | None) -> ScenarioOutcome:
             monotone and bool(best_so_far),
             f"rate {label}: best-so-far non-increasing over {len(best_so_far)} succeeded trials",
         )
-    outcome.extras["failures_by_rate"] = failures_by_rate
     return outcome
 
 
@@ -447,16 +418,8 @@ def _scenario_chaos_kill(seed: int, state_dir: Path | None) -> ScenarioOutcome:
         restart=RestartPolicy.ON_TEMPORARY_FAILURE,
     )
     chaos = ChaosPolicy(mode=ChaosMode.KILL_WORKER, fraction=0.05, interval_ticks=20, seed=seed)
-    run = run_simulated(
-        [experiment],
-        seed=seed,
-        node_capacities=[8.0, 8.0, 8.0],
-        namespaces={"user1": None},
-        chaos=chaos,
-        max_ticks=600,
-        state_dir=state_dir,
-    )
-    outcome.events = run.events
+    cfg = ScenarioConfig(seed, nodes=(NodeGroup(8.0, 3),), namespaces=("user1",), chaos=chaos, max_ticks=600)
+    run = run_simulated(cfg, [experiment], state_dir=state_dir)
     trials = [t for t in run.store.list(KIND_TRIAL, "user1") if t.spec.experiment == "chaos-kill"]
     failed = sum(1 for t in trials if t.status.phase is TrialPhase.FAILED)
     restarted = sum(1 for t in trials if t.status.restart_count > 0)
@@ -473,7 +436,6 @@ def _scenario_chaos_kill(seed: int, state_dir: Path | None) -> ScenarioOutcome:
         result["phase"] == "Succeeded" and result["trialsSucceeded"] == 24,
         f"phase={result['phase']}, succeeded={result['trialsSucceeded']}/24",
     )
-    outcome.extras["restarted"] = restarted
     return outcome
 
 
@@ -538,11 +500,8 @@ def run_portability_pair(seed: int, state_dir: Path | None = None) -> tuple[floa
         "port-wide", narrowed=False, algorithm="random", trials=15, parallel=15, seed=seed
     )
     run1 = run_simulated(
+        ScenarioConfig(seed, nodes=(34.0,), namespaces=("user1",), max_ticks=100),
         [phase1],
-        seed=seed,
-        node_capacities=[34.0],
-        namespaces={"user1": None},
-        max_ticks=100,
         state_dir=None if state_dir is None else state_dir / "wide",
     )
     phase2 = _portability_experiment(
@@ -550,11 +509,8 @@ def run_portability_pair(seed: int, state_dir: Path | None = None) -> tuple[floa
         trials=50, parallel=5, seed=seed,
     )
     run2 = run_simulated(
+        ScenarioConfig(seed, nodes=(16.0,), namespaces=("user1",), max_ticks=400),
         [phase2],
-        seed=seed,
-        node_capacities=[16.0],
-        namespaces={"user1": None},
-        max_ticks=400,
         state_dir=None if state_dir is None else state_dir / "narrow",
     )
     best1 = _experiment_result(run1.snapshot, "user1", "port-wide")["currentOptimal"]
@@ -591,9 +547,6 @@ def _scenario_portability(seed: int, state_dir: Path | None) -> ScenarioOutcome:
         f"median narrowed best {median_narrow:.4f} within 1% of brute-force optimum {optimum:.4f}",
     )
     outcome.check("runtime", elapsed < 60.0, f"{PORTABILITY_PAIRS} paired runs took {elapsed:.1f}s (< 60s)")
-    outcome.extras.update(
-        {"wide_bests": wide_bests, "narrow_bests": narrow_bests, "optimum": optimum}
-    )
     return outcome
 
 

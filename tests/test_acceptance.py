@@ -38,7 +38,7 @@ from tunectl.resources import (
     Range,
     ValueList,
 )
-from tunectl.scenarios import run_scenario, run_simulated, _sphere_experiment
+from tunectl.scenarios import ScenarioConfig, run_scenario, run_simulated, _sphere_experiment
 from tunectl.suggest import (
     ObservationStatus,
     SuggestionRequest,
@@ -353,9 +353,7 @@ def test_criterion_7_storage(tmp_path):
     for collector in (CollectorKind.PULL, CollectorKind.PUSH):
         exp = _sphere_experiment("pp", "user1", parallel=2, max_trials=4, seed=3, duration=3)
         exp.metric_collector_kind = collector
-        run = run_simulated(
-            [exp], seed=9, node_capacities=[8.0], namespaces={"user1": None}, max_ticks=60
-        )
+        run = run_simulated(ScenarioConfig(9, nodes=(8.0,), namespaces=("user1",), max_ticks=60), [exp])
         finals[collector] = json.dumps(run.snapshot["experiments"], sort_keys=True)
     _report(
         7,
@@ -405,7 +403,8 @@ def test_criterion_8_recovery(tmp_path):
         mutations += 1
 
     store, metrics, backend = _build_recovery(tmp_path / "clean")
-    clean = run_control_loop(store, metrics, backend, on_mutation=count_mutation)
+    store.watchers.append(lambda _resource: count_mutation())
+    clean = run_control_loop(store, metrics, backend)
     clean_fp = _fingerprint(clean)
     terminal_tick = clean["ticks"]
     total_mutations = mutations
@@ -437,8 +436,9 @@ def test_criterion_8_recovery(tmp_path):
                     raise SimulatedCrash(f"kill at mutation {ka}")
 
             store, metrics, backend = _build_recovery(directory)
+            store.watchers.append(lambda _resource: mutation_hook())
             try:
-                run_control_loop(store, metrics, backend, on_mutation=mutation_hook)
+                run_control_loop(store, metrics, backend)
             except SimulatedCrash:
                 pass  # crashed mid-write sequence as intended
         backend.close()

@@ -10,6 +10,7 @@ import sys
 import textwrap
 
 import pytest
+import yaml
 from click.testing import CliRunner
 
 from tunectl.cli import cli
@@ -179,17 +180,49 @@ def test_run_with_scenario_file(runner, tmp_path):
         "autoscaler: {minNodes: 1, nodeCapacityCpu: 4}",
         "chaos: {mode: fail-trial, fraction: lots, intervalTicks: 5}",
         "chaos: {mode: fail-trial, fraction: 1.5, intervalTicks: 5}",
+        'gang: "no"',
+        'seed: "7"',
+        "nodez: [4]",
+        "nodes: [{capacityCpu: 4, count: 0}]",
+        "experiments: [missing.yaml]",
     ],
 )
 def test_run_with_malformed_scenario_exits_2(runner, tmp_path, block):
     exp = tmp_path / "exp.yaml"
     exp.write_text(EXPERIMENT)
     scenario = tmp_path / "scenario.yaml"
-    scenario.write_text(f"nodes: [4]\n{block}\nexperiments: [exp.yaml]\n")
+    doc = {"nodes": [4], "experiments": ["exp.yaml"], **yaml.safe_load(block)}
+    scenario.write_text(yaml.safe_dump(doc))
     store = str(tmp_path / "store")
     result = runner.invoke(cli, ["run", "--store", store, "--scenario", str(scenario)])
     assert result.exit_code == 2, result.output
     assert "scenario:" in result.output
+
+
+def test_a_scenario_file_with_several_problems_reports_each_under_its_path(runner, tmp_path):
+    (tmp_path / "exp.yaml").write_text(EXPERIMENT)
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(
+        textwrap.dedent(
+            """
+            seed: "7"
+            gang: "no"
+            nodez: [4]
+            nodes: [4, {capacityCpu: 4, count: 0}]
+            chaos: {mode: fail-trial, fraction: 1.5, intervalTicks: 5}
+            experiments: [exp.yaml]
+            """
+        )
+    )
+    result = runner.invoke(cli, ["run", "--store", str(tmp_path / "store"), "--scenario", str(scenario)])
+    assert result.exit_code == 2, result.output
+    assert result.output.splitlines() == [
+        "scenario: seed: expected int, got '7'",
+        "scenario: gang: expected bool, got 'no'",
+        "scenario: nodes[1].count: must be >= 1",
+        "scenario: chaos: chaos fraction must lie in [0, 1]",
+        "scenario: unknown field 'nodez'",
+    ]
 
 
 def test_unknown_scenario_exits_2_listing_the_scenarios(runner):

@@ -9,7 +9,7 @@ from typing import Any
 
 import pytest
 
-from tunectl.codec import Journal, from_doc, json_default, to_doc
+from tunectl.codec import DocumentError, Journal, from_doc, json_default, to_doc
 from tunectl.controller.model import (
     KIND_SUGGESTION,
     KIND_TRIAL,
@@ -97,6 +97,29 @@ def test_from_doc_fills_defaults_and_coerces_ints_to_float():
 def test_from_doc_rejects_documents_that_do_not_fit(doc):
     with pytest.raises((TypeError, ValueError)):
         from_doc(Inner, doc)
+
+
+@dataclass
+class Bounds:
+    low: int
+    high: int
+
+    def __post_init__(self) -> None:
+        if self.low > self.high:
+            raise ValueError("require low <= high")
+
+
+@dataclass
+class Holder:
+    bounds: tuple[Bounds, ...]
+    label: str
+
+
+def test_from_doc_reports_a_constructor_check_at_its_path_beside_other_errors():
+    with pytest.raises(DocumentError) as exc:
+        from_doc(Holder, {"bounds": [{"low": 1, "high": 2}, {"low": 2, "high": 1}], "label": 3})
+    assert exc.value.errors == ["bounds[1]: require low <= high", "label: expected str, got 3"]
+    assert exc.value.value is None
 
 
 def test_resources_round_trip_through_their_documents():

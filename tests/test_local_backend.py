@@ -108,8 +108,9 @@ def test_trainers_that_fail_at_once_are_restarted_at_most_once_a_step():
         if len(writes) > 1000:
             raise AssertionError("a controller step did not end")
 
+    store.watchers.append(lambda _resource: count_write())
     try:
-        snapshot = run_control_loop(store, metrics, backend, max_ticks=20, on_mutation=count_write)
+        snapshot = run_control_loop(store, metrics, backend, max_ticks=20)
     finally:
         backend.close()
     assert snapshot["ticks"] == 20

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import make_experiment
 from tunectl.cluster.sim import SimBackend, SimWorld
+from tunectl.controller.backend import ExecutionBackend, JobPhase, JobState
 from tunectl.controller.model import (
     KIND_SUGGESTION,
     KIND_TRIAL,
@@ -200,16 +201,17 @@ def test_grid_exhaustion_succeeds_with_full_cross_product():
     assert suggestion.status.exhausted
 
 
-class _SilentBackend:
+class _SilentBackend(ExecutionBackend):
     """Minimal pluggable backend: jobs finish instantly, reporting nothing."""
 
     def submit(self, run_spec, template, *, collector_kind, watched_metrics, restart_count=0):
         return f"{run_spec.namespace}/{run_spec.trial_name}"
 
     def job_state(self, handle):
-        from tunectl.controller.backend import JobPhase, JobState
-
         return JobState(phase=JobPhase.SUCCEEDED)
+
+    def changed_jobs(self):
+        return ()
 
     def collect_metrics(self, handle):
         pass
@@ -222,9 +224,6 @@ class _SilentBackend:
 
     def advance(self, controller_step):
         controller_step()
-
-    def emit_event(self, kind, payload):
-        pass
 
 
 def test_metrics_missing_on_completion_fails_trial():

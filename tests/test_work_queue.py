@@ -207,7 +207,7 @@ def test_a_finished_control_loop_leaves_no_watcher_on_its_store():
     world.add_namespace("ns")
     store, metrics = ResourceStore(), InMemoryObservationStore()
     submit_experiment(store, make_experiment(PARAMS, parallel=2, max_trials=2, template=_template()))
-    run_control_loop(store, metrics, SimBackend(world, metrics), max_ticks=100, on_mutation=lambda: None)
+    run_control_loop(store, metrics, SimBackend(world, metrics), max_ticks=100)
     assert store.watchers == []
 
 

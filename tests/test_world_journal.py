@@ -87,8 +87,10 @@ def _run(directory, crash_hook=None, on_mutation=None, before_compact=None) -> i
     """Run to the end and compact; on a SimulatedCrash, return the world's
     tick at the crash instead."""
     store, metrics, backend = _open(directory, crash_hook)
+    if on_mutation is not None:
+        store.watchers.append(lambda _resource: on_mutation())
     try:
-        run_control_loop(store, metrics, backend, on_mutation=on_mutation)
+        run_control_loop(store, metrics, backend)
         if before_compact is not None:
             before_compact(backend)
         backend.compact()
