@@ -188,8 +188,10 @@ class LocalProcessBackend(ExecutionBackend):
     def reserve_service(self, namespace: str, name: str, cpu: float) -> None:
         pass  # no quota model on a bare host
 
-    def release_service(self, namespace: str, name: str) -> None:
-        pass
+    def release(self, handle: str) -> None:
+        """Forget a concluded trainer, and the output lines it kept."""
+        with self._lock:
+            self._jobs.pop(handle, None)
 
     def advance(self, controller_step: Callable[[], int]) -> None:
         """Step, then wait until a trainer exits or ``poll_interval`` passes."""

@@ -11,8 +11,9 @@ on (trial name, worker index); in gang mode all workers of a trial place
 atomically or not at all. Namespace quotas are enforced at scheduling time.
 Nodes are never scaled down while they hold running work.
 
-``SimBackend`` persists the world in a state directory: a full snapshot,
-then one journal line per tick with only what the tick could have changed.
+A trial's job is released once its trial concludes, so the world holds
+live jobs and services only. ``SimBackend`` persists it in a state
+directory, one whole-world line per tick.
 """
 
 from __future__ import annotations
@@ -22,13 +23,14 @@ import math
 import zlib
 from collections import Counter
 from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 
 from ..codec import Journal, from_doc, json_default, to_doc
-from ..errors import InvalidPayloadError, UnknownNamespaceError
+from ..errors import InvalidPayloadError, TunectlError, UnknownNamespaceError
 from ..metrics import MetricPoint, ObservationStore, parse_metric_lines
 from ..resources import (
     CollectorKind,
@@ -49,37 +51,31 @@ class SimulatedCrash(Exception):
     """Raised by a crash hook to kill the control loop mid-tick (tests)."""
 
 
-class ChaosMode:
+class ChaosMode(str, Enum):
     FAIL_TRIAL = "fail-trial"
     KILL_WORKER = "kill-worker"
 
 
 @dataclass
 class ChaosPolicy:
-    mode: str
-    fraction: float
-    interval_ticks: int
-    seed: int = 0
+    """Its rules are field metadata, which ``codec.from_doc`` applies."""
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError("chaos fraction must lie in [0, 1]")
-        if self.interval_ticks < 1:
-            raise ValueError("chaos intervalTicks must be >= 1")
-        if self.mode not in (ChaosMode.FAIL_TRIAL, ChaosMode.KILL_WORKER):
-            raise ValueError(f"unknown chaos mode '{self.mode}'")
+    mode: ChaosMode
+    fraction: float = field(metadata={"minimum": 0, "maximum": 1})
+    interval_ticks: int = field(metadata={"minimum": 1})
+    seed: int = 0
 
 
 @dataclass
 class AutoscalerConfig:
-    min_nodes: int
+    min_nodes: int = field(metadata={"minimum": 1})
     max_nodes: int
     node_capacity_cpu: float
     scale_down_grace_ticks: int = 10
 
     def __post_init__(self) -> None:
-        if not 1 <= self.min_nodes <= self.max_nodes:
-            raise ValueError("require 1 <= minNodes <= maxNodes")
+        if self.min_nodes > self.max_nodes:
+            raise ValueError("require minNodes <= maxNodes")
 
 
 @dataclass
@@ -138,11 +134,10 @@ def _derived_rng(*entropy: int) -> np.random.Generator:
 class SimWorld:
     """The simulated cluster. Its fields are the state a snapshot holds;
     the events emitted since the object was built (a resumed world starts
-    with none; ``events.jsonl`` holds them all), the writers, the set of
-    live (pending or running) job names, which the tick phases iterate, the
-    names of the jobs released since the backend last persisted, and the
-    count of placed units on each node and in each namespace are attached
-    in ``__post_init__``."""
+    with none; ``events.jsonl`` holds them all), the writers and the count
+    of placed units on each node and in each namespace are attached in
+    ``__post_init__``. ``jobs`` holds the jobs not yet released: the live
+    ones, and the concluded ones whose trial has not yet recorded it."""
 
     seed: int = 0
     gang: bool = True
@@ -158,8 +153,6 @@ class SimWorld:
         self.events: list[dict] = []
         self.metrics: ObservationStore | None = None
         self._event_writer: Callable[[dict], None] | None = None
-        self.released: list[str] = []  # released job names, until the backend persists
-        self.live_jobs: set[str] = {name for name, job in self.jobs.items() if job.phase in LIVE_PHASES}
         self._units_on: Counter[str] = Counter()
         self._units_in: Counter[str] = Counter()
         for job in self.jobs.values():
@@ -212,7 +205,6 @@ class SimWorld:
                 existing.attempt += 1
                 existing.phase = JobPhase.PENDING
                 existing.reason = None
-                self.live_jobs.add(handle)
                 existing.units = [
                     SimUnit(job=handle, index=i, cpu=existing.cpu_per_worker, remaining=remaining)
                     for i in range(existing.worker_count)
@@ -241,7 +233,6 @@ class SimWorld:
             for i in range(job.worker_count)
         ]
         self.jobs[handle] = job
-        self.live_jobs.add(handle)
         self.emit("job-submitted", {"job": handle, "workers": job.worker_count})
         return handle
 
@@ -261,21 +252,18 @@ class SimWorld:
         )
         job.units = [SimUnit(job=handle, index=0, cpu=cpu, remaining=None)]
         self.jobs[handle] = job
-        self.live_jobs.add(handle)
         self.emit("service-reserved", {"service": handle, "cpu": cpu})
         return handle
 
-    def release_service(self, namespace: str, name: str) -> None:
-        handle = f"{namespace}/{name}"
+    def release(self, handle: str) -> None:
         job = self.jobs.get(handle)
         if job is None:
             return
         for unit in job.units:
             self._unplace(unit)
         del self.jobs[handle]
-        self.live_jobs.discard(handle)
-        self.released.append(handle)
-        self.emit("service-released", {"service": handle})
+        if job.kind == "service":
+            self.emit("service-released", {"service": handle})
 
     def job_state(self, handle: str) -> JobState:
         job = self.jobs.get(handle)
@@ -313,7 +301,7 @@ class SimWorld:
     # -- tick phases -----------------------------------------------------------
 
     def _live(self) -> list[SimJob]:
-        return [self.jobs[name] for name in sorted(self.live_jobs)]
+        return [job for name in sorted(self.jobs) if (job := self.jobs[name]).phase in LIVE_PHASES]
 
     def _running_trials(self) -> list[SimJob]:
         return [job for job in self._live() if job.kind == "trial" and job.phase is JobPhase.RUNNING]
@@ -334,7 +322,6 @@ class SimWorld:
             job = running[i]
             for unit in job.units:
                 self._unplace(unit)
-            self.live_jobs.discard(job.name)
             if policy.mode == ChaosMode.FAIL_TRIAL:
                 job.phase = JobPhase.FAILED_PERMANENT
                 job.reason = "chaos: trial payload invalidated"
@@ -381,14 +368,11 @@ class SimWorld:
                     self._unplace(unit)
             if all((u.remaining or 0) == 0 for u in job.units):
                 job.phase = JobPhase.SUCCEEDED
-                self.live_jobs.discard(job.name)
                 self.emit("job-succeeded", {"job": job.name})
 
     def _pending_units(self) -> list[SimUnit]:
         units = []
         for job in self._live():
-            if job.phase not in LIVE_PHASES:
-                continue
             for unit in job.units:
                 if unit.node is None and (unit.remaining is None or unit.remaining > 0):
                     units.append(unit)
@@ -545,31 +529,32 @@ class SimWorld:
         return from_doc(cls, doc)
 
 
+def _unreadable(path: Path) -> str:
+    return (
+        f"{path} holds no world that this version reads, as a store of an earlier "
+        "version does; start again in a fresh store"
+    )
+
+
 class SimBackend(ExecutionBackend):
     """Execution backend over a :class:`SimWorld`, with optional state
     persistence in a state directory, each file a ``codec.Journal``:
 
     - ``events.jsonl``: one JSON line per event;
-    - ``world.json``: a full snapshot of the world plus ``eventsOffset``,
-      the size of the event log it covers, written at a fresh backend's
-      first persist;
-    - ``world.jsonl``: one line per later persist, which is the tick's
-      commit. It holds the tick, the node sequence, the nodes and the
-      namespaces; the jobs live at the previous persist or now, in
-      ``world.jobs`` order (only live jobs change: a concluded job is never
-      touched again, and a resubmitted one is live again); the names of the
-      jobs released since; and ``eventsOffset``.
+    - ``world.jsonl``: one line per persist, which is the tick's commit:
+      ``{"world": ..., "eventsOffset": ...}``, the whole world (live jobs
+      and services only) and the size of the event log it covers.
 
-    So a persist writes what the tick could have changed, not every job the
-    run has spawned. ``compact``, called once a run ends cleanly, folds the
-    journal into ``world.json`` and removes it; ``resume`` folds what a
-    killed run left. A fresh backend starts with an empty event log and no
-    world files.
+    A persist appends its line rather than rewrite the file. ``resume``
+    reads the last complete line, and ``compact``, called once a run ends
+    cleanly, leaves that line alone in the file. A fresh backend starts
+    with an empty event log and no world file.
     """
 
-    WORLD_FILE = "world.json"
-    JOURNAL_FILE = "world.jsonl"
+    WORLD_FILE = "world.jsonl"
     EVENTS_FILE = "events.jsonl"
+    # The snapshot file of earlier versions, whose world.jsonl held per-tick deltas.
+    _OLD_WORLD_FILE = "world.json"
 
     def __init__(
         self,
@@ -585,22 +570,21 @@ class SimBackend(ExecutionBackend):
         self.crash_hook = crash_hook
         self._state_dir: Path | None = None
         self._pending_events: list[str] = []  # emitted since the last write
-        self._events_offset = 0  # the event log's size at the last persist
-        self._live: set[str] | None = None  # live jobs at the last persist; None before a full snapshot
+        self._line: str | None = None  # the last world line persisted
         self._reported: dict[str, JobPhase] = {}  # live trial jobs' phases at the last changed_jobs
         if state_dir is not None:
-            # World files first: a kill part way leaves no world.json, and so a fresh start again.
+            # The world file first: a kill part way leaves no world line, and so a fresh start again.
             self._open_state(Path(state_dir))
-            self._base.remove()
-            self._journal.remove()
+            self._world_file.remove()
             self._events.truncate(0)
 
     def _open_state(self, state_dir: Path) -> None:
+        if (state_dir / self._OLD_WORLD_FILE).exists():
+            raise TunectlError(_unreadable(state_dir / self._OLD_WORLD_FILE))
         state_dir.mkdir(parents=True, exist_ok=True)
         self._state_dir = state_dir
         self._events = Journal(state_dir / self.EVENTS_FILE)
-        self._base = Journal(state_dir / self.WORLD_FILE)
-        self._journal = Journal(state_dir / self.JOURNAL_FILE)
+        self._world_file = Journal(state_dir / self.WORLD_FILE)
 
     @classmethod
     def resume(
@@ -609,85 +593,49 @@ class SimBackend(ExecutionBackend):
         metrics: ObservationStore,
         crash_hook: Callable[[int, str], None] | None = None,
     ) -> "SimBackend":
-        """Rebuild a backend from ``world.json`` and the complete lines of
-        ``world.jsonl`` whose tick is above the snapshot's (older ones are
-        left by a kill between a compaction's rename and the journal's
-        removal), and fold those lines into ``world.json``. The journal then
-        holds only ticks this backend persisted, so ``compact`` never
-        writes a world changed since its last persist. Events recorded
-        after the last persisted tick (a torn tick) are truncated and will
+        """Rebuild a backend from the last complete line of ``world.jsonl``,
+        and leave that line alone in the file, as ``compact`` does. Events
+        recorded after that line's tick (a torn tick) are truncated and will
         be re-emitted. The resumed world's in-memory ``events`` start
         empty."""
         state_dir = Path(state_dir)
-        base = json.loads((state_dir / cls.WORLD_FILE).read_bytes())
-        doc, offset = base["world"], base["eventsOffset"]
-        base_tick, replayed = doc["tick"], False
-        for line in Journal(state_dir / cls.JOURNAL_FILE).read(writing=False):
-            delta = json.loads(line)
-            if delta["tick"] <= base_tick:
-                continue
-            jobs = doc["jobs"]
-            for name in delta.pop("released"):
-                jobs.pop(name, None)
-            jobs.update(delta.pop("jobs"))  # a changed job keeps its place, a new one goes last
-            offset = delta.pop("eventsOffset")
-            doc.update(delta)
-            replayed = True
-        world = SimWorld.from_doc(doc)
+        path = state_dir / cls.WORLD_FILE
+        line = Journal(path).read(writing=False)[-1]
+        try:
+            doc = json.loads(line)
+            world, offset = SimWorld.from_doc(doc["world"]), doc["eventsOffset"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise TunectlError(_unreadable(path)) from exc
         backend = cls(world, metrics, crash_hook=crash_hook)
         backend._open_state(state_dir)
+        backend._line = line.decode("utf-8") + "\n"
+        backend.compact()
         backend._events.truncate(offset)
-        backend._events_offset = offset
-        backend._live = set(world.live_jobs)
-        if replayed:
-            backend._base.replace([backend._snapshot()])
-        backend._journal.remove()
         return backend
 
     @staticmethod
     def has_snapshot(state_dir: str | Path) -> bool:
-        return (Path(state_dir) / SimBackend.WORLD_FILE).exists()
+        """Whether ``world.jsonl`` holds a complete line."""
+        return bool(Journal(Path(state_dir) / SimBackend.WORLD_FILE).read(writing=False))
 
     def _write_event(self, event: dict) -> None:
         if self._state_dir is not None:
             self._pending_events.append(json.dumps(event, sort_keys=True) + "\n")
 
-    def _snapshot(self) -> str:
-        return json.dumps({"world": self.world, "eventsOffset": self._events_offset}, default=json_default)
-
     def persist(self) -> None:
-        """Commit the tick: write its events, then the world's full
-        snapshot at a fresh backend's first persist, one journal line
-        after that."""
-        world = self.world
-        released, world.released = world.released, []
+        """Commit the tick: write its events, then append the world's line."""
         if self._state_dir is None:
             return
-        self._events_offset = self._events.append(self._pending_events)
+        offset = self._events.append(self._pending_events)
         self._pending_events.clear()
-        if self._live is None:
-            self._base.replace([self._snapshot()])
-        else:
-            changed = self._live | world.live_jobs
-            delta = {
-                "tick": world.tick,
-                "nodeSeq": world.node_seq,
-                "nodes": world.nodes,
-                "namespaces": world.namespaces,
-                "jobs": {name: job for name, job in world.jobs.items() if name in changed},
-                "released": released,
-                "eventsOffset": self._events_offset,
-            }
-            self._journal.append([json.dumps(delta, default=json_default, separators=(",", ":")) + "\n"])
-        self._live = set(world.live_jobs)
+        doc = {"world": self.world, "eventsOffset": offset}
+        self._line = json.dumps(doc, default=json_default, separators=(",", ":")) + "\n"
+        self._world_file.append([self._line])
 
     def compact(self) -> None:
-        """Fold the world journal into ``world.json`` and remove it. Call it
-        only once a run has ended cleanly, when the world is as its last
-        persist left it; after a kill the world may be mid-tick."""
-        if self._state_dir is not None and self._journal.path.exists():
-            self._base.replace([self._snapshot()])
-            self._journal.remove()
+        """Leave only the last persisted line in ``world.jsonl``."""
+        if self._line is not None:
+            self._world_file.replace([self._line])
 
     # -- ExecutionBackend ----------------------------------------------------
 
@@ -711,13 +659,13 @@ class SimBackend(ExecutionBackend):
         return self.world.job_state(handle)
 
     def changed_jobs(self) -> list[str]:
-        """The trial jobs live now or at the last call whose phase differs
-        from the one recorded then. A job not seen live before counts as
-        last seen Pending, the phase its trial records at submission, so it
-        is reported once it runs or ends."""
+        """The trial jobs held now or live at the last call whose phase
+        differs from the one recorded then. A job not seen live before
+        counts as last seen Pending, the phase its trial records at
+        submission, so it is reported once it runs or ends."""
         jobs, reported = self.world.jobs, self._reported
         changed, self._reported = [], {}
-        for name in reported.keys() | self.world.live_jobs:
+        for name in reported.keys() | jobs.keys():
             job = jobs.get(name)
             if job is None or job.kind != "trial":
                 continue
@@ -738,8 +686,8 @@ class SimBackend(ExecutionBackend):
     def reserve_service(self, namespace: str, name: str, cpu: float) -> None:
         self.world.reserve_service(namespace, name, cpu)
 
-    def release_service(self, namespace: str, name: str) -> None:
-        self.world.release_service(namespace, name)
+    def release(self, handle: str) -> None:
+        self.world.release(handle)
 
     def advance(self, controller_step: Callable[[], int]) -> None:
         self.world.advance_tick(controller_step, crash_hook=self.crash_hook)
@@ -757,4 +705,4 @@ class SimBackend(ExecutionBackend):
                 self._events.append(self._pending_events)
                 self._pending_events.clear()
             self._events.close()
-            self._journal.close()
+            self._world_file.close()

@@ -9,8 +9,9 @@ documents written straight to JSON.
 ``from_doc`` rebuilds a value of a given type from that data, guided by type
 hints. It is the one decoder, for stored documents and submitted ones
 alike: it checks types, rejects unknown keys, and applies the rules a field
-declares in its metadata (``minimum``, ``exclusive_minimum``, ``finite``,
-``non_empty``), and a ``ValueError`` from a class's own constructor. It
+declares in its metadata (``minimum``, ``maximum``, ``exclusive_minimum``,
+``finite``, ``non_empty``), and a ``ValueError`` from a class's own
+constructor (a ``DocumentError`` there reports each of its lines). It
 reports every problem at once, each under its path, as in
 ``parameters[0].feasibleSpace.min: must be finite``. A null stands for
 an absent key when the field has a default and its type admits no None.
@@ -215,7 +216,8 @@ def _decoder(tp: Any) -> _Decoder:
             try:
                 return tp(**kwargs)
             except ValueError as exc:  # a check in the class's own constructor
-                return _fail(errors, str(exc))
+                errors.extend([e] for e in getattr(exc, "errors", [str(exc)]))
+                return None
 
         return decode_dataclass
 
@@ -250,6 +252,8 @@ def _check(value: Any, rules: Mapping[str, Any], key: str, errors: list) -> None
         message = "must be finite"
     elif "minimum" in rules and not value >= rules["minimum"]:
         message = f"must be >= {rules['minimum']}"
+    elif "maximum" in rules and not value <= rules["maximum"]:
+        message = f"must be <= {rules['maximum']}"
     elif "exclusive_minimum" in rules and not value > rules["exclusive_minimum"]:
         message = f"must be > {rules['exclusive_minimum']}"
     else:

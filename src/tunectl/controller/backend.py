@@ -72,8 +72,9 @@ class ExecutionBackend(ABC):
         deployed suggestion algorithm). Idempotent."""
 
     @abstractmethod
-    def release_service(self, namespace: str, name: str) -> None:
-        """Drop a service reservation; unknown names are a no-op."""
+    def release(self, handle: str) -> None:
+        """Drop a job or a service reservation and all it holds, once
+        nothing will read it again; an unknown handle is a no-op."""
 
     @abstractmethod
     def advance(self, controller_step: Callable[[], int]) -> None:

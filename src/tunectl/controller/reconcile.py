@@ -8,8 +8,9 @@ key order within a kind, repeating while a pass mutates anything.
 
 A pass visits only the keys in the context's work queue, its ``dirty`` set,
 which starts as every key in the store, so a resumed run still releases the
-services of experiments that are already terminal. Four sources put a key
-back in the queue:
+services of experiments and the jobs of trials that are already terminal. A
+trial's job is released once its terminal status is written, so a backend
+holds live jobs only. Four sources put a key back in the queue:
 
 - a store write: the written key's experiment and suggestion, and the key
   itself unless it is a trial's update (a trial is queued by its create,
@@ -158,7 +159,7 @@ def reconcile_experiment(ctx: ControllerContext, key: str) -> int:
         return 0
     spec: ExperimentSpec = experiment.spec
     if experiment.status.phase in TERMINAL_EXPERIMENT:
-        ctx.backend.release_service(spec.namespace, service_name_for(spec.name))
+        ctx.backend.release(job_handle(spec.namespace, service_name_for(spec.name)))
         return 0
 
     mutations = 0
@@ -235,7 +236,7 @@ def reconcile_experiment(ctx: ControllerContext, key: str) -> int:
         ctx.store.update(replace(experiment, status=new_status))
         mutations += 1
     if phase in TERMINAL_EXPERIMENT:
-        ctx.backend.release_service(spec.namespace, service_name_for(spec.name))
+        ctx.backend.release(job_handle(spec.namespace, service_name_for(spec.name)))
     return mutations
 
 
@@ -302,7 +303,13 @@ def reconcile_suggestion(ctx: ControllerContext, key: str) -> int:
 
 def reconcile_trial(ctx: ControllerContext, key: str) -> int:
     trial = ctx.store.get(key)
-    if trial is None or trial.status.phase in TERMINAL_TRIAL:
+    if trial is None:
+        return 0
+    handle = job_handle(trial.namespace, trial.name)
+    if trial.status.phase in TERMINAL_TRIAL:
+        # A resumed world can still hold the job of a trial that concluded
+        # in the tick it did not persist.
+        ctx.backend.release(handle)
         return 0
     experiment = ctx.store.get(
         resource_key(KIND_EXPERIMENT, trial.namespace, trial.spec.experiment)
@@ -311,7 +318,6 @@ def reconcile_trial(ctx: ControllerContext, key: str) -> int:
         return 0
     spec: ExperimentSpec = experiment.spec
     template = spec.trial_template
-    handle = job_handle(trial.namespace, trial.name)
     watched = [spec.objective.objective_metric_name, *spec.objective.additional_metric_names]
 
     # The trial's write path builds its values with their constructors,
@@ -383,6 +389,10 @@ def reconcile_trial(ctx: ControllerContext, key: str) -> int:
     if status is trial.status and trial_spec is trial.spec:
         return 0
     ctx.store.update(Resource(KIND_TRIAL, trial.namespace, trial.name, trial_spec, status, trial.generation))
+    if status.phase in TERMINAL_TRIAL:
+        # After the terminal record: a kill between the two leaves a job
+        # that the found-terminal branch above releases on resume.
+        ctx.backend.release(handle)
     return 1
 
 

@@ -79,7 +79,7 @@ class ScenarioOutcome:
 
 @dataclass(frozen=True)
 class NodeGroup:
-    capacity_cpu: float
+    capacity_cpu: float = field(metadata={"exclusive_minimum": 0})
     count: int = field(default=1, metadata={"minimum": 1})
 
 
@@ -103,6 +103,19 @@ class ScenarioConfig:
     chaos: ChaosPolicy | None = None
     experiments: tuple[str, ...] = ()
     max_ticks: int = 10_000
+
+    def __post_init__(self) -> None:
+        """The rules that field metadata cannot state: a bare node capacity
+        is above 0, and no namespace is named twice."""
+        problems = [
+            f"nodes[{i}]: must be > 0"
+            for i, node in enumerate(self.nodes)
+            if not isinstance(node, NodeGroup) and not node > 0
+        ]
+        names = [ns.name if isinstance(ns, Quota) else ns for ns in self.namespaces]
+        problems += [f"namespaces[{i}]: '{name}' is named twice" for i, name in enumerate(names) if name in names[:i]]
+        if problems:
+            raise DocumentError(problems)
 
     def world(self) -> SimWorld:
         world = SimWorld(seed=self.seed, gang=self.gang, autoscaler=self.autoscaler, chaos=self.chaos)

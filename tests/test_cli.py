@@ -180,10 +180,17 @@ def test_run_with_scenario_file(runner, tmp_path):
         "autoscaler: {minNodes: 1, nodeCapacityCpu: 4}",
         "chaos: {mode: fail-trial, fraction: lots, intervalTicks: 5}",
         "chaos: {mode: fail-trial, fraction: 1.5, intervalTicks: 5}",
+        "chaos: {mode: fail-trial, fraction: -0.5, intervalTicks: 5}",
+        "chaos: {mode: fail-trial, fraction: 0.5, intervalTicks: 0}",
+        "autoscaler: {minNodes: 0, maxNodes: 2, nodeCapacityCpu: 4}",
+        "autoscaler: {minNodes: 3, maxNodes: 2, nodeCapacityCpu: 4}",
         'gang: "no"',
         'seed: "7"',
         "nodez: [4]",
         "nodes: [{capacityCpu: 4, count: 0}]",
+        "nodes: [0]",
+        "nodes: [{capacityCpu: -1, count: 2}]",
+        "namespaces: [team, {name: team, cpuLimit: 4}]",
         "experiments: [missing.yaml]",
     ],
 )
@@ -209,7 +216,7 @@ def test_a_scenario_file_with_several_problems_reports_each_under_its_path(runne
             gang: "no"
             nodez: [4]
             nodes: [4, {capacityCpu: 4, count: 0}]
-            chaos: {mode: fail-trial, fraction: 1.5, intervalTicks: 5}
+            chaos: {mode: bogus, fraction: 1.5, intervalTicks: 5}
             experiments: [exp.yaml]
             """
         )
@@ -220,8 +227,32 @@ def test_a_scenario_file_with_several_problems_reports_each_under_its_path(runne
         "scenario: seed: expected int, got '7'",
         "scenario: gang: expected bool, got 'no'",
         "scenario: nodes[1].count: must be >= 1",
-        "scenario: chaos: chaos fraction must lie in [0, 1]",
+        "scenario: chaos.mode: expected one of [fail-trial, kill-worker], got 'bogus'",
+        "scenario: chaos.fraction: must be <= 1",
         "scenario: unknown field 'nodez'",
+    ]
+
+
+def test_a_scenario_file_names_each_empty_node_and_repeated_namespace(runner, tmp_path):
+    # Such a world loaded before, and ran to maxTicks with its experiment still Running.
+    (tmp_path / "exp.yaml").write_text(EXPERIMENT)
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(
+        textwrap.dedent(
+            """
+            nodes: [4, 0, {capacityCpu: 0}, -2]
+            namespaces: [team, other, {name: team, cpuLimit: 4}]
+            experiments: [exp.yaml]
+            """
+        )
+    )
+    result = runner.invoke(cli, ["run", "--store", str(tmp_path / "store"), "--scenario", str(scenario)])
+    assert result.exit_code == 2, result.output
+    assert result.output.splitlines() == [
+        "scenario: nodes[2].capacityCpu: must be > 0",
+        "scenario: nodes[1]: must be > 0",
+        "scenario: nodes[3]: must be > 0",
+        "scenario: namespaces[2]: 'team' is named twice",
     ]
 
 
@@ -432,6 +463,30 @@ def test_submit_on_a_locked_store_exits_4_and_leaves_it_untouched(runner, tmp_pa
     assert runner.invoke(cli, ["submit", str(other), "--store", str(store)]).exit_code == 0
 
 
+OLD_DELTA = {"tick": 4, "nodeSeq": 4, "nodes": {}, "namespaces": {}, "jobs": {}, "released": [], "eventsOffset": 0}
+
+
+@pytest.mark.parametrize("old_file", ["world.json", "world.jsonl"])
+def test_run_on_a_world_of_an_earlier_version_exits_4_and_leaves_the_store_untouched(runner, tmp_path, old_file):
+    # Earlier versions kept a snapshot in world.json and per-tick deltas in
+    # world.jsonl; read as this version's file, the one would be ignored and
+    # the other misread, and either run would start a fresh world.
+    _submit(runner, tmp_path)
+    store = tmp_path / "store"
+    assert runner.invoke(cli, ["run", "--store", str(store), "--max-ticks", "4"]).exit_code == 0
+    [line] = (store / "world.jsonl").read_text().splitlines()
+    (store / "world.jsonl").unlink()
+    if old_file == "world.json":
+        (store / "world.json").write_text(line)
+    else:
+        (store / "world.jsonl").write_text(json.dumps(OLD_DELTA) + "\n")
+    before = _store_files(store)
+    result = runner.invoke(cli, ["run", "--store", str(store)])
+    assert result.exit_code == 4, result.output
+    assert f"{store / old_file} holds no world that this version reads" in result.output
+    assert _store_files(store) == before
+
+
 def test_a_run_stopped_before_its_first_tick_resumes_to_the_uninterrupted_files(runner, tmp_path):
     # --max-ticks 0 stops after the bootstrap step: its events are written,
     # but no tick is persisted, so the next run starts a fresh world.
@@ -442,11 +497,11 @@ def test_a_run_stopped_before_its_first_tick_resumes_to_the_uninterrupted_files(
     partial = runner.invoke(cli, ["run", "--store", str(stopped / "store"), "--max-ticks", "0"])
     assert partial.exit_code == 0, partial.output
     assert (stopped / "store" / "events.jsonl").stat().st_size > 0
-    assert not (stopped / "store" / "world.json").exists()
+    assert not (stopped / "store" / "world.jsonl").exists()
     for root in (straight, stopped):
         result = runner.invoke(cli, ["run", "--store", str(root / "store")])
         assert result.exit_code == 0, result.output
-    for name in ("events.jsonl", "world.json"):
+    for name in ("events.jsonl", "world.jsonl"):
         assert (stopped / "store" / name).read_bytes() == (straight / "store" / name).read_bytes(), name
 
 
@@ -461,17 +516,17 @@ def test_run_folds_the_world_journal_and_closes_the_metric_log(runner, tmp_path,
     partial = runner.invoke(cli, ["run", "--store", str(store), "--seed", "5", "--max-ticks", "3"])
     assert partial.exit_code == 0, partial.output
     assert len(closed) == 1
-    world = json.loads((store / "world.json").read_text())
-    assert world["world"]["tick"] == 3
-    assert not (store / "world.jsonl").exists()
+    lines = (store / "world.jsonl").read_text().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["world"]["tick"] == 3
 
 
 def test_scenario_with_a_store_ends_with_a_compacted_world(runner, tmp_path):
     store = tmp_path / "state"
     result = runner.invoke(cli, ["scenario", "chaos-kill", "--store", str(store)])
     assert result.exit_code == 0, result.output
-    assert sorted(p.name for p in store.iterdir()) == ["events.jsonl", "world.json"]
-    world = json.loads((store / "world.json").read_text())
+    assert sorted(p.name for p in store.iterdir()) == ["events.jsonl", "world.jsonl"]
+    [line] = (store / "world.jsonl").read_text().splitlines()
+    world = json.loads(line)
     events = [json.loads(line) for line in (store / "events.jsonl").read_text().splitlines()]
     assert world["world"]["tick"] == max(e["tick"] for e in events) > 1
     stats = [i for i, e in enumerate(events) if e["kind"] == "tick-stats"]

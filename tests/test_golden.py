@@ -2,7 +2,7 @@
 
 The run uses a scenario with gang scheduling, a namespace quota, the
 autoscaler and kill-worker chaos; it is stopped with ``--max-ticks`` and
-then resumed. The digests pin ``events.jsonl``, the final ``world.json``, the
+then resumed. The digests pin ``events.jsonl``, the final ``world.jsonl``, the
 printed run summaries and the CSV export. A deliberate format change updates them (and says so
 in the change log); any other change to them is a behaviour change.
 """
@@ -52,7 +52,7 @@ experiments: [a.yaml, b.yaml]
 
 GOLDEN = {
     "events": "db8744cfc99a4060986f46be6c212c240ba2d7d95a530ab430af4f95ca2c9093",
-    "world": "80b7cf88787c9f0ab7531bfaf55866e05adf47c3c611dcc5154182b34e1bdf22",
+    "world": "93ea8f5340cf16a42d22a2dc1859e4f19502b182d45ae5a7160049af6ada0964",
     "summary": "0e4af7f76cf4732d867353c66fe805e25146110568c0a2cbcf9a99a49ddc918e",
     "csv": "6b2eff394d30a358ad445205ef75b4ca0c55a0059f44f8a2ad43953b55cbdd97",
 }
@@ -86,7 +86,7 @@ def test_interrupted_scenario_run_matches_golden_digests(tmp_path):
     assert b'"chaos-kill"' in events and b'"node-added"' in events
     digests = {
         "events": _sha(events),
-        "world": _sha((store / "world.json").read_bytes()),
+        "world": _sha((store / "world.jsonl").read_bytes()),
         "summary": _sha(partial.output + resumed.output),
         "csv": _sha(exported.output),
     }

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import os
 import sys
 import textwrap
 import time
@@ -161,6 +163,45 @@ def test_temporary_exit_code_restarts_when_policy_allows(tmp_path):
     trial = store.list(KIND_TRIAL)[0]
     assert trial.status.phase is TrialPhase.SUCCEEDED
     assert trial.status.restart_count == 1
+
+
+def test_a_run_leaves_no_concluded_trainer_behind(tmp_path):
+    # Restarted, succeeded and failed trials: each trainer, with the output
+    # it kept and its output pipe, is dropped once its trial concludes. A
+    # pipe left open per trainer would exhaust the open-file limit in a
+    # long enough run.
+    script = tmp_path / "mixed.py"
+    script.write_text(
+        textwrap.dedent(
+            """
+            import os, sys
+            if float(sys.argv[1]) < 0.3:
+                sys.exit(3)
+            if int(os.environ["TUNECTL_RESTART_COUNT"]) == 0:
+                sys.exit(75)
+            print("1 accuracy=0.7")
+            """
+        )
+    )
+    spec = _local_experiment(
+        f"{sys.executable} {script} ${{lr}}", parallel=3, max_trials=6, max_failed=6,
+        restart=RestartPolicy.ON_TEMPORARY_FAILURE,
+    )
+    store, metrics = ResourceStore(), InMemoryObservationStore()
+    backend = LocalProcessBackend(metrics, poll_interval=0.005)
+    submit_experiment(store, spec)
+    gc.collect()  # so that no earlier test's file closes during the run
+    open_files = set(os.listdir("/proc/self/fd"))
+    try:
+        snapshot = run_control_loop(store, metrics, backend, max_ticks=4000)
+        assert set(os.listdir("/proc/self/fd")) <= open_files
+    finally:
+        backend.close()
+    assert snapshot["experiments"]["experiment/ns/exp"]["phase"] == "Succeeded"
+    trials = store.list(KIND_TRIAL)
+    assert {t.status.phase for t in trials} == {TrialPhase.SUCCEEDED, TrialPhase.FAILED}
+    assert any(t.status.restart_count for t in trials)
+    assert backend._jobs == {}
 
 
 def test_temporary_exit_code_fails_without_restart_policy(tmp_path):

@@ -219,7 +219,7 @@ class _SilentBackend(ExecutionBackend):
     def reserve_service(self, namespace, name, cpu):
         pass
 
-    def release_service(self, namespace, name):
+    def release(self, handle):
         pass
 
     def advance(self, controller_step):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 
-from tunectl.cluster.sim import AutoscalerConfig, ChaosMode, ChaosPolicy, SimWorld
+from tunectl.cluster.sim import LIVE_PHASES, AutoscalerConfig, ChaosMode, ChaosPolicy, SimWorld
 from tunectl.controller.backend import JobPhase
 from tunectl.resources import (
     CollectorKind,
@@ -136,7 +136,7 @@ def test_nodes_emptied_of_fractional_cpu_units_scale_down():
         )
         if i % 6 == 5:
             world.advance_tick()
-    while world.live_jobs:
+    while any(job.phase in LIVE_PHASES for job in world.jobs.values()):
         world.advance_tick()
     assert sum(1 for e in world.events if e["kind"] == "node-added") == 2
     for _ in range(40):

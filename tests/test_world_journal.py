@@ -1,22 +1,21 @@
-"""The simulator's world journal: cut points, stale deltas and resumed bytes.
+"""The simulator's world file: released jobs, cut points and resumed worlds.
 
-After its first full snapshot, a backend appends one ``world.jsonl`` line per
-tick. These tests record an uninterrupted run's world after every persist
-and check what a resume makes of the files: a journal cut at any byte, a
-journal whose lines lie at or below ``world.json``'s tick, and runs killed
-at several points and resumed to the end.
+A backend appends one whole-world line to ``world.jsonl`` per tick. These
+tests record an uninterrupted run's world after every persist and check that
+the world never holds the job of a trial the store records as terminal, what
+a resume makes of a file cut at any byte, and runs killed at several points
+and resumed to the end.
 
 The world has gang scheduling, a namespace quota, the autoscaler and
 kill-worker chaos, and two experiments that finish at different ticks, so
-the journal holds resubmitted jobs, added and removed nodes and a released
+the file holds resubmitted jobs, added and removed nodes and a released
 service.
 """
 
 from __future__ import annotations
 
 import json
-import shutil
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -32,6 +31,7 @@ from tunectl.cluster.sim import (
     SimulatedCrash,
     SimWorld,
 )
+from tunectl.controller.model import KIND_TRIAL, TERMINAL_TRIAL
 from tunectl.controller.reconcile import run_control_loop, submit_experiment
 from tunectl.controller.store import FileResourceStore
 from tunectl.metrics import FileObservationStore, InMemoryObservationStore
@@ -45,7 +45,7 @@ from tunectl.resources import (
     TrialTemplate,
 )
 
-WORLD, JOURNAL, EVENTS = SimBackend.WORLD_FILE, SimBackend.JOURNAL_FILE, SimBackend.EVENTS_FILE
+WORLD, EVENTS = SimBackend.WORLD_FILE, SimBackend.EVENTS_FILE
 
 
 def _experiments():
@@ -83,12 +83,12 @@ def _open(directory, crash_hook=None):
     return store, metrics, backend
 
 
-def _run(directory, crash_hook=None, on_mutation=None, before_compact=None) -> int | None:
+def _run(directory, crash_hook=None, watcher=None, before_compact=None) -> int | None:
     """Run to the end and compact; on a SimulatedCrash, return the world's
-    tick at the crash instead."""
+    tick at the crash instead. ``watcher`` sees each stored resource."""
     store, metrics, backend = _open(directory, crash_hook)
-    if on_mutation is not None:
-        store.watchers.append(lambda _resource: on_mutation())
+    if watcher is not None:
+        store.watchers.append(watcher)
     try:
         run_control_loop(store, metrics, backend)
         if before_compact is not None:
@@ -103,117 +103,115 @@ def _run(directory, crash_hook=None, on_mutation=None, before_compact=None) -> i
         store.close()
 
 
-def _snapshot_text(world, events_offset) -> str:
-    """``world.json`` as the format defines it."""
-    return json.dumps({"world": world, "eventsOffset": events_offset}, default=json_default)
+def _line_text(world, events_offset) -> str:
+    """A ``world.jsonl`` line as the format defines it, without its newline."""
+    doc = {"world": world, "eventsOffset": events_offset}
+    return json.dumps(doc, default=json_default, separators=(",", ":"))
+
+
+def _world(line: str | bytes) -> dict:
+    return json.loads(line)["world"]
+
+
+def _lines(directory) -> list[bytes]:
+    return (directory / WORLD).read_bytes().splitlines()
 
 
 @dataclass
 class Recorded:
-    snapshots: dict[int, str]  # tick -> world.json text after that tick's persist
-    base: bytes  # world.json and the journal before the run's final compaction
-    journal: bytes
+    lines: dict[int, str]  # tick -> the world line of that tick's persist
+    file: bytes  # world.jsonl and events.jsonl before the run's final compaction
     events: bytes
-    final: dict[str, bytes]  # world.json and events.jsonl after it
+    final: dict[str, bytes]  # world.jsonl and events.jsonl after it
     mutations: int
+    terminal: int = 0  # terminal trials seen over all persists
+    held: list[tuple[int, str]] = field(default_factory=list)  # (tick, job) of a terminal trial
 
 
 @pytest.fixture(scope="module")
 def recorded(tmp_path_factory) -> Recorded:
     directory = tmp_path_factory.mktemp("uninterrupted")
-    snapshots: dict[int, str] = {}
+    out = Recorded({}, b"", b"", {}, 0)
     persist = SimBackend.persist
 
     def recording(backend):
         persist(backend)
-        offset = (directory / EVENTS).stat().st_size
-        snapshots[backend.world.tick] = _snapshot_text(backend.world, offset)
-
-    kept = {}
+        world = backend.world
+        out.lines[world.tick] = _line_text(world, (directory / EVENTS).stat().st_size)
+        store = FileResourceStore(directory / "resources", readonly=True)
+        for trial in store.list(KIND_TRIAL):
+            if trial.status.phase in TERMINAL_TRIAL:
+                out.terminal += 1
+                handle = f"{trial.namespace}/{trial.name}"
+                if handle in world.jobs:
+                    out.held.append((world.tick, handle))
 
     def keep(_backend):
-        kept.update({name: (directory / name).read_bytes() for name in (WORLD, JOURNAL, EVENTS)})
+        out.file, out.events = (directory / WORLD).read_bytes(), (directory / EVENTS).read_bytes()
 
-    mutations = 0
-
-    def count():
-        nonlocal mutations
-        mutations += 1
+    def count(_resource):
+        out.mutations += 1
 
     SimBackend.persist = recording
     try:
-        assert _run(directory, on_mutation=count, before_compact=keep) is None
+        assert _run(directory, watcher=count, before_compact=keep) is None
     finally:
         SimBackend.persist = persist
-    final = {name: (directory / name).read_bytes() for name in (WORLD, EVENTS)}
-    assert not (directory / JOURNAL).exists()
-    return Recorded(snapshots, kept[WORLD], kept[JOURNAL], kept[EVENTS], final, mutations)
+    out.final = {name: (directory / name).read_bytes() for name in (WORLD, EVENTS)}
+    return out
 
 
-def test_the_recorded_run_exercises_what_the_journal_must_carry(recorded):
-    last = max(recorded.snapshots)
-    assert recorded.base.decode() == recorded.snapshots[1]
-    ticks = [json.loads(line)["tick"] for line in recorded.journal.splitlines()]
-    assert ticks == list(range(2, last + 1))
-    assert recorded.final[WORLD].decode() == recorded.snapshots[last]
+def test_the_recorded_run_exercises_what_the_file_must_carry(recorded):
+    last = max(recorded.lines)
+    assert recorded.file.decode().splitlines() == [recorded.lines[t] for t in range(1, last + 1)]
+    assert recorded.final[WORLD].decode() == recorded.lines[last] + "\n"
+    assert _world(recorded.lines[last])["jobs"] == {}
     events = recorded.events.decode()
     for kind in ("chaos-kill", "job-resumed", "node-added", "node-removed", "service-released"):
         assert f'"{kind}"' in events
 
 
-def _lay_out(directory, world: bytes, journal: bytes, events: bytes) -> None:
+def test_the_world_never_holds_the_job_of_a_terminal_trial(recorded):
+    """Checked after every persist against the store the tick left."""
+    assert recorded.terminal > 0
+    assert recorded.held == []
+
+
+def _lay_out(directory, world: bytes, events: bytes) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     (directory / WORLD).write_bytes(world)
-    (directory / JOURNAL).write_bytes(journal)
     (directory / EVENTS).write_bytes(events)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_a_journal_cut_at_any_byte_resumes_at_its_last_complete_tick(recorded, tmp_path_factory, data):
-    journal = recorded.journal
-    cut = data.draw(st.integers(0, len(journal)), label="cut")
+def test_a_file_cut_at_any_byte_resumes_at_its_last_complete_line(recorded, tmp_path_factory, data):
+    cut = data.draw(st.integers(0, len(recorded.file)), label="cut")
     directory = tmp_path_factory.mktemp("cut")
-    _lay_out(directory, recorded.base, journal[:cut], recorded.events)
+    _lay_out(directory, recorded.file[:cut], recorded.events)
 
     # A read skips the torn tail and leaves the bytes alone.
-    complete = journal[: journal.rfind(b"\n", 0, cut) + 1]
-    assert Journal(directory / JOURNAL).read(writing=False) == complete.split(b"\n")[:-1]
-    assert (directory / JOURNAL).read_bytes() == journal[:cut]
+    complete = recorded.file[: recorded.file.rfind(b"\n", 0, cut) + 1]
+    assert Journal(directory / WORLD).read(writing=False) == complete.split(b"\n")[:-1]
+    assert (directory / WORLD).read_bytes() == recorded.file[:cut]
+    if not complete:
+        assert not SimBackend.has_snapshot(directory)
+        return
 
-    # A resume loads exactly the last complete tick and folds it into world.json.
-    tick = 1 + complete.count(b"\n")
-    expected = recorded.snapshots[tick]
-    backend = SimBackend.resume(directory, InMemoryObservationStore())
-    assert _snapshot_text(backend.world, json.loads(expected)["eventsOffset"]) == expected
-    assert (directory / WORLD).read_text() == expected
-    assert not (directory / JOURNAL).exists()
+    # A resume loads exactly the last complete line and leaves it alone in the file.
+    tick = complete.count(b"\n")
+    expected = recorded.lines[tick]
     offset = json.loads(expected)["eventsOffset"]
+    backend = SimBackend.resume(directory, InMemoryObservationStore())
+    assert _line_text(backend.world, offset) == expected
+    assert (directory / WORLD).read_text() == expected + "\n"
     assert (directory / EVENTS).read_bytes() == recorded.events[:offset]
 
-    # The writer's next line starts a journal of its own, with no torn bytes before it.
+    # The writer's next line starts a line of its own.
     backend.advance(lambda: 0)
     backend.close()
-    lines = (directory / JOURNAL).read_bytes().split(b"\n")
-    assert lines[1:] == [b""] and json.loads(lines[0])["tick"] == tick + 1
-
-
-@pytest.mark.parametrize("journal_ticks", ["at-or-below", "below-then-above"])
-def test_deltas_at_or_below_the_snapshot_tick_are_ignored(recorded, tmp_path, journal_ticks):
-    """A kill between a compaction's rename and the journal's removal leaves
-    lines that world.json already holds; a resume must not apply them over it."""
-    last = max(recorded.snapshots)
-    base_tick = last // 2
-    lines = recorded.journal.splitlines(keepends=True)  # line i holds tick i + 2
-    if journal_ticks == "at-or-below":
-        journal, tick = b"".join(lines[: base_tick - 3]), base_tick
-    else:
-        journal, tick = recorded.journal, last
-    _lay_out(tmp_path, recorded.snapshots[base_tick].encode(), journal, recorded.events)
-    backend = SimBackend.resume(tmp_path, InMemoryObservationStore())
-    expected = recorded.snapshots[tick]
-    assert _snapshot_text(backend.world, json.loads(expected)["eventsOffset"]) == expected
-    backend.close()
+    lines = _lines(directory)
+    assert lines[0].decode() == expected and _world(lines[1])["tick"] == tick + 1 and len(lines) == 2
 
 
 # (tick, phase) kills run the crash hook; (mutation, n) kills raise at the
@@ -243,35 +241,61 @@ def _kill(directory, kind, at, phase, mutations) -> int:
         target = mutations if at == -1 else at
         seen = 0
 
-        def hook():
+        def watcher(_resource):
             nonlocal seen
             seen += 1
             if seen == target:
                 raise SimulatedCrash(f"kill at mutation {target}")
 
-        crashed = _run(directory, on_mutation=hook)
+        crashed = _run(directory, watcher=watcher)
     assert crashed is not None
     return max(crashed - 1, 0)
 
 
 @pytest.mark.parametrize(("kind", "at", "phase"), KILLS)
-def test_resume_from_the_journal_gives_the_bytes_of_resume_from_a_full_snapshot(
-    recorded, tmp_path, kind, at, phase
-):
-    """Killed at the same point, a run resumed from world.json plus the
-    journal and one resumed from a full world.json of the last persisted
-    tick (what a snapshot per tick left) end with the same files."""
-    journaled, full = tmp_path / "journaled", tmp_path / "full"
-    persisted = _kill(journaled, kind, at, phase, recorded.mutations)
-    shutil.copytree(journaled, full)
+def test_a_run_killed_at_each_point_resumes_to_the_uninterrupted_world(recorded, tmp_path, kind, at, phase):
+    """The resumed run ends with one line in world.jsonl: the uninterrupted
+    run's world. A kill at the run's last write is the exception: that write
+    makes the last experiment terminal, so the resumed run has nothing left
+    to reconcile and ends in the world of the tick before."""
+    persisted = _kill(tmp_path, kind, at, phase, recorded.mutations)
     if persisted:
-        (full / WORLD).write_text(recorded.snapshots[persisted])
-        (full / JOURNAL).unlink(missing_ok=True)
-        assert persisted == 1 or (journaled / JOURNAL).exists()
-    assert _run(journaled) is None and _run(full) is None
-    for name in (WORLD, EVENTS):
-        assert (journaled / name).read_bytes() == (full / name).read_bytes(), name
-    assert not (journaled / JOURNAL).exists()
+        assert _lines(tmp_path)[-1].decode() == recorded.lines[persisted]
+    assert _run(tmp_path) is None
+    [line] = _lines(tmp_path)
+    last = max(recorded.lines)
+    expected = recorded.lines[last - 1 if at == -1 else last]
+    assert _world(line) == _world(expected)
+
+
+@pytest.mark.parametrize("nth", [1, 7])
+def test_a_kill_after_a_trial_s_terminal_write_resumes_with_its_job_released(recorded, tmp_path, nth):
+    """The store records the trial as terminal, but the world the resume
+    reads was persisted before and still holds its job. The resumed run's
+    first tick releases it, and the run ends in the uninterrupted world."""
+    seen, killed = 0, []
+
+    def watcher(resource):
+        nonlocal seen
+        if resource.kind == KIND_TRIAL and resource.status.phase in TERMINAL_TRIAL:
+            seen += 1
+            if seen == nth:
+                killed.append(f"{resource.namespace}/{resource.name}")
+                raise SimulatedCrash(f"kill at terminal write {nth}")
+
+    tick = _run(tmp_path, watcher=watcher)
+    [job] = killed
+    assert job in _world(_lines(tmp_path)[-1])["jobs"]
+
+    resumed = {}
+
+    def keep(_backend):
+        resumed.update((w["tick"], w) for w in map(_world, _lines(tmp_path)))
+
+    assert _run(tmp_path, before_compact=keep) is None
+    assert job not in resumed[tick]["jobs"]
+    assert resumed[tick] == _world(recorded.lines[tick])
+    assert _world(_lines(tmp_path)[0]) == _world(recorded.final[WORLD])
 
 
 def test_a_kill_before_the_first_persist_resumes_to_the_uninterrupted_files(recorded, tmp_path):
@@ -292,8 +316,7 @@ def test_a_kill_before_the_controller_step_resumes_to_the_uninterrupted_world(re
     resume truncates the log to the persisted offset."""
     persisted = _kill(tmp_path, "tick", at, phase, recorded.mutations)
     assert _run(tmp_path) is None
-    final = json.loads((tmp_path / WORLD).read_bytes())
-    assert final["world"] == json.loads(recorded.final[WORLD])["world"]
+    assert _world((tmp_path / WORLD).read_bytes()) == _world(recorded.final[WORLD])
 
     def events(text: bytes) -> list[dict]:
         return [json.loads(line) for line in text.splitlines()]
