@@ -7,9 +7,11 @@ themselves, and ``create`` and ``update`` each store one new object at the
 next generation: no reader can change what the store holds. The file-backed
 variant keeps one append-only journal, ``<dir>/journal.jsonl``: each create
 or update appends the resource's document plus its generation as one JSON
-line, and loading replays the journal, the last record of each key winning.
-``compact`` rewrites the journal as one record per resource. ``tunectl dump``
-prints the store as YAML for reading and diffing.
+line, and loading replays the journal, the last record of each key winning;
+each experiment's final spec is then checked against the rules that span its
+fields, as ``submit`` checks it. ``compact`` rewrites the journal as one
+record per resource. ``tunectl dump`` prints the store as YAML for reading
+and diffing.
 
 Durability (``codec.Journal``): every record is flushed to the operating
 system as it is written, and compaction replaces the journal atomically (a
@@ -46,10 +48,11 @@ from pathlib import Path
 from typing import Callable
 
 from ..codec import Journal, from_doc, json_default
-from ..errors import CasConflictError, ResourceExistsError, TunectlError
-from ..resources import BUDGET_PARAMETER
+from ..errors import CasConflictError, ResourceExistsError, TunectlError, ValidationError
+from ..resources import BUDGET_PARAMETER, _check_cross_invariants
 from ..suggest.registry import AssignmentSet, ObservationStatus, TrialObservation, assignment_key
 from .model import (
+    KIND_EXPERIMENT,
     KIND_TRIAL,
     Resource,
     TrialPhase,
@@ -298,6 +301,10 @@ class FileResourceStore(ResourceStore):
         for number, doc in latest.values():
             try:
                 resource = resource_from_doc(doc, generation=from_doc(int, doc["generation"]))
+                # The codec checks each field's own rules; an experiment's
+                # final spec must also keep the rules that span fields.
+                if resource.kind == KIND_EXPERIMENT and (problems := _check_cross_invariants(resource.spec)):
+                    raise ValidationError(problems)
             except (KeyError, TypeError, ValueError, TunectlError) as exc:
                 raise self._unreadable(number, exc) from exc
             self._put(resource)

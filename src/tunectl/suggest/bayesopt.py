@@ -3,8 +3,18 @@
 The surrogate is a Gaussian process with a squared-exponential kernel, unit
 signal variance, and a small observation-noise jitter. A single isotropic
 length scale is chosen by maximum marginal likelihood over a short log-grid.
-The squared distances between the observed points are computed once and
-shared by every length scale of the grid.
+The squared distances between the observed points, times -0.5, are computed
+once and shared by every length scale of the grid.
+
+The kernel is factored and solved by LAPACK's ``dpotrf`` and ``dpotrs``,
+reached through ``scipy.linalg.lapack``: the routines ``cho_factor`` and
+``cho_solve`` call, without their per-call wrappers. Each kernel is built in
+one buffer and finished in place, with the floating-point operations, in
+their order, of the plain NumPy expressions and ``cho_factor``/``cho_solve``,
+so the fit and the scores have their bits (``tests/test_suggest_bo.py``
+compares them). One finiteness check, ``_check_finite``, stands in for
+scipy's ``check_finite``: LAPACK sees no kernel, target or candidate kernel
+that it has not passed, and a non-finite one raises the same ``ValueError``.
 
 The acquisition (expected improvement) is maximized over a scrambled Sobol
 pool of the unit hypercube, kept as one matrix. ``encode_unit_matrix`` takes
@@ -17,9 +27,9 @@ holds ``count`` sets not produced or observed before.
 With too little history, or when every fit attempt fails numerically, the
 batch falls back to random sampling.
 
-The only scipy modules BO imports are ``scipy.linalg`` (the Cholesky solves)
-and ``scipy.special`` (``ndtr`` for the normal cdf). The Sobol pool, and so
-the BO suggestion stream, is defined by the numpy port in ``sobol``, which
+The only scipy modules BO imports are ``scipy.linalg`` (its ``lapack``
+module) and ``scipy.special`` (``ndtr`` for the normal cdf). The Sobol pool,
+and so the BO suggestion stream, is defined by the numpy port in ``sobol``, which
 reads the direction numbers scipy ships; it matches
 ``scipy.stats.qmc.Sobol`` bit for bit, but no longer depends on it.
 """
@@ -30,7 +40,7 @@ import logging
 import math
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import ndtr
 
 from ..resources import ObjectiveType
@@ -60,43 +70,64 @@ MIN_HISTORY_MARGIN = 2
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.maximum(
-        np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :] - 2.0 * a @ b.T,
-        0.0,
-    )
+    """``max(|a_i|^2 + |b_j|^2 - (2 a) @ b.T, 0)``, finished in the array it returns."""
+    d = np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :]
+    np.subtract(d, 2.0 * a @ b.T, out=d)
+    return np.maximum(d, 0.0, out=d)
+
+
+def _check_finite(a: np.ndarray) -> None:
+    """What ``check_finite=True`` checks in ``scipy.linalg``, with its error."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
 
 
 class GaussianProcess:
     """Minimal GP regressor on standardized targets."""
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, length_scale: float, sq_dists: np.ndarray):
-        """``sq_dists`` is ``_sq_dists(x, x)``, which every length scale shares."""
+    def __init__(self, x: np.ndarray, y: np.ndarray, length_scale: float, neg_half: np.ndarray):
+        """``neg_half`` is ``-0.5 * _sq_dists(x, x)``, which every length
+        scale shares; Fortran order lets LAPACK factor the kernel in place."""
         self.x = x
         self.length_scale = length_scale
-        k = np.exp(-0.5 * sq_dists / length_scale**2)
-        k[np.diag_indices_from(k)] += JITTER
-        self._chol = cho_factor(k, lower=True)
-        self.alpha = cho_solve(self._chol, y)
+        k = np.divide(neg_half, length_scale**2)
+        np.exp(k, out=k)
+        k.flat[:: len(k) + 1] += JITTER
+        _check_finite(k)
+        self._factor, info = dpotrf(k, lower=1, clean=0, overwrite_a=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+        _check_finite(y)
+        self.alpha, _ = dpotrs(self._factor, y, lower=1)
         self.log_likelihood = (
             -0.5 * float(y @ self.alpha)
-            - float(np.sum(np.log(np.diag(self._chol[0]))))
+            - float(np.log(self._factor.diagonal()).sum())
             - 0.5 * len(y) * math.log(2.0 * math.pi)
         )
 
     def predict(self, x_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        k_star = np.exp(-0.5 * _sq_dists(x_new, self.x) / self.length_scale**2)
+        k_star = _sq_dists(x_new, self.x)
+        np.multiply(k_star, -0.5, out=k_star)
+        np.divide(k_star, self.length_scale**2, out=k_star)
+        np.exp(k_star, out=k_star)
+        _check_finite(k_star)
         mean = k_star @ self.alpha
-        v = cho_solve(self._chol, k_star.T)
-        var = np.maximum(1.0 - np.sum(k_star * v.T, axis=1), 1e-12)
-        return mean, np.sqrt(var)
+        v, _ = dpotrs(self._factor, k_star.T, lower=1)
+        # k_star * v.T goes into v's storage, a C-ordered (m, n) view: the
+        # layout, and so the order of the row sums, the streams are pinned on.
+        prod = np.multiply(k_star, v.T, out=v.T)
+        var = np.sum(prod, axis=1)
+        np.subtract(1.0, var, out=var)
+        np.maximum(var, 1e-12, out=var)
+        return mean, np.sqrt(var, out=var)
 
 
 def fit_gp(x: np.ndarray, y: np.ndarray) -> GaussianProcess | None:
     best: GaussianProcess | None = None
-    sq_dists = _sq_dists(x, x)
+    neg_half = np.multiply(-0.5, _sq_dists(x, x), order="F")
     for ls in LENGTH_SCALE_GRID:
         try:
-            gp = GaussianProcess(x, y, float(ls), sq_dists)
+            gp = GaussianProcess(x, y, float(ls), neg_half)
         except np.linalg.LinAlgError:
             continue
         if not math.isfinite(gp.log_likelihood):

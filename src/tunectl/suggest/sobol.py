@@ -3,7 +3,9 @@
 A port of ``scipy.stats.qmc.Sobol(d, scramble=True, seed=rng).random(n)``
 that gives the same bytes without importing ``scipy.stats``. It reads the
 Joe–Kuo direction numbers that scipy ships (``poly`` and ``vinit``) once,
-when this module loads, so no ``suggest`` call pays for the file, and
+when this module loads, so no ``suggest`` call pays for the file. It checks
+them there against a pinned SHA-256, so a scipy that ships other numbers
+stops the import instead of silently changing the stream. It
 builds the unscrambled 30-bit direction matrix of each dimension count
 once.
 
@@ -19,6 +21,7 @@ index below ``k``.
 
 from __future__ import annotations
 
+import hashlib
 from functools import lru_cache
 from pathlib import Path
 
@@ -31,9 +34,30 @@ _LSB_FIRST = 2 ** np.arange(BITS, dtype=np.uint32)
 _MSB_SHIFTS = np.arange(BITS - 1, -1, -1)
 _MSB_FIRST = 2.0**_MSB_SHIFTS
 
-with np.load(Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz") as _npz:
-    _POLY = _npz["poly"]
-    _VINIT = _npz["vinit"]
+# sha256 of ``poly`` and then ``vinit`` as little-endian int64, column-major,
+# in the file scipy 1.17.1 ships: the numbers the BO stream is pinned on.
+DIRECTION_NUMBERS_SHA256 = "dda61a18ba68760659a593ed50281568b66b0a0dcf7795ddab27ef7cbaaa18e4"
+
+
+def load_direction_numbers(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """``poly`` and ``vinit`` from ``path``, or a ``RuntimeError`` naming the
+    file and the installed scipy when they are not the pinned numbers."""
+    with np.load(path) as npz:
+        poly, vinit = npz["poly"], npz["vinit"]
+    digest = hashlib.sha256()
+    for numbers in (poly, vinit):
+        # The transpose of a Fortran-ordered array is C-contiguous, so the
+        # hash reads scipy's own (Fortran-ordered) vinit without a copy.
+        digest.update(np.asfortranarray(numbers, dtype="<i8").T)
+    if digest.hexdigest() != DIRECTION_NUMBERS_SHA256:
+        raise RuntimeError(
+            f"{path} (scipy {scipy.__version__}) holds other Sobol direction numbers than "
+            "the Bayesian optimization stream is pinned on (those of scipy 1.17.1)"
+        )
+    return poly, vinit
+
+
+_POLY, _VINIT = load_direction_numbers(Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz")
 MAXDIM = len(_POLY)
 
 
@@ -70,7 +94,9 @@ def scrambled_sobol(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     shift = np.dot(child.integers(2, size=(d, BITS), dtype=np.uint32), _LSB_FIRST)
     ltm = np.tril(child.integers(2, size=(d, BITS, BITS), dtype=np.uint32))
     ltm[:, np.arange(BITS), np.arange(BITS)] = 1
-    scrambled = np.matmul(bits, ltm.transpose(0, 2, 1).astype(np.float64)) % 2
+    # The sums are exact small integers; their parity by the low bit, not by
+    # a float remainder, which costs ten times the matmul.
+    scrambled = np.matmul(bits, ltm.transpose(0, 2, 1).astype(np.float64)).astype(np.int64) & 1
     sv = (scrambled @ _MSB_FIRST).astype(np.uint32)
     # The lowest zero bit of k - 1 is the lowest set bit of k.
     k = np.arange(1, n, dtype=np.int64)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -58,3 +59,22 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved_and_no_gain():
     assert verdict["unresolved"] is True
     assert verdict["within_bound"] is False
     assert verdict["gain"] is False
+
+
+@pytest.mark.parametrize(
+    "stdout, what",
+    [("", "printed nothing"), ("iteration 1 done\nTraceback (most recent call last):\n", "not JSON")],
+    ids=["empty", "not-json"],
+)
+def test_a_run_without_a_json_summary_names_its_command_exit_and_stderr(monkeypatch, tmp_path, stdout, what):
+    def fake_run(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, returncode=3, stdout=stdout, stderr="worker died: out of memory\n")
+
+    monkeypatch.setattr(benchpairs.subprocess, "run", fake_run)
+    with pytest.raises(RuntimeError) as caught:
+        benchpairs.run_once(tmp_path, "tenants-bo", 101, 15)
+    message = str(caught.value)
+    assert "perfbench/run.py --workload tenants-bo --seed 101 --seconds 15 --trace 0" in message
+    assert what in message
+    assert "(exit 3)" in message
+    assert message.endswith("worker died: out of memory\n")

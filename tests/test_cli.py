@@ -403,6 +403,56 @@ def test_unreadable_store_file_exits_4_naming_the_file(runner, tmp_path, corrupt
     assert _store_files(store) == before
 
 
+def _edit_experiment(store, edit):
+    """Apply ``edit`` to the spec of the experiment's last journal record."""
+    journal = store / "journal.jsonl"
+    lines = journal.read_text().splitlines()
+    number = max(n for n, line in enumerate(lines, 1) if json.loads(line)["kind"] == "experiment")
+    doc = json.loads(lines[number - 1])
+    edit(doc["spec"])
+    _rewrite_line(journal, number, json.dumps(doc))
+    return f"{journal}:{number}"
+
+
+def _min_above_max(spec):
+    spec["parameters"][0] = {
+        "name": "lr",
+        "parameterType": "double",
+        "feasibleSpace": {"min": 0.5, "max": 0.25, "step": 0.25},
+    }
+
+
+def _more_parallel_than_max(spec):
+    spec["parallelTrialCount"] = spec["maxTrialCount"] + 1
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (_min_above_max, "parameters[0].feasibleSpace: min < max violated (min=0.5, max=0.25)"),
+        (_more_parallel_than_max, "parallelTrialCount: must not exceed maxTrialCount"),
+    ],
+    ids=["min-above-max", "parallel-above-max"],
+)
+@pytest.mark.parametrize("command", ["run", "export"])
+def test_a_stored_experiment_breaking_a_cross_field_rule_exits_4_naming_the_path(
+    runner, tmp_path, edit, problem, command
+):
+    # Each field keeps its own rules, so only the check of the rules that
+    # span fields, made on the experiment's final record, finds the edit.
+    _submit(runner, tmp_path)
+    store = tmp_path / "store"
+    partial = runner.invoke(cli, ["run", "--store", str(store), "--seed", "5", "--max-ticks", "1"])
+    assert partial.exit_code == 0, partial.output
+    named = _edit_experiment(store, edit)
+    before = _store_files(store)
+    args = {"run": ["run", "--seed", "5"], "export": ["export", "cli-exp"]}[command]
+    result = runner.invoke(cli, [*args, "--store", str(store)])
+    assert result.exit_code == 4, result.output
+    assert f"{named}: {problem}" in result.output
+    assert _store_files(store) == before
+
+
 def test_export_and_dump_skip_a_torn_tail_and_cut_nothing(runner, tmp_path):
     # A reader may open the store while a run is still appending a line.
     _submit(runner, tmp_path)

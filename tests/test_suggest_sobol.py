@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy
 
 from tunectl.suggest import sobol
 from tunectl.suggest.bayesopt import CANDIDATE_POOL, expected_improvement
@@ -39,6 +40,29 @@ def test_direction_numbers_are_built_once_and_read_only():
 def test_too_many_dimensions_are_rejected():
     with pytest.raises(ValueError, match="dimensionality"):
         sobol.scrambled_sobol(sobol.MAXDIM + 1, 2, np.random.default_rng(0))
+
+
+def _copy_direction_numbers(tmp_path, poly, vinit):
+    path = tmp_path / "_sobol_direction_numbers.npz"
+    np.savez(path, poly=poly, vinit=vinit)
+    return path
+
+
+def test_the_same_direction_numbers_in_another_layout_load(tmp_path):
+    # The digest is of the numbers, not of the file: C order and int32 pass.
+    path = _copy_direction_numbers(tmp_path, sobol._POLY.astype(np.int32), np.ascontiguousarray(sobol._VINIT))
+    poly, vinit = sobol.load_direction_numbers(path)
+    assert np.array_equal(poly, sobol._POLY) and np.array_equal(vinit, sobol._VINIT)
+
+
+def test_tampered_direction_numbers_name_the_file_and_the_scipy_version(tmp_path):
+    vinit = sobol._VINIT.copy()
+    vinit[7, 2] ^= 2  # one bit of one direction number of the eighth dimension
+    path = _copy_direction_numbers(tmp_path, sobol._POLY, vinit)
+    with pytest.raises(RuntimeError) as caught:
+        sobol.load_direction_numbers(path)
+    assert str(path) in str(caught.value)
+    assert f"scipy {scipy.__version__}" in str(caught.value)
 
 
 def test_expected_improvement_equals_the_norm_formula_bit_for_bit():

@@ -56,9 +56,13 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
            "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
-    if not lines:
-        raise RuntimeError(f"{' '.join(cmd)} in {root} printed nothing (exit {out.returncode}):\n{out.stderr[-2000:]}")
-    summary = json.loads(lines[-1])
+    try:
+        summary = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        what = f"ended on a line that is not JSON, {lines[-1][:200]!r}," if lines else "printed nothing"
+        raise RuntimeError(
+            f"{' '.join(cmd)} in {root} {what} (exit {out.returncode}):\n{out.stderr[-2000:]}"
+        ) from None
     return {
         "correct": summary["correct"],
         "attempted": summary["attempted"],
