@@ -24,7 +24,6 @@ from .metrics import (
     MetricPoint,
     ObservationFilter,
     ObservationStore,
-    PushEndpoint,
     best_objective,
     parse_metric_lines,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "ObservationStore",
     "ParameterSpec",
     "ParameterType",
-    "PushEndpoint",
     "Range",
     "RenderError",
     "ResourceExistsError",

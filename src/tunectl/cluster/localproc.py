@@ -2,8 +2,10 @@
 
 Runs each trial as a real child process with hyperparameters on the command
 line, so anything executable can be tuned regardless of language. Stdout is
-the metric transport: in pull mode it is captured and parsed on completion,
-in push mode each line is ingested into the store as it arrives.
+the metric transport. Each line is parsed as it is read, and only its metric
+points are kept. In push mode they are registered at once; in pull mode they
+wait on the job until ``collect_metrics``, which the controller calls once
+the trainer has succeeded, so a failed trial registers none.
 
 Exit code 0 is success; a configurable set of exit codes (default 75, the
 conventional tempfail code) classifies as temporary failure eligible for
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ..errors import InvalidPayloadError
-from ..metrics import ObservationStore, PushEndpoint, parse_metric_lines
+from ..metrics import MetricPoint, ObservationStore, parse_metric_lines
 from ..resources import CollectorKind, TrialRunSpec, TrialTemplate
 from ..controller.backend import ExecutionBackend, JobPhase, JobState
 
@@ -48,10 +50,9 @@ class _LocalJob:
     watched: tuple[str, ...]
     process: subprocess.Popen | None = None
     reader: threading.Thread | None = None
-    log: list[str] = field(default_factory=list)
+    points: list[MetricPoint] = field(default_factory=list)  # pull: not yet registered; under the lock
     failed_reason: str | None = None
     spawn_failed: bool = False
-    collected: bool = False
     finished: bool = False  # exited with its output all read; under the lock
     step: int | None = None  # the controller step it was started in
 
@@ -115,30 +116,25 @@ class LocalProcessBackend(ExecutionBackend):
             job.spawn_failed = True
             job.failed_reason = f"spawn failed: {exc}"
         else:
-            push = (
-                PushEndpoint(self.metrics, job.watched)
-                if collector_kind is CollectorKind.PUSH
-                else None
-            )
-            job.reader = threading.Thread(
-                target=self._read_stdout, args=(job, push), daemon=True
-            )
+            job.reader = threading.Thread(target=self._read_stdout, args=(job,), daemon=True)
             job.reader.start()
         with self._lock:
             self._jobs[handle] = job
         return handle
 
-    def _read_stdout(self, job: _LocalJob, push: PushEndpoint | None) -> None:
+    def _read_stdout(self, job: _LocalJob) -> None:
         assert job.process is not None and job.process.stdout is not None
+        push = job.collector is CollectorKind.PUSH
         try:
             for raw in job.process.stdout:
-                line = raw.decode("utf-8", errors="replace")
-                with self._lock:
-                    job.log.append(line.rstrip("\n"))
-                if push is not None:
-                    push.feed(job.handle, line)
-            if push is not None:
-                push.close(job.handle)
+                points = parse_metric_lines(raw.decode("utf-8", errors="replace"), job.watched, job.handle)
+                if not points:
+                    continue
+                if push:
+                    self.metrics.register_observation_log(points)
+                else:
+                    with self._lock:
+                        job.points.extend(points)
         finally:
             # The trial's only wake-up, even if ingestion failed.
             job.process.wait()
@@ -176,20 +172,17 @@ class LocalProcessBackend(ExecutionBackend):
     def collect_metrics(self, handle: str) -> None:
         with self._lock:
             job = self._jobs.get(handle)
-            if job is None or job.collector is not CollectorKind.PULL or job.collected:
-                return
-            text = "\n".join(job.log)
-        points = parse_metric_lines(text, job.watched, handle)
+            points = [] if job is None else list(job.points)
         if points:
             self.metrics.register_observation_log(points)
-        with self._lock:
-            job.collected = True
+            with self._lock:
+                job.points.clear()
 
     def reserve_service(self, namespace: str, name: str, cpu: float) -> None:
         pass  # no quota model on a bare host
 
     def release(self, handle: str) -> None:
-        """Forget a concluded trainer, and the output lines it kept."""
+        """Forget a concluded trainer."""
         with self._lock:
             self._jobs.pop(handle, None)
 

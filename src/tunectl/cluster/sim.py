@@ -31,14 +31,9 @@ import numpy as np
 
 from ..codec import Journal, from_doc, json_default, to_doc
 from ..errors import InvalidPayloadError, TunectlError, UnknownNamespaceError
-from ..metrics import MetricPoint, ObservationStore, parse_metric_lines
-from ..resources import (
-    CollectorKind,
-    SimObjectiveDescriptor,
-    TrialRunSpec,
-    TrialTemplate,
-    value_to_string,
-)
+from ..metrics import MetricPoint, ObservationStore
+from ..metrics import parse_metric_lines  # noqa: F401 -- perfbench/tracer.py wraps it under this module
+from ..resources import CollectorKind, SimObjectiveDescriptor, TrialRunSpec, TrialTemplate
 from ..controller.backend import ExecutionBackend, JobPhase, JobState
 from .objectives import eval_sim_objective
 
@@ -119,7 +114,7 @@ class SimJob:
     completed: int = 0  # checkpoint: ticks finished by the slowest worker
     attempt: int = 1
     units: list[SimUnit] = field(default_factory=list)
-    log: list[str] = field(default_factory=list)
+    points: list[tuple[int, float]] = field(default_factory=list)  # pull: (tick, value) until collected
 
 
 def _name_entropy(name: str) -> int:
@@ -342,6 +337,8 @@ class SimWorld:
                 self.seed, _name_entropy(job.name), job.descriptor.rng_seed_offset, METRIC_SALT, self.tick
             ),
         )
+        if not math.isfinite(value):
+            return  # as a trainer's "inf" line, no point: a trial left with none fails for want of metrics
         metric = job.watched[0]
         if job.collector is CollectorKind.PUSH:
             assert self.metrics is not None
@@ -349,7 +346,7 @@ class SimWorld:
                 [MetricPoint(trial=job.name, metric=metric, ts=self.tick, value=value)]
             )
         else:
-            job.log.append(f"{self.tick} {metric}={value_to_string(value)}")
+            job.points.append((self.tick, value))
 
     def progress_tick(self) -> None:
         for job in self._running_trials():
@@ -677,11 +674,11 @@ class SimBackend(ExecutionBackend):
 
     def collect_metrics(self, handle: str) -> None:
         job = self.world.jobs.get(handle)
-        if job is None or job.collector is not CollectorKind.PULL or not job.log:
+        if job is None or not job.points:
             return
-        points = parse_metric_lines("\n".join(job.log), job.watched, handle)
-        if points:
-            self.metrics.register_observation_log(points)
+        self.metrics.register_observation_log(
+            [MetricPoint(trial=handle, metric=job.watched[0], ts=tick, value=value) for tick, value in job.points]
+        )
 
     def reserve_service(self, namespace: str, name: str, cpu: float) -> None:
         self.world.reserve_service(namespace, name, cpu)

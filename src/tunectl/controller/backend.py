@@ -63,8 +63,10 @@ class ExecutionBackend(ABC):
 
     @abstractmethod
     def collect_metrics(self, handle: str) -> None:
-        """Pull-mode collection: parse whatever the job has logged so far
-        into the metric store. Idempotent; a no-op for push-mode jobs."""
+        """Pull-mode collection, called once the job has succeeded: register
+        the metric points it has reported so far, which a pull job keeps
+        until this call. Idempotent; a no-op for push-mode jobs, whose
+        points were registered as they arose."""
 
     @abstractmethod
     def reserve_service(self, namespace: str, name: str, cpu: float) -> None:

@@ -7,8 +7,9 @@ opaque ordinals to the store: the simulator uses integer ticks, the local
 runner wall-clock milliseconds.
 
 The wire format for metric lines is ``<timestamp> <name>=<value>`` with the
-timestamp either an integer tick or an ISO-8601 datetime; the same format is
-accepted by the pull parser and the push ingestion endpoint.
+timestamp either an integer tick or an ISO-8601 datetime. The local backend
+parses each line of a trainer's output as it reads it, for both collector
+kinds; the kind decides only when the points are registered.
 """
 
 from __future__ import annotations
@@ -103,9 +104,8 @@ class FileObservationStore(ObservationStore):
         self._journal = None if path is None else Journal(path)
         self._readonly = readonly
         self._lock = threading.Lock()
-        self._by_trial: dict[str, list[tuple[MetricPoint, int]]] = {}
-        self._seen: dict[str, set[tuple]] = {}
-        self._seq = 0
+        # Per trial, its points in registration order, keyed by (metric, ts, value).
+        self._by_trial: dict[str, dict[tuple, MetricPoint]] = {}
         if self._journal is not None:
             self._load()
 
@@ -119,7 +119,7 @@ class FileObservationStore(ObservationStore):
             if not isinstance(trial, str) or not trial:
                 continue
             if doc.get("deleted"):
-                self._forget(trial)
+                self._by_trial.pop(trial, None)
                 continue
             try:
                 point = MetricPoint(
@@ -131,21 +131,14 @@ class FileObservationStore(ObservationStore):
 
     def _remember(self, trial: str, points: Sequence[MetricPoint]) -> list[MetricPoint]:
         """Index the points of ``trial`` not seen before; return them."""
-        entries = self._by_trial.setdefault(trial, [])
-        seen = self._seen.setdefault(trial, set())
+        known = self._by_trial.setdefault(trial, {})
         fresh = []
         for p in points:
             key = (p.metric, p.ts, p.value)
-            if key not in seen:
-                seen.add(key)
-                entries.append((p, self._seq))
-                self._seq += 1
+            if key not in known:
+                known[key] = p
                 fresh.append(p)
         return fresh
-
-    def _forget(self, trial: str) -> None:
-        self._by_trial.pop(trial, None)
-        self._seen.pop(trial, None)
 
     def _append(self, docs: Iterable[dict]) -> None:
         if self._journal is None:
@@ -182,15 +175,15 @@ class FileObservationStore(ObservationStore):
         self, trial: str, flt: ObservationFilter | None = None
     ) -> list[MetricPoint]:
         with self._lock:
-            entries = list(self._by_trial.get(trial, []))
-        points = [p for p, _ in sorted(entries, key=lambda e: (e[0].ts, e[0].metric, e[1]))]
+            points = list(self._by_trial.get(trial, {}).values())
+        points.sort(key=lambda p: (p.ts, p.metric))  # stable: ties keep registration order
         if flt is None:
             return points
         return [p for p in points if flt.admits(p)]
 
     def delete_observation_log(self, trial: str) -> None:
         with self._lock:
-            self._forget(trial)
+            self._by_trial.pop(trial, None)
             self._append([{"trial": trial, "deleted": True}])
 
 
@@ -199,7 +192,7 @@ InMemoryObservationStore = FileObservationStore
 
 
 # ---------------------------------------------------------------------------
-# Metric line parsing (pull collection) and push ingestion
+# Metric line parsing
 # ---------------------------------------------------------------------------
 
 
@@ -255,42 +248,6 @@ def parse_metric_lines(
     if malformed:
         logger.debug("trial %s: %d malformed metric candidate line(s) skipped", trial, malformed)
     return points
-
-
-class PushEndpoint:
-    """Local byte-stream ingestion: the push analog of the pull parser.
-
-    Trainers write the same line format; every completed line is parsed and
-    registered synchronously, so an acked write is visible to subsequent
-    reads.
-    """
-
-    def __init__(self, store: ObservationStore, watched_metrics: Sequence[str]):
-        self._store = store
-        self._watched = tuple(watched_metrics)
-        self._buffers: dict[str, str] = {}
-        self._lock = threading.Lock()
-
-    def feed(self, trial: str, data: bytes | str) -> int:
-        """Ingest a chunk; returns the number of points registered."""
-        text = data.decode("utf-8", errors="replace") if isinstance(data, bytes) else data
-        with self._lock:
-            buffered = self._buffers.get(trial, "") + text
-            lines, sep, rest = buffered.rpartition("\n")
-            self._buffers[trial] = rest if sep else buffered
-            complete = lines if sep else ""
-        points = parse_metric_lines(complete, self._watched, trial)
-        if points:
-            self._store.register_observation_log(points)
-        return len(points)
-
-    def close(self, trial: str) -> int:
-        with self._lock:
-            rest = self._buffers.pop(trial, "")
-        points = parse_metric_lines(rest, self._watched, trial)
-        if points:
-            self._store.register_observation_log(points)
-        return len(points)
 
 
 def best_objective(

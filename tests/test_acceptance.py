@@ -11,12 +11,15 @@ from __future__ import annotations
 import json
 import math
 import statistics
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import make_experiment
+from tunectl.cluster.localproc import LocalProcessBackend
 from tunectl.cluster.sim import SimBackend, SimWorld, SimulatedCrash
+from tunectl.controller.backend import JobPhase
 from tunectl.controller.reconcile import run_control_loop, submit_experiment
 from tunectl.controller.store import FileResourceStore
 from tunectl.errors import ExhaustedSearchSpace
@@ -25,9 +28,7 @@ from tunectl.metrics import (
     InMemoryObservationStore,
     MetricPoint,
     ObservationFilter,
-    PushEndpoint,
     best_objective,
-    parse_metric_lines,
 )
 from tunectl.resources import (
     CollectorKind,
@@ -36,6 +37,9 @@ from tunectl.resources import (
     ParameterSpec,
     ParameterType,
     Range,
+    TemplateKind,
+    TrialRunSpec,
+    TrialTemplate,
     ValueList,
 )
 from tunectl.scenarios import ScenarioConfig, run_scenario, run_simulated, _sphere_experiment
@@ -328,25 +332,57 @@ def test_criterion_7_storage(tmp_path):
         assert memory.get_observation_log(trial) == reloaded.get_observation_log(trial)
     _report(7, "backend-differential", True, f"10000 randomized calls, {checked} compared reads, reload")
 
-    # Push vs pull on an identical byte stream: bit-exact best objective.
+    # Push vs pull on an identical byte stream, written by a trainer in
+    # random chunks that split lines: bit-exact best objective.
     rng = np.random.default_rng(5)
     lines = [f"{t} accuracy={repr(float(rng.normal()))}" for t in range(200)]
     stream = "\n".join(lines) + "\n"
-    objective = ObjectiveSpec(type=ObjectiveType.MAXIMIZE, objective_metric_name="accuracy")
-    pull_store = InMemoryObservationStore()
-    pull_store.register_observation_log(parse_metric_lines(stream, ["accuracy"], "t"))
-    push_store = InMemoryObservationStore()
-    endpoint = PushEndpoint(push_store, ["accuracy"])
-    cut = 0
+    chunks, cut = [], 0
     while cut < len(stream):
         step = int(rng.integers(1, 40))
-        endpoint.feed("t", stream[cut : cut + step])
+        chunks.append(stream[cut : cut + step])
         cut += step
-    endpoint.close("t")
-    pull_best = best_objective(pull_store.get_observation_log("t"), objective)
-    push_best = best_objective(push_store.get_observation_log("t"), objective)
-    bit_exact = pull_best == push_best and pull_best is not None
-    _report(7, "push-pull-equivalence", bit_exact, f"best via pull={pull_best!r}, push={push_best!r}")
+    (tmp_path / "chunks.json").write_text(json.dumps(chunks))
+    trainer = tmp_path / "chunked.py"
+    trainer.write_text(
+        "import json, sys\n"
+        f"for chunk in json.load(open({str(tmp_path / 'chunks.json')!r})):\n"
+        "    sys.stdout.write(chunk)\n"
+        "    sys.stdout.flush()\n"
+    )
+    command = f"{sys.executable} {trainer}"
+    objective = ObjectiveSpec(type=ObjectiveType.MAXIMIZE, objective_metric_name="accuracy")
+    logs = {}
+    for collector in (CollectorKind.PULL, CollectorKind.PUSH):
+        store = InMemoryObservationStore()
+        backend = LocalProcessBackend(store)
+        run_spec = TrialRunSpec(trial_name="t", namespace="ns", resolved_payload=command, parameter_assignments=())
+        handle = backend.submit(
+            run_spec,
+            TrialTemplate(kind=TemplateKind.LOCAL_PROCESS, payload=command),
+            collector_kind=collector,
+            watched_metrics=("accuracy",),
+        )
+        backend._jobs[handle].reader.join(timeout=60)
+        assert backend.job_state(handle).phase is JobPhase.SUCCEEDED
+        backend.collect_metrics(handle)
+        backend.close()
+        logs[collector] = store.get_observation_log(handle)
+    pull_best = best_objective(logs[CollectorKind.PULL], objective)
+    push_best = best_objective(logs[CollectorKind.PUSH], objective)
+    bit_exact = (
+        pull_best == push_best
+        and pull_best is not None
+        and logs[CollectorKind.PULL] == logs[CollectorKind.PUSH]
+        and len(logs[CollectorKind.PULL]) == len(lines)
+    )
+    _report(
+        7,
+        "push-pull-equivalence",
+        bit_exact,
+        f"{len(chunks)} chunks; best via pull={pull_best!r}, push={push_best!r}; "
+        f"{len(logs[CollectorKind.PULL])} and {len(logs[CollectorKind.PUSH])} points",
+    )
 
     # The same equivalence holds end to end through the simulator backend.
     finals = {}

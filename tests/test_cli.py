@@ -537,6 +537,23 @@ def test_run_on_a_world_of_an_earlier_version_exits_4_and_leaves_the_store_untou
     assert _store_files(store) == before
 
 
+def test_run_on_a_world_whose_jobs_keep_output_lines_exits_4_and_leaves_the_store_untouched(runner, tmp_path):
+    # Earlier versions kept a pull job's output as text lines in its "log";
+    # a job now keeps its unregistered points as (tick, value) pairs.
+    _submit(runner, tmp_path)
+    store = tmp_path / "store"
+    assert runner.invoke(cli, ["run", "--store", str(store), "--max-ticks", "4"]).exit_code == 0
+    doc = json.loads((store / "world.jsonl").read_text())
+    for job in doc["world"]["jobs"].values():
+        job["log"] = [f"{tick} loss={value!r}" for tick, value in job.pop("points")] or ["3 loss=0.0625"]
+    (store / "world.jsonl").write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+    before = _store_files(store)
+    result = runner.invoke(cli, ["run", "--store", str(store)])
+    assert result.exit_code == 4, result.output
+    assert f"{store / 'world.jsonl'} holds no world that this version reads" in result.output
+    assert _store_files(store) == before
+
+
 def test_a_run_stopped_before_its_first_tick_resumes_to_the_uninterrupted_files(runner, tmp_path):
     # --max-ticks 0 stops after the bootstrap step: its events are written,
     # but no tick is persisted, so the next run starts a fresh world.

@@ -8,10 +8,12 @@ from tunectl.cluster.sim import (
     AutoscalerConfig,
     ChaosMode,
     ChaosPolicy,
+    SimBackend,
     SimWorld,
 )
 from tunectl.controller.backend import JobPhase
 from tunectl.errors import UnknownNamespaceError
+from tunectl.metrics import InMemoryObservationStore
 from tunectl.resources import (
     CollectorKind,
     RestartPolicy,
@@ -323,3 +325,20 @@ def test_world_serialization_round_trip():
         world.advance_tick()
         restored.advance_tick()
     assert restored.to_doc() == world.to_doc()
+
+
+@pytest.mark.parametrize("kind", [CollectorKind.PULL, CollectorKind.PUSH])
+def test_a_value_that_is_not_finite_makes_no_metric_point(kind):
+    # sphere at x = 1e200 overflows to inf. As a trainer's "inf" line, it is
+    # no metric point under either collector kind, so its trial fails for
+    # want of one instead of the run stopping on the error.
+    metrics = InMemoryObservationStore()
+    backend = SimBackend(_world(), metrics)
+    handle = backend.world.submit_job(
+        _run_spec("huge", x=1e200), _template(), collector_kind=kind, watched_metrics=("loss",)
+    )
+    for _ in range(4):
+        backend.world.advance_tick()
+    assert backend.job_state(handle).phase is JobPhase.SUCCEEDED
+    backend.collect_metrics(handle)
+    assert metrics.get_observation_log(handle) == []

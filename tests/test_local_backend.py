@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import gc
 import os
+import subprocess
 import sys
 import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
@@ -166,10 +168,10 @@ def test_temporary_exit_code_restarts_when_policy_allows(tmp_path):
 
 
 def test_a_run_leaves_no_concluded_trainer_behind(tmp_path):
-    # Restarted, succeeded and failed trials: each trainer, with the output
-    # it kept and its output pipe, is dropped once its trial concludes. A
-    # pipe left open per trainer would exhaust the open-file limit in a
-    # long enough run.
+    # Restarted, succeeded and failed trials: each trainer, with the metric
+    # points it kept and its output pipe, is dropped once its trial
+    # concludes. A pipe left open per trainer would exhaust the open-file
+    # limit in a long enough run.
     script = tmp_path / "mixed.py"
     script.write_text(
         textwrap.dedent(
@@ -342,3 +344,54 @@ def test_a_step_after_an_earlier_exit_still_waits_the_poll_interval():
     backend.advance(lambda: 0)
     assert time.monotonic() - started >= 0.2
     backend.close()
+
+
+# Runs one trainer that prints ``lines`` lines of progress and then one
+# metric line, under the given collector kind, in a process of its own, and
+# prints that process's peak resident size in KB: what the output reader
+# kept shows there.
+_CHATTY = """
+import resource, sys
+from tunectl.cluster.localproc import LocalProcessBackend
+from tunectl.metrics import InMemoryObservationStore, MetricPoint
+from tunectl.resources import CollectorKind, TemplateKind, TrialRunSpec, TrialTemplate
+
+lines, kind = int(sys.argv[1]), CollectorKind(sys.argv[2])
+trainer = f"import sys; sys.stdout.write('INFO epoch 1: training on shard 7 of 9\\\\n' * {lines}); print('1 loss=0.5')"
+command = f"{sys.executable} -c \\"{trainer}\\""
+metrics = InMemoryObservationStore()
+backend = LocalProcessBackend(metrics)
+run_spec = TrialRunSpec(trial_name="chatty", namespace="ns", resolved_payload=command, parameter_assignments=())
+handle = backend.submit(
+    run_spec, TrialTemplate(kind=TemplateKind.LOCAL_PROCESS, payload=command),
+    collector_kind=kind, watched_metrics=("loss",),
+)
+reader = backend._jobs[handle].reader
+reader.join(timeout=120)
+assert not reader.is_alive()
+backend.collect_metrics(handle)
+assert metrics.get_observation_log(handle) == [MetricPoint(handle, "loss", 1, 0.5)], metrics.get_observation_log(handle)
+backend.close()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def _chatty_peak_kb(lines: int, kind: CollectorKind) -> int:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run(
+        [sys.executable, "-c", _CHATTY, str(lines), kind.value],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr[-3000:]
+    return int(out.stdout.split()[-1])
+
+
+@pytest.mark.parametrize("kind", [CollectorKind.PULL, CollectorKind.PUSH])
+def test_a_chatty_trainer_keeps_the_reader_flat_in_memory(kind):
+    # Output that is not a metric line is not kept: a trainer that prints a
+    # million lines costs its reader no more memory than one that prints a
+    # thousand, and its one metric point is still registered.
+    quiet = _chatty_peak_kb(10**3, kind)
+    chatty = _chatty_peak_kb(10**6, kind)
+    assert chatty - quiet <= 10 * 1024, f"peak RSS {quiet} KB -> {chatty} KB"

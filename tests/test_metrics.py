@@ -11,7 +11,6 @@ from tunectl.metrics import (
     InMemoryObservationStore,
     MetricPoint,
     ObservationFilter,
-    PushEndpoint,
     best_objective,
     parse_metric_lines,
 )
@@ -261,31 +260,6 @@ def test_parse_tolerates_malformed_candidates():
     text = "nonsense accuracy=oops\n= =\n3 accuracy=0.7\nnoise accuracy=nan"
     points = parse_metric_lines(text, ["accuracy"], "t1")
     assert [p.value for p in points] == [0.7]
-
-
-def test_push_endpoint_handles_chunked_lines():
-    store = InMemoryObservationStore()
-    endpoint = PushEndpoint(store, ["accuracy"])
-    endpoint.feed("t1", b"1 accu")
-    endpoint.feed("t1", b"racy=0.5\n2 accuracy=0.6\n3 acc")
-    endpoint.feed("t1", "uracy=0.7")
-    endpoint.close("t1")
-    assert [p.value for p in store.get_observation_log("t1")] == [0.5, 0.6, 0.7]
-
-
-def test_push_equals_pull_for_identical_stream():
-    text = "1 accuracy=0.5\nINFO epoch done\n2 accuracy=0.9177\n"
-    objective = ObjectiveSpec(type=ObjectiveType.MAXIMIZE, objective_metric_name="accuracy")
-    pull_store = InMemoryObservationStore()
-    pull_store.register_observation_log(parse_metric_lines(text, ["accuracy"], "t1"))
-    push_store = InMemoryObservationStore()
-    endpoint = PushEndpoint(push_store, ["accuracy"])
-    for chunk in (text[:7], text[7:20], text[20:]):
-        endpoint.feed("t1", chunk)
-    endpoint.close("t1")
-    assert best_objective(pull_store.get_observation_log("t1"), objective) == best_objective(
-        push_store.get_observation_log("t1"), objective
-    )
 
 
 # --- best objective -----------------------------------------------------------

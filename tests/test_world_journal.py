@@ -46,6 +46,7 @@ from tunectl.resources import (
 )
 
 WORLD, EVENTS = SimBackend.WORLD_FILE, SimBackend.EVENTS_FILE
+METRICS = "metrics.jsonl"
 
 
 def _experiments():
@@ -66,7 +67,7 @@ def _experiments():
 
 def _open(directory, crash_hook=None):
     store = FileResourceStore(directory / "resources")
-    metrics = FileObservationStore(directory / "metrics.jsonl")
+    metrics = FileObservationStore(directory / METRICS)
     if SimBackend.has_snapshot(directory):
         return store, metrics, SimBackend.resume(directory, metrics, crash_hook=crash_hook)
     world = SimWorld(
@@ -157,7 +158,7 @@ def recorded(tmp_path_factory) -> Recorded:
         assert _run(directory, watcher=count, before_compact=keep) is None
     finally:
         SimBackend.persist = persist
-    out.final = {name: (directory / name).read_bytes() for name in (WORLD, EVENTS)}
+    out.final = {name: (directory / name).read_bytes() for name in (WORLD, EVENTS, METRICS)}
     return out
 
 
@@ -266,6 +267,18 @@ def test_a_run_killed_at_each_point_resumes_to_the_uninterrupted_world(recorded,
     last = max(recorded.lines)
     expected = recorded.lines[last - 1 if at == -1 else last]
     assert _world(line) == _world(expected)
+
+
+def test_a_resumed_world_registers_its_pull_points_as_the_uninterrupted_run_did(recorded, tmp_path):
+    """A pull job's points wait in the world as (tick, value) pairs until
+    its trial succeeds, so points restored from world.jsonl reach the metric
+    log with the same bytes, integer ticks included."""
+    persisted = _kill(tmp_path, "tick", 6, "progress", recorded.mutations)
+    held = [job["points"] for job in _world(_lines(tmp_path)[-1])["jobs"].values() if job["points"]]
+    assert persisted and held
+    assert all(type(tick) is int for points in held for tick, _ in points)
+    assert _run(tmp_path) is None
+    assert (tmp_path / METRICS).read_bytes() == recorded.final[METRICS]
 
 
 @pytest.mark.parametrize("nth", [1, 7])
