@@ -46,9 +46,9 @@ store_option = click.option(
 )
 
 
-def _open_store(store_dir: Path, readonly: bool = False) -> FileResourceStore:
+def _open_store(store_dir: Path, readonly: bool = False, commit: int | None = None) -> FileResourceStore:
     try:
-        return FileResourceStore(store_dir, readonly=readonly)
+        return FileResourceStore(store_dir, readonly=readonly, commit=commit)
     except TunectlError as exc:
         click.echo(str(exc), err=True)
         sys.exit(EXIT_RUNTIME)
@@ -149,16 +149,19 @@ def _run(
     from .cluster.sim import SimBackend
     from .scenarios import NodeGroup, Quota, ScenarioConfig, load_scenario
 
-    store = _open_store(store_dir)
     metrics = FileObservationStore(store_dir / "metrics.jsonl")
     try:
         if backend_name == "local":
+            store = _open_store(store_dir)
             backend = LocalProcessBackend(metrics)
         elif SimBackend.has_snapshot(store_dir):
+            # The world first: the store opens at the tick it committed.
             backend = SimBackend.resume(store_dir, metrics)
+            store = _open_store(store_dir, commit=backend.journal_records)
             if scenario_file is not None:
                 click.echo("resuming persisted world; --scenario ignored", err=True)
         else:
+            store = _open_store(store_dir)
             cfg = ScenarioConfig(seed, nodes=(NodeGroup(8.0, 4),), max_ticks=max_ticks)
             if scenario_file is not None:
                 cfg, specs = load_scenario(scenario_file)
@@ -186,14 +189,14 @@ def _run(
         sys.exit(EXIT_RUNTIME)
     try:
         snapshot = run_control_loop(store, metrics, backend, max_ticks=max_ticks)
-        backend.compact()
+        store.compact()  # first: the world's last line counts the compacted records
+        backend.compact(store.records)
     except KeyboardInterrupt:
         click.echo("interrupted; state persisted, re-run to resume", err=True)
         sys.exit(EXIT_RUNTIME)
     finally:
         backend.close()
         metrics.close()
-    store.compact()
     _print_summary(snapshot)
 
 

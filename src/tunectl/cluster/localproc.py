@@ -5,7 +5,8 @@ line, so anything executable can be tuned regardless of language. Stdout is
 the metric transport. Each line is parsed as it is read, and only its metric
 points are kept. In push mode they are registered at once; in pull mode they
 wait on the job until ``collect_metrics``, which the controller calls once
-the trainer has succeeded, so a failed trial registers none.
+the trainer has succeeded, so a failed trial registers none. After a failed
+push the rest is drained unread, and the job fails naming the error.
 
 Exit code 0 is success; a configurable set of exit codes (default 75, the
 conventional tempfail code) classifies as temporary failure eligible for
@@ -51,7 +52,7 @@ class _LocalJob:
     process: subprocess.Popen | None = None
     reader: threading.Thread | None = None
     points: list[MetricPoint] = field(default_factory=list)  # pull: not yet registered; under the lock
-    failed_reason: str | None = None
+    failed_reason: str | None = None  # a failed spawn, or a failed push registration
     spawn_failed: bool = False
     finished: bool = False  # exited with its output all read; under the lock
     step: int | None = None  # the controller step it was started in
@@ -127,11 +128,16 @@ class LocalProcessBackend(ExecutionBackend):
         push = job.collector is CollectorKind.PUSH
         try:
             for raw in job.process.stdout:
+                if job.failed_reason is not None:
+                    continue  # drained unread to EOF
                 points = parse_metric_lines(raw.decode("utf-8", errors="replace"), job.watched, job.handle)
                 if not points:
                     continue
                 if push:
-                    self.metrics.register_observation_log(points)
+                    try:
+                        self.metrics.register_observation_log(points)
+                    except Exception as exc:  # any: the trial must end, not hang
+                        job.failed_reason = f"metric registration failed: {type(exc).__name__}: {exc}"
                 else:
                     with self._lock:
                         job.points.extend(points)
@@ -153,6 +159,8 @@ class LocalProcessBackend(ExecutionBackend):
             return JobState(phase=JobPhase.FAILED_PERMANENT, reason=job.failed_reason)
         if not finished or (job.step is not None and job.step == self._step):
             return JobState(phase=JobPhase.RUNNING)
+        if job.failed_reason is not None:
+            return JobState(phase=JobPhase.FAILED_PERMANENT, reason=job.failed_reason)
         code = job.process.returncode
         if code == 0:
             return JobState(phase=JobPhase.SUCCEEDED)

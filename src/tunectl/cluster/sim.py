@@ -13,7 +13,7 @@ Nodes are never scaled down while they hold running work.
 
 A trial's job is released once its trial concludes, so the world holds
 live jobs and services only. ``SimBackend`` persists it in a state
-directory, one whole-world line per tick.
+directory, one whole-world line per tick, which commits the tick.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..codec import Journal, from_doc, json_default, to_doc
+from ..codec import Journal, from_doc, json_default
 from ..errors import InvalidPayloadError, TunectlError, UnknownNamespaceError
 from ..metrics import MetricPoint, ObservationStore
 from ..metrics import parse_metric_lines  # noqa: F401 -- perfbench/tracer.py wraps it under this module
@@ -128,11 +128,11 @@ def _derived_rng(*entropy: int) -> np.random.Generator:
 @dataclass(eq=False)
 class SimWorld:
     """The simulated cluster. Its fields are the state a snapshot holds;
-    the events emitted since the object was built (a resumed world starts
-    with none; ``events.jsonl`` holds them all), the writers and the count
-    of placed units on each node and in each namespace are attached in
-    ``__post_init__``. ``jobs`` holds the jobs not yet released: the live
-    ones, and the concluded ones whose trial has not yet recorded it."""
+    the event ``sink`` (``events``, unless a backend writes them to a file),
+    the metric store and the count of placed units on each node and in each
+    namespace are attached in ``__post_init__``. ``jobs`` holds the jobs not
+    yet released: the live ones, and the concluded ones whose trial has not
+    yet recorded it."""
 
     seed: int = 0
     gang: bool = True
@@ -146,8 +146,8 @@ class SimWorld:
 
     def __post_init__(self) -> None:
         self.events: list[dict] = []
+        self.sink: Callable[[dict], None] = self.events.append
         self.metrics: ObservationStore | None = None
-        self._event_writer: Callable[[dict], None] | None = None
         self._units_on: Counter[str] = Counter()
         self._units_in: Counter[str] = Counter()
         for job in self.jobs.values():
@@ -172,10 +172,7 @@ class SimWorld:
     # -- events --------------------------------------------------------------
 
     def emit(self, kind: str, payload: dict) -> None:
-        event = {"tick": self.tick, "kind": kind, "payload": payload}
-        self.events.append(event)
-        if self._event_writer is not None:
-            self._event_writer(event)
+        self.sink({"tick": self.tick, "kind": kind, "payload": payload})
 
     # -- job lifecycle -------------------------------------------------------
 
@@ -516,15 +513,6 @@ class SimWorld:
         self._tick_stats()
         hook("persist")
 
-    # -- serialization -----------------------------------------------------------
-
-    def to_doc(self) -> dict:
-        return to_doc(self)
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "SimWorld":
-        return from_doc(cls, doc)
-
 
 def _unreadable(path: Path) -> str:
     return (
@@ -537,15 +525,16 @@ class SimBackend(ExecutionBackend):
     """Execution backend over a :class:`SimWorld`, with optional state
     persistence in a state directory, each file a ``codec.Journal``:
 
-    - ``events.jsonl``: one JSON line per event;
-    - ``world.jsonl``: one line per persist, which is the tick's commit:
-      ``{"world": ..., "eventsOffset": ...}``, the whole world (live jobs
-      and services only) and the size of the event log it covers.
+    - ``events.jsonl``: one JSON line per event, the world's only event sink;
+    - ``world.jsonl``: one line per persist, the tick's one commit:
+      ``{"world": ..., "eventsOffset": ..., "journalRecords": ...}``, the
+      whole world (live jobs and services only), the size of the event log
+      and the record count of the resource journal that it covers.
 
-    A persist appends its line rather than rewrite the file. ``resume``
+    A persist appends its line, unless it repeats the last one. ``resume``
     reads the last complete line, and ``compact``, called once a run ends
-    cleanly, leaves that line alone in the file. A fresh backend starts
-    with an empty event log and no world file.
+    cleanly, commits; each leaves that line alone in the file. A fresh
+    backend starts with an empty event log and no world file.
     """
 
     WORLD_FILE = "world.jsonl"
@@ -563,11 +552,11 @@ class SimBackend(ExecutionBackend):
         self.world = world
         self.metrics = metrics
         self.world.metrics = metrics
-        self.world._event_writer = self._write_event
         self.crash_hook = crash_hook
         self._state_dir: Path | None = None
-        self._pending_events: list[str] = []  # emitted since the last write
+        self._pending_events: list[str] = []  # emitted since the last commit
         self._line: str | None = None  # the last world line persisted
+        self.journal_records = 0  # the resource journal's record count at that line
         self._reported: dict[str, JobPhase] = {}  # live trial jobs' phases at the last changed_jobs
         if state_dir is not None:
             # The world file first: a kill part way leaves no world line, and so a fresh start again.
@@ -582,6 +571,7 @@ class SimBackend(ExecutionBackend):
         self._state_dir = state_dir
         self._events = Journal(state_dir / self.EVENTS_FILE)
         self._world_file = Journal(state_dir / self.WORLD_FILE)
+        self.world.sink = self._write_event
 
     @classmethod
     def resume(
@@ -591,22 +581,21 @@ class SimBackend(ExecutionBackend):
         crash_hook: Callable[[int, str], None] | None = None,
     ) -> "SimBackend":
         """Rebuild a backend from the last complete line of ``world.jsonl``,
-        and leave that line alone in the file, as ``compact`` does. Events
-        recorded after that line's tick (a torn tick) are truncated and will
-        be re-emitted. The resumed world's in-memory ``events`` start
-        empty."""
+        and leave that line alone in the file. Events recorded after it (a
+        torn tick) are truncated and will be emitted again. The caller opens
+        the resource store at ``journal_records``."""
         state_dir = Path(state_dir)
         path = state_dir / cls.WORLD_FILE
         line = Journal(path).read(writing=False)[-1]
         try:
             doc = json.loads(line)
-            world, offset = SimWorld.from_doc(doc["world"]), doc["eventsOffset"]
+            world, offset, records = from_doc(SimWorld, doc["world"]), doc["eventsOffset"], doc["journalRecords"]
         except (ValueError, KeyError, TypeError) as exc:
             raise TunectlError(_unreadable(path)) from exc
         backend = cls(world, metrics, crash_hook=crash_hook)
         backend._open_state(state_dir)
-        backend._line = line.decode("utf-8") + "\n"
-        backend.compact()
+        backend._line, backend.journal_records = line.decode("utf-8") + "\n", records
+        backend._world_file.replace([backend._line])
         backend._events.truncate(offset)
         return backend
 
@@ -616,21 +605,24 @@ class SimBackend(ExecutionBackend):
         return bool(Journal(Path(state_dir) / SimBackend.WORLD_FILE).read(writing=False))
 
     def _write_event(self, event: dict) -> None:
-        if self._state_dir is not None:
-            self._pending_events.append(json.dumps(event, sort_keys=True) + "\n")
+        self._pending_events.append(json.dumps(event, sort_keys=True) + "\n")
 
-    def persist(self) -> None:
-        """Commit the tick: write its events, then append the world's line."""
+    def persist(self, records: int) -> None:
+        """Commit: write the events since the last commit, then the world's
+        line, which counts ``records`` in the resource journal."""
         if self._state_dir is None:
             return
         offset = self._events.append(self._pending_events)
         self._pending_events.clear()
-        doc = {"world": self.world, "eventsOffset": offset}
-        self._line = json.dumps(doc, default=json_default, separators=(",", ":")) + "\n"
-        self._world_file.append([self._line])
+        doc = {"world": self.world, "eventsOffset": offset, "journalRecords": records}
+        line = json.dumps(doc, default=json_default, separators=(",", ":")) + "\n"
+        if line != self._line:
+            self._line, self.journal_records = line, records
+            self._world_file.append([line])
 
-    def compact(self) -> None:
-        """Leave only the last persisted line in ``world.jsonl``."""
+    def compact(self, records: int) -> None:
+        """Commit the compacted journal's ``records``; leave that line alone."""
+        self.persist(records)
         if self._line is not None:
             self._world_file.replace([self._line])
 
@@ -688,18 +680,11 @@ class SimBackend(ExecutionBackend):
 
     def advance(self, controller_step: Callable[[], int]) -> None:
         self.world.advance_tick(controller_step, crash_hook=self.crash_hook)
-        self.persist()
-
-    def has_advanced(self) -> bool:
-        return self.world.tick > 0
 
     def emit_event(self, kind: str, payload: dict) -> None:
         self.world.emit(kind, payload)
 
     def close(self) -> None:
         if self._state_dir is not None:
-            if self._pending_events:
-                self._events.append(self._pending_events)
-                self._pending_events.clear()
             self._events.close()
             self._world_file.close()

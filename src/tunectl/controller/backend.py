@@ -83,17 +83,17 @@ class ExecutionBackend(ABC):
         """Run one unit of time, invoking the controller step at the point
         in the cycle the backend defines."""
 
-    def has_advanced(self) -> bool:
-        """Whether time has already moved for this backend's state, as for a
-        resumed simulated world; a backend without a clock has not."""
-        return False
-
     def emit_event(self, kind: str, payload: dict) -> None:  # pragma: no cover
         """Optional structured event sink (simulator writes JSON lines)."""
 
-    def compact(self) -> None:
-        """Fold persisted state into its compact form once a run has ended
-        cleanly; a backend that persists nothing does nothing."""
+    def persist(self, records: int) -> None:
+        """Commit the state reached with the resource journal's ``records``,
+        so a resume opens the store at the same point; a backend that
+        persists nothing does nothing."""
+
+    def compact(self, records: int) -> None:
+        """Commit, once a run has ended cleanly with its journal compacted
+        to ``records``, and fold persisted state into its compact form."""
 
     def close(self) -> None:
         """Flush and release any backend resources; safe to call twice."""

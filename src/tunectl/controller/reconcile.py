@@ -7,10 +7,10 @@ reconcilers in passes, kind by kind (experiments, suggestions, trials) and in
 key order within a kind, repeating while a pass mutates anything.
 
 A pass visits only the keys in the context's work queue, its ``dirty`` set,
-which starts as every key in the store, so a resumed run still releases the
-services of experiments and the jobs of trials that are already terminal. A
-trial's job is released once its terminal status is written, so a backend
-holds live jobs only. Four sources put a key back in the queue:
+which starts as every key in the store. A trial's job and an experiment's
+service are released once its terminal status is written, in the same
+step, so a backend holds live jobs only. Four sources put a key back in the
+queue:
 
 - a store write: the written key's experiment and suggestion, and the key
   itself unless it is a trial's update (a trial is queued by its create,
@@ -159,7 +159,6 @@ def reconcile_experiment(ctx: ControllerContext, key: str) -> int:
         return 0
     spec: ExperimentSpec = experiment.spec
     if experiment.status.phase in TERMINAL_EXPERIMENT:
-        ctx.backend.release(job_handle(spec.namespace, service_name_for(spec.name)))
         return 0
 
     mutations = 0
@@ -305,12 +304,9 @@ def reconcile_trial(ctx: ControllerContext, key: str) -> int:
     trial = ctx.store.get(key)
     if trial is None:
         return 0
-    handle = job_handle(trial.namespace, trial.name)
     if trial.status.phase in TERMINAL_TRIAL:
-        # A resumed world can still hold the job of a trial that concluded
-        # in the tick it did not persist.
-        ctx.backend.release(handle)
         return 0
+    handle = job_handle(trial.namespace, trial.name)
     experiment = ctx.store.get(
         resource_key(KIND_EXPERIMENT, trial.namespace, trial.spec.experiment)
     )
@@ -390,8 +386,8 @@ def reconcile_trial(ctx: ControllerContext, key: str) -> int:
         return 0
     ctx.store.update(Resource(KIND_TRIAL, trial.namespace, trial.name, trial_spec, status, trial.generation))
     if status.phase in TERMINAL_TRIAL:
-        # After the terminal record: a kill between the two leaves a job
-        # that the found-terminal branch above releases on resume.
+        # After the terminal record, in the same tick: a kill between the
+        # two is cut back with the rest of the tick on resume.
         ctx.backend.release(handle)
     return 1
 
@@ -468,18 +464,18 @@ def run_control_loop(
     """Drive every experiment in the store to a terminal phase.
 
     Starvation-free (round-robin within each step) and crash-recoverable:
-    restarting against the same persisted store and backend state continues
-    to the same terminal phases. A backend that has already advanced (a
-    resumed world) goes on with its next tick without the bootstrap step:
-    the store may hold writes of a tick the world did not persist, and a
-    bootstrap would act on them a scheduling pass early. The loop leaves
-    no watcher on the store. Returns the terminal snapshot.
+    each tick ends with one commit, ``backend.persist``, which records the
+    store's record count with the world, so a resume opens the store and
+    the world at the same committed tick. The loop commits its start before
+    the bootstrap step, so a kill within that step resumes from it, and a
+    resumed run's bootstrap step, at a commit, finds nothing to do. The loop
+    leaves no watcher on the store. Returns the terminal snapshot.
     """
     ctx = ControllerContext(store=store, metrics=metrics, backend=backend)
     ticks = 0
     try:
-        if not backend.has_advanced():
-            controller_step(ctx)  # bootstrap: create suggestions/trials before time moves
+        backend.persist(store.records)
+        controller_step(ctx)  # bootstrap: create suggestions/trials before time moves
         while not all_experiments_terminal(store):
             if ticks >= max_ticks:
                 logger.warning("control loop stopped at max_ticks=%d before termination", max_ticks)
@@ -500,6 +496,7 @@ def run_control_loop(
                         "spawned": e.status.total_spawned,
                     },
                 )
+            backend.persist(store.records)
             if stop is not None and stop(ticks):
                 break
     finally:

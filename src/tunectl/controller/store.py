@@ -13,6 +13,11 @@ fields, as ``submit`` checks it. ``compact`` rewrites the journal as one
 record per resource. ``tunectl dump`` prints the store as YAML for reading
 and diffing.
 
+A simulated world commits each tick with the journal's ``records``. A store
+opened at such a ``commit`` keeps the records up to it and the experiment
+creates after it, which only ``submit`` writes, and drops the rest: the
+writes of a tick cut short, which the resumed run makes again.
+
 Durability (``codec.Journal``): every record is flushed to the operating
 system as it is written, and compaction replaces the journal atomically (a
 temporary file and ``os.replace``). A store therefore survives the kill of its process at
@@ -186,6 +191,7 @@ class ResourceStore:
         self._resources: dict[str, Resource] = {}
         self._keys: dict[str, list[str]] = {}  # kind -> sorted keys
         self._trials: dict[tuple[str, str], _ExperimentTrials] = {}
+        self.records = 0  # the records a journal of the writes holds
         # Called with each stored resource after its create or update.
         self.watchers: list[Callable[[Resource], None]] = []
 
@@ -257,7 +263,7 @@ class ResourceStore:
             trials.put(resource)
 
     def _persist(self, resource: Resource) -> None:
-        pass
+        self.records += 1
 
 
 class FileResourceStore(ResourceStore):
@@ -275,7 +281,7 @@ class FileResourceStore(ResourceStore):
     # shows at most this much of it.
     UNREADABLE_DETAIL_CHARS = 300
 
-    def __init__(self, root: str | Path, readonly: bool = False):
+    def __init__(self, root: str | Path, readonly: bool = False, commit: int | None = None):
         super().__init__()
         self.root = Path(root)
         self._journal = Journal(self.root / self.JOURNAL)
@@ -283,21 +289,30 @@ class FileResourceStore(ResourceStore):
         self._readonly = readonly
         if not readonly:
             self.root.mkdir(parents=True, exist_ok=True)
-        self._load()
+        self._load(commit)
 
-    def _load(self) -> None:
+    def _load(self, commit: int | None) -> None:
         if not self.path.exists() and any((self.root / d).is_dir() for d in self._OLD_LAYOUT):
             raise TunectlError(
                 f"store {self.root} holds the one-YAML-file-per-resource layout of an "
                 "earlier version, which this version does not read; start again in a fresh store"
             )
         latest: dict[str, tuple[int, dict]] = {}
-        for number, line in enumerate(self._journal.read(writing=not self._readonly), 1):
+        lines = self._journal.read(writing=not self._readonly)
+        kept: list[bytes] = []
+        for number, line in enumerate(lines, 1):
             try:
                 doc = json.loads(line)
-                latest[resource_key(doc["kind"], doc["namespace"], doc["name"])] = (number, doc)
+                key = resource_key(doc["kind"], doc["namespace"], doc["name"])
+                if commit is not None and number > commit and (doc["kind"], doc["generation"]) != (KIND_EXPERIMENT, 1):
+                    continue
             except (ValueError, KeyError, TypeError) as exc:
                 raise self._unreadable(number, exc) from exc
+            kept.append(line)
+            latest[key] = (len(kept), doc)
+        if len(kept) < len(lines):
+            self._journal.replace(line.decode("utf-8") + "\n" for line in kept)
+        self.records = len(kept)
         for number, doc in latest.values():
             try:
                 resource = resource_from_doc(doc, generation=from_doc(int, doc["generation"]))
@@ -319,11 +334,13 @@ class FileResourceStore(ResourceStore):
         if self._readonly:
             raise TunectlError(f"store {self.root} is open read-only")
         self._journal.append([_record(resource)])
+        super()._persist(resource)
 
     def compact(self) -> None:
         """Rewrite the journal as one record per resource, in key order."""
         with self._lock:
             self._journal.replace(_record(self._resources[key]) for key in sorted(self._resources))
+            self.records = len(self._resources)
 
     def close(self) -> None:
         """Close the journal's append handle; a later write opens it again."""

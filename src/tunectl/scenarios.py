@@ -17,6 +17,7 @@ canned scenarios run.
 
 from __future__ import annotations
 
+import json
 import math
 import statistics
 import time
@@ -28,7 +29,7 @@ from typing import Sequence
 import yaml
 
 from .cluster.objectives import mnist_surrogate
-from .codec import DocumentError, from_doc
+from .codec import DocumentError, Journal, from_doc
 from .cluster.sim import AutoscalerConfig, ChaosMode, ChaosPolicy, SimBackend, SimWorld
 from .controller.model import KIND_TRIAL, TrialPhase
 from .controller.reconcile import run_control_loop, submit_experiment
@@ -176,6 +177,7 @@ def run_simulated(
 
     With ``drain_to_min_nodes`` the world keeps ticking after termination
     until the autoscaler has shrunk back to its floor (bounded by grace).
+    With a ``state_dir`` the events are read back from its event log.
     """
     world = cfg.world()
     store = ResourceStore()
@@ -191,8 +193,11 @@ def run_simulated(
             if len(world.nodes) <= autoscaler.min_nodes:
                 break
             backend.advance(lambda: 0)
-    backend.compact()
+    backend.compact(store.records)
     backend.close()
+    if state_dir is not None:
+        lines = Journal(Path(state_dir) / SimBackend.EVENTS_FILE).read(writing=False)
+        return SimRun(snapshot=snapshot, store=store, events=[json.loads(line) for line in lines])
     return SimRun(snapshot=snapshot, store=store, events=world.events)
 
 

@@ -411,13 +411,13 @@ def _recovery_experiment():
 
 
 def _build_recovery(state_dir, crash_hook=None):
-    store = FileResourceStore(state_dir / "resources")
     metrics = FileObservationStore(state_dir / "metrics.jsonl")
     if SimBackend.has_snapshot(state_dir):
+        # The store opens at the tick the world committed.
         backend = SimBackend.resume(state_dir, metrics, crash_hook=crash_hook)
+        store = FileResourceStore(state_dir / "resources", commit=backend.journal_records)
     else:
-        # Fresh world (or a crash before the first snapshot): resources that
-        # already exist in the store are simply reconciled against it.
+        store = FileResourceStore(state_dir / "resources")
         world = SimWorld(seed=11)
         world.add_node(6.0)  # tight: trials queue across waves
         world.add_namespace("user1", None)

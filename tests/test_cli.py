@@ -555,8 +555,8 @@ def test_run_on_a_world_whose_jobs_keep_output_lines_exits_4_and_leaves_the_stor
 
 
 def test_a_run_stopped_before_its_first_tick_resumes_to_the_uninterrupted_files(runner, tmp_path):
-    # --max-ticks 0 stops after the bootstrap step: its events are written,
-    # but no tick is persisted, so the next run starts a fresh world.
+    # --max-ticks 0 stops after the bootstrap step, which the run commits at
+    # tick 0 as it compacts, events included; the next run resumes there.
     straight, stopped = tmp_path / "straight", tmp_path / "stopped"
     for root in (straight, stopped):
         root.mkdir()
@@ -564,7 +564,8 @@ def test_a_run_stopped_before_its_first_tick_resumes_to_the_uninterrupted_files(
     partial = runner.invoke(cli, ["run", "--store", str(stopped / "store"), "--max-ticks", "0"])
     assert partial.exit_code == 0, partial.output
     assert (stopped / "store" / "events.jsonl").stat().st_size > 0
-    assert not (stopped / "store" / "world.jsonl").exists()
+    [line] = (stopped / "store" / "world.jsonl").read_text().splitlines()
+    assert json.loads(line)["world"]["tick"] == 0
     for root in (straight, stopped):
         result = runner.invoke(cli, ["run", "--store", str(root / "store")])
         assert result.exit_code == 0, result.output
@@ -596,6 +597,17 @@ def test_scenario_with_a_store_ends_with_a_compacted_world(runner, tmp_path):
     world = json.loads(line)
     events = [json.loads(line) for line in (store / "events.jsonl").read_text().splitlines()]
     assert world["world"]["tick"] == max(e["tick"] for e in events) > 1
-    stats = [i for i, e in enumerate(events) if e["kind"] == "tick-stats"]
-    offset = sum(len(json.dumps(e, sort_keys=True)) + 1 for e in events[: stats[-1] + 1])
-    assert world["eventsOffset"] == offset
+    # The last line commits every event, the experiment stats of its tick included.
+    assert events[-1]["kind"] == "experiment-stats"
+    assert world["eventsOffset"] == (store / "events.jsonl").stat().st_size
+
+
+@pytest.mark.parametrize("name", ["multi-tenancy", "autoscale", "chaos-fail", "chaos-kill"])
+def test_a_scenario_with_a_store_reads_its_events_back_to_the_same_checks(tmp_path, name):
+    from tunectl.scenarios import run_scenario
+
+    def details(outcome):  # the runtime check's detail is wall-clock time
+        return [(c.name, c.detail) for c in outcome.checks if c.name != "runtime"]
+
+    in_memory, stored = run_scenario(name, seed=3), run_scenario(name, seed=3, state_dir=tmp_path)
+    assert stored.passed and details(stored) == details(in_memory)

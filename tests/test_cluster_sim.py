@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from tunectl.cluster.sim import (
@@ -11,6 +13,7 @@ from tunectl.cluster.sim import (
     SimBackend,
     SimWorld,
 )
+from tunectl.codec import from_doc, to_doc
 from tunectl.controller.backend import JobPhase
 from tunectl.errors import UnknownNamespaceError
 from tunectl.metrics import InMemoryObservationStore
@@ -293,16 +296,16 @@ def test_worlds_with_same_seed_evolve_identically_over_1000_ticks():
         return world
 
     a, b = drive(build()), drive(build())
-    assert a.to_doc() == b.to_doc()
+    assert to_doc(a) == to_doc(b)
     assert a.events == b.events
 
 
 def test_empty_world_is_a_fixed_point():
     world = _world()
-    before = world.to_doc()
+    before = to_doc(world)
     for _ in range(5):
         world.advance_tick()
-    after = world.to_doc()
+    after = to_doc(world)
     before.pop("tick")
     after.pop("tick")
     assert before == after
@@ -315,16 +318,16 @@ def test_world_serialization_round_trip():
         _submit(world, f"t-{i}")
     for _ in range(2):
         world.advance_tick()
-    doc = world.to_doc()
-    restored = SimWorld.from_doc(doc)
-    assert restored.to_doc() == doc
+    doc = to_doc(world)
+    restored = from_doc(SimWorld, doc)
+    assert to_doc(restored) == doc
     # The restored CPU totals must agree with the restored placements.
     assert_bookkeeping(restored)
     # And both worlds evolve identically afterwards.
     for _ in range(6):
         world.advance_tick()
         restored.advance_tick()
-    assert restored.to_doc() == world.to_doc()
+    assert to_doc(restored) == to_doc(world)
 
 
 @pytest.mark.parametrize("kind", [CollectorKind.PULL, CollectorKind.PUSH])
@@ -342,3 +345,24 @@ def test_a_value_that_is_not_finite_makes_no_metric_point(kind):
     assert backend.job_state(handle).phase is JobPhase.SUCCEEDED
     backend.collect_metrics(handle)
     assert metrics.get_observation_log(handle) == []
+
+
+def test_a_backend_with_a_state_directory_writes_its_events_only_to_the_file(tmp_path):
+    # The same world kept in memory and with a state directory emits the
+    # same events; with the directory they go to events.jsonl, once committed,
+    # and the world keeps none of them.
+    worlds = {}
+    for key, state_dir in (("memory", None), ("file", tmp_path)):
+        world = worlds[key] = _world(capacities=(4.0,), seed=5)
+        backend = SimBackend(world, InMemoryObservationStore(), state_dir=state_dir)
+        backend.reserve_service("ns", "svc", 0.5)
+        for i in range(3):
+            _submit(world, f"t-{i}")
+        for _ in range(8):
+            backend.advance(lambda: 0)
+            backend.persist(0)
+        backend.close()
+    written = [json.loads(line) for line in (tmp_path / SimBackend.EVENTS_FILE).read_text().splitlines()]
+    assert worlds["file"].events == []
+    assert written == json.loads(json.dumps(worlds["memory"].events))
+    assert {e["kind"] for e in written} >= {"service-reserved", "job-submitted", "placed", "job-succeeded"}

@@ -83,10 +83,11 @@ def _spec(algorithm: str):
 
 
 def _open(directory, algorithm: str):
-    store = FileResourceStore(directory / "resources")
     metrics = FileObservationStore(directory / "metrics.jsonl")
     if SimBackend.has_snapshot(directory):
-        return store, metrics, SimBackend.resume(directory, metrics)
+        backend = SimBackend.resume(directory, metrics)
+        return FileResourceStore(directory / "resources", commit=backend.journal_records), metrics, backend
+    store = FileResourceStore(directory / "resources")
     world = SimWorld(seed=17, chaos=ChaosPolicy(ChaosMode.FAIL_TRIAL, fraction=0.3, interval_ticks=3, seed=2))
     world.add_node(4.0)
     world.add_namespace("ns")

@@ -4,13 +4,16 @@ The run uses a scenario with gang scheduling, a namespace quota, the
 autoscaler and kill-worker chaos; it is stopped with ``--max-ticks`` and
 then resumed. The digests pin ``events.jsonl``, the final ``world.jsonl``, the
 printed run summaries and the CSV export. A deliberate format change updates them (and says so
-in the change log); any other change to them is a behaviour change.
+in the change log); any other change to them is a behaviour change. The
+stopped-then-resumed run must also end with the same event log, world and
+export, byte for byte, as its uninterrupted twin.
 """
 
 from __future__ import annotations
 
 import hashlib
 import textwrap
+from pathlib import Path
 
 from click.testing import CliRunner
 
@@ -51,8 +54,8 @@ experiments: [a.yaml, b.yaml]
 """
 
 GOLDEN = {
-    "events": "db8744cfc99a4060986f46be6c212c240ba2d7d95a530ab430af4f95ca2c9093",
-    "world": "93ea8f5340cf16a42d22a2dc1859e4f19502b182d45ae5a7160049af6ada0964",
+    "events": "f1310e7bf1ab2443ff248213cf97cbd83d98a244aeca6e9b721e325f8227751e",
+    "world": "afbbfe72a1bd8fd401f76bdc7fb23f43f7092c46595c4a8a9eef386662a4478c",
     "summary": "0e4af7f76cf4732d867353c66fe805e25146110568c0a2cbcf9a99a49ddc918e",
     "csv": "6b2eff394d30a358ad445205ef75b4ca0c55a0059f44f8a2ad43953b55cbdd97",
 }
@@ -63,14 +66,33 @@ def _sha(text: str | bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def test_interrupted_scenario_run_matches_golden_digests(tmp_path):
-    (tmp_path / "a.yaml").write_text(EXPERIMENT.format(name="exp-a", state=1))
-    (tmp_path / "b.yaml").write_text(EXPERIMENT.format(name="exp-b", state=2))
-    scenario = tmp_path / "scenario.yaml"
+def _lay_out(directory) -> Path:
+    """Write the experiment and scenario files; return the scenario's path."""
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "a.yaml").write_text(EXPERIMENT.format(name="exp-a", state=1))
+    (directory / "b.yaml").write_text(EXPERIMENT.format(name="exp-b", state=2))
+    scenario = directory / "scenario.yaml"
     scenario.write_text(textwrap.dedent(SCENARIO))
-    store = tmp_path / "store"
-    runner = CliRunner()
+    return scenario
 
+
+def _files(store: Path, exported: str) -> dict[str, bytes]:
+    return {
+        "events": (store / "events.jsonl").read_bytes(),
+        "world": (store / "world.jsonl").read_bytes(),
+        "csv": exported.encode("utf-8"),
+    }
+
+
+def _export(runner: CliRunner, store: Path) -> str:
+    exported = runner.invoke(cli, ["export", "exp-a", "--store", str(store), "--format", "csv"])
+    assert exported.exit_code == 0, exported.output
+    return exported.output
+
+
+def _interrupted(runner: CliRunner, directory: Path) -> tuple[str, dict[str, bytes]]:
+    """Run to tick 9, resume to the end; return the summaries and the files."""
+    scenario, store = _lay_out(directory), directory / "store"
     partial = runner.invoke(
         cli, ["run", "--store", str(store), "--scenario", str(scenario), "--max-ticks", "9"]
     )
@@ -79,15 +101,22 @@ def test_interrupted_scenario_run_matches_golden_digests(tmp_path):
     resumed = runner.invoke(cli, ["run", "--store", str(store)])
     assert resumed.exit_code == 0, resumed.output
     assert resumed.output.count("Succeeded") == 2
-    exported = runner.invoke(cli, ["export", "exp-a", "--store", str(store), "--format", "csv"])
-    assert exported.exit_code == 0, exported.output
+    return partial.output + resumed.output, _files(store, _export(runner, store))
 
-    events = (store / "events.jsonl").read_bytes()
-    assert b'"chaos-kill"' in events and b'"node-added"' in events
-    digests = {
-        "events": _sha(events),
-        "world": _sha((store / "world.jsonl").read_bytes()),
-        "summary": _sha(partial.output + resumed.output),
-        "csv": _sha(exported.output),
-    }
+
+def test_interrupted_scenario_run_matches_golden_digests(tmp_path):
+    summary, files = _interrupted(CliRunner(), tmp_path)
+    assert b'"chaos-kill"' in files["events"] and b'"node-added"' in files["events"]
+    digests = {"summary": _sha(summary), **{name: _sha(data) for name, data in files.items()}}
     assert digests == GOLDEN
+
+
+def test_the_interrupted_run_ends_with_the_bytes_of_its_uninterrupted_twin(tmp_path):
+    runner = CliRunner()
+    _, resumed = _interrupted(runner, tmp_path / "interrupted")
+    scenario, store = _lay_out(tmp_path / "twin"), tmp_path / "twin" / "store"
+    straight = runner.invoke(cli, ["run", "--store", str(store), "--scenario", str(scenario)])
+    assert straight.exit_code == 0, straight.output
+    twin = _files(store, _export(runner, store))
+    for name in twin:
+        assert resumed[name] == twin[name], name

@@ -62,6 +62,42 @@ def test_cli_commands_on_a_random_experiment_leave_scipy_unloaded(tmp_path):
         assert _python(_CLI, *command, cwd=tmp_path) == loaded, command
 
 
+# Runs the simulated control loop on the store and kills it inside the
+# controller step of tick 3, at its first store write.
+_KILL = """
+import sys
+from tunectl.cluster.sim import SimBackend, SimulatedCrash
+from tunectl.controller.reconcile import run_control_loop
+from tunectl.controller.store import FileResourceStore
+from tunectl.metrics import FileObservationStore
+from tunectl.scenarios import ScenarioConfig
+
+store = FileResourceStore("store")
+metrics = FileObservationStore("store/metrics.jsonl")
+backend = SimBackend(ScenarioConfig(1, nodes=(4.0,), namespaces=("team",)).world(), metrics, state_dir="store")
+
+def kill(_resource):
+    if backend.world.tick == 3:
+        raise SimulatedCrash("killed")
+
+store.watchers.append(kill)
+try:
+    run_control_loop(store, metrics, backend)
+except SimulatedCrash:
+    print("killed")
+"""
+
+
+def test_submit_on_a_killed_store_leaves_numpy_unloaded(tmp_path):
+    (tmp_path / "exp.yaml").write_text(EXPERIMENT)
+    (tmp_path / "late.yaml").write_text(EXPERIMENT.replace("name: scope", "name: late"))
+    assert _python(_CLI, "submit", "exp.yaml", "--store", "store", cwd=tmp_path) == "loaded:"
+    assert _python(_KILL, cwd=tmp_path) == "killed"
+    assert _python(_CLI, "submit", "late.yaml", "--store", "store", cwd=tmp_path) == "loaded:"
+    assert _python(_CLI, "run", "--store", "store", cwd=tmp_path) == "loaded: numpy"
+    assert "late" in (tmp_path / "store" / "journal.jsonl").read_text()
+
+
 @pytest.mark.parametrize("name, loads_scipy", [("random", False), ("bayesianoptimization", True)])
 def test_get_algorithm_imports_scipy_only_for_bayesian_optimization(tmp_path, name, loads_scipy):
     code = (

@@ -18,6 +18,7 @@ from tunectl.controller.backend import JobPhase
 from tunectl.controller.model import KIND_TRIAL, TrialPhase
 from tunectl.controller.reconcile import ControllerContext, controller_step, run_control_loop, submit_experiment
 from tunectl.controller.store import ResourceStore
+from tunectl.errors import StorageUnavailableError
 from tunectl.metrics import InMemoryObservationStore
 from tunectl.resources import (
     CollectorKind,
@@ -204,6 +205,44 @@ def test_a_run_leaves_no_concluded_trainer_behind(tmp_path):
     assert {t.status.phase for t in trials} == {TrialPhase.SUCCEEDED, TrialPhase.FAILED}
     assert any(t.status.restart_count for t in trials)
     assert backend._jobs == {}
+
+
+class _UnwritableMetrics(InMemoryObservationStore):
+    def register_observation_log(self, points):
+        raise StorageUnavailableError("metric log: no space left on device")
+
+
+def test_a_push_trainer_whose_points_fail_to_register_ends_failed_and_exits(tmp_path):
+    # After the failed register the reader must keep draining: a trainer
+    # that writes 1 MB more would otherwise block on the full pipe, and its
+    # trial would read Running for good.
+    script = tmp_path / "chatty.py"
+    pid_file = tmp_path / "pid"
+    script.write_text(
+        textwrap.dedent(
+            f"""
+            import os, sys
+            open({str(pid_file)!r}, "w").write(str(os.getpid()))
+            print("1 accuracy=0.5", flush=True)
+            for _ in range(1024):
+                sys.stdout.write("x" * 1023 + "\\n")
+            """
+        )
+    )
+    spec = _local_experiment(f"{sys.executable} {script}", parallel=1, max_trials=1, collector=CollectorKind.PUSH)
+    store, metrics = ResourceStore(), _UnwritableMetrics()
+    backend = LocalProcessBackend(metrics, poll_interval=0.005)
+    submit_experiment(store, spec)
+    deadline = time.monotonic() + 5.0
+    try:
+        run_control_loop(store, metrics, backend, stop=lambda _ticks: time.monotonic() > deadline)
+    finally:
+        backend.close()
+    [trial] = store.list(KIND_TRIAL)
+    assert trial.status.phase is TrialPhase.FAILED
+    assert "StorageUnavailableError: metric log: no space left on device" in trial.status.reason
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
 
 
 def test_temporary_exit_code_fails_without_restart_policy(tmp_path):

@@ -22,13 +22,11 @@ from tunectl.controller.model import (
     resource_key,
 )
 from tunectl.controller.reconcile import (
-    SERVICE_CPU,
     ControllerContext,
     controller_step,
     reconcile_experiment,
     reconcile_suggestion,
     run_control_loop,
-    service_name_for,
     submit_experiment,
     trial_name_for,
 )
@@ -379,25 +377,21 @@ def test_suggestion_top_up_as_slots_free():
     assert store.get("experiment/ns/exp").status.trials_succeeded == 6
 
 
-def test_first_step_of_a_context_releases_services_of_finished_experiments():
-    # A terminal write wakes the context watching the store, so its next step
-    # releases the service.
+def test_an_experiment_that_concludes_releases_its_service_in_the_same_step():
+    # The step that writes an experiment's terminal status releases its
+    # service, so the tick commits both. A kill between the two is cut back
+    # with the rest of the tick on resume, so a terminal experiment found in
+    # a committed store holds no service.
     ctx, store, _metrics, backend = _context()
     spec = make_experiment(SPHERE_PARAMS, parallel=1, max_trials=1, template=_sphere_template())
     submit_experiment(store, spec)
     controller_step(ctx)
     assert "ns/svc-exp" in backend.world.jobs
-    experiment = store.get("experiment/ns/exp")
-    store.update(replace(experiment, status=replace(experiment.status, phase=ExperimentPhase.FAILED)))
-    controller_step(ctx)
-    assert "ns/svc-exp" not in backend.world.jobs
-
-    # A crash between an experiment's terminal update and its service release
-    # leaves the service reserved; a context built over that store releases
-    # it in its first step.
-    backend.reserve_service("ns", service_name_for("exp"), SERVICE_CPU)
-    resumed = ControllerContext(store=store, metrics=ctx.metrics, backend=backend)
-    controller_step(resumed)
+    for _ in range(4):
+        backend.advance(lambda: controller_step(ctx))
+        if store.get("experiment/ns/exp").status.phase is ExperimentPhase.SUCCEEDED:
+            break
+    assert store.get("experiment/ns/exp").status.phase is ExperimentPhase.SUCCEEDED
     assert "ns/svc-exp" not in backend.world.jobs
 
 

@@ -1,35 +1,41 @@
-"""A resumed run goes on with its next tick, without a bootstrap step.
+"""A killed run resumes from its last commit to the uninterrupted run's outputs.
 
-A kill part way through a tick's controller step leaves the store holding
-writes of a tick the world never persisted. A bootstrap step on resume would
-act on them at once, submitting that tick's new trials a scheduling pass
-before the uninterrupted run does. These tests kill the recorded run of
-``test_world_journal`` at store writes spread across it, resume it to the
-end, and compare its final world with the uninterrupted one.
-
-The event log is left out of the comparison: a resume still drops the last
-persisted tick's ``experiment-stats`` events, which ``test_golden`` pins.
-The run's last write is left out too. It makes the last experiment terminal,
-so a run resumed from it has nothing left to reconcile and ends a tick short.
+Each ``world.jsonl`` line commits a tick and records the resource journal's
+record count, so a resume opens the world and the store at the same tick.
+These tests kill the recorded run of ``test_world_journal`` at every store
+write and at every (tick, phase) point, resume it to the end, and compare
+what it leaves with the uninterrupted run: ``world.jsonl``, ``events.jsonl``,
+``metrics.jsonl``, every stored resource with its generation, each export
+CSV and the summary.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from test_world_journal import WORLD, _kill, _run, recorded  # noqa: F401 -- recorded is a fixture
+from test_world_journal import _kill, _outputs, _run, recorded  # noqa: F401 -- recorded is a fixture
 
-KILL_POINTS = 21
+WRITES = 152  # the store writes of the recorded run, the bootstrap step's included
+TICKS = 26  # its last tick
+PHASES = ("chaos", "progress", "schedule", "autoscale", "controller", "persist")
 
 
-@pytest.mark.parametrize("point", range(KILL_POINTS))
+@pytest.mark.parametrize("point", range(WRITES))
 def test_a_run_killed_at_a_store_write_resumes_to_the_uninterrupted_world(
     recorded, tmp_path, point  # noqa: F811 -- the imported fixture
 ):
-    at = 1 + point * (recorded.mutations - 2) // (KILL_POINTS - 1)  # from the first write to the last but one
-    _kill(tmp_path, "mutation", at, None, recorded.mutations)
+    assert recorded.mutations == WRITES
+    _kill(tmp_path, "mutation", point + 1, None, recorded.mutations)
     assert _run(tmp_path) is None
-    final = json.loads((tmp_path / WORLD).read_bytes())["world"]
-    assert final == json.loads(recorded.final[WORLD])["world"]
+    assert _outputs(tmp_path) == recorded.final
+
+
+@pytest.mark.parametrize("phase", PHASES)
+@pytest.mark.parametrize("tick", range(1, TICKS + 1))
+def test_a_run_killed_at_a_tick_phase_resumes_to_the_uninterrupted_world(
+    recorded, tmp_path, tick, phase  # noqa: F811 -- the imported fixture
+):
+    assert max(recorded.lines) == TICKS
+    _kill(tmp_path, "tick", tick, phase, recorded.mutations)
+    assert _run(tmp_path) is None
+    assert _outputs(tmp_path) == recorded.final

@@ -6,6 +6,7 @@ import json
 import math
 
 from tunectl.cluster.sim import LIVE_PHASES, AutoscalerConfig, ChaosMode, ChaosPolicy, SimWorld
+from tunectl.codec import from_doc, to_doc
 from tunectl.controller.backend import JobPhase
 from tunectl.resources import (
     CollectorKind,
@@ -93,16 +94,16 @@ def test_cpu_totals_survive_a_snapshot_round_trip():
     for _ in range(20):
         _tick(world, spawned)
     assert any(u.node is not None for j in world.jobs.values() for u in j.units)
-    text = json.dumps(world.to_doc())
-    restored = SimWorld.from_doc(json.loads(text))
+    text = json.dumps(to_doc(world))
+    restored = from_doc(SimWorld, json.loads(text))
     assert_bookkeeping(restored)
-    assert restored.to_doc() == world.to_doc()
+    assert to_doc(restored) == to_doc(world)
     restored_spawned = list(spawned)
     for _ in range(20):
         _tick(world, spawned)
         _tick(restored, restored_spawned)
         assert_bookkeeping(restored)
-    assert restored.to_doc() == world.to_doc()
+    assert to_doc(restored) == to_doc(world)
     assert restored.events[-50:] == world.events[-50:]
 
 

@@ -1,10 +1,13 @@
-"""The simulator's world file: released jobs, cut points and resumed worlds.
+"""The simulator's world file: commits, released jobs, cut points and resumed runs.
 
-A backend appends one whole-world line to ``world.jsonl`` per tick. These
-tests record an uninterrupted run's world after every persist and check that
-the world never holds the job of a trial the store records as terminal, what
-a resume makes of a file cut at any byte, and runs killed at several points
-and resumed to the end.
+A backend appends one whole-world line to ``world.jsonl`` per commit: tick 0
+before the bootstrap step, then one per tick. Each line records the resource
+journal's record count, and a resume opens the store at it. These tests
+record an uninterrupted run's world after every commit and check that the
+world never holds the job of a trial the store records as terminal, what a
+resume makes of a file cut at any byte, and that runs killed at several
+points, or stopped and compacted, resume to the uninterrupted run's outputs:
+its files, its exports and every stored resource.
 
 The world has gang scheduling, a namespace quota, the autoscaler and
 kill-worker chaos, and two experiments that finish at different ticks, so
@@ -14,6 +17,7 @@ service.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -22,7 +26,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_experiment
-from tunectl.codec import Journal, json_default
 from tunectl.cluster.sim import (
     AutoscalerConfig,
     ChaosMode,
@@ -31,8 +34,9 @@ from tunectl.cluster.sim import (
     SimulatedCrash,
     SimWorld,
 )
-from tunectl.controller.model import KIND_TRIAL, TERMINAL_TRIAL
-from tunectl.controller.reconcile import run_control_loop, submit_experiment
+from tunectl.codec import Journal, json_default
+from tunectl.controller.model import KIND_EXPERIMENT, KIND_TRIAL, TERMINAL_TRIAL
+from tunectl.controller.reconcile import run_control_loop, submit_experiment, terminal_snapshot
 from tunectl.controller.store import FileResourceStore
 from tunectl.metrics import FileObservationStore, InMemoryObservationStore
 from tunectl.resources import (
@@ -44,9 +48,11 @@ from tunectl.resources import (
     TemplateKind,
     TrialTemplate,
 )
+from tunectl.results import build_results_table, render_csv
 
 WORLD, EVENTS = SimBackend.WORLD_FILE, SimBackend.EVENTS_FILE
 METRICS = "metrics.jsonl"
+JOURNAL = "resources/" + FileResourceStore.JOURNAL
 
 
 def _experiments():
@@ -66,10 +72,13 @@ def _experiments():
 
 
 def _open(directory, crash_hook=None):
-    store = FileResourceStore(directory / "resources")
+    """Resume from the world's last commit, with the store opened at it, or
+    start a fresh world, as ``tunectl run`` does."""
     metrics = FileObservationStore(directory / METRICS)
     if SimBackend.has_snapshot(directory):
-        return store, metrics, SimBackend.resume(directory, metrics, crash_hook=crash_hook)
+        backend = SimBackend.resume(directory, metrics, crash_hook=crash_hook)
+        return FileResourceStore(directory / "resources", commit=backend.journal_records), metrics, backend
+    store = FileResourceStore(directory / "resources")
     world = SimWorld(
         seed=23,
         autoscaler=AutoscalerConfig(min_nodes=1, max_nodes=3, node_capacity_cpu=4.0, scale_down_grace_ticks=3),
@@ -84,17 +93,19 @@ def _open(directory, crash_hook=None):
     return store, metrics, backend
 
 
-def _run(directory, crash_hook=None, watcher=None, before_compact=None) -> int | None:
-    """Run to the end and compact; on a SimulatedCrash, return the world's
+def _run(directory, crash_hook=None, watcher=None, before_compact=None, max_ticks=1_000_000) -> int | None:
+    """Run to the end (or ``max_ticks``) and compact the store, then the
+    world, as ``tunectl run`` does; on a SimulatedCrash, return the world's
     tick at the crash instead. ``watcher`` sees each stored resource."""
     store, metrics, backend = _open(directory, crash_hook)
     if watcher is not None:
         store.watchers.append(watcher)
     try:
-        run_control_loop(store, metrics, backend)
+        run_control_loop(store, metrics, backend, max_ticks=max_ticks)
         if before_compact is not None:
             before_compact(backend)
-        backend.compact()
+        store.compact()
+        backend.compact(store.records)
         return None
     except SimulatedCrash:
         return backend.world.tick
@@ -104,9 +115,23 @@ def _run(directory, crash_hook=None, watcher=None, before_compact=None) -> int |
         store.close()
 
 
-def _line_text(world, events_offset) -> str:
+def _outputs(directory) -> dict[str, bytes]:
+    """What a finished run leaves: the files, every stored resource with its
+    generation (the compacted journal), each experiment's CSV export and the
+    run summary."""
+    out = {name: (directory / name).read_bytes() for name in (WORLD, EVENTS, METRICS, JOURNAL)}
+    store = FileResourceStore(directory / "resources", readonly=True)
+    metrics = FileObservationStore(directory / METRICS, readonly=True)
+    for experiment in store.list(KIND_EXPERIMENT):
+        table = build_results_table(store, metrics, experiment.namespace, experiment.name)
+        out[f"{experiment.name}.csv"] = render_csv(table).encode()
+    out["summary"] = json.dumps(terminal_snapshot(store, 0)["experiments"], sort_keys=True).encode()
+    return out
+
+
+def _line_text(world, events_offset, records) -> str:
     """A ``world.jsonl`` line as the format defines it, without its newline."""
-    doc = {"world": world, "eventsOffset": events_offset}
+    doc = {"world": world, "eventsOffset": events_offset, "journalRecords": records}
     return json.dumps(doc, default=json_default, separators=(",", ":"))
 
 
@@ -118,13 +143,19 @@ def _lines(directory) -> list[bytes]:
     return (directory / WORLD).read_bytes().splitlines()
 
 
+def _journal_records(directory) -> int:
+    return len(Journal(directory / JOURNAL).read(writing=False))
+
+
 @dataclass
 class Recorded:
-    lines: dict[int, str]  # tick -> the world line of that tick's persist
+    lines: dict[int, str]  # tick -> the world line of that tick's commit
     file: bytes  # world.jsonl and events.jsonl before the run's final compaction
     events: bytes
-    final: dict[str, bytes]  # world.jsonl and events.jsonl after it
+    final: dict[str, bytes]  # the run's outputs (see _outputs)
     mutations: int
+    commits: list[str] = field(default_factory=list)  # each persist's line, the compaction's included
+    counted: list[tuple[int, int]] = field(default_factory=list)  # (records committed, journal lines)
     terminal: int = 0  # terminal trials seen over all persists
     held: list[tuple[int, str]] = field(default_factory=list)  # (tick, job) of a terminal trial
 
@@ -135,10 +166,11 @@ def recorded(tmp_path_factory) -> Recorded:
     out = Recorded({}, b"", b"", {}, 0)
     persist = SimBackend.persist
 
-    def recording(backend):
-        persist(backend)
+    def recording(backend, records):
+        persist(backend, records)
         world = backend.world
-        out.lines[world.tick] = _line_text(world, (directory / EVENTS).stat().st_size)
+        out.commits.append(_line_text(world, (directory / EVENTS).stat().st_size, records))
+        out.counted.append((records, _journal_records(directory)))
         store = FileResourceStore(directory / "resources", readonly=True)
         for trial in store.list(KIND_TRIAL):
             if trial.status.phase in TERMINAL_TRIAL:
@@ -158,15 +190,22 @@ def recorded(tmp_path_factory) -> Recorded:
         assert _run(directory, watcher=count, before_compact=keep) is None
     finally:
         SimBackend.persist = persist
-    out.final = {name: (directory / name).read_bytes() for name in (WORLD, EVENTS, METRICS)}
+    out.lines = {_world(line)["tick"]: line for line in out.file.decode().splitlines()}
+    out.final = _outputs(directory)
     return out
 
 
 def test_the_recorded_run_exercises_what_the_file_must_carry(recorded):
+    # One commit before the bootstrap step, one per tick, and the compaction's.
+    *ticks, compaction = recorded.commits
     last = max(recorded.lines)
-    assert recorded.file.decode().splitlines() == [recorded.lines[t] for t in range(1, last + 1)]
-    assert recorded.final[WORLD].decode() == recorded.lines[last] + "\n"
-    assert _world(recorded.lines[last])["jobs"] == {}
+    assert recorded.file.decode().splitlines() == ticks
+    assert [_world(line)["tick"] for line in ticks] == list(range(last + 1))
+    assert recorded.final[WORLD].decode() == compaction + "\n"
+    assert _world(compaction) == _world(recorded.lines[last]) and _world(compaction)["jobs"] == {}
+    # Each commit counts the journal's records as it stood, compacted at the end.
+    assert all(records == lines for records, lines in recorded.counted)
+    assert recorded.counted[-1][0] < recorded.counted[-2][0]
     events = recorded.events.decode()
     for kind in ("chaos-kill", "job-resumed", "node-added", "node-removed", "service-released"):
         assert f'"{kind}"' in events
@@ -200,16 +239,19 @@ def test_a_file_cut_at_any_byte_resumes_at_its_last_complete_line(recorded, tmp_
         return
 
     # A resume loads exactly the last complete line and leaves it alone in the file.
-    tick = complete.count(b"\n")
+    tick = complete.count(b"\n") - 1
     expected = recorded.lines[tick]
-    offset = json.loads(expected)["eventsOffset"]
+    offset, records = json.loads(expected)["eventsOffset"], json.loads(expected)["journalRecords"]
     backend = SimBackend.resume(directory, InMemoryObservationStore())
-    assert _line_text(backend.world, offset) == expected
+    assert _line_text(backend.world, offset, records) == expected and backend.journal_records == records
     assert (directory / WORLD).read_text() == expected + "\n"
     assert (directory / EVENTS).read_bytes() == recorded.events[:offset]
 
-    # The writer's next line starts a line of its own.
+    # A commit that repeats the line writes nothing; the next tick's starts a line of its own.
+    backend.persist(records)
+    assert (directory / WORLD).read_text() == expected + "\n"
     backend.advance(lambda: 0)
+    backend.persist(records)
     backend.close()
     lines = _lines(directory)
     assert lines[0].decode() == expected and _world(lines[1])["tick"] == tick + 1 and len(lines) == 2
@@ -218,7 +260,7 @@ def test_a_file_cut_at_any_byte_resumes_at_its_last_complete_line(recorded, tmp_
 # (tick, phase) kills run the crash hook; (mutation, n) kills raise at the
 # n-th store write of the controller, in the middle of a controller step.
 KILLS = [
-    ("tick", 1, "schedule"),  # before the first persist
+    ("tick", 1, "schedule"),  # before the first tick's commit
     ("tick", 4, "chaos"),
     ("tick", 6, "progress"),
     ("tick", 9, "controller"),
@@ -231,7 +273,7 @@ KILLS = [
 
 
 def _kill(directory, kind, at, phase, mutations) -> int:
-    """Run until the kill; return the last persisted tick (0: none)."""
+    """Run until the kill; return the last committed tick."""
     if kind == "tick":
         def hook(tick, ph):
             if (tick, ph) == (at, phase):
@@ -255,27 +297,21 @@ def _kill(directory, kind, at, phase, mutations) -> int:
 
 @pytest.mark.parametrize(("kind", "at", "phase"), KILLS)
 def test_a_run_killed_at_each_point_resumes_to_the_uninterrupted_world(recorded, tmp_path, kind, at, phase):
-    """The resumed run ends with one line in world.jsonl: the uninterrupted
-    run's world. A kill at the run's last write is the exception: that write
-    makes the last experiment terminal, so the resumed run has nothing left
-    to reconcile and ends in the world of the tick before."""
-    persisted = _kill(tmp_path, kind, at, phase, recorded.mutations)
-    if persisted:
-        assert _lines(tmp_path)[-1].decode() == recorded.lines[persisted]
+    """The killed run leaves the last committed line; the resumed run ends
+    with the uninterrupted run's outputs, the kill at its last write too."""
+    committed = _kill(tmp_path, kind, at, phase, recorded.mutations)
+    assert _lines(tmp_path)[-1].decode() == recorded.lines[committed]
     assert _run(tmp_path) is None
-    [line] = _lines(tmp_path)
-    last = max(recorded.lines)
-    expected = recorded.lines[last - 1 if at == -1 else last]
-    assert _world(line) == _world(expected)
+    assert _outputs(tmp_path) == recorded.final
 
 
 def test_a_resumed_world_registers_its_pull_points_as_the_uninterrupted_run_did(recorded, tmp_path):
     """A pull job's points wait in the world as (tick, value) pairs until
     its trial succeeds, so points restored from world.jsonl reach the metric
     log with the same bytes, integer ticks included."""
-    persisted = _kill(tmp_path, "tick", 6, "progress", recorded.mutations)
+    committed = _kill(tmp_path, "tick", 6, "progress", recorded.mutations)
     held = [job["points"] for job in _world(_lines(tmp_path)[-1])["jobs"].values() if job["points"]]
-    assert persisted and held
+    assert committed and held
     assert all(type(tick) is int for points in held for tick, _ in points)
     assert _run(tmp_path) is None
     assert (tmp_path / METRICS).read_bytes() == recorded.final[METRICS]
@@ -283,9 +319,10 @@ def test_a_resumed_world_registers_its_pull_points_as_the_uninterrupted_run_did(
 
 @pytest.mark.parametrize("nth", [1, 7])
 def test_a_kill_after_a_trial_s_terminal_write_resumes_with_its_job_released(recorded, tmp_path, nth):
-    """The store records the trial as terminal, but the world the resume
-    reads was persisted before and still holds its job. The resumed run's
-    first tick releases it, and the run ends in the uninterrupted world."""
+    """The terminal write is past the world's last commit, which still holds
+    the job. The resume opens the store at that commit, where the trial is
+    not terminal, so the resumed tick writes it again and releases the job
+    with the uninterrupted run's line."""
     seen, killed = 0, []
 
     def watcher(resource):
@@ -293,47 +330,92 @@ def test_a_kill_after_a_trial_s_terminal_write_resumes_with_its_job_released(rec
         if resource.kind == KIND_TRIAL and resource.status.phase in TERMINAL_TRIAL:
             seen += 1
             if seen == nth:
-                killed.append(f"{resource.namespace}/{resource.name}")
+                killed.append(resource)
                 raise SimulatedCrash(f"kill at terminal write {nth}")
 
     tick = _run(tmp_path, watcher=watcher)
-    [job] = killed
+    [trial] = killed
+    job = f"{trial.namespace}/{trial.name}"
     assert job in _world(_lines(tmp_path)[-1])["jobs"]
+    store = _open(tmp_path)[0]
+    assert store.get(trial.key).status.phase not in TERMINAL_TRIAL
+    store.close()
 
     resumed = {}
 
     def keep(_backend):
-        resumed.update((w["tick"], w) for w in map(_world, _lines(tmp_path)))
+        resumed.update((_world(line)["tick"], line.decode()) for line in _lines(tmp_path))
 
     assert _run(tmp_path, before_compact=keep) is None
-    assert job not in resumed[tick]["jobs"]
-    assert resumed[tick] == _world(recorded.lines[tick])
-    assert _world(_lines(tmp_path)[0]) == _world(recorded.final[WORLD])
+    assert job not in _world(resumed[tick])["jobs"]
+    assert resumed[tick] == recorded.lines[tick]
+    assert _outputs(tmp_path) == recorded.final
 
 
-def test_a_kill_before_the_first_persist_resumes_to_the_uninterrupted_files(recorded, tmp_path):
-    """The fresh backend of the resumed run starts the event log anew, so
-    the events of the killed bootstrap are not left in front of it."""
-    assert _kill(tmp_path, "tick", 1, "progress", recorded.mutations) == 0
-    assert (tmp_path / EVENTS).stat().st_size > 0 and not (tmp_path / WORLD).exists()
+def test_a_kill_in_the_bootstrap_step_resumes_with_the_uninterrupted_job_attempts(recorded, tmp_path):
+    """The tick-0 commit precedes the bootstrap step, so a kill after its
+    first submit resumes with the store opened before it: the resumed run
+    submits each trial's job once, as the uninterrupted run did."""
+
+    def watcher(resource):
+        if resource.kind == KIND_TRIAL and resource.status.job_attempt == 1:
+            raise SimulatedCrash("kill at the first submit")
+
+    assert _run(tmp_path, watcher=watcher) == 0
+    [line] = _lines(tmp_path)
+    assert line.decode() == recorded.lines[0]
     assert _run(tmp_path) is None
-    for name in (WORLD, EVENTS):
-        assert (tmp_path / name).read_bytes() == recorded.final[name], name
+
+    def attempts(journal: bytes) -> dict[str, int]:
+        docs = map(json.loads, journal.splitlines())
+        return {d["name"]: d["status"]["jobAttempt"] for d in docs if d["kind"] == KIND_TRIAL}
+
+    assert attempts((tmp_path / JOURNAL).read_bytes()) == attempts(recorded.final[JOURNAL])
+    assert _outputs(tmp_path) == recorded.final
 
 
 @pytest.mark.parametrize(("at", "phase"), [(4, "chaos"), (6, "progress"), (8, "autoscale"), (9, "controller")])
 def test_a_kill_before_the_controller_step_resumes_to_the_uninterrupted_world(recorded, tmp_path, at, phase):
-    """With the store no further than the last persisted tick, the resumed
-    run ends in the uninterrupted run's world. Its event log lacks only the
-    experiment stats of that tick: they follow the tick's persist, and the
-    resume truncates the log to the persisted offset."""
-    persisted = _kill(tmp_path, "tick", at, phase, recorded.mutations)
+    """The resumed run ends with the uninterrupted run's outputs, its event
+    log included: a tick's experiment stats are committed with it."""
+    _kill(tmp_path, "tick", at, phase, recorded.mutations)
     assert _run(tmp_path) is None
-    assert _world((tmp_path / WORLD).read_bytes()) == _world(recorded.final[WORLD])
+    assert _outputs(tmp_path) == recorded.final
 
-    def events(text: bytes) -> list[dict]:
-        return [json.loads(line) for line in text.splitlines()]
 
-    dropped = [e for e in events(recorded.final[EVENTS])
-               if not (e["kind"] == "experiment-stats" and e["tick"] == persisted)]
-    assert events((tmp_path / EVENTS).read_bytes()) == dropped
+def test_a_stopped_run_compacts_its_commit_count_exactly(recorded, tmp_path):
+    """A run stopped at a tick compacts the journal, then the world, whose
+    line then counts the compacted records. Resumed, killed mid-tick and
+    resumed again, it ends with the uninterrupted run's outputs."""
+    assert _run(tmp_path, max_ticks=7) is None
+    [line] = _lines(tmp_path)
+    records = json.loads(line)["journalRecords"]
+    assert records == _journal_records(tmp_path) < json.loads(recorded.lines[7])["journalRecords"]
+    assert _world(line) == _world(recorded.lines[7])
+    seen = 0
+
+    def watcher(_resource):
+        nonlocal seen
+        seen += 1
+        if seen == 6:
+            raise SimulatedCrash("kill at the resumed run's sixth write")
+
+    assert _run(tmp_path, watcher=watcher) >= 8  # past the stop, in a tick of the resumed run
+    assert _run(tmp_path) is None
+    assert _outputs(tmp_path) == recorded.final
+
+
+def test_an_experiment_submitted_into_a_killed_store_survives_the_resume_and_runs(recorded, tmp_path):
+    """A ``submit`` appends past the killed run's last commit. The resume
+    drops that tick's writes but keeps the experiment create, which only a
+    submit writes, and the resumed run drives it to its end."""
+    _kill(tmp_path, "mutation", 60, None, recorded.mutations)
+    store = FileResourceStore(tmp_path / "resources")
+    [late] = _experiments()[:1]
+    late = dataclasses.replace(late, name="exp-c")
+    submit_experiment(store, late)
+    store.close()
+    assert _run(tmp_path) is None
+    store = FileResourceStore(tmp_path / "resources", readonly=True)
+    result = store.get("experiment/team/exp-c").status
+    assert result.phase.value == "Succeeded" and result.total_spawned == late.max_trial_count
