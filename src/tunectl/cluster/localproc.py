@@ -8,19 +8,19 @@ wait on the job until ``collect_metrics``, which the controller calls once
 the trainer has succeeded, so a failed trial registers none. After a failed
 push the rest is drained unread, and the job fails naming the error.
 
-Exit code 0 is success; a configurable set of exit codes (default 75, the
+Exit code 0 is success; exit code 75 (``TEMPORARY_EXIT_CODES``, the
 conventional tempfail code) classifies as temporary failure eligible for
 restart; anything else is permanent. Restarted processes see their attempt
-number in ``TUNECTL_RESTART_COUNT``.
+number in ``TUNECTL_RESTART_COUNT``. A trainer that cannot be spawned fails
+its submit, so its trial fails in the step that submits it.
 
 Each trainer runs in a session (and process group) of its own, so closing
 the backend can stop it together with any children it started.
 
 A trainer concludes once it has exited and its output is all read; a
-grandchild that holds the pipe open keeps it running until then. A trainer
-started during a controller step stays running for the rest of that step,
-so a trainer that exits at once cannot be restarted again and again within
-one step: as on the simulator, a job's phase changes only between steps.
+grandchild that holds the pipe open keeps it running until then. Its reader
+then closes the pipe and reports the trainer through ``changed_jobs``, so
+the controller looks at it again in the next step.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ from typing import Callable, Sequence
 from ..errors import InvalidPayloadError
 from ..metrics import MetricPoint, ObservationStore, parse_metric_lines
 from ..resources import CollectorKind, TrialRunSpec, TrialTemplate
-from ..controller.backend import ExecutionBackend, JobPhase, JobState
+from ..controller.backend import ExecutionBackend, JobPhase, JobState, job_handle
 
-DEFAULT_TEMPORARY_EXIT_CODES = (75,)
+TEMPORARY_EXIT_CODES = (75,)
 # Seconds a trainer gets to exit after SIGTERM before its group is killed.
 TERMINATE_GRACE_S = 0.5
 
@@ -49,37 +49,23 @@ class _LocalJob:
     handle: str
     collector: CollectorKind
     watched: tuple[str, ...]
-    process: subprocess.Popen | None = None
-    reader: threading.Thread | None = None
+    process: subprocess.Popen
+    reader: threading.Thread = field(init=False)
     points: list[MetricPoint] = field(default_factory=list)  # pull: not yet registered; under the lock
-    failed_reason: str | None = None  # a failed spawn, or a failed push registration
-    spawn_failed: bool = False
+    failed_reason: str | None = None  # a failed push registration
     finished: bool = False  # exited with its output all read; under the lock
-    step: int | None = None  # the controller step it was started in
 
 
 class LocalProcessBackend(ExecutionBackend):
-    def __init__(
-        self,
-        metrics: ObservationStore,
-        temporary_exit_codes: Sequence[int] = DEFAULT_TEMPORARY_EXIT_CODES,
-        poll_interval: float = 0.02,
-        env: dict[str, str] | None = None,
-    ):
+    def __init__(self, metrics: ObservationStore, poll_interval: float = 0.02):
         self.metrics = metrics
-        self.temporary_exit_codes = set(temporary_exit_codes)
         self.poll_interval = poll_interval
-        self._base_env = env
         self._lock = threading.Lock()
         self._jobs: dict[str, _LocalJob] = {}
         # Set by an output reader once its trainer has exited, to cut
         # ``advance``'s wait short.
         self._exited = threading.Event()
         self._changed: set[str] = set()  # handles for ``changed_jobs``, under the lock
-        # The controller step under way, if any: one begins when the
-        # controller drains ``changed_jobs`` and ends with ``advance``.
-        self._step: int | None = None
-        self._steps = 0
 
     def submit(
         self,
@@ -90,41 +76,34 @@ class LocalProcessBackend(ExecutionBackend):
         watched_metrics: Sequence[str],
         restart_count: int = 0,
     ) -> str:
-        handle = f"{run_spec.namespace}/{run_spec.trial_name}"
+        handle = job_handle(run_spec.namespace, run_spec.trial_name)
         command = run_spec.resolved_payload
         if not isinstance(command, str):
             raise InvalidPayloadError("the local backend runs 'local-process' trial templates only")
-        job = _LocalJob(
-            handle=handle, collector=collector_kind, watched=tuple(watched_metrics), step=self._step
-        )
-        env = dict(self._base_env if self._base_env is not None else os.environ)
-        env.update(
-            {
-                "TUNECTL_TRIAL_NAME": run_spec.trial_name,
-                "TUNECTL_TRIAL_NAMESPACE": run_spec.namespace,
-                "TUNECTL_RESTART_COUNT": str(restart_count),
-            }
-        )
+        env = {
+            **os.environ,
+            "TUNECTL_TRIAL_NAME": run_spec.trial_name,
+            "TUNECTL_TRIAL_NAMESPACE": run_spec.namespace,
+            "TUNECTL_RESTART_COUNT": str(restart_count),
+        }
         try:
-            job.process = subprocess.Popen(
+            process = subprocess.Popen(
                 shlex.split(command),
                 stdout=subprocess.PIPE,
                 stderr=subprocess.STDOUT,
                 env=env,
                 start_new_session=True,
             )
-        except (FileNotFoundError, PermissionError, OSError, ValueError) as exc:
-            job.spawn_failed = True
-            job.failed_reason = f"spawn failed: {exc}"
-        else:
-            job.reader = threading.Thread(target=self._read_stdout, args=(job,), daemon=True)
-            job.reader.start()
+        except (OSError, ValueError) as exc:
+            raise InvalidPayloadError(f"spawn failed: {exc}") from exc
+        job = _LocalJob(handle, collector_kind, tuple(watched_metrics), process)
+        job.reader = threading.Thread(target=self._read_stdout, args=(job,), daemon=True)
+        job.reader.start()
         with self._lock:
             self._jobs[handle] = job
         return handle
 
     def _read_stdout(self, job: _LocalJob) -> None:
-        assert job.process is not None and job.process.stdout is not None
         push = job.collector is CollectorKind.PUSH
         try:
             for raw in job.process.stdout:
@@ -142,7 +121,9 @@ class LocalProcessBackend(ExecutionBackend):
                     with self._lock:
                         job.points.extend(points)
         finally:
-            # The trial's only wake-up, even if ingestion failed.
+            # The trial's only wake-up, even if ingestion failed. The pipe is
+            # closed here, not left for the garbage collector.
+            job.process.stdout.close()
             job.process.wait()
             with self._lock:
                 job.finished = True
@@ -155,24 +136,19 @@ class LocalProcessBackend(ExecutionBackend):
             finished = job is not None and job.finished
         if job is None:
             return JobState(phase=JobPhase.MISSING)
-        if job.spawn_failed:
-            return JobState(phase=JobPhase.FAILED_PERMANENT, reason=job.failed_reason)
-        if not finished or (job.step is not None and job.step == self._step):
+        if not finished:
             return JobState(phase=JobPhase.RUNNING)
         if job.failed_reason is not None:
             return JobState(phase=JobPhase.FAILED_PERMANENT, reason=job.failed_reason)
         code = job.process.returncode
         if code == 0:
             return JobState(phase=JobPhase.SUCCEEDED)
-        if code in self.temporary_exit_codes:
+        if code in TEMPORARY_EXIT_CODES:
             return JobState(phase=JobPhase.FAILED_TEMPORARY, reason=f"exit code {code} (temporary)")
         return JobState(phase=JobPhase.FAILED_PERMANENT, reason=f"exit code {code}")
 
     def changed_jobs(self) -> set[str]:
-        """The trainers that finished since the last call, which begins a
-        controller step."""
-        self._steps += 1
-        self._step = self._steps
+        """The trainers that finished since the last call."""
         with self._lock:
             changed, self._changed = self._changed, set()
         return changed
@@ -194,13 +170,10 @@ class LocalProcessBackend(ExecutionBackend):
         with self._lock:
             self._jobs.pop(handle, None)
 
-    def advance(self, controller_step: Callable[[], int]) -> None:
-        """Step, then wait until a trainer exits or ``poll_interval`` passes."""
+    def advance(self, step: Callable[[], int]) -> None:
+        """Run ``step``, then wait until a trainer exits or ``poll_interval`` passes."""
         self._exited.clear()
-        try:
-            controller_step()
-        finally:
-            self._step = None
+        step()
         self._exited.wait(self.poll_interval)
 
     def close(self) -> None:
@@ -208,7 +181,7 @@ class LocalProcessBackend(ExecutionBackend):
         SIGKILL once the grace period is over, then join its output reader.
         Safe to call twice."""
         with self._lock:
-            jobs = [j for j in self._jobs.values() if j.process is not None]
+            jobs = list(self._jobs.values())
         live = [j for j in jobs if j.process.poll() is None or j.reader.is_alive()]
         for job in live:
             _signal_group(job.process, signal.SIGTERM)

@@ -34,7 +34,7 @@ from ..errors import InvalidPayloadError, TunectlError, UnknownNamespaceError
 from ..metrics import MetricPoint, ObservationStore
 from ..metrics import parse_metric_lines  # noqa: F401 -- perfbench/tracer.py wraps it under this module
 from ..resources import CollectorKind, SimObjectiveDescriptor, TrialRunSpec, TrialTemplate
-from ..controller.backend import ExecutionBackend, JobPhase, JobState
+from ..controller.backend import ExecutionBackend, JobPhase, JobState, job_handle
 from .objectives import eval_sim_objective
 
 CHAOS_SALT = 0xC7A05
@@ -121,6 +121,10 @@ def _name_entropy(name: str) -> int:
     return zlib.crc32(name.encode("utf-8"))
 
 
+def _awaits_placement(unit: SimUnit) -> bool:
+    return unit.node is None and (unit.remaining is None or unit.remaining > 0)
+
+
 def _derived_rng(*entropy: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(entropy))))
 
@@ -184,7 +188,7 @@ class SimWorld:
         collector_kind: CollectorKind,
         watched_metrics: tuple[str, ...],
     ) -> str:
-        handle = f"{run_spec.namespace}/{run_spec.trial_name}"
+        handle = job_handle(run_spec.namespace, run_spec.trial_name)
         if run_spec.namespace not in self.namespaces:
             raise UnknownNamespaceError(f"namespace '{run_spec.namespace}' does not exist")
         existing = self.jobs.get(handle)
@@ -229,7 +233,7 @@ class SimWorld:
         return handle
 
     def reserve_service(self, namespace: str, name: str, cpu: float) -> str:
-        handle = f"{namespace}/{name}"
+        handle = job_handle(namespace, name)
         if handle in self.jobs:
             return handle
         if namespace not in self.namespaces:
@@ -365,12 +369,7 @@ class SimWorld:
                 self.emit("job-succeeded", {"job": job.name})
 
     def _pending_units(self) -> list[SimUnit]:
-        units = []
-        for job in self._live():
-            for unit in job.units:
-                if unit.node is None and (unit.remaining is None or unit.remaining > 0):
-                    units.append(unit)
-        return units
+        return [unit for job in self._live() for unit in job.units if _awaits_placement(unit)]
 
     def _fits(self, node: SimNode, ns: SimNamespace, cpu: float) -> bool:
         return (
@@ -396,44 +395,30 @@ class SimWorld:
         handled_jobs: set[str] = set()
         for unit in pending:
             job = self.jobs[unit.job]
+            # A gang trial's unplaced workers form one group; any other unit
+            # is a group of one. A group places all or nothing.
+            group = [unit]
             if self.gang and job.kind == "trial":
                 if job.name in handled_jobs:
                     continue
                 handled_jobs.add(job.name)
-                group = [
-                    u
-                    for u in job.units
-                    if u.node is None and (u.remaining is None or u.remaining > 0)
-                ]
-                staged: list[tuple[SimUnit, SimNode]] = []
-                ns = self.namespaces[job.namespace]
-                ok = True
-                for member in sorted(group, key=lambda u: u.index):
-                    node = self._first_fit(ns, member.cpu)
-                    if node is None:
-                        ok = False
-                        break
-                    self._place(member, node)
-                    staged.append((member, node))
-                if not ok:
-                    for member, _ in staged:
-                        self._unplace(member)
-                    continue
-                placed_count += len(staged)
-                for member, node in staged:
-                    self.emit("placed", {"job": job.name, "worker": member.index, "node": node.id})
-            else:
-                if unit.node is not None:
-                    continue
-                ns = self.namespaces[job.namespace]
-                node = self._first_fit(ns, unit.cpu)
+                group = [u for u in job.units if _awaits_placement(u)]
+            ns = self.namespaces[job.namespace]
+            staged: list[tuple[SimUnit, SimNode]] = []
+            for member in group:
+                node = self._first_fit(ns, member.cpu)
                 if node is None:
-                    continue
-                self._place(unit, node)
-                placed_count += 1
-                self.emit("placed", {"job": job.name, "worker": unit.index, "node": node.id})
-            if job.phase is JobPhase.PENDING and any(u.node is not None for u in job.units):
-                job.phase = JobPhase.RUNNING
+                    break
+                self._place(member, node)
+                staged.append((member, node))
+            if len(staged) < len(group):
+                for member, _ in staged:
+                    self._unplace(member)
+                continue
+            placed_count += len(staged)
+            for member, node in staged:
+                self.emit("placed", {"job": job.name, "worker": member.index, "node": node.id})
+            job.phase = JobPhase.RUNNING
         return placed_count
 
     def autoscale_tick(self) -> None:

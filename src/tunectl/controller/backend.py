@@ -28,6 +28,11 @@ class JobState:
     reason: str | None = None
 
 
+def job_handle(namespace: str, name: str) -> str:
+    """The handle of a trial's job or an experiment's service."""
+    return f"{namespace}/{name}"
+
+
 class ExecutionBackend(ABC):
     @abstractmethod
     def submit(
@@ -49,16 +54,15 @@ class ExecutionBackend(ABC):
     @abstractmethod
     def changed_jobs(self) -> Iterable[str]:
         """The handles of the jobs whose phase may have changed since the
-        last call. Once a trial is submitted, the controller reconciles it
-        again only when told about it here (or when its job read past
-        pending right after the submit), so a backend must report every
-        trial job whose ``job_state`` would now read differently; a handle
-        reported without a change costs one idle reconcile.
+        last call. Right after a submit the controller reads the job's phase
+        once and records it; after that it reconciles the trial again only
+        when told about it here, so a backend must report every change a
+        job makes after its submit: every trial job whose ``job_state``
+        would now read differently. A handle reported without a change costs
+        one idle reconcile.
 
-        The controller drains this at the start of each step, so a job's
-        phase must not change within a step: a job submitted during a step
-        reads as pending or running until the step ends. Otherwise a job
-        that fails at once could be restarted without end inside one step.
+        The controller drains this at the start of each step, so a trial is
+        submitted at most once a step, however fast its jobs fail.
         """
 
     @abstractmethod

@@ -9,27 +9,27 @@ key order within a kind, repeating while a pass mutates anything.
 A pass visits only the keys in the context's work queue, its ``dirty`` set,
 which starts as every key in the store. A trial's job and an experiment's
 service are released once its terminal status is written, in the same
-step, so a backend holds live jobs only. Four sources put a key back in the
-queue:
+step, so a backend holds live jobs only. Three sources put a key back in
+the queue:
 
 - a store write: the written key's experiment and suggestion, and the key
   itself unless it is a trial's update (a trial is queued by its create,
   and after that by its job);
-- the backend: a trial whose job changed phase (``changed_jobs``), drained
-  at the start of each step;
-- a submit: a trial whose job already reads past Pending right after it is
-  submitted (a local trainer that started, a job that ended at once);
+- the backend: a trial whose job changed phase after its submit
+  (``changed_jobs``), drained at the start of each step;
 - a retry: a CAS conflict, an error out of a reconciler, a submit that stays
   pending and an algorithm error requeue their key for the next pass.
 
-A pass takes each kind's queued keys when the kind's loop starts, so a key
-queued later joins the next pass. A step ends with a pass that writes
-nothing, and it does end: a backend's job phases change only between steps,
-so a trial restarts at most once a step. Every other key would reconcile to
-a no-op, so skipping it changes neither the mutations nor the order of
-events, and a step costs time in proportion to what changed. The experiment and suggestion
-controllers read their trials through the store's per-experiment trial index
-rather than by listing the namespace.
+A submit reads its job's phase once and records it: Pending, or Running
+once the job has started. A pass takes each kind's queued keys when the
+kind's loop starts, so a key queued later joins the next pass. A step ends
+with a pass that writes nothing, and it does end: a trial's update never
+queues the trial, and the backend's changes join the queue only when a step
+begins, so a trial is submitted at most once a step. Every other key would
+reconcile to a no-op, so skipping it changes neither the mutations nor the
+order of events, and a step costs time in proportion to what changed. The
+experiment and suggestion controllers read their trials through the store's
+per-experiment trial index rather than by listing the namespace.
 
 Budget semantics: an experiment spawns at most ``maxTrialCount`` trials and
 keeps at most ``parallelTrialCount`` in flight; it succeeds when the goal is
@@ -67,7 +67,7 @@ from ..resources import (
 )
 from ..suggest import SuggestionRequest, get_suggestions
 from ..suggest.registry import assignment_key
-from .backend import ExecutionBackend, JobPhase
+from .backend import ExecutionBackend, JobPhase, job_handle
 from .model import (
     KIND_EXPERIMENT,
     KIND_SUGGESTION,
@@ -114,10 +114,6 @@ class ControllerContext:
         # out: its next change comes from its job, which the backend reports.
         if resource.kind != KIND_TRIAL or resource.generation == 1:
             self.dirty.add(resource.key)
-
-
-def job_handle(namespace: str, trial_name: str) -> str:
-    return f"{namespace}/{trial_name}"
 
 
 def service_name_for(experiment: str) -> str:
@@ -341,13 +337,15 @@ def reconcile_trial(ctx: ControllerContext, key: str) -> int:
             logger.warning("trial %s: submit failed, staying pending: %s", key, exc)
             ctx.dirty.add(key)
             return _with_phase(status, TrialPhase.PENDING)
-        # Jobs that read Pending now change phase later, and the backend
-        # reports it. One that already reads otherwise (a local trainer
-        # running, a job that ended at once) is looked at again now.
-        if ctx.backend.job_state(handle).phase is not JobPhase.PENDING:
-            ctx.dirty.add(key)
+        # A job that reads Pending waits to be placed; any other phase means
+        # it has started. Every later change the backend reports.
+        started = ctx.backend.job_state(handle).phase is not JobPhase.PENDING
         return TrialStatus(
-            TrialPhase.PENDING, restart_count, status.observation, status.reason, status.job_attempt + 1
+            TrialPhase.RUNNING if started else TrialPhase.PENDING,
+            restart_count,
+            status.observation,
+            status.reason,
+            status.job_attempt + 1,
         )
 
     status = trial.status

@@ -14,8 +14,8 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
+from .controller.backend import job_handle
 from .controller.model import KIND_EXPERIMENT, KIND_TRIAL, Resource, resource_key
-from .controller.reconcile import job_handle
 from .controller.store import ResourceStore
 from .metrics import ObservationStore, best_objective
 from .resources import ObjectiveSpec, value_to_string

@@ -31,6 +31,7 @@ import yaml
 from .cluster.objectives import mnist_surrogate
 from .codec import DocumentError, Journal, from_doc
 from .cluster.sim import AutoscalerConfig, ChaosMode, ChaosPolicy, SimBackend, SimWorld
+from .controller.backend import job_handle
 from .controller.model import KIND_TRIAL, TrialPhase
 from .controller.reconcile import run_control_loop, submit_experiment
 from .controller.store import ResourceStore
@@ -289,7 +290,7 @@ def _completion_order(run: SimRun, namespace: str, experiment: str) -> list[tupl
     for trial in run.store.list(KIND_TRIAL, namespace):
         if trial.spec.experiment != experiment or trial.status.phase is not TrialPhase.SUCCEEDED:
             continue
-        handle = f"{namespace}/{trial.name}"
+        handle = job_handle(namespace, trial.name)
         out.append((finished_at.get(handle, 1 << 30), trial.name, trial.status.observation))
     return sorted(out)
 

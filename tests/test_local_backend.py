@@ -87,6 +87,29 @@ def test_a_trial_reads_running_once_the_step_that_starts_its_trainer_ends():
         backend.close()
 
 
+def test_a_local_trial_is_updated_once_at_its_submit_and_once_when_it_concludes():
+    # The submit records the started trainer as Running; the trainer's exit,
+    # which the backend reports, records the terminal phase. Nothing else
+    # writes the trial after its create.
+    spec = _local_experiment("echo 1 accuracy=0.9", parallel=3, max_trials=3)
+    store, metrics = ResourceStore(), InMemoryObservationStore()
+    backend = LocalProcessBackend(metrics, poll_interval=0.005)
+    submit_experiment(store, spec)
+    updates = {}
+
+    def record(resource):
+        if resource.kind == KIND_TRIAL and resource.generation > 1:
+            updates.setdefault(resource.name, []).append(resource.status.phase)
+
+    store.watchers.append(record)
+    try:
+        snapshot = run_control_loop(store, metrics, backend, max_ticks=4000)
+    finally:
+        backend.close()
+    assert snapshot["experiments"]["experiment/ns/exp"]["phase"] == "Succeeded"
+    assert updates == {f"exp-{i:04d}": [TrialPhase.RUNNING, TrialPhase.SUCCEEDED] for i in range(3)}
+
+
 def test_a_trainer_whose_child_holds_its_output_open_still_concludes():
     # The shell exits at once, but its background child keeps the output
     # pipe open for a second: until then the trial reads Running, and the
@@ -207,6 +230,16 @@ def test_a_run_leaves_no_concluded_trainer_behind(tmp_path):
     assert backend._jobs == {}
 
 
+def test_a_released_trainer_leaves_its_output_pipe_closed():
+    backend = LocalProcessBackend(InMemoryObservationStore())
+    handle = _submit_command(backend, "done", "true")
+    job = backend._jobs[handle]
+    job.reader.join(timeout=5.0)
+    backend.release(handle)
+    assert job.process.stdout.closed
+    backend.close()
+
+
 class _UnwritableMetrics(InMemoryObservationStore):
     def register_observation_log(self, points):
         raise StorageUnavailableError("metric log: no space left on device")
@@ -261,6 +294,20 @@ def test_nonexistent_command_is_permanent_failure():
     trial = store.list(KIND_TRIAL)[0]
     assert trial.status.phase is TrialPhase.FAILED
     assert "spawn failed" in trial.status.reason
+
+
+def test_a_trainer_that_cannot_be_spawned_fails_its_trial_in_the_submitting_step():
+    spec = _local_experiment("definitely-not-a-real-binary-anywhere --x=1", parallel=1, max_trials=1)
+    store, metrics = ResourceStore(), InMemoryObservationStore()
+    backend = LocalProcessBackend(metrics)
+    ctx = ControllerContext(store=store, metrics=metrics, backend=backend)
+    submit_experiment(store, spec)
+    controller_step(ctx)
+    [trial] = store.list(KIND_TRIAL)
+    assert trial.status.phase is TrialPhase.FAILED
+    assert trial.status.reason.startswith("spawn failed: ")
+    assert trial.status.job_attempt == 0
+    assert backend._jobs == {}
 
 
 def test_nonzero_exit_is_permanent_failure(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import make_experiment
 from tunectl.cluster.sim import SimBackend, SimWorld
-from tunectl.controller.backend import ExecutionBackend, JobPhase, JobState
+from tunectl.controller.backend import ExecutionBackend, JobPhase, JobState, job_handle
 from tunectl.controller.model import (
     KIND_SUGGESTION,
     KIND_TRIAL,
@@ -200,16 +200,23 @@ def test_grid_exhaustion_succeeds_with_full_cross_product():
 
 
 class _SilentBackend(ExecutionBackend):
-    """Minimal pluggable backend: jobs finish instantly, reporting nothing."""
+    """Minimal pluggable backend: jobs finish instantly without reporting
+    a metric, and each reads changed once after its submit."""
+
+    def __init__(self):
+        self.submitted = set()
 
     def submit(self, run_spec, template, *, collector_kind, watched_metrics, restart_count=0):
-        return f"{run_spec.namespace}/{run_spec.trial_name}"
+        handle = job_handle(run_spec.namespace, run_spec.trial_name)
+        self.submitted.add(handle)
+        return handle
 
     def job_state(self, handle):
         return JobState(phase=JobPhase.SUCCEEDED)
 
     def changed_jobs(self):
-        return ()
+        changed, self.submitted = self.submitted, set()
+        return changed
 
     def collect_metrics(self, handle):
         pass
