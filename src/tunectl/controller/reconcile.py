@@ -12,9 +12,12 @@ service are released once its terminal status is written, in the same
 step, so a backend holds live jobs only. Three sources put a key back in
 the queue:
 
-- a store write: the written key's experiment and suggestion, and the key
-  itself unless it is a trial's update (a trial is queued by its create,
-  and after that by its job);
+- a store write: the written key's experiment, and the key itself unless
+  it is a trial's update (a trial is queued by its create, and after that
+  by its job). A trial's create and its terminal write also queue the
+  suggestion: a fill reads only the suggestion, the experiment's spec, which
+  no write after submit changes, the trials' assignments and the concluded
+  trials, and it does nothing once the experiment is terminal;
 - the backend: a trial whose job changed phase after its submit
   (``changed_jobs``), drained at the start of each step;
 - a retry: a CAS conflict, an error out of a reconciler, a submit that stays
@@ -47,7 +50,9 @@ constructor; the colder writes use ``dataclasses.replace``.
 from __future__ import annotations
 
 import logging
+from collections.abc import Container, Sequence
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Callable
 
 from ..codec import to_doc
@@ -86,7 +91,7 @@ from .model import (
     resource_key,
     trial_name_for,
 )
-from .store import ResourceStore, TrialSummary
+from .store import ResourceStore
 
 logger = logging.getLogger(__name__)
 
@@ -109,11 +114,14 @@ class ControllerContext:
     def _written(self, resource: Resource) -> None:
         experiment = resource.name if resource.kind == KIND_EXPERIMENT else resource.spec.experiment
         self.dirty.add(resource_key(KIND_EXPERIMENT, resource.namespace, experiment))
-        self.dirty.add(resource_key(KIND_SUGGESTION, resource.namespace, experiment))
         # A trial's update (past generation 1, its create) leaves the trial
         # out: its next change comes from its job, which the backend reports.
         if resource.kind != KIND_TRIAL or resource.generation == 1:
             self.dirty.add(resource.key)
+        # A fill reads the suggestion, the trials' assignments and the
+        # concluded trials, so only a trial's create or conclusion wakes it.
+        if resource.kind == KIND_TRIAL and (resource.generation == 1 or resource.status.phase in TERMINAL_TRIAL):
+            self.dirty.add(resource_key(KIND_SUGGESTION, resource.namespace, experiment))
 
 
 def service_name_for(experiment: str) -> str:
@@ -142,13 +150,6 @@ def _goal_met(spec: ExperimentSpec, optimal: OptimalResult | None) -> bool:
     return optimal.objective_value <= goal
 
 
-def _current_optimal(spec: ExperimentSpec, trials: TrialSummary) -> OptimalResult | None:
-    best = trials.highest if spec.objective.type is ObjectiveType.MAXIMIZE else trials.lowest
-    if best is None:
-        return None
-    return OptimalResult(assignments=best.spec.assignments, objective_value=best.status.observation)
-
-
 def reconcile_experiment(ctx: ControllerContext, key: str) -> int:
     experiment = ctx.store.get(key)
     if experiment is None:
@@ -158,10 +159,15 @@ def reconcile_experiment(ctx: ControllerContext, key: str) -> int:
         return 0
 
     mutations = 0
-    trials = ctx.store.trial_summary(spec.namespace, spec.name)
-    pending, running = trials.pending, trials.running
-    succeeded, failed, spawned = trials.succeeded, trials.failed, trials.spawned
+    # Read from the trial index before the spawns below write to it.
+    index = ctx.store.trials(spec.namespace, spec.name)
+    counts = index.counts
+    pending = counts[TrialPhase.CREATED] + counts[TrialPhase.PENDING]
+    running, succeeded, failed = counts[TrialPhase.RUNNING], counts[TrialPhase.SUCCEEDED], counts[TrialPhase.FAILED]
+    spawned = len(index.trials)
     active = pending + running
+    best = index.best[spec.objective.type is ObjectiveType.MAXIMIZE]
+    optimal = None if best is None else OptimalResult(best.spec.assignments, best.status.observation)
 
     # Ensure the suggestion resource exists and has enough requested
     # suggestions to keep the parallel slots full within the trial budget.
@@ -206,7 +212,6 @@ def reconcile_experiment(ctx: ControllerContext, key: str) -> int:
         active += 1
         pending += 1
 
-    optimal = _current_optimal(spec, trials)
     search_spent = suggestion.status.exhausted and spawned >= suggestion.status.produced
     budget_spent = (spawned >= spec.max_trial_count or search_spent) and active == 0
 
@@ -262,18 +267,17 @@ def reconcile_suggestion(ctx: ControllerContext, key: str) -> int:
         return 0
 
     # The algorithm sees every set produced so far in index order: the
-    # spawned trials' assignments, then the pending sets not yet spawned.
-    # The trial index keeps all but the unspawned sets, so a fill copies
-    # them rather than walking the trials.
+    # spawned trials' assignments, then the pending sets not yet spawned,
+    # through views of the trial index's own lists, which copy nothing.
     spec: ExperimentSpec = experiment.spec
-    trials = ctx.store.trial_history(suggestion.namespace, spec.name)
-    unspawned = status.unspawned(len(trials.produced))
+    index = ctx.store.trials(suggestion.namespace, spec.name)
+    unspawned = status.unspawned(len(index.produced))
     request = SuggestionRequest(
         experiment=spec,
-        history=trials.observations,
+        history=index.observations,
         count=need,
-        produced=trials.produced + unspawned,
-        produced_keys=trials.keys.union(map(assignment_key, unspawned)),
+        produced=_Chain(index.produced, unspawned),
+        produced_keys=_Either(index.keys, {assignment_key(a) for a in unspawned}),
     )
     try:
         result = get_suggestions(request)
@@ -294,6 +298,35 @@ def reconcile_suggestion(ctx: ControllerContext, key: str) -> int:
     )
     ctx.store.update(replace(suggestion, status=status))
     return 1
+
+
+class _Chain(Sequence):
+    """``head`` followed by ``tail``, read in place."""
+
+    def __init__(self, head: Sequence, tail: Sequence) -> None:
+        self._head, self._tail = head, tail
+
+    def __len__(self) -> int:
+        return len(self._head) + len(self._tail)
+
+    def __getitem__(self, i):
+        at = range(len(self))[i]  # an int or, for a slice, a range; checks bounds
+        if isinstance(at, range):
+            return tuple(map(self.__getitem__, at))
+        return self._head[at] if at < len(self._head) else self._tail[at - len(self._head)]
+
+    def __iter__(self):
+        return chain(self._head, self._tail)
+
+
+class _Either(Container):
+    """What either container holds, read in place."""
+
+    def __init__(self, first: Container, second: Container) -> None:
+        self._first, self._second = first, second
+
+    def __contains__(self, item) -> bool:
+        return item in self._first or item in self._second
 
 
 def reconcile_trial(ctx: ControllerContext, key: str) -> int:

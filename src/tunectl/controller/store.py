@@ -33,13 +33,13 @@ Every write also keeps two derived indexes current (loading rebuilds them),
 so the controllers read what they need without scanning every resource:
 
 - the sorted keys of each kind;
-- per (namespace, experiment), its stored trials and a summary of them:
-  phase counts and the best succeeded trial in each direction; and what the
-  suggestion controller hands the algorithm: the trials' assignments in
-  trial-index order, the concluded trials as ``TrialObservation``s in name
-  order, and the ``assignment_key`` of every trial's assignments. These only grow by
-  appending as trials are created and conclude, so a suggestion fill copies
-  them instead of walking the trials.
+- per (namespace, experiment), an ``ExperimentTrials``: its stored trials,
+  their phase counts, the best succeeded trial in each direction, and what
+  an algorithm reads: the trials' assignments in trial-index order, the
+  concluded trials as ``TrialObservation``s in name order, and the
+  ``assignment_key`` of every trial's assignments. ``trials`` hands out the
+  index itself, not a copy: the controllers read it in place, never write
+  it, and lend its lists to an algorithm for one ``suggest`` call.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ import bisect
 import json
 import threading
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -67,29 +66,6 @@ from .model import (
     resource_key,
     trial_index,
 )
-
-
-@dataclass(frozen=True)
-class TrialSummary:
-    """One experiment's trials: phase counts and the best succeeded trial
-    each way, ties going to the lowest trial name."""
-
-    pending: int = 0  # Created or Pending
-    running: int = 0
-    succeeded: int = 0
-    failed: int = 0
-    spawned: int = 0
-    lowest: Resource | None = None
-    highest: Resource | None = None
-
-
-@dataclass(frozen=True)
-class TrialHistory:
-    """One experiment's trials as the suggestion controller reads them."""
-
-    produced: tuple[AssignmentSet, ...] = ()  # in trial-index order
-    observations: tuple[TrialObservation, ...] = ()  # concluded, in name order
-    keys: frozenset[tuple] = frozenset()  # assignment_key of each trial's assignments
 
 
 def _observation(trial: Resource) -> TrialObservation | None:
@@ -118,7 +94,9 @@ def _improves(trial: Resource, best: Resource | None, maximize: bool) -> bool:
     return (observation > best.status.observation) == maximize
 
 
-class _ExperimentTrials:
+class ExperimentTrials:
+    """One experiment's trial index; the best trial's ties go to the lowest name."""
+
     def __init__(self, experiment: str) -> None:
         self.experiment = experiment
         self.trials: dict[str, Resource] = {}
@@ -166,18 +144,6 @@ class _ExperimentTrials:
             if _improves(trial, best, maximize):
                 self.best[maximize] = trial
 
-    def summary(self) -> TrialSummary:
-        counts = self.counts
-        return TrialSummary(
-            pending=counts[TrialPhase.CREATED] + counts[TrialPhase.PENDING],
-            running=counts[TrialPhase.RUNNING],
-            succeeded=counts[TrialPhase.SUCCEEDED],
-            failed=counts[TrialPhase.FAILED],
-            spawned=len(self.trials),
-            lowest=self.best[False],
-            highest=self.best[True],
-        )
-
 
 class ResourceStore:
     """In-memory store; the base for the file-backed variant.
@@ -190,7 +156,7 @@ class ResourceStore:
         self._lock = threading.Lock()
         self._resources: dict[str, Resource] = {}
         self._keys: dict[str, list[str]] = {}  # kind -> sorted keys
-        self._trials: dict[tuple[str, str], _ExperimentTrials] = {}
+        self._trials: dict[tuple[str, str], ExperimentTrials] = {}
         self.records = 0  # the records a journal of the writes holds
         # Called with each stored resource after its create or update.
         self.watchers: list[Callable[[Resource], None]] = []
@@ -237,18 +203,11 @@ class ResourceStore:
             found = [self._resources[key] for key in keys]
         return found if namespace is None else [r for r in found if r.namespace == namespace]
 
-    def trial_summary(self, namespace: str, experiment: str) -> TrialSummary:
-        with self._lock:
-            trials = self._trials.get((namespace, experiment))
-            return trials.summary() if trials is not None else TrialSummary()
-
-    def trial_history(self, namespace: str, experiment: str) -> TrialHistory:
-        """Copies of the experiment's produced sets, observations and keys."""
-        with self._lock:
-            trials = self._trials.get((namespace, experiment))
-            if trials is None:
-                return TrialHistory()
-            return TrialHistory(tuple(trials.produced), tuple(trials.observations), frozenset(trials.keys))
+    def trials(self, namespace: str, experiment: str) -> ExperimentTrials:
+        """The experiment's trial index itself; an empty one before its
+        first trial. Read it, never write it."""
+        index = self._trials.get((namespace, experiment))
+        return index if index is not None else ExperimentTrials(experiment)
 
     def _put(self, resource: Resource) -> None:
         key = resource.key
@@ -259,7 +218,7 @@ class ResourceStore:
             experiment = resource.spec.experiment
             trials = self._trials.get((resource.namespace, experiment))
             if trials is None:
-                trials = self._trials[resource.namespace, experiment] = _ExperimentTrials(experiment)
+                trials = self._trials[resource.namespace, experiment] = ExperimentTrials(experiment)
             trials.put(resource)
 
     def _persist(self, resource: Resource) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .controller.backend import job_handle
-from .controller.model import KIND_EXPERIMENT, KIND_TRIAL, Resource, resource_key
+from .controller.model import KIND_EXPERIMENT, resource_key
 from .controller.store import ResourceStore
 from .metrics import ObservationStore, best_objective
 from .resources import ObjectiveSpec, value_to_string
@@ -49,11 +49,8 @@ def build_results_table(
         "phase",
         "restartCount",
     ]
-    trials: list[Resource] = [
-        t for t in store.list(KIND_TRIAL, namespace) if t.spec.experiment == experiment
-    ]
     rows: list[list[Any]] = []
-    for trial in sorted(trials, key=lambda t: t.name):
+    for _, trial in sorted(store.trials(namespace, experiment).trials.items()):
         by_name = dict(trial.spec.assignments)
         points = metrics.get_observation_log(job_handle(namespace, trial.name))
         row: list[Any] = [trial.name]

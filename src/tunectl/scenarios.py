@@ -32,7 +32,7 @@ from .cluster.objectives import mnist_surrogate
 from .codec import DocumentError, Journal, from_doc
 from .cluster.sim import AutoscalerConfig, ChaosMode, ChaosPolicy, SimBackend, SimWorld
 from .controller.backend import job_handle
-from .controller.model import KIND_TRIAL, TrialPhase
+from .controller.model import TrialPhase
 from .controller.reconcile import run_control_loop, submit_experiment
 from .controller.store import ResourceStore
 from .errors import ValidationError
@@ -287,8 +287,8 @@ def _completion_order(run: SimRun, namespace: str, experiment: str) -> list[tupl
         e["payload"]["job"]: e["tick"] for e in run.events if e["kind"] == "job-succeeded"
     }
     out = []
-    for trial in run.store.list(KIND_TRIAL, namespace):
-        if trial.spec.experiment != experiment or trial.status.phase is not TrialPhase.SUCCEEDED:
+    for trial in run.store.trials(namespace, experiment).trials.values():
+        if trial.status.phase is not TrialPhase.SUCCEEDED:
             continue
         handle = job_handle(namespace, trial.name)
         out.append((finished_at.get(handle, 1 << 30), trial.name, trial.status.observation))
@@ -439,7 +439,7 @@ def _scenario_chaos_kill(seed: int, state_dir: Path | None) -> ScenarioOutcome:
     chaos = ChaosPolicy(mode=ChaosMode.KILL_WORKER, fraction=0.05, interval_ticks=20, seed=seed)
     cfg = ScenarioConfig(seed, nodes=(NodeGroup(8.0, 3),), namespaces=("user1",), chaos=chaos, max_ticks=600)
     run = run_simulated(cfg, [experiment], state_dir=state_dir)
-    trials = [t for t in run.store.list(KIND_TRIAL, "user1") if t.spec.experiment == "chaos-kill"]
+    trials = run.store.trials("user1", "chaos-kill").trials.values()
     failed = sum(1 for t in trials if t.status.phase is TrialPhase.FAILED)
     restarted = sum(1 for t in trials if t.status.restart_count > 0)
     kills = sum(1 for e in run.events if e["kind"] == "chaos-kill")

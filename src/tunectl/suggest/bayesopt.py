@@ -51,7 +51,6 @@ from .registry import (
     ObservationStatus,
     SuggestionRequest,
     SuggestionResult,
-    TrialObservation,
     assignment_key,
 )
 from . import randomsearch
@@ -144,10 +143,6 @@ def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float) -> np.n
     return (best - mean) * ndtr(z) + std * pdf
 
 
-def _succeeded(history: tuple[TrialObservation, ...]) -> list[TrialObservation]:
-    return [o for o in history if o.status is ObservationStatus.SUCCEEDED]
-
-
 def _candidate_pool(request: SuggestionRequest) -> np.ndarray:
     """The Sobol points of the unit hypercube, one row per candidate."""
     rng = request_rng(request, len(request.produced), salt=RNG_SALT)
@@ -156,7 +151,7 @@ def _candidate_pool(request: SuggestionRequest) -> np.ndarray:
 
 def suggest(request: SuggestionRequest) -> SuggestionResult:
     params = request.experiment.parameters
-    observed = _succeeded(request.history)
+    observed = [o for o in request.history if o.status is ObservationStatus.SUCCEEDED]
 
     def fallback(reason: str) -> SuggestionResult:
         if reason:

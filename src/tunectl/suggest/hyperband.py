@@ -91,7 +91,7 @@ def _with_budget(assignments: AssignmentSet, resource: float) -> AssignmentSet:
 
 def _rung_observations(
     experiment: ExperimentSpec,
-    history: tuple[TrialObservation, ...],
+    history: Sequence[TrialObservation],
     configs: Sequence[AssignmentSet],
     resource: float,
 ) -> dict[tuple, TrialObservation]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import importlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Container, NamedTuple, Sequence
 
 from ..errors import AlgorithmStateError
 from ..resources import ExperimentSpec, value_to_string
@@ -67,16 +67,21 @@ class SuggestionRequest:
     algorithm re-derives whatever it needs from it and ``history`` on every
     call, which makes the engine crash-recoverable by construction.
 
-    ``produced_keys`` is the read-only set of the ``assignment_key`` of every
-    set in ``produced`` and ``history``, for deduplication. The controller
-    passes the one its trial index keeps; a caller that leaves it out gets it
-    derived from ``produced`` and ``history``."""
+    ``produced_keys`` holds the ``assignment_key`` of every set in
+    ``produced`` and ``history``, for deduplication; a caller that leaves it
+    out gets it derived from the two.
+
+    The controller passes read-only views of its trial index, not copies:
+    they are valid only during the ``suggest`` call, and nothing writes the
+    index during that call, because the controller runs one reconciler at a
+    time per store. A plugin that keeps any of them past the call copies it
+    (``tuple(request.produced)``)."""
 
     experiment: ExperimentSpec
-    history: tuple[TrialObservation, ...]
+    history: Sequence[TrialObservation]
     count: int
-    produced: tuple[AssignmentSet, ...] = ()
-    produced_keys: frozenset[tuple] | None = None
+    produced: Sequence[AssignmentSet] = ()
+    produced_keys: Container[tuple] | None = None
 
     def __post_init__(self) -> None:
         if self.produced_keys is None:

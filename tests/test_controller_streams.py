@@ -106,7 +106,7 @@ def _run(directory, algorithm: str, stop_tick: int | None = None) -> dict:
 
 def _digest(directory) -> str:
     store = FileResourceStore(directory / "resources", readonly=True)
-    spawned = store.trial_summary("ns", "exp").spawned
+    spawned = len(store.trials("ns", "exp").trials)
     produced = tuple(store.get(f"trial/ns/{trial_name_for('exp', i)}").spec.assignments for i in range(spawned))
     return hashlib.sha256(repr(produced).encode()).hexdigest()
 

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import make_experiment
 from tunectl.cluster.sim import SimBackend, SimWorld
+from tunectl.controller import reconcile
 from tunectl.controller.backend import ExecutionBackend, JobPhase, JobState, job_handle
 from tunectl.controller.model import (
     KIND_SUGGESTION,
@@ -447,7 +448,7 @@ def test_produced_reaches_the_algorithm_in_trial_index_order_past_index_9999(mon
     seen = []
 
     def suggest(request: SuggestionRequest) -> SuggestionResult:
-        seen.append(request.produced)
+        seen.append(tuple(request.produced))  # the request's views end with the call
         return SuggestionResult(assignment_sets=((("i", len(request.produced)),),))
 
     monkeypatch.setattr(registry, "_REGISTRY", {})
@@ -489,6 +490,23 @@ def test_produced_reaches_the_algorithm_in_trial_index_order_past_index_9999(mon
     assert store.get("trial/ns/exp-10001").spec.assignments == (("i", 10_001),)
     assert store.get("experiment/ns/exp").status.total_spawned == 10_002
 
+
+
+def test_a_fill_views_the_index_as_the_copies_it_replaced_read():
+    # produced is the index's list followed by the unspawned sets, and
+    # produced_keys answers for both, without either being copied.
+    head, tail = [(("i", 0),), (("i", 1),)], ((("i", 2),),)
+    view, whole = reconcile._Chain(head, tail), tuple(head) + tail
+    assert len(view) == len(whole) and tuple(view) == whole
+    for at in range(-3, 3):
+        assert view[at] == whole[at]
+    for cut in (slice(None), slice(1, None), slice(0, 2), slice(-2, None), slice(None, None, 2), slice(5, 9)):
+        assert view[cut] == whole[cut]
+    for at in (3, -4):
+        with pytest.raises(IndexError):
+            view[at]
+    keys = reconcile._Either({"a"}, {"b"})
+    assert "a" in keys and "b" in keys and "c" not in keys
 
 class _ConflictOnFill(ResourceStore):
     """Rejects the suggestion write of fill number ``fill`` (1-based) with a

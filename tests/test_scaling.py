@@ -1,10 +1,12 @@
 """Scaling guards: a tick's controller work follows the live trials, and a
-suggestion fill's work follows the sets it asks for, not the trials ever
-spawned. Both count calls only, so they are deterministic."""
+suggestion fill's work and memory follow the sets it asks for, not the
+trials ever spawned. The work guards count calls only, so they are
+deterministic."""
 
 from __future__ import annotations
 
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -126,6 +128,39 @@ def test_key_computations_per_fill_stay_flat_as_trials_accumulate(monkeypatch, t
     monkeypatch.setattr(reconcile, "get_suggestions", fill)
     monkeypatch.setitem(reconcile._RECONCILERS, KIND_SUGGESTION, counted)
     _run(trials)
+    assert len(per_fill) >= trials // 10
+    first, final = _flat(per_fill)
+    assert final <= 1.5 * first, (first, final)
+
+
+@pytest.mark.parametrize("trials", [200, 400])
+def test_bytes_allocated_per_fill_stay_flat_as_trials_accumulate(monkeypatch, trials):
+    # The bytes a suggestion reconcile allocates up to its call of the
+    # algorithm: the peak traced at ``get_suggestions`` less what was traced
+    # when the reconcile began. Building the request copies nothing of the
+    # trial index, so this stays flat.
+    per_fill: list[int] = []
+    began = [0]
+    get_suggestions = reconcile.get_suggestions
+
+    def fill(request):
+        per_fill.append(tracemalloc.get_traced_memory()[1] - began[0])
+        return get_suggestions(request)
+
+    reconcile_suggestion = reconcile._RECONCILERS[KIND_SUGGESTION]
+
+    def traced(ctx, key):
+        tracemalloc.reset_peak()
+        began[0] = tracemalloc.get_traced_memory()[0]
+        return reconcile_suggestion(ctx, key)
+
+    monkeypatch.setattr(reconcile, "get_suggestions", fill)
+    monkeypatch.setitem(reconcile._RECONCILERS, KIND_SUGGESTION, traced)
+    tracemalloc.start()
+    try:
+        _run(trials)
+    finally:
+        tracemalloc.stop()
     assert len(per_fill) >= trials // 10
     first, final = _flat(per_fill)
     assert final <= 1.5 * first, (first, final)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
@@ -28,7 +29,7 @@ from tunectl.controller.model import (
     KIND_TRIAL,
     resource_to_doc,
 )
-from tunectl.controller.store import FileResourceStore, ResourceStore, TrialHistory
+from tunectl.controller.store import FileResourceStore, ResourceStore
 from tunectl.errors import CasConflictError, ResourceExistsError, TunectlError
 from tunectl.resources import (
     AlgorithmSpec,
@@ -153,6 +154,15 @@ def test_file_store_preserves_generations_across_reload(tmp_path):
     assert reloaded.update(succeeded).generation == 3
 
 
+# What an algorithm reads from the trial index, copied so it can be compared.
+TrialHistory = namedtuple("TrialHistory", "produced observations keys")
+
+
+def _history(store, namespace, experiment) -> TrialHistory:
+    index = store.trials(namespace, experiment)
+    return TrialHistory(tuple(index.produced), tuple(index.observations), frozenset(index.keys))
+
+
 def _expected_index(store, namespace, experiment):
     """The trial index, recomputed the slow way from listed trials."""
     trials = [t for t in store.list(KIND_TRIAL, namespace) if t.spec.experiment == experiment]
@@ -192,13 +202,20 @@ def _expected_index(store, namespace, experiment):
 
 
 def _index_of(store, namespace, experiment):
-    summary = store.trial_summary(namespace, experiment)
+    index = store.trials(namespace, experiment)
     best = {
         maximize: None if r is None else (r.name, r.status.observation, r.spec.assignments)
-        for maximize, r in ((False, summary.lowest), (True, summary.highest))
+        for maximize, r in index.best.items()
     }
-    counts = (summary.pending, summary.running, summary.succeeded, summary.failed, summary.spawned)
-    return counts, best, store.trial_history(namespace, experiment)
+    phases = index.counts
+    counts = (
+        phases[TrialPhase.CREATED] + phases[TrialPhase.PENDING],
+        phases[TrialPhase.RUNNING],
+        phases[TrialPhase.SUCCEEDED],
+        phases[TrialPhase.FAILED],
+        len(index.trials),
+    )
+    return counts, best, _history(store, namespace, experiment)
 
 
 def _assert_indexes(store):
@@ -358,8 +375,8 @@ def test_journal_round_trip_through_compaction(tmp_path):
     assert loaded.list() == written
     for kind in (KIND_EXPERIMENT, KIND_SUGGESTION, KIND_TRIAL):
         assert loaded.keys(kind) == store.keys(kind)
-    assert loaded.trial_summary("ns", "exp") == store.trial_summary("ns", "exp")
-    assert loaded.trial_history("ns", "exp") == store.trial_history("ns", "exp")
+    assert _index_of(loaded, "ns", "exp") == _index_of(store, "ns", "exp")
+    assert loaded.trials("ns", "exp").best == store.trials("ns", "exp").best
 
     # The compacted store takes writes again, on a journal of its own.
     trial = store.get(store.keys(KIND_TRIAL)[0])
@@ -487,7 +504,7 @@ def test_trial_history_reads_budgets_and_follows_a_rewritten_trial():
 
     write(1, sets[1], TrialPhase.FAILED)  # out of index order
     write(0, sets[0], TrialPhase.SUCCEEDED, 0.5)
-    assert store.trial_history("ns", "exp") == TrialHistory(
+    assert _history(store, "ns", "exp") == TrialHistory(
         produced=(sets[0], sets[1]),
         observations=(
             TrialObservation(sets[0], ObservationStatus.SUCCEEDED, 0.5, 1.0),
@@ -497,9 +514,9 @@ def test_trial_history_reads_budgets_and_follows_a_rewritten_trial():
     )
 
     write(1, sets[0], TrialPhase.FAILED)  # now a duplicate of trial 0
-    assert store.trial_history("ns", "exp").keys == {assignment_key(sets[0])}
+    assert _history(store, "ns", "exp").keys == {assignment_key(sets[0])}
     write(1, sets[2], TrialPhase.RUNNING)
-    history = store.trial_history("ns", "exp")
+    history = _history(store, "ns", "exp")
     assert history.produced == (sets[0], sets[2])
     assert history.observations == (TrialObservation(sets[0], ObservationStatus.SUCCEEDED, 0.5, 1.0),)
     assert history.keys == {assignment_key(sets[0]), assignment_key(sets[2])}
