@@ -2,11 +2,14 @@
 
 Runs each trial as a real child process with hyperparameters on the command
 line, so anything executable can be tuned regardless of language. Stdout is
-the metric transport. Each line is parsed as it is read, and only its metric
-points are kept. In push mode they are registered at once; in pull mode they
-wait on the job until ``collect_metrics``, which the controller calls once
-the trainer has succeeded, so a failed trial registers none. After a failed
-push the rest is drained unread, and the job fails naming the error.
+the metric transport. ``advance`` reads every trainer's output between
+controller steps, on the controller's thread, so a trainer that fills its
+64 KiB pipe during a step waits for the next read. Each complete line is
+parsed once, and only its metric points are kept: in push mode they are
+registered at once; in pull mode they wait on the job until
+``collect_metrics``, which the controller calls once the trainer has
+succeeded, so a failed trial registers none. After a failed push the rest is
+drained unread, and the job fails naming the error.
 
 Exit code 0 is success; exit code 75 (``TEMPORARY_EXIT_CODES``, the
 conventional tempfail code) classifies as temporary failure eligible for
@@ -18,18 +21,19 @@ Each trainer runs in a session (and process group) of its own, so closing
 the backend can stop it together with any children it started.
 
 A trainer concludes once it has exited and its output is all read; a
-grandchild that holds the pipe open keeps it running until then. Its reader
-then closes the pipe and reports the trainer through ``changed_jobs``, so
-the controller looks at it again in the next step.
+grandchild that holds the pipe open keeps it running until then. One that
+closes its output and runs on concludes in the first ``advance`` that finds
+it exited. ``changed_jobs`` reports each conclusion, so the controller
+looks at the trainer again in the next step.
 """
 
 from __future__ import annotations
 
 import os
+import selectors
 import shlex
 import signal
 import subprocess
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -42,6 +46,7 @@ from ..controller.backend import ExecutionBackend, JobPhase, JobState, job_handl
 TEMPORARY_EXIT_CODES = (75,)
 # Seconds a trainer gets to exit after SIGTERM before its group is killed.
 TERMINATE_GRACE_S = 0.5
+READ_BYTES = 1 << 16  # the most one read of a trainer's output takes: a full pipe
 
 
 @dataclass
@@ -50,22 +55,18 @@ class _LocalJob:
     collector: CollectorKind
     watched: tuple[str, ...]
     process: subprocess.Popen
-    reader: threading.Thread = field(init=False)
-    points: list[MetricPoint] = field(default_factory=list)  # pull: not yet registered; under the lock
+    tail: bytearray = field(default_factory=bytearray)  # read after the last newline
+    points: list[MetricPoint] = field(default_factory=list)  # pull: not yet registered
     failed_reason: str | None = None  # a failed push registration
-    finished: bool = False  # exited with its output all read; under the lock
 
 
 class LocalProcessBackend(ExecutionBackend):
     def __init__(self, metrics: ObservationStore, poll_interval: float = 0.02):
         self.metrics = metrics
         self.poll_interval = poll_interval
-        self._lock = threading.Lock()
         self._jobs: dict[str, _LocalJob] = {}
-        # Set by an output reader once its trainer has exited, to cut
-        # ``advance``'s wait short.
-        self._exited = threading.Event()
-        self._changed: set[str] = set()  # handles for ``changed_jobs``, under the lock
+        self._selector = selectors.DefaultSelector()  # the open trainer outputs
+        self._changed: set[str] = set()  # handles for ``changed_jobs``
 
     def submit(
         self,
@@ -96,47 +97,42 @@ class LocalProcessBackend(ExecutionBackend):
             )
         except (OSError, ValueError) as exc:
             raise InvalidPayloadError(f"spawn failed: {exc}") from exc
-        job = _LocalJob(handle, collector_kind, tuple(watched_metrics), process)
-        job.reader = threading.Thread(target=self._read_stdout, args=(job,), daemon=True)
-        job.reader.start()
-        with self._lock:
-            self._jobs[handle] = job
+        job = self._jobs[handle] = _LocalJob(handle, collector_kind, tuple(watched_metrics), process)
+        self._selector.register(process.stdout, selectors.EVENT_READ, job)
         return handle
 
-    def _read_stdout(self, job: _LocalJob) -> None:
-        push = job.collector is CollectorKind.PUSH
-        try:
-            for raw in job.process.stdout:
-                if job.failed_reason is not None:
-                    continue  # drained unread to EOF
-                points = parse_metric_lines(raw.decode("utf-8", errors="replace"), job.watched, job.handle)
-                if not points:
-                    continue
-                if push:
+    def _read(self, job: _LocalJob, deadline: float) -> None:
+        """One read of ``job``'s output; at EOF, close it and wait until ``deadline``."""
+        chunk = os.read(job.process.stdout.fileno(), READ_BYTES)
+        if job.failed_reason is None:  # else drained unread
+            job.tail += chunk
+            # Only the new bytes are searched, so a long line is not rescanned.
+            cut = job.tail.rfind(b"\n", len(job.tail) - len(chunk)) + 1 if chunk else len(job.tail)
+            if cut:
+                lines = job.tail[:cut].decode("utf-8", errors="replace")
+                del job.tail[:cut]
+                points = parse_metric_lines(lines, job.watched, job.handle)
+                if job.collector is CollectorKind.PULL:
+                    job.points.extend(points)
+                elif points:
                     try:
                         self.metrics.register_observation_log(points)
                     except Exception as exc:  # any: the trial must end, not hang
                         job.failed_reason = f"metric registration failed: {type(exc).__name__}: {exc}"
-                else:
-                    with self._lock:
-                        job.points.extend(points)
-        finally:
-            # The trial's only wake-up, even if ingestion failed. The pipe is
-            # closed here, not left for the garbage collector.
+        if not chunk:
+            self._selector.unregister(job.process.stdout)
             job.process.stdout.close()
-            job.process.wait()
-            with self._lock:
-                job.finished = True
+            try:
+                job.process.wait(timeout=max(0.0, deadline - time.monotonic()))
                 self._changed.add(job.handle)
-            self._exited.set()
+            except subprocess.TimeoutExpired:
+                pass  # found exited by a later ``advance``
 
     def job_state(self, handle: str) -> JobState:
-        with self._lock:
-            job = self._jobs.get(handle)
-            finished = job is not None and job.finished
+        job = self._jobs.get(handle)
         if job is None:
             return JobState(phase=JobPhase.MISSING)
-        if not finished:
+        if job.process.returncode is None:  # reaped only once its output is closed
             return JobState(phase=JobPhase.RUNNING)
         if job.failed_reason is not None:
             return JobState(phase=JobPhase.FAILED_PERMANENT, reason=job.failed_reason)
@@ -148,41 +144,43 @@ class LocalProcessBackend(ExecutionBackend):
         return JobState(phase=JobPhase.FAILED_PERMANENT, reason=f"exit code {code}")
 
     def changed_jobs(self) -> set[str]:
-        """The trainers that finished since the last call."""
-        with self._lock:
-            changed, self._changed = self._changed, set()
+        """The trainers that concluded since the last call."""
+        changed, self._changed = self._changed, set()
         return changed
 
     def collect_metrics(self, handle: str) -> None:
-        with self._lock:
-            job = self._jobs.get(handle)
-            points = [] if job is None else list(job.points)
-        if points:
-            self.metrics.register_observation_log(points)
-            with self._lock:
-                job.points.clear()
+        job = self._jobs.get(handle)
+        if job is not None and job.points:
+            self.metrics.register_observation_log(job.points)
+            job.points = []
 
     def reserve_service(self, namespace: str, name: str, cpu: float) -> None:
         pass  # no quota model on a bare host
 
     def release(self, handle: str) -> None:
         """Forget a concluded trainer."""
-        with self._lock:
-            self._jobs.pop(handle, None)
+        self._jobs.pop(handle, None)
 
     def advance(self, step: Callable[[], int]) -> None:
-        """Run ``step``, then wait until a trainer exits or ``poll_interval`` passes."""
-        self._exited.clear()
+        """Run ``step``, then read the trainers' output until ``changed_jobs``
+        has a trainer to report or ``poll_interval`` passes."""
         step()
-        self._exited.wait(self.poll_interval)
+        deadline = time.monotonic() + self.poll_interval
+        for job in self._jobs.values():  # those that closed their output before they exited
+            if job.process.stdout.closed and job.process.returncode is None and job.process.poll() is not None:
+                self._changed.add(job.handle)
+        while not self._changed:
+            timeout = deadline - time.monotonic()
+            for key, _ in self._selector.select(max(timeout, 0.0)):
+                self._read(key.data, deadline)
+            if timeout <= 0:
+                break
 
     def close(self) -> None:
         """Stop every trainer still running: SIGTERM to its process group,
-        SIGKILL once the grace period is over, then join its output reader.
+        SIGKILL once the grace period is over, then close its output unread.
         Safe to call twice."""
-        with self._lock:
-            jobs = list(self._jobs.values())
-        live = [j for j in jobs if j.process.poll() is None or j.reader.is_alive()]
+        live = [job for job in self._jobs.values() if job.process.returncode is None]
         for job in live:
             _signal_group(job.process, signal.SIGTERM)
         deadline = time.monotonic() + TERMINATE_GRACE_S
@@ -193,7 +191,8 @@ class LocalProcessBackend(ExecutionBackend):
                 pass
             _signal_group(job.process, signal.SIGKILL)
             job.process.wait()
-            job.reader.join(timeout=1.0)
+            job.process.stdout.close()
+        self._selector.close()
 
 
 def _signal_group(process: subprocess.Popen, sig: int) -> None:

@@ -132,11 +132,11 @@ def _derived_rng(*entropy: int) -> np.random.Generator:
 @dataclass(eq=False)
 class SimWorld:
     """The simulated cluster. Its fields are the state a snapshot holds;
-    the event ``sink`` (``events``, unless a backend writes them to a file),
-    the metric store and the count of placed units on each node and in each
-    namespace are attached in ``__post_init__``. ``jobs`` holds the jobs not
-    yet released: the live ones, and the concluded ones whose trial has not
-    yet recorded it."""
+    the ``events`` emitted (until a backend with a state directory writes
+    them to its file), the metric store and the count of placed units on
+    each node and in each namespace are attached in ``__post_init__``.
+    ``jobs`` holds the jobs not yet released: the live ones, and the
+    concluded ones whose trial has not yet recorded it."""
 
     seed: int = 0
     gang: bool = True
@@ -150,7 +150,6 @@ class SimWorld:
 
     def __post_init__(self) -> None:
         self.events: list[dict] = []
-        self.sink: Callable[[dict], None] = self.events.append
         self.metrics: ObservationStore | None = None
         self._units_on: Counter[str] = Counter()
         self._units_in: Counter[str] = Counter()
@@ -176,7 +175,7 @@ class SimWorld:
     # -- events --------------------------------------------------------------
 
     def emit(self, kind: str, payload: dict) -> None:
-        self.sink({"tick": self.tick, "kind": kind, "payload": payload})
+        self.events.append({"tick": self.tick, "kind": kind, "payload": payload})
 
     # -- job lifecycle -------------------------------------------------------
 
@@ -510,7 +509,8 @@ class SimBackend(ExecutionBackend):
     """Execution backend over a :class:`SimWorld`, with optional state
     persistence in a state directory, each file a ``codec.Journal``:
 
-    - ``events.jsonl``: one JSON line per event, the world's only event sink;
+    - ``events.jsonl``: one JSON line per event, moved there from
+      ``world.events`` at each persist;
     - ``world.jsonl``: one line per persist, the tick's one commit:
       ``{"world": ..., "eventsOffset": ..., "journalRecords": ...}``, the
       whole world (live jobs and services only), the size of the event log
@@ -539,7 +539,6 @@ class SimBackend(ExecutionBackend):
         self.world.metrics = metrics
         self.crash_hook = crash_hook
         self._state_dir: Path | None = None
-        self._pending_events: list[str] = []  # emitted since the last commit
         self._line: str | None = None  # the last world line persisted
         self.journal_records = 0  # the resource journal's record count at that line
         self._reported: dict[str, JobPhase] = {}  # live trial jobs' phases at the last changed_jobs
@@ -556,7 +555,6 @@ class SimBackend(ExecutionBackend):
         self._state_dir = state_dir
         self._events = Journal(state_dir / self.EVENTS_FILE)
         self._world_file = Journal(state_dir / self.WORLD_FILE)
-        self.world.sink = self._write_event
 
     @classmethod
     def resume(
@@ -589,16 +587,14 @@ class SimBackend(ExecutionBackend):
         """Whether ``world.jsonl`` holds a complete line."""
         return bool(Journal(Path(state_dir) / SimBackend.WORLD_FILE).read(writing=False))
 
-    def _write_event(self, event: dict) -> None:
-        self._pending_events.append(json.dumps(event, sort_keys=True) + "\n")
-
     def persist(self, records: int) -> None:
-        """Commit: write the events since the last commit, then the world's
-        line, which counts ``records`` in the resource journal."""
+        """Commit: write the world's events since the last commit, and drop
+        them from the world; then the world's line, which counts ``records``
+        in the resource journal."""
         if self._state_dir is None:
             return
-        offset = self._events.append(self._pending_events)
-        self._pending_events.clear()
+        offset = self._events.append(json.dumps(e, sort_keys=True) + "\n" for e in self.world.events)
+        self.world.events.clear()
         doc = {"world": self.world, "eventsOffset": offset, "journalRecords": records}
         line = json.dumps(doc, default=json_default, separators=(",", ":")) + "\n"
         if line != self._line:

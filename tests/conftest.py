@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import time
+
 from hypothesis import strategies as st
 
+from tunectl.controller.backend import JobPhase
 from tunectl.resources import (
     AlgorithmSpec,
     ExperimentSpec,
@@ -53,6 +56,16 @@ def make_experiment(
         max_trial_count=max_trials,
         max_failed_trial_count=max_failed,
     )
+
+
+def _until_concluded(backend, handle: str, bound: float = 5.0) -> None:
+    """Advance ``backend`` as the control loop does, each step draining
+    ``changed_jobs``, until job ``handle`` no longer reads Running; fail
+    after ``bound`` seconds."""
+    deadline = time.monotonic() + bound
+    while backend.job_state(handle).phase is JobPhase.RUNNING:
+        assert time.monotonic() < deadline, f"{handle} still running after {bound} s"
+        backend.advance(lambda: len(backend.changed_jobs()))
 
 
 @st.composite

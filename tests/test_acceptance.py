@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import make_experiment
+from conftest import _until_concluded, make_experiment
 from tunectl.cluster.localproc import LocalProcessBackend
 from tunectl.cluster.sim import SimBackend, SimWorld, SimulatedCrash
 from tunectl.controller.backend import JobPhase
@@ -363,7 +363,7 @@ def test_criterion_7_storage(tmp_path):
             collector_kind=collector,
             watched_metrics=("accuracy",),
         )
-        backend._jobs[handle].reader.join(timeout=60)
+        _until_concluded(backend, handle, bound=60)
         assert backend.job_state(handle).phase is JobPhase.SUCCEEDED
         backend.collect_metrics(handle)
         backend.close()

@@ -78,3 +78,22 @@ def test_a_run_without_a_json_summary_names_its_command_exit_and_stderr(monkeypa
     assert what in message
     assert "(exit 3)" in message
     assert message.endswith("worker died: out of memory\n")
+
+
+def test_the_change_is_measured_from_a_copy_of_the_tracked_and_untracked_files_only(tmp_path):
+    tree, copy = tmp_path / "tree", tmp_path / "copy"
+    (tree / "src").mkdir(parents=True)
+    (tree / ".gitignore").write_text("__pycache__/\n.perfbench_runs/\n")
+    (tree / "src" / "tracked.py").write_text("tracked = 1\n")
+    (tree / "src" / "deleted.py").write_text("deleted = 1\n")
+    subprocess.run(["git", "init", "-q", str(tree)], check=True)
+    subprocess.run(["git", "add", "-A"], cwd=tree, check=True)
+    (tree / "src" / "deleted.py").unlink()
+    (tree / "src" / "untracked.py").write_text("untracked = 1\n")
+    for ignored in ("__pycache__/tracked.cpython-311.pyc", ".perfbench_runs/results/old.json"):
+        (tree / "src" / ignored).parent.mkdir(parents=True, exist_ok=True)
+        (tree / "src" / ignored).write_text("stale\n")
+    benchpairs.copy_working_tree(tree, copy)
+    copied = sorted(str(p.relative_to(copy)) for p in copy.rglob("*") if p.is_file())
+    assert copied == [".gitignore", "src/tracked.py", "src/untracked.py"]
+    assert (copy / "src" / "tracked.py").read_text() == "tracked = 1\n"

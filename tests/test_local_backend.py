@@ -7,12 +7,13 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from conftest import make_experiment
+from conftest import _until_concluded, make_experiment
 from tunectl.cluster.localproc import LocalProcessBackend
 from tunectl.controller.backend import JobPhase
 from tunectl.controller.model import KIND_TRIAL, TrialPhase
@@ -234,7 +235,7 @@ def test_a_released_trainer_leaves_its_output_pipe_closed():
     backend = LocalProcessBackend(InMemoryObservationStore())
     handle = _submit_command(backend, "done", "true")
     job = backend._jobs[handle]
-    job.reader.join(timeout=5.0)
+    _until_concluded(backend, handle)
     backend.release(handle)
     assert job.process.stdout.closed
     backend.close()
@@ -402,8 +403,8 @@ def test_close_stops_running_trainers_and_their_children():
     backend.close()
     assert time.monotonic() - started < 2.0
     assert all(job.process.returncode is not None for job in jobs)
-    # Every holder of a trainer's stdout has exited once its reader saw EOF.
-    assert not any(job.reader.is_alive() for job in jobs)
+    # Each trainer's output is closed, unread.
+    assert all(job.process.stdout.closed for job in jobs)
     assert backend.job_state("ns/sleeper").phase is JobPhase.FAILED_PERMANENT
     backend.close()  # a second close is a no-op
 
@@ -422,10 +423,49 @@ def test_a_step_wakes_when_its_trainer_exits_instead_of_sleeping_the_poll_interv
     backend.close()
 
 
+def test_the_local_backend_starts_no_thread():
+    backend = LocalProcessBackend(InMemoryObservationStore())
+    threads = threading.active_count()
+    handle = _submit_command(backend, "sleeper", "sleep 1")
+    try:
+        for _ in range(5):
+            backend.advance(lambda: 0)
+        assert backend.job_state(handle).phase is JobPhase.RUNNING
+        assert threading.active_count() == threads
+    finally:
+        backend.close()
+
+
+def test_a_trainer_that_closes_its_output_concludes_once_it_exits_without_holding_up_another():
+    # The first trainer closes its output at once and exits at 0.5 s; it
+    # concludes within a poll interval of its exit. Waiting for it must not
+    # keep the second, which writes a metric and exits at 0.1 s, from
+    # concluding then.
+    backend = LocalProcessBackend(InMemoryObservationStore(), poll_interval=0.02)
+    started = time.monotonic()
+    closed = _submit_command(backend, "closed", "sh -c 'exec >&- 2>&-; sleep 0.5'")
+    quick = _submit_command(backend, "quick", "sh -c 'sleep 0.1; echo 1 m=1'")
+    concluded = {}
+    try:
+        while len(concluded) < 2 and time.monotonic() - started < 5.0:
+            backend.advance(lambda: len(backend.changed_jobs()))
+            for handle in (closed, quick):
+                if handle not in concluded and backend.job_state(handle).phase is not JobPhase.RUNNING:
+                    concluded[handle] = time.monotonic() - started
+        assert [backend.job_state(h).phase for h in (closed, quick)] == [JobPhase.SUCCEEDED] * 2
+        assert 0.5 <= concluded[closed] < 0.6
+        assert concluded[quick] < 0.3
+        backend.collect_metrics(quick)
+        assert [p.value for p in backend.metrics.get_observation_log(quick)] == [1.0]
+    finally:
+        backend.close()
+
+
 def test_a_step_after_an_earlier_exit_still_waits_the_poll_interval():
     backend = LocalProcessBackend(InMemoryObservationStore(), poll_interval=0.2)
     _submit_command(backend, "early", "true")
-    backend._jobs["ns/early"].reader.join(timeout=5.0)
+    _until_concluded(backend, "ns/early")
+    backend.changed_jobs()
     started = time.monotonic()
     backend.advance(lambda: 0)
     assert time.monotonic() - started >= 0.2
@@ -434,11 +474,12 @@ def test_a_step_after_an_earlier_exit_still_waits_the_poll_interval():
 
 # Runs one trainer that prints ``lines`` lines of progress and then one
 # metric line, under the given collector kind, in a process of its own, and
-# prints that process's peak resident size in KB: what the output reader
+# prints that process's peak resident size in KB: what reading its output
 # kept shows there.
 _CHATTY = """
-import resource, sys
+import resource, sys, time
 from tunectl.cluster.localproc import LocalProcessBackend
+from tunectl.controller.backend import JobPhase
 from tunectl.metrics import InMemoryObservationStore, MetricPoint
 from tunectl.resources import CollectorKind, TemplateKind, TrialRunSpec, TrialTemplate
 
@@ -452,9 +493,10 @@ handle = backend.submit(
     run_spec, TrialTemplate(kind=TemplateKind.LOCAL_PROCESS, payload=command),
     collector_kind=kind, watched_metrics=("loss",),
 )
-reader = backend._jobs[handle].reader
-reader.join(timeout=120)
-assert not reader.is_alive()
+deadline = time.monotonic() + 120
+while backend.job_state(handle).phase is JobPhase.RUNNING:
+    assert time.monotonic() < deadline
+    backend.advance(lambda: len(backend.changed_jobs()))
 backend.collect_metrics(handle)
 assert metrics.get_observation_log(handle) == [MetricPoint(handle, "loss", 1, 0.5)], metrics.get_observation_log(handle)
 backend.close()

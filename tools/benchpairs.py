@@ -9,7 +9,10 @@ first pair, 110 for the last) and the run length ``T`` that
 ``BENCHMARK.json`` fixes; which side runs first alternates from pair to
 pair. The parent is the committed tree of REV, extracted with ``git archive`` into a temporary
 directory (the same files a fresh checkout holds, and no worktree left
-behind in the repository). The working tree is measured as it stands.
+behind in the repository). The change is the working tree's tracked and
+untracked files, less the ignored ones, copied into a second temporary
+directory: both sides run from fresh copies, with no caches or earlier run
+outputs that only one of them has.
 
 Writes ``BENCH_<N>.json`` at the repository root: for every workload, each
 pair's end-to-end metrics, and per metric the medians, the parent's
@@ -30,6 +33,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -41,13 +45,23 @@ PAIRS = 10
 FIRST_SEED = 101
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+def git(*args: str, root: Path = ROOT) -> str:
+    return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True, text=True).stdout.strip()
 
 
 def extract(rev: str, into: Path) -> None:
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+
+
+def copy_working_tree(root: Path, into: Path) -> None:
+    """Copy the tracked and untracked files of the working tree at ``root``
+    that git does not ignore; a tracked file deleted in the tree is left out."""
+    for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard", root=root).split("\0"):
+        source = root / name
+        if name and source.is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, into / name)
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -135,8 +149,10 @@ def main() -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="benchpairs-") as tmp:
-        parent_root = Path(tmp)
+        parent_root, change_root = Path(tmp) / "parent", Path(tmp) / "change"
+        parent_root.mkdir()
         extract(parent_commit, parent_root)
+        copy_working_tree(ROOT, change_root)
         for workload in (w["name"] for w in bench["workloads"]):
             pairs = []
             for i in range(PAIRS):
@@ -144,7 +160,7 @@ def main() -> int:
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair: dict = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run_once(parent_root if side == "parent" else ROOT, workload, seed, seconds)
+                    pair[side] = run_once(parent_root if side == "parent" else change_root, workload, seed, seconds)
                     shown = {k: round(v, 4) for k, v in pair[side]["metrics"].items()}
                     print(f"{workload} pair {i + 1}/{PAIRS} {side}: {shown}", flush=True)
                 pairs.append(pair)
