@@ -9,7 +9,12 @@ parsed once, and only its metric points are kept: in push mode they are
 registered at once; in pull mode they wait on the job until
 ``collect_metrics``, which the controller calls once the trainer has
 succeeded, so a failed trial registers none. After a failed push the rest is
-drained unread, and the job fails naming the error.
+drained unread, and the job fails naming the error. A line ends at ``\\n``
+or ``\\r``, as it does for the parser, so each redraw of a ``\\r`` progress
+bar is parsed and let go. A line is kept unparsed only while it is no
+longer than ``READ_BYTES``: once the bytes after the last line end would
+pass that, they are cleared and the rest of that line, up to its end, is
+dropped unparsed, so the reader's memory stays flat.
 
 Exit code 0 is success; exit code 75 (``TEMPORARY_EXIT_CODES``, the
 conventional tempfail code) classifies as temporary failure eligible for
@@ -30,6 +35,7 @@ looks at the trainer again in the next step.
 from __future__ import annotations
 
 import os
+import re
 import selectors
 import shlex
 import signal
@@ -47,6 +53,7 @@ TEMPORARY_EXIT_CODES = (75,)
 # Seconds a trainer gets to exit after SIGTERM before its group is killed.
 TERMINATE_GRACE_S = 0.5
 READ_BYTES = 1 << 16  # the most one read of a trainer's output takes: a full pipe
+_LINE_END = re.compile(rb"[\r\n]")
 
 
 @dataclass
@@ -56,6 +63,7 @@ class _LocalJob:
     watched: tuple[str, ...]
     process: subprocess.Popen
     tail: bytearray = field(default_factory=bytearray)  # read after the last newline
+    dropping: bool = False  # the rest of an over-long line is read and dropped
     points: list[MetricPoint] = field(default_factory=list)  # pull: not yet registered
     failed_reason: str | None = None  # a failed push registration
 
@@ -105,9 +113,14 @@ class LocalProcessBackend(ExecutionBackend):
         """One read of ``job``'s output; at EOF, close it and wait until ``deadline``."""
         chunk = os.read(job.process.stdout.fileno(), READ_BYTES)
         if job.failed_reason is None:  # else drained unread
-            job.tail += chunk
+            data = chunk
+            if job.dropping:  # the rest of an over-long line, up to its end
+                end = _LINE_END.search(data)
+                job.dropping, data = end is None, b"" if end is None else data[end.end():]
+            job.tail += data
             # Only the new bytes are searched, so a long line is not rescanned.
-            cut = job.tail.rfind(b"\n", len(job.tail) - len(chunk)) + 1 if chunk else len(job.tail)
+            start = len(job.tail) - len(data)
+            cut = max(job.tail.rfind(b"\n", start), job.tail.rfind(b"\r", start)) + 1 if chunk else len(job.tail)
             if cut:
                 lines = job.tail[:cut].decode("utf-8", errors="replace")
                 del job.tail[:cut]
@@ -119,6 +132,9 @@ class LocalProcessBackend(ExecutionBackend):
                         self.metrics.register_observation_log(points)
                     except Exception as exc:  # any: the trial must end, not hang
                         job.failed_reason = f"metric registration failed: {type(exc).__name__}: {exc}"
+            if len(job.tail) > READ_BYTES:
+                job.tail.clear()
+                job.dropping = True
         if not chunk:
             self._selector.unregister(job.process.stdout)
             job.process.stdout.close()

@@ -29,7 +29,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..codec import Journal, from_doc, json_default
+from ..codec import Journal, compact_json, from_doc, sorted_json
 from ..errors import InvalidPayloadError, TunectlError, UnknownNamespaceError
 from ..metrics import MetricPoint, ObservationStore
 from ..metrics import parse_metric_lines  # noqa: F401 -- perfbench/tracer.py wraps it under this module
@@ -593,10 +593,10 @@ class SimBackend(ExecutionBackend):
         in the resource journal."""
         if self._state_dir is None:
             return
-        offset = self._events.append(json.dumps(e, sort_keys=True) + "\n" for e in self.world.events)
+        offset = self._events.append(sorted_json(e) + "\n" for e in self.world.events)
         self.world.events.clear()
         doc = {"world": self.world, "eventsOffset": offset, "journalRecords": records}
-        line = json.dumps(doc, default=json_default, separators=(",", ":")) + "\n"
+        line = compact_json(doc) + "\n"
         if line != self._line:
             self._line, self.journal_records = line, records
             self._world_file.append([line])

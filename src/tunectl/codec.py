@@ -4,7 +4,10 @@
 field order, recursively, with Enums written as their values and tuples as
 lists. A field whose metadata sets ``omit_none`` is left out while None.
 ``json_default`` is the same encoding as a ``json.dumps`` hook, for large
-documents written straight to JSON.
+documents written straight to JSON. ``compact_json`` writes a document with
+that hook and no spaces (journal records and world lines); ``sorted_json``
+writes plain data with sorted keys (events and metric points). Each is one
+encoder, built once.
 
 ``from_doc`` rebuilds a value of a given type from that data, guided by type
 hints. It is the one decoder, for stored documents and submitted ones
@@ -17,12 +20,13 @@ reports every problem at once, each under its path, as in
 an absent key when the field has a default and its type admits no None.
 
 ``Journal`` reads the resource journal and the metric log up to their last
-newline.
+newline, and appends to them with one write per append.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import os
 import types
@@ -92,6 +96,10 @@ def json_default(obj: Any) -> Any:
         fields = _fields(type(obj))
         return {f.key: v for f in fields if (v := getattr(obj, f.name)) is not None or not f.omit_none}
     raise TypeError(f"{type(obj).__name__} is not serializable")
+
+
+compact_json = json.JSONEncoder(default=json_default, separators=(",", ":")).encode
+sorted_json = json.JSONEncoder(sort_keys=True).encode
 
 
 def from_doc(tp: Any, doc: Any) -> Any:
@@ -265,8 +273,9 @@ class Journal:
     """A JSON-lines file that grows by appended lines and is otherwise only
     rewritten whole, atomically (a temporary file and ``os.replace``).
 
-    ``append`` writes through one handle, kept open until ``close``, and
-    flushes to the operating system before it returns; nothing calls
+    ``append`` writes through one unbuffered handle, kept open until
+    ``close``: all its lines in one write, repeated until every byte is out,
+    so they reach the operating system before it returns; nothing calls
     ``fsync``. If the path no longer names the file that handle holds, the
     append opens the path again rather than write where no one reads.
 
@@ -294,15 +303,15 @@ class Journal:
         return data[:end].split(b"\n")[:-1]
 
     def append(self, lines: Iterable[str]) -> int:
-        """Append ``lines``, each ending in a newline, and flush them;
+        """Append ``lines``, each ending in a newline, and write them out;
         return the file's size after them."""
         if self._fp is not None and not self._holds_path():
             self.close()
         if self._fp is None:
-            self._fp = self.path.open("ab")
-        for line in lines:
-            self._fp.write(line.encode("utf-8"))
-        self._fp.flush()
+            self._fp = self.path.open("ab", buffering=0)
+        data = "".join(lines).encode("utf-8")
+        while data:
+            data = data[self._fp.write(data):]
         return self._fp.tell()
 
     def _holds_path(self) -> bool:

@@ -154,8 +154,8 @@ _KINDS: dict[str, tuple[type, type]] = {
 
 def resource_fields(resource: Resource) -> dict:
     """The fields of a resource's document, with the spec and status left as
-    dataclasses: ``to_doc`` or ``json.dumps(..., default=json_default)``
-    turns it into the document."""
+    dataclasses: ``to_doc`` or ``codec.compact_json`` turns it into the
+    document. A status-only journal record is this less its ``spec``."""
     return {
         "kind": resource.kind,
         "name": resource.name,

@@ -7,19 +7,22 @@ themselves, and ``create`` and ``update`` each store one new object at the
 next generation: no reader can change what the store holds. The file-backed
 variant keeps one append-only journal, ``<dir>/journal.jsonl``: each create
 or update appends the resource's document plus its generation as one JSON
-line, and loading replays the journal, the last record of each key winning;
-each experiment's final spec is then checked against the rules that span its
-fields, as ``submit`` checks it. ``compact`` rewrites the journal as one
-record per resource. ``tunectl dump`` prints the store as YAML for reading
-and diffing.
+line. A trial update that leaves the trial's spec as stored writes a
+status-only record: the document without its ``spec``. Loading replays the
+journal, the last record of each key winning; a status-only record takes
+the spec of its key's last record before it, and one with no earlier record
+of its key is unreadable. Each experiment's final spec is then checked
+against the rules that span its fields, as ``submit`` checks it.
+``compact`` rewrites the journal as one whole record per resource.
+``tunectl dump`` prints the store as YAML for reading and diffing.
 
 A simulated world commits each tick with the journal's ``records``. A store
 opened at such a ``commit`` keeps the records up to it and the experiment
 creates after it, which only ``submit`` writes, and drops the rest: the
 writes of a tick cut short, which the resumed run makes again.
 
-Durability (``codec.Journal``): every record is flushed to the operating
-system as it is written, and compaction replaces the journal atomically (a
+Durability (``codec.Journal``): every record reaches the operating system
+before its write returns, and compaction replaces the journal atomically (a
 temporary file and ``os.replace``). A store therefore survives the kill of its process at
 any point: at worst the last record is cut short, and that torn line is
 skipped on load. Nothing calls ``fsync``, so a power loss can lose records
@@ -51,7 +54,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Callable
 
-from ..codec import Journal, from_doc, json_default
+from ..codec import Journal, compact_json, from_doc
 from ..errors import CasConflictError, ResourceExistsError, TunectlError, ValidationError
 from ..resources import BUDGET_PARAMETER, _check_cross_invariants
 from ..suggest.registry import AssignmentSet, ObservationStatus, TrialObservation, assignment_key
@@ -166,7 +169,7 @@ class ResourceStore:
             if resource.key in self._resources:
                 raise ResourceExistsError(f"resource '{resource.key}' already exists")
             stored = clone_resource(resource, 1)
-            self._persist(stored)
+            self._persist(stored, None)
             self._put(stored)
         for watcher in self.watchers:
             watcher(stored)
@@ -187,7 +190,7 @@ class ResourceStore:
                     f"{current.generation}, got {resource.generation}"
                 )
             stored = clone_resource(resource, current.generation + 1)
-            self._persist(stored)
+            self._persist(stored, current)
             self._put(stored)
         for watcher in self.watchers:
             watcher(stored)
@@ -221,7 +224,8 @@ class ResourceStore:
                 trials = self._trials[resource.namespace, experiment] = ExperimentTrials(experiment)
             trials.put(resource)
 
-    def _persist(self, resource: Resource) -> None:
+    def _persist(self, resource: Resource, previous: Resource | None) -> None:
+        """Record the write of ``resource`` over ``previous``, None for a create."""
         self.records += 1
 
 
@@ -256,7 +260,7 @@ class FileResourceStore(ResourceStore):
                 f"store {self.root} holds the one-YAML-file-per-resource layout of an "
                 "earlier version, which this version does not read; start again in a fresh store"
             )
-        latest: dict[str, tuple[int, dict]] = {}
+        latest: dict[str, tuple[int, int, dict]] = {}  # key -> (its line, its spec's line, its document)
         lines = self._journal.read(writing=not self._readonly)
         kept: list[bytes] = []
         for number, line in enumerate(lines, 1):
@@ -265,14 +269,21 @@ class FileResourceStore(ResourceStore):
                 key = resource_key(doc["kind"], doc["namespace"], doc["name"])
                 if commit is not None and number > commit and (doc["kind"], doc["generation"]) != (KIND_EXPERIMENT, 1):
                     continue
+                if "spec" in doc:
+                    spec_line = len(kept) + 1
+                elif key in latest:  # status-only: the spec is the key's last one
+                    _, spec_line, last = latest[key]
+                    doc["spec"] = last["spec"]
+                else:
+                    raise ValueError(f"a status-only record of '{key}' follows no record of it")
             except (ValueError, KeyError, TypeError) as exc:
                 raise self._unreadable(number, exc) from exc
             kept.append(line)
-            latest[key] = (len(kept), doc)
+            latest[key] = (len(kept), spec_line, doc)
         if len(kept) < len(lines):
             self._journal.replace(line.decode("utf-8") + "\n" for line in kept)
         self.records = len(kept)
-        for number, doc in latest.values():
+        for number, spec_line, doc in latest.values():
             try:
                 resource = resource_from_doc(doc, generation=from_doc(int, doc["generation"]))
                 # The codec checks each field's own rules; an experiment's
@@ -280,20 +291,21 @@ class FileResourceStore(ResourceStore):
                 if resource.kind == KIND_EXPERIMENT and (problems := _check_cross_invariants(resource.spec)):
                     raise ValidationError(problems)
             except (KeyError, TypeError, ValueError, TunectlError) as exc:
-                raise self._unreadable(number, exc) from exc
+                raise self._unreadable(number, exc, spec_line) from exc
             self._put(resource)
 
-    def _unreadable(self, number: int, exc: Exception) -> TunectlError:
+    def _unreadable(self, number: int, exc: Exception, spec_line: int | None = None) -> TunectlError:
         detail = str(exc)
         if len(detail) > self.UNREADABLE_DETAIL_CHARS:
             detail = detail[: self.UNREADABLE_DETAIL_CHARS] + " ... [cut]"
-        return TunectlError(f"cannot read stored resource {self.path}:{number}: {detail}")
+        spec = "" if spec_line in (None, number) else f" (its spec is on line {spec_line})"
+        return TunectlError(f"cannot read stored resource {self.path}:{number}{spec}: {detail}")
 
-    def _persist(self, resource: Resource) -> None:
+    def _persist(self, resource: Resource, previous: Resource | None) -> None:
         if self._readonly:
             raise TunectlError(f"store {self.root} is open read-only")
-        self._journal.append([_record(resource)])
-        super()._persist(resource)
+        self._journal.append([_record(resource, previous)])
+        super()._persist(resource, previous)
 
     def compact(self) -> None:
         """Rewrite the journal as one record per resource, in key order."""
@@ -306,8 +318,12 @@ class FileResourceStore(ResourceStore):
         self._journal.close()
 
 
-def _record(resource: Resource) -> str:
-    """One journal line: the resource's document plus its generation."""
+def _record(resource: Resource, previous: Resource | None = None) -> str:
+    """One journal line: the resource's document plus its generation, less
+    the spec of a trial written over ``previous`` with the same spec."""
     doc = resource_fields(resource)
+    spec = resource.spec
+    if resource.kind == KIND_TRIAL and previous is not None and (spec is previous.spec or spec == previous.spec):
+        del doc["spec"]
     doc["generation"] = resource.generation
-    return json.dumps(doc, default=json_default, separators=(",", ":")) + "\n"
+    return compact_json(doc) + "\n"

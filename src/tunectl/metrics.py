@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .codec import Journal
+from .codec import Journal, sorted_json
 from .errors import StorageUnavailableError
 from .resources import MetricStrategy, ObjectiveSpec
 
@@ -146,7 +146,7 @@ class FileObservationStore(ObservationStore):
         if self._readonly:
             raise StorageUnavailableError(f"metric log {self._journal.path} is open read-only")
         try:
-            self._journal.append(json.dumps(doc, sort_keys=True) + "\n" for doc in docs)
+            self._journal.append(sorted_json(doc) + "\n" for doc in docs)
         except OSError as exc:
             raise StorageUnavailableError(f"metric log append failed: {exc}") from exc
 

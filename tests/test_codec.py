@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
 import pytest
 
-from tunectl.codec import DocumentError, Journal, from_doc, json_default, to_doc
+from tunectl.codec import DocumentError, Journal, compact_json, from_doc, json_default, sorted_json, to_doc
+from tunectl.controller.backend import JobPhase
 from tunectl.controller.model import (
     KIND_SUGGESTION,
     KIND_TRIAL,
@@ -206,4 +208,93 @@ def test_journal_append_reopens_a_path_that_no_longer_names_its_file(tmp_path):
     journal.append(["2\n"])
     assert journal.path.read_bytes() == b"2\n"
     assert (tmp_path / "moved.jsonl").read_bytes() == b"1\n"
+    journal.close()
+
+
+def _earlier_compact(doc):
+    """The ``json.dumps`` call the compact encoder replaces."""
+    return json.dumps(doc, default=json_default, separators=(",", ":"))
+
+
+def _earlier_sorted(doc):
+    return json.dumps(doc, sort_keys=True)
+
+
+def _live_gang_world():
+    """A simulated world three ticks into an experiment of 2-worker trials,
+    with its jobs live, and the events it has recorded."""
+    from conftest import make_experiment
+    from tunectl.cluster.sim import SimBackend, SimWorld
+    from tunectl.controller.reconcile import run_control_loop, submit_experiment
+    from tunectl.controller.store import ResourceStore
+    from tunectl.metrics import InMemoryObservationStore
+    from tunectl.resources import ParameterSpec, ParameterType, Range, TemplateKind, TrialTemplate
+
+    template = TrialTemplate(
+        kind=TemplateKind.SIMULATED,
+        payload=SimObjectiveDescriptor("sphere", duration_ticks=6, noise_std_dev=0.1),
+        worker_count=2,
+        cpu_per_worker=1.0,
+    )
+    spec = make_experiment(
+        [ParameterSpec("x", ParameterType.DOUBLE, Range(-1.0, 1.0, 0.25))], goal=0.01, parallel=3, template=template
+    )
+    store, metrics = ResourceStore(), InMemoryObservationStore()
+    submit_experiment(store, spec)
+    world = SimWorld(seed=9)
+    world.add_node(4.0)
+    world.add_namespace("ns", 5.0)
+    run_control_loop(store, metrics, SimBackend(world, metrics), max_ticks=3)
+    return world, store
+
+
+def test_the_shared_encoders_write_what_json_dumps_wrote():
+    from test_store import _resources_of_every_shape
+
+    world, store = _live_gang_world()
+    assert any(job.worker_count == 2 and job.phase is JobPhase.RUNNING for job in world.jobs.values())
+    assert store.list()[0].spec.objective.goal == 0.01  # an omit_none field that is set
+    compact = [
+        *_resources_of_every_shape(),
+        *store.list(),
+        {"world": world, "eventsOffset": 12, "journalRecords": 34},
+        _outer(),
+    ]
+    for doc in compact:
+        assert compact_json(doc) == _earlier_compact(doc)
+    assert world.events
+    points = [{"trial": "exp-0000", "metric": "loss", "ts": 3, "value": -0.5}, {"trial": "exp-0000", "deleted": True}]
+    for doc in [*world.events, *points, {"é": [1.5, None, "\n"], "a": {"z": 1, "b": 2}}]:
+        assert sorted_json(doc) == _earlier_sorted(doc)
+    with pytest.raises(TypeError):
+        compact_json(object())
+
+
+def test_journal_append_returns_the_size_and_follows_its_path(tmp_path):
+    journal = Journal(tmp_path / "log.jsonl")
+
+    def append_and_check(*lines):
+        size = journal.append(list(lines))
+        assert size == journal.path.stat().st_size
+        return journal.path.read_bytes()
+
+    assert append_and_check() == b""
+    assert append_and_check("1\n", "2\n") == b"1\n2\n"
+    assert append_and_check("ü\n") == "1\n2\nü\n".encode()
+    journal.truncate(2)
+    assert append_and_check("3\n") == b"1\n3\n"
+    journal.replace(["4\n"])
+    assert append_and_check("5\n") == b"4\n5\n"
+    journal.remove()
+    assert append_and_check("6\n") == b"6\n"
+    # Replaced underneath, as another process's compaction would.
+    tmp = tmp_path / "other.jsonl"
+    tmp.write_bytes(b"7777\n")
+    os.replace(tmp, journal.path)
+    assert append_and_check("8\n") == b"7777\n8\n"
+    journal.close()
+    # Reopened on a file grown since, by another writer.
+    with journal.path.open("ab") as fp:
+        fp.write(b"9\n")
+    assert append_and_check("10\n") == b"7777\n8\n9\n10\n"
     journal.close()

@@ -14,13 +14,13 @@ from pathlib import Path
 import pytest
 
 from conftest import _until_concluded, make_experiment
-from tunectl.cluster.localproc import LocalProcessBackend
+from tunectl.cluster.localproc import READ_BYTES, LocalProcessBackend
 from tunectl.controller.backend import JobPhase
 from tunectl.controller.model import KIND_TRIAL, TrialPhase
 from tunectl.controller.reconcile import ControllerContext, controller_step, run_control_loop, submit_experiment
 from tunectl.controller.store import ResourceStore
 from tunectl.errors import StorageUnavailableError
-from tunectl.metrics import InMemoryObservationStore
+from tunectl.metrics import InMemoryObservationStore, MetricPoint
 from tunectl.resources import (
     CollectorKind,
     ObjectiveType,
@@ -523,3 +523,53 @@ def test_a_chatty_trainer_keeps_the_reader_flat_in_memory(kind):
     quiet = _chatty_peak_kb(10**3, kind)
     chatty = _chatty_peak_kb(10**6, kind)
     assert chatty - quiet <= 10 * 1024, f"peak RSS {quiet} KB -> {chatty} KB"
+
+
+def test_a_progress_bar_that_never_ends_its_line_holds_the_tail_at_read_bytes(tmp_path):
+    # A trainer redraws a progress bar with carriage returns for 4 MB and
+    # prints its metric straight after a redraw, as a print beside a tqdm
+    # bar does. A carriage return ends a line for the reader, as it does for
+    # the parser, so the bar is let go redraw by redraw and the metric
+    # counts. Then 200 KB with no line end at all: the tail is cleared once
+    # it passes READ_BYTES and that line dropped up to its end, so the
+    # metric after it counts too, and the reader never holds more.
+    script = tmp_path / "progress.py"
+    script.write_text(
+        "import sys, time\n"
+        "piece = ''.join(f'epoch 1 [{i:>7}/99999] loss 0.97\\r' for i in range(4000))\n"
+        "for _ in range(32):\n"
+        "    sys.stdout.write(piece)\n"
+        "    sys.stdout.flush()\n"
+        "    time.sleep(0.005)\n"
+        "sys.stdout.write('\\r1 loss=0.5\\n')\n"
+        "for _ in range(4):\n"
+        "    sys.stdout.write('x' * 50000)\n"
+        "    sys.stdout.flush()\n"
+        "    time.sleep(0.005)\n"
+        "sys.stdout.write('\\r2 loss=0.25\\n')\n"
+    )
+    metrics = InMemoryObservationStore()
+    backend = LocalProcessBackend(metrics, poll_interval=0.005)
+    command = f"{sys.executable} {script}"
+    run_spec = TrialRunSpec(trial_name="bar", namespace="ns", resolved_payload=command, parameter_assignments=())
+    handle = backend.submit(
+        run_spec, TrialTemplate(kind=TemplateKind.LOCAL_PROCESS, payload=command),
+        collector_kind=CollectorKind.PULL, watched_metrics=("loss",),
+    )
+    job = backend._jobs[handle]
+    advances = 0
+    try:
+        deadline = time.monotonic() + 60
+        while backend.job_state(handle).phase is JobPhase.RUNNING:
+            assert time.monotonic() < deadline
+            backend.advance(lambda: len(backend.changed_jobs()))
+            assert len(job.tail) <= READ_BYTES
+            advances += 1
+        assert advances > 5  # the output arrived over many reads
+        assert backend.job_state(handle).phase is JobPhase.SUCCEEDED
+        backend.collect_metrics(handle)
+        assert metrics.get_observation_log(handle) == [
+            MetricPoint(handle, "loss", 1, 0.5), MetricPoint(handle, "loss", 2, 0.25),
+        ]
+    finally:
+        backend.close()

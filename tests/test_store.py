@@ -520,3 +520,116 @@ def test_trial_history_reads_budgets_and_follows_a_rewritten_trial():
     assert history.produced == (sets[0], sets[2])
     assert history.observations == (TrialObservation(sets[0], ObservationStatus.SUCCEEDED, 0.5, 1.0),)
     assert history.keys == {assignment_key(sets[0]), assignment_key(sets[2])}
+
+
+def _sim_experiment_run(root, commits=None):
+    """Run a random experiment of 3-tick simulated trials on a file store
+    under ``root / "store"`` to the end; with ``commits``, record the
+    store's resources and trial index at each commit, by its record count."""
+    from tunectl.cluster.sim import SimBackend, SimWorld
+    from tunectl.controller.reconcile import run_control_loop, submit_experiment
+    from tunectl.metrics import InMemoryObservationStore
+    from tunectl.resources import SimObjectiveDescriptor
+
+    spec = make_experiment(
+        [ParameterSpec("x", ParameterType.DOUBLE, Range(-1.0, 1.0))],
+        settings={"random_state": 3},
+        parallel=3,
+        max_trials=7,
+        template=TrialTemplate(
+            kind=TemplateKind.SIMULATED, payload=SimObjectiveDescriptor("sphere", duration_ticks=3)
+        ),
+    )
+    store = FileResourceStore(root / "store")
+    submit_experiment(store, spec)
+    world = SimWorld(seed=4)
+    world.add_node(8.0)
+    world.add_namespace("ns")
+    metrics = InMemoryObservationStore()
+
+    class Recording(SimBackend):
+        def persist(self, records):
+            super().persist(records)
+            if commits is not None:
+                commits[records] = (store.list(), _index_of(store, "ns", "exp"))
+
+    run_control_loop(store, metrics, Recording(world, metrics, state_dir=root / "state"), max_ticks=200)
+    store.close()
+    return store
+
+
+def test_a_trial_record_holds_its_spec_only_where_the_spec_changes(tmp_path):
+    # A trial's create and submit records hold its spec, since the submit
+    # adds the rendered run spec; its later records hold only its status.
+    _sim_experiment_run(tmp_path)
+    records = [json.loads(line) for line in _journal_lines(tmp_path / "store")]
+    by_trial = {}
+    for doc in records:
+        if doc["kind"] == KIND_TRIAL:
+            by_trial.setdefault(doc["name"], []).append(doc)
+    assert len(by_trial) == 7
+    for name, docs in by_trial.items():
+        assert len(docs) > 2, name
+        assert ["spec" in doc for doc in docs] == [True, True] + [False] * (len(docs) - 2), name
+        assert docs[0]["spec"]["runSpec"] is None and docs[1]["spec"]["runSpec"] is not None
+        assert list(docs[2]) == ["kind", "name", "namespace", "status", "generation"]
+    assert all("spec" in doc for doc in records if doc["kind"] != KIND_TRIAL)
+
+
+def test_a_journal_of_status_only_records_reloads_plain_at_every_commit_and_compacted(tmp_path):
+    commits = {}
+    store = _sim_experiment_run(tmp_path / "run", commits)
+    written = (store.list(), _index_of(store, "ns", "exp"))
+    journal = _journal_lines(tmp_path / "run" / "store")
+    assert any(b'"spec"' not in line for line in journal)
+
+    def opened(at, commit=None):
+        copy = tmp_path / at
+        copy.mkdir()
+        (copy / FileResourceStore.JOURNAL).write_bytes(b"\n".join(journal) + b"\n")
+        loaded = FileResourceStore(copy, commit=commit)
+        return loaded, (loaded.list(), _index_of(loaded, "ns", "exp"))
+
+    plain, reloaded = opened("plain")
+    assert reloaded == written
+    assert [r.generation for r in reloaded[0]] == [r.generation for r in written[0]]
+    assert len(commits) > 5
+    for records, expected in commits.items():
+        assert opened(f"at-{records}", commit=records)[1] == expected, records
+
+    # Compaction writes whole records, and they load to the same store.
+    plain.compact()
+    assert all("spec" in json.loads(line) for line in _journal_lines(tmp_path / "plain"))
+    assert FileResourceStore(tmp_path / "plain").list() == written[0]
+    assert _index_of(FileResourceStore(tmp_path / "plain"), "ns", "exp") == written[1]
+
+
+def test_a_status_only_record_with_no_record_before_it_exits_4_naming_its_line(tmp_path):
+    store = FileResourceStore(tmp_path)
+    store.create(_experiment_resource())
+    store.close()
+    orphan = {"kind": KIND_TRIAL, "name": "exp-0000", "namespace": "ns", "status": {"phase": "Running"}, "generation": 2}
+    with (tmp_path / FileResourceStore.JOURNAL).open("a") as fp:
+        fp.write(json.dumps(orphan) + "\n")
+    result = CliRunner().invoke(cli, ["dump", "--store", str(tmp_path)])
+    assert result.exit_code == 4, result.output
+    assert f"{FileResourceStore.JOURNAL}:2: " in result.output
+    assert "status-only record of 'trial/ns/exp-0000'" in result.output
+
+
+def test_a_broken_spec_under_a_status_only_record_names_the_spec_line(tmp_path):
+    store = FileResourceStore(tmp_path)
+    store.create(_experiment_resource())
+    trial = store.create(
+        Resource(KIND_TRIAL, "ns", "exp-0000", TrialSpec("exp", (("x", 0.25),)), TrialStatus())
+    )
+    store.update(replace(trial, status=replace(trial.status, phase=TrialPhase.RUNNING)))
+    store.close()
+    journal = tmp_path / FileResourceStore.JOURNAL
+    lines = journal.read_text().splitlines()
+    doc = json.loads(lines[1])
+    doc["spec"]["assignments"] = "x=0.25"
+    lines[1] = json.dumps(doc)
+    journal.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TunectlError, match=r"journal\.jsonl:3 \(its spec is on line 2\): assignments: expected a list"):
+        FileResourceStore(tmp_path)
