@@ -122,7 +122,7 @@ def _print_summary(snapshot: dict) -> None:
     "scenario_file",
     type=click.Path(exists=True, dir_okay=False, path_type=Path),
     default=None,
-    help="Scenario file describing the simulated world.",
+    help="Scenario file describing the simulated world (sim backend).",
 )
 @click.option("--seed", type=int, default=0, help="World seed (sim backend).")
 @click.option("--max-ticks", type=int, default=100_000)
@@ -134,6 +134,8 @@ def run(
     max_ticks: int,
 ) -> None:
     """Drive every experiment in the store to a terminal phase."""
+    if backend_name == "local" and scenario_file is not None:
+        raise click.UsageError("--scenario describes a simulated world; the local backend runs none")
     with _exclusive(store_dir):
         _run(store_dir, backend_name, scenario_file, seed, max_ticks)
 

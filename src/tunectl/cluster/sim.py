@@ -133,10 +133,12 @@ def _derived_rng(*entropy: int) -> np.random.Generator:
 class SimWorld:
     """The simulated cluster. Its fields are the state a snapshot holds;
     the ``events`` emitted (until a backend with a state directory writes
-    them to its file), the metric store and the count of placed units on
-    each node and in each namespace are attached in ``__post_init__``.
-    ``jobs`` holds the jobs not yet released: the live ones, and the
-    concluded ones whose trial has not yet recorded it."""
+    them to its file), the ``changed`` trial jobs (until ``changed_jobs``
+    takes them), the metric store and the count of placed units on each
+    node and in each namespace are attached in ``__post_init__``. A tick
+    phase that changes a trial job's phase marks it ``changed``. ``jobs``
+    holds the jobs not yet released: the live ones, and the concluded ones
+    whose trial has not yet recorded it."""
 
     seed: int = 0
     gang: bool = True
@@ -150,6 +152,7 @@ class SimWorld:
 
     def __post_init__(self) -> None:
         self.events: list[dict] = []
+        self.changed: set[str] = set()
         self.metrics: ObservationStore | None = None
         self._units_on: Counter[str] = Counter()
         self._units_in: Counter[str] = Counter()
@@ -317,6 +320,7 @@ class SimWorld:
             job = running[i]
             for unit in job.units:
                 self._unplace(unit)
+            self.changed.add(job.name)
             if policy.mode == ChaosMode.FAIL_TRIAL:
                 job.phase = JobPhase.FAILED_PERMANENT
                 job.reason = "chaos: trial payload invalidated"
@@ -365,6 +369,7 @@ class SimWorld:
                     self._unplace(unit)
             if all((u.remaining or 0) == 0 for u in job.units):
                 job.phase = JobPhase.SUCCEEDED
+                self.changed.add(job.name)
                 self.emit("job-succeeded", {"job": job.name})
 
     def _pending_units(self) -> list[SimUnit]:
@@ -417,6 +422,8 @@ class SimWorld:
             placed_count += len(staged)
             for member, node in staged:
                 self.emit("placed", {"job": job.name, "worker": member.index, "node": node.id})
+            if job.kind == "trial" and job.phase is JobPhase.PENDING:
+                self.changed.add(job.name)
             job.phase = JobPhase.RUNNING
         return placed_count
 
@@ -541,7 +548,6 @@ class SimBackend(ExecutionBackend):
         self._state_dir: Path | None = None
         self._line: str | None = None  # the last world line persisted
         self.journal_records = 0  # the resource journal's record count at that line
-        self._reported: dict[str, JobPhase] = {}  # live trial jobs' phases at the last changed_jobs
         if state_dir is not None:
             # The world file first: a kill part way leaves no world line, and so a fresh start again.
             self._open_state(Path(state_dir))
@@ -629,21 +635,10 @@ class SimBackend(ExecutionBackend):
         return self.world.job_state(handle)
 
     def changed_jobs(self) -> list[str]:
-        """The trial jobs held now or live at the last call whose phase
-        differs from the one recorded then. A job not seen live before
-        counts as last seen Pending, the phase its trial records at
-        submission, so it is reported once it runs or ends."""
-        jobs, reported = self.world.jobs, self._reported
-        changed, self._reported = [], {}
-        for name in reported.keys() | jobs.keys():
-            job = jobs.get(name)
-            if job is None or job.kind != "trial":
-                continue
-            if reported.get(name, JobPhase.PENDING) is not job.phase:
-                changed.append(name)
-            if job.phase in LIVE_PHASES:
-                self._reported[name] = job.phase
-        return changed
+        """The trial jobs the tick phases marked changed since the last
+        call, in handle order; the call leaves the world's set empty."""
+        changed, self.world.changed = self.world.changed, set()
+        return sorted(changed)
 
     def collect_metrics(self, handle: str) -> None:
         job = self.world.jobs.get(handle)

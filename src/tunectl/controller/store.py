@@ -7,14 +7,15 @@ themselves, and ``create`` and ``update`` each store one new object at the
 next generation: no reader can change what the store holds. The file-backed
 variant keeps one append-only journal, ``<dir>/journal.jsonl``: each create
 or update appends the resource's document plus its generation as one JSON
-line. A trial update that leaves the trial's spec as stored writes a
-status-only record: the document without its ``spec``. Loading replays the
-journal, the last record of each key winning; a status-only record takes
-the spec of its key's last record before it, and one with no earlier record
-of its key is unreadable. Each experiment's final spec is then checked
-against the rules that span its fields, as ``submit`` checks it.
-``compact`` rewrites the journal as one whole record per resource.
-``tunectl dump`` prints the store as YAML for reading and diffing.
+line. An update of any kind that leaves the resource's spec as stored (a
+suggestion's fill, not its ``requested`` bump) writes a status-only record:
+the document without its ``spec``. Loading replays the journal, the last
+record of each key winning; a status-only record takes the spec of its
+key's last record before it, and one with no earlier record of its key is
+unreadable. Each experiment's final spec is then checked against the rules
+that span its fields, as ``submit`` checks it. ``compact`` rewrites the
+journal as one whole record per resource. ``tunectl dump`` prints the store
+as YAML for reading and diffing.
 
 A simulated world commits each tick with the journal's ``records``. A store
 opened at such a ``commit`` keeps the records up to it and the experiment
@@ -320,10 +321,10 @@ class FileResourceStore(ResourceStore):
 
 def _record(resource: Resource, previous: Resource | None = None) -> str:
     """One journal line: the resource's document plus its generation, less
-    the spec of a trial written over ``previous`` with the same spec."""
+    the spec of a resource written over ``previous`` with the same spec."""
     doc = resource_fields(resource)
     spec = resource.spec
-    if resource.kind == KIND_TRIAL and previous is not None and (spec is previous.spec or spec == previous.spec):
+    if previous is not None and (spec is previous.spec or spec == previous.spec):
         del doc["spec"]
     doc["generation"] = resource.generation
     return compact_json(doc) + "\n"

@@ -298,6 +298,19 @@ def test_run_local_backend(runner, tmp_path):
     assert "best: 0.9" in result.output
 
 
+def test_run_refuses_a_scenario_on_the_local_backend_before_opening_the_store(runner, tmp_path):
+    # A scenario describes a simulated world; the local backend would drop
+    # it and its experiments without a word.
+    (tmp_path / "exp.yaml").write_text(EXPERIMENT)
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text("experiments: [exp.yaml]\n")
+    store = tmp_path / "store"
+    result = runner.invoke(cli, ["run", "--store", str(store), "--backend", "local", "--scenario", str(scenario)])
+    assert result.exit_code == 2, result.output
+    assert "--scenario" in result.output
+    assert not store.exists()
+
+
 def test_store_flag_from_environment(runner, tmp_path, monkeypatch):
     exp = tmp_path / "exp.yaml"
     exp.write_text(EXPERIMENT)

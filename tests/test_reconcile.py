@@ -328,6 +328,7 @@ def test_restart_on_temporary_failure_increments_count():
     job = world.jobs["ns/exp-0000"]
     assert job.phase is JobPhase.RUNNING
     job.phase = JobPhase.FAILED_TEMPORARY
+    world.changed.add(job.name)  # as a tick phase marks the job it changes
     for unit in job.units:
         world._unplace(unit)
     backend.advance(lambda: controller_step(ctx))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
@@ -437,8 +437,9 @@ def _largest_suggestion_record(store_dir, trials: int) -> int:
     """Run a random experiment shaped like the benchmark's file-backed CLI
     run (parallel 10) to the end and return the byte length of the largest
     suggestion record its journal holds before compaction, less the digits
-    of its generation counter. Every value has a fixed width, so the length
-    changes only with the number of sets a record holds."""
+    of its generation, requested and produced counters. Every other value
+    has a fixed width, so the length changes only with the number of sets a
+    record holds."""
     from tunectl.cluster.sim import SimBackend, SimWorld
     from tunectl.controller.reconcile import run_control_loop, submit_experiment
     from tunectl.metrics import InMemoryObservationStore
@@ -466,7 +467,10 @@ def _largest_suggestion_record(store_dir, trials: int) -> int:
     for line in (store_dir / FileResourceStore.JOURNAL).read_bytes().splitlines():
         doc = json.loads(line)
         if doc["kind"] == KIND_SUGGESTION:
-            sizes.append(len(line) - len(str(doc["generation"])))
+            counters = [doc["generation"], doc["status"]["produced"]]
+            if "spec" in doc:  # only a requested bump writes the spec
+                counters.append(doc["spec"]["requested"])
+            sizes.append(len(line) - sum(len(str(counter)) for counter in counters))
     return max(sizes)
 
 
@@ -522,10 +526,11 @@ def test_trial_history_reads_budgets_and_follows_a_rewritten_trial():
     assert history.keys == {assignment_key(sets[0]), assignment_key(sets[2])}
 
 
-def _sim_experiment_run(root, commits=None):
+def _sim_experiment_run(root, commits=None, writes=None):
     """Run a random experiment of 3-tick simulated trials on a file store
     under ``root / "store"`` to the end; with ``commits``, record the
-    store's resources and trial index at each commit, by its record count."""
+    store's resources and trial index at each commit, by its record count,
+    and with ``writes``, append each resource the store writes."""
     from tunectl.cluster.sim import SimBackend, SimWorld
     from tunectl.controller.reconcile import run_control_loop, submit_experiment
     from tunectl.metrics import InMemoryObservationStore
@@ -541,6 +546,8 @@ def _sim_experiment_run(root, commits=None):
         ),
     )
     store = FileResourceStore(root / "store")
+    if writes is not None:
+        store.watchers.append(writes.append)
     submit_experiment(store, spec)
     world = SimWorld(seed=4)
     world.add_node(8.0)
@@ -573,7 +580,30 @@ def test_a_trial_record_holds_its_spec_only_where_the_spec_changes(tmp_path):
         assert ["spec" in doc for doc in docs] == [True, True] + [False] * (len(docs) - 2), name
         assert docs[0]["spec"]["runSpec"] is None and docs[1]["spec"]["runSpec"] is not None
         assert list(docs[2]) == ["kind", "name", "namespace", "status", "generation"]
-    assert all("spec" in doc for doc in records if doc["kind"] != KIND_TRIAL)
+    # No write after submit changes an experiment's spec; a suggestion's
+    # changes only with a bump of ``requested``.
+    experiments = [doc for doc in records if doc["kind"] == KIND_EXPERIMENT]
+    assert ["spec" in doc for doc in experiments] == [True] + [False] * (len(experiments) - 1)
+    requested = [doc["spec"]["requested"] for doc in records if doc["kind"] == KIND_SUGGESTION and "spec" in doc]
+    assert len(requested) > 1 and all(a != b for a, b in zip(requested, requested[1:]))
+
+
+def test_a_record_of_any_kind_holds_its_spec_exactly_where_the_spec_changes(tmp_path):
+    # A key's first record holds its spec, and a later one holds it only
+    # when its write changed the spec: the experiment's and suggestion's
+    # status updates are status-only, as a trial's are.
+    writes = []
+    _sim_experiment_run(tmp_path, writes=writes)
+    records = [json.loads(line) for line in _journal_lines(tmp_path / "store")]
+    assert len(records) == len(writes)
+    last, status_only = {}, Counter()
+    for doc, resource in zip(records, writes):
+        assert (doc["kind"], doc["name"], doc["generation"]) == (resource.kind, resource.name, resource.generation)
+        previous = last.get(resource.key)
+        assert ("spec" in doc) == (previous is None or resource.spec != previous.spec), doc
+        status_only[resource.kind] += "spec" not in doc
+        last[resource.key] = resource
+    assert status_only[KIND_EXPERIMENT] and status_only[KIND_SUGGESTION] and status_only[KIND_TRIAL]
 
 
 def test_a_journal_of_status_only_records_reloads_plain_at_every_commit_and_compacted(tmp_path):
@@ -633,3 +663,21 @@ def test_a_broken_spec_under_a_status_only_record_names_the_spec_line(tmp_path):
     journal.write_text("\n".join(lines) + "\n")
     with pytest.raises(TunectlError, match=r"journal\.jsonl:3 \(its spec is on line 2\): assignments: expected a list"):
         FileResourceStore(tmp_path)
+
+    # An experiment's inherited spec must keep the rules that span its fields.
+    experiment_dir = tmp_path / "experiment"
+    store = FileResourceStore(experiment_dir)
+    experiment = store.create(_experiment_resource())
+    store.update(replace(experiment, status=replace(experiment.status, trials_running=1)))
+    store.close()
+    journal = experiment_dir / FileResourceStore.JOURNAL
+    lines = journal.read_text().splitlines()
+    doc = json.loads(lines[0])
+    doc["spec"]["parallelTrialCount"] = doc["spec"]["maxTrialCount"] + 1
+    lines[0] = json.dumps(doc)
+    journal.write_text("\n".join(lines) + "\n")
+    assert "spec" not in json.loads(lines[1])
+    result = CliRunner().invoke(cli, ["dump", "--store", str(experiment_dir)])
+    assert result.exit_code == 4, result.output
+    assert f"{FileResourceStore.JOURNAL}:2 (its spec is on line 1): " in result.output
+    assert "parallelTrialCount" in result.output
