@@ -28,7 +28,7 @@ from .controller.reconcile import run_control_loop, submit_experiment
 from .controller.store import FileResourceStore
 from .errors import ResourceExistsError, TunectlError, ValidationError
 from .metrics import FileObservationStore
-from .resources import parse_experiment
+from .resources import _YAML_DUMPER, parse_experiment
 from .results import build_results_table, render_csv, render_jsonl
 
 EXIT_VALIDATION = 2
@@ -249,7 +249,7 @@ def export(
 def dump(store_dir: Path) -> None:
     """Print every stored resource as a YAML document, in key order."""
     store = _open_store(store_dir, readonly=True)
-    docs = (yaml.safe_dump(resource_to_doc(r), sort_keys=False, width=2**20) for r in store.list())
+    docs = (yaml.dump(resource_to_doc(r), Dumper=_YAML_DUMPER, sort_keys=False, width=2**20) for r in store.list())
     click.echo("---\n".join(docs), nl=False)
 
 

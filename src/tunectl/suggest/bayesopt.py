@@ -6,15 +6,15 @@ length scale is chosen by maximum marginal likelihood over a short log-grid.
 The squared distances between the observed points, times -0.5, are computed
 once and shared by every length scale of the grid.
 
-The kernel is factored and solved by LAPACK's ``dpotrf`` and ``dpotrs``,
-reached through ``scipy.linalg.lapack``: the routines ``cho_factor`` and
-``cho_solve`` call, without their per-call wrappers. Each kernel is built in
-one buffer and finished in place, with the floating-point operations, in
-their order, of the plain NumPy expressions and ``cho_factor``/``cho_solve``,
-so the fit and the scores have their bits (``tests/test_suggest_bo.py``
-compares them). One finiteness check, ``_check_finite``, stands in for
-scipy's ``check_finite``: LAPACK sees no kernel, target or candidate kernel
-that it has not passed, and a non-finite one raises the same ``ValueError``.
+The kernel is factored and solved by LAPACK's ``dpotrf`` and ``dpotrs``:
+the routines ``cho_factor`` and ``cho_solve`` call, without their per-call
+wrappers. Each kernel is built in one buffer and finished in place, with the
+floating-point operations, in their order, of the plain NumPy expressions
+and ``cho_factor``/``cho_solve``, so the fit and the scores have their bits
+(``tests/test_suggest_bo.py`` compares them). One finiteness check,
+``_check_finite``, stands in for scipy's ``check_finite``: LAPACK sees no
+kernel, target or candidate kernel that it has not passed, and a non-finite
+one raises the same ``ValueError``.
 
 The acquisition (expected improvement) is maximized over a scrambled Sobol
 pool of the unit hypercube, kept as one matrix. ``encode_unit_matrix`` takes
@@ -27,21 +27,31 @@ holds ``count`` sets not produced or observed before.
 With too little history, or when every fit attempt fails numerically, the
 batch falls back to random sampling.
 
-The only scipy modules BO imports are ``scipy.linalg`` (its ``lapack``
-module) and ``scipy.special`` (``ndtr`` for the normal cdf). The Sobol pool,
-and so the BO suggestion stream, is defined by the numpy port in ``sobol``, which
-reads the direction numbers scipy ships; it matches
+BO runs no scipy subpackage's ``__init__``. ``load_scipy_extension`` loads
+the two compiled modules that hold its three routines straight from their
+files in the installed scipy: ``scipy.linalg._flapack`` (``dpotrf`` and
+``dpotrs``) and ``scipy.special._special_ufuncs`` (``ndtr``, the normal
+cdf). They are the objects ``scipy.linalg.lapack`` and ``scipy.special``
+hand out, since those packages, imported later, find the modules already
+loaded. These private module names are part of what the scipy 1.17.1 pin
+covers; a scipy without them stops the import with an ``ImportError``. The
+Sobol pool, and so the BO suggestion stream, is defined by the numpy port in
+``sobol``, which reads the direction numbers scipy ships; it matches
 ``scipy.stats.qmc.Sobol`` bit for bit, but no longer depends on it.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import logging
 import math
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from pathlib import Path
+from types import ModuleType
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.special import ndtr
+import scipy
 
 from ..resources import ObjectiveType
 from .registry import (
@@ -58,6 +68,35 @@ from .sobol import scrambled_sobol
 from .space import decode_unit_vector, encode_assignments, encode_unit_matrix, request_rng
 
 logger = logging.getLogger(__name__)
+
+
+def load_scipy_extension(name: str) -> ModuleType:
+    """The compiled module ``scipy.<name>`` (``"linalg._flapack"``), loaded
+    from its file in the installed scipy without running the ``__init__`` of
+    its package, or an ``ImportError`` naming the file and the installed
+    scipy when there is none. A module already loaded, by an earlier call or
+    by importing its package, is returned as it is."""
+    fullname = f"scipy.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    base = Path(scipy.__file__).parent.joinpath(*name.split("."))
+    path = next((p for p in map(base.with_suffix, EXTENSION_SUFFIXES) if p.is_file()), None)
+    if path is None:
+        raise ImportError(
+            f"{base.with_suffix(EXTENSION_SUFFIXES[0])} not found: scipy {scipy.__version__} has no "
+            f"compiled {fullname}, which Bayesian optimization loads (it is pinned on scipy 1.17.1)",
+            name=fullname,
+        )
+    loader = ExtensionFileLoader(fullname, str(path))
+    module = importlib.util.module_from_spec(importlib.util.spec_from_file_location(fullname, path, loader=loader))
+    sys.modules[fullname] = module
+    loader.exec_module(module)
+    return module
+
+
+_flapack = load_scipy_extension("linalg._flapack")
+dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
+ndtr = load_scipy_extension("special._special_ufuncs").ndtr
 
 CANDIDATE_POOL = 1024
 JITTER = 1e-6

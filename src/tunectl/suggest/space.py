@@ -92,22 +92,24 @@ def encoded_width(parameters: Sequence[ParameterSpec]) -> int:
 def encode_assignments(
     parameters: Sequence[ParameterSpec], assignment_sets: Sequence[AssignmentSet]
 ) -> np.ndarray:
-    """Map assignment sets into [0,1]-scaled vectors; value lists one-hot."""
-    rows = np.zeros((len(assignment_sets), encoded_width(parameters)))
-    for i, assignments in enumerate(assignment_sets):
-        by_name = dict(assignments)
-        col = 0
-        for p in parameters:
-            value = by_name[p.name]
-            space = p.feasible_space
-            if isinstance(space, ValueList):
-                idx = next(j for j, v in enumerate(space.values) if v == value)
-                rows[i, col + idx] = 1.0
-                col += len(space.values)
-            else:
-                lo, hi = float(space.min), float(space.max)
-                rows[i, col] = (float(value) - lo) / (hi - lo)
-                col += 1
+    """Map assignment sets into [0,1]-scaled vectors; value lists one-hot.
+    Each column is one array expression over the sets, with the float
+    operations, and so the bits, of encoding one value at a time."""
+    by_name = [dict(assignments) for assignments in assignment_sets]
+    rows = np.zeros((len(by_name), encoded_width(parameters)))
+    col = 0
+    for p in parameters:
+        values = [assignments[p.name] for assignments in by_name]
+        space = p.feasible_space
+        if isinstance(space, ValueList):
+            # Value lists hold no two equal values: one position per value.
+            index = {v: j for j, v in enumerate(space.values)}
+            rows[np.arange(len(values)), col + np.array([index[v] for v in values], dtype=np.intp)] = 1.0
+            col += len(space.values)
+        else:
+            lo, hi = float(space.min), float(space.max)
+            rows[:, col] = (np.array(values, dtype=float) - lo) / (hi - lo)
+            col += 1
     return rows
 
 

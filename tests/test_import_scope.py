@@ -1,5 +1,6 @@
-"""Cold commands import only what they use: scipy loads for BO alone, and
-never scipy.stats, and numpy only for the commands that run trials."""
+"""Cold commands import only what they use: scipy loads for BO alone, which
+runs none of its subpackages' ``__init__``, and numpy only for the commands
+that run trials."""
 
 from __future__ import annotations
 
@@ -117,3 +118,38 @@ def test_bayesian_optimization_leaves_scipy_stats_unloaded(tmp_path):
         "print('scipy.stats' in sys.modules)\n"
     )
     assert _python(code, cwd=tmp_path) == "False"
+
+
+# Runs one BO suggestion that fits a Gaussian process, reports which scipy
+# packages that loaded, then imports the public modules and compares the
+# routines BO calls with theirs.
+_BO = """
+import sys
+from tunectl.resources import parse_experiment
+from tunectl.suggest import ObservationStatus, SuggestionRequest, TrialObservation, get_algorithm
+
+spec = parse_experiment(sys.argv[1])
+plugin = get_algorithm("bayesianoptimization")
+from tunectl.suggest import bayesopt
+
+fits = []
+fit_gp = bayesopt.fit_gp
+bayesopt.fit_gp = lambda x, y: fits.append(fit_gp(x, y)) or fits[-1]
+history = tuple(
+    TrialObservation(assignments=(("x", x),), status=ObservationStatus.SUCCEEDED, objective_value=x * x)
+    for x in (-0.9, -0.4, 0.1, 0.6, 0.8)
+)
+assert len(plugin.suggest(SuggestionRequest(experiment=spec, history=history, count=2)).assignment_sets) == 2
+assert len(fits) == 1 and fits[0] is not None
+loaded = [m for m in ("scipy.linalg", "scipy.special", "scipy._lib._array_api") if m in sys.modules]
+import scipy.linalg.lapack, scipy.special
+assert bayesopt.dpotrf is scipy.linalg.lapack.dpotrf
+assert bayesopt.dpotrs is scipy.linalg.lapack.dpotrs
+assert bayesopt.ndtr is scipy.special.ndtr
+print("loaded:", *loaded)
+"""
+
+
+def test_a_bayesian_optimization_fit_runs_no_scipy_package_init_and_calls_the_public_routines(tmp_path):
+    experiment = EXPERIMENT.replace("algorithmName: random", "algorithmName: bayesianoptimization")
+    assert _python(_BO, experiment, cwd=tmp_path) == "loaded:"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import parameter_specs
 from tunectl.resources import ParameterSpec, ParameterType, Range, ValueList
-from tunectl.suggest.space import decode_unit_vector, encode_assignments, encode_unit_matrix
+from tunectl.suggest.space import decode_unit_vector, encode_assignments, encode_unit_matrix, encoded_width
 from tunectl.suggest.tpe import _NumericParzen
 
 
@@ -59,18 +59,85 @@ def test_pool_encoding_equals_decoding_then_encoding_bit_for_bit(case):
     assert got.tobytes() == expected.tobytes()
 
 
+MIXED = [
+    ParameterSpec("lr", ParameterType.DOUBLE, Range(1e-4, 0.3)),
+    ParameterSpec("layers", ParameterType.INT, Range(-3, 17)),
+    ParameterSpec("opt", ParameterType.CATEGORICAL, ValueList(("sgd", "adam", "ftrl"))),
+    ParameterSpec("batch", ParameterType.DISCRETE, ValueList((16, 32.5, 64, 128, 7))),
+]
+
+
 def test_pool_encoding_of_a_sobol_pool_over_a_mixed_space():
     from scipy.stats import qmc
 
-    params = [
-        ParameterSpec("lr", ParameterType.DOUBLE, Range(1e-4, 0.3)),
-        ParameterSpec("layers", ParameterType.INT, Range(-3, 17)),
-        ParameterSpec("opt", ParameterType.CATEGORICAL, ValueList(("sgd", "adam", "ftrl"))),
-        ParameterSpec("batch", ParameterType.DISCRETE, ValueList((16, 32.5, 64, 128, 7))),
-    ]
-    unit = qmc.Sobol(d=len(params), scramble=True, seed=np.random.default_rng(3)).random(1024)
-    expected = encode_assignments(params, [decode_unit_vector(params, row) for row in unit])
-    assert encode_unit_matrix(params, unit).tobytes() == expected.tobytes()
+    unit = qmc.Sobol(d=len(MIXED), scramble=True, seed=np.random.default_rng(3)).random(1024)
+    expected = encode_assignments(MIXED, [decode_unit_vector(MIXED, row) for row in unit])
+    assert encode_unit_matrix(MIXED, unit).tobytes() == expected.tobytes()
+
+
+def _encode_one_value_at_a_time(parameters, assignment_sets):
+    """The per-set, per-value encoding the column-wise one replaced, kept as
+    the reference."""
+    rows = np.zeros((len(assignment_sets), encoded_width(parameters)))
+    for i, assignments in enumerate(assignment_sets):
+        by_name = dict(assignments)
+        col = 0
+        for p in parameters:
+            value = by_name[p.name]
+            space = p.feasible_space
+            if isinstance(space, ValueList):
+                idx = next(j for j, v in enumerate(space.values) if v == value)
+                rows[i, col + idx] = 1.0
+                col += len(space.values)
+            else:
+                lo, hi = float(space.min), float(space.max)
+                rows[i, col] = (float(value) - lo) / (hi - lo)
+                col += 1
+    return rows
+
+
+def _in_space_values(param: ParameterSpec):
+    """Values an observation may carry: any in the space, its ends, and a
+    discrete number as the other numeric type (64.0 for 64)."""
+    space = param.feasible_space
+    if isinstance(space, ValueList):
+        equal = [float(v) for v in space.values if not isinstance(v, str)]
+        return st.sampled_from(list(space.values) + equal)
+    if param.parameter_type is ParameterType.INT:
+        return st.integers(int(space.min), int(space.max))
+    return st.one_of(st.sampled_from([space.min, space.max]), st.floats(space.min, space.max))
+
+
+@st.composite
+def spaces_and_assignment_sets(draw):
+    params = [draw(parameter_specs(f"p{i}")) for i in range(draw(st.integers(1, 6)))]
+    sets = draw(st.lists(st.tuples(*map(_in_space_values, params)), max_size=12))
+    # An assignment set may list its parameters in any order.
+    return params, [draw(st.permutations([(p.name, v) for p, v in zip(params, values)])) for values in sets]
+
+
+def _assert_encodings_agree(params, sets):
+    expected = _encode_one_value_at_a_time(params, sets)
+    got = encode_assignments(params, sets)
+    assert got.shape == expected.shape and got.dtype == expected.dtype == np.float64
+    assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(spaces_and_assignment_sets())
+def test_column_encoding_equals_the_per_value_encoding_bit_for_bit(case):
+    _assert_encodings_agree(*case)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_column_encoding_of_the_mixed_spaces_equals_the_per_value_encoding(seed):
+    from test_suggest_bo import MIXED as BO_MIXED
+
+    rng = np.random.default_rng(seed)
+    for params in (MIXED, BO_MIXED):
+        sets = [decode_unit_vector(params, row) for row in rng.random((200, len(params)))]
+        _assert_encodings_agree(params, sets)
+        _assert_encodings_agree(params, [tuple(reversed(s)) for s in sets])
 
 
 def _log_density_one_at_a_time(parzen: _NumericParzen, value: float) -> float:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy.linalg import cho_factor, cho_solve
 
 import test_suggest_streams as streams
@@ -308,3 +310,12 @@ def test_a_long_stream_matches_its_pinned_digest():
     produced = streams._run("bayesianoptimization", stop_at=LONG_STREAM)
     assert len(produced) == LONG_STREAM
     assert streams._digest(produced) == LONG_STREAM_DIGEST
+
+
+def test_a_missing_scipy_extension_names_its_file_and_the_scipy_version():
+    with pytest.raises(ImportError) as caught:
+        bayesopt.load_scipy_extension("linalg._no_such_module")
+    message = str(caught.value)
+    assert str(Path(scipy.__file__).parent / "linalg" / "_no_such_module") in message
+    assert f"scipy {scipy.__version__}" in message
+    assert caught.value.name == "scipy.linalg._no_such_module"
