@@ -16,9 +16,7 @@ from typing import Any
 
 from ..codec import from_doc, to_doc
 from ..resources import (
-    AlgorithmSpec,
     ExperimentSpec,
-    TrialRunSpec,
     parse_experiment,  # noqa: F401 -- perfbench/tracer.py wraps it under this module
 )
 from ..suggest.registry import AssignmentSet
@@ -66,8 +64,6 @@ class ExperimentStatus:
 
 @dataclass(frozen=True)
 class SuggestionSpec:
-    experiment: str
-    algorithm: AlgorithmSpec
     requested: int
 
 
@@ -91,7 +87,6 @@ class SuggestionStatus:
 class TrialSpec:
     experiment: str
     assignments: AssignmentSet
-    run_spec: TrialRunSpec | None = None
 
 
 @dataclass(frozen=True)

@@ -42,9 +42,12 @@ failed trials strictly exceed ``maxFailedTrialCount``, so an error budget of
 N tolerates exactly N failures.
 
 Resources are frozen values. A reconciler reads what the store holds and
-writes a new spec or status, and only when a field changes. The trial
-reconciler, which makes most writes, builds each new value with its class
-constructor; the colder writes use ``dataclasses.replace``.
+writes a new spec or status, and only when a field changes. A trial's spec,
+its experiment and assignments, is written once, by its create: each submit
+renders the trial's run spec from the experiment's template, which never
+changes, so the trial reconciler, which makes most writes, writes only
+statuses. It builds each with its class constructor; the colder writes use
+``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -112,7 +115,7 @@ class ControllerContext:
         self.store.watchers.append(self._written)
 
     def _written(self, resource: Resource) -> None:
-        experiment = resource.name if resource.kind == KIND_EXPERIMENT else resource.spec.experiment
+        experiment = resource.spec.experiment if resource.kind == KIND_TRIAL else resource.name
         self.dirty.add(resource_key(KIND_EXPERIMENT, resource.namespace, experiment))
         # A trial's update (past generation 1, its create) leaves the trial
         # out: its next change comes from its job, which the backend reports.
@@ -182,7 +185,7 @@ def reconcile_experiment(ctx: ControllerContext, key: str) -> int:
                 kind=KIND_SUGGESTION,
                 namespace=spec.namespace,
                 name=spec.name,
-                spec=SuggestionSpec(experiment=spec.name, algorithm=spec.algorithm, requested=target),
+                spec=SuggestionSpec(requested=target),
                 status=SuggestionStatus(),
             )
         )
@@ -244,9 +247,7 @@ def reconcile_suggestion(ctx: ControllerContext, key: str) -> int:
     suggestion = ctx.store.get(key)
     if suggestion is None:
         return 0
-    experiment = ctx.store.get(
-        resource_key(KIND_EXPERIMENT, suggestion.namespace, suggestion.spec.experiment)
-    )
+    experiment = ctx.store.get(resource_key(KIND_EXPERIMENT, suggestion.namespace, suggestion.name))
     if experiment is None or experiment.status.phase in TERMINAL_EXPERIMENT:
         return 0
 
@@ -255,9 +256,7 @@ def reconcile_suggestion(ctx: ControllerContext, key: str) -> int:
     # misconfigured namespace surfaces through the trials, which fail to
     # submit; suggestions still fill so the failure is visible quickly.
     try:
-        ctx.backend.reserve_service(
-            suggestion.namespace, service_name_for(suggestion.spec.experiment), SERVICE_CPU
-        )
+        ctx.backend.reserve_service(suggestion.namespace, service_name_for(suggestion.name), SERVICE_CPU)
     except UnknownNamespaceError as exc:
         logger.warning("suggestion %s: service reservation failed: %s", key, exc)
 
@@ -345,20 +344,18 @@ def reconcile_trial(ctx: ControllerContext, key: str) -> int:
     template = spec.trial_template
     watched = [spec.objective.objective_metric_name, *spec.objective.additional_metric_names]
 
-    # The trial's write path builds its values with their constructors,
-    # positionally in field order: ``dataclasses.replace`` costs twice as much.
-    trial_spec = trial.spec
-    if trial_spec.run_spec is None:
-        run_spec = render_trial_spec(template, trial_spec.assignments, trial.name, trial.namespace)
-        trial_spec = TrialSpec(trial_spec.experiment, trial_spec.assignments, run_spec)
-
+    # The trial's write path changes only its status, and builds it with its
+    # constructor, positionally in field order: ``dataclasses.replace`` costs
+    # twice as much.
     def submit(restart_count: int) -> TrialStatus:
         """The trial's status once its next attempt is submitted with
-        ``restart_count``, which it keeps only if the backend accepts it."""
+        ``restart_count``, which it keeps only if the backend accepts it.
+        Every attempt renders the same run spec: the template never changes."""
+        run_spec = render_trial_spec(template, trial.spec.assignments, trial.name, trial.namespace)
         status = trial.status
         try:
             ctx.backend.submit(
-                trial_spec.run_spec,
+                run_spec,
                 template,
                 collector_kind=spec.metric_collector_kind,
                 watched_metrics=watched,
@@ -413,9 +410,9 @@ def reconcile_trial(ctx: ControllerContext, key: str) -> int:
         elif state.phase in (JobPhase.FAILED_TEMPORARY, JobPhase.FAILED_PERMANENT):
             status = replace(status, phase=TrialPhase.FAILED, reason=state.reason)
 
-    if status is trial.status and trial_spec is trial.spec:
+    if status is trial.status:
         return 0
-    ctx.store.update(Resource(KIND_TRIAL, trial.namespace, trial.name, trial_spec, status, trial.generation))
+    ctx.store.update(Resource(KIND_TRIAL, trial.namespace, trial.name, trial.spec, status, trial.generation))
     if status.phase in TERMINAL_TRIAL:
         # After the terminal record, in the same tick: a kill between the
         # two is cut back with the rest of the tick on resume.

@@ -7,12 +7,13 @@ themselves, and ``create`` and ``update`` each store one new object at the
 next generation: no reader can change what the store holds. The file-backed
 variant keeps one append-only journal, ``<dir>/journal.jsonl``: each create
 or update appends the resource's document plus its generation as one JSON
-line. An update of any kind that leaves the resource's spec as stored (a
-suggestion's fill, not its ``requested`` bump) writes a status-only record:
-the document without its ``spec``. Loading replays the journal, the last
-record of each key winning; a status-only record takes the spec of its
-key's last record before it, and one with no earlier record of its key is
-unreadable. Each experiment's final spec is then checked against the rules
+line. An update of any kind that leaves the resource's spec as stored
+writes a status-only record: the document without its ``spec``. A trial's
+spec never changes after its create, nor an experiment's after its submit,
+and a suggestion's changes only at a ``requested`` bump, so most records
+carry no spec. Loading replays the journal, the last record of each key
+winning; a status-only record takes the spec of its key's last record
+before it, and one with no earlier record of its key is unreadable. Each experiment's final spec is then checked against the rules
 that span its fields, as ``submit`` checks it. ``compact`` rewrites the
 journal as one whole record per resource. ``tunectl dump`` prints the store
 as YAML for reading and diffing.

@@ -346,6 +346,34 @@ def _precodec_trial(store):
     return f"{journal}:{number}"
 
 
+def _trial_with_run_spec(store):
+    # Earlier versions kept each trial's rendered run spec in its spec.
+    journal = store / "journal.jsonl"
+    number = _trial_line(journal)
+    doc = json.loads(journal.read_text().splitlines()[number - 1])
+    doc["spec"]["runSpec"] = {
+        "trialName": doc["name"],
+        "namespace": doc["namespace"],
+        "resolvedPayload": {"functionName": "sphere", "durationTicks": 2, "noiseStdDev": 0.0, "rngSeedOffset": 0},
+        "parameterAssignments": [[n, str(v)] for n, v in doc["spec"]["assignments"]],
+    }
+    _rewrite_line(journal, number, json.dumps(doc))
+    return f"{journal}:{number}"
+
+
+def _suggestion_with_its_experiment(store):
+    # Earlier versions copied the experiment's name and algorithm into its
+    # suggestion's spec.
+    journal = store / "journal.jsonl"
+    lines = journal.read_text().splitlines()
+    number = next(n for n, line in enumerate(lines, 1) if json.loads(line)["kind"] == "suggestion")
+    doc = json.loads(lines[number - 1])
+    algorithm = {"algorithmName": "grid", "settings": {}}
+    doc["spec"] = {"experiment": doc["name"], "algorithm": algorithm, **doc["spec"]}
+    _rewrite_line(journal, number, json.dumps(doc))
+    return f"{journal}:{number}"
+
+
 def _experiment_without_parallel_slots(store):
     journal = store / "journal.jsonl"
     lines = journal.read_text().splitlines()
@@ -394,7 +422,15 @@ def test_unreadable_record_error_stays_short_however_large_the_record(runner, tm
 
 
 @pytest.mark.parametrize(
-    "corrupt", [_precodec_trial, _experiment_without_parallel_slots, _invalid_yaml, _invalid_json]
+    "corrupt",
+    [
+        _precodec_trial,
+        _trial_with_run_spec,
+        _suggestion_with_its_experiment,
+        _experiment_without_parallel_slots,
+        _invalid_yaml,
+        _invalid_json,
+    ],
 )
 @pytest.mark.parametrize("command", ["submit", "run", "export"])
 def test_unreadable_store_file_exits_4_naming_the_file(runner, tmp_path, corrupt, command):

@@ -10,9 +10,11 @@ from typing import Any
 
 import pytest
 
+from conftest import make_experiment
 from tunectl.codec import DocumentError, Journal, compact_json, from_doc, json_default, sorted_json, to_doc
 from tunectl.controller.backend import JobPhase
 from tunectl.controller.model import (
+    KIND_EXPERIMENT,
     KIND_SUGGESTION,
     KIND_TRIAL,
     ExperimentStatus,
@@ -26,7 +28,14 @@ from tunectl.controller.model import (
     resource_from_doc,
     resource_to_doc,
 )
-from tunectl.resources import AlgorithmSpec, SimObjectiveDescriptor, TrialRunSpec
+from tunectl.resources import (
+    ParameterSpec,
+    ParameterType,
+    Range,
+    SimObjectiveDescriptor,
+    TemplateKind,
+    TrialTemplate,
+)
 
 
 class Color(str, Enum):
@@ -125,32 +134,42 @@ def test_from_doc_reports_a_constructor_check_at_its_path_beside_other_errors():
 
 
 def test_resources_round_trip_through_their_documents():
-    run_spec = TrialRunSpec(
-        trial_name="exp-0001",
-        namespace="ns",
-        resolved_payload=SimObjectiveDescriptor("sphere", duration_ticks=3, noise_std_dev=0.1),
-        parameter_assignments=(("x", "0.5"),),
+    # The template's payload is a union: a simulated objective or a command.
+    simulated = make_experiment(
+        [ParameterSpec("x", ParameterType.DOUBLE, Range(0.0, 1.0))],
+        settings={"random_state": 3},
+        template=TrialTemplate(
+            kind=TemplateKind.SIMULATED,
+            payload=SimObjectiveDescriptor("sphere", duration_ticks=3, noise_std_dev=0.1),
+        ),
+    )
+    command = make_experiment(
+        [ParameterSpec("x", ParameterType.INT, Range(0, 4))],
+        name="cmd",
+        template=TrialTemplate(kind=TemplateKind.LOCAL_PROCESS, payload="run --x=${x}"),
     )
     resources = [
+        Resource(KIND_EXPERIMENT, "ns", "exp", simulated, ExperimentStatus()),
+        Resource(KIND_EXPERIMENT, "ns", "cmd", command, ExperimentStatus()),
         Resource(
             KIND_SUGGESTION,
             "ns",
             "exp",
-            SuggestionSpec("exp", AlgorithmSpec("random", {"random_state": 3}), 4),
+            SuggestionSpec(4),
             SuggestionStatus(2, ((("x", 0.5), ("o", "sgd")),), exhausted=False),
         ),
         Resource(
             KIND_TRIAL,
             "ns",
             "exp-0001",
-            TrialSpec("exp", (("x", 0.5),), run_spec),
+            TrialSpec("exp", (("x", 0.5),)),
             TrialStatus(TrialPhase.FAILED, restart_count=1, observation=None, reason="boom"),
         ),
         Resource(
             KIND_TRIAL,
             "ns",
-            "exp-0002",
-            TrialSpec("exp", (("x", 1),), TrialRunSpec("exp-0002", "ns", "run --x=1", (("x", "1"),))),
+            "cmd-0002",
+            TrialSpec("cmd", (("x", 1),)),
             TrialStatus(TrialPhase.SUCCEEDED, observation=0.25),
         ),
     ]
@@ -223,12 +242,10 @@ def _earlier_sorted(doc):
 def _live_gang_world():
     """A simulated world three ticks into an experiment of 2-worker trials,
     with its jobs live, and the events it has recorded."""
-    from conftest import make_experiment
     from tunectl.cluster.sim import SimBackend, SimWorld
     from tunectl.controller.reconcile import run_control_loop, submit_experiment
     from tunectl.controller.store import ResourceStore
     from tunectl.metrics import InMemoryObservationStore
-    from tunectl.resources import ParameterSpec, ParameterType, Range, TemplateKind, TrialTemplate
 
     template = TrialTemplate(
         kind=TemplateKind.SIMULATED,

@@ -172,12 +172,11 @@ LOCAL_LINE = (
     '"restartPolicy":"on-temporary-failure","payload":"train --lr=${lr} ${hyperparameters}"}},' + _CREATED
 )
 
-# The suggestion shares the experiment's algorithm spec, whose settings are
-# kept in key order from the moment it is decoded.
+# A suggestion's spec is its ``requested`` count only: its name is its
+# experiment's, whose spec holds the algorithm.
 SUGGESTION_LINE = (
-    '{"kind":"suggestion","name":"sim-exp","namespace":"team","spec":{"experiment":"sim-exp",'
-    '"algorithm":{"algorithmName":"hyperband","settings":{"eta":3,"max_resource":9,"random_state":3}},'
-    '"requested":2},"status":{"produced":0,"pending":[],"exhausted":false},"generation":1}'
+    '{"kind":"suggestion","name":"sim-exp","namespace":"team","spec":{"requested":2},'
+    '"status":{"produced":0,"pending":[],"exhausted":false},"generation":1}'
 )
 
 

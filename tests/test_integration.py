@@ -18,6 +18,7 @@ from tunectl.resources import (
     Range,
     ValueList,
     parse_experiment,
+    render_trial_spec,
 )
 from tunectl.results import build_results_table, render_csv, render_jsonl
 from tunectl.suggest import (
@@ -29,13 +30,13 @@ from tunectl.suggest import (
 )
 
 
-def _run_sim(spec, capacity=16.0):
+def _run_sim(spec, capacity=16.0, backend_class=SimBackend):
     world = SimWorld(seed=4)
     world.add_node(capacity)
     world.add_namespace(spec.namespace)
     store = ResourceStore()
     metrics = InMemoryObservationStore()
-    backend = SimBackend(world, metrics)
+    backend = backend_class(world, metrics)
     submit_experiment(store, spec)
     snapshot = run_control_loop(store, metrics, backend, max_ticks=400)
     return snapshot, store, metrics
@@ -71,8 +72,9 @@ def test_full_resource_lifecycle_walkthrough():
     trials = store.list(KIND_TRIAL)
     assert [t.name for t in trials] == ["exp-0000", "exp-0001"]
     assert tuple(t.spec.assignments for t in trials) == suggestion.status.pending
-    assert all(t.spec.run_spec is not None for t in trials)  # rendered
-    assert all("ns/" + t.name in world.jobs for t in trials)  # submitted
+    for t in trials:  # submitted with the rendered run spec
+        rendered = render_trial_spec(spec.trial_template, t.spec.assignments, t.name, "ns")
+        assert world.jobs["ns/" + t.name].assignments == rendered.parameter_assignments
 
     backend.advance(lambda: controller_step(ctx))  # placed, starts running
     assert world.jobs["ns/exp-0000"].phase is JobPhase.RUNNING
@@ -166,7 +168,14 @@ def test_hyperband_runs_end_to_end_with_budget_assignments():
         parallel=4,
         max_trials=50,
     )
-    snapshot, store, _ = _run_sim(spec)
+    submitted = {}
+
+    class RecordingBackend(SimBackend):
+        def submit(self, run_spec, template, **kwargs):
+            submitted[run_spec.trial_name] = run_spec
+            return super().submit(run_spec, template, **kwargs)
+
+    snapshot, store, _ = _run_sim(spec, backend_class=RecordingBackend)
     exp = snapshot["experiments"]["experiment/ns/exp"]
     assert exp["phase"] == "Succeeded"
     assert exp["trialsSucceeded"] == 14
@@ -175,7 +184,7 @@ def test_hyperband_runs_end_to_end_with_budget_assignments():
         assert trial.status.phase is TrialPhase.SUCCEEDED
         budget = dict(trial.spec.assignments)["budget"]
         budgets[budget] = budgets.get(budget, 0) + 1
-        rendered = dict(trial.spec.run_spec.parameter_assignments)
+        rendered = dict(submitted[trial.name].parameter_assignments)
         assert rendered["budget"] == str(budget)
     assert budgets == {1: 4, 2: 5, 4: 5}
 

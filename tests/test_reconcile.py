@@ -44,6 +44,7 @@ from tunectl.resources import (
     TemplateKind,
     TrialTemplate,
     ValueList,
+    render_trial_spec,
 )
 from tunectl.suggest import (
     AlgorithmPlugin,
@@ -340,6 +341,55 @@ def test_restart_on_temporary_failure_increments_count():
     assert store.get("experiment/ns/exp").status.phase is ExperimentPhase.SUCCEEDED
 
 
+class _RecordingBackend(_SilentBackend):
+    """Records each submit's run spec; a job reads Running once submitted
+    and then whatever phase the test sets."""
+
+    def __init__(self):
+        super().__init__()
+        self.run_specs = []
+        self.phases = {}
+
+    def submit(self, run_spec, template, *, collector_kind, watched_metrics, restart_count=0):
+        self.run_specs.append(run_spec)
+        handle = job_handle(run_spec.namespace, run_spec.trial_name)
+        self.phases[handle] = JobPhase.RUNNING
+        return handle
+
+    def job_state(self, handle):
+        return JobState(phase=self.phases.get(handle, JobPhase.MISSING))
+
+    def set_phase(self, handle, phase):
+        self.phases[handle] = phase
+        self.submitted.add(handle)  # reported changed at the next step
+
+
+def test_a_redeploy_renders_the_run_spec_its_first_submit_rendered():
+    # Each submit renders the run spec from the experiment's template, and
+    # no write of the trial replaces the spec its create stored.
+    store, metrics, backend = ResourceStore(), InMemoryObservationStore(), _RecordingBackend()
+    ctx = ControllerContext(store=store, metrics=metrics, backend=backend)
+    writes = []
+    store.watchers.append(lambda resource: resource.kind == KIND_TRIAL and writes.append(resource))
+    template = _sphere_template(restart=RestartPolicy.ON_TEMPORARY_FAILURE)
+    spec = make_experiment(SPHERE_PARAMS, parallel=1, max_trials=1, template=template)
+    submit_experiment(store, spec)
+    controller_step(ctx)
+    handle = job_handle("ns", "exp-0000")
+    backend.set_phase(handle, JobPhase.FAILED_TEMPORARY)
+    controller_step(ctx)
+    backend.set_phase(handle, JobPhase.MISSING)  # the backend lost the job
+    controller_step(ctx)
+
+    trial = store.get("trial/ns/exp-0000")
+    assert trial.status.phase is TrialPhase.RUNNING
+    assert (trial.status.restart_count, trial.status.job_attempt) == (1, 3)
+    rendered = render_trial_spec(template, trial.spec.assignments, "exp-0000", "ns")
+    assert backend.run_specs == [rendered] * 3
+    assert [w.generation for w in writes] == [1, 2, 3, 4]
+    assert all(w.spec is writes[0].spec for w in writes)
+
+
 def test_two_namespaces_progress_concurrently():
     world = _world(capacity=32.0, namespaces=("user1", "user2"))
     store = ResourceStore()
@@ -475,7 +525,7 @@ def test_produced_reaches_the_algorithm_in_trial_index_order_past_index_9999(mon
             kind=KIND_SUGGESTION,
             namespace="ns",
             name="exp",
-            spec=SuggestionSpec(experiment="exp", algorithm=spec.algorithm, requested=10_002),
+            spec=SuggestionSpec(requested=10_002),
             status=SuggestionStatus(produced=10_001, pending=tuple(sets[9_999:])),
         )
     )
@@ -553,11 +603,12 @@ def test_a_cas_conflict_on_a_fill_leaves_the_following_fills_unchanged():
     "cls, names",
     [
         (Resource, ["kind", "namespace", "name", "spec", "status", "generation"]),
-        (TrialSpec, ["experiment", "assignments", "run_spec"]),
+        (TrialSpec, ["experiment", "assignments"]),
         (TrialStatus, ["phase", "restart_count", "observation", "reason", "job_attempt"]),
     ],
 )
 def test_the_trial_write_path_passes_every_field_in_order(cls, names):
-    # ``clone_resource`` and ``reconcile_trial`` build these positionally;
-    # a field added or moved must be added or moved there too.
+    # ``clone_resource`` and ``reconcile_trial`` build a resource and a
+    # status positionally; a field added or moved must be added or moved
+    # there too. A trial's spec holds only what its create alone can give.
     assert [f.name for f in fields(cls)] == names

@@ -32,14 +32,12 @@ from tunectl.controller.model import (
 from tunectl.controller.store import FileResourceStore, ResourceStore
 from tunectl.errors import CasConflictError, ResourceExistsError, TunectlError
 from tunectl.resources import (
-    AlgorithmSpec,
     ParameterSpec,
     ParameterType,
     Range,
     TemplateKind,
     TrialTemplate,
     ValueList,
-    render_trial_spec,
 )
 from tunectl.suggest.registry import ObservationStatus, TrialObservation, assignment_key
 
@@ -249,7 +247,7 @@ def test_indexes_match_a_recomputation_after_every_write(tmp_path_factory, write
                 kind=KIND_SUGGESTION,
                 namespace="ns",
                 name=name,
-                spec=SuggestionSpec(experiment=name, algorithm=AlgorithmSpec("random", {}), requested=0),
+                spec=SuggestionSpec(requested=0),
                 status=SuggestionStatus(),
             )
         )
@@ -308,7 +306,7 @@ def _resources_of_every_shape():
         kind=KIND_SUGGESTION,
         namespace="ns",
         name="exp",
-        spec=SuggestionSpec(experiment="exp", algorithm=AlgorithmSpec("random", {"random_state": 7}), requested=6),
+        spec=SuggestionSpec(requested=6),
         status=SuggestionStatus(produced=6, pending=tuple(produced[3:])),
     )
     trials = []
@@ -320,11 +318,7 @@ def _resources_of_every_shape():
                 kind=KIND_TRIAL,
                 namespace="ns",
                 name=name,
-                spec=TrialSpec(
-                    experiment="exp",
-                    assignments=assignments,
-                    run_spec=render_trial_spec(local.trial_template, assignments, name, "ns") if i % 2 else None,
-                ),
+                spec=TrialSpec(experiment="exp", assignments=assignments),
                 status=TrialStatus(
                     phase=phase,
                     restart_count=i,
@@ -566,8 +560,8 @@ def _sim_experiment_run(root, commits=None, writes=None):
 
 
 def test_a_trial_record_holds_its_spec_only_where_the_spec_changes(tmp_path):
-    # A trial's create and submit records hold its spec, since the submit
-    # adds the rendered run spec; its later records hold only its status.
+    # A trial's create holds its spec, its experiment and assignments; every
+    # later record, its submit's too, holds only its status.
     _sim_experiment_run(tmp_path)
     records = [json.loads(line) for line in _journal_lines(tmp_path / "store")]
     by_trial = {}
@@ -577,9 +571,9 @@ def test_a_trial_record_holds_its_spec_only_where_the_spec_changes(tmp_path):
     assert len(by_trial) == 7
     for name, docs in by_trial.items():
         assert len(docs) > 2, name
-        assert ["spec" in doc for doc in docs] == [True, True] + [False] * (len(docs) - 2), name
-        assert docs[0]["spec"]["runSpec"] is None and docs[1]["spec"]["runSpec"] is not None
-        assert list(docs[2]) == ["kind", "name", "namespace", "status", "generation"]
+        assert ["spec" in doc for doc in docs] == [True] + [False] * (len(docs) - 1), name
+        assert list(docs[0]["spec"]) == ["experiment", "assignments"]
+        assert list(docs[1]) == ["kind", "name", "namespace", "status", "generation"]
     # No write after submit changes an experiment's spec; a suggestion's
     # changes only with a bump of ``requested``.
     experiments = [doc for doc in records if doc["kind"] == KIND_EXPERIMENT]
