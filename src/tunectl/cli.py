@@ -2,9 +2,10 @@
 backend, export per-trial results, print the store as YAML, and execute
 canned scenarios.
 
-The backends, and numpy with them, are imported only by the commands that
-run trials (``run`` and ``scenario``), so ``--help``, ``submit``, ``export``
-and ``dump`` start without them.
+The backends are imported only by the commands that run trials (``run``
+and ``scenario``), so ``--help``, ``submit``, ``export`` and ``dump`` start
+without them. No command imports numpy itself: a run loads it only for
+Bayesian optimization, TPE or a noisy simulated objective.
 
 Exit codes: 0 success, 2 validation failure, 3 name conflict, 4 runtime
 error, 5 scenario assertion failure.
@@ -124,7 +125,7 @@ def _print_summary(snapshot: dict) -> None:
     default=None,
     help="Scenario file describing the simulated world (sim backend).",
 )
-@click.option("--seed", type=int, default=0, help="World seed (sim backend).")
+@click.option("--seed", type=click.IntRange(min=0), default=0, help="World seed (sim backend).")
 @click.option("--max-ticks", type=int, default=100_000)
 def run(
     store_dir: Path,
@@ -255,7 +256,7 @@ def dump(store_dir: Path) -> None:
 
 @cli.command()
 @click.argument("name")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option(
     "--store",
     "store_dir",

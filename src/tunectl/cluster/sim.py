@@ -4,7 +4,9 @@ One tick is one simulated minute. Within a tick the order is fixed: chaos
 injection, job progress, scheduling, autoscaling, then one controller step.
 All randomness (chaos victim draws, metric noise) is derived statelessly
 from (seed, purpose, tick, name), so world evolution is a pure function of
-the initial state and seed, and a crash-restore replays identically.
+the initial state and seed, and a crash-restore replays identically. Chaos
+draws from the stdlib port in ``tunectl.pcg``; only metric noise, a normal
+draw, imports numpy.
 
 The scheduler is first-fit-decreasing by cpu request with a stable tie-break
 on (trial name, worker index); in gang mode all workers of a trial place
@@ -25,17 +27,19 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..codec import Journal, compact_json, from_doc, sorted_json
 from ..errors import InvalidPayloadError, TunectlError, UnknownNamespaceError
 from ..metrics import MetricPoint, ObservationStore
 from ..metrics import parse_metric_lines  # noqa: F401 -- perfbench/tracer.py wraps it under this module
+from ..pcg import Generator
 from ..resources import CollectorKind, SimObjectiveDescriptor, TrialRunSpec, TrialTemplate
 from ..controller.backend import ExecutionBackend, JobPhase, JobState, job_handle
 from .objectives import eval_sim_objective
+
+if TYPE_CHECKING:  # only a noisy metric draws from numpy
+    import numpy as np
 
 CHAOS_SALT = 0xC7A05
 METRIC_SALT = 0x3E791C
@@ -58,7 +62,7 @@ class ChaosPolicy:
     mode: ChaosMode
     fraction: float = field(metadata={"minimum": 0, "maximum": 1})
     interval_ticks: int = field(metadata={"minimum": 1})
-    seed: int = 0
+    seed: int = field(default=0, metadata={"minimum": 0})
 
 
 @dataclass
@@ -126,6 +130,9 @@ def _awaits_placement(unit: SimUnit) -> bool:
 
 
 def _derived_rng(*entropy: int) -> np.random.Generator:
+    """The numpy generator of a noisy metric value, which draws normals."""
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(entropy))))
 
 
@@ -314,8 +321,7 @@ class SimWorld:
         count = min(math.ceil(policy.fraction * len(running)), len(running))
         if count == 0:
             return
-        rng = _derived_rng(self.seed, policy.seed, CHAOS_SALT, self.tick)
-        picks = sorted(rng.choice(len(running), size=count, replace=False).tolist())
+        picks = sorted(Generator([self.seed, policy.seed, CHAOS_SALT, self.tick]).sample(len(running), count))
         for i in picks:
             job = running[i]
             for unit in job.units:

@@ -35,6 +35,11 @@ BUILTIN_PLACEHOLDERS = frozenset({"trial.name", "trial.namespace", "hyperparamet
 # reference it only when the experiment uses such an algorithm.
 BUDGET_PARAMETER = "budget"
 
+# The built-in algorithms' numeric settings: an integer, or a finite number,
+# and its least value.
+SETTING_RULES = {"random_state": (int, 0), "eta": (int, 2), "max_resource": (float, 1)}
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
 
 class ObjectiveType(str, Enum):
     MAXIMIZE = "maximize"
@@ -242,7 +247,7 @@ def _check_cross_invariants(spec: ExperimentSpec) -> list[str]:
             f"must not repeat the objective metric '{objective.objective_metric_name}'",
         )
 
-    from .suggest.registry import allowed_settings, is_registered
+    from .suggest.registry import BUILTINS, allowed_settings, is_registered
 
     algorithm = spec.algorithm.algorithm_name
     registered = is_registered(algorithm)
@@ -253,6 +258,12 @@ def _check_cross_invariants(spec: ExperimentSpec) -> list[str]:
             err(f"algorithm.settings.{key}", "settings must be scalars")
         if registered and key not in allowed_settings(algorithm):
             err("algorithm.settings", f"unknown setting key '{key}' for algorithm '{algorithm}'")
+        elif algorithm in BUILTINS and key in SETTING_RULES:
+            kind, least = SETTING_RULES[key]
+            number = not isinstance(value, bool) and isinstance(value, int if kind is int else (int, float))
+            if not (number and math.isfinite(value) and value >= least):
+                what = "an integer" if kind is int else "a finite number"
+                err(f"algorithm.settings.{key}", f"must be {what} >= {least}")
 
     seen: set[str] = set()
     for i, p in enumerate(spec.parameters):
@@ -296,6 +307,8 @@ def _check_parameter(p: ParameterSpec, path: str, grid: bool, err: Callable[[str
             for label, v in (("min", lo), ("max", hi), ("step", step)):
                 if v is not None and not isinstance(v, int):
                     err(f"{path}.{label}", "must be an integer for int parameters")
+                elif label != "step" and not INT64_MIN <= v <= INT64_MAX:
+                    err(f"{path}.{label}", "must fit in a signed 64-bit integer")
         if not lo < hi:
             err(path, f"min < max violated (min={lo}, max={hi})")
         if step is not None and step > 0 and (hi - lo) / step + STEP_TOLERANCE < 1:

@@ -97,7 +97,7 @@ class ScenarioConfig:
     capacity or a group of equal nodes, a namespace a name or a quota, and
     an experiment a file path relative to the scenario file."""
 
-    seed: int = 0
+    seed: int = field(default=0, metadata={"minimum": 0})
     gang: bool = True
     nodes: tuple[float | NodeGroup, ...] = ()
     namespaces: tuple[str | Quota, ...] = ()

@@ -64,8 +64,8 @@ from .registry import (
     assignment_key,
 )
 from . import randomsearch
+from .arrays import decode_unit_vector, encode_assignments, encode_unit_matrix, request_generator
 from .sobol import scrambled_sobol
-from .space import decode_unit_vector, encode_assignments, encode_unit_matrix, request_rng
 
 logger = logging.getLogger(__name__)
 
@@ -184,7 +184,7 @@ def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float) -> np.n
 
 def _candidate_pool(request: SuggestionRequest) -> np.ndarray:
     """The Sobol points of the unit hypercube, one row per candidate."""
-    rng = request_rng(request, len(request.produced), salt=RNG_SALT)
+    rng = request_generator(request, len(request.produced), salt=RNG_SALT)
     return scrambled_sobol(len(request.experiment.parameters), CANDIDATE_POOL, rng)
 
 

@@ -30,7 +30,8 @@ from .registry import (
     SuggestionResult,
 )
 from . import randomsearch
-from .space import numeric_bounds, request_rng
+from .arrays import request_generator
+from .space import numeric_bounds
 
 GOOD_QUANTILE = 0.25
 CANDIDATES_PER_SUGGESTION = 24
@@ -132,7 +133,7 @@ def suggest(request: SuggestionRequest) -> SuggestionResult:
 
     sets: list[AssignmentSet] = []
     for i in range(request.count):
-        rng = request_rng(request, len(request.produced) + i, salt=RNG_SALT)
+        rng = request_generator(request, len(request.produced) + i, salt=RNG_SALT)
         candidates = [
             tuple((p.name, _draw(p, le, rng)) for p, le in zip(params, good_est))
             for _ in range(CANDIDATES_PER_SUGGESTION)

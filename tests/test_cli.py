@@ -62,6 +62,59 @@ def test_submit_invalid_file_exits_2_with_all_errors(runner, tmp_path):
     assert "parallelTrialCount" in result.output
 
 
+@pytest.mark.parametrize(
+    "algorithm, setting",
+    [
+        ("random", "random_state: -1"),
+        ("random", "random_state: abc"),
+        ("random", "random_state: 1.5"),
+        ("random", "random_state: true"),
+        ("hyperband", "eta: 1"),
+        ("hyperband", "eta: 0"),
+        ("hyperband", "eta: abc"),
+        ("hyperband", "max_resource: -5"),
+        ("hyperband", "max_resource: .inf"),
+    ],
+)
+def test_submit_refuses_a_setting_the_run_cannot_use(runner, tmp_path, algorithm, setting):
+    # Each of these was accepted, and crashed the run or was silently truncated.
+    text = EXPERIMENT.replace("algorithmName: grid", f"algorithmName: {algorithm}\n  settings: {{{setting}}}")
+    result = _submit(runner, tmp_path, text=text)
+    assert result.exit_code == 2, result.output
+    assert f"algorithm.settings.{setting.split(':')[0]}: must be " in result.output
+
+
+@pytest.mark.parametrize("bounds", ["{min: 0, max: 100000000000000000000}", "{min: -9223372036854775809, max: 0}"])
+def test_submit_refuses_int_bounds_outside_int64(runner, tmp_path, bounds):
+    text = EXPERIMENT.replace("algorithmName: grid", "algorithmName: random").replace(
+        "{name: lr, parameterType: discrete, feasibleSpace: {values: [0.25, 0.5]}}",
+        f"{{name: n, parameterType: int, feasibleSpace: {bounds}}}",
+    )
+    result = _submit(runner, tmp_path, text=text)
+    assert result.exit_code == 2, result.output
+    assert "parameters[0].feasibleSpace.m" in result.output and "64-bit" in result.output
+
+
+def test_int_bounds_at_the_int64_limits_run(runner, tmp_path):
+    text = EXPERIMENT.replace("algorithmName: grid", "algorithmName: random").replace(
+        "{name: lr, parameterType: discrete, feasibleSpace: {values: [0.25, 0.5]}}",
+        "{name: n, parameterType: int, feasibleSpace: {min: -9223372036854775808, max: 9223372036854775807}}",
+    )
+    assert _submit(runner, tmp_path, text=text).exit_code == 0
+    result = runner.invoke(cli, ["run", "--store", str(tmp_path / "store")])
+    assert result.exit_code == 0, result.output
+    assert "Succeeded" in result.output
+
+
+@pytest.mark.parametrize("command", [["run", "--store", "store"], ["scenario", "portability"]])
+def test_a_negative_seed_option_exits_2_naming_it(runner, tmp_path, command):
+    assert _submit(runner, tmp_path).exit_code == 0
+    command = [str(tmp_path / arg) if arg == "store" else arg for arg in command]
+    result = runner.invoke(cli, [*command, "--seed", "-1"])
+    assert result.exit_code == 2, result.output
+    assert "'--seed'" in result.output
+
+
 def test_resubmit_same_name_conflicts_with_exit_3(runner, tmp_path):
     assert _submit(runner, tmp_path).exit_code == 0
     result = _submit(runner, tmp_path)
@@ -204,6 +257,23 @@ def test_run_with_malformed_scenario_exits_2(runner, tmp_path, block):
     result = runner.invoke(cli, ["run", "--store", store, "--scenario", str(scenario)])
     assert result.exit_code == 2, result.output
     assert "scenario:" in result.output
+
+
+@pytest.mark.parametrize(
+    "block, error",
+    [
+        ("seed: -3", "scenario: seed: must be >= 0"),
+        ("chaos: {mode: kill-worker, fraction: 0.5, intervalTicks: 5, seed: -1}", "scenario: chaos.seed: must be >= 0"),
+    ],
+)
+def test_a_scenario_file_with_a_negative_seed_exits_2_naming_it(runner, tmp_path, block, error):
+    (tmp_path / "exp.yaml").write_text(EXPERIMENT)
+    doc = {"nodes": [4], "namespaces": ["team"], "experiments": ["exp.yaml"], **yaml.safe_load(block)}
+    (tmp_path / "scenario.yaml").write_text(yaml.safe_dump(doc))
+    scenario = str(tmp_path / "scenario.yaml")
+    result = runner.invoke(cli, ["run", "--store", str(tmp_path / "store"), "--scenario", scenario])
+    assert result.exit_code == 2, result.output
+    assert result.output.splitlines() == [error]
 
 
 def test_a_scenario_file_with_several_problems_reports_each_under_its_path(runner, tmp_path):

@@ -1,6 +1,7 @@
 """Cold commands import only what they use: scipy loads for BO alone, which
-runs none of its subpackages' ``__init__``, and numpy only for the commands
-that run trials."""
+runs none of its subpackages' ``__init__``, and numpy only for BO, TPE and
+noisy simulated objectives: random search, Hyperband and the simulator's
+chaos draw from the stdlib port in ``tunectl.pcg``."""
 
 from __future__ import annotations
 
@@ -57,7 +58,7 @@ def test_cli_commands_on_a_random_experiment_leave_scipy_unloaded(tmp_path):
     for command, loaded in (
         (["--help"], "loaded:"),
         (["submit", "exp.yaml", "--store", "store"], "loaded:"),
-        (["run", "--store", "store", "--seed", "1"], "loaded: numpy"),
+        (["run", "--store", "store", "--seed", "1"], "loaded:"),
         (["export", "scope", "--store", "store"], "loaded:"),
     ):
         assert _python(_CLI, *command, cwd=tmp_path) == loaded, command
@@ -95,8 +96,53 @@ def test_submit_on_a_killed_store_leaves_numpy_unloaded(tmp_path):
     assert _python(_CLI, "submit", "exp.yaml", "--store", "store", cwd=tmp_path) == "loaded:"
     assert _python(_KILL, cwd=tmp_path) == "killed"
     assert _python(_CLI, "submit", "late.yaml", "--store", "store", cwd=tmp_path) == "loaded:"
-    assert _python(_CLI, "run", "--store", "store", cwd=tmp_path) == "loaded: numpy"
+    assert _python(_CLI, "run", "--store", "store", cwd=tmp_path) == "loaded:"
     assert "late" in (tmp_path / "store" / "journal.jsonl").read_text()
+
+
+def test_a_random_experiment_under_kill_worker_chaos_leaves_numpy_unloaded(tmp_path):
+    (tmp_path / "exp.yaml").write_text(EXPERIMENT.replace("durationTicks: 2", "durationTicks: 6"))
+    (tmp_path / "scenario.yaml").write_text(
+        "seed: 4\nnodes: [4]\nnamespaces: [team]\nexperiments: [exp.yaml]\n"
+        "chaos: {mode: kill-worker, fraction: 0.5, intervalTicks: 2, seed: 1}\n"
+    )
+    assert _python(_CLI, "run", "--store", "store", "--scenario", "scenario.yaml", cwd=tmp_path) == "loaded:"
+    assert "chaos-kill" in (tmp_path / "store" / "events.jsonl").read_text()
+
+
+def test_a_hyperband_experiment_on_the_local_backend_leaves_numpy_unloaded(tmp_path):
+    experiment = EXPERIMENT.replace(
+        "algorithmName: random\n  settings: {random_state: 3}",
+        "algorithmName: hyperband\n  settings: {random_state: 3, max_resource: 3, eta: 3}",
+    ).replace("maxTrialCount: 4", "maxTrialCount: 8")
+    experiment = experiment[: experiment.index("trialTemplate:")] + (
+        f"trialTemplate:\n  kind: local-process\n  payload: \"{sys.executable} -c 'print(\\\"1 loss=0.5\\\")'\"\n"
+    )
+    (tmp_path / "exp.yaml").write_text(experiment)
+    assert _python(_CLI, "submit", "exp.yaml", "--store", "store", cwd=tmp_path) == "loaded:"
+    assert _python(_CLI, "run", "--store", "store", "--backend", "local", cwd=tmp_path) == "loaded:"
+    assert "budget" in (tmp_path / "store" / "journal.jsonl").read_text()
+
+
+# Fails the run if numpy is loaded before the simulator's first noisy draw.
+_NOISY = """
+import sys
+from tunectl.cluster import sim
+derived_rng, draws = sim._derived_rng, []
+
+def first_draw_loads_numpy(*entropy):
+    assert draws or "numpy" not in sys.modules, "numpy loaded before the first noisy draw"
+    draws.append(entropy)
+    return derived_rng(*entropy)
+
+sim._derived_rng = first_draw_loads_numpy
+""" + _CLI
+
+
+def test_a_noisy_objective_loads_numpy_for_its_noise_draws_only(tmp_path):
+    (tmp_path / "exp.yaml").write_text(EXPERIMENT.replace("durationTicks: 2", "durationTicks: 2, noiseStdDev: 0.1"))
+    assert _python(_CLI, "submit", "exp.yaml", "--store", "store", cwd=tmp_path) == "loaded:"
+    assert _python(_NOISY, "run", "--store", "store", cwd=tmp_path) == "loaded: numpy"
 
 
 @pytest.mark.parametrize("name, loads_scipy", [("random", False), ("bayesianoptimization", True)])

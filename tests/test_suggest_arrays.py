@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import parameter_specs
 from tunectl.resources import ParameterSpec, ParameterType, Range, ValueList
-from tunectl.suggest.space import decode_unit_vector, encode_assignments, encode_unit_matrix, encoded_width
+from tunectl.suggest.arrays import decode_unit_vector, encode_assignments, encode_unit_matrix, encoded_width
 from tunectl.suggest.tpe import _NumericParzen
 
 

@@ -21,7 +21,8 @@ from tunectl.suggest import (
 )
 from tunectl.suggest import bayesopt, randomsearch
 from tunectl.suggest.bayesopt import expected_improvement, fit_gp
-from tunectl.suggest.space import encode_assignments, encode_unit_matrix, feasible
+from tunectl.suggest.arrays import encode_assignments, encode_unit_matrix
+from tunectl.suggest.space import feasible
 
 X_PARAM = [ParameterSpec("x", ParameterType.DOUBLE, Range(0.0, 1.0))]
 
