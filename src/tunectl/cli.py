@@ -158,9 +158,8 @@ def _run(
             store = _open_store(store_dir)
             backend = LocalProcessBackend(metrics)
         elif SimBackend.has_snapshot(store_dir):
-            # The world first: the store opens at the tick it committed.
-            backend = SimBackend.resume(store_dir, metrics)
-            store = _open_store(store_dir, commit=backend.journal_records)
+            # The store opens at the tick the world committed.
+            backend, store = SimBackend.resume(store_dir, metrics, lambda n: _open_store(store_dir, commit=n))
             if scenario_file is not None:
                 click.echo("resuming persisted world; --scenario ignored", err=True)
         else:

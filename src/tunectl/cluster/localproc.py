@@ -173,6 +173,9 @@ class LocalProcessBackend(ExecutionBackend):
     def reserve_service(self, namespace: str, name: str, cpu: float) -> None:
         pass  # no quota model on a bare host
 
+    def release_service(self, namespace: str, name: str) -> None:
+        pass  # reserved nothing; a trainer of the same handle is a trial's
+
     def release(self, handle: str) -> None:
         """Forget a concluded trainer."""
         self._jobs.pop(handle, None)

@@ -14,8 +14,10 @@ atomically or not at all. Namespace quotas are enforced at scheduling time.
 Nodes are never scaled down while they hold running work.
 
 A trial's job is released once its trial concludes, so the world holds
-live jobs and services only. ``SimBackend`` persists it in a state
-directory, one whole-world line per tick, which commits the tick.
+live jobs only, and each experiment's service in a table of its own: a
+trial and a service never share a job. ``SimBackend`` persists the world
+in a state directory, one whole-world line per tick, which commits the
+tick.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..codec import Journal, compact_json, from_doc, sorted_json
 from ..errors import InvalidPayloadError, TunectlError, UnknownNamespaceError
@@ -36,10 +38,14 @@ from ..metrics import parse_metric_lines  # noqa: F401 -- perfbench/tracer.py wr
 from ..pcg import Generator
 from ..resources import CollectorKind, SimObjectiveDescriptor, TrialRunSpec, TrialTemplate
 from ..controller.backend import ExecutionBackend, JobPhase, JobState, job_handle
+from ..controller.model import KIND_TRIAL, resource_key
+from ..controller.reconcile import job_request
 from .objectives import eval_sim_objective
 
 if TYPE_CHECKING:  # only a noisy metric draws from numpy
     import numpy as np
+
+    from ..controller.store import ResourceStore
 
 CHAOS_SALT = 0xC7A05
 METRIC_SALT = 0x3E791C
@@ -94,39 +100,61 @@ class SimNamespace:
 
 @dataclass
 class SimUnit:
-    job: str
-    index: int
+    remaining: int  # ticks left to run; unit i of a job is its worker i, on the job's CPU
+    node: str | None = None
+
+
+@dataclass
+class SimService:
+    """An experiment's service: one unit of ``cpu`` that runs until released."""
+
     cpu: float
-    remaining: int | None  # None: service unit, runs until released
     node: str | None = None
 
 
 @dataclass
 class SimJob:
-    name: str  # handle: "<namespace>/<trial>"
-    namespace: str
-    kind: str  # "trial" | "service"
-    worker_count: int
-    cpu_per_worker: float
-    duration: int
-    descriptor: SimObjectiveDescriptor | None = None
-    assignments: tuple[tuple[str, Any], ...] = ()
-    collector: CollectorKind = CollectorKind.PULL
-    watched: tuple[str, ...] = ()
+    """A trial's job. Its constructor takes what a tick changes, all that a
+    world line holds of it. ``with_spec`` sets the rest, fixed at submit,
+    from the trial's run spec: on submit, and on resume from the store."""
+
     phase: JobPhase = JobPhase.PENDING
     reason: str | None = None
     completed: int = 0  # checkpoint: ticks finished by the slowest worker
     attempt: int = 1
     units: list[SimUnit] = field(default_factory=list)
     points: list[tuple[int, float]] = field(default_factory=list)  # pull: (tick, value) until collected
+    name: str = field(init=False)  # handle: "<namespace>/<trial>"
+    cpu: float = field(init=False)  # per worker
+    duration: int = field(init=False)
+    descriptor: SimObjectiveDescriptor = field(init=False)
+    assignments: tuple[tuple[str, Any], ...] = field(init=False)
+    collector: CollectorKind = field(init=False)
+    watched: tuple[str, ...] = field(init=False)
+
+    def with_spec(self, run_spec: TrialRunSpec, template: TrialTemplate, collector_kind: CollectorKind,
+                  watched_metrics: Sequence[str]) -> SimJob:
+        """This job, with its fixed part set from what the trial's submit takes."""
+        payload = run_spec.resolved_payload
+        if not isinstance(payload, SimObjectiveDescriptor):
+            raise InvalidPayloadError("the simulator runs 'simulated' trial templates only")
+        self.name = job_handle(run_spec.namespace, run_spec.trial_name)
+        self.cpu, self.duration, self.descriptor = template.cpu_per_worker, payload.duration_ticks, payload
+        self.assignments, self.collector = run_spec.parameter_assignments, collector_kind
+        self.watched = tuple(watched_metrics)
+        return self
 
 
 def _name_entropy(name: str) -> int:
     return zlib.crc32(name.encode("utf-8"))
 
 
+def _namespace(handle: str) -> str:
+    return handle.partition("/")[0]
+
+
 def _awaits_placement(unit: SimUnit) -> bool:
-    return unit.node is None and (unit.remaining is None or unit.remaining > 0)
+    return unit.node is None and unit.remaining > 0
 
 
 def _derived_rng(*entropy: int) -> np.random.Generator:
@@ -138,14 +166,15 @@ def _derived_rng(*entropy: int) -> np.random.Generator:
 
 @dataclass(eq=False)
 class SimWorld:
-    """The simulated cluster. Its fields are the state a snapshot holds;
-    the ``events`` emitted (until a backend with a state directory writes
-    them to its file), the ``changed`` trial jobs (until ``changed_jobs``
-    takes them), the metric store and the count of placed units on each
-    node and in each namespace are attached in ``__post_init__``. A tick
-    phase that changes a trial job's phase marks it ``changed``. ``jobs``
-    holds the jobs not yet released: the live ones, and the concluded ones
-    whose trial has not yet recorded it."""
+    """The simulated cluster. Its fields are the state a snapshot holds:
+    ``jobs`` holds the trial jobs not yet released, the live ones and the
+    concluded ones whose trial has not yet recorded it, by handle; and
+    ``services`` each experiment's service, by handle, until released. The
+    ``events`` emitted (until a backend with a state directory writes them
+    to its file), the ``changed`` trial jobs (until ``changed_jobs`` takes
+    them), the metric store and the count of placed units on each node and
+    in each namespace are attached in ``__post_init__``. A tick phase that
+    changes a trial job's phase marks it ``changed``."""
 
     seed: int = 0
     gang: bool = True
@@ -156,6 +185,7 @@ class SimWorld:
     nodes: dict[str, SimNode] = field(default_factory=dict)
     namespaces: dict[str, SimNamespace] = field(default_factory=dict)
     jobs: dict[str, SimJob] = field(default_factory=dict)
+    services: dict[str, SimService] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.events: list[dict] = []
@@ -163,11 +193,11 @@ class SimWorld:
         self.metrics: ObservationStore | None = None
         self._units_on: Counter[str] = Counter()
         self._units_in: Counter[str] = Counter()
-        for job in self.jobs.values():
-            for unit in job.units:
-                if unit.node is not None:
-                    self._units_on[unit.node] += 1
-                    self._units_in[job.namespace] += 1
+        placed = [(h, u) for h, job in self.jobs.items() for u in job.units] + list(self.services.items())
+        for handle, unit in placed:
+            if unit.node is not None:
+                self._units_on[unit.node] += 1
+                self._units_in[_namespace(handle)] += 1
 
     # -- world construction -------------------------------------------------
 
@@ -189,118 +219,80 @@ class SimWorld:
 
     # -- job lifecycle -------------------------------------------------------
 
-    def submit_job(
-        self,
-        run_spec: TrialRunSpec,
-        resources: TrialTemplate,
-        *,
-        collector_kind: CollectorKind,
-        watched_metrics: tuple[str, ...],
-    ) -> str:
+    def submit_job(self, run_spec: TrialRunSpec, resources: TrialTemplate, *, collector_kind: CollectorKind,
+                   watched_metrics: Sequence[str]) -> str:
         handle = job_handle(run_spec.namespace, run_spec.trial_name)
         if run_spec.namespace not in self.namespaces:
             raise UnknownNamespaceError(f"namespace '{run_spec.namespace}' does not exist")
         existing = self.jobs.get(handle)
         if existing is not None:
-            if existing.phase in (JobPhase.PENDING, JobPhase.RUNNING):
-                return handle  # idempotent resubmission of a live job
+            # A live job's resubmission changes nothing, and a concluded job is not restarted.
             if existing.phase is JobPhase.FAILED_TEMPORARY:
                 # Redeploy, resuming from the recorded checkpoint.
-                remaining = existing.duration - existing.completed
                 existing.attempt += 1
                 existing.phase = JobPhase.PENDING
                 existing.reason = None
-                existing.units = [
-                    SimUnit(job=handle, index=i, cpu=existing.cpu_per_worker, remaining=remaining)
-                    for i in range(existing.worker_count)
-                ]
+                existing.units = [SimUnit(existing.duration - existing.completed) for _ in existing.units]
                 self.emit("job-resumed", {"job": handle, "attempt": existing.attempt,
                                           "checkpoint": existing.completed})
-                return handle
-            return handle  # concluded jobs are not restarted
-        payload = run_spec.resolved_payload
-        if not isinstance(payload, SimObjectiveDescriptor):
-            raise InvalidPayloadError("the simulator runs 'simulated' trial templates only")
-        job = SimJob(
-            name=handle,
-            namespace=run_spec.namespace,
-            kind="trial",
-            worker_count=resources.worker_count,
-            cpu_per_worker=resources.cpu_per_worker,
-            duration=payload.duration_ticks,
-            descriptor=payload,
-            assignments=tuple((n, v) for n, v in run_spec.parameter_assignments),
-            collector=collector_kind,
-            watched=tuple(watched_metrics),
-        )
-        job.units = [
-            SimUnit(job=handle, index=i, cpu=job.cpu_per_worker, remaining=job.duration)
-            for i in range(job.worker_count)
-        ]
-        self.jobs[handle] = job
-        self.emit("job-submitted", {"job": handle, "workers": job.worker_count})
+            return handle
+        job = self.jobs[handle] = SimJob().with_spec(run_spec, resources, collector_kind, watched_metrics)
+        job.units = [SimUnit(job.duration) for _ in range(resources.worker_count)]
+        self.emit("job-submitted", {"job": handle, "workers": resources.worker_count})
         return handle
 
     def reserve_service(self, namespace: str, name: str, cpu: float) -> str:
         handle = job_handle(namespace, name)
-        if handle in self.jobs:
+        if handle in self.services:
             return handle
         if namespace not in self.namespaces:
             raise UnknownNamespaceError(f"namespace '{namespace}' does not exist")
-        job = SimJob(
-            name=handle,
-            namespace=namespace,
-            kind="service",
-            worker_count=1,
-            cpu_per_worker=cpu,
-            duration=0,
-        )
-        job.units = [SimUnit(job=handle, index=0, cpu=cpu, remaining=None)]
-        self.jobs[handle] = job
+        self.services[handle] = SimService(cpu)
         self.emit("service-reserved", {"service": handle, "cpu": cpu})
         return handle
 
-    def release(self, handle: str) -> None:
-        job = self.jobs.get(handle)
-        if job is None:
-            return
-        for unit in job.units:
-            self._unplace(unit)
-        del self.jobs[handle]
-        if job.kind == "service":
+    def release_service(self, namespace: str, name: str) -> None:
+        handle = job_handle(namespace, name)
+        service = self.services.pop(handle, None)
+        if service is not None:
+            self._unplace(service, handle, service.cpu)
             self.emit("service-released", {"service": handle})
+
+    def release(self, handle: str) -> None:
+        job = self.jobs.pop(handle, None)
+        for unit in job.units if job is not None else ():
+            self._unplace(unit, handle, job.cpu)
 
     def job_state(self, handle: str) -> JobState:
         job = self.jobs.get(handle)
-        if job is None:
-            return JobState(phase=JobPhase.MISSING)
-        return JobState(phase=job.phase, reason=job.reason)
+        return JobState(JobPhase.MISSING) if job is None else JobState(job.phase, job.reason)
 
     # -- placement bookkeeping ------------------------------------------------
 
-    def _place(self, unit: SimUnit, node: SimNode) -> None:
-        ns = self.namespaces[self.jobs[unit.job].namespace]
-        node.allocated_cpu += unit.cpu
+    def _place(self, unit: SimUnit | SimService, node: SimNode, handle: str, cpu: float) -> None:
+        ns = self.namespaces[_namespace(handle)]
+        node.allocated_cpu += cpu
         node.idle_since = None
-        ns.cpu_used += unit.cpu
+        ns.cpu_used += cpu
         self._units_on[node.id] += 1
         self._units_in[ns.name] += 1
         unit.node = node.id
 
-    def _unplace(self, unit: SimUnit) -> None:
-        """Take a unit off its node. A node or namespace left with no placed
-        unit totals exactly 0.0: subtracting CPU values that are not binary
-        fractions (0.1) would otherwise leave a residue like 2.8e-17, and
-        the autoscaler never sees such a node as empty."""
+    def _unplace(self, unit: SimUnit | SimService, handle: str, cpu: float) -> None:
+        """Take the unit of job or service ``handle`` off its node. A node
+        or namespace left with no placed unit totals exactly 0.0:
+        subtracting CPU values that are not binary fractions (0.1) would
+        otherwise leave a residue like 2.8e-17, and the autoscaler never
+        sees such a node as empty."""
         if unit.node is None:
             return
-        ns = self.namespaces[self.jobs[unit.job].namespace]
+        ns = self.namespaces[_namespace(handle)]
         self._units_on[unit.node] -= 1
         self._units_in[ns.name] -= 1
         node = self.nodes.get(unit.node)
         if node is not None:
-            node.allocated_cpu = node.allocated_cpu - unit.cpu if self._units_on[node.id] else 0.0
-        ns.cpu_used = ns.cpu_used - unit.cpu if self._units_in[ns.name] else 0.0
+            node.allocated_cpu = node.allocated_cpu - cpu if self._units_on[node.id] else 0.0
+        ns.cpu_used = ns.cpu_used - cpu if self._units_in[ns.name] else 0.0
         unit.node = None
 
     # -- tick phases -----------------------------------------------------------
@@ -308,8 +300,8 @@ class SimWorld:
     def _live(self) -> list[SimJob]:
         return [job for name in sorted(self.jobs) if (job := self.jobs[name]).phase in LIVE_PHASES]
 
-    def _running_trials(self) -> list[SimJob]:
-        return [job for job in self._live() if job.kind == "trial" and job.phase is JobPhase.RUNNING]
+    def _running(self) -> list[SimJob]:
+        return [job for job in self._live() if job.phase is JobPhase.RUNNING]
 
     def chaos_tick(self) -> None:
         policy = self.chaos
@@ -317,7 +309,7 @@ class SimWorld:
             return
         if self.tick == 0 or self.tick % policy.interval_ticks != 0:
             return
-        running = self._running_trials()
+        running = self._running()
         count = min(math.ceil(policy.fraction * len(running)), len(running))
         if count == 0:
             return
@@ -325,7 +317,7 @@ class SimWorld:
         for i in picks:
             job = running[i]
             for unit in job.units:
-                self._unplace(unit)
+                self._unplace(unit, job.name, job.cpu)
             self.changed.add(job.name)
             if policy.mode == ChaosMode.FAIL_TRIAL:
                 job.phase = JobPhase.FAILED_PERMANENT
@@ -337,7 +329,7 @@ class SimWorld:
                 self.emit("chaos-kill", {"job": job.name, "checkpoint": job.completed})
 
     def _emit_metric(self, job: SimJob, progress: float) -> None:
-        if job.descriptor is None or not job.watched:
+        if not job.watched:
             return
         value = eval_sim_objective(
             job.descriptor,
@@ -359,27 +351,35 @@ class SimWorld:
             job.points.append((self.tick, value))
 
     def progress_tick(self) -> None:
-        for job in self._running_trials():
+        for job in self._running():
             placed = [u for u in job.units if u.node is not None and u.remaining]
             if not placed:
                 continue
             for unit in placed:
                 unit.remaining -= 1
-            job.completed = job.duration - max(u.remaining or 0 for u in job.units)
+            job.completed = job.duration - max(u.remaining for u in job.units)
             chief = job.units[0]
             if chief.node is not None:
-                progress = (job.duration - (chief.remaining or 0)) / job.duration
-                self._emit_metric(job, progress)
+                self._emit_metric(job, (job.duration - chief.remaining) / job.duration)
             for unit in placed:
                 if unit.remaining == 0:
-                    self._unplace(unit)
-            if all((u.remaining or 0) == 0 for u in job.units):
+                    self._unplace(unit, job.name, job.cpu)
+            if all(u.remaining == 0 for u in job.units):
                 job.phase = JobPhase.SUCCEEDED
                 self.changed.add(job.name)
                 self.emit("job-succeeded", {"job": job.name})
 
-    def _pending_units(self) -> list[SimUnit]:
-        return [unit for job in self._live() for unit in job.units if _awaits_placement(unit)]
+    def _pending_units(self) -> list[tuple[float, str, int, SimUnit | SimService]]:
+        """What awaits placement, as (CPU, handle, worker index, unit), in
+        the order the scheduler takes it: the services first, by handle
+        (each holds the same CPU), as deployed per-experiment infrastructure
+        takes its reservation before any trial competes for the same quota;
+        then the live trial jobs' units, by CPU, largest first, then handle
+        and index."""
+        services = [(s.cpu, handle, 0, s) for handle, s in sorted(self.services.items()) if s.node is None]
+        units = [(job.cpu, job.name, i, u) for job in self._live() for i, u in enumerate(job.units)
+                 if _awaits_placement(u)]
+        return services + sorted(units, key=lambda pending: (-pending[0], pending[1], pending[2]))
 
     def _fits(self, node: SimNode, ns: SimNamespace, cpu: float) -> bool:
         return (
@@ -395,54 +395,45 @@ class SimWorld:
         return None
 
     def schedule_tick(self) -> int:
-        pending = self._pending_units()
-        # Service units (deployed per-experiment infrastructure) take their
-        # reservation before any trial competes for the same quota.
-        pending.sort(
-            key=lambda u: (self.jobs[u.job].kind != "service", -u.cpu, u.job, u.index)
-        )
         placed_count = 0
         handled_jobs: set[str] = set()
-        for unit in pending:
-            job = self.jobs[unit.job]
+        for cpu, handle, index, unit in self._pending_units():
+            job = self.jobs[handle] if isinstance(unit, SimUnit) else None
             # A gang trial's unplaced workers form one group; any other unit
             # is a group of one. A group places all or nothing.
-            group = [unit]
-            if self.gang and job.kind == "trial":
-                if job.name in handled_jobs:
+            group = [(index, unit)]
+            if self.gang and job is not None:
+                if handle in handled_jobs:
                     continue
-                handled_jobs.add(job.name)
-                group = [u for u in job.units if _awaits_placement(u)]
-            ns = self.namespaces[job.namespace]
-            staged: list[tuple[SimUnit, SimNode]] = []
-            for member in group:
-                node = self._first_fit(ns, member.cpu)
+                handled_jobs.add(handle)
+                group = [(i, u) for i, u in enumerate(job.units) if _awaits_placement(u)]
+            ns = self.namespaces[_namespace(handle)]
+            staged: list[tuple[int, SimNode]] = []
+            for i, member in group:
+                node = self._first_fit(ns, cpu)
                 if node is None:
                     break
-                self._place(member, node)
-                staged.append((member, node))
+                self._place(member, node, handle, cpu)
+                staged.append((i, node))
             if len(staged) < len(group):
-                for member, _ in staged:
-                    self._unplace(member)
+                for _, member in group[: len(staged)]:
+                    self._unplace(member, handle, cpu)
                 continue
             placed_count += len(staged)
-            for member, node in staged:
-                self.emit("placed", {"job": job.name, "worker": member.index, "node": node.id})
-            if job.kind == "trial" and job.phase is JobPhase.PENDING:
-                self.changed.add(job.name)
-            job.phase = JobPhase.RUNNING
+            for i, node in staged:
+                self.emit("placed", {"job": handle, "worker": i, "node": node.id})
+            if job is not None and job.phase is JobPhase.PENDING:
+                job.phase = JobPhase.RUNNING
+                self.changed.add(handle)
         return placed_count
 
     def autoscale_tick(self) -> None:
         cfg = self.autoscaler
         if cfg is None:
             return
-        pending_cpu = sum(u.cpu for u in self._pending_units())
+        pending_cpu = sum(cpu for cpu, *_ in self._pending_units())
         if pending_cpu > 0 and len(self.nodes) < cfg.max_nodes:
-            add = min(
-                math.ceil(pending_cpu / cfg.node_capacity_cpu),
-                cfg.max_nodes - len(self.nodes),
-            )
+            add = min(math.ceil(pending_cpu / cfg.node_capacity_cpu), cfg.max_nodes - len(self.nodes))
             for _ in range(add):
                 node = self.add_node(cfg.node_capacity_cpu)
                 self.emit("node-added", {"node": node.id})
@@ -468,21 +459,13 @@ class SimWorld:
             self.emit("node-removed", {"node": node.id})
 
     def _tick_stats(self) -> None:
-        running: dict[str, int] = {}
-        for job in self._running_trials():
-            running[job.namespace] = running.get(job.namespace, 0) + 1
+        running = Counter(_namespace(job.name) for job in self._running())
         namespaces = {
-            name: {"cpuUsed": self.namespaces[name].cpu_used, "runningTrials": running.get(name, 0)}
+            name: {"cpuUsed": self.namespaces[name].cpu_used, "runningTrials": running[name]}
             for name in sorted(self.namespaces)
         }
-        self.emit(
-            "tick-stats",
-            {
-                "nodes": len(self.nodes),
-                "pendingCpu": sum(u.cpu for u in self._pending_units()),
-                "namespaces": namespaces,
-            },
-        )
+        pending_cpu = sum(cpu for cpu, *_ in self._pending_units())
+        self.emit("tick-stats", {"nodes": len(self.nodes), "pendingCpu": pending_cpu, "namespaces": namespaces})
 
     def advance_tick(
         self,
@@ -526,13 +509,17 @@ class SimBackend(ExecutionBackend):
       ``world.events`` at each persist;
     - ``world.jsonl``: one line per persist, the tick's one commit:
       ``{"world": ..., "eventsOffset": ..., "journalRecords": ...}``, the
-      whole world (live jobs and services only), the size of the event log
-      and the record count of the resource journal that it covers.
+      world's state, the size of the event log and the record count of the
+      resource journal that it covers. Of each trial job the line holds what
+      a tick changes, not its spec: each unit's ticks left and node, and
+      the job's phase, reason, checkpoint, attempt and unregistered points.
 
     A persist appends its line, unless it repeats the last one. ``resume``
-    reads the last complete line, and ``compact``, called once a run ends
-    cleanly, commits; each leaves that line alone in the file. A fresh
-    backend starts with an empty event log and no world file.
+    reads the last complete line, opens the store at its record count and
+    rebuilds each trial job's spec from its trial there; it and
+    ``compact``, called once a run ends cleanly, each leave that line alone
+    in the file. A fresh backend starts with an empty event log and no
+    world file.
     """
 
     WORLD_FILE = "world.jsonl"
@@ -540,20 +527,14 @@ class SimBackend(ExecutionBackend):
     # The snapshot file of earlier versions, whose world.jsonl held per-tick deltas.
     _OLD_WORLD_FILE = "world.json"
 
-    def __init__(
-        self,
-        world: SimWorld,
-        metrics: ObservationStore,
-        state_dir: str | Path | None = None,
-        crash_hook: Callable[[int, str], None] | None = None,
-    ):
+    def __init__(self, world: SimWorld, metrics: ObservationStore, state_dir: str | Path | None = None,
+                 crash_hook: Callable[[int, str], None] | None = None):
         self.world = world
         self.metrics = metrics
         self.world.metrics = metrics
         self.crash_hook = crash_hook
         self._state_dir: Path | None = None
         self._line: str | None = None  # the last world line persisted
-        self.journal_records = 0  # the resource journal's record count at that line
         if state_dir is not None:
             # The world file first: a kill part way leaves no world line, and so a fresh start again.
             self._open_state(Path(state_dir))
@@ -569,16 +550,14 @@ class SimBackend(ExecutionBackend):
         self._world_file = Journal(state_dir / self.WORLD_FILE)
 
     @classmethod
-    def resume(
-        cls,
-        state_dir: str | Path,
-        metrics: ObservationStore,
-        crash_hook: Callable[[int, str], None] | None = None,
-    ) -> "SimBackend":
-        """Rebuild a backend from the last complete line of ``world.jsonl``,
-        and leave that line alone in the file. Events recorded after it (a
-        torn tick) are truncated and will be emitted again. The caller opens
-        the resource store at ``journal_records``."""
+    def resume(cls, state_dir: str | Path, metrics: ObservationStore, open_store: Callable[[int], ResourceStore],
+               crash_hook: Callable[[int, str], None] | None = None) -> tuple[SimBackend, ResourceStore]:
+        """Rebuild a backend from the last complete line of ``world.jsonl``
+        and the store that ``open_store`` opens at the line's
+        ``journalRecords``; return both. Each trial job's spec is rebuilt
+        from its trial as the trial's submit builds it. Then that line is
+        left alone in the file, and the events recorded after it (a torn
+        tick), which will be emitted again, are truncated."""
         state_dir = Path(state_dir)
         path = state_dir / cls.WORLD_FILE
         line = Journal(path).read(writing=False)[-1]
@@ -589,10 +568,13 @@ class SimBackend(ExecutionBackend):
             raise TunectlError(_unreadable(path)) from exc
         backend = cls(world, metrics, crash_hook=crash_hook)
         backend._open_state(state_dir)
-        backend._line, backend.journal_records = line.decode("utf-8") + "\n", records
+        store = open_store(records)
+        for handle, job in world.jobs.items():
+            job.with_spec(*job_request(store, store.get(resource_key(KIND_TRIAL, *handle.split("/", 1)))))
+        backend._line = line.decode("utf-8") + "\n"
         backend._world_file.replace([backend._line])
         backend._events.truncate(offset)
-        return backend
+        return backend, store
 
     @staticmethod
     def has_snapshot(state_dir: str | Path) -> bool:
@@ -610,7 +592,7 @@ class SimBackend(ExecutionBackend):
         doc = {"world": self.world, "eventsOffset": offset, "journalRecords": records}
         line = compact_json(doc) + "\n"
         if line != self._line:
-            self._line, self.journal_records = line, records
+            self._line = line
             self._world_file.append([line])
 
     def compact(self, records: int) -> None:
@@ -621,21 +603,9 @@ class SimBackend(ExecutionBackend):
 
     # -- ExecutionBackend ----------------------------------------------------
 
-    def submit(
-        self,
-        run_spec: TrialRunSpec,
-        template: TrialTemplate,
-        *,
-        collector_kind: CollectorKind,
-        watched_metrics,
-        restart_count: int = 0,
-    ) -> str:
-        return self.world.submit_job(
-            run_spec,
-            template,
-            collector_kind=collector_kind,
-            watched_metrics=tuple(watched_metrics),
-        )
+    def submit(self, run_spec: TrialRunSpec, template: TrialTemplate, *, collector_kind: CollectorKind,
+               watched_metrics: Sequence[str], restart_count: int = 0) -> str:
+        return self.world.submit_job(run_spec, template, collector_kind=collector_kind, watched_metrics=watched_metrics)
 
     def job_state(self, handle: str) -> JobState:
         return self.world.job_state(handle)
@@ -656,6 +626,9 @@ class SimBackend(ExecutionBackend):
 
     def reserve_service(self, namespace: str, name: str, cpu: float) -> None:
         self.world.reserve_service(namespace, name, cpu)
+
+    def release_service(self, namespace: str, name: str) -> None:
+        self.world.release_service(namespace, name)
 
     def release(self, handle: str) -> None:
         self.world.release(handle)

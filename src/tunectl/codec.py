@@ -2,7 +2,8 @@
 
 ``to_doc`` turns a dataclass into plain data: a dict with camelCase keys in
 field order, recursively, with Enums written as their values and tuples as
-lists. A field whose metadata sets ``omit_none`` is left out while None.
+lists. A field whose metadata sets ``omit_none`` is left out while None,
+and one that the constructor does not take (``init=False``) always.
 ``json_default`` is the same encoding as a ``json.dumps`` hook, for large
 documents written straight to JSON. ``compact_json`` writes a document with
 that hook and no spaces (journal records and world lines); ``sorted_json``
@@ -65,7 +66,7 @@ class _Field(NamedTuple):
 def _fields(cls: type) -> tuple[_Field, ...]:
     hints = typing.get_type_hints(cls)
     out = []
-    for f in dataclasses.fields(cls):
+    for f in [f for f in dataclasses.fields(cls) if f.init]:
         head, *rest = f.name.split("_")
         key = head + "".join(w[:1].upper() + w[1:] for w in rest)
         hint = hints[f.name]

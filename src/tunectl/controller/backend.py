@@ -29,7 +29,8 @@ class JobState:
 
 
 def job_handle(namespace: str, name: str) -> str:
-    """The handle of a trial's job or an experiment's service."""
+    """The handle of a trial's job or an experiment's service: a trial and
+    a service may share one, as they never share a job."""
     return f"{namespace}/{name}"
 
 
@@ -78,9 +79,14 @@ class ExecutionBackend(ABC):
         deployed suggestion algorithm). Idempotent."""
 
     @abstractmethod
+    def release_service(self, namespace: str, name: str) -> None:
+        """Drop a service reservation and all it holds; an unknown one is a
+        no-op. A trial's job of the same handle stays."""
+
+    @abstractmethod
     def release(self, handle: str) -> None:
-        """Drop a job or a service reservation and all it holds, once
-        nothing will read it again; an unknown handle is a no-op."""
+        """Drop a trial's job and all it holds, once nothing will read it
+        again; an unknown handle is a no-op."""
 
     @abstractmethod
     def advance(self, controller_step: Callable[[], int]) -> None:

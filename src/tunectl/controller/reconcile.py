@@ -68,9 +68,12 @@ from ..errors import (
 )
 from ..metrics import ObservationStore, best_objective
 from ..resources import (
+    CollectorKind,
     ExperimentSpec,
     ObjectiveType,
     RestartPolicy,
+    TrialRunSpec,
+    TrialTemplate,
     render_trial_spec,
 )
 from ..suggest import SuggestionRequest, get_suggestions
@@ -239,7 +242,7 @@ def reconcile_experiment(ctx: ControllerContext, key: str) -> int:
         ctx.store.update(replace(experiment, status=new_status))
         mutations += 1
     if phase in TERMINAL_EXPERIMENT:
-        ctx.backend.release(job_handle(spec.namespace, service_name_for(spec.name)))
+        ctx.backend.release_service(spec.namespace, service_name_for(spec.name))
     return mutations
 
 
@@ -328,6 +331,18 @@ class _Either(Container):
         return item in self._first or item in self._second
 
 
+def job_request(store: ResourceStore, trial: Resource) -> tuple[TrialRunSpec, TrialTemplate, CollectorKind, tuple]:
+    """What a backend's submit takes to run ``trial``'s job: its run spec,
+    its experiment's trial template, the collector kind and the watched
+    metrics. Every attempt takes the same, as the experiment's spec never
+    changes, so a resumed simulated world rebuilds its jobs through it."""
+    spec: ExperimentSpec = store.get(resource_key(KIND_EXPERIMENT, trial.namespace, trial.spec.experiment)).spec
+    template, objective = spec.trial_template, spec.objective
+    run_spec = render_trial_spec(template, trial.spec.assignments, trial.name, trial.namespace)
+    watched = (objective.objective_metric_name, *objective.additional_metric_names)
+    return run_spec, template, spec.metric_collector_kind, watched
+
+
 def reconcile_trial(ctx: ControllerContext, key: str) -> int:
     trial = ctx.store.get(key)
     if trial is None:
@@ -341,26 +356,18 @@ def reconcile_trial(ctx: ControllerContext, key: str) -> int:
     if experiment is None:
         return 0
     spec: ExperimentSpec = experiment.spec
-    template = spec.trial_template
-    watched = [spec.objective.objective_metric_name, *spec.objective.additional_metric_names]
 
     # The trial's write path changes only its status, and builds it with its
     # constructor, positionally in field order: ``dataclasses.replace`` costs
     # twice as much.
     def submit(restart_count: int) -> TrialStatus:
         """The trial's status once its next attempt is submitted with
-        ``restart_count``, which it keeps only if the backend accepts it.
-        Every attempt renders the same run spec: the template never changes."""
-        run_spec = render_trial_spec(template, trial.spec.assignments, trial.name, trial.namespace)
+        ``restart_count``, which it keeps only if the backend accepts it."""
+        run_spec, template, collector_kind, watched = job_request(ctx.store, trial)
         status = trial.status
         try:
-            ctx.backend.submit(
-                run_spec,
-                template,
-                collector_kind=spec.metric_collector_kind,
-                watched_metrics=watched,
-                restart_count=restart_count,
-            )
+            ctx.backend.submit(run_spec, template, collector_kind=collector_kind, watched_metrics=watched,
+                               restart_count=restart_count)
         except (UnknownNamespaceError, InvalidPayloadError) as exc:
             return replace(status, phase=TrialPhase.FAILED, reason=str(exc))
         except TunectlError as exc:
@@ -402,7 +409,7 @@ def reconcile_trial(ctx: ControllerContext, key: str) -> int:
                 )
         elif (
             state.phase is JobPhase.FAILED_TEMPORARY
-            and template.restart_policy is RestartPolicy.ON_TEMPORARY_FAILURE
+            and spec.trial_template.restart_policy is RestartPolicy.ON_TEMPORARY_FAILURE
         ):
             # Counted only once the redeploy is accepted, so a transient
             # submit error cannot inflate the restart count.

@@ -414,8 +414,9 @@ def _build_recovery(state_dir, crash_hook=None):
     metrics = FileObservationStore(state_dir / "metrics.jsonl")
     if SimBackend.has_snapshot(state_dir):
         # The store opens at the tick the world committed.
-        backend = SimBackend.resume(state_dir, metrics, crash_hook=crash_hook)
-        store = FileResourceStore(state_dir / "resources", commit=backend.journal_records)
+        backend, store = SimBackend.resume(
+            state_dir, metrics, lambda records: FileResourceStore(state_dir / "resources", commit=records), crash_hook
+        )
     else:
         store = FileResourceStore(state_dir / "resources")
         world = SimWorld(seed=11)

@@ -635,24 +635,67 @@ def test_submit_on_a_locked_store_exits_4_and_leaves_it_untouched(runner, tmp_pa
 OLD_DELTA = {"tick": 4, "nodeSeq": 4, "nodes": {}, "namespaces": {}, "jobs": {}, "released": [], "eventsOffset": 0}
 
 
-@pytest.mark.parametrize("old_file", ["world.json", "world.jsonl"])
+def _with_job_specs(line: str) -> str:
+    """A world line as the version before held it: each trial job with its
+    spec, each unit with its job, index and CPU, and services among the jobs."""
+    doc = json.loads(line)
+    world = doc["world"]
+    for handle, job in world["jobs"].items():
+        spec = {"name": handle, "namespace": "team", "kind": "trial", "workerCount": len(job["units"]),
+                "cpuPerWorker": 1.0, "duration": 2,
+                "descriptor": {"functionName": "sphere", "durationTicks": 2, "noiseStdDev": 0.0, "rngSeedOffset": 0},
+                "assignments": [["lr", "0.25"], ["opt", "sgd"]], "collector": "pull", "watched": ["loss"]}
+        job.update({**spec, **job})
+        for index, unit in enumerate(job["units"]):
+            unit.update({"job": handle, "index": index, "cpu": 1.0})
+    for handle, service in world.pop("services").items():
+        world["jobs"][handle] = {"name": handle, "namespace": "team", "kind": "service", "workerCount": 1,
+                                 "cpuPerWorker": service["cpu"], "duration": 0, "phase": "running",
+                                 "units": [{"job": handle, "index": 0, "cpu": service["cpu"], "remaining": None,
+                                            "node": service["node"]}]}
+    return json.dumps(doc, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("old_file", ["world.json", "world.jsonl", "job specs"])
 def test_run_on_a_world_of_an_earlier_version_exits_4_and_leaves_the_store_untouched(runner, tmp_path, old_file):
-    # Earlier versions kept a snapshot in world.json and per-tick deltas in
-    # world.jsonl; read as this version's file, the one would be ignored and
-    # the other misread, and either run would start a fresh world.
+    # Earlier versions kept a snapshot in world.json, per-tick deltas in
+    # world.jsonl, and then each job's spec in its line; read as this
+    # version's file, the first would be ignored and the others misread.
     _submit(runner, tmp_path)
     store = tmp_path / "store"
     assert runner.invoke(cli, ["run", "--store", str(store), "--max-ticks", "4"]).exit_code == 0
     [line] = (store / "world.jsonl").read_text().splitlines()
+    assert json.loads(line)["world"]["jobs"]
     (store / "world.jsonl").unlink()
     if old_file == "world.json":
         (store / "world.json").write_text(line)
-    else:
+    elif old_file == "world.jsonl":
         (store / "world.jsonl").write_text(json.dumps(OLD_DELTA) + "\n")
+    else:
+        (store / "world.jsonl").write_text(_with_job_specs(line) + "\n")
     before = _store_files(store)
     result = runner.invoke(cli, ["run", "--store", str(store)])
     assert result.exit_code == 4, result.output
-    assert f"{store / old_file} holds no world that this version reads" in result.output
+    path = store / ("world.json" if old_file == "world.json" else "world.jsonl")
+    assert f"{path} holds no world that this version reads" in result.output
+    assert _store_files(store) == before
+
+
+def test_run_on_a_journal_shorter_than_its_world_s_commit_exits_4_and_leaves_the_store_untouched(runner, tmp_path):
+    # The world's jobs were built from records the journal no longer holds;
+    # resumed, the re-created trials of the same names would take them over.
+    _submit(runner, tmp_path)
+    store = tmp_path / "store"
+    assert runner.invoke(cli, ["run", "--store", str(store), "--max-ticks", "4"]).exit_code == 0
+    records = json.loads((store / "world.jsonl").read_text())["journalRecords"]
+    journal = store / "journal.jsonl"
+    lines = journal.read_text().splitlines(keepends=True)
+    assert len(lines) == records > 3
+    journal.write_text("".join(lines[:3]))
+    before = _store_files(store)
+    result = runner.invoke(cli, ["run", "--store", str(store)])
+    assert result.exit_code == 4, result.output
+    assert f"{journal} holds 3 records, fewer than the {records}" in result.output
     assert _store_files(store) == before
 
 

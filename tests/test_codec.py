@@ -269,7 +269,7 @@ def test_the_shared_encoders_write_what_json_dumps_wrote():
     from test_store import _resources_of_every_shape
 
     world, store = _live_gang_world()
-    assert any(job.worker_count == 2 and job.phase is JobPhase.RUNNING for job in world.jobs.values())
+    assert any(len(job.units) == 2 and job.phase is JobPhase.RUNNING for job in world.jobs.values())
     assert store.list()[0].spec.objective.goal == 0.01  # an omit_none field that is set
     compact = [
         *_resources_of_every_shape(),

@@ -85,8 +85,10 @@ def _spec(algorithm: str):
 def _open(directory, algorithm: str):
     metrics = FileObservationStore(directory / "metrics.jsonl")
     if SimBackend.has_snapshot(directory):
-        backend = SimBackend.resume(directory, metrics)
-        return FileResourceStore(directory / "resources", commit=backend.journal_records), metrics, backend
+        backend, store = SimBackend.resume(
+            directory, metrics, lambda records: FileResourceStore(directory / "resources", commit=records)
+        )
+        return store, metrics, backend
     store = FileResourceStore(directory / "resources")
     world = SimWorld(seed=17, chaos=ChaosPolicy(ChaosMode.FAIL_TRIAL, fraction=0.3, interval_ticks=3, seed=2))
     world.add_node(4.0)

@@ -55,7 +55,7 @@ experiments: [a.yaml, b.yaml]
 
 GOLDEN = {
     "events": "f1310e7bf1ab2443ff248213cf97cbd83d98a244aeca6e9b721e325f8227751e",
-    "world": "afbbfe72a1bd8fd401f76bdc7fb23f43f7092c46595c4a8a9eef386662a4478c",
+    "world": "1c93f1735a2a31fb68f8f714afd11eda2ce874dc37b48eec5522d1bd97a6645a",
     "summary": "0e4af7f76cf4732d867353c66fe805e25146110568c0a2cbcf9a99a49ddc918e",
     "csv": "6b2eff394d30a358ad445205ef75b4ca0c55a0059f44f8a2ad43953b55cbdd97",
 }

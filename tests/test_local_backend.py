@@ -241,6 +241,20 @@ def test_a_released_trainer_leaves_its_output_pipe_closed():
     backend.close()
 
 
+def test_releasing_a_service_leaves_a_trainer_of_the_same_handle_running():
+    # Experiment "0000"'s service and experiment "svc"'s first trial are
+    # both "ns/svc-0000"; the service's release must not drop the trainer.
+    backend = LocalProcessBackend(InMemoryObservationStore())
+    try:
+        handle = _submit_command(backend, "svc-0000", "sleep 30")
+        backend.reserve_service("ns", "svc-0000", 0.5)
+        backend.release_service("ns", "svc-0000")
+        assert backend.job_state(handle).phase is JobPhase.RUNNING
+        assert backend._jobs[handle].process.poll() is None
+    finally:
+        backend.close()
+
+
 class _UnwritableMetrics(InMemoryObservationStore):
     def register_observation_log(self, points):
         raise StorageUnavailableError("metric log: no space left on device")

@@ -226,6 +226,9 @@ class _SilentBackend(ExecutionBackend):
     def reserve_service(self, namespace, name, cpu):
         pass
 
+    def release_service(self, namespace, name):
+        pass
+
     def release(self, handle):
         pass
 
@@ -331,7 +334,7 @@ def test_restart_on_temporary_failure_increments_count():
     job.phase = JobPhase.FAILED_TEMPORARY
     world.changed.add(job.name)  # as a tick phase marks the job it changes
     for unit in job.units:
-        world._unplace(unit)
+        world._unplace(unit, job.name, job.cpu)
     backend.advance(lambda: controller_step(ctx))
     trial = store.list(KIND_TRIAL)[0]
     assert trial.status.restart_count == 1
@@ -445,13 +448,28 @@ def test_an_experiment_that_concludes_releases_its_service_in_the_same_step():
     spec = make_experiment(SPHERE_PARAMS, parallel=1, max_trials=1, template=_sphere_template())
     submit_experiment(store, spec)
     controller_step(ctx)
-    assert "ns/svc-exp" in backend.world.jobs
+    assert "ns/svc-exp" in backend.world.services
     for _ in range(4):
         backend.advance(lambda: controller_step(ctx))
         if store.get("experiment/ns/exp").status.phase is ExperimentPhase.SUCCEEDED:
             break
     assert store.get("experiment/ns/exp").status.phase is ExperimentPhase.SUCCEEDED
-    assert "ns/svc-exp" not in backend.world.jobs
+    assert "ns/svc-exp" not in backend.world.services
+
+
+def test_a_trial_and_a_service_of_one_handle_each_run():
+    # Trial "svc-0000" of experiment "svc" and the service of experiment
+    # "0000" share the handle "ns/svc-0000", but never a job: both
+    # experiments run all their trials.
+    ctx, store, metrics, backend = _context()
+    for name in ("svc", "0000"):
+        submit_experiment(store, make_experiment(SPHERE_PARAMS, name=name, parallel=2, max_trials=4,
+                                                 template=_sphere_template(duration=2)))
+    snapshot = run_control_loop(store, metrics, backend, max_ticks=200)
+    for name in ("svc", "0000"):
+        result = snapshot["experiments"][f"experiment/ns/{name}"]
+        assert (result["phase"], result["trialsSucceeded"]) == ("Succeeded", 4), name
+    assert backend.world.jobs == {} and backend.world.services == {}
 
 
 class _Killed(Exception):

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
-import json
 import math
 
-from tunectl.cluster.sim import LIVE_PHASES, AutoscalerConfig, ChaosMode, ChaosPolicy, SimWorld
-from tunectl.codec import from_doc, to_doc
+from conftest import make_experiment
+from tunectl.cluster.sim import LIVE_PHASES, AutoscalerConfig, ChaosMode, ChaosPolicy, SimBackend, SimWorld
+from tunectl.codec import to_doc
 from tunectl.controller.backend import JobPhase
+from tunectl.controller.model import KIND_EXPERIMENT, KIND_TRIAL, Resource, TrialSpec, TrialStatus, resource_key
+from tunectl.controller.reconcile import job_request, submit_experiment
+from tunectl.controller.store import ResourceStore
+from tunectl.metrics import InMemoryObservationStore
 from tunectl.resources import (
     CollectorKind,
     SimObjectiveDescriptor,
@@ -21,34 +25,46 @@ def assert_bookkeeping(world: SimWorld) -> None:
     """Each node's and namespace's CPU total equals the sum over its placed units."""
     by_node = {node_id: 0.0 for node_id in world.nodes}
     by_namespace = {name: 0.0 for name in world.namespaces}
-    for job in world.jobs.values():
-        for unit in job.units:
-            if unit.node is not None:
-                by_node[unit.node] += unit.cpu
-                by_namespace[job.namespace] += unit.cpu
+    placed = [(h, u, job.cpu) for h, job in world.jobs.items() for u in job.units]
+    placed += [(h, service, service.cpu) for h, service in world.services.items()]
+    for handle, unit, cpu in placed:
+        if unit.node is not None:
+            by_node[unit.node] += cpu
+            by_namespace[handle.split("/")[0]] += cpu
     for node_id, node in world.nodes.items():
         assert math.isclose(node.allocated_cpu, by_node[node_id], abs_tol=1e-9), node_id
     for name, ns in world.namespaces.items():
         assert math.isclose(ns.cpu_used, by_namespace[name], abs_tol=1e-9), name
 
 
-def _submit(world: SimWorld, trial: str, workers: int) -> None:
-    world.submit_job(
-        TrialRunSpec(
-            trial_name=trial,
-            namespace="ns",
-            resolved_payload=SimObjectiveDescriptor("sphere", duration_ticks=6),
-            parameter_assignments=(("x", "1.0"),),
-        ),
-        TrialTemplate(
-            kind=TemplateKind.SIMULATED,
-            payload=SimObjectiveDescriptor("sphere", duration_ticks=6),
-            worker_count=workers,
-            cpu_per_worker=1.5,
-        ),
-        collector_kind=CollectorKind.PULL,
-        watched_metrics=("loss",),
+def stored_submit(world: SimWorld, store: ResourceStore, trial: str, template: TrialTemplate) -> str:
+    """Submit the job of ``trial`` in namespace ns as its reconciler would:
+    the trial, at x = 1.0, of an experiment named after its template's
+    worker count, which are stored first if they are not, so that a resume
+    rebuilds the job from ``store``."""
+    experiment = f"w{template.worker_count}"
+    if store.get(resource_key(KIND_EXPERIMENT, "ns", experiment)) is None:
+        submit_experiment(store, make_experiment([], name=experiment, template=template))
+    if store.get(resource_key(KIND_TRIAL, "ns", trial)) is None:
+        store.create(Resource(KIND_TRIAL, "ns", trial, TrialSpec(experiment, (("x", 1.0),)), TrialStatus()))
+    run_spec, template, collector_kind, watched = job_request(store, store.get(resource_key(KIND_TRIAL, "ns", trial)))
+    return world.submit_job(run_spec, template, collector_kind=collector_kind, watched_metrics=watched)
+
+
+def resumed(world: SimWorld, store: ResourceStore, state_dir) -> SimWorld:
+    """``world`` committed in ``state_dir`` and resumed from there with ``store``."""
+    SimBackend(world, InMemoryObservationStore(), state_dir=state_dir).persist(store.records)
+    return SimBackend.resume(state_dir, InMemoryObservationStore(), lambda _records: store)[0].world
+
+
+def _submit(world: SimWorld, store: ResourceStore, trial: str, workers: int) -> None:
+    template = TrialTemplate(
+        kind=TemplateKind.SIMULATED,
+        payload=SimObjectiveDescriptor("sphere", duration_ticks=6),
+        worker_count=workers,
+        cpu_per_worker=1.5,
     )
+    stored_submit(world, store, trial, template)
 
 
 def _busy_world() -> SimWorld:
@@ -64,44 +80,43 @@ def _busy_world() -> SimWorld:
     return world
 
 
-def _tick(world: SimWorld, spawned: list[int]) -> None:
+def _tick(world: SimWorld, store: ResourceStore, spawned: list[int]) -> None:
     if world.tick < 30 and world.tick % 2 == 0:
-        _submit(world, f"t-{spawned[0]:03d}", workers=1 + spawned[0] % 3)
+        _submit(world, store, f"t-{spawned[0]:03d}", workers=1 + spawned[0] % 3)
         spawned[0] += 1
     # Killed jobs get redeployed the way the trial controller would.
     for name in sorted(world.jobs):
         job = world.jobs[name]
         if job.phase is JobPhase.FAILED_TEMPORARY:
-            _submit(world, name.split("/", 1)[1], workers=job.worker_count)
+            _submit(world, store, name.split("/", 1)[1], workers=len(job.units))
     world.advance_tick()
 
 
 def test_cpu_totals_match_placements_every_tick():
-    world = _busy_world()
+    world, store = _busy_world(), ResourceStore()
     spawned = [0]
     kills = 0
     for _ in range(80):
-        _tick(world, spawned)
+        _tick(world, store, spawned)
         kills += sum(1 for e in world.events if e["tick"] == world.tick and e["kind"] == "chaos-kill")
         assert_bookkeeping(world)
     assert kills > 0
     assert any(e["kind"] == "node-removed" for e in world.events)
 
 
-def test_cpu_totals_survive_a_snapshot_round_trip():
-    world = _busy_world()
+def test_cpu_totals_survive_a_snapshot_round_trip(tmp_path):
+    world, store = _busy_world(), ResourceStore()
     spawned = [0]
     for _ in range(20):
-        _tick(world, spawned)
+        _tick(world, store, spawned)
     assert any(u.node is not None for j in world.jobs.values() for u in j.units)
-    text = json.dumps(to_doc(world))
-    restored = from_doc(SimWorld, json.loads(text))
+    restored = resumed(world, store, tmp_path)
     assert_bookkeeping(restored)
     assert to_doc(restored) == to_doc(world)
     restored_spawned = list(spawned)
     for _ in range(20):
-        _tick(world, spawned)
-        _tick(restored, restored_spawned)
+        _tick(world, store, spawned)
+        _tick(restored, store, restored_spawned)
         assert_bookkeeping(restored)
     assert to_doc(restored) == to_doc(world)
     assert restored.events[-50:] == world.events[-50:]

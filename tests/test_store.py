@@ -675,3 +675,32 @@ def test_a_broken_spec_under_a_status_only_record_names_the_spec_line(tmp_path):
     assert result.exit_code == 4, result.output
     assert f"{FileResourceStore.JOURNAL}:2 (its spec is on line 1): " in result.output
     assert "parallelTrialCount" in result.output
+
+
+def test_a_journal_shorter_than_its_commit_opens_to_an_error_and_is_left_as_it_is(tmp_path):
+    # The simulated world committed 3 records; a journal that holds 2 has
+    # lost a write that the world's jobs were built from.
+    store = FileResourceStore(tmp_path)
+    for name in ("a", "b"):
+        store.create(_experiment_resource(name))
+    store.close()
+    journal = tmp_path / FileResourceStore.JOURNAL
+    with journal.open("ab") as fp:
+        fp.write(b'{"kind":"trial","na')  # and a torn tail
+    before = journal.read_bytes()
+    with pytest.raises(TunectlError) as raised:
+        FileResourceStore(tmp_path, commit=3)
+    assert f"{journal} holds 2 records, fewer than the 3" in str(raised.value)
+    assert journal.read_bytes() == before
+    assert FileResourceStore(tmp_path, commit=2).records == 2
+    assert journal.read_bytes() == before[: before.rindex(b"\n") + 1]
+
+
+def test_a_store_opened_read_only_at_a_commit_leaves_the_writes_past_it_in_the_journal(tmp_path):
+    store = FileResourceStore(tmp_path)
+    experiment = store.create(_experiment_resource())
+    store.update(replace(experiment, status=replace(experiment.status, trials_pending=1)))
+    store.close()
+    before = (tmp_path / FileResourceStore.JOURNAL).read_bytes()
+    assert FileResourceStore(tmp_path, readonly=True, commit=1).get(experiment.key).generation == 1
+    assert (tmp_path / FileResourceStore.JOURNAL).read_bytes() == before

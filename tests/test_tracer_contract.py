@@ -1,10 +1,14 @@
 """The benchmark's tracer wraps functions of the program by name, in each
-module once the program imports it. A rename or a removal in ``src/`` that
-drops one of those names breaks every traced benchmark run; this check finds
-it in about a second, by importing every hooked module under the hooks."""
+module once the program imports it, and its hooks read attributes of the
+program's objects when they are called. A rename or a removal in ``src/``
+that drops one of those names breaks every traced benchmark run; these
+checks find it in about a second each: one imports every hooked module under
+the hooks, and one runs a small file-backed simulated experiment and its
+export under them."""
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -26,11 +30,73 @@ print(*hooked)
 """
 
 
-def test_every_module_the_tracer_hooks_imports_under_its_hooks():
+# Each hook runs: a tick reads the world's jobs, their phases and its pending
+# units; a persist reads the backend's state directory and world file name.
+_RUN = """
+import json, sys, tempfile
+from pathlib import Path
+import tracer
+tr = tracer.Tracer()
+tracer.install_layers(tr)
+from tunectl.cluster.sim import SimBackend, SimWorld
+from tunectl.controller.reconcile import run_control_loop, submit_experiment
+from tunectl.controller.store import FileResourceStore
+from tunectl.metrics import FileObservationStore
+from tunectl.resources import parse_experiment
+from tunectl.results import build_results_table, render_csv
+
+root = Path(tempfile.mkdtemp())
+store, metrics = FileResourceStore(root), FileObservationStore(root / "metrics.jsonl")
+submit_experiment(store, parse_experiment(sys.argv[1]))
+world = SimWorld(seed=1)
+world.add_node(4.0)
+world.add_namespace("bench")
+backend = SimBackend(world, metrics, state_dir=root)
+snapshot = run_control_loop(store, metrics, backend)
+backend.close()
+render_csv(build_results_table(store, metrics, "bench", "sphere"))
+print(json.dumps({"snapshot": snapshot, **tr.summary()}))
+"""
+
+_EXPERIMENT = """
+name: sphere
+namespace: bench
+objective: {type: minimize, objectiveMetricName: loss}
+algorithm: {algorithmName: random, settings: {random_state: 1}}
+parallelTrialCount: 2
+maxTrialCount: 4
+parameters:
+  - {name: x, parameterType: double, feasibleSpace: {min: -2, max: 2}}
+trialTemplate:
+  kind: simulated
+  payload: {functionName: sphere, durationTicks: 2}
+"""
+
+
+def _under_the_tracer(script: str, *args: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(ROOT / "perfbench"), str(ROOT / "src")))}
-    out = subprocess.run(
-        [sys.executable, "-c", _SCRIPT], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def test_every_module_the_tracer_hooks_imports_under_its_hooks():
+    out = _under_the_tracer(_SCRIPT)
     assert out.returncode == 0, out.stderr[-3000:]
     hooked = out.stdout.split()
     assert {"tunectl.metrics", "tunectl.cluster.sim", "tunectl.cluster.localproc"} <= set(hooked)
+
+
+def test_a_file_backed_simulated_run_and_its_export_run_under_the_tracer_s_hooks():
+    out = _under_the_tracer(_RUN, _EXPERIMENT)
+    assert out.returncode == 0, out.stderr[-3000:]
+    traced = json.loads(out.stdout)
+    assert traced["snapshot"]["experiments"]["experiment/bench/sphere"]["phase"] == "Succeeded"
+    counters, spans = traced["counters"], traced["spans"]
+    assert counters["sim.ticks"] > 0 and counters["sim.placements"] == 5  # four trials and the service
+    assert counters["sim.jobs_live"] > 0 and counters["sim.jobs_total"] == 2
+    assert "sim.pending_units" in counters and counters["sim.snapshot.bytes"] > 0
+    for name in ("sim.tick", "sim.schedule", "sim.snapshot", "controller.step", "reconcile.trial",
+                 "store.update", "store.load", "suggest.random", "metrics.register", "resources.parse",
+                 "results.build", "results.render"):
+        assert spans[name]["calls"] > 0, name

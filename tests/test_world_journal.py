@@ -2,10 +2,12 @@
 
 A backend appends one whole-world line to ``world.jsonl`` per commit: tick 0
 before the bootstrap step, then one per tick. Each line records the resource
-journal's record count, and a resume opens the store at it. These tests
-record an uninterrupted run's world after every commit and check that the
-world never holds the job of a trial the store records as terminal, what a
-resume makes of a file cut at any byte, and that runs killed at several
+journal's record count, and a resume opens the store at it and rebuilds
+each job's spec from it. These tests record an uninterrupted run's world
+after every commit and check that the world never holds the job of a trial
+the store records as terminal, that a line holds each job's state and not
+its spec, that a resume at each commit rebuilds the jobs the run held, what
+a resume makes of a file cut at any byte, and that runs killed at several
 points, or stopped and compacted, resume to the uninterrupted run's outputs:
 its files, its exports and every stored resource.
 
@@ -17,6 +19,7 @@ service.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 from dataclasses import dataclass, field
@@ -31,6 +34,7 @@ from tunectl.cluster.sim import (
     ChaosMode,
     ChaosPolicy,
     SimBackend,
+    SimJob,
     SimulatedCrash,
     SimWorld,
 )
@@ -71,13 +75,18 @@ def _experiments():
     ]
 
 
+def _store_at(directory):
+    """What ``SimBackend.resume`` calls to open the store at a commit."""
+    return lambda records: FileResourceStore(directory / "resources", commit=records)
+
+
 def _open(directory, crash_hook=None):
     """Resume from the world's last commit, with the store opened at it, or
     start a fresh world, as ``tunectl run`` does."""
     metrics = FileObservationStore(directory / METRICS)
     if SimBackend.has_snapshot(directory):
-        backend = SimBackend.resume(directory, metrics, crash_hook=crash_hook)
-        return FileResourceStore(directory / "resources", commit=backend.journal_records), metrics, backend
+        backend, store = SimBackend.resume(directory, metrics, _store_at(directory), crash_hook=crash_hook)
+        return store, metrics, backend
     store = FileResourceStore(directory / "resources")
     world = SimWorld(
         seed=23,
@@ -150,20 +159,22 @@ def _journal_records(directory) -> int:
 @dataclass
 class Recorded:
     lines: dict[int, str]  # tick -> the world line of that tick's commit
-    file: bytes  # world.jsonl and events.jsonl before the run's final compaction
+    file: bytes  # world.jsonl, events.jsonl and the journal before the run's final compaction
     events: bytes
+    journal: bytes
     final: dict[str, bytes]  # the run's outputs (see _outputs)
     mutations: int
     commits: list[str] = field(default_factory=list)  # each persist's line, the compaction's included
     counted: list[tuple[int, int]] = field(default_factory=list)  # (records committed, journal lines)
     terminal: int = 0  # terminal trials seen over all persists
     held: list[tuple[int, str]] = field(default_factory=list)  # (tick, job) of a terminal trial
+    jobs: dict[int, dict[str, SimJob]] = field(default_factory=dict)  # tick -> a copy of the world's jobs at its commit
 
 
 @pytest.fixture(scope="module")
 def recorded(tmp_path_factory) -> Recorded:
     directory = tmp_path_factory.mktemp("uninterrupted")
-    out = Recorded({}, b"", b"", {}, 0)
+    out = Recorded({}, b"", b"", b"", {}, 0)
     persist = SimBackend.persist
 
     def recording(backend, records):
@@ -171,6 +182,7 @@ def recorded(tmp_path_factory) -> Recorded:
         world = backend.world
         out.commits.append(_line_text(world, (directory / EVENTS).stat().st_size, records))
         out.counted.append((records, _journal_records(directory)))
+        out.jobs[world.tick] = copy.deepcopy(world.jobs)
         store = FileResourceStore(directory / "resources", readonly=True)
         for trial in store.list(KIND_TRIAL):
             if trial.status.phase in TERMINAL_TRIAL:
@@ -181,6 +193,7 @@ def recorded(tmp_path_factory) -> Recorded:
 
     def keep(_backend):
         out.file, out.events = (directory / WORLD).read_bytes(), (directory / EVENTS).read_bytes()
+        out.journal = (directory / JOURNAL).read_bytes()
 
     def count(_resource):
         out.mutations += 1
@@ -217,10 +230,13 @@ def test_the_world_never_holds_the_job_of_a_terminal_trial(recorded):
     assert recorded.held == []
 
 
-def _lay_out(directory, world: bytes, events: bytes) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
+def _lay_out(directory, recorded: Recorded, world: bytes) -> None:
+    """A state directory of the recorded run with ``world`` as its world
+    file, and its event log and journal as they stood before compaction."""
+    (directory / "resources").mkdir(parents=True, exist_ok=True)
     (directory / WORLD).write_bytes(world)
-    (directory / EVENTS).write_bytes(events)
+    (directory / EVENTS).write_bytes(recorded.events)
+    (directory / JOURNAL).write_bytes(recorded.journal)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -228,7 +244,7 @@ def _lay_out(directory, world: bytes, events: bytes) -> None:
 def test_a_file_cut_at_any_byte_resumes_at_its_last_complete_line(recorded, tmp_path_factory, data):
     cut = data.draw(st.integers(0, len(recorded.file)), label="cut")
     directory = tmp_path_factory.mktemp("cut")
-    _lay_out(directory, recorded.file[:cut], recorded.events)
+    _lay_out(directory, recorded, recorded.file[:cut])
 
     # A read skips the torn tail and leaves the bytes alone.
     complete = recorded.file[: recorded.file.rfind(b"\n", 0, cut) + 1]
@@ -242,8 +258,8 @@ def test_a_file_cut_at_any_byte_resumes_at_its_last_complete_line(recorded, tmp_
     tick = complete.count(b"\n") - 1
     expected = recorded.lines[tick]
     offset, records = json.loads(expected)["eventsOffset"], json.loads(expected)["journalRecords"]
-    backend = SimBackend.resume(directory, InMemoryObservationStore())
-    assert _line_text(backend.world, offset, records) == expected and backend.journal_records == records
+    backend, store = SimBackend.resume(directory, InMemoryObservationStore(), _store_at(directory))
+    assert _line_text(backend.world, offset, records) == expected and store.records == records
     assert (directory / WORLD).read_text() == expected + "\n"
     assert (directory / EVENTS).read_bytes() == recorded.events[:offset]
 
@@ -255,6 +271,33 @@ def test_a_file_cut_at_any_byte_resumes_at_its_last_complete_line(recorded, tmp_
     backend.close()
     lines = _lines(directory)
     assert lines[0].decode() == expected and _world(lines[1])["tick"] == tick + 1 and len(lines) == 2
+
+
+def test_a_world_line_holds_each_trial_job_s_state_and_not_its_spec(recorded):
+    """A job is under its handle with what a tick changes; each unit is its
+    ticks left and its node; services are in a table of their own."""
+    services = _world(recorded.lines[1])["services"]
+    assert list(services) == ["team/svc-exp-a", "team/svc-exp-b"]
+    assert all(list(service) == ["cpu", "node"] for service in services.values())
+    jobs = [job for line in recorded.lines.values() for job in _world(line)["jobs"].values()]
+    assert jobs
+    for job in jobs:
+        assert list(job) == ["phase", "reason", "completed", "attempt", "units", "points"]
+        assert all(list(unit) == ["remaining", "node"] for unit in job["units"])
+
+
+def test_a_resume_at_every_commit_rebuilds_the_live_run_s_jobs(recorded, tmp_path_factory):
+    """Each trial job a resume rebuilds from the store equals the job the
+    uninterrupted run held at that commit, in its spec and in its state."""
+    for tick, line in recorded.lines.items():
+        directory = tmp_path_factory.mktemp(f"commit-{tick}")
+        _lay_out(directory, recorded, line.encode() + b"\n")
+        backend, store = SimBackend.resume(directory, InMemoryObservationStore(), _store_at(directory))
+        rebuilt = {handle: vars(job) for handle, job in backend.world.jobs.items()}
+        assert rebuilt == {handle: vars(job) for handle, job in recorded.jobs[tick].items()}, tick
+        backend.close()
+        store.close()
+    assert sum(map(len, recorded.jobs.values())) > 0
 
 
 # (tick, phase) kills run the crash hook; (mutation, n) kills raise at the
