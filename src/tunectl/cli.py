@@ -25,7 +25,7 @@ import click
 import yaml
 
 from .controller.model import KIND_EXPERIMENT, resource_to_doc
-from .controller.reconcile import run_control_loop, submit_experiment
+from .controller.reconcile import run_control_loop, stored_job_request, submit_experiment
 from .controller.store import FileResourceStore
 from .errors import ResourceExistsError, TunectlError, ValidationError
 from .metrics import FileObservationStore
@@ -159,7 +159,9 @@ def _run(
             backend = LocalProcessBackend(metrics)
         elif SimBackend.has_snapshot(store_dir):
             # The store opens at the tick the world committed.
-            backend, store = SimBackend.resume(store_dir, metrics, lambda n: _open_store(store_dir, commit=n))
+            backend, store = SimBackend.resume(
+                store_dir, metrics, lambda records: _open_store(store_dir, commit=records), stored_job_request
+            )
             if scenario_file is not None:
                 click.echo("resuming persisted world; --scenario ignored", err=True)
         else:

@@ -42,12 +42,12 @@ import signal
 import subprocess
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from ..errors import InvalidPayloadError
 from ..metrics import MetricPoint, ObservationStore, parse_metric_lines
-from ..resources import CollectorKind, TrialRunSpec, TrialTemplate
-from ..controller.backend import ExecutionBackend, JobPhase, JobState, job_handle
+from ..resources import CollectorKind
+from ..controller.backend import ExecutionBackend, JobPhase, JobRequest, JobState, job_handle
 
 TEMPORARY_EXIT_CODES = (75,)
 # Seconds a trainer gets to exit after SIGTERM before its group is killed.
@@ -76,15 +76,8 @@ class LocalProcessBackend(ExecutionBackend):
         self._selector = selectors.DefaultSelector()  # the open trainer outputs
         self._changed: set[str] = set()  # handles for ``changed_jobs``
 
-    def submit(
-        self,
-        run_spec: TrialRunSpec,
-        template: TrialTemplate,
-        *,
-        collector_kind: CollectorKind,
-        watched_metrics: Sequence[str],
-        restart_count: int = 0,
-    ) -> str:
+    def submit(self, request: JobRequest, restart_count: int = 0) -> str:
+        run_spec = request.run_spec
         handle = job_handle(run_spec.namespace, run_spec.trial_name)
         command = run_spec.resolved_payload
         if not isinstance(command, str):
@@ -105,7 +98,7 @@ class LocalProcessBackend(ExecutionBackend):
             )
         except (OSError, ValueError) as exc:
             raise InvalidPayloadError(f"spawn failed: {exc}") from exc
-        job = self._jobs[handle] = _LocalJob(handle, collector_kind, tuple(watched_metrics), process)
+        job = self._jobs[handle] = _LocalJob(handle, request.collector_kind, tuple(request.watched_metrics), process)
         self._selector.register(process.stdout, selectors.EVENT_READ, job)
         return handle
 
@@ -169,12 +162,6 @@ class LocalProcessBackend(ExecutionBackend):
         if job is not None and job.points:
             self.metrics.register_observation_log(job.points)
             job.points = []
-
-    def reserve_service(self, namespace: str, name: str, cpu: float) -> None:
-        pass  # no quota model on a bare host
-
-    def release_service(self, namespace: str, name: str) -> None:
-        pass  # reserved nothing; a trainer of the same handle is a trial's
 
     def release(self, handle: str) -> None:
         """Forget a concluded trainer."""

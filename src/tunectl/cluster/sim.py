@@ -29,17 +29,15 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..codec import Journal, compact_json, from_doc, sorted_json
 from ..errors import InvalidPayloadError, TunectlError, UnknownNamespaceError
 from ..metrics import MetricPoint, ObservationStore
 from ..metrics import parse_metric_lines  # noqa: F401 -- perfbench/tracer.py wraps it under this module
 from ..pcg import Generator
-from ..resources import CollectorKind, SimObjectiveDescriptor, TrialRunSpec, TrialTemplate
-from ..controller.backend import ExecutionBackend, JobPhase, JobState, job_handle
-from ..controller.model import KIND_TRIAL, resource_key
-from ..controller.reconcile import job_request
+from ..resources import CollectorKind, SimObjectiveDescriptor
+from ..controller.backend import ExecutionBackend, JobPhase, JobRequest, JobState, job_handle
 from .objectives import eval_sim_objective
 
 if TYPE_CHECKING:  # only a noisy metric draws from numpy
@@ -132,16 +130,15 @@ class SimJob:
     collector: CollectorKind = field(init=False)
     watched: tuple[str, ...] = field(init=False)
 
-    def with_spec(self, run_spec: TrialRunSpec, template: TrialTemplate, collector_kind: CollectorKind,
-                  watched_metrics: Sequence[str]) -> SimJob:
+    def with_spec(self, request: JobRequest) -> SimJob:
         """This job, with its fixed part set from what the trial's submit takes."""
+        run_spec, template, self.collector, watched = request
         payload = run_spec.resolved_payload
         if not isinstance(payload, SimObjectiveDescriptor):
             raise InvalidPayloadError("the simulator runs 'simulated' trial templates only")
         self.name = job_handle(run_spec.namespace, run_spec.trial_name)
         self.cpu, self.duration, self.descriptor = template.cpu_per_worker, payload.duration_ticks, payload
-        self.assignments, self.collector = run_spec.parameter_assignments, collector_kind
-        self.watched = tuple(watched_metrics)
+        self.assignments, self.watched = run_spec.parameter_assignments, tuple(watched)
         return self
 
 
@@ -219,8 +216,8 @@ class SimWorld:
 
     # -- job lifecycle -------------------------------------------------------
 
-    def submit_job(self, run_spec: TrialRunSpec, resources: TrialTemplate, *, collector_kind: CollectorKind,
-                   watched_metrics: Sequence[str]) -> str:
+    def submit_job(self, request: JobRequest) -> str:
+        run_spec, workers = request.run_spec, request.template.worker_count
         handle = job_handle(run_spec.namespace, run_spec.trial_name)
         if run_spec.namespace not in self.namespaces:
             raise UnknownNamespaceError(f"namespace '{run_spec.namespace}' does not exist")
@@ -236,9 +233,9 @@ class SimWorld:
                 self.emit("job-resumed", {"job": handle, "attempt": existing.attempt,
                                           "checkpoint": existing.completed})
             return handle
-        job = self.jobs[handle] = SimJob().with_spec(run_spec, resources, collector_kind, watched_metrics)
-        job.units = [SimUnit(job.duration) for _ in range(resources.worker_count)]
-        self.emit("job-submitted", {"job": handle, "workers": resources.worker_count})
+        job = self.jobs[handle] = SimJob().with_spec(request)
+        job.units = [SimUnit(job.duration) for _ in range(workers)]
+        self.emit("job-submitted", {"job": handle, "workers": workers})
         return handle
 
     def reserve_service(self, namespace: str, name: str, cpu: float) -> str:
@@ -265,7 +262,9 @@ class SimWorld:
 
     def job_state(self, handle: str) -> JobState:
         job = self.jobs.get(handle)
-        return JobState(JobPhase.MISSING) if job is None else JobState(job.phase, job.reason)
+        if job is None:
+            return JobState(phase=JobPhase.MISSING)
+        return JobState(phase=job.phase, reason=job.reason)
 
     # -- placement bookkeeping ------------------------------------------------
 
@@ -300,7 +299,7 @@ class SimWorld:
     def _live(self) -> list[SimJob]:
         return [job for name in sorted(self.jobs) if (job := self.jobs[name]).phase in LIVE_PHASES]
 
-    def _running(self) -> list[SimJob]:
+    def _running_trials(self) -> list[SimJob]:
         return [job for job in self._live() if job.phase is JobPhase.RUNNING]
 
     def chaos_tick(self) -> None:
@@ -309,7 +308,7 @@ class SimWorld:
             return
         if self.tick == 0 or self.tick % policy.interval_ticks != 0:
             return
-        running = self._running()
+        running = self._running_trials()
         count = min(math.ceil(policy.fraction * len(running)), len(running))
         if count == 0:
             return
@@ -351,7 +350,7 @@ class SimWorld:
             job.points.append((self.tick, value))
 
     def progress_tick(self) -> None:
-        for job in self._running():
+        for job in self._running_trials():
             placed = [u for u in job.units if u.node is not None and u.remaining]
             if not placed:
                 continue
@@ -360,7 +359,8 @@ class SimWorld:
             job.completed = job.duration - max(u.remaining for u in job.units)
             chief = job.units[0]
             if chief.node is not None:
-                self._emit_metric(job, (job.duration - chief.remaining) / job.duration)
+                progress = (job.duration - chief.remaining) / job.duration
+                self._emit_metric(job, progress)
             for unit in placed:
                 if unit.remaining == 0:
                     self._unplace(unit, job.name, job.cpu)
@@ -370,16 +370,11 @@ class SimWorld:
                 self.emit("job-succeeded", {"job": job.name})
 
     def _pending_units(self) -> list[tuple[float, str, int, SimUnit | SimService]]:
-        """What awaits placement, as (CPU, handle, worker index, unit), in
-        the order the scheduler takes it: the services first, by handle
-        (each holds the same CPU), as deployed per-experiment infrastructure
-        takes its reservation before any trial competes for the same quota;
-        then the live trial jobs' units, by CPU, largest first, then handle
-        and index."""
-        services = [(s.cpu, handle, 0, s) for handle, s in sorted(self.services.items()) if s.node is None]
-        units = [(job.cpu, job.name, i, u) for job in self._live() for i, u in enumerate(job.units)
-                 if _awaits_placement(u)]
-        return services + sorted(units, key=lambda pending: (-pending[0], pending[1], pending[2]))
+        """What awaits placement, as (CPU, handle, worker index, unit): the
+        services not placed, and the unplaced units of live trial jobs."""
+        services = [(s.cpu, handle, 0, s) for handle, s in self.services.items() if s.node is None]
+        return services + [(job.cpu, job.name, i, u) for job in self._live() for i, u in enumerate(job.units)
+                           if _awaits_placement(u)]
 
     def _fits(self, node: SimNode, ns: SimNamespace, cpu: float) -> bool:
         return (
@@ -395,9 +390,13 @@ class SimWorld:
         return None
 
     def schedule_tick(self) -> int:
+        pending = self._pending_units()
+        # Services (deployed per-experiment infrastructure) take their
+        # reservation before any trial competes for the same quota.
+        pending.sort(key=lambda p: (isinstance(p[3], SimUnit), -p[0], p[1], p[2]))
         placed_count = 0
         handled_jobs: set[str] = set()
-        for cpu, handle, index, unit in self._pending_units():
+        for cpu, handle, index, unit in pending:
             job = self.jobs[handle] if isinstance(unit, SimUnit) else None
             # A gang trial's unplaced workers form one group; any other unit
             # is a group of one. A group places all or nothing.
@@ -433,7 +432,10 @@ class SimWorld:
             return
         pending_cpu = sum(cpu for cpu, *_ in self._pending_units())
         if pending_cpu > 0 and len(self.nodes) < cfg.max_nodes:
-            add = min(math.ceil(pending_cpu / cfg.node_capacity_cpu), cfg.max_nodes - len(self.nodes))
+            add = min(
+                math.ceil(pending_cpu / cfg.node_capacity_cpu),
+                cfg.max_nodes - len(self.nodes),
+            )
             for _ in range(add):
                 node = self.add_node(cfg.node_capacity_cpu)
                 self.emit("node-added", {"node": node.id})
@@ -459,13 +461,22 @@ class SimWorld:
             self.emit("node-removed", {"node": node.id})
 
     def _tick_stats(self) -> None:
-        running = Counter(_namespace(job.name) for job in self._running())
+        running: dict[str, int] = {}
+        for job in self._running_trials():
+            namespace = _namespace(job.name)
+            running[namespace] = running.get(namespace, 0) + 1
         namespaces = {
-            name: {"cpuUsed": self.namespaces[name].cpu_used, "runningTrials": running[name]}
+            name: {"cpuUsed": self.namespaces[name].cpu_used, "runningTrials": running.get(name, 0)}
             for name in sorted(self.namespaces)
         }
-        pending_cpu = sum(cpu for cpu, *_ in self._pending_units())
-        self.emit("tick-stats", {"nodes": len(self.nodes), "pendingCpu": pending_cpu, "namespaces": namespaces})
+        self.emit(
+            "tick-stats",
+            {
+                "nodes": len(self.nodes),
+                "pendingCpu": sum(cpu for cpu, *_ in self._pending_units()),
+                "namespaces": namespaces,
+            },
+        )
 
     def advance_tick(
         self,
@@ -527,8 +538,13 @@ class SimBackend(ExecutionBackend):
     # The snapshot file of earlier versions, whose world.jsonl held per-tick deltas.
     _OLD_WORLD_FILE = "world.json"
 
-    def __init__(self, world: SimWorld, metrics: ObservationStore, state_dir: str | Path | None = None,
-                 crash_hook: Callable[[int, str], None] | None = None):
+    def __init__(
+        self,
+        world: SimWorld,
+        metrics: ObservationStore,
+        state_dir: str | Path | None = None,
+        crash_hook: Callable[[int, str], None] | None = None,
+    ):
         self.world = world
         self.metrics = metrics
         self.world.metrics = metrics
@@ -550,17 +566,24 @@ class SimBackend(ExecutionBackend):
         self._world_file = Journal(state_dir / self.WORLD_FILE)
 
     @classmethod
-    def resume(cls, state_dir: str | Path, metrics: ObservationStore, open_store: Callable[[int], ResourceStore],
-               crash_hook: Callable[[int, str], None] | None = None) -> tuple[SimBackend, ResourceStore]:
+    def resume(
+        cls,
+        state_dir: str | Path,
+        metrics: ObservationStore,
+        open_store: Callable[[int], ResourceStore],
+        job_request: Callable[[ResourceStore, str], JobRequest],
+        crash_hook: Callable[[int, str], None] | None = None,
+    ) -> tuple[SimBackend, ResourceStore]:
         """Rebuild a backend from the last complete line of ``world.jsonl``
         and the store that ``open_store`` opens at the line's
         ``journalRecords``; return both. Each trial job's spec is rebuilt
-        from its trial as the trial's submit builds it. Then that line is
-        left alone in the file, and the events recorded after it (a torn
-        tick), which will be emitted again, are truncated."""
+        from what ``job_request`` makes of the store and the job's handle,
+        what the trial's submit takes. Then that line is left alone in the
+        file, and the events recorded after it (a torn tick), which will be
+        emitted again, are truncated."""
         state_dir = Path(state_dir)
         path = state_dir / cls.WORLD_FILE
-        line = Journal(path).read(writing=False)[-1]
+        line = Journal(path).read()[-1]
         try:
             doc = json.loads(line)
             world, offset, records = from_doc(SimWorld, doc["world"]), doc["eventsOffset"], doc["journalRecords"]
@@ -570,7 +593,7 @@ class SimBackend(ExecutionBackend):
         backend._open_state(state_dir)
         store = open_store(records)
         for handle, job in world.jobs.items():
-            job.with_spec(*job_request(store, store.get(resource_key(KIND_TRIAL, *handle.split("/", 1)))))
+            job.with_spec(job_request(store, handle))
         backend._line = line.decode("utf-8") + "\n"
         backend._world_file.replace([backend._line])
         backend._events.truncate(offset)
@@ -579,7 +602,7 @@ class SimBackend(ExecutionBackend):
     @staticmethod
     def has_snapshot(state_dir: str | Path) -> bool:
         """Whether ``world.jsonl`` holds a complete line."""
-        return bool(Journal(Path(state_dir) / SimBackend.WORLD_FILE).read(writing=False))
+        return bool(Journal(Path(state_dir) / SimBackend.WORLD_FILE).read())
 
     def persist(self, records: int) -> None:
         """Commit: write the world's events since the last commit, and drop
@@ -603,9 +626,8 @@ class SimBackend(ExecutionBackend):
 
     # -- ExecutionBackend ----------------------------------------------------
 
-    def submit(self, run_spec: TrialRunSpec, template: TrialTemplate, *, collector_kind: CollectorKind,
-               watched_metrics: Sequence[str], restart_count: int = 0) -> str:
-        return self.world.submit_job(run_spec, template, collector_kind=collector_kind, watched_metrics=watched_metrics)
+    def submit(self, request: JobRequest, restart_count: int = 0) -> str:
+        return self.world.submit_job(request)
 
     def job_state(self, handle: str) -> JobState:
         return self.world.job_state(handle)

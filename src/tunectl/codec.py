@@ -281,27 +281,33 @@ class Journal:
     append opens the path again rather than write where no one reads.
 
     Bytes after the last newline are a write cut short by a crash. ``read``
-    always skips them. A caller that opens the file for writing
-    (``writing``) also cuts them off, so that its next append starts on a
-    line of its own; a reader leaves them, since a writer may still be
-    appending that line.
+    always skips them. A caller that opens the file for writing also cuts
+    them off with ``cut_tail`` after the read, so that its next append
+    starts on a line of its own; a reader leaves them, since a writer may
+    still be appending that line.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._fp: BinaryIO | None = None
+        self._torn_at: int | None = None  # where the last read found a torn tail
 
-    def read(self, writing: bool) -> list[bytes]:
+    def read(self) -> list[bytes]:
         """The complete lines, without their newlines; none when the file
         does not exist."""
         try:
             data = self.path.read_bytes()
         except FileNotFoundError:
-            return []
+            data = b""
         end = data.rfind(b"\n") + 1
-        if writing and end < len(data):
-            self.truncate(end)
+        self._torn_at = end if end < len(data) else None
         return data[:end].split(b"\n")[:-1]
+
+    def cut_tail(self) -> None:
+        """Cut off the torn tail that the last ``read`` found, if any."""
+        if self._torn_at is not None:
+            self.truncate(self._torn_at)
+            self._torn_at = None
 
     def append(self, lines: Iterable[str]) -> int:
         """Append ``lines``, each ending in a newline, and write them out;

@@ -8,7 +8,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 from ..resources import CollectorKind, TrialRunSpec, TrialTemplate
 
@@ -28,6 +28,16 @@ class JobState:
     reason: str | None = None
 
 
+class JobRequest(NamedTuple):
+    """What a backend's submit takes to run a trial's job; the trial
+    reconciler's ``job_request`` makes it from the trial and its experiment."""
+
+    run_spec: TrialRunSpec
+    template: TrialTemplate
+    collector_kind: CollectorKind
+    watched_metrics: tuple[str, ...]
+
+
 def job_handle(namespace: str, name: str) -> str:
     """The handle of a trial's job or an experiment's service: a trial and
     a service may share one, as they never share a job."""
@@ -36,15 +46,7 @@ def job_handle(namespace: str, name: str) -> str:
 
 class ExecutionBackend(ABC):
     @abstractmethod
-    def submit(
-        self,
-        run_spec: TrialRunSpec,
-        template: TrialTemplate,
-        *,
-        collector_kind: CollectorKind,
-        watched_metrics: Sequence[str],
-        restart_count: int = 0,
-    ) -> str:
+    def submit(self, request: JobRequest, restart_count: int = 0) -> str:
         """Launch the trial job; returns its handle. Resubmitting the same
         trial starts a fresh attempt resuming from any recorded checkpoint."""
 
@@ -73,12 +75,11 @@ class ExecutionBackend(ABC):
         until this call. Idempotent; a no-op for push-mode jobs, whose
         points were registered as they arose."""
 
-    @abstractmethod
     def reserve_service(self, namespace: str, name: str, cpu: float) -> None:
         """Hold a long-running per-experiment service reservation (the
-        deployed suggestion algorithm). Idempotent."""
+        deployed suggestion algorithm). Idempotent; a backend without a
+        quota model holds nothing."""
 
-    @abstractmethod
     def release_service(self, namespace: str, name: str) -> None:
         """Drop a service reservation and all it holds; an unknown one is a
         no-op. A trial's job of the same handle stays."""

@@ -68,17 +68,14 @@ from ..errors import (
 )
 from ..metrics import ObservationStore, best_objective
 from ..resources import (
-    CollectorKind,
     ExperimentSpec,
     ObjectiveType,
     RestartPolicy,
-    TrialRunSpec,
-    TrialTemplate,
     render_trial_spec,
 )
 from ..suggest import SuggestionRequest, get_suggestions
 from ..suggest.registry import assignment_key
-from .backend import ExecutionBackend, JobPhase, job_handle
+from .backend import ExecutionBackend, JobPhase, JobRequest, job_handle
 from .model import (
     KIND_EXPERIMENT,
     KIND_SUGGESTION,
@@ -331,16 +328,27 @@ class _Either(Container):
         return item in self._first or item in self._second
 
 
-def job_request(store: ResourceStore, trial: Resource) -> tuple[TrialRunSpec, TrialTemplate, CollectorKind, tuple]:
-    """What a backend's submit takes to run ``trial``'s job: its run spec,
-    its experiment's trial template, the collector kind and the watched
-    metrics. Every attempt takes the same, as the experiment's spec never
-    changes, so a resumed simulated world rebuilds its jobs through it."""
-    spec: ExperimentSpec = store.get(resource_key(KIND_EXPERIMENT, trial.namespace, trial.spec.experiment)).spec
+def job_request(spec: ExperimentSpec, trial: Resource) -> JobRequest:
+    """What a backend's submit takes to run ``trial``'s job in experiment
+    ``spec``: its run spec, the trial template, the collector kind and the
+    watched metrics. Every attempt takes the same, as the experiment's spec
+    never changes, so a resumed simulated world rebuilds its jobs through it."""
     template, objective = spec.trial_template, spec.objective
     run_spec = render_trial_spec(template, trial.spec.assignments, trial.name, trial.namespace)
     watched = (objective.objective_metric_name, *objective.additional_metric_names)
-    return run_spec, template, spec.metric_collector_kind, watched
+    return JobRequest(run_spec, template, spec.metric_collector_kind, watched)
+
+
+def stored_job_request(store: ResourceStore, handle: str) -> JobRequest:
+    """``job_request`` of the trial behind job ``handle`` as ``store`` holds
+    it; an error when the store holds no such trial or not its experiment."""
+    namespace, name = handle.split("/", 1)
+    trial = store.get(resource_key(KIND_TRIAL, namespace, name))
+    experiment = trial and store.get(resource_key(KIND_EXPERIMENT, namespace, trial.spec.experiment))
+    if experiment is None:
+        where = getattr(store, "path", "the store")
+        raise TunectlError(f"{where} holds no trial, or not its experiment, of the job {handle} that its world runs")
+    return job_request(experiment.spec, trial)
 
 
 def reconcile_trial(ctx: ControllerContext, key: str) -> int:
@@ -363,11 +371,10 @@ def reconcile_trial(ctx: ControllerContext, key: str) -> int:
     def submit(restart_count: int) -> TrialStatus:
         """The trial's status once its next attempt is submitted with
         ``restart_count``, which it keeps only if the backend accepts it."""
-        run_spec, template, collector_kind, watched = job_request(ctx.store, trial)
+        request = job_request(spec, trial)
         status = trial.status
         try:
-            ctx.backend.submit(run_spec, template, collector_kind=collector_kind, watched_metrics=watched,
-                               restart_count=restart_count)
+            ctx.backend.submit(request, restart_count)
         except (UnknownNamespaceError, InvalidPayloadError) as exc:
             return replace(status, phase=TrialPhase.FAILED, reason=str(exc))
         except TunectlError as exc:

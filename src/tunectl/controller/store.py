@@ -22,8 +22,10 @@ A simulated world commits each tick with the journal's ``records``. A store
 opened at such a ``commit`` keeps the records up to it and the experiment
 creates after it, which only ``submit`` writes, and drops the rest: the
 writes of a tick cut short, which the resumed run makes again. A journal of
-fewer records than its ``commit`` has lost what the world depends on, and
-opens to an error, having written nothing.
+fewer records than its ``commit`` is whole only in compacted form, one
+record per resource, as a kill between the store's compaction and the
+world's leaves it; any other has lost what the world depends on, and opens
+to an error, having written nothing.
 
 Durability (``codec.Journal``): every record reaches the operating system
 before its write returns, and compaction replaces the journal atomically (a
@@ -265,9 +267,7 @@ class FileResourceStore(ResourceStore):
                 "earlier version, which this version does not read; start again in a fresh store"
             )
         latest: dict[str, tuple[int, int, dict]] = {}  # key -> (its line, its spec's line, its document)
-        lines = self._journal.read(writing=False)
-        if commit is not None and len(lines) < commit:
-            raise TunectlError(f"{self.path} holds {len(lines)} records, fewer than the {commit} its world committed")
+        lines = self._journal.read()
         kept: list[bytes] = []
         for number, line in enumerate(lines, 1):
             try:
@@ -286,11 +286,13 @@ class FileResourceStore(ResourceStore):
                 raise self._unreadable(number, exc) from exc
             kept.append(line)
             latest[key] = (len(kept), spec_line, doc)
+        if commit is not None and len(latest) < len(lines) < commit:
+            raise TunectlError(f"{self.path} holds {len(lines)} records, fewer than the {commit} its world committed")
         if not self._readonly:  # cut the writes past the commit and a torn tail: the next record starts a line
             if len(kept) < len(lines):
                 self._journal.replace(line.decode("utf-8") + "\n" for line in kept)
             else:
-                self._journal.truncate(sum(map(len, lines)) + len(lines))
+                self._journal.cut_tail()
         self.records = len(kept)
         for number, spec_line, doc in latest.values():
             try:

@@ -110,7 +110,10 @@ class FileObservationStore(ObservationStore):
             self._load()
 
     def _load(self) -> None:
-        for line in self._journal.read(writing=not self._readonly):
+        lines = self._journal.read()
+        if not self._readonly:
+            self._journal.cut_tail()
+        for line in lines:
             try:
                 doc = json.loads(line)
             except ValueError:

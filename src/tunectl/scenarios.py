@@ -197,7 +197,7 @@ def run_simulated(
     backend.compact(store.records)
     backend.close()
     if state_dir is not None:
-        lines = Journal(Path(state_dir) / SimBackend.EVENTS_FILE).read(writing=False)
+        lines = Journal(Path(state_dir) / SimBackend.EVENTS_FILE).read()
         return SimRun(snapshot=snapshot, store=store, events=[json.loads(line) for line in lines])
     return SimRun(snapshot=snapshot, store=store, events=world.events)
 

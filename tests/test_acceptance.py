@@ -19,8 +19,8 @@ import pytest
 from conftest import _until_concluded, make_experiment
 from tunectl.cluster.localproc import LocalProcessBackend
 from tunectl.cluster.sim import SimBackend, SimWorld, SimulatedCrash
-from tunectl.controller.backend import JobPhase
-from tunectl.controller.reconcile import run_control_loop, submit_experiment
+from tunectl.controller.backend import JobPhase, JobRequest
+from tunectl.controller.reconcile import run_control_loop, stored_job_request, submit_experiment
 from tunectl.controller.store import FileResourceStore
 from tunectl.errors import ExhaustedSearchSpace
 from tunectl.metrics import (
@@ -357,12 +357,12 @@ def test_criterion_7_storage(tmp_path):
         store = InMemoryObservationStore()
         backend = LocalProcessBackend(store)
         run_spec = TrialRunSpec(trial_name="t", namespace="ns", resolved_payload=command, parameter_assignments=())
-        handle = backend.submit(
+        handle = backend.submit(JobRequest(
             run_spec,
             TrialTemplate(kind=TemplateKind.LOCAL_PROCESS, payload=command),
             collector_kind=collector,
             watched_metrics=("accuracy",),
-        )
+        ))
         _until_concluded(backend, handle, bound=60)
         assert backend.job_state(handle).phase is JobPhase.SUCCEEDED
         backend.collect_metrics(handle)
@@ -415,7 +415,11 @@ def _build_recovery(state_dir, crash_hook=None):
     if SimBackend.has_snapshot(state_dir):
         # The store opens at the tick the world committed.
         backend, store = SimBackend.resume(
-            state_dir, metrics, lambda records: FileResourceStore(state_dir / "resources", commit=records), crash_hook
+            state_dir,
+            metrics,
+            lambda records: FileResourceStore(state_dir / "resources", commit=records),
+            stored_job_request,
+            crash_hook,
         )
     else:
         store = FileResourceStore(state_dir / "resources")

@@ -681,13 +681,23 @@ def test_run_on_a_world_of_an_earlier_version_exits_4_and_leaves_the_store_untou
     assert _store_files(store) == before
 
 
-def test_run_on_a_journal_shorter_than_its_world_s_commit_exits_4_and_leaves_the_store_untouched(runner, tmp_path):
+def _interrupt(*_args):
+    raise KeyboardInterrupt
+
+
+def test_run_on_a_journal_shorter_than_its_world_s_commit_exits_4_and_leaves_the_store_untouched(
+    runner, tmp_path, monkeypatch
+):
     # The world's jobs were built from records the journal no longer holds;
     # resumed, the re-created trials of the same names would take them over.
+    from tunectl.controller.store import FileResourceStore
+
     _submit(runner, tmp_path)
     store = tmp_path / "store"
-    assert runner.invoke(cli, ["run", "--store", str(store), "--max-ticks", "4"]).exit_code == 0
-    records = json.loads((store / "world.jsonl").read_text())["journalRecords"]
+    monkeypatch.setattr(FileResourceStore, "compact", _interrupt)  # the journal keeps every record
+    assert runner.invoke(cli, ["run", "--store", str(store), "--max-ticks", "4"]).exit_code == 4
+    monkeypatch.undo()
+    records = json.loads((store / "world.jsonl").read_text().splitlines()[-1])["journalRecords"]
     journal = store / "journal.jsonl"
     lines = journal.read_text().splitlines(keepends=True)
     assert len(lines) == records > 3
@@ -697,6 +707,47 @@ def test_run_on_a_journal_shorter_than_its_world_s_commit_exits_4_and_leaves_the
     assert result.exit_code == 4, result.output
     assert f"{journal} holds 3 records, fewer than the {records}" in result.output
     assert _store_files(store) == before
+
+
+def test_run_on_a_cut_compacted_journal_exits_4_naming_a_job_whose_trial_it_lost(runner, tmp_path):
+    # A compacted journal shorter than its world's commit reads as whole, as
+    # a kill between the two compactions leaves it; the resume then finds no
+    # trial to rebuild the world's job from.
+    _submit(runner, tmp_path)
+    store = tmp_path / "store"
+    assert runner.invoke(cli, ["run", "--store", str(store), "--max-ticks", "4"]).exit_code == 0
+    [line] = (store / "world.jsonl").read_text().splitlines()
+    assert "team/cli-exp-0002" in json.loads(line)["world"]["jobs"]
+    journal = store / "journal.jsonl"
+    journal.write_text("".join(journal.read_text().splitlines(keepends=True)[:3]))
+    before = _store_files(store)
+    result = runner.invoke(cli, ["run", "--store", str(store)])
+    assert result.exit_code == 4, result.output
+    assert f"{journal} holds no trial, or not its experiment, of the job team/cli-exp-0002" in result.output
+    assert _store_files(store) == before
+
+
+def test_run_interrupted_between_the_journal_s_compaction_and_the_world_s_resumes(runner, tmp_path, monkeypatch):
+    # The journal is compacted, but the world's line still counts the
+    # records from before; the re-run the message asks for ends as a run
+    # stopped at the same tick and resumed does.
+    from tunectl.cluster.sim import SimBackend
+
+    outputs = {}
+    for interrupted in (False, True):
+        base = tmp_path / str(interrupted)
+        base.mkdir()
+        _submit(runner, base)
+        store = base / "store"
+        if interrupted:
+            monkeypatch.setattr(SimBackend, "compact", _interrupt)
+        result = runner.invoke(cli, ["run", "--store", str(store), "--max-ticks", "4"])
+        monkeypatch.undo()
+        assert (result.exit_code, "interrupted; state persisted" in result.output) == (4 * interrupted, interrupted)
+        result = runner.invoke(cli, ["run", "--store", str(store)])
+        assert result.exit_code == 0, result.output
+        outputs[interrupted] = {path.relative_to(store): data for path, data in _store_files(store).items()}
+    assert outputs[True] == outputs[False]
 
 
 def test_run_on_a_world_whose_jobs_keep_output_lines_exits_4_and_leaves_the_store_untouched(runner, tmp_path):

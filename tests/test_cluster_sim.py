@@ -14,7 +14,7 @@ from tunectl.cluster.sim import (
     SimWorld,
 )
 from tunectl.codec import to_doc
-from tunectl.controller.backend import JobPhase
+from tunectl.controller.backend import JobPhase, JobRequest
 from tunectl.controller.store import ResourceStore
 from tunectl.errors import UnknownNamespaceError
 from tunectl.metrics import InMemoryObservationStore
@@ -49,12 +49,12 @@ def _template(workers: int = 1, cpu: float = 2.0) -> TrialTemplate:
 
 
 def _submit(world: SimWorld, trial: str, *, namespace="ns", workers=1, cpu=2.0) -> str:
-    return world.submit_job(
+    return world.submit_job(JobRequest(
         _run_spec(trial, namespace),
         _template(workers, cpu),
         collector_kind=CollectorKind.PULL,
         watched_metrics=("loss",),
-    )
+    ))
 
 
 def _world(capacities=(8.0,), namespaces=("ns",), **kwargs) -> SimWorld:
@@ -204,7 +204,7 @@ def test_chaos_fraction_one_fails_all_running_trials():
     policy = ChaosPolicy(mode=ChaosMode.FAIL_TRIAL, fraction=1.0, interval_ticks=20)
     world = _world(capacities=(40.0,), chaos=policy, seed=9)
     for i in range(10):
-        world.submit_job(
+        world.submit_job(JobRequest(
             _run_spec(f"t-{i:02d}", duration=100),
             TrialTemplate(
                 kind=TemplateKind.SIMULATED,
@@ -213,7 +213,7 @@ def test_chaos_fraction_one_fails_all_running_trials():
             ),
             collector_kind=CollectorKind.PULL,
             watched_metrics=("loss",),
-        )
+        ))
     for _ in range(19):
         world.advance_tick()
     assert sum(1 for j in world.jobs.values() if j.phase is JobPhase.RUNNING) == 10
@@ -235,7 +235,7 @@ def test_chaos_fraction_zero_never_fires():
 def test_kill_worker_resumes_from_checkpoint():
     policy = ChaosPolicy(mode=ChaosMode.KILL_WORKER, fraction=1.0, interval_ticks=4)
     world = _world(capacities=(8.0,), chaos=policy, seed=2)
-    world.submit_job(
+    world.submit_job(JobRequest(
         _run_spec("t1", duration=10),
         TrialTemplate(
             kind=TemplateKind.SIMULATED,
@@ -245,7 +245,7 @@ def test_kill_worker_resumes_from_checkpoint():
         ),
         collector_kind=CollectorKind.PULL,
         watched_metrics=("loss",),
-    )
+    ))
     for _ in range(4):
         world.advance_tick()
     job = world.jobs["ns/t1"]
@@ -253,10 +253,10 @@ def test_kill_worker_resumes_from_checkpoint():
     checkpoint = job.completed
     assert checkpoint > 0
     # Resubmission (the trial controller's restart) resumes the remainder.
-    world.submit_job(
+    world.submit_job(JobRequest(
         _run_spec("t1", duration=10), _template(workers=2, cpu=1.0),
         collector_kind=CollectorKind.PULL, watched_metrics=("loss",),
-    )
+    ))
     assert job.attempt == 2
     assert all(u.remaining == 10 - checkpoint for u in job.units)
 
@@ -271,7 +271,7 @@ def test_worlds_with_same_seed_evolve_identically_over_1000_ticks():
         # A continuous stream of restartable jobs keeps every subsystem busy.
         for tick in range(1000):
             if tick % 7 == 0 and tick < 700:
-                world.submit_job(
+                world.submit_job(JobRequest(
                     _run_spec(f"t-{tick:04d}", x=float(tick % 9), duration=6),
                     TrialTemplate(
                         kind=TemplateKind.SIMULATED,
@@ -281,16 +281,16 @@ def test_worlds_with_same_seed_evolve_identically_over_1000_ticks():
                     ),
                     collector_kind=CollectorKind.PULL,
                     watched_metrics=("loss",),
-                )
+                ))
                 # Killed jobs get redeployed the way the trial controller would.
                 for job in world.jobs.values():
                     if job.phase is JobPhase.FAILED_TEMPORARY:
-                        world.submit_job(
+                        world.submit_job(JobRequest(
                             _run_spec(job.name.split("/", 1)[1], duration=6),
                             _template(workers=1, cpu=2.0),
                             collector_kind=CollectorKind.PULL,
                             watched_metrics=("loss",),
-                        )
+                        ))
             world.advance_tick()
         return world
 
@@ -336,9 +336,9 @@ def test_a_value_that_is_not_finite_makes_no_metric_point(kind):
     # want of one instead of the run stopping on the error.
     metrics = InMemoryObservationStore()
     backend = SimBackend(_world(), metrics)
-    handle = backend.world.submit_job(
+    handle = backend.world.submit_job(JobRequest(
         _run_spec("huge", x=1e200), _template(), collector_kind=kind, watched_metrics=("loss",)
-    )
+    ))
     for _ in range(4):
         backend.world.advance_tick()
     assert backend.job_state(handle).phase is JobPhase.SUCCEEDED

@@ -194,14 +194,22 @@ def test_experiment_status_document_keeps_its_shape():
 def test_journal_reads_complete_lines_and_only_a_writer_cuts_the_torn_tail(tmp_path):
     path = tmp_path / "log.jsonl"
     path.write_bytes(b'{"a": 1}\n{"b": 2}\n{"c"')
-    assert Journal(path).read(writing=False) == [b'{"a": 1}', b'{"b": 2}']
+    assert Journal(path).read() == [b'{"a": 1}', b'{"b": 2}']
     assert path.read_bytes().endswith(b'{"c"')
     writer = Journal(path)
-    assert writer.read(writing=True) == [b'{"a": 1}', b'{"b": 2}']
+    assert writer.read() == [b'{"a": 1}', b'{"b": 2}']
+    writer.cut_tail()
     assert writer.append(['{"d": 4}\n']) == path.stat().st_size
     assert path.read_bytes() == b'{"a": 1}\n{"b": 2}\n{"d": 4}\n'
     writer.close()
-    assert Journal(tmp_path / "missing.jsonl").read(writing=True) == []
+    writer.read()  # finds no torn tail, so the next cut cuts nothing
+    path.write_bytes(path.read_bytes() + b'{"e"')
+    writer.cut_tail()
+    assert path.read_bytes().endswith(b'{"d": 4}\n{"e"')
+    missing = Journal(tmp_path / "missing.jsonl")
+    assert missing.read() == []
+    missing.cut_tail()
+    assert not missing.path.exists()
 
 
 def test_journal_replace_truncate_and_remove(tmp_path):

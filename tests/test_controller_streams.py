@@ -21,7 +21,7 @@ import pytest
 
 from conftest import make_experiment
 from tunectl.cluster.sim import ChaosMode, ChaosPolicy, SimBackend, SimWorld
-from tunectl.controller.reconcile import run_control_loop, submit_experiment, trial_name_for
+from tunectl.controller.reconcile import run_control_loop, stored_job_request, submit_experiment, trial_name_for
 from tunectl.controller.store import FileResourceStore
 from tunectl.metrics import FileObservationStore
 from tunectl.resources import (
@@ -86,7 +86,10 @@ def _open(directory, algorithm: str):
     metrics = FileObservationStore(directory / "metrics.jsonl")
     if SimBackend.has_snapshot(directory):
         backend, store = SimBackend.resume(
-            directory, metrics, lambda records: FileResourceStore(directory / "resources", commit=records)
+            directory,
+            metrics,
+            lambda records: FileResourceStore(directory / "resources", commit=records),
+            stored_job_request,
         )
         return store, metrics, backend
     store = FileResourceStore(directory / "resources")

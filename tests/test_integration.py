@@ -171,9 +171,9 @@ def test_hyperband_runs_end_to_end_with_budget_assignments():
     submitted = {}
 
     class RecordingBackend(SimBackend):
-        def submit(self, run_spec, template, **kwargs):
-            submitted[run_spec.trial_name] = run_spec
-            return super().submit(run_spec, template, **kwargs)
+        def submit(self, request, restart_count=0):
+            submitted[request.run_spec.trial_name] = request.run_spec
+            return super().submit(request, restart_count)
 
     snapshot, store, _ = _run_sim(spec, backend_class=RecordingBackend)
     exp = snapshot["experiments"]["experiment/ns/exp"]

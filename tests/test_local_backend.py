@@ -15,7 +15,7 @@ import pytest
 
 from conftest import _until_concluded, make_experiment
 from tunectl.cluster.localproc import READ_BYTES, LocalProcessBackend
-from tunectl.controller.backend import JobPhase
+from tunectl.controller.backend import JobPhase, JobRequest
 from tunectl.controller.model import KIND_TRIAL, TrialPhase
 from tunectl.controller.reconcile import ControllerContext, controller_step, run_control_loop, submit_experiment
 from tunectl.controller.store import ResourceStore
@@ -374,9 +374,7 @@ def test_direct_submit_rejects_simulated_payload():
     )
     template = TrialTemplate(kind=TemplateKind.SIMULATED, payload=SimObjectiveDescriptor("sphere"))
     with pytest.raises(InvalidPayloadError):
-        backend.submit(
-            run_spec, template, collector_kind=CollectorKind.PULL, watched_metrics=("m",)
-        )
+        backend.submit(JobRequest(run_spec, template, CollectorKind.PULL, ("m",)))
 
 
 def test_backend_payload_mismatch_fails_trials_permanently():
@@ -399,9 +397,7 @@ def _submit_command(backend, trial, command):
         trial_name=trial, namespace="ns", resolved_payload=command, parameter_assignments=()
     )
     template = TrialTemplate(kind=TemplateKind.LOCAL_PROCESS, payload=command)
-    return backend.submit(
-        run_spec, template, collector_kind=CollectorKind.PULL, watched_metrics=("m",)
-    )
+    return backend.submit(JobRequest(run_spec, template, CollectorKind.PULL, ("m",)))
 
 
 def test_close_stops_running_trainers_and_their_children():
@@ -493,7 +489,7 @@ def test_a_step_after_an_earlier_exit_still_waits_the_poll_interval():
 _CHATTY = """
 import resource, sys, time
 from tunectl.cluster.localproc import LocalProcessBackend
-from tunectl.controller.backend import JobPhase
+from tunectl.controller.backend import JobPhase, JobRequest
 from tunectl.metrics import InMemoryObservationStore, MetricPoint
 from tunectl.resources import CollectorKind, TemplateKind, TrialRunSpec, TrialTemplate
 
@@ -503,10 +499,8 @@ command = f"{sys.executable} -c \\"{trainer}\\""
 metrics = InMemoryObservationStore()
 backend = LocalProcessBackend(metrics)
 run_spec = TrialRunSpec(trial_name="chatty", namespace="ns", resolved_payload=command, parameter_assignments=())
-handle = backend.submit(
-    run_spec, TrialTemplate(kind=TemplateKind.LOCAL_PROCESS, payload=command),
-    collector_kind=kind, watched_metrics=("loss",),
-)
+template = TrialTemplate(kind=TemplateKind.LOCAL_PROCESS, payload=command)
+handle = backend.submit(JobRequest(run_spec, template, kind, ("loss",)))
 deadline = time.monotonic() + 120
 while backend.job_state(handle).phase is JobPhase.RUNNING:
     assert time.monotonic() < deadline
@@ -566,10 +560,8 @@ def test_a_progress_bar_that_never_ends_its_line_holds_the_tail_at_read_bytes(tm
     backend = LocalProcessBackend(metrics, poll_interval=0.005)
     command = f"{sys.executable} {script}"
     run_spec = TrialRunSpec(trial_name="bar", namespace="ns", resolved_payload=command, parameter_assignments=())
-    handle = backend.submit(
-        run_spec, TrialTemplate(kind=TemplateKind.LOCAL_PROCESS, payload=command),
-        collector_kind=CollectorKind.PULL, watched_metrics=("loss",),
-    )
+    template = TrialTemplate(kind=TemplateKind.LOCAL_PROCESS, payload=command)
+    handle = backend.submit(JobRequest(run_spec, template, CollectorKind.PULL, ("loss",)))
     job = backend._jobs[handle]
     advances = 0
     try:

@@ -208,8 +208,8 @@ class _SilentBackend(ExecutionBackend):
     def __init__(self):
         self.submitted = set()
 
-    def submit(self, run_spec, template, *, collector_kind, watched_metrics, restart_count=0):
-        handle = job_handle(run_spec.namespace, run_spec.trial_name)
+    def submit(self, request, restart_count=0):
+        handle = job_handle(request.run_spec.namespace, request.run_spec.trial_name)
         self.submitted.add(handle)
         return handle
 
@@ -224,9 +224,6 @@ class _SilentBackend(ExecutionBackend):
         pass
 
     def reserve_service(self, namespace, name, cpu):
-        pass
-
-    def release_service(self, namespace, name):
         pass
 
     def release(self, handle):
@@ -353,7 +350,8 @@ class _RecordingBackend(_SilentBackend):
         self.run_specs = []
         self.phases = {}
 
-    def submit(self, run_spec, template, *, collector_kind, watched_metrics, restart_count=0):
+    def submit(self, request, restart_count=0):
+        run_spec = request.run_spec
         self.run_specs.append(run_spec)
         handle = job_handle(run_spec.namespace, run_spec.trial_name)
         self.phases[handle] = JobPhase.RUNNING

@@ -7,9 +7,9 @@ import math
 from conftest import make_experiment
 from tunectl.cluster.sim import LIVE_PHASES, AutoscalerConfig, ChaosMode, ChaosPolicy, SimBackend, SimWorld
 from tunectl.codec import to_doc
-from tunectl.controller.backend import JobPhase
+from tunectl.controller.backend import JobPhase, JobRequest
 from tunectl.controller.model import KIND_EXPERIMENT, KIND_TRIAL, Resource, TrialSpec, TrialStatus, resource_key
-from tunectl.controller.reconcile import job_request, submit_experiment
+from tunectl.controller.reconcile import stored_job_request, submit_experiment
 from tunectl.controller.store import ResourceStore
 from tunectl.metrics import InMemoryObservationStore
 from tunectl.resources import (
@@ -47,14 +47,13 @@ def stored_submit(world: SimWorld, store: ResourceStore, trial: str, template: T
         submit_experiment(store, make_experiment([], name=experiment, template=template))
     if store.get(resource_key(KIND_TRIAL, "ns", trial)) is None:
         store.create(Resource(KIND_TRIAL, "ns", trial, TrialSpec(experiment, (("x", 1.0),)), TrialStatus()))
-    run_spec, template, collector_kind, watched = job_request(store, store.get(resource_key(KIND_TRIAL, "ns", trial)))
-    return world.submit_job(run_spec, template, collector_kind=collector_kind, watched_metrics=watched)
+    return world.submit_job(stored_job_request(store, f"ns/{trial}"))
 
 
 def resumed(world: SimWorld, store: ResourceStore, state_dir) -> SimWorld:
     """``world`` committed in ``state_dir`` and resumed from there with ``store``."""
     SimBackend(world, InMemoryObservationStore(), state_dir=state_dir).persist(store.records)
-    return SimBackend.resume(state_dir, InMemoryObservationStore(), lambda _records: store)[0].world
+    return SimBackend.resume(state_dir, InMemoryObservationStore(), lambda _records: store, stored_job_request)[0].world
 
 
 def _submit(world: SimWorld, store: ResourceStore, trial: str, workers: int) -> None:
@@ -139,7 +138,7 @@ def test_nodes_emptied_of_fractional_cpu_units_scale_down():
         cpu_per_worker=0.1,
     )
     for i in range(30):
-        world.submit_job(
+        world.submit_job(JobRequest(
             TrialRunSpec(
                 trial_name=f"t-{i:03d}",
                 namespace="ns",
@@ -149,7 +148,7 @@ def test_nodes_emptied_of_fractional_cpu_units_scale_down():
             template,
             collector_kind=CollectorKind.PULL,
             watched_metrics=("loss",),
-        )
+        ))
         if i % 6 == 5:
             world.advance_tick()
     while any(job.phase in LIVE_PHASES for job in world.jobs.values()):

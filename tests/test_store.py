@@ -678,11 +678,12 @@ def test_a_broken_spec_under_a_status_only_record_names_the_spec_line(tmp_path):
 
 
 def test_a_journal_shorter_than_its_commit_opens_to_an_error_and_is_left_as_it_is(tmp_path):
-    # The simulated world committed 3 records; a journal that holds 2 has
-    # lost a write that the world's jobs were built from.
+    # The simulated world committed 3 records; a journal that holds 2, the
+    # second an update of the first, has lost a write that the world's jobs
+    # were built from.
     store = FileResourceStore(tmp_path)
-    for name in ("a", "b"):
-        store.create(_experiment_resource(name))
+    experiment = store.create(_experiment_resource())
+    store.update(replace(experiment, status=replace(experiment.status, trials_pending=1)))
     store.close()
     journal = tmp_path / FileResourceStore.JOURNAL
     with journal.open("ab") as fp:
@@ -704,3 +705,21 @@ def test_a_store_opened_read_only_at_a_commit_leaves_the_writes_past_it_in_the_j
     before = (tmp_path / FileResourceStore.JOURNAL).read_bytes()
     assert FileResourceStore(tmp_path, readonly=True, commit=1).get(experiment.key).generation == 1
     assert (tmp_path / FileResourceStore.JOURNAL).read_bytes() == before
+
+
+def test_a_compacted_journal_shorter_than_its_commit_opens_whole(tmp_path):
+    # A kill between the store's compaction and the world's leaves the
+    # world's line counting the records from before the compaction.
+    store = FileResourceStore(tmp_path)
+    for name in ("a", "b"):
+        experiment = store.create(_experiment_resource(name))
+        store.update(replace(experiment, status=replace(experiment.status, trials_pending=1)))
+    store.compact()
+    store.close()
+    journal = tmp_path / FileResourceStore.JOURNAL
+    with journal.open("ab") as fp:
+        fp.write(b'{"kind":"trial","na')  # and a torn tail
+    opened = FileResourceStore(tmp_path, commit=4)
+    assert opened.records == 2
+    assert [r.status.trials_pending for r in opened.list(KIND_EXPERIMENT)] == [1, 1]
+    assert journal.read_bytes().endswith(b"}\n")

@@ -17,7 +17,7 @@ from conftest import make_experiment
 from tunectl.cluster import sim
 from tunectl.cluster.sim import SimBackend, SimWorld
 from tunectl.controller import reconcile
-from tunectl.controller.backend import ExecutionBackend, JobPhase
+from tunectl.controller.backend import ExecutionBackend, JobPhase, JobRequest
 from tunectl.controller.model import KIND_EXPERIMENT, KIND_SUGGESTION, KIND_TRIAL, TrialPhase
 from tunectl.controller.reconcile import ControllerContext, controller_step, run_control_loop, submit_experiment
 from tunectl.controller.store import ResourceStore
@@ -147,12 +147,12 @@ def test_a_queued_job_is_reported_once_it_runs_not_while_it_waits():
     world.add_namespace("ns")
     backend = SimBackend(world, InMemoryObservationStore())
     first, queued = (
-        backend.submit(
+        backend.submit(JobRequest(
             TrialRunSpec(name, "ns", SimObjectiveDescriptor("sphere", duration_ticks=2), (("x", "0.5"),)),
             _template(duration=2),
             collector_kind=CollectorKind.PULL,
             watched_metrics=("loss",),
-        )
+        ))
         for name in ("exp-0000", "exp-0001")
     )
     assert backend.changed_jobs() == []

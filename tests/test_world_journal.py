@@ -40,8 +40,9 @@ from tunectl.cluster.sim import (
 )
 from tunectl.codec import Journal, json_default
 from tunectl.controller.model import KIND_EXPERIMENT, KIND_TRIAL, TERMINAL_TRIAL
-from tunectl.controller.reconcile import run_control_loop, submit_experiment, terminal_snapshot
+from tunectl.controller.reconcile import run_control_loop, stored_job_request, submit_experiment, terminal_snapshot
 from tunectl.controller.store import FileResourceStore
+from tunectl.errors import TunectlError
 from tunectl.metrics import FileObservationStore, InMemoryObservationStore
 from tunectl.resources import (
     ParameterSpec,
@@ -75,9 +76,12 @@ def _experiments():
     ]
 
 
-def _store_at(directory):
-    """What ``SimBackend.resume`` calls to open the store at a commit."""
-    return lambda records: FileResourceStore(directory / "resources", commit=records)
+def _resume(directory, metrics, crash_hook=None):
+    """``SimBackend.resume``, with the store opened at the commit."""
+    def store_at(records):
+        return FileResourceStore(directory / "resources", commit=records)
+
+    return SimBackend.resume(directory, metrics, store_at, stored_job_request, crash_hook=crash_hook)
 
 
 def _open(directory, crash_hook=None):
@@ -85,7 +89,7 @@ def _open(directory, crash_hook=None):
     start a fresh world, as ``tunectl run`` does."""
     metrics = FileObservationStore(directory / METRICS)
     if SimBackend.has_snapshot(directory):
-        backend, store = SimBackend.resume(directory, metrics, _store_at(directory), crash_hook=crash_hook)
+        backend, store = _resume(directory, metrics, crash_hook)
         return store, metrics, backend
     store = FileResourceStore(directory / "resources")
     world = SimWorld(
@@ -153,7 +157,7 @@ def _lines(directory) -> list[bytes]:
 
 
 def _journal_records(directory) -> int:
-    return len(Journal(directory / JOURNAL).read(writing=False))
+    return len(Journal(directory / JOURNAL).read())
 
 
 @dataclass
@@ -248,7 +252,7 @@ def test_a_file_cut_at_any_byte_resumes_at_its_last_complete_line(recorded, tmp_
 
     # A read skips the torn tail and leaves the bytes alone.
     complete = recorded.file[: recorded.file.rfind(b"\n", 0, cut) + 1]
-    assert Journal(directory / WORLD).read(writing=False) == complete.split(b"\n")[:-1]
+    assert Journal(directory / WORLD).read() == complete.split(b"\n")[:-1]
     assert (directory / WORLD).read_bytes() == recorded.file[:cut]
     if not complete:
         assert not SimBackend.has_snapshot(directory)
@@ -258,7 +262,7 @@ def test_a_file_cut_at_any_byte_resumes_at_its_last_complete_line(recorded, tmp_
     tick = complete.count(b"\n") - 1
     expected = recorded.lines[tick]
     offset, records = json.loads(expected)["eventsOffset"], json.loads(expected)["journalRecords"]
-    backend, store = SimBackend.resume(directory, InMemoryObservationStore(), _store_at(directory))
+    backend, store = _resume(directory, InMemoryObservationStore())
     assert _line_text(backend.world, offset, records) == expected and store.records == records
     assert (directory / WORLD).read_text() == expected + "\n"
     assert (directory / EVENTS).read_bytes() == recorded.events[:offset]
@@ -292,7 +296,7 @@ def test_a_resume_at_every_commit_rebuilds_the_live_run_s_jobs(recorded, tmp_pat
     for tick, line in recorded.lines.items():
         directory = tmp_path_factory.mktemp(f"commit-{tick}")
         _lay_out(directory, recorded, line.encode() + b"\n")
-        backend, store = SimBackend.resume(directory, InMemoryObservationStore(), _store_at(directory))
+        backend, store = _resume(directory, InMemoryObservationStore())
         rebuilt = {handle: vars(job) for handle, job in backend.world.jobs.items()}
         assert rebuilt == {handle: vars(job) for handle, job in recorded.jobs[tick].items()}, tick
         backend.close()
@@ -446,6 +450,40 @@ def test_a_stopped_run_compacts_its_commit_count_exactly(recorded, tmp_path):
     assert _run(tmp_path, watcher=watcher) >= 8  # past the stop, in a tick of the resumed run
     assert _run(tmp_path) is None
     assert _outputs(tmp_path) == recorded.final
+
+
+def test_a_kill_between_the_journal_s_compaction_and_the_world_s_resumes_to_the_uninterrupted_world(
+    recorded, tmp_path, monkeypatch
+):
+    """Killed after the journal's compaction, the world's last line counts
+    the records from before it, more than the compacted journal holds but
+    the same resources. The resume opens the whole journal, and the resumed
+    run ends with the uninterrupted run's outputs."""
+
+    def killed(_backend, _records):
+        raise SimulatedCrash("kill before the world's compaction")
+
+    monkeypatch.setattr(SimBackend, "compact", killed)
+    assert _run(tmp_path, max_ticks=7) == 7
+    monkeypatch.undo()
+    assert _lines(tmp_path)[-1].decode() == recorded.lines[7]
+    assert _journal_records(tmp_path) < json.loads(recorded.lines[7])["journalRecords"]
+    assert _run(tmp_path) is None
+    assert _outputs(tmp_path) == recorded.final
+
+
+def test_a_resume_whose_store_holds_no_trial_of_a_job_names_the_journal_and_the_job(recorded, tmp_path):
+    """A journal cut to its first record, an experiment's create, reads as
+    compacted; the world's jobs then find no trial to rebuild them from."""
+    line = next(line for tick, line in sorted(recorded.lines.items()) if _world(line)["jobs"])
+    _lay_out(tmp_path, recorded, line.encode() + b"\n")
+    (tmp_path / JOURNAL).write_bytes(recorded.journal.splitlines(keepends=True)[0])
+    before = {path: path.read_bytes() for path in (tmp_path / WORLD, tmp_path / EVENTS, tmp_path / JOURNAL)}
+    with pytest.raises(TunectlError) as raised:
+        _resume(tmp_path, InMemoryObservationStore())
+    job = next(iter(_world(line)["jobs"]))
+    assert f"{tmp_path / JOURNAL} holds no trial, or not its experiment, of the job {job}" in str(raised.value)
+    assert {path: path.read_bytes() for path in before} == before
 
 
 def test_an_experiment_submitted_into_a_killed_store_survives_the_resume_and_runs(recorded, tmp_path):
