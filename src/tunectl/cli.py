@@ -5,7 +5,9 @@ canned scenarios.
 The backends are imported only by the commands that run trials (``run``
 and ``scenario``), so ``--help``, ``submit``, ``export`` and ``dump`` start
 without them. No command imports numpy itself: a run loads it only for
-Bayesian optimization, TPE or a noisy simulated objective.
+Bayesian optimization, TPE or a noisy simulated objective. A simulated
+``run`` resumes at the last commit in the store's journal; every run ends
+by compacting the journal.
 
 Exit codes: 0 success, 2 validation failure, 3 name conflict, 4 runtime
 error, 5 scenario assertion failure.
@@ -47,7 +49,7 @@ store_option = click.option(
 )
 
 
-def _open_store(store_dir: Path, readonly: bool = False, commit: int | None = None) -> FileResourceStore:
+def _open_store(store_dir: Path, readonly: bool = False, commit: bool = False) -> FileResourceStore:
     try:
         return FileResourceStore(store_dir, readonly=readonly, commit=commit)
     except TunectlError as exc:
@@ -126,7 +128,7 @@ def _print_summary(snapshot: dict) -> None:
     help="Scenario file describing the simulated world (sim backend).",
 )
 @click.option("--seed", type=click.IntRange(min=0), default=0, help="World seed (sim backend).")
-@click.option("--max-ticks", type=int, default=100_000)
+@click.option("--max-ticks", type=click.IntRange(min=0), default=100_000)
 def run(
     store_dir: Path,
     backend_name: str,
@@ -152,20 +154,19 @@ def _run(
     from .cluster.sim import SimBackend
     from .scenarios import NodeGroup, Quota, ScenarioConfig, load_scenario
 
+    # A simulated run opens the store at its journal's last commit, where the world resumes.
+    store = _open_store(store_dir, commit=backend_name == "sim")
     metrics = FileObservationStore(store_dir / "metrics.jsonl")
     try:
         if backend_name == "local":
-            store = _open_store(store_dir)
             backend = LocalProcessBackend(metrics)
-        elif SimBackend.has_snapshot(store_dir):
-            # The store opens at the tick the world committed.
-            backend, store = SimBackend.resume(
-                store_dir, metrics, lambda records: _open_store(store_dir, commit=records), stored_job_request
+        elif store.committed is not None:
+            backend = SimBackend.resume(
+                store_dir, store.committed, metrics, lambda handle: stored_job_request(store, handle)
             )
             if scenario_file is not None:
                 click.echo("resuming persisted world; --scenario ignored", err=True)
         else:
-            store = _open_store(store_dir)
             cfg = ScenarioConfig(seed, nodes=(NodeGroup(8.0, 4),), max_ticks=max_ticks)
             if scenario_file is not None:
                 cfg, specs = load_scenario(scenario_file)
@@ -193,8 +194,7 @@ def _run(
         sys.exit(EXIT_RUNTIME)
     try:
         snapshot = run_control_loop(store, metrics, backend, max_ticks=max_ticks)
-        store.compact()  # first: the world's last line counts the compacted records
-        backend.compact(store.records)
+        store.compact()
     except KeyboardInterrupt:
         click.echo("interrupted; state persisted, re-run to resume", err=True)
         sys.exit(EXIT_RUNTIME)
@@ -264,7 +264,7 @@ def dump(store_dir: Path) -> None:
     envvar="TUNECTL_STORE",
     type=click.Path(file_okay=False, path_type=Path),
     default=None,
-    help="Optional state directory (persists world snapshots and event logs).",
+    help="Optional state directory (keeps the resource journal, its commits and the event log).",
 )
 def scenario(name: str, seed: int, store_dir: Path | None) -> None:
     """Run a canned evaluation scenario and check its acceptance assertions.

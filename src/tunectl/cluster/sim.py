@@ -15,9 +15,9 @@ Nodes are never scaled down while they hold running work.
 
 A trial's job is released once its trial concludes, so the world holds
 live jobs only, and each experiment's service in a table of its own: a
-trial and a service never share a job. ``SimBackend`` persists the world
-in a state directory, one whole-world line per tick, which commits the
-tick.
+trial and a service never share a job. ``SimBackend`` writes the world's
+events to a state directory and returns the whole world as each tick's
+commit, which the resource store appends to its journal.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ from .objectives import eval_sim_objective
 
 if TYPE_CHECKING:  # only a noisy metric draws from numpy
     import numpy as np
-
-    from ..controller.store import ResourceStore
 
 CHAOS_SALT = 0xC7A05
 METRIC_SALT = 0x3E791C
@@ -73,8 +71,8 @@ class ChaosPolicy:
 class AutoscalerConfig:
     min_nodes: int = field(metadata={"minimum": 1})
     max_nodes: int
-    node_capacity_cpu: float
-    scale_down_grace_ticks: int = 10
+    node_capacity_cpu: float = field(metadata={"exclusive_minimum": 0, "finite": True})
+    scale_down_grace_ticks: int = field(default=10, metadata={"minimum": 0})
 
     def __post_init__(self) -> None:
         if self.min_nodes > self.max_nodes:
@@ -83,7 +81,6 @@ class AutoscalerConfig:
 
 @dataclass
 class SimNode:
-    id: str
     capacity_cpu: float
     allocated_cpu: float = 0.0
     idle_since: int | None = None
@@ -91,7 +88,6 @@ class SimNode:
 
 @dataclass
 class SimNamespace:
-    name: str
     cpu_limit: float | None = None  # None: no quota
     cpu_used: float = 0.0
 
@@ -113,11 +109,11 @@ class SimService:
 @dataclass
 class SimJob:
     """A trial's job. Its constructor takes what a tick changes, all that a
-    world line holds of it. ``with_spec`` sets the rest, fixed at submit,
+    commit holds of it. ``with_spec`` sets the rest, fixed at submit,
     from the trial's run spec: on submit, and on resume from the store."""
 
     phase: JobPhase = JobPhase.PENDING
-    reason: str | None = None
+    reason: str | None = field(default=None, metadata={"omit_none": True})
     completed: int = 0  # checkpoint: ticks finished by the slowest worker
     attempt: int = 1
     units: list[SimUnit] = field(default_factory=list)
@@ -163,7 +159,7 @@ def _derived_rng(*entropy: int) -> np.random.Generator:
 
 @dataclass(eq=False)
 class SimWorld:
-    """The simulated cluster. Its fields are the state a snapshot holds:
+    """The simulated cluster. Its fields are the state a commit holds:
     ``jobs`` holds the trial jobs not yet released, the live ones and the
     concluded ones whose trial has not yet recorded it, by handle; and
     ``services`` each experiment's service, by handle, until released. The
@@ -198,16 +194,14 @@ class SimWorld:
 
     # -- world construction -------------------------------------------------
 
-    def add_node(self, capacity_cpu: float) -> SimNode:
-        node = SimNode(id=f"node-{self.node_seq:04d}", capacity_cpu=float(capacity_cpu))
+    def add_node(self, capacity_cpu: float) -> str:
+        node_id = f"node-{self.node_seq:04d}"
         self.node_seq += 1
-        self.nodes[node.id] = node
-        return node
+        self.nodes[node_id] = SimNode(float(capacity_cpu))
+        return node_id
 
-    def add_namespace(self, name: str, cpu_limit: float | None = None) -> SimNamespace:
-        ns = SimNamespace(name=name, cpu_limit=None if cpu_limit is None else float(cpu_limit))
-        self.namespaces[name] = ns
-        return ns
+    def add_namespace(self, name: str, cpu_limit: float | None = None) -> None:
+        self.namespaces[name] = SimNamespace(None if cpu_limit is None else float(cpu_limit))
 
     # -- events --------------------------------------------------------------
 
@@ -268,14 +262,14 @@ class SimWorld:
 
     # -- placement bookkeeping ------------------------------------------------
 
-    def _place(self, unit: SimUnit | SimService, node: SimNode, handle: str, cpu: float) -> None:
-        ns = self.namespaces[_namespace(handle)]
+    def _place(self, unit: SimUnit | SimService, node_id: str, handle: str, cpu: float) -> None:
+        node, name = self.nodes[node_id], _namespace(handle)
         node.allocated_cpu += cpu
         node.idle_since = None
-        ns.cpu_used += cpu
-        self._units_on[node.id] += 1
-        self._units_in[ns.name] += 1
-        unit.node = node.id
+        self.namespaces[name].cpu_used += cpu
+        self._units_on[node_id] += 1
+        self._units_in[name] += 1
+        unit.node = node_id
 
     def _unplace(self, unit: SimUnit | SimService, handle: str, cpu: float) -> None:
         """Take the unit of job or service ``handle`` off its node. A node
@@ -285,13 +279,14 @@ class SimWorld:
         sees such a node as empty."""
         if unit.node is None:
             return
-        ns = self.namespaces[_namespace(handle)]
+        name = _namespace(handle)
+        ns = self.namespaces[name]
         self._units_on[unit.node] -= 1
-        self._units_in[ns.name] -= 1
+        self._units_in[name] -= 1
         node = self.nodes.get(unit.node)
         if node is not None:
-            node.allocated_cpu = node.allocated_cpu - cpu if self._units_on[node.id] else 0.0
-        ns.cpu_used = ns.cpu_used - cpu if self._units_in[ns.name] else 0.0
+            node.allocated_cpu = node.allocated_cpu - cpu if self._units_on[unit.node] else 0.0
+        ns.cpu_used = ns.cpu_used - cpu if self._units_in[name] else 0.0
         unit.node = None
 
     # -- tick phases -----------------------------------------------------------
@@ -382,11 +377,10 @@ class SimWorld:
             and (ns.cpu_limit is None or ns.cpu_used + cpu <= ns.cpu_limit + 1e-9)
         )
 
-    def _first_fit(self, ns: SimNamespace, cpu: float) -> SimNode | None:
+    def _first_fit(self, ns: SimNamespace, cpu: float) -> str | None:
         for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
-            if self._fits(node, ns, cpu):
-                return node
+            if self._fits(self.nodes[node_id], ns, cpu):
+                return node_id
         return None
 
     def schedule_tick(self) -> int:
@@ -407,7 +401,7 @@ class SimWorld:
                 handled_jobs.add(handle)
                 group = [(i, u) for i, u in enumerate(job.units) if _awaits_placement(u)]
             ns = self.namespaces[_namespace(handle)]
-            staged: list[tuple[int, SimNode]] = []
+            staged: list[tuple[int, str]] = []
             for i, member in group:
                 node = self._first_fit(ns, cpu)
                 if node is None:
@@ -420,7 +414,7 @@ class SimWorld:
                 continue
             placed_count += len(staged)
             for i, node in staged:
-                self.emit("placed", {"job": handle, "worker": i, "node": node.id})
+                self.emit("placed", {"job": handle, "worker": i, "node": node})
             if job is not None and job.phase is JobPhase.PENDING:
                 job.phase = JobPhase.RUNNING
                 self.changed.add(handle)
@@ -437,8 +431,7 @@ class SimWorld:
                 cfg.max_nodes - len(self.nodes),
             )
             for _ in range(add):
-                node = self.add_node(cfg.node_capacity_cpu)
-                self.emit("node-added", {"node": node.id})
+                self.emit("node-added", {"node": self.add_node(cfg.node_capacity_cpu)})
         for node in self.nodes.values():
             if node.allocated_cpu <= 0.0:
                 if node.idle_since is None:
@@ -446,19 +439,19 @@ class SimWorld:
             else:
                 node.idle_since = None
         removable = [
-            n
-            for n in self.nodes.values()
+            node_id
+            for node_id, n in self.nodes.items()
             if n.allocated_cpu <= 0.0
             and n.idle_since is not None
             and self.tick - n.idle_since >= cfg.scale_down_grace_ticks
         ]
         # Newest nodes drain first; never drop below the floor.
-        removable.sort(key=lambda n: n.id, reverse=True)
-        for node in removable:
+        removable.sort(reverse=True)
+        for node_id in removable:
             if len(self.nodes) <= cfg.min_nodes:
                 break
-            del self.nodes[node.id]
-            self.emit("node-removed", {"node": node.id})
+            del self.nodes[node_id]
+            self.emit("node-removed", {"node": node_id})
 
     def _tick_stats(self) -> None:
         running: dict[str, int] = {}
@@ -505,38 +498,21 @@ class SimWorld:
         hook("persist")
 
 
-def _unreadable(path: Path) -> str:
-    return (
-        f"{path} holds no world that this version reads, as a store of an earlier "
-        "version does; start again in a fresh store"
-    )
-
-
 class SimBackend(ExecutionBackend):
-    """Execution backend over a :class:`SimWorld`, with optional state
-    persistence in a state directory, each file a ``codec.Journal``:
+    """Execution backend over a :class:`SimWorld`, with an optional state
+    directory for ``events.jsonl``, a ``codec.Journal`` of one JSON line per
+    event, moved there from ``world.events`` at each persist.
 
-    - ``events.jsonl``: one JSON line per event, moved there from
-      ``world.events`` at each persist;
-    - ``world.jsonl``: one line per persist, the tick's one commit:
-      ``{"world": ..., "eventsOffset": ..., "journalRecords": ...}``, the
-      world's state, the size of the event log and the record count of the
-      resource journal that it covers. Of each trial job the line holds what
-      a tick changes, not its spec: each unit's ticks left and node, and
-      the job's phase, reason, checkpoint, attempt and unregistered points.
-
-    A persist appends its line, unless it repeats the last one. ``resume``
-    reads the last complete line, opens the store at its record count and
-    rebuilds each trial job's spec from its trial there; it and
-    ``compact``, called once a run ends cleanly, each leave that line alone
-    in the file. A fresh backend starts with an empty event log and no
-    world file.
+    A persist returns the tick's commit, ``{"world": ..., "eventsOffset":
+    ...}``, which the resource store appends to its journal, ``WORLD_FILE``
+    in the state directory. Of each trial job the world holds what a tick
+    changes, not its spec: each unit's ticks left and node, and the job's
+    phase, reason, checkpoint, attempt and unregistered points; ``resume``
+    rebuilds the spec from the job's trial in the store.
     """
 
-    WORLD_FILE = "world.jsonl"
+    WORLD_FILE = "journal.jsonl"
     EVENTS_FILE = "events.jsonl"
-    # The snapshot file of earlier versions, whose world.jsonl held per-tick deltas.
-    _OLD_WORLD_FILE = "world.json"
 
     def __init__(
         self,
@@ -550,79 +526,49 @@ class SimBackend(ExecutionBackend):
         self.world.metrics = metrics
         self.crash_hook = crash_hook
         self._state_dir: Path | None = None
-        self._line: str | None = None  # the last world line persisted
         if state_dir is not None:
-            # The world file first: a kill part way leaves no world line, and so a fresh start again.
-            self._open_state(Path(state_dir))
-            self._world_file.remove()
-            self._events.truncate(0)
+            self._open_state(Path(state_dir), 0)
 
-    def _open_state(self, state_dir: Path) -> None:
-        if (state_dir / self._OLD_WORLD_FILE).exists():
-            raise TunectlError(_unreadable(state_dir / self._OLD_WORLD_FILE))
+    def _open_state(self, state_dir: Path, events_size: int) -> None:
+        """Write events to ``state_dir``, its event log cut to ``events_size`` bytes."""
         state_dir.mkdir(parents=True, exist_ok=True)
         self._state_dir = state_dir
         self._events = Journal(state_dir / self.EVENTS_FILE)
-        self._world_file = Journal(state_dir / self.WORLD_FILE)
+        self._events.truncate(events_size)
 
     @classmethod
     def resume(
         cls,
         state_dir: str | Path,
+        commit: str,
         metrics: ObservationStore,
-        open_store: Callable[[int], ResourceStore],
-        job_request: Callable[[ResourceStore, str], JobRequest],
+        job_request: Callable[[str], JobRequest],
         crash_hook: Callable[[int, str], None] | None = None,
-    ) -> tuple[SimBackend, ResourceStore]:
-        """Rebuild a backend from the last complete line of ``world.jsonl``
-        and the store that ``open_store`` opens at the line's
-        ``journalRecords``; return both. Each trial job's spec is rebuilt
-        from what ``job_request`` makes of the store and the job's handle,
-        what the trial's submit takes. Then that line is left alone in the
-        file, and the events recorded after it (a torn tick), which will be
-        emitted again, are truncated."""
-        state_dir = Path(state_dir)
-        path = state_dir / cls.WORLD_FILE
-        line = Journal(path).read()[-1]
+    ) -> SimBackend:
+        """Rebuild a backend from a ``commit`` that ``persist`` returned,
+        each trial job's spec from ``job_request`` of its handle, what the
+        trial's submit takes. Then the events recorded after the commit (a
+        torn tick), which will be emitted again, are truncated."""
         try:
-            doc = json.loads(line)
-            world, offset, records = from_doc(SimWorld, doc["world"]), doc["eventsOffset"], doc["journalRecords"]
+            doc = json.loads(commit)
+            world, offset = from_doc(SimWorld, doc["world"]), doc["eventsOffset"]
         except (ValueError, KeyError, TypeError) as exc:
-            raise TunectlError(_unreadable(path)) from exc
-        backend = cls(world, metrics, crash_hook=crash_hook)
-        backend._open_state(state_dir)
-        store = open_store(records)
+            raise TunectlError(f"the last commit in {Path(state_dir) / cls.WORLD_FILE} holds no world that this "
+                               "version reads; start again in a fresh store") from exc
         for handle, job in world.jobs.items():
-            job.with_spec(job_request(store, handle))
-        backend._line = line.decode("utf-8") + "\n"
-        backend._world_file.replace([backend._line])
-        backend._events.truncate(offset)
-        return backend, store
+            job.with_spec(job_request(handle))
+        backend = cls(world, metrics, crash_hook=crash_hook)
+        backend._open_state(Path(state_dir), offset)
+        return backend
 
-    @staticmethod
-    def has_snapshot(state_dir: str | Path) -> bool:
-        """Whether ``world.jsonl`` holds a complete line."""
-        return bool(Journal(Path(state_dir) / SimBackend.WORLD_FILE).read())
-
-    def persist(self, records: int) -> None:
-        """Commit: write the world's events since the last commit, and drop
-        them from the world; then the world's line, which counts ``records``
-        in the resource journal."""
+    def persist(self) -> str | None:
+        """Move the world's events since the last commit to the event log;
+        return the commit, None without a state directory."""
         if self._state_dir is None:
-            return
+            return None
         offset = self._events.append(sorted_json(e) + "\n" for e in self.world.events)
         self.world.events.clear()
-        doc = {"world": self.world, "eventsOffset": offset, "journalRecords": records}
-        line = compact_json(doc) + "\n"
-        if line != self._line:
-            self._line = line
-            self._world_file.append([line])
-
-    def compact(self, records: int) -> None:
-        """Commit the compacted journal's ``records``; leave that line alone."""
-        self.persist(records)
-        if self._line is not None:
-            self._world_file.replace([self._line])
+        return compact_json({"world": self.world, "eventsOffset": offset})
 
     # -- ExecutionBackend ----------------------------------------------------
 
@@ -664,4 +610,3 @@ class SimBackend(ExecutionBackend):
     def close(self) -> None:
         if self._state_dir is not None:
             self._events.close()
-            self._world_file.close()

@@ -6,7 +6,7 @@ lists. A field whose metadata sets ``omit_none`` is left out while None,
 and one that the constructor does not take (``init=False``) always.
 ``json_default`` is the same encoding as a ``json.dumps`` hook, for large
 documents written straight to JSON. ``compact_json`` writes a document with
-that hook and no spaces (journal records and world lines); ``sorted_json``
+that hook and no spaces (journal records and commits); ``sorted_json``
 writes plain data with sorted keys (events and metric points). Each is one
 encoder, built once.
 

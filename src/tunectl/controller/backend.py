@@ -97,14 +97,10 @@ class ExecutionBackend(ABC):
     def emit_event(self, kind: str, payload: dict) -> None:  # pragma: no cover
         """Optional structured event sink (simulator writes JSON lines)."""
 
-    def persist(self, records: int) -> None:
-        """Commit the state reached with the resource journal's ``records``,
-        so a resume opens the store at the same point; a backend that
-        persists nothing does nothing."""
-
-    def compact(self, records: int) -> None:
-        """Commit, once a run has ended cleanly with its journal compacted
-        to ``records``, and fold persisted state into its compact form."""
+    def persist(self) -> str | None:
+        """The commit of the state reached, JSON text that the resource
+        store appends to its journal after the writes it covers; None from
+        a backend that persists nothing."""
 
     def close(self) -> None:
         """Flush and release any backend resources; safe to call twice."""

@@ -506,17 +506,18 @@ def run_control_loop(
     """Drive every experiment in the store to a terminal phase.
 
     Starvation-free (round-robin within each step) and crash-recoverable:
-    each tick ends with one commit, ``backend.persist``, which records the
-    store's record count with the world, so a resume opens the store and
-    the world at the same committed tick. The loop commits its start before
+    each tick ends with one commit, ``backend.persist``, which the store
+    appends after the tick's writes, so a resume opens the store and the
+    world at the same committed tick. The loop commits its start before
     the bootstrap step, so a kill within that step resumes from it, and a
-    resumed run's bootstrap step, at a commit, finds nothing to do. The loop
-    leaves no watcher on the store. Returns the terminal snapshot.
+    resumed run's bootstrap step, at a commit, finds nothing to do; a loop
+    that ends before its first tick commits that step too. The loop leaves
+    no watcher on the store. Returns the terminal snapshot.
     """
     ctx = ControllerContext(store=store, metrics=metrics, backend=backend)
     ticks = 0
     try:
-        backend.persist(store.records)
+        store.commit(backend.persist())
         controller_step(ctx)  # bootstrap: create suggestions/trials before time moves
         while not all_experiments_terminal(store):
             if ticks >= max_ticks:
@@ -538,9 +539,11 @@ def run_control_loop(
                         "spawned": e.status.total_spawned,
                     },
                 )
-            backend.persist(store.records)
+            store.commit(backend.persist())
             if stop is not None and stop(ticks):
                 break
+        if ticks == 0:
+            store.commit(backend.persist())
     finally:
         store.watchers.remove(ctx._written)
     return terminal_snapshot(store, ticks)

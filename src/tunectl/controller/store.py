@@ -13,19 +13,19 @@ spec never changes after its create, nor an experiment's after its submit,
 and a suggestion's changes only at a ``requested`` bump, so most records
 carry no spec. Loading replays the journal, the last record of each key
 winning; a status-only record takes the spec of its key's last record
-before it, and one with no earlier record of its key is unreadable. Each experiment's final spec is then checked against the rules
-that span its fields, as ``submit`` checks it. ``compact`` rewrites the
-journal as one whole record per resource. ``tunectl dump`` prints the store
-as YAML for reading and diffing.
+before it, and one with no earlier record of its key is unreadable. Each
+experiment's final spec is then checked against the rules that span its
+fields, as ``submit`` checks it, and its spawned count against its stored
+trials, none of which is ever deleted. ``compact`` rewrites the journal as
+one whole record per resource, then its last commit. ``tunectl dump``
+prints the store as YAML for reading and diffing.
 
-A simulated world commits each tick with the journal's ``records``. A store
-opened at such a ``commit`` keeps the records up to it and the experiment
-creates after it, which only ``submit`` writes, and drops the rest: the
-writes of a tick cut short, which the resumed run makes again. A journal of
-fewer records than its ``commit`` is whole only in compacted form, one
-record per resource, as a kill between the store's compaction and the
-world's leaves it; any other has lost what the world depends on, and opens
-to an error, having written nothing.
+A simulated run commits each tick as a line of the journal after the
+tick's records: ``commit`` appends a backend's commit, text the store does
+not read. A store opened at its ``commit`` keeps the records up to the last
+commit line and the experiment creates after it, which only ``submit``
+writes, and drops the rest: the writes of a tick cut short, which the
+resumed run makes again.
 
 Durability (``codec.Journal``): every record reaches the operating system
 before its write returns, and compaction replaces the journal atomically (a
@@ -166,7 +166,6 @@ class ResourceStore:
         self._resources: dict[str, Resource] = {}
         self._keys: dict[str, list[str]] = {}  # kind -> sorted keys
         self._trials: dict[tuple[str, str], ExperimentTrials] = {}
-        self.records = 0  # the records a journal of the writes holds
         # Called with each stored resource after its create or update.
         self.watchers: list[Callable[[Resource], None]] = []
 
@@ -232,7 +231,10 @@ class ResourceStore:
 
     def _persist(self, resource: Resource, previous: Resource | None) -> None:
         """Record the write of ``resource`` over ``previous``, None for a create."""
-        self.records += 1
+
+    def commit(self, body: str | None) -> None:
+        """Record a backend's commit, after the writes it covers; None, or
+        a store that keeps no journal, records nothing."""
 
 
 class FileResourceStore(ResourceStore):
@@ -240,43 +242,58 @@ class FileResourceStore(ResourceStore):
 
     Opened ``readonly``, it creates nothing, cuts no torn tail and refuses
     writes, so it can read a store that a running ``tunectl run`` is
-    appending to.
+    appending to. ``committed`` is the body of the last commit it read or
+    wrote, None before any.
     """
 
     JOURNAL = "journal.jsonl"
     # Directories of the one-YAML-file-per-resource layout of earlier versions.
     _OLD_LAYOUT = ("experiments", "suggestions", "trials")
+    # The simulated world's files of earlier versions, before the journal held its commits.
+    _OLD_WORLDS = ("world.json", "world.jsonl")
     # The decoder's message can quote a whole field of the record; an error
     # shows at most this much of it.
     UNREADABLE_DETAIL_CHARS = 300
 
-    def __init__(self, root: str | Path, readonly: bool = False, commit: int | None = None):
+    def __init__(self, root: str | Path, readonly: bool = False, commit: bool = False):
         super().__init__()
         self.root = Path(root)
         self._journal = Journal(self.root / self.JOURNAL)
         self.path = self._journal.path
         self._readonly = readonly
+        self.committed: str | None = None
         if not readonly:
             self.root.mkdir(parents=True, exist_ok=True)
         self._load(commit)
 
-    def _load(self, commit: int | None) -> None:
+    def _load(self, commit: bool) -> None:
         if not self.path.exists() and any((self.root / d).is_dir() for d in self._OLD_LAYOUT):
             raise TunectlError(
                 f"store {self.root} holds the one-YAML-file-per-resource layout of an "
                 "earlier version, which this version does not read; start again in a fresh store"
             )
+        for old in (self.root / name for name in self._OLD_WORLDS):
+            if old.exists():
+                raise TunectlError(f"{old} is the simulated world of an earlier version, which this version "
+                                   "does not read; start again in a fresh store")
         latest: dict[str, tuple[int, int, dict]] = {}  # key -> (its line, its spec's line, its document)
         lines = self._journal.read()
+        last = next((n for n in range(len(lines), 0, -1) if lines[n - 1].startswith(_COMMIT)), None)
+        if last is not None:
+            self.committed = lines[last - 1][len(_COMMIT):-1].decode()
+        end = last if commit and last is not None else len(lines)  # past it, only experiment creates are kept
         kept: list[bytes] = []
         for number, line in enumerate(lines, 1):
+            if line.startswith(_COMMIT):
+                kept.append(line)
+                continue
             try:
                 doc = json.loads(line)
                 key = resource_key(doc["kind"], doc["namespace"], doc["name"])
-                if commit is not None and number > commit and (doc["kind"], doc["generation"]) != (KIND_EXPERIMENT, 1):
+                if number > end and (doc["kind"], doc["generation"]) != (KIND_EXPERIMENT, 1):
                     continue
                 if "spec" in doc:
-                    spec_line = len(kept) + 1
+                    spec_line = number
                 elif key in latest:  # status-only: the spec is the key's last one
                     _, spec_line, last = latest[key]
                     doc["spec"] = last["spec"]
@@ -285,15 +302,7 @@ class FileResourceStore(ResourceStore):
             except (ValueError, KeyError, TypeError) as exc:
                 raise self._unreadable(number, exc) from exc
             kept.append(line)
-            latest[key] = (len(kept), spec_line, doc)
-        if commit is not None and len(latest) < len(lines) < commit:
-            raise TunectlError(f"{self.path} holds {len(lines)} records, fewer than the {commit} its world committed")
-        if not self._readonly:  # cut the writes past the commit and a torn tail: the next record starts a line
-            if len(kept) < len(lines):
-                self._journal.replace(line.decode("utf-8") + "\n" for line in kept)
-            else:
-                self._journal.cut_tail()
-        self.records = len(kept)
+            latest[key] = (number, spec_line, doc)
         for number, spec_line, doc in latest.values():
             try:
                 resource = resource_from_doc(doc, generation=from_doc(int, doc["generation"]))
@@ -304,6 +313,16 @@ class FileResourceStore(ResourceStore):
             except (KeyError, TypeError, ValueError, TunectlError) as exc:
                 raise self._unreadable(number, exc, spec_line) from exc
             self._put(resource)
+        for experiment in self.list(KIND_EXPERIMENT):  # a journal cut short can hold the count, not the trials
+            held = len(self.trials(experiment.namespace, experiment.name).trials)
+            if experiment.status.total_spawned > held:
+                raise TunectlError(f"{self.path} holds {held} trials of {experiment.key}, "
+                                   f"fewer than the {experiment.status.total_spawned} it spawned")
+        if not self._readonly:  # cut the writes past the commit and a torn tail: the next line starts a line
+            if len(kept) < len(lines):
+                self._journal.replace(line.decode("utf-8") + "\n" for line in kept)
+            else:
+                self._journal.cut_tail()
 
     def _unreadable(self, number: int, exc: Exception, spec_line: int | None = None) -> TunectlError:
         detail = str(exc)
@@ -313,20 +332,35 @@ class FileResourceStore(ResourceStore):
         return TunectlError(f"cannot read stored resource {self.path}:{number}{spec}: {detail}")
 
     def _persist(self, resource: Resource, previous: Resource | None) -> None:
+        self._append(_record(resource, previous))
+
+    def commit(self, body: str | None) -> None:
+        if body is not None:
+            with self._lock:
+                self._append(_commit_line(body))
+                self.committed = body
+
+    def _append(self, line: str) -> None:
         if self._readonly:
             raise TunectlError(f"store {self.root} is open read-only")
-        self._journal.append([_record(resource, previous)])
-        super()._persist(resource, previous)
+        self._journal.append([line])
 
     def compact(self) -> None:
-        """Rewrite the journal as one record per resource, in key order."""
+        """Rewrite the journal as one record per resource, in key order,
+        then its last commit."""
         with self._lock:
-            self._journal.replace(_record(self._resources[key]) for key in sorted(self._resources))
-            self.records = len(self._resources)
+            lines = [_record(self._resources[key]) for key in sorted(self._resources)]
+            if self.committed is not None:
+                lines.append(_commit_line(self.committed))
+            self._journal.replace(lines)
 
     def close(self) -> None:
         """Close the journal's append handle; a later write opens it again."""
         self._journal.close()
+
+
+_COMMIT = b'{"commit":'  # how a commit line starts; a record's starts with its kind
+_commit_line = '{{"commit":{}}}\n'.format
 
 
 def _record(resource: Resource, previous: Resource | None = None) -> str:

@@ -34,7 +34,7 @@ from .cluster.sim import AutoscalerConfig, ChaosMode, ChaosPolicy, SimBackend, S
 from .controller.backend import job_handle
 from .controller.model import TrialPhase
 from .controller.reconcile import run_control_loop, submit_experiment
-from .controller.store import ResourceStore
+from .controller.store import FileResourceStore, ResourceStore
 from .errors import ValidationError
 from .metrics import InMemoryObservationStore
 from .resources import (
@@ -88,7 +88,7 @@ class NodeGroup:
 @dataclass(frozen=True)
 class Quota:
     name: str
-    cpu_limit: float | None = None  # None: no quota
+    cpu_limit: float | None = field(default=None, metadata={"exclusive_minimum": 0, "finite": True})  # None: no quota
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ class ScenarioConfig:
     autoscaler: AutoscalerConfig | None = None
     chaos: ChaosPolicy | None = None
     experiments: tuple[str, ...] = ()
-    max_ticks: int = 10_000
+    max_ticks: int = field(default=10_000, metadata={"minimum": 0})
 
     def __post_init__(self) -> None:
         """The rules that field metadata cannot state: a bare node capacity
@@ -178,10 +178,15 @@ def run_simulated(
 
     With ``drain_to_min_nodes`` the world keeps ticking after termination
     until the autoscaler has shrunk back to its floor (bounded by grace).
-    With a ``state_dir`` the events are read back from its event log.
+    With a ``state_dir`` the resources start afresh in its journal, which
+    ends compacted with the last commit, and the events are read back from
+    its event log.
     """
     world = cfg.world()
     store = ResourceStore()
+    if state_dir is not None:
+        (Path(state_dir) / FileResourceStore.JOURNAL).unlink(missing_ok=True)
+        store = FileResourceStore(state_dir)
     metrics = InMemoryObservationStore()
     backend = SimBackend(world, metrics, state_dir=state_dir)
     for spec in experiments:
@@ -194,9 +199,11 @@ def run_simulated(
             if len(world.nodes) <= autoscaler.min_nodes:
                 break
             backend.advance(lambda: 0)
-    backend.compact(store.records)
+    store.commit(backend.persist())
     backend.close()
     if state_dir is not None:
+        store.compact()
+        store.close()
         lines = Journal(Path(state_dir) / SimBackend.EVENTS_FILE).read()
         return SimRun(snapshot=snapshot, store=store, events=[json.loads(line) for line in lines])
     return SimRun(snapshot=snapshot, store=store, events=world.events)

@@ -412,17 +412,13 @@ def _recovery_experiment():
 
 def _build_recovery(state_dir, crash_hook=None):
     metrics = FileObservationStore(state_dir / "metrics.jsonl")
-    if SimBackend.has_snapshot(state_dir):
-        # The store opens at the tick the world committed.
-        backend, store = SimBackend.resume(
-            state_dir,
-            metrics,
-            lambda records: FileResourceStore(state_dir / "resources", commit=records),
-            stored_job_request,
-            crash_hook,
+    # The store opens at its journal's last commit, where the world resumes.
+    store = FileResourceStore(state_dir, commit=True)
+    if store.committed is not None:
+        backend = SimBackend.resume(
+            state_dir, store.committed, metrics, lambda handle: stored_job_request(store, handle), crash_hook
         )
     else:
-        store = FileResourceStore(state_dir / "resources")
         world = SimWorld(seed=11)
         world.add_node(6.0)  # tight: trials queue across waves
         world.add_namespace("user1", None)
@@ -430,6 +426,18 @@ def _build_recovery(state_dir, crash_hook=None):
         if store.get("experiment/user1/rec") is None:
             submit_experiment(store, _recovery_experiment())
     return store, metrics, backend
+
+
+def _on_writes(store, hook) -> None:
+    """Call ``hook`` after each write of ``store``, a commit's append included."""
+    store.watchers.append(lambda _resource: hook())
+    commit = store.commit
+
+    def committed(body):
+        commit(body)
+        hook()
+
+    store.commit = committed
 
 
 def _fingerprint(snapshot) -> str:
@@ -444,7 +452,7 @@ def test_criterion_8_recovery(tmp_path):
         mutations += 1
 
     store, metrics, backend = _build_recovery(tmp_path / "clean")
-    store.watchers.append(lambda _resource: count_mutation())
+    _on_writes(store, count_mutation)
     clean = run_control_loop(store, metrics, backend)
     clean_fp = _fingerprint(clean)
     terminal_tick = clean["ticks"]
@@ -477,7 +485,7 @@ def test_criterion_8_recovery(tmp_path):
                     raise SimulatedCrash(f"kill at mutation {ka}")
 
             store, metrics, backend = _build_recovery(directory)
-            store.watchers.append(lambda _resource: mutation_hook())
+            _on_writes(store, mutation_hook)
             try:
                 run_control_loop(store, metrics, backend)
             except SimulatedCrash:

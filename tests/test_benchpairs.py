@@ -97,3 +97,13 @@ def test_the_change_is_measured_from_a_copy_of_the_tracked_and_untracked_files_o
     copied = sorted(str(p.relative_to(copy)) for p in copy.rglob("*") if p.is_file())
     assert copied == [".gitignore", "src/tracked.py", "src/untracked.py"]
     assert (copy / "src" / "tracked.py").read_text() == "tracked = 1\n"
+
+
+@pytest.mark.parametrize("value, recorded", [(None, False), ("", False), ("1", True)])
+def test_the_machine_says_whether_cold_processes_compile_their_imports(monkeypatch, value, recorded):
+    # Python reads any non-empty PYTHONDONTWRITEBYTECODE as set.
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    assert benchpairs.machine()["dont_write_bytecode"] is recorded

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import fcntl
 import io
@@ -113,6 +114,14 @@ def test_a_negative_seed_option_exits_2_naming_it(runner, tmp_path, command):
     result = runner.invoke(cli, [*command, "--seed", "-1"])
     assert result.exit_code == 2, result.output
     assert "'--seed'" in result.output
+
+
+def test_a_negative_max_ticks_option_exits_2_naming_it(runner, tmp_path):
+    # It stopped before the first tick and exited 0.
+    assert _submit(runner, tmp_path).exit_code == 0
+    result = runner.invoke(cli, ["run", "--store", str(tmp_path / "store"), "--max-ticks", "-3"])
+    assert result.exit_code == 2, result.output
+    assert "'--max-ticks'" in result.output
 
 
 def test_resubmit_same_name_conflicts_with_exit_3(runner, tmp_path):
@@ -276,6 +285,30 @@ def test_a_scenario_file_with_a_negative_seed_exits_2_naming_it(runner, tmp_path
     assert result.output.splitlines() == [error]
 
 
+@pytest.mark.parametrize(
+    "block, error",
+    [
+        # A zero or NaN capacity crashed the autoscaler with a traceback.
+        ("autoscaler: {minNodes: 1, maxNodes: 2, nodeCapacityCpu: 0}", "autoscaler.nodeCapacityCpu: must be > 0"),
+        ("autoscaler: {minNodes: 1, maxNodes: 2, nodeCapacityCpu: .nan}", "autoscaler.nodeCapacityCpu: must be finite"),
+        ("autoscaler: {minNodes: 1, maxNodes: 2, nodeCapacityCpu: 4, scaleDownGraceTicks: -1}",
+         "autoscaler.scaleDownGraceTicks: must be >= 0"),
+        # A quota of no CPU placed nothing, and the run ticked to maxTicks.
+        ("namespaces: [{name: team, cpuLimit: -4}]", "namespaces[0].cpuLimit: must be > 0"),
+        ("namespaces: [{name: team, cpuLimit: .inf}]", "namespaces[0].cpuLimit: must be finite"),
+        ("maxTicks: -1", "maxTicks: must be >= 0"),
+    ],
+)
+def test_a_scenario_file_refuses_a_number_the_run_cannot_use(runner, tmp_path, block, error):
+    (tmp_path / "exp.yaml").write_text(EXPERIMENT)
+    doc = {"nodes": [4], "namespaces": ["team"], "experiments": ["exp.yaml"], **yaml.safe_load(block)}
+    (tmp_path / "scenario.yaml").write_text(yaml.safe_dump(doc))
+    scenario = str(tmp_path / "scenario.yaml")
+    result = runner.invoke(cli, ["run", "--store", str(tmp_path / "store"), "--scenario", scenario])
+    assert result.exit_code == 2, result.output
+    assert result.output.splitlines() == [f"scenario: {error}"]
+
+
 def test_a_scenario_file_with_several_problems_reports_each_under_its_path(runner, tmp_path):
     (tmp_path / "exp.yaml").write_text(EXPERIMENT)
     scenario = tmp_path / "scenario.yaml"
@@ -397,7 +430,7 @@ def _store_files(store):
 def _trial_line(journal):
     """The number of a trial record in the journal that is not its last line."""
     lines = journal.read_text().splitlines()
-    return next(n for n, line in enumerate(lines[:-1], 1) if json.loads(line)["kind"] == "trial")
+    return next(n for n, line in enumerate(lines[:-1], 1) if json.loads(line).get("kind") == "trial")
 
 
 def _rewrite_line(journal, number, text):
@@ -436,7 +469,7 @@ def _suggestion_with_its_experiment(store):
     # suggestion's spec.
     journal = store / "journal.jsonl"
     lines = journal.read_text().splitlines()
-    number = next(n for n, line in enumerate(lines, 1) if json.loads(line)["kind"] == "suggestion")
+    number = next(n for n, line in enumerate(lines, 1) if json.loads(line).get("kind") == "suggestion")
     doc = json.loads(lines[number - 1])
     algorithm = {"algorithmName": "grid", "settings": {}}
     doc["spec"] = {"experiment": doc["name"], "algorithm": algorithm, **doc["spec"]}
@@ -447,7 +480,7 @@ def _suggestion_with_its_experiment(store):
 def _experiment_without_parallel_slots(store):
     journal = store / "journal.jsonl"
     lines = journal.read_text().splitlines()
-    number = max(n for n, line in enumerate(lines, 1) if json.loads(line)["kind"] == "experiment")
+    number = max(n for n, line in enumerate(lines, 1) if json.loads(line).get("kind") == "experiment")
     doc = json.loads(lines[number - 1])
     doc["spec"]["parallelTrialCount"] = 0
     _rewrite_line(journal, number, json.dumps(doc))
@@ -478,7 +511,7 @@ def test_unreadable_record_error_stays_short_however_large_the_record(runner, tm
     assert runner.invoke(cli, ["run", "--store", str(store), "--seed", "5", "--max-ticks", "1"]).exit_code == 0
     journal = store / "journal.jsonl"
     lines = journal.read_text().splitlines()
-    number = next(n for n, line in enumerate(lines, 1) if json.loads(line)["kind"] == "suggestion")
+    number = next(n for n, line in enumerate(lines, 1) if json.loads(line).get("kind") == "suggestion")
     doc = json.loads(lines[number - 1])
     doc["status"]["produced"] = [
         {"assignments": [["lr", 0.25], ["opt", "sgd"]], "consumed": True} for _ in range(200)
@@ -526,7 +559,7 @@ def _edit_experiment(store, edit):
     """Apply ``edit`` to the spec of the experiment's last journal record."""
     journal = store / "journal.jsonl"
     lines = journal.read_text().splitlines()
-    number = max(n for n, line in enumerate(lines, 1) if json.loads(line)["kind"] == "experiment")
+    number = max(n for n, line in enumerate(lines, 1) if json.loads(line).get("kind") == "experiment")
     doc = json.loads(lines[number - 1])
     edit(doc["spec"])
     _rewrite_line(journal, number, json.dumps(doc))
@@ -589,15 +622,23 @@ def test_export_and_dump_skip_a_torn_tail_and_cut_nothing(runner, tmp_path):
     assert _store_files(store) == before
 
 
+def _commit(line: str) -> dict:
+    """The commit a journal line holds."""
+    return json.loads(line)["commit"]
+
+
 def test_run_leaves_a_compacted_journal(runner, tmp_path):
     _submit(runner, tmp_path)
     store = tmp_path / "store"
     assert runner.invoke(cli, ["run", "--store", str(store), "--seed", "5"]).exit_code == 0
-    records = [json.loads(line) for line in (store / "journal.jsonl").read_text().splitlines()]
-    keys = [f"{r['kind']}/{r['namespace']}/{r['name']}" for r in records]
+    *lines, last = (store / "journal.jsonl").read_text().splitlines()
+    keys = [f"{r['kind']}/{r['namespace']}/{r['name']}" for r in map(json.loads, lines)]
     assert keys == sorted(set(keys))
     assert len(keys) == 2 + 4  # the experiment, its suggestion and a trial per grid point
-    assert not (store / "journal.jsonl.tmp").exists()
+    # Then the last commit, alone: the world and the size of the event log it covers.
+    assert list(_commit(last)) == ["world", "eventsOffset"]
+    assert _commit(last)["eventsOffset"] == (store / "events.jsonl").stat().st_size
+    assert sorted(p.name for p in store.iterdir()) == [".lock", "events.jsonl", "journal.jsonl", "metrics.jsonl"]
 
 
 def test_second_run_on_a_locked_store_exits_4_and_leaves_it_untouched(runner, tmp_path):
@@ -635,10 +676,11 @@ def test_submit_on_a_locked_store_exits_4_and_leaves_it_untouched(runner, tmp_pa
 OLD_DELTA = {"tick": 4, "nodeSeq": 4, "nodes": {}, "namespaces": {}, "jobs": {}, "released": [], "eventsOffset": 0}
 
 
-def _with_job_specs(line: str) -> str:
-    """A world line as the version before held it: each trial job with its
-    spec, each unit with its job, index and CPU, and services among the jobs."""
-    doc = json.loads(line)
+def _with_job_specs(commit: dict) -> str:
+    """A world.jsonl line as an earlier version held it: each trial job with
+    its spec, each unit with its job, index and CPU, and services among the
+    jobs."""
+    doc = copy.deepcopy(commit)
     world = doc["world"]
     for handle, job in world["jobs"].items():
         spec = {"name": handle, "namespace": "team", "kind": "trial", "workerCount": len(job["units"]),
@@ -658,26 +700,23 @@ def _with_job_specs(line: str) -> str:
 
 @pytest.mark.parametrize("old_file", ["world.json", "world.jsonl", "job specs"])
 def test_run_on_a_world_of_an_earlier_version_exits_4_and_leaves_the_store_untouched(runner, tmp_path, old_file):
-    # Earlier versions kept a snapshot in world.json, per-tick deltas in
-    # world.jsonl, and then each job's spec in its line; read as this
-    # version's file, the first would be ignored and the others misread.
+    # Earlier versions kept the simulated world in a world.json snapshot,
+    # then in world.jsonl: per-tick deltas, then whole worlds with each
+    # job's spec, then without. This version reads it from the journal's
+    # commits; a store that holds either file opens to no command.
     _submit(runner, tmp_path)
     store = tmp_path / "store"
     assert runner.invoke(cli, ["run", "--store", str(store), "--max-ticks", "4"]).exit_code == 0
-    [line] = (store / "world.jsonl").read_text().splitlines()
-    assert json.loads(line)["world"]["jobs"]
-    (store / "world.jsonl").unlink()
-    if old_file == "world.json":
-        (store / "world.json").write_text(line)
-    elif old_file == "world.jsonl":
-        (store / "world.jsonl").write_text(json.dumps(OLD_DELTA) + "\n")
-    else:
-        (store / "world.jsonl").write_text(_with_job_specs(line) + "\n")
-    before = _store_files(store)
-    result = runner.invoke(cli, ["run", "--store", str(store)])
-    assert result.exit_code == 4, result.output
+    commit = _commit((store / "journal.jsonl").read_text().splitlines()[-1])
+    assert commit["world"]["jobs"]
+    old = {"world.json": json.dumps(commit), "world.jsonl": json.dumps(OLD_DELTA), "job specs": _with_job_specs(commit)}
     path = store / ("world.json" if old_file == "world.json" else "world.jsonl")
-    assert f"{path} holds no world that this version reads" in result.output
+    path.write_text(old[old_file] + "\n")
+    before = _store_files(store)
+    for args in (["run"], ["submit", str(tmp_path / "exp.yaml")], ["export", "cli-exp"], ["dump"]):
+        result = runner.invoke(cli, [*args, "--store", str(store)])
+        assert result.exit_code == 4, result.output
+        assert f"{path} is the simulated world of an earlier version" in result.output
     assert _store_files(store) == before
 
 
@@ -685,68 +724,52 @@ def _interrupt(*_args):
     raise KeyboardInterrupt
 
 
-def test_run_on_a_journal_shorter_than_its_world_s_commit_exits_4_and_leaves_the_store_untouched(
-    runner, tmp_path, monkeypatch
-):
-    # The world's jobs were built from records the journal no longer holds;
-    # resumed, the re-created trials of the same names would take them over.
+@pytest.mark.parametrize("command", ["run", "export"])
+def test_run_and_export_on_a_cut_compacted_journal_exit_4_naming_the_experiment(runner, tmp_path, command):
+    # Cut to the experiment and its suggestion, a finished run's compacted
+    # journal has lost every trial the experiment counts as spawned; the run
+    # exited 0 and printed the stored counts, and the export had no row.
+    _submit(runner, tmp_path)
+    store = tmp_path / "store"
+    assert runner.invoke(cli, ["run", "--store", str(store)]).exit_code == 0
+    journal = store / "journal.jsonl"
+    journal.write_text("".join(journal.read_text().splitlines(keepends=True)[:2]))
+    before = _store_files(store)
+    args = {"run": ["run"], "export": ["export", "cli-exp"]}[command]
+    result = runner.invoke(cli, [*args, "--store", str(store)])
+    assert result.exit_code == 4, result.output
+    assert f"{journal} holds 0 trials of experiment/team/cli-exp, fewer than the 4 it spawned" in result.output
+    assert _store_files(store) == before
+
+
+@pytest.mark.parametrize("when", ["before", "after"])
+def test_run_interrupted_in_the_journal_s_compaction_resumes(runner, tmp_path, monkeypatch, when):
+    # Interrupted before the compaction's replace the journal keeps every
+    # line, and after it is compacted; either way the re-run the message
+    # asks for ends as a run stopped at the same tick and resumed does.
     from tunectl.controller.store import FileResourceStore
 
-    _submit(runner, tmp_path)
-    store = tmp_path / "store"
-    monkeypatch.setattr(FileResourceStore, "compact", _interrupt)  # the journal keeps every record
-    assert runner.invoke(cli, ["run", "--store", str(store), "--max-ticks", "4"]).exit_code == 4
-    monkeypatch.undo()
-    records = json.loads((store / "world.jsonl").read_text().splitlines()[-1])["journalRecords"]
-    journal = store / "journal.jsonl"
-    lines = journal.read_text().splitlines(keepends=True)
-    assert len(lines) == records > 3
-    journal.write_text("".join(lines[:3]))
-    before = _store_files(store)
-    result = runner.invoke(cli, ["run", "--store", str(store)])
-    assert result.exit_code == 4, result.output
-    assert f"{journal} holds 3 records, fewer than the {records}" in result.output
-    assert _store_files(store) == before
+    compact = FileResourceStore.compact
 
-
-def test_run_on_a_cut_compacted_journal_exits_4_naming_a_job_whose_trial_it_lost(runner, tmp_path):
-    # A compacted journal shorter than its world's commit reads as whole, as
-    # a kill between the two compactions leaves it; the resume then finds no
-    # trial to rebuild the world's job from.
-    _submit(runner, tmp_path)
-    store = tmp_path / "store"
-    assert runner.invoke(cli, ["run", "--store", str(store), "--max-ticks", "4"]).exit_code == 0
-    [line] = (store / "world.jsonl").read_text().splitlines()
-    assert "team/cli-exp-0002" in json.loads(line)["world"]["jobs"]
-    journal = store / "journal.jsonl"
-    journal.write_text("".join(journal.read_text().splitlines(keepends=True)[:3]))
-    before = _store_files(store)
-    result = runner.invoke(cli, ["run", "--store", str(store)])
-    assert result.exit_code == 4, result.output
-    assert f"{journal} holds no trial, or not its experiment, of the job team/cli-exp-0002" in result.output
-    assert _store_files(store) == before
-
-
-def test_run_interrupted_between_the_journal_s_compaction_and_the_world_s_resumes(runner, tmp_path, monkeypatch):
-    # The journal is compacted, but the world's line still counts the
-    # records from before; the re-run the message asks for ends as a run
-    # stopped at the same tick and resumed does.
-    from tunectl.cluster.sim import SimBackend
+    def interrupted(store):
+        if when == "after":
+            compact(store)
+        raise KeyboardInterrupt
 
     outputs = {}
-    for interrupted in (False, True):
-        base = tmp_path / str(interrupted)
+    for interrupt in (False, True):
+        base = tmp_path / str(interrupt)
         base.mkdir()
         _submit(runner, base)
         store = base / "store"
-        if interrupted:
-            monkeypatch.setattr(SimBackend, "compact", _interrupt)
+        if interrupt:
+            monkeypatch.setattr(FileResourceStore, "compact", interrupted)
         result = runner.invoke(cli, ["run", "--store", str(store), "--max-ticks", "4"])
         monkeypatch.undo()
-        assert (result.exit_code, "interrupted; state persisted" in result.output) == (4 * interrupted, interrupted)
+        assert (result.exit_code, "interrupted; state persisted" in result.output) == (4 * interrupt, interrupt)
         result = runner.invoke(cli, ["run", "--store", str(store)])
         assert result.exit_code == 0, result.output
-        outputs[interrupted] = {path.relative_to(store): data for path, data in _store_files(store).items()}
+        outputs[interrupt] = {path.relative_to(store): data for path, data in _store_files(store).items()}
     assert outputs[True] == outputs[False]
 
 
@@ -756,20 +779,22 @@ def test_run_on_a_world_whose_jobs_keep_output_lines_exits_4_and_leaves_the_stor
     _submit(runner, tmp_path)
     store = tmp_path / "store"
     assert runner.invoke(cli, ["run", "--store", str(store), "--max-ticks", "4"]).exit_code == 0
-    doc = json.loads((store / "world.jsonl").read_text())
-    for job in doc["world"]["jobs"].values():
+    journal = store / "journal.jsonl"
+    lines = journal.read_text().splitlines()
+    doc = json.loads(lines[-1])
+    for job in doc["commit"]["world"]["jobs"].values():
         job["log"] = [f"{tick} loss={value!r}" for tick, value in job.pop("points")] or ["3 loss=0.0625"]
-    (store / "world.jsonl").write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+    _rewrite_line(journal, len(lines), json.dumps(doc, separators=(",", ":")))
     before = _store_files(store)
     result = runner.invoke(cli, ["run", "--store", str(store)])
     assert result.exit_code == 4, result.output
-    assert f"{store / 'world.jsonl'} holds no world that this version reads" in result.output
+    assert f"the last commit in {journal} holds no world that this version reads" in result.output
     assert _store_files(store) == before
 
 
 def test_a_run_stopped_before_its_first_tick_resumes_to_the_uninterrupted_files(runner, tmp_path):
-    # --max-ticks 0 stops after the bootstrap step, which the run commits at
-    # tick 0 as it compacts, events included; the next run resumes there.
+    # --max-ticks 0 stops after the bootstrap step, which the run committed
+    # at tick 0, events included; the next run resumes there.
     straight, stopped = tmp_path / "straight", tmp_path / "stopped"
     for root in (straight, stopped):
         root.mkdir()
@@ -777,12 +802,11 @@ def test_a_run_stopped_before_its_first_tick_resumes_to_the_uninterrupted_files(
     partial = runner.invoke(cli, ["run", "--store", str(stopped / "store"), "--max-ticks", "0"])
     assert partial.exit_code == 0, partial.output
     assert (stopped / "store" / "events.jsonl").stat().st_size > 0
-    [line] = (stopped / "store" / "world.jsonl").read_text().splitlines()
-    assert json.loads(line)["world"]["tick"] == 0
+    assert _commit((stopped / "store" / "journal.jsonl").read_text().splitlines()[-1])["world"]["tick"] == 0
     for root in (straight, stopped):
         result = runner.invoke(cli, ["run", "--store", str(root / "store")])
         assert result.exit_code == 0, result.output
-    for name in ("events.jsonl", "world.jsonl"):
+    for name in ("events.jsonl", "journal.jsonl"):
         assert (stopped / "store" / name).read_bytes() == (straight / "store" / name).read_bytes(), name
 
 
@@ -797,22 +821,28 @@ def test_run_folds_the_world_journal_and_closes_the_metric_log(runner, tmp_path,
     partial = runner.invoke(cli, ["run", "--store", str(store), "--seed", "5", "--max-ticks", "3"])
     assert partial.exit_code == 0, partial.output
     assert len(closed) == 1
-    lines = (store / "world.jsonl").read_text().splitlines()
-    assert len(lines) == 1 and json.loads(lines[0])["world"]["tick"] == 3
+    commits = [line for line in (store / "journal.jsonl").read_text().splitlines() if line.startswith('{"commit":')]
+    assert len(commits) == 1 and _commit(commits[0])["world"]["tick"] == 3
 
 
 def test_scenario_with_a_store_ends_with_a_compacted_world(runner, tmp_path):
+    # A second run into the same store starts its journal afresh, as its event log.
     store = tmp_path / "state"
-    result = runner.invoke(cli, ["scenario", "chaos-kill", "--store", str(store)])
-    assert result.exit_code == 0, result.output
-    assert sorted(p.name for p in store.iterdir()) == ["events.jsonl", "world.jsonl"]
-    [line] = (store / "world.jsonl").read_text().splitlines()
-    world = json.loads(line)
+    files = []
+    for _ in range(2):
+        result = runner.invoke(cli, ["scenario", "chaos-kill", "--store", str(store)])
+        assert result.exit_code == 0, result.output
+        files.append(_store_files(store))
+    assert files[0] == files[1]
+    assert sorted(p.name for p in store.iterdir()) == ["events.jsonl", "journal.jsonl"]
+    *records, last = (store / "journal.jsonl").read_text().splitlines()
+    assert {json.loads(line)["kind"] for line in records} == {"experiment", "suggestion", "trial"}
+    commit = _commit(last)
     events = [json.loads(line) for line in (store / "events.jsonl").read_text().splitlines()]
-    assert world["world"]["tick"] == max(e["tick"] for e in events) > 1
-    # The last line commits every event, the experiment stats of its tick included.
+    assert commit["world"]["tick"] == max(e["tick"] for e in events) > 1
+    # The last commit covers every event, the experiment stats of its tick included.
     assert events[-1]["kind"] == "experiment-stats"
-    assert world["eventsOffset"] == (store / "events.jsonl").stat().st_size
+    assert commit["eventsOffset"] == (store / "events.jsonl").stat().st_size
 
 
 @pytest.mark.parametrize("name", ["multi-tenancy", "autoscale", "chaos-fail", "chaos-kill"])

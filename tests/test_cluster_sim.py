@@ -359,7 +359,7 @@ def test_a_backend_with_a_state_directory_writes_its_events_only_to_the_file(tmp
             _submit(world, f"t-{i}")
         for _ in range(8):
             backend.advance(lambda: 0)
-            backend.persist(0)
+            backend.persist()
         backend.close()
     written = [json.loads(line) for line in (tmp_path / SimBackend.EVENTS_FILE).read_text().splitlines()]
     assert worlds["file"].events == []

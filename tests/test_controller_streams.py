@@ -84,15 +84,10 @@ def _spec(algorithm: str):
 
 def _open(directory, algorithm: str):
     metrics = FileObservationStore(directory / "metrics.jsonl")
-    if SimBackend.has_snapshot(directory):
-        backend, store = SimBackend.resume(
-            directory,
-            metrics,
-            lambda records: FileResourceStore(directory / "resources", commit=records),
-            stored_job_request,
-        )
+    store = FileResourceStore(directory, commit=True)
+    if store.committed is not None:
+        backend = SimBackend.resume(directory, store.committed, metrics, lambda h: stored_job_request(store, h))
         return store, metrics, backend
-    store = FileResourceStore(directory / "resources")
     world = SimWorld(seed=17, chaos=ChaosPolicy(ChaosMode.FAIL_TRIAL, fraction=0.3, interval_ticks=3, seed=2))
     world.add_node(4.0)
     world.add_namespace("ns")
@@ -110,7 +105,7 @@ def _run(directory, algorithm: str, stop_tick: int | None = None) -> dict:
 
 
 def _digest(directory) -> str:
-    store = FileResourceStore(directory / "resources", readonly=True)
+    store = FileResourceStore(directory, readonly=True)
     spawned = len(store.trials("ns", "exp").trials)
     produced = tuple(store.get(f"trial/ns/{trial_name_for('exp', i)}").spec.assignments for i in range(spawned))
     return hashlib.sha256(repr(produced).encode()).hexdigest()

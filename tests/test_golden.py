@@ -2,8 +2,9 @@
 
 The run uses a scenario with gang scheduling, a namespace quota, the
 autoscaler and kill-worker chaos; it is stopped with ``--max-ticks`` and
-then resumed. The digests pin ``events.jsonl``, the final ``world.jsonl``, the
-printed run summaries and the CSV export. A deliberate format change updates them (and says so
+then resumed. The digests pin ``events.jsonl``, the last commit of the
+compacted ``journal.jsonl`` (the final world), the printed run summaries
+and the CSV export. A deliberate format change updates them (and says so
 in the change log); any other change to them is a behaviour change. The
 stopped-then-resumed run must also end with the same event log, world and
 export, byte for byte, as its uninterrupted twin.
@@ -55,7 +56,7 @@ experiments: [a.yaml, b.yaml]
 
 GOLDEN = {
     "events": "f1310e7bf1ab2443ff248213cf97cbd83d98a244aeca6e9b721e325f8227751e",
-    "world": "1c93f1735a2a31fb68f8f714afd11eda2ce874dc37b48eec5522d1bd97a6645a",
+    "world": "5851332251a86a5cefdfd29a2f9690ef71a3e1ef1bfb92943bb0846471c8a7af",
     "summary": "0e4af7f76cf4732d867353c66fe805e25146110568c0a2cbcf9a99a49ddc918e",
     "csv": "6b2eff394d30a358ad445205ef75b4ca0c55a0059f44f8a2ad43953b55cbdd97",
 }
@@ -79,7 +80,7 @@ def _lay_out(directory) -> Path:
 def _files(store: Path, exported: str) -> dict[str, bytes]:
     return {
         "events": (store / "events.jsonl").read_bytes(),
-        "world": (store / "world.jsonl").read_bytes(),
+        "world": (store / "journal.jsonl").read_bytes().splitlines(keepends=True)[-1],
         "csv": exported.encode("utf-8"),
     }
 

@@ -33,9 +33,9 @@ def test_the_readme_example_decodes_and_builds_its_world():
 def test_plain_nodes_and_namespaces_build_in_order():
     cfg = from_doc(ScenarioConfig, {"nodes": [2, {"capacityCpu": 8, "count": 2}], "namespaces": ["b", "a"]})
     world = cfg.world()
-    assert [(n.id, n.capacity_cpu) for n in world.nodes.values()] == [
+    assert [(node_id, n.capacity_cpu) for node_id, n in world.nodes.items()] == [
         ("node-0000", 2.0),
         ("node-0001", 8.0),
         ("node-0002", 8.0),
     ]
-    assert [(ns.name, ns.cpu_limit) for ns in world.namespaces.values()] == [("b", None), ("a", None)]
+    assert [(name, ns.cpu_limit) for name, ns in world.namespaces.items()] == [("b", None), ("a", None)]

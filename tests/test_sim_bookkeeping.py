@@ -51,9 +51,11 @@ def stored_submit(world: SimWorld, store: ResourceStore, trial: str, template: T
 
 
 def resumed(world: SimWorld, store: ResourceStore, state_dir) -> SimWorld:
-    """``world`` committed in ``state_dir`` and resumed from there with ``store``."""
-    SimBackend(world, InMemoryObservationStore(), state_dir=state_dir).persist(store.records)
-    return SimBackend.resume(state_dir, InMemoryObservationStore(), lambda _records: store, stored_job_request)[0].world
+    """``world`` committed in ``state_dir`` and resumed from that commit with ``store``."""
+    commit = SimBackend(world, InMemoryObservationStore(), state_dir=state_dir).persist()
+    return SimBackend.resume(
+        state_dir, commit, InMemoryObservationStore(), lambda handle: stored_job_request(store, handle)
+    ).world
 
 
 def _submit(world: SimWorld, store: ResourceStore, trial: str, workers: int) -> None:

@@ -347,7 +347,9 @@ def test_dump_prints_the_pure_python_dump_of_each_resource(tmp_path):
 
 
 def _journal_lines(path):
-    return (path / FileResourceStore.JOURNAL).read_bytes().splitlines()
+    """The journal's record lines, without its commits."""
+    lines = (path / FileResourceStore.JOURNAL).read_bytes().splitlines()
+    return [line for line in lines if not line.startswith(b'{"commit":')]
 
 
 def test_journal_round_trip_through_compaction(tmp_path):
@@ -523,8 +525,9 @@ def test_trial_history_reads_budgets_and_follows_a_rewritten_trial():
 def _sim_experiment_run(root, commits=None, writes=None):
     """Run a random experiment of 3-tick simulated trials on a file store
     under ``root / "store"`` to the end; with ``commits``, record the
-    store's resources and trial index at each commit, by its record count,
-    and with ``writes``, append each resource the store writes."""
+    store's resources and trial index at each commit, by the journal's
+    lines before it, and with ``writes``, append each resource the store
+    writes."""
     from tunectl.cluster.sim import SimBackend, SimWorld
     from tunectl.controller.reconcile import run_control_loop, submit_experiment
     from tunectl.metrics import InMemoryObservationStore
@@ -549,10 +552,11 @@ def _sim_experiment_run(root, commits=None, writes=None):
     metrics = InMemoryObservationStore()
 
     class Recording(SimBackend):
-        def persist(self, records):
-            super().persist(records)
+        def persist(self):
             if commits is not None:
-                commits[records] = (store.list(), _index_of(store, "ns", "exp"))
+                lines = len((root / "store" / FileResourceStore.JOURNAL).read_bytes().splitlines())
+                commits[lines] = (store.list(), _index_of(store, "ns", "exp"))
+            return super().persist()
 
     run_control_loop(store, metrics, Recording(world, metrics, state_dir=root / "state"), max_ticks=200)
     store.close()
@@ -604,13 +608,13 @@ def test_a_journal_of_status_only_records_reloads_plain_at_every_commit_and_comp
     commits = {}
     store = _sim_experiment_run(tmp_path / "run", commits)
     written = (store.list(), _index_of(store, "ns", "exp"))
-    journal = _journal_lines(tmp_path / "run" / "store")
+    journal = (tmp_path / "run" / "store" / FileResourceStore.JOURNAL).read_bytes().splitlines(keepends=True)
     assert any(b'"spec"' not in line for line in journal)
 
-    def opened(at, commit=None):
+    def opened(at, lines=len(journal), commit=False):
         copy = tmp_path / at
         copy.mkdir()
-        (copy / FileResourceStore.JOURNAL).write_bytes(b"\n".join(journal) + b"\n")
+        (copy / FileResourceStore.JOURNAL).write_bytes(b"".join(journal[:lines]))
         loaded = FileResourceStore(copy, commit=commit)
         return loaded, (loaded.list(), _index_of(loaded, "ns", "exp"))
 
@@ -618,8 +622,10 @@ def test_a_journal_of_status_only_records_reloads_plain_at_every_commit_and_comp
     assert reloaded == written
     assert [r.generation for r in reloaded[0]] == [r.generation for r in written[0]]
     assert len(commits) > 5
-    for records, expected in commits.items():
-        assert opened(f"at-{records}", commit=records)[1] == expected, records
+    # Cut anywhere past a commit, the journal opens at its last commit.
+    for lines, expected in commits.items():
+        for cut in {lines + 1, *[n for n in commits if n > lines][:1]}:
+            assert opened(f"at-{lines}-{cut}", cut, commit=True)[1] == expected, (lines, cut)
 
     # Compaction writes whole records, and they load to the same store.
     plain.compact()
@@ -677,49 +683,60 @@ def test_a_broken_spec_under_a_status_only_record_names_the_spec_line(tmp_path):
     assert "parallelTrialCount" in result.output
 
 
-def test_a_journal_shorter_than_its_commit_opens_to_an_error_and_is_left_as_it_is(tmp_path):
-    # The simulated world committed 3 records; a journal that holds 2, the
-    # second an update of the first, has lost a write that the world's jobs
-    # were built from.
+def test_a_journal_that_lost_trials_opens_to_an_error_and_is_left_as_it_is(tmp_path):
+    # The experiment counts two spawned trials, and the journal holds one:
+    # the reconciler writes the count after its creates, and no trial is
+    # ever deleted, so records were lost.
     store = FileResourceStore(tmp_path)
     experiment = store.create(_experiment_resource())
-    store.update(replace(experiment, status=replace(experiment.status, trials_pending=1)))
+    store.create(Resource(KIND_TRIAL, "ns", "exp-0000", TrialSpec("exp", (("x", 0.25),)), TrialStatus()))
+    store.update(replace(experiment, status=replace(experiment.status, total_spawned=2)))
     store.close()
     journal = tmp_path / FileResourceStore.JOURNAL
     with journal.open("ab") as fp:
         fp.write(b'{"kind":"trial","na')  # and a torn tail
     before = journal.read_bytes()
-    with pytest.raises(TunectlError) as raised:
-        FileResourceStore(tmp_path, commit=3)
-    assert f"{journal} holds 2 records, fewer than the 3" in str(raised.value)
+    for readonly, commit in ((False, False), (False, True), (True, False)):
+        with pytest.raises(TunectlError) as raised:
+            FileResourceStore(tmp_path, readonly=readonly, commit=commit)
+        assert f"{journal} holds 1 trials of experiment/ns/exp, fewer than the 2 it spawned" in str(raised.value)
     assert journal.read_bytes() == before
-    assert FileResourceStore(tmp_path, commit=2).records == 2
-    assert journal.read_bytes() == before[: before.rindex(b"\n") + 1]
 
 
 def test_a_store_opened_read_only_at_a_commit_leaves_the_writes_past_it_in_the_journal(tmp_path):
     store = FileResourceStore(tmp_path)
     experiment = store.create(_experiment_resource())
+    store.commit('{"tick":1}')
     store.update(replace(experiment, status=replace(experiment.status, trials_pending=1)))
     store.close()
     before = (tmp_path / FileResourceStore.JOURNAL).read_bytes()
-    assert FileResourceStore(tmp_path, readonly=True, commit=1).get(experiment.key).generation == 1
+    opened = FileResourceStore(tmp_path, readonly=True, commit=True)
+    assert opened.get(experiment.key).generation == 1 and opened.committed == '{"tick":1}'
+    assert FileResourceStore(tmp_path, readonly=True).get(experiment.key).generation == 2
     assert (tmp_path / FileResourceStore.JOURNAL).read_bytes() == before
 
 
-def test_a_compacted_journal_shorter_than_its_commit_opens_whole(tmp_path):
-    # A kill between the store's compaction and the world's leaves the
-    # world's line counting the records from before the compaction.
+def test_a_compacted_journal_ends_with_its_last_commit_and_opens_at_it(tmp_path):
+    # The store keeps a commit as the text it was given, and compaction
+    # writes the last one after the records, in the same replace.
     store = FileResourceStore(tmp_path)
-    for name in ("a", "b"):
+    for name, commit in (("b", '{"tick":0}'), ("a", '["any", "json"]')):
         experiment = store.create(_experiment_resource(name))
+        store.commit(commit)
         store.update(replace(experiment, status=replace(experiment.status, trials_pending=1)))
+    store.commit(None)  # a backend that persists nothing commits nothing
     store.compact()
     store.close()
-    journal = tmp_path / FileResourceStore.JOURNAL
-    with journal.open("ab") as fp:
-        fp.write(b'{"kind":"trial","na')  # and a torn tail
-    opened = FileResourceStore(tmp_path, commit=4)
-    assert opened.records == 2
-    assert [r.status.trials_pending for r in opened.list(KIND_EXPERIMENT)] == [1, 1]
-    assert journal.read_bytes().endswith(b"}\n")
+    lines = (tmp_path / FileResourceStore.JOURNAL).read_text().splitlines()
+    assert [json.loads(line).get("name") for line in lines] == ["a", "b", None]
+    assert lines[-1] == '{"commit":["any", "json"]}'
+    for commit in (False, True):
+        opened = FileResourceStore(tmp_path, commit=commit)
+        assert opened.committed == '["any", "json"]'
+        assert [r.status.trials_pending for r in opened.list(KIND_EXPERIMENT)] == [1, 1]
+    # A store that never committed compacts to its records alone.
+    plain = FileResourceStore(tmp_path / "plain")
+    plain.create(_experiment_resource())
+    plain.compact()
+    assert FileResourceStore(tmp_path / "plain", commit=True).committed is None
+    assert b"commit" not in (tmp_path / "plain" / FileResourceStore.JOURNAL).read_bytes()

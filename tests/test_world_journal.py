@@ -1,19 +1,21 @@
-"""The simulator's world file: commits, released jobs, cut points and resumed runs.
+"""The simulator's commits in the resource journal: released jobs, cut points and resumed runs.
 
-A backend appends one whole-world line to ``world.jsonl`` per commit: tick 0
-before the bootstrap step, then one per tick. Each line records the resource
-journal's record count, and a resume opens the store at it and rebuilds
-each job's spec from it. These tests record an uninterrupted run's world
-after every commit and check that the world never holds the job of a trial
-the store records as terminal, that a line holds each job's state and not
-its spec, that a resume at each commit rebuilds the jobs the run held, what
-a resume makes of a file cut at any byte, and that runs killed at several
-points, or stopped and compacted, resume to the uninterrupted run's outputs:
-its files, its exports and every stored resource.
+A run's store appends each commit a backend returns to its journal, a line
+after the tick's records: tick 0 before the bootstrap step, then one per
+tick. A resume opens the store at the journal's last commit line and
+rebuilds the world from that line, each job's spec from the store. These
+tests record an uninterrupted run's world after every commit and check
+where each commit lands in the journal, that the world never holds the job
+of a trial the store records as terminal, that a commit holds each job's
+state and not its spec, that a resume at each commit rebuilds the jobs the
+run held, what a resume makes of a journal cut at any byte, and that runs
+killed at several points, in the compaction too, or stopped and compacted,
+resume to the uninterrupted run's outputs: its files, its exports and every
+stored resource.
 
 The world has gang scheduling, a namespace quota, the autoscaler and
 kill-worker chaos, and two experiments that finish at different ticks, so
-the file holds resubmitted jobs, added and removed nodes and a released
+the commits hold resubmitted jobs, added and removed nodes and a released
 service.
 """
 
@@ -55,9 +57,9 @@ from tunectl.resources import (
 )
 from tunectl.results import build_results_table, render_csv
 
-WORLD, EVENTS = SimBackend.WORLD_FILE, SimBackend.EVENTS_FILE
+EVENTS, JOURNAL = SimBackend.EVENTS_FILE, FileResourceStore.JOURNAL
 METRICS = "metrics.jsonl"
-JOURNAL = "resources/" + FileResourceStore.JOURNAL
+COMMIT = '{"commit":'  # a commit line: this, the commit, then "}"
 
 
 def _experiments():
@@ -76,22 +78,20 @@ def _experiments():
     ]
 
 
-def _resume(directory, metrics, crash_hook=None):
-    """``SimBackend.resume``, with the store opened at the commit."""
-    def store_at(records):
-        return FileResourceStore(directory / "resources", commit=records)
-
-    return SimBackend.resume(directory, metrics, store_at, stored_job_request, crash_hook=crash_hook)
+def _resume(directory, store, metrics, crash_hook=None):
+    """``SimBackend.resume`` from the last commit of ``store``."""
+    return SimBackend.resume(
+        directory, store.committed, metrics, lambda handle: stored_job_request(store, handle), crash_hook=crash_hook
+    )
 
 
 def _open(directory, crash_hook=None):
-    """Resume from the world's last commit, with the store opened at it, or
-    start a fresh world, as ``tunectl run`` does."""
+    """Open the store at its journal's last commit and resume the world
+    there, or start a fresh world, as ``tunectl run`` does."""
     metrics = FileObservationStore(directory / METRICS)
-    if SimBackend.has_snapshot(directory):
-        backend, store = _resume(directory, metrics, crash_hook)
-        return store, metrics, backend
-    store = FileResourceStore(directory / "resources")
+    store = FileResourceStore(directory, commit=True)
+    if store.committed is not None:
+        return store, metrics, _resume(directory, store, metrics, crash_hook)
     world = SimWorld(
         seed=23,
         autoscaler=AutoscalerConfig(min_nodes=1, max_nodes=3, node_capacity_cpu=4.0, scale_down_grace_ticks=3),
@@ -107,18 +107,25 @@ def _open(directory, crash_hook=None):
 
 
 def _run(directory, crash_hook=None, watcher=None, before_compact=None, max_ticks=1_000_000) -> int | None:
-    """Run to the end (or ``max_ticks``) and compact the store, then the
-    world, as ``tunectl run`` does; on a SimulatedCrash, return the world's
-    tick at the crash instead. ``watcher`` sees each stored resource."""
+    """Run to the end (or ``max_ticks``) and compact the store, as ``tunectl
+    run`` does; on a SimulatedCrash, return the world's tick at the crash
+    instead. ``watcher`` sees each stored resource, and None after each
+    commit the store appends: a commit counts among the store's writes."""
     store, metrics, backend = _open(directory, crash_hook)
     if watcher is not None:
         store.watchers.append(watcher)
+        commit = store.commit
+
+        def counted(body):
+            commit(body)
+            watcher(None)
+
+        store.commit = counted
     try:
         run_control_loop(store, metrics, backend, max_ticks=max_ticks)
         if before_compact is not None:
             before_compact(backend)
         store.compact()
-        backend.compact(store.records)
         return None
     except SimulatedCrash:
         return backend.world.tick
@@ -130,10 +137,10 @@ def _run(directory, crash_hook=None, watcher=None, before_compact=None, max_tick
 
 def _outputs(directory) -> dict[str, bytes]:
     """What a finished run leaves: the files, every stored resource with its
-    generation (the compacted journal), each experiment's CSV export and the
-    run summary."""
-    out = {name: (directory / name).read_bytes() for name in (WORLD, EVENTS, METRICS, JOURNAL)}
-    store = FileResourceStore(directory / "resources", readonly=True)
+    generation and the last commit (the compacted journal), each
+    experiment's CSV export and the run summary."""
+    out = {name: (directory / name).read_bytes() for name in (EVENTS, METRICS, JOURNAL)}
+    store = FileResourceStore(directory, readonly=True)
     metrics = FileObservationStore(directory / METRICS, readonly=True)
     for experiment in store.list(KIND_EXPERIMENT):
         table = build_results_table(store, metrics, experiment.namespace, experiment.name)
@@ -142,34 +149,35 @@ def _outputs(directory) -> dict[str, bytes]:
     return out
 
 
-def _line_text(world, events_offset, records) -> str:
-    """A ``world.jsonl`` line as the format defines it, without its newline."""
-    doc = {"world": world, "eventsOffset": events_offset, "journalRecords": records}
-    return json.dumps(doc, default=json_default, separators=(",", ":"))
+def _commit_text(world, events_offset) -> str:
+    """A commit as the format defines it."""
+    return json.dumps({"world": world, "eventsOffset": events_offset}, default=json_default, separators=(",", ":"))
 
 
-def _world(line: str | bytes) -> dict:
-    return json.loads(line)["world"]
+def _world(commit: str) -> dict:
+    return json.loads(commit)["world"]
 
 
-def _lines(directory) -> list[bytes]:
-    return (directory / WORLD).read_bytes().splitlines()
+def _committed(line: str | bytes) -> str | None:
+    """The commit a journal line holds; None for a record."""
+    line = line.decode() if isinstance(line, bytes) else line
+    return line[len(COMMIT):-1] if line.startswith(COMMIT) else None
 
 
-def _journal_records(directory) -> int:
-    return len(Journal(directory / JOURNAL).read())
+def _commits(directory) -> list[str]:
+    """The commits in the journal, in order."""
+    return [c for line in Journal(directory / JOURNAL).read() if (c := _committed(line)) is not None]
 
 
 @dataclass
 class Recorded:
-    lines: dict[int, str]  # tick -> the world line of that tick's commit
-    file: bytes  # world.jsonl, events.jsonl and the journal before the run's final compaction
-    events: bytes
+    lines: dict[int, str]  # tick -> the commit of that tick
+    events: bytes  # events.jsonl and the journal before the run's compaction
     journal: bytes
     final: dict[str, bytes]  # the run's outputs (see _outputs)
-    mutations: int
-    commits: list[str] = field(default_factory=list)  # each persist's line, the compaction's included
-    counted: list[tuple[int, int]] = field(default_factory=list)  # (records committed, journal lines)
+    mutations: int  # the run's store writes, its commits included
+    commits: list[str] = field(default_factory=list)  # each persist's commit
+    at: list[int] = field(default_factory=list)  # the journal's lines at each persist: where its commit goes
     terminal: int = 0  # terminal trials seen over all persists
     held: list[tuple[int, str]] = field(default_factory=list)  # (tick, job) of a terminal trial
     jobs: dict[int, dict[str, SimJob]] = field(default_factory=dict)  # tick -> a copy of the world's jobs at its commit
@@ -178,26 +186,27 @@ class Recorded:
 @pytest.fixture(scope="module")
 def recorded(tmp_path_factory) -> Recorded:
     directory = tmp_path_factory.mktemp("uninterrupted")
-    out = Recorded({}, b"", b"", b"", {}, 0)
+    out = Recorded({}, b"", b"", {}, 0)
     persist = SimBackend.persist
 
-    def recording(backend, records):
-        persist(backend, records)
+    def recording(backend):
+        commit = persist(backend)
         world = backend.world
-        out.commits.append(_line_text(world, (directory / EVENTS).stat().st_size, records))
-        out.counted.append((records, _journal_records(directory)))
+        assert commit == _commit_text(world, (directory / EVENTS).stat().st_size)
+        out.commits.append(commit)
+        out.at.append(len(Journal(directory / JOURNAL).read()))
         out.jobs[world.tick] = copy.deepcopy(world.jobs)
-        store = FileResourceStore(directory / "resources", readonly=True)
+        store = FileResourceStore(directory, readonly=True)
         for trial in store.list(KIND_TRIAL):
             if trial.status.phase in TERMINAL_TRIAL:
                 out.terminal += 1
                 handle = f"{trial.namespace}/{trial.name}"
                 if handle in world.jobs:
                     out.held.append((world.tick, handle))
+        return commit
 
     def keep(_backend):
-        out.file, out.events = (directory / WORLD).read_bytes(), (directory / EVENTS).read_bytes()
-        out.journal = (directory / JOURNAL).read_bytes()
+        out.events, out.journal = (directory / EVENTS).read_bytes(), (directory / JOURNAL).read_bytes()
 
     def count(_resource):
         out.mutations += 1
@@ -207,23 +216,28 @@ def recorded(tmp_path_factory) -> Recorded:
         assert _run(directory, watcher=count, before_compact=keep) is None
     finally:
         SimBackend.persist = persist
-    out.lines = {_world(line)["tick"]: line for line in out.file.decode().splitlines()}
+    out.lines = {_world(commit)["tick"]: commit for commit in out.commits}
     out.final = _outputs(directory)
     return out
 
 
 def test_the_recorded_run_exercises_what_the_file_must_carry(recorded):
-    # One commit before the bootstrap step, one per tick, and the compaction's.
-    *ticks, compaction = recorded.commits
+    # One commit before the bootstrap step, then one per tick, each a line
+    # of the journal right after the records its tick wrote.
     last = max(recorded.lines)
-    assert recorded.file.decode().splitlines() == ticks
-    assert [_world(line)["tick"] for line in ticks] == list(range(last + 1))
-    assert recorded.final[WORLD].decode() == compaction + "\n"
-    assert _world(compaction) == _world(recorded.lines[last]) and _world(compaction)["jobs"] == {}
-    # Each commit counts the journal's records as it stood, compacted at the end.
-    assert all(records == lines for records, lines in recorded.counted)
-    assert recorded.counted[-1][0] < recorded.counted[-2][0]
+    assert [_world(commit)["tick"] for commit in recorded.commits] == list(range(last + 1))
+    lines = recorded.journal.decode().splitlines()
+    assert [_committed(line) for line in lines if line.startswith(COMMIT)] == recorded.commits
+    assert [_committed(lines[at]) for at in recorded.at] == recorded.commits
+    assert recorded.mutations == len(lines) - 2  # the two submits write before the watcher is added
+    # The compacted journal is one record per resource, then the last commit alone.
+    *records, commit = recorded.final[JOURNAL].decode().splitlines()
+    assert _committed(commit) == recorded.lines[last] and _world(recorded.lines[last])["jobs"] == {}
+    assert not any(line.startswith(COMMIT) for line in records)
+    keys = [f"{d['kind']}/{d['namespace']}/{d['name']}" for d in map(json.loads, records)]
+    assert keys == sorted(set(keys))
     events = recorded.events.decode()
+    assert recorded.final[EVENTS] == recorded.events
     for kind in ("chaos-kill", "job-resumed", "node-added", "node-removed", "service-released"):
         assert f'"{kind}"' in events
 
@@ -234,69 +248,82 @@ def test_the_world_never_holds_the_job_of_a_terminal_trial(recorded):
     assert recorded.held == []
 
 
-def _lay_out(directory, recorded: Recorded, world: bytes) -> None:
-    """A state directory of the recorded run with ``world`` as its world
-    file, and its event log and journal as they stood before compaction."""
-    (directory / "resources").mkdir(parents=True, exist_ok=True)
-    (directory / WORLD).write_bytes(world)
+def _lay_out(directory, recorded: Recorded, journal: bytes) -> None:
+    """A store directory of the recorded run with ``journal`` as its
+    journal, and its event log and metric log as they stood before
+    compaction."""
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / JOURNAL).write_bytes(journal)
     (directory / EVENTS).write_bytes(recorded.events)
-    (directory / JOURNAL).write_bytes(recorded.journal)
+    (directory / METRICS).write_bytes(recorded.final[METRICS])
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_a_file_cut_at_any_byte_resumes_at_its_last_complete_line(recorded, tmp_path_factory, data):
-    cut = data.draw(st.integers(0, len(recorded.file)), label="cut")
+    """The store opens a journal cut at any byte at its last complete
+    commit line, and the world resumes from that line."""
+    cut = data.draw(st.integers(0, len(recorded.journal)), label="cut")
     directory = tmp_path_factory.mktemp("cut")
-    _lay_out(directory, recorded, recorded.file[:cut])
-
-    # A read skips the torn tail and leaves the bytes alone.
-    complete = recorded.file[: recorded.file.rfind(b"\n", 0, cut) + 1]
-    assert Journal(directory / WORLD).read() == complete.split(b"\n")[:-1]
-    assert (directory / WORLD).read_bytes() == recorded.file[:cut]
-    if not complete:
-        assert not SimBackend.has_snapshot(directory)
+    _lay_out(directory, recorded, recorded.journal[:cut])
+    complete = recorded.journal[: recorded.journal.rfind(b"\n", 0, cut) + 1].splitlines(keepends=True)
+    end = max((n for n, line in enumerate(complete, 1) if line.startswith(COMMIT.encode())), default=None)
+    store = FileResourceStore(directory, commit=True)
+    if end is None:
+        # No commit: the run starts afresh on the whole store, torn tail cut.
+        assert store.committed is None
+        assert (directory / JOURNAL).read_bytes() == b"".join(complete)
         return
 
-    # A resume loads exactly the last complete line and leaves it alone in the file.
-    tick = complete.count(b"\n") - 1
-    expected = recorded.lines[tick]
-    offset, records = json.loads(expected)["eventsOffset"], json.loads(expected)["journalRecords"]
-    backend, store = _resume(directory, InMemoryObservationStore())
-    assert _line_text(backend.world, offset, records) == expected and store.records == records
-    assert (directory / WORLD).read_text() == expected + "\n"
+    # The records past the last commit are dropped, as is the torn tail.
+    expected = _committed(complete[end - 1].rstrip(b"\n"))
+    assert store.committed == expected
+    assert (directory / JOURNAL).read_bytes() == b"".join(complete[:end])
+    offset = json.loads(expected)["eventsOffset"]
+    backend = _resume(directory, store, InMemoryObservationStore())
+    assert _commit_text(backend.world, offset) == expected
     assert (directory / EVENTS).read_bytes() == recorded.events[:offset]
 
-    # A commit that repeats the line writes nothing; the next tick's starts a line of its own.
-    backend.persist(records)
-    assert (directory / WORLD).read_text() == expected + "\n"
+    # The next tick's commit starts a line of its own, after the last.
     backend.advance(lambda: 0)
-    backend.persist(records)
+    store.commit(backend.persist())
     backend.close()
-    lines = _lines(directory)
-    assert lines[0].decode() == expected and _world(lines[1])["tick"] == tick + 1 and len(lines) == 2
+    store.close()
+    commits = _commits(directory)
+    assert commits[-2] == expected and _world(commits[-1])["tick"] == _world(expected)["tick"] + 1
 
 
 def test_a_world_line_holds_each_trial_job_s_state_and_not_its_spec(recorded):
-    """A job is under its handle with what a tick changes; each unit is its
-    ticks left and its node; services are in a table of their own."""
+    """A commit's world holds a job under its handle with what a tick
+    changes, a reason only once set; each unit is its ticks left and its
+    node; services are in a table of their own; a node or a namespace is
+    under its name and does not repeat it."""
     services = _world(recorded.lines[1])["services"]
     assert list(services) == ["team/svc-exp-a", "team/svc-exp-b"]
     assert all(list(service) == ["cpu", "node"] for service in services.values())
-    jobs = [job for line in recorded.lines.values() for job in _world(line)["jobs"].values()]
+    worlds = [_world(commit) for commit in recorded.lines.values()]
+    jobs = [job for world in worlds for job in world["jobs"].values()]
     assert jobs
     for job in jobs:
-        assert list(job) == ["phase", "reason", "completed", "attempt", "units", "points"]
+        assert list(job) == ["phase", *(["reason"] if "reason" in job else []), "completed", "attempt", "units",
+                             "points"]
+        assert job.get("reason", "") is not None
         assert all(list(unit) == ["remaining", "node"] for unit in job["units"])
+    for world in worlds:
+        assert all(list(node) == ["capacityCpu", "allocatedCpu", "idleSince"] for node in world["nodes"].values())
+        assert all(list(ns) == ["cpuLimit", "cpuUsed"] for ns in world["namespaces"].values())
 
 
 def test_a_resume_at_every_commit_rebuilds_the_live_run_s_jobs(recorded, tmp_path_factory):
     """Each trial job a resume rebuilds from the store equals the job the
     uninterrupted run held at that commit, in its spec and in its state."""
-    for tick, line in recorded.lines.items():
+    lines = recorded.journal.splitlines(keepends=True)
+    for i, at in enumerate(recorded.at):
+        tick = _world(recorded.commits[i])["tick"]
         directory = tmp_path_factory.mktemp(f"commit-{tick}")
-        _lay_out(directory, recorded, line.encode() + b"\n")
-        backend, store = _resume(directory, InMemoryObservationStore())
+        _lay_out(directory, recorded, b"".join(lines[: at + 1]))
+        store = FileResourceStore(directory, commit=True)
+        backend = _resume(directory, store, InMemoryObservationStore())
         rebuilt = {handle: vars(job) for handle, job in backend.world.jobs.items()}
         assert rebuilt == {handle: vars(job) for handle, job in recorded.jobs[tick].items()}, tick
         backend.close()
@@ -305,7 +332,8 @@ def test_a_resume_at_every_commit_rebuilds_the_live_run_s_jobs(recorded, tmp_pat
 
 
 # (tick, phase) kills run the crash hook; (mutation, n) kills raise at the
-# n-th store write of the controller, in the middle of a controller step.
+# n-th store write, a commit's append included, in the middle of a
+# controller step or right after a commit.
 KILLS = [
     ("tick", 1, "schedule"),  # before the first tick's commit
     ("tick", 4, "chaos"),
@@ -315,12 +343,12 @@ KILLS = [
     ("tick", 11, "persist"),
     ("mutation", 25, None),
     ("mutation", 60, None),
-    ("mutation", -1, None),  # the last write of the run
+    ("mutation", -1, None),  # the last write of the run, its last commit
 ]
 
 
 def _kill(directory, kind, at, phase, mutations) -> int:
-    """Run until the kill; return the last committed tick."""
+    """Run until the kill; return the world's tick at the kill."""
     if kind == "tick":
         def hook(tick, ph):
             if (tick, ph) == (at, phase):
@@ -339,26 +367,28 @@ def _kill(directory, kind, at, phase, mutations) -> int:
 
         crashed = _run(directory, watcher=watcher)
     assert crashed is not None
-    return max(crashed - 1, 0)
+    return crashed
 
 
 @pytest.mark.parametrize(("kind", "at", "phase"), KILLS)
 def test_a_run_killed_at_each_point_resumes_to_the_uninterrupted_world(recorded, tmp_path, kind, at, phase):
-    """The killed run leaves the last committed line; the resumed run ends
-    with the uninterrupted run's outputs, the kill at its last write too."""
-    committed = _kill(tmp_path, kind, at, phase, recorded.mutations)
-    assert _lines(tmp_path)[-1].decode() == recorded.lines[committed]
+    """The killed run leaves the uninterrupted run's commits up to the
+    kill; the resumed run ends with the uninterrupted run's outputs, the
+    kill at its last write too."""
+    _kill(tmp_path, kind, at, phase, recorded.mutations)
+    commits = _commits(tmp_path)
+    assert commits and commits == recorded.commits[: len(commits)]
     assert _run(tmp_path) is None
     assert _outputs(tmp_path) == recorded.final
 
 
 def test_a_resumed_world_registers_its_pull_points_as_the_uninterrupted_run_did(recorded, tmp_path):
     """A pull job's points wait in the world as (tick, value) pairs until
-    its trial succeeds, so points restored from world.jsonl reach the metric
+    its trial succeeds, so points restored from a commit reach the metric
     log with the same bytes, integer ticks included."""
-    committed = _kill(tmp_path, "tick", 6, "progress", recorded.mutations)
-    held = [job["points"] for job in _world(_lines(tmp_path)[-1])["jobs"].values() if job["points"]]
-    assert committed and held
+    _kill(tmp_path, "tick", 6, "progress", recorded.mutations)
+    held = [job["points"] for job in _world(_commits(tmp_path)[-1])["jobs"].values() if job["points"]]
+    assert held
     assert all(type(tick) is int for points in held for tick, _ in points)
     assert _run(tmp_path) is None
     assert (tmp_path / METRICS).read_bytes() == recorded.final[METRICS]
@@ -366,15 +396,15 @@ def test_a_resumed_world_registers_its_pull_points_as_the_uninterrupted_run_did(
 
 @pytest.mark.parametrize("nth", [1, 7])
 def test_a_kill_after_a_trial_s_terminal_write_resumes_with_its_job_released(recorded, tmp_path, nth):
-    """The terminal write is past the world's last commit, which still holds
-    the job. The resume opens the store at that commit, where the trial is
-    not terminal, so the resumed tick writes it again and releases the job
-    with the uninterrupted run's line."""
+    """The terminal write is past the journal's last commit, which still
+    holds the job. The resume opens the store at that commit, where the
+    trial is not terminal, so the resumed tick writes it again and releases
+    the job with the uninterrupted run's commit."""
     seen, killed = 0, []
 
     def watcher(resource):
         nonlocal seen
-        if resource.kind == KIND_TRIAL and resource.status.phase in TERMINAL_TRIAL:
+        if resource is not None and resource.kind == KIND_TRIAL and resource.status.phase in TERMINAL_TRIAL:
             seen += 1
             if seen == nth:
                 killed.append(resource)
@@ -383,15 +413,15 @@ def test_a_kill_after_a_trial_s_terminal_write_resumes_with_its_job_released(rec
     tick = _run(tmp_path, watcher=watcher)
     [trial] = killed
     job = f"{trial.namespace}/{trial.name}"
-    assert job in _world(_lines(tmp_path)[-1])["jobs"]
-    store = _open(tmp_path)[0]
+    assert job in _world(_commits(tmp_path)[-1])["jobs"]
+    store = FileResourceStore(tmp_path, commit=True)
     assert store.get(trial.key).status.phase not in TERMINAL_TRIAL
     store.close()
 
     resumed = {}
 
     def keep(_backend):
-        resumed.update((_world(line)["tick"], line.decode()) for line in _lines(tmp_path))
+        resumed.update((_world(commit)["tick"], commit) for commit in _commits(tmp_path))
 
     assert _run(tmp_path, before_compact=keep) is None
     assert job not in _world(resumed[tick])["jobs"]
@@ -405,17 +435,16 @@ def test_a_kill_in_the_bootstrap_step_resumes_with_the_uninterrupted_job_attempt
     submits each trial's job once, as the uninterrupted run did."""
 
     def watcher(resource):
-        if resource.kind == KIND_TRIAL and resource.status.job_attempt == 1:
+        if resource is not None and resource.kind == KIND_TRIAL and resource.status.job_attempt == 1:
             raise SimulatedCrash("kill at the first submit")
 
     assert _run(tmp_path, watcher=watcher) == 0
-    [line] = _lines(tmp_path)
-    assert line.decode() == recorded.lines[0]
+    assert _commits(tmp_path) == [recorded.lines[0]]
     assert _run(tmp_path) is None
 
     def attempts(journal: bytes) -> dict[str, int]:
         docs = map(json.loads, journal.splitlines())
-        return {d["name"]: d["status"]["jobAttempt"] for d in docs if d["kind"] == KIND_TRIAL}
+        return {d["name"]: d["status"]["jobAttempt"] for d in docs if d.get("kind") == KIND_TRIAL}
 
     assert attempts((tmp_path / JOURNAL).read_bytes()) == attempts(recorded.final[JOURNAL])
     assert _outputs(tmp_path) == recorded.final
@@ -431,14 +460,13 @@ def test_a_kill_before_the_controller_step_resumes_to_the_uninterrupted_world(re
 
 
 def test_a_stopped_run_compacts_its_commit_count_exactly(recorded, tmp_path):
-    """A run stopped at a tick compacts the journal, then the world, whose
-    line then counts the compacted records. Resumed, killed mid-tick and
-    resumed again, it ends with the uninterrupted run's outputs."""
+    """A run stopped at a tick compacts the journal to one record per
+    resource and exactly one commit, its last, after them. Resumed, killed
+    mid-tick and resumed again, it ends with the uninterrupted run's
+    outputs."""
     assert _run(tmp_path, max_ticks=7) is None
-    [line] = _lines(tmp_path)
-    records = json.loads(line)["journalRecords"]
-    assert records == _journal_records(tmp_path) < json.loads(recorded.lines[7])["journalRecords"]
-    assert _world(line) == _world(recorded.lines[7])
+    lines = (tmp_path / JOURNAL).read_text().splitlines()
+    assert _commits(tmp_path) == [recorded.lines[7]] and _committed(lines[-1]) == recorded.lines[7]
     seen = 0
 
     def watcher(_resource):
@@ -452,36 +480,42 @@ def test_a_stopped_run_compacts_its_commit_count_exactly(recorded, tmp_path):
     assert _outputs(tmp_path) == recorded.final
 
 
-def test_a_kill_between_the_journal_s_compaction_and_the_world_s_resumes_to_the_uninterrupted_world(
-    recorded, tmp_path, monkeypatch
+@pytest.mark.parametrize("when", ["before", "after"])
+def test_a_kill_inside_the_journal_s_compaction_resumes_to_the_uninterrupted_world(
+    recorded, tmp_path, monkeypatch, when
 ):
-    """Killed after the journal's compaction, the world's last line counts
-    the records from before it, more than the compacted journal holds but
-    the same resources. The resume opens the whole journal, and the resumed
-    run ends with the uninterrupted run's outputs."""
+    """Killed before the compaction's replace, the journal is as the run
+    left it; after, it is compacted, its last commit last. Either resumes
+    at the stop's commit and ends with the uninterrupted run's outputs."""
+    replace = Journal.replace
 
-    def killed(_backend, _records):
-        raise SimulatedCrash("kill before the world's compaction")
+    def killed(journal, lines):
+        if when == "after":
+            replace(journal, lines)
+        raise SimulatedCrash(f"kill {when} the compaction's replace")
 
-    monkeypatch.setattr(SimBackend, "compact", killed)
+    monkeypatch.setattr(Journal, "replace", killed)
     assert _run(tmp_path, max_ticks=7) == 7
     monkeypatch.undo()
-    assert _lines(tmp_path)[-1].decode() == recorded.lines[7]
-    assert _journal_records(tmp_path) < json.loads(recorded.lines[7])["journalRecords"]
+    commits = _commits(tmp_path)
+    assert commits[-1] == recorded.lines[7]
+    assert len(commits) == (1 if when == "after" else 8)
+    assert not (tmp_path / (JOURNAL + ".tmp")).exists()
     assert _run(tmp_path) is None
     assert _outputs(tmp_path) == recorded.final
 
 
 def test_a_resume_whose_store_holds_no_trial_of_a_job_names_the_journal_and_the_job(recorded, tmp_path):
-    """A journal cut to its first record, an experiment's create, reads as
-    compacted; the world's jobs then find no trial to rebuild them from."""
-    line = next(line for tick, line in sorted(recorded.lines.items()) if _world(line)["jobs"])
-    _lay_out(tmp_path, recorded, line.encode() + b"\n")
-    (tmp_path / JOURNAL).write_bytes(recorded.journal.splitlines(keepends=True)[0])
-    before = {path: path.read_bytes() for path in (tmp_path / WORLD, tmp_path / EVENTS, tmp_path / JOURNAL)}
+    """A journal whose experiments' records were cut out holds the trials
+    of the world's jobs, but not their experiments, to rebuild them from."""
+    i = next(i for i, commit in enumerate(recorded.commits) if _world(commit)["jobs"])
+    lines = recorded.journal.splitlines(keepends=True)[: recorded.at[i] + 1]
+    _lay_out(tmp_path, recorded, b"".join(line for line in lines if b'"kind":"experiment"' not in line))
+    before = {path: path.read_bytes() for path in (tmp_path / EVENTS, tmp_path / JOURNAL)}
+    store = FileResourceStore(tmp_path, commit=True)
     with pytest.raises(TunectlError) as raised:
-        _resume(tmp_path, InMemoryObservationStore())
-    job = next(iter(_world(line)["jobs"]))
+        _resume(tmp_path, store, InMemoryObservationStore())
+    job = next(iter(_world(recorded.commits[i])["jobs"]))
     assert f"{tmp_path / JOURNAL} holds no trial, or not its experiment, of the job {job}" in str(raised.value)
     assert {path: path.read_bytes() for path in before} == before
 
@@ -491,12 +525,12 @@ def test_an_experiment_submitted_into_a_killed_store_survives_the_resume_and_run
     drops that tick's writes but keeps the experiment create, which only a
     submit writes, and the resumed run drives it to its end."""
     _kill(tmp_path, "mutation", 60, None, recorded.mutations)
-    store = FileResourceStore(tmp_path / "resources")
+    store = FileResourceStore(tmp_path)
     [late] = _experiments()[:1]
     late = dataclasses.replace(late, name="exp-c")
     submit_experiment(store, late)
     store.close()
     assert _run(tmp_path) is None
-    store = FileResourceStore(tmp_path / "resources", readonly=True)
+    store = FileResourceStore(tmp_path, readonly=True)
     result = store.get("experiment/team/exp-c").status
     assert result.phase.value == "Succeeded" and result.total_spawned == late.max_trial_count

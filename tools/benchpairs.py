@@ -126,8 +126,10 @@ def machine() -> dict:
                 break
     except OSError:
         pass
+    # Set, cold ``cli-file`` processes compile every module they import, and
+    # its ``setup_s``, ``submit_s`` and ``export_s`` include that time.
     return {"nproc": os.cpu_count(), "cpu_model": cpu, "python": platform.python_version(),
-            "platform": platform.platform()}
+            "platform": platform.platform(), "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))}
 
 
 def main() -> int:
