@@ -18,7 +18,7 @@ from __future__ import annotations
 import fcntl
 import logging
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterator
@@ -59,15 +59,15 @@ def _open_store(store_dir: Path, readonly: bool = False, commit: bool = False) -
 
 @contextmanager
 def _exclusive(store_dir: Path) -> Iterator[None]:
-    """Hold ``<store>/.lock`` so that a second ``run`` or ``submit`` on the
-    store exits instead of interleaving its writes with this one, or
-    appending while a run compacts the journal."""
+    """Hold ``<store>/.lock`` so that a second ``run``, ``submit`` or
+    ``scenario`` on the store exits instead of interleaving its writes with
+    this one, or appending while a run compacts the journal."""
     store_dir.mkdir(parents=True, exist_ok=True)
     with open(store_dir / ".lock", "a") as lock:
         try:
             fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
-            click.echo(f"store {store_dir} is in use by another 'tunectl run' or 'submit'", err=True)
+            click.echo(f"store {store_dir} is in use by another 'tunectl run', 'submit' or 'scenario'", err=True)
             sys.exit(EXIT_RUNTIME)
         yield
 
@@ -261,10 +261,9 @@ def dump(store_dir: Path) -> None:
 @click.option(
     "--store",
     "store_dir",
-    envvar="TUNECTL_STORE",
     type=click.Path(file_okay=False, path_type=Path),
     default=None,
-    help="Optional state directory (keeps the resource journal, its commits and the event log).",
+    help="Optional state directory of its own (keeps the resource journal, its commits and the event log).",
 )
 def scenario(name: str, seed: int, store_dir: Path | None) -> None:
     """Run a canned evaluation scenario and check its acceptance assertions.
@@ -275,7 +274,8 @@ def scenario(name: str, seed: int, store_dir: Path | None) -> None:
     if name not in SCENARIOS:
         raise click.BadParameter(f"choose from {', '.join(SCENARIOS)}", param_hint="NAME")
     try:
-        outcome = run_scenario(name, seed=seed, state_dir=store_dir)
+        with nullcontext() if store_dir is None else _exclusive(store_dir):
+            outcome = run_scenario(name, seed=seed, state_dir=store_dir)
     except TunectlError as exc:
         click.echo(f"scenario failed to run: {exc}", err=True)
         sys.exit(EXIT_RUNTIME)

@@ -346,10 +346,6 @@ class Journal:
                 fp.write(line.encode("utf-8"))
         os.replace(tmp, self.path)
 
-    def remove(self) -> None:
-        self.close()
-        self.path.unlink(missing_ok=True)
-
     def close(self) -> None:
         """Close the append handle; a later append opens it again."""
         if self._fp is not None:

@@ -510,9 +510,11 @@ def run_control_loop(
     appends after the tick's writes, so a resume opens the store and the
     world at the same committed tick. The loop commits its start before
     the bootstrap step, so a kill within that step resumes from it, and a
-    resumed run's bootstrap step, at a commit, finds nothing to do; a loop
-    that ends before its first tick commits that step too. The loop leaves
-    no watcher on the store. Returns the terminal snapshot.
+    resumed run's bootstrap step, at a commit, finds nothing to do. It
+    commits once more as it ends, which covers the bootstrap step of a loop
+    that ends before its first tick; the store skips a commit that repeats
+    its last. The loop leaves no watcher on the store. Returns the terminal
+    snapshot.
     """
     ctx = ControllerContext(store=store, metrics=metrics, backend=backend)
     ticks = 0
@@ -542,8 +544,7 @@ def run_control_loop(
             store.commit(backend.persist())
             if stop is not None and stop(ticks):
                 break
-        if ticks == 0:
-            store.commit(backend.persist())
+        store.commit(backend.persist())
     finally:
         store.watchers.remove(ctx._written)
     return terminal_snapshot(store, ticks)

@@ -233,8 +233,9 @@ class ResourceStore:
         """Record the write of ``resource`` over ``previous``, None for a create."""
 
     def commit(self, body: str | None) -> None:
-        """Record a backend's commit, after the writes it covers; None, or
-        a store that keeps no journal, records nothing."""
+        """Record a backend's commit, after the writes it covers; None, a
+        repeat of the last commit, or a store that keeps no journal,
+        records nothing."""
 
 
 class FileResourceStore(ResourceStore):
@@ -335,7 +336,7 @@ class FileResourceStore(ResourceStore):
         self._append(_record(resource, previous))
 
     def commit(self, body: str | None) -> None:
-        if body is not None:
+        if body is not None and body != self.committed:
             with self._lock:
                 self._append(_commit_line(body))
                 self.committed = body

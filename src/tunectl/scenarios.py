@@ -32,10 +32,10 @@ from .cluster.objectives import mnist_surrogate
 from .codec import DocumentError, Journal, from_doc
 from .cluster.sim import AutoscalerConfig, ChaosMode, ChaosPolicy, SimBackend, SimWorld
 from .controller.backend import job_handle
-from .controller.model import TrialPhase
+from .controller.model import KIND_EXPERIMENT, TrialPhase
 from .controller.reconcile import run_control_loop, submit_experiment
 from .controller.store import FileResourceStore, ResourceStore
-from .errors import ValidationError
+from .errors import TunectlError, ValidationError
 from .metrics import InMemoryObservationStore
 from .resources import (
     AlgorithmSpec,
@@ -180,11 +180,17 @@ def run_simulated(
     until the autoscaler has shrunk back to its floor (bounded by grace).
     With a ``state_dir`` the resources start afresh in its journal, which
     ends compacted with the last commit, and the events are read back from
-    its event log.
+    its event log. A journal there that holds an experiment this run does
+    not submit is another store's: the run refuses it and writes nothing.
     """
     world = cfg.world()
     store = ResourceStore()
     if state_dir is not None:
+        ours = {(spec.namespace, spec.name) for spec in experiments}
+        held = FileResourceStore(state_dir, readonly=True).list(KIND_EXPERIMENT)
+        if any((e.namespace, e.name) not in ours for e in held):
+            raise TunectlError(f"{Path(state_dir) / FileResourceStore.JOURNAL} holds experiments that this scenario "
+                               "does not submit; give the scenario a directory of its own")
         (Path(state_dir) / FileResourceStore.JOURNAL).unlink(missing_ok=True)
         store = FileResourceStore(state_dir)
     metrics = InMemoryObservationStore()

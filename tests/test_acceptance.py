@@ -434,8 +434,10 @@ def _on_writes(store, hook) -> None:
     commit = store.commit
 
     def committed(body):
+        last = store.committed
         commit(body)
-        hook()
+        if store.committed is not last:  # appended: a repeat or None writes nothing
+            hook()
 
     store.commit = committed
 

@@ -834,7 +834,7 @@ def test_scenario_with_a_store_ends_with_a_compacted_world(runner, tmp_path):
         assert result.exit_code == 0, result.output
         files.append(_store_files(store))
     assert files[0] == files[1]
-    assert sorted(p.name for p in store.iterdir()) == ["events.jsonl", "journal.jsonl"]
+    assert sorted(p.name for p in store.iterdir()) == [".lock", "events.jsonl", "journal.jsonl"]
     *records, last = (store / "journal.jsonl").read_text().splitlines()
     assert {json.loads(line)["kind"] for line in records} == {"experiment", "suggestion", "trial"}
     commit = _commit(last)
@@ -843,6 +843,22 @@ def test_scenario_with_a_store_ends_with_a_compacted_world(runner, tmp_path):
     # The last commit covers every event, the experiment stats of its tick included.
     assert events[-1]["kind"] == "experiment-stats"
     assert commit["eventsOffset"] == (store / "events.jsonl").stat().st_size
+
+
+def test_a_scenario_leaves_a_submitted_store_as_it_is(runner, tmp_path, monkeypatch):
+    # The scenario's --store reads no TUNECTL_STORE, and refuses a journal of another store's experiments.
+    assert _submit(runner, tmp_path).exit_code == 0
+    store = tmp_path / "store"
+    (store / "events.jsonl").write_bytes(b'{"tick":0}\n')
+    before = _store_files(store)
+    monkeypatch.setenv("TUNECTL_STORE", str(store))
+    result = runner.invoke(cli, ["scenario", "chaos-kill"])
+    assert result.exit_code == 0, result.output
+    assert _store_files(store) == before
+    result = runner.invoke(cli, ["scenario", "chaos-kill", "--store", str(store)])
+    assert result.exit_code == 4
+    assert f"{store / 'journal.jsonl'} holds experiments that this scenario does not submit" in result.output
+    assert _store_files(store) == before
 
 
 @pytest.mark.parametrize("name", ["multi-tenancy", "autoscale", "chaos-fail", "chaos-kill"])

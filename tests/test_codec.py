@@ -223,9 +223,9 @@ def test_journal_replace_truncate_and_remove(tmp_path):
     assert journal.path.read_bytes() == b"3\n4\n"
     journal.truncate(2)
     assert journal.path.read_bytes() == b"3\n"
-    journal.remove()
+    journal.path.unlink()
+    journal.truncate(0)  # truncating a removed journal creates nothing
     assert not journal.path.exists()
-    journal.remove()  # removing a missing journal is a no-op
 
 
 def test_journal_append_reopens_a_path_that_no_longer_names_its_file(tmp_path):
@@ -310,7 +310,7 @@ def test_journal_append_returns_the_size_and_follows_its_path(tmp_path):
     assert append_and_check("3\n") == b"1\n3\n"
     journal.replace(["4\n"])
     assert append_and_check("5\n") == b"4\n5\n"
-    journal.remove()
+    journal.path.unlink()
     assert append_and_check("6\n") == b"6\n"
     # Replaced underneath, as another process's compaction would.
     tmp = tmp_path / "other.jsonl"

@@ -117,8 +117,10 @@ def _run(directory, crash_hook=None, watcher=None, before_compact=None, max_tick
         commit = store.commit
 
         def counted(body):
+            last = store.committed
             commit(body)
-            watcher(None)
+            if store.committed is not last:  # appended: a repeat or None writes nothing
+                watcher(None)
 
         store.commit = counted
     try:
@@ -176,7 +178,7 @@ class Recorded:
     journal: bytes
     final: dict[str, bytes]  # the run's outputs (see _outputs)
     mutations: int  # the run's store writes, its commits included
-    commits: list[str] = field(default_factory=list)  # each persist's commit
+    commits: list[str] = field(default_factory=list)  # each commit the store appends
     at: list[int] = field(default_factory=list)  # the journal's lines at each persist: where its commit goes
     terminal: int = 0  # terminal trials seen over all persists
     held: list[tuple[int, str]] = field(default_factory=list)  # (tick, job) of a terminal trial
@@ -193,6 +195,8 @@ def recorded(tmp_path_factory) -> Recorded:
         commit = persist(backend)
         world = backend.world
         assert commit == _commit_text(world, (directory / EVENTS).stat().st_size)
+        if out.commits[-1:] == [commit]:  # the loop's last persist repeats its last tick's: the store skips it
+            return commit
         out.commits.append(commit)
         out.at.append(len(Journal(directory / JOURNAL).read()))
         out.jobs[world.tick] = copy.deepcopy(world.jobs)
@@ -284,7 +288,10 @@ def test_a_file_cut_at_any_byte_resumes_at_its_last_complete_line(recorded, tmp_
     assert _commit_text(backend.world, offset) == expected
     assert (directory / EVENTS).read_bytes() == recorded.events[:offset]
 
-    # The next tick's commit starts a line of its own, after the last.
+    # A commit that repeats the last one writes nothing; the next tick's
+    # starts a line of its own, after the last.
+    store.commit(backend.persist())
+    assert (directory / JOURNAL).read_bytes() == b"".join(complete[:end])
     backend.advance(lambda: 0)
     store.commit(backend.persist())
     backend.close()
@@ -463,7 +470,8 @@ def test_a_stopped_run_compacts_its_commit_count_exactly(recorded, tmp_path):
     """A run stopped at a tick compacts the journal to one record per
     resource and exactly one commit, its last, after them. Resumed, killed
     mid-tick and resumed again, it ends with the uninterrupted run's
-    outputs."""
+    outputs; no resume, nor a re-run of the finished store, appends a
+    commit that repeats the last."""
     assert _run(tmp_path, max_ticks=7) is None
     lines = (tmp_path / JOURNAL).read_text().splitlines()
     assert _commits(tmp_path) == [recorded.lines[7]] and _committed(lines[-1]) == recorded.lines[7]
@@ -476,8 +484,14 @@ def test_a_stopped_run_compacts_its_commit_count_exactly(recorded, tmp_path):
             raise SimulatedCrash("kill at the resumed run's sixth write")
 
     assert _run(tmp_path, watcher=watcher) >= 8  # past the stop, in a tick of the resumed run
-    assert _run(tmp_path) is None
+    kept = []
+    assert _run(tmp_path, before_compact=lambda _backend: kept.append(_commits(tmp_path))) is None
     assert _outputs(tmp_path) == recorded.final
+    assert _run(tmp_path, before_compact=lambda _backend: kept.append(_commits(tmp_path))) is None
+    assert _outputs(tmp_path) == recorded.final
+    ticks = [_world(commit)["tick"] for commit in kept[0]]
+    assert ticks == sorted(set(ticks)) and ticks[-1] == max(recorded.lines)
+    assert kept[1] == [recorded.lines[max(recorded.lines)]]
 
 
 @pytest.mark.parametrize("when", ["before", "after"])
