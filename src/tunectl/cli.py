@@ -5,9 +5,9 @@ canned scenarios.
 The backends are imported only by the commands that run trials (``run``
 and ``scenario``), so ``--help``, ``submit``, ``export`` and ``dump`` start
 without them. No command imports numpy itself: a run loads it only for
-Bayesian optimization, TPE or a noisy simulated objective. A simulated
-``run`` resumes at the last commit in the store's journal; every run ends
-by compacting the journal.
+Bayesian optimization, TPE or a noisy simulated objective. ``run`` resumes
+either backend at the last commit in the store's journal, and exits 4 at
+one the other backend wrote; every run ends by compacting the journal.
 
 Exit codes: 0 success, 2 validation failure, 3 name conflict, 4 runtime
 error, 5 scenario assertion failure.
@@ -154,18 +154,17 @@ def _run(
     from .cluster.sim import SimBackend
     from .scenarios import NodeGroup, Quota, ScenarioConfig, load_scenario
 
-    # A simulated run opens the store at its journal's last commit, where the world resumes.
-    store = _open_store(store_dir, commit=backend_name == "sim")
+    backend_cls = {"sim": SimBackend, "local": LocalProcessBackend}[backend_name]
+    # The store opens at its journal's last commit, where the backend resumes.
+    store = _open_store(store_dir, commit=True)
     metrics = FileObservationStore(store_dir / "metrics.jsonl")
     try:
-        if backend_name == "local":
-            backend = LocalProcessBackend(metrics)
-        elif store.committed is not None:
-            backend = SimBackend.resume(
-                store_dir, store.committed, metrics, lambda handle: stored_job_request(store, handle)
-            )
+        if store.committed is not None:
+            backend = backend_cls.resume(store_dir, store.committed, metrics, lambda h: stored_job_request(store, h))
             if scenario_file is not None:
                 click.echo("resuming persisted world; --scenario ignored", err=True)
+        elif backend_cls is LocalProcessBackend:
+            backend = LocalProcessBackend(metrics, state_dir=store_dir)
         else:
             cfg = ScenarioConfig(seed, nodes=(NodeGroup(8.0, 4),), max_ticks=max_ticks)
             if scenario_file is not None:

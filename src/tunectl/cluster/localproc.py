@@ -25,6 +25,12 @@ its submit, so its trial fails in the step that submits it.
 Each trainer runs in a session (and process group) of its own, so closing
 the backend can stop it together with any children it started.
 
+With a state directory it logs ``job-submitted``, ``job-succeeded`` and
+``job-failed`` events, the controller step as their tick, and its commits
+hold each trainer that may still run as ``{handle: [pid, start time]}``, so
+a commit changes only when a trainer starts or ends. ``restore`` stops each
+recorded trainer still running, so none outlives a killed run.
+
 A trainer concludes once it has exited and its output is all read; a
 grandchild that holds the pipe open keeps it running until then. One that
 closes its output and runs on concludes in the first ``advance`` that finds
@@ -34,6 +40,7 @@ looks at the trainer again in the next step.
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import selectors
@@ -42,8 +49,10 @@ import signal
 import subprocess
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from pathlib import Path
+from typing import Any, Callable
 
+from ..codec import from_doc
 from ..errors import InvalidPayloadError
 from ..metrics import MetricPoint, ObservationStore, parse_metric_lines
 from ..resources import CollectorKind
@@ -53,7 +62,9 @@ TEMPORARY_EXIT_CODES = (75,)
 # Seconds a trainer gets to exit after SIGTERM before its group is killed.
 TERMINATE_GRACE_S = 0.5
 READ_BYTES = 1 << 16  # the most one read of a trainer's output takes: a full pipe
+LAST_LINE_CHARS = 200  # the most of a trainer's last output line a job-failed event keeps
 _LINE_END = re.compile(rb"[\r\n]")
+_PROC = Path("/proc")
 
 
 @dataclass
@@ -66,15 +77,46 @@ class _LocalJob:
     dropping: bool = False  # the rest of an over-long line is read and dropped
     points: list[MetricPoint] = field(default_factory=list)  # pull: not yet registered
     failed_reason: str | None = None  # a failed push registration
+    started: int | None = None  # the process's start time, with a state directory
+    last_line: str = ""  # the last non-empty output line, truncated
 
 
 class LocalProcessBackend(ExecutionBackend):
-    def __init__(self, metrics: ObservationStore, poll_interval: float = 0.02):
+    STATE_KEY = "trainers"
+
+    def __init__(self, metrics: ObservationStore, poll_interval: float = 0.02, state_dir: str | Path | None = None):
         self.metrics = metrics
         self.poll_interval = poll_interval
         self._jobs: dict[str, _LocalJob] = {}
         self._selector = selectors.DefaultSelector()  # the open trainer outputs
         self._changed: set[str] = set()  # handles for ``changed_jobs``
+        self.events: list[dict] = []
+        self._step = 0  # the controller steps taken, the events' tick
+        if state_dir is not None:
+            self._open_state(Path(state_dir), 0)
+
+    def _open_state(self, state_dir: Path, events_size: int) -> None:
+        """Also count the steps on from the tick of the last event logged."""
+        super()._open_state(state_dir, events_size)
+        self._step = next((json.loads(line)["tick"] for line in self._events.read()[-1:]), 0)
+
+    def emit_event(self, kind: str, payload: dict) -> None:
+        """Keep a job event, with a state directory; ``experiment-stats`` is the simulator's series."""
+        if self._state_dir is not None and kind.startswith("job-"):
+            self.events.append({"tick": self._step, "kind": kind, "payload": payload})
+
+    def state(self) -> dict[str, list]:
+        """The trainers that may still run, ``{handle: [pid, start time]}``."""
+        return {j.handle: [j.process.pid, j.started] for j in self._jobs.values() if j.process.returncode is None}
+
+    @classmethod
+    def restore(cls, state: Any, metrics: ObservationStore, job_request: Callable, *args, **kwargs):
+        """A fresh backend, once each recorded trainer still running (same
+        pid, same start time) is stopped with its group, whose id is its pid."""
+        live = {pid: start for pid, start in from_doc(dict[str, tuple[int, int]], state).values()
+                if _start_time(pid) == start}
+        _stop_groups(list(live), lambda pid: _start_time(pid) == live[pid])
+        return cls(metrics, *args, **kwargs)
 
     def submit(self, request: JobRequest, restart_count: int = 0) -> str:
         run_spec = request.run_spec
@@ -100,7 +142,20 @@ class LocalProcessBackend(ExecutionBackend):
             raise InvalidPayloadError(f"spawn failed: {exc}") from exc
         job = self._jobs[handle] = _LocalJob(handle, request.collector_kind, tuple(request.watched_metrics), process)
         self._selector.register(process.stdout, selectors.EVENT_READ, job)
+        if self._state_dir is not None:
+            job.started = _start_time(process.pid)  # not yet reaped, so it has one
+            self.emit_event("job-submitted", {"job": handle, "attempt": restart_count})
         return handle
+
+    def _concluded(self, job: _LocalJob) -> None:
+        """Report a trainer that exited and whose output is all read, and log how it ended."""
+        self._changed.add(job.handle)
+        if self._state_dir is not None:
+            state = self.job_state(job.handle)
+            if state.phase is JobPhase.SUCCEEDED:
+                self.emit_event("job-succeeded", {"job": job.handle})
+            else:
+                self.emit_event("job-failed", {"job": job.handle, "reason": state.reason, "lastLine": job.last_line})
 
     def _read(self, job: _LocalJob, deadline: float) -> None:
         """One read of ``job``'s output; at EOF, close it and wait until ``deadline``."""
@@ -117,6 +172,8 @@ class LocalProcessBackend(ExecutionBackend):
             if cut:
                 lines = job.tail[:cut].decode("utf-8", errors="replace")
                 del job.tail[:cut]
+                if text := lines.rstrip():
+                    job.last_line = text[max(text.rfind("\n"), text.rfind("\r")) + 1:][:LAST_LINE_CHARS]
                 points = parse_metric_lines(lines, job.watched, job.handle)
                 if job.collector is CollectorKind.PULL:
                     job.points.extend(points)
@@ -133,7 +190,7 @@ class LocalProcessBackend(ExecutionBackend):
             job.process.stdout.close()
             try:
                 job.process.wait(timeout=max(0.0, deadline - time.monotonic()))
-                self._changed.add(job.handle)
+                self._concluded(job)
             except subprocess.TimeoutExpired:
                 pass  # found exited by a later ``advance``
 
@@ -170,11 +227,12 @@ class LocalProcessBackend(ExecutionBackend):
     def advance(self, step: Callable[[], int]) -> None:
         """Run ``step``, then read the trainers' output until ``changed_jobs``
         has a trainer to report or ``poll_interval`` passes."""
+        self._step += 1
         step()
         deadline = time.monotonic() + self.poll_interval
         for job in self._jobs.values():  # those that closed their output before they exited
             if job.process.stdout.closed and job.process.returncode is None and job.process.poll() is not None:
-                self._changed.add(job.handle)
+                self._concluded(job)
         while not self._changed:
             timeout = deadline - time.monotonic()
             for key, _ in self._selector.select(max(timeout, 0.0)):
@@ -183,26 +241,38 @@ class LocalProcessBackend(ExecutionBackend):
                 break
 
     def close(self) -> None:
-        """Stop every trainer still running: SIGTERM to its process group,
-        SIGKILL once the grace period is over, then close its output unread.
-        Safe to call twice."""
-        live = [job for job in self._jobs.values() if job.process.returncode is None]
-        for job in live:
-            _signal_group(job.process, signal.SIGTERM)
-        deadline = time.monotonic() + TERMINATE_GRACE_S
-        for job in live:
-            try:
-                job.process.wait(timeout=max(0.0, deadline - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                pass
-            _signal_group(job.process, signal.SIGKILL)
-            job.process.wait()
-            job.process.stdout.close()
+        """Stop every trainer still running with its group, then close its
+        output unread, and the event log. Safe to call twice."""
+        live = {job.process.pid: job.process for job in self._jobs.values() if job.process.returncode is None}
+        _stop_groups(list(live), lambda pid: live[pid].poll() is None)
+        for process in live.values():
+            process.wait()
+            process.stdout.close()
         self._selector.close()
+        super().close()
 
 
-def _signal_group(process: subprocess.Popen, sig: int) -> None:
+def _stop_groups(pids: list[int], running: Callable[[int], bool]) -> None:
+    """SIGTERM each process group, and SIGKILL each once every leader has
+    exited (``running`` says) or the grace period is over."""
+    deadline = time.monotonic() + TERMINATE_GRACE_S
+    for sig in (signal.SIGTERM, signal.SIGKILL):
+        for pid in pids:
+            try:
+                os.killpg(pid, sig)
+            except (ProcessLookupError, PermissionError):
+                pass  # the whole group has exited already
+        while sig is signal.SIGTERM and any(running(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.01)
+
+
+def _start_time(pid: int) -> int | None:
+    """When process ``pid`` started, in clock ticks after boot: field 22 of
+    ``/proc/<pid>/stat``, which tells a reused pid apart. None when no
+    process has the pid. Without ``/proc`` every pid reads 0, so a trainer
+    is matched on its pid alone."""
     try:
-        os.killpg(process.pid, sig)
-    except (ProcessLookupError, PermissionError):
-        pass  # the whole group has exited already
+        stat = (_PROC / str(pid) / "stat").read_bytes()
+    except OSError:
+        return None if (_PROC / "self").exists() else 0
+    return int(stat[stat.rindex(b")") + 2:].split()[19])

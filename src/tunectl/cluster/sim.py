@@ -15,14 +15,12 @@ Nodes are never scaled down while they hold running work.
 
 A trial's job is released once its trial concludes, so the world holds
 live jobs only, and each experiment's service in a table of its own: a
-trial and a service never share a job. ``SimBackend`` writes the world's
-events to a state directory and returns the whole world as each tick's
-commit, which the resource store appends to its journal.
+trial and a service never share a job. ``SimBackend`` gives the world's
+events and the whole world to the commit path of ``ExecutionBackend``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import zlib
 from collections import Counter
@@ -31,8 +29,8 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
-from ..codec import Journal, compact_json, from_doc, sorted_json
-from ..errors import InvalidPayloadError, TunectlError, UnknownNamespaceError
+from ..codec import from_doc
+from ..errors import InvalidPayloadError, UnknownNamespaceError
 from ..metrics import MetricPoint, ObservationStore
 from ..metrics import parse_metric_lines  # noqa: F401 -- perfbench/tracer.py wraps it under this module
 from ..pcg import Generator
@@ -499,20 +497,13 @@ class SimWorld:
 
 
 class SimBackend(ExecutionBackend):
-    """Execution backend over a :class:`SimWorld`, with an optional state
-    directory for ``events.jsonl``, a ``codec.Journal`` of one JSON line per
-    event, moved there from ``world.events`` at each persist.
+    """Execution backend over a :class:`SimWorld`, whose ``events`` it
+    logs and which its commits hold. Of each trial job the world holds what
+    a tick changes, not its spec: each unit's ticks left and node, and the
+    job's phase, reason, checkpoint, attempt and unregistered points;
+    ``restore`` rebuilds the spec from the job's trial in the store."""
 
-    A persist returns the tick's commit, ``{"world": ..., "eventsOffset":
-    ...}``, which the resource store appends to its journal, ``WORLD_FILE``
-    in the state directory. Of each trial job the world holds what a tick
-    changes, not its spec: each unit's ticks left and node, and the job's
-    phase, reason, checkpoint, attempt and unregistered points; ``resume``
-    rebuilds the spec from the job's trial in the store.
-    """
-
-    WORLD_FILE = "journal.jsonl"
-    EVENTS_FILE = "events.jsonl"
+    STATE_KEY = "world"
 
     def __init__(
         self,
@@ -522,53 +513,23 @@ class SimBackend(ExecutionBackend):
         crash_hook: Callable[[int, str], None] | None = None,
     ):
         self.world = world
+        self.events = world.events
         self.metrics = metrics
         self.world.metrics = metrics
         self.crash_hook = crash_hook
-        self._state_dir: Path | None = None
         if state_dir is not None:
             self._open_state(Path(state_dir), 0)
 
-    def _open_state(self, state_dir: Path, events_size: int) -> None:
-        """Write events to ``state_dir``, its event log cut to ``events_size`` bytes."""
-        state_dir.mkdir(parents=True, exist_ok=True)
-        self._state_dir = state_dir
-        self._events = Journal(state_dir / self.EVENTS_FILE)
-        self._events.truncate(events_size)
+    def state(self) -> SimWorld:
+        return self.world
 
     @classmethod
-    def resume(
-        cls,
-        state_dir: str | Path,
-        commit: str,
-        metrics: ObservationStore,
-        job_request: Callable[[str], JobRequest],
-        crash_hook: Callable[[int, str], None] | None = None,
-    ) -> SimBackend:
-        """Rebuild a backend from a ``commit`` that ``persist`` returned,
-        each trial job's spec from ``job_request`` of its handle, what the
-        trial's submit takes. Then the events recorded after the commit (a
-        torn tick), which will be emitted again, are truncated."""
-        try:
-            doc = json.loads(commit)
-            world, offset = from_doc(SimWorld, doc["world"]), doc["eventsOffset"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise TunectlError(f"the last commit in {Path(state_dir) / cls.WORLD_FILE} holds no world that this "
-                               "version reads; start again in a fresh store") from exc
+    def restore(cls, state: Any, metrics: ObservationStore, job_request: Callable[[str], JobRequest],
+                crash_hook: Callable[[int, str], None] | None = None) -> SimBackend:
+        world = from_doc(SimWorld, state)
         for handle, job in world.jobs.items():
             job.with_spec(job_request(handle))
-        backend = cls(world, metrics, crash_hook=crash_hook)
-        backend._open_state(Path(state_dir), offset)
-        return backend
-
-    def persist(self) -> str | None:
-        """Move the world's events since the last commit to the event log;
-        return the commit, None without a state directory."""
-        if self._state_dir is None:
-            return None
-        offset = self._events.append(sorted_json(e) + "\n" for e in self.world.events)
-        self.world.events.clear()
-        return compact_json({"world": self.world, "eventsOffset": offset})
+        return cls(world, metrics, crash_hook=crash_hook)
 
     # -- ExecutionBackend ----------------------------------------------------
 
@@ -606,7 +567,3 @@ class SimBackend(ExecutionBackend):
 
     def emit_event(self, kind: str, payload: dict) -> None:
         self.world.emit(kind, payload)
-
-    def close(self) -> None:
-        if self._state_dir is not None:
-            self._events.close()

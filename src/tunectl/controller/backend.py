@@ -1,15 +1,26 @@
 """Execution backend interface shared by the cluster simulator and the
 local-process runner. One TrialJob backend drives possibly-multi-worker
 workloads and reports a coarse job state the trial controller maps onto
-trial phases."""
+trial phases.
+
+Both backends log, commit and resume one way; each supplies only its
+events, its ``state`` and how to ``restore`` itself from it. With a state
+directory, ``persist`` moves the events to ``events.jsonl`` there and
+returns the commit, ``{<STATE_KEY>: <state>, "eventsOffset": <size>}``,
+that the resource store appends to its journal.
+"""
 
 from __future__ import annotations
 
+import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple
+from pathlib import Path
+from typing import Any, Callable, Iterable, NamedTuple
 
+from ..codec import Journal, compact_json, sorted_json
+from ..errors import TunectlError
 from ..resources import CollectorKind, TrialRunSpec, TrialTemplate
 
 
@@ -45,6 +56,13 @@ def job_handle(namespace: str, name: str) -> str:
 
 
 class ExecutionBackend(ABC):
+    WORLD_FILE = "journal.jsonl"  # the store's journal, where the commits go
+    EVENTS_FILE = "events.jsonl"
+    STATE_KEY: str  # the key of the backend's state in its commits
+    WRITERS = {"world": "sim", "trainers": "local"}  # the ``run --backend`` that writes each key
+    _state_dir: Path | None = None
+    events: list[dict]  # emitted since the last commit, for the event log
+
     @abstractmethod
     def submit(self, request: JobRequest, restart_count: int = 0) -> str:
         """Launch the trial job; returns its handle. Resubmitting the same
@@ -94,13 +112,57 @@ class ExecutionBackend(ABC):
         """Run one unit of time, invoking the controller step at the point
         in the cycle the backend defines."""
 
-    def emit_event(self, kind: str, payload: dict) -> None:  # pragma: no cover
-        """Optional structured event sink (simulator writes JSON lines)."""
+    @abstractmethod
+    def emit_event(self, kind: str, payload: dict) -> None:
+        """Keep a ``{tick, kind, payload}`` event in ``events``, stamped
+        with the backend's clock, if the backend logs events of ``kind``."""
+
+    @abstractmethod
+    def state(self) -> Any:
+        """What a commit holds of the backend, under ``STATE_KEY``."""
+
+    @classmethod
+    @abstractmethod
+    def restore(cls, state: Any, metrics, job_request: Callable[[str], JobRequest], *args, **kwargs):
+        """The backend rebuilt from the ``state`` of a commit, each trial
+        job's spec from ``job_request`` of its handle."""
+
+    def _open_state(self, state_dir: Path, events_size: int) -> None:
+        """Write events to ``state_dir``, its event log cut to ``events_size`` bytes."""
+        state_dir.mkdir(parents=True, exist_ok=True)
+        self._state_dir = state_dir
+        self._events = Journal(state_dir / self.EVENTS_FILE)
+        self._events.truncate(events_size)
+
+    @classmethod
+    def resume(cls, state_dir: str | Path, commit: str, metrics, job_request: Callable[[str], JobRequest],
+               *args, **kwargs) -> ExecutionBackend:
+        """Rebuild a backend from a ``commit`` that ``persist`` returned,
+        the other arguments going to ``restore``, and cut the events logged
+        after the commit (a torn step): they will be emitted again."""
+        doc: Any = {}
+        try:
+            doc = json.loads(commit)
+            state, offset = doc[cls.STATE_KEY], doc["eventsOffset"]
+            backend = cls.restore(state, metrics, job_request, *args, **kwargs)
+        except (ValueError, KeyError, TypeError) as exc:
+            other = next((name for key, name in cls.WRITERS.items() if key != cls.STATE_KEY and key in doc), None)
+            problem = (f"was written by 'tunectl run --backend {other}'; resume it with that backend or" if other
+                       else f"holds no {cls.STATE_KEY} that this version reads;")
+            raise TunectlError(f"the last commit in {Path(state_dir) / cls.WORLD_FILE} {problem} "
+                               "start again in a fresh store") from exc
+        backend._open_state(Path(state_dir), offset)
+        return backend
 
     def persist(self) -> str | None:
-        """The commit of the state reached, JSON text that the resource
-        store appends to its journal after the writes it covers; None from
-        a backend that persists nothing."""
+        """Move the events to the event log; return the commit, None without a state directory."""
+        if self._state_dir is None:
+            return None
+        offset = self._events.append(sorted_json(e) + "\n" for e in self.events)
+        self.events.clear()
+        return compact_json({self.STATE_KEY: self.state(), "eventsOffset": offset})
 
     def close(self) -> None:
-        """Flush and release any backend resources; safe to call twice."""
+        """Close the event log; safe to call twice."""
+        if self._state_dir is not None:
+            self._events.close()

@@ -508,12 +508,12 @@ def run_control_loop(
     Starvation-free (round-robin within each step) and crash-recoverable:
     each tick ends with one commit, ``backend.persist``, which the store
     appends after the tick's writes, so a resume opens the store and the
-    world at the same committed tick. The loop commits its start before
+    backend at the same commit. The loop commits its start before
     the bootstrap step, so a kill within that step resumes from it, and a
     resumed run's bootstrap step, at a commit, finds nothing to do. It
     commits once more as it ends, which covers the bootstrap step of a loop
     that ends before its first tick; the store skips a commit that repeats
-    its last. The loop leaves no watcher on the store. Returns the terminal
+    its last with no write since. The loop leaves no watcher on the store. Returns the terminal
     snapshot.
     """
     ctx = ControllerContext(store=store, metrics=metrics, backend=backend)

@@ -234,8 +234,8 @@ class ResourceStore:
 
     def commit(self, body: str | None) -> None:
         """Record a backend's commit, after the writes it covers; None, a
-        repeat of the last commit, or a store that keeps no journal,
-        records nothing."""
+        repeat of the last commit with no write since, or a store that keeps
+        no journal, records nothing."""
 
 
 class FileResourceStore(ResourceStore):
@@ -263,6 +263,7 @@ class FileResourceStore(ResourceStore):
         self.path = self._journal.path
         self._readonly = readonly
         self.committed: str | None = None
+        self._written = False  # a record appended since the last commit
         if not readonly:
             self.root.mkdir(parents=True, exist_ok=True)
         self._load(commit)
@@ -334,12 +335,13 @@ class FileResourceStore(ResourceStore):
 
     def _persist(self, resource: Resource, previous: Resource | None) -> None:
         self._append(_record(resource, previous))
+        self._written = True
 
     def commit(self, body: str | None) -> None:
-        if body is not None and body != self.committed:
+        if body is not None and (body != self.committed or self._written):
             with self._lock:
                 self._append(_commit_line(body))
-                self.committed = body
+                self.committed, self._written = body, False
 
     def _append(self, line: str) -> None:
         if self._readonly:

@@ -7,8 +7,13 @@ import csv
 import fcntl
 import io
 import json
+import os
+import signal
+import subprocess
 import sys
 import textwrap
+import time
+from pathlib import Path
 
 import pytest
 import yaml
@@ -870,3 +875,139 @@ def test_a_scenario_with_a_store_reads_its_events_back_to_the_same_checks(tmp_pa
 
     in_memory, stored = run_scenario(name, seed=3), run_scenario(name, seed=3, state_dir=tmp_path)
     assert stored.passed and details(stored) == details(in_memory)
+
+
+def _local_experiment(tmp_path, command, *, name="local-exp", trials=1):
+    exp = tmp_path / f"{name}.yaml"
+    exp.write_text(
+        textwrap.dedent(
+            f"""
+            name: {name}
+            namespace: team
+            objective: {{type: maximize, objectiveMetricName: accuracy}}
+            algorithm: {{algorithmName: random, settings: {{random_state: 1}}}}
+            parallelTrialCount: 1
+            maxTrialCount: {trials}
+            parameters:
+              - {{name: lr, parameterType: double, feasibleSpace: {{min: 0.0, max: 1.0}}}}
+            trialTemplate:
+              kind: local-process
+              payload: {json.dumps(command)}
+            """
+        )
+    )
+    return exp
+
+
+def _events(store):
+    return [json.loads(line) for line in (store / "events.jsonl").read_text().splitlines()]
+
+
+def test_a_local_run_logs_its_jobs_and_a_resumed_one_counts_its_steps_on(runner, tmp_path):
+    # The local event log holds the three job kinds only, stamped with the
+    # controller step, and a run resumed from the store's commit steps on
+    # from the last logged tick instead of starting again at 0.
+    store = tmp_path / "store"
+    command = f"{sys.executable} -c \"print('1 accuracy=0.9')\""
+    for name in ("first", "second"):
+        assert runner.invoke(cli, ["submit", str(_local_experiment(tmp_path, command, name=name, trials=2)),
+                                   "--store", str(store)]).exit_code == 0
+        result = runner.invoke(cli, ["run", "--store", str(store), "--backend", "local"])
+        assert result.exit_code == 0, result.output
+    events = _events(store)
+    assert [e["kind"] for e in events] == ["job-submitted", "job-succeeded"] * 4
+    assert [e["payload"]["job"] for e in events[::2]] == ["team/first-0000", "team/first-0001",
+                                                          "team/second-0000", "team/second-0001"]
+    assert all(e["payload"]["attempt"] == 0 for e in events[::2])
+    ticks = [e["tick"] for e in events]
+    assert ticks == sorted(ticks) and ticks[4] >= ticks[3] > 0
+    commit = _commit((store / "journal.jsonl").read_text().splitlines()[-1])
+    assert commit == {"trainers": {}, "eventsOffset": (store / "events.jsonl").stat().st_size}
+
+
+def test_a_failed_local_trainer_logs_its_reason_and_last_output_line(runner, tmp_path):
+    script = tmp_path / "train.py"
+    script.write_text("print('epoch 1')\nprint('bad lr: ' + 'x' * 500)\nprint()\nraise SystemExit(3)\n")
+    store = tmp_path / "store"
+    experiment = _local_experiment(tmp_path, f"{sys.executable} {script}")
+    assert runner.invoke(cli, ["submit", str(experiment), "--store", str(store)]).exit_code == 0
+    result = runner.invoke(cli, ["run", "--store", str(store), "--backend", "local"])
+    assert result.exit_code == 0, result.output
+    assert "Failed" in result.output
+    failed = [e for e in _events(store) if e["kind"] == "job-failed"]
+    assert failed == [{"tick": failed[0]["tick"], "kind": "job-failed", "payload": {
+        "job": "team/local-exp-0000", "reason": "exit code 3", "lastLine": ("bad lr: " + "x" * 500)[:200]}}]
+
+
+@pytest.mark.parametrize("first, second", [("sim", "local"), ("local", "sim")])
+def test_a_run_refuses_a_commit_the_other_backend_wrote(runner, tmp_path, first, second):
+    experiment = tmp_path / "exp.yaml"
+    if first == "sim":
+        experiment.write_text(EXPERIMENT)
+    else:
+        experiment = _local_experiment(tmp_path, f"{sys.executable} -c \"print('1 accuracy=0.9')\"")
+    store = tmp_path / "store"
+    runner.invoke(cli, ["submit", str(experiment), "--store", str(store)])
+    assert runner.invoke(cli, ["run", "--store", str(store), "--backend", first]).exit_code == 0
+    before = _store_files(store)
+    result = runner.invoke(cli, ["run", "--store", str(store), "--backend", second])
+    assert result.exit_code == 4, result.output
+    journal = store / "journal.jsonl"
+    assert f"the last commit in {journal} was written by 'tunectl run --backend {first}'" in result.output
+    assert _store_files(store) == before
+
+
+def _group_processes(group: int, argv: list[str]) -> list[int]:
+    """The processes of process group ``group`` whose argv is exactly ``argv``."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        try:
+            stat, cmdline = (entry / "stat").read_bytes(), (entry / "cmdline").read_bytes()
+        except OSError:
+            continue  # not a process, or one that has exited
+        pgrp = int(stat[stat.rindex(b")") + 2:].split()[2])  # field 5 of the stat line
+        if cmdline.split(b"\0")[:-1] == [a.encode() for a in argv] and pgrp == group:
+            found.append(int(entry.name))
+    return found
+
+
+def _committed_trainers(journal: Path) -> dict:
+    lines = journal.read_bytes().split(b"\n")[:-1] if journal.exists() else []
+    return {h: pid for line in lines if line.startswith(b'{"commit":')
+            for h, (pid, _) in json.loads(line)["commit"]["trainers"].items()}
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="matches processes through /proc")
+def test_a_killed_local_run_leaves_no_trainer_once_the_next_run_has_run(runner, tmp_path):
+    # Each trainer leads a session of its own, so a SIGKILLed run leaves it
+    # running; the next run stops what the store's last commit recorded.
+    store, argv = tmp_path / "store", ["sleep", "3600"]
+    journal = store / "journal.jsonl"
+    runner.invoke(cli, ["submit", str(_local_experiment(tmp_path, " ".join(argv))), "--store", str(store)])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(__file__).resolve().parents[1] / "src"),
+                                                         os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.Popen([sys.executable, "-c", "from tunectl.cli import main; main()", "run", "--store",
+                            str(store), "--backend", "local"], env=env, stdout=subprocess.DEVNULL,
+                           stderr=subprocess.DEVNULL)
+    groups: set[int] = set()
+    try:
+        deadline = time.monotonic() + 60
+        while not (groups := set(_committed_trainers(journal).values())):
+            assert run.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        [group] = groups
+        run.kill()
+        run.wait()
+        assert _group_processes(group, argv)  # the trainer outlived its run
+        result = runner.invoke(cli, ["run", "--store", str(store), "--backend", "local", "--max-ticks", "3"])
+        assert result.exit_code == 0, result.output
+        groups |= set(_committed_trainers(journal).values())
+        assert not _group_processes(group, argv)
+        assert not any(_group_processes(g, argv) for g in groups)  # the next run's own trainer too
+    finally:
+        if run.poll() is None:
+            run.kill()
+            run.wait()
+        for g in groups:
+            for pid in _group_processes(g, argv):
+                os.kill(pid, signal.SIGKILL)

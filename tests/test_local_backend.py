@@ -3,22 +3,25 @@
 from __future__ import annotations
 
 import gc
+import json
 import os
 import subprocess
 import sys
 import textwrap
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from conftest import _until_concluded, make_experiment
+from tunectl.cluster import localproc
 from tunectl.cluster.localproc import READ_BYTES, LocalProcessBackend
 from tunectl.controller.backend import JobPhase, JobRequest
 from tunectl.controller.model import KIND_TRIAL, TrialPhase
 from tunectl.controller.reconcile import ControllerContext, controller_step, run_control_loop, submit_experiment
-from tunectl.controller.store import ResourceStore
+from tunectl.controller.store import FileResourceStore, ResourceStore
 from tunectl.errors import StorageUnavailableError
 from tunectl.metrics import InMemoryObservationStore, MetricPoint
 from tunectl.resources import (
@@ -579,3 +582,97 @@ def test_a_progress_bar_that_never_ends_its_line_holds_the_tail_at_read_bytes(tm
         ]
     finally:
         backend.close()
+
+
+def test_an_idle_trainer_adds_no_line_to_the_journal_or_the_event_log(tmp_path):
+    # A local run commits when a trainer starts or ends, not at every poll.
+    store, metrics = FileResourceStore(tmp_path), InMemoryObservationStore()
+    backend = LocalProcessBackend(metrics, poll_interval=0.005, state_dir=tmp_path)
+    submit_experiment(store, _local_experiment("sleep 30", parallel=1, max_trials=1))
+    sizes = {}
+
+    def stop(ticks):
+        if ticks in (3, 40):
+            sizes[ticks] = [(tmp_path / name).stat().st_size for name in ("journal.jsonl", "events.jsonl")]
+        return ticks >= 40
+
+    try:
+        run_control_loop(store, metrics, backend, stop=stop)
+    finally:
+        backend.close()
+        store.close()
+    assert sizes[3] == sizes[40] and sizes[3][1] > 0
+    commit = json.loads(store.committed)
+    assert list(commit["trainers"]) == ["ns/exp-0000"] and commit["eventsOffset"] == sizes[3][1]
+
+
+def test_a_local_backend_without_a_state_directory_keeps_no_events_and_reads_no_proc(monkeypatch):
+    def no_proc(pid):
+        raise AssertionError("read /proc")
+
+    monkeypatch.setattr(localproc, "_start_time", no_proc)
+    store, metrics = ResourceStore(), InMemoryObservationStore()
+    backend = LocalProcessBackend(metrics, poll_interval=0.005)
+    submit_experiment(store, _local_experiment(f"{sys.executable} -c \"print('1 accuracy=0.5')\""))
+    run_control_loop(store, metrics, backend, max_ticks=4000)
+    assert backend.events == [] and backend.persist() is None
+
+
+def _recorded_sleeper(tmp_path, started):
+    """A ``sleep`` in a session of its own, and a commit recording it started at ``started``."""
+    process = subprocess.Popen(["sleep", "30"], start_new_session=True)
+    return process, f'{{"trainers":{{"ns/t":[{process.pid},{started(process.pid)}]}},"eventsOffset":0}}'
+
+
+@pytest.mark.parametrize("proc", [True, False], ids=["proc", "no-proc"])
+def test_a_resume_stops_a_recorded_trainer_that_still_runs(tmp_path, monkeypatch, proc):
+    # Without /proc a trainer is matched on its pid alone.
+    if not proc:
+        monkeypatch.setattr(localproc, "_PROC", tmp_path / "no-proc")
+    process, commit = _recorded_sleeper(tmp_path, localproc._start_time)
+    try:
+        LocalProcessBackend.resume(tmp_path, commit, InMemoryObservationStore(), None).close()
+        assert process.wait(timeout=5) == -15
+    finally:
+        process.kill()
+        process.wait()
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads start times from /proc")
+def test_a_resume_leaves_a_process_that_reuses_a_recorded_pid_alone(tmp_path):
+    process, commit = _recorded_sleeper(tmp_path, lambda pid: localproc._start_time(pid) - 1)
+    try:
+        LocalProcessBackend.resume(tmp_path, commit, InMemoryObservationStore(), None).close()
+        assert process.poll() is None
+    finally:
+        process.kill()
+        process.wait()
+
+
+def test_a_step_that_records_a_trainer_s_end_commits_it_while_another_trainer_runs(tmp_path):
+    # At the experiment's last trials no trainer starts in the step that
+    # records a trainer's end; that step still commits, so a resume keeps
+    # the concluded trial instead of running it again.
+    spec = make_experiment(
+        [ParameterSpec("t", ParameterType.DISCRETE, ValueList([0, 30]))], algorithm="grid",
+        objective_type=ObjectiveType.MAXIMIZE, metric="accuracy", max_trials=2,
+        template=TrialTemplate(kind=TemplateKind.LOCAL_PROCESS, payload='sh -c "sleep ${t}; echo 1 accuracy=0.5"'),
+    )
+    spec = replace(spec, algorithm=replace(spec.algorithm, settings={}))
+    store, metrics = FileResourceStore(tmp_path), InMemoryObservationStore()
+    backend = LocalProcessBackend(metrics, poll_interval=0.005, state_dir=tmp_path)
+    submit_experiment(store, spec)
+    deadline = time.monotonic() + 20
+
+    def quick_succeeded(_ticks):
+        assert time.monotonic() < deadline
+        return store.get(f"{KIND_TRIAL}/ns/exp-0000").status.phase is TrialPhase.SUCCEEDED
+
+    try:
+        run_control_loop(store, metrics, backend, stop=quick_succeeded)
+    finally:
+        backend.close()
+        store.close()
+    resumed = FileResourceStore(tmp_path, commit=True)
+    assert resumed.get(f"{KIND_TRIAL}/ns/exp-0000").status.phase is TrialPhase.SUCCEEDED
+    resumed.close()

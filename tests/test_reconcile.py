@@ -232,6 +232,16 @@ class _SilentBackend(ExecutionBackend):
     def advance(self, controller_step):
         controller_step()
 
+    def emit_event(self, kind, payload):
+        pass  # it keeps no event log
+
+    def state(self):
+        return None
+
+    @classmethod
+    def restore(cls, state, metrics, job_request):
+        return cls()
+
 
 def test_metrics_missing_on_completion_fails_trial():
     # A job that completes without ever reporting the objective metric.

@@ -3,8 +3,8 @@ module once the program imports it, and its hooks read attributes of the
 program's objects when they are called. A rename or a removal in ``src/``
 that drops one of those names breaks every traced benchmark run; these
 checks find it in about a second each: one imports every hooked module under
-the hooks, and one runs a small file-backed simulated experiment and its
-export under them."""
+the hooks, one runs a small file-backed simulated experiment and its export
+under them, and one a small file-backed local-process experiment."""
 
 from __future__ import annotations
 
@@ -58,6 +58,46 @@ render_csv(build_results_table(store, metrics, "bench", "sphere"))
 print(json.dumps({"snapshot": snapshot, **tr.summary()}))
 """
 
+# The local backend's hooks and the commit path it inherits, with the
+# simulator's hooks installed too: its trainers print one metric line each,
+# and its commits and events go to the store directory.
+_LOCAL_RUN = """
+import json, sys, tempfile
+from pathlib import Path
+import tracer
+tr = tracer.Tracer()
+tracer.install_layers(tr)
+from tunectl.cluster.localproc import LocalProcessBackend
+from tunectl.cluster.sim import SimBackend
+from tunectl.controller.reconcile import run_control_loop, submit_experiment
+from tunectl.controller.store import FileResourceStore
+from tunectl.metrics import FileObservationStore
+from tunectl.resources import parse_experiment
+
+root = Path(tempfile.mkdtemp())
+store, metrics = FileResourceStore(root), FileObservationStore(root / "metrics.jsonl")
+submit_experiment(store, parse_experiment(sys.argv[1].replace("PYTHON", sys.executable)))
+backend = LocalProcessBackend(metrics, poll_interval=0.005, state_dir=root)
+snapshot = run_control_loop(store, metrics, backend)
+backend.close()
+events = [json.loads(line)["kind"] for line in (root / "events.jsonl").read_text().splitlines()]
+print(json.dumps({"snapshot": snapshot, "committed": json.loads(store.committed), "events": events, **tr.summary()}))
+"""
+
+_LOCAL_EXPERIMENT = """
+name: sphere
+namespace: bench
+objective: {type: minimize, objectiveMetricName: loss}
+algorithm: {algorithmName: random, settings: {random_state: 1}}
+parallelTrialCount: 2
+maxTrialCount: 2
+parameters:
+  - {name: x, parameterType: double, feasibleSpace: {min: -2, max: 2}}
+trialTemplate:
+  kind: local-process
+  payload: "PYTHON -c 'print(1, \\"loss=0.5\\")'"
+"""
+
 _EXPERIMENT = """
 name: sphere
 namespace: bench
@@ -100,3 +140,15 @@ def test_a_file_backed_simulated_run_and_its_export_run_under_the_tracer_s_hooks
                  "store.update", "store.load", "suggest.random", "metrics.register", "resources.parse",
                  "results.build", "results.render"):
         assert spans[name]["calls"] > 0, name
+
+
+def test_a_file_backed_local_run_runs_under_the_tracer_s_hooks():
+    out = _under_the_tracer(_LOCAL_RUN, _LOCAL_EXPERIMENT)
+    assert out.returncode == 0, out.stderr[-3000:]
+    traced = json.loads(out.stdout)
+    assert traced["snapshot"]["experiments"]["experiment/bench/sphere"]["phase"] == "Succeeded"
+    assert traced["committed"]["trainers"] == {}
+    assert sorted(traced["events"]) == ["job-submitted"] * 2 + ["job-succeeded"] * 2
+    for name in ("localproc.submit", "localproc.job_state", "localproc.collect", "localproc.advance",
+                 "metrics.parse", "controller.step", "store.update"):
+        assert traced["spans"][name]["calls"] > 0, name
