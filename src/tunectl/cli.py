@@ -27,8 +27,8 @@ import click
 import yaml
 
 from .controller.model import KIND_EXPERIMENT, resource_to_doc
-from .controller.reconcile import run_control_loop, stored_job_request, submit_experiment
-from .controller.store import FileResourceStore
+from .controller.reconcile import run_control_loop, submit_experiment
+from .controller.store import ResourceStore
 from .errors import ResourceExistsError, TunectlError, ValidationError
 from .metrics import FileObservationStore
 from .resources import _YAML_DUMPER, parse_experiment
@@ -38,6 +38,7 @@ EXIT_VALIDATION = 2
 EXIT_CONFLICT = 3
 EXIT_RUNTIME = 4
 EXIT_ASSERTION = 5
+METRICS_FILE = "metrics.jsonl"  # the observation log, in the store directory
 
 store_option = click.option(
     "--store",
@@ -49,9 +50,9 @@ store_option = click.option(
 )
 
 
-def _open_store(store_dir: Path, readonly: bool = False, commit: bool = False) -> FileResourceStore:
+def _open_store(store_dir: Path, readonly: bool = False, commit: bool = False) -> ResourceStore:
     try:
-        return FileResourceStore(store_dir, readonly=readonly, commit=commit)
+        return ResourceStore(store_dir, readonly=readonly, commit=commit)
     except TunectlError as exc:
         click.echo(str(exc), err=True)
         sys.exit(EXIT_RUNTIME)
@@ -157,10 +158,10 @@ def _run(
     backend_cls = {"sim": SimBackend, "local": LocalProcessBackend}[backend_name]
     # The store opens at its journal's last commit, where the backend resumes.
     store = _open_store(store_dir, commit=True)
-    metrics = FileObservationStore(store_dir / "metrics.jsonl")
+    metrics = FileObservationStore(store_dir / METRICS_FILE)
     try:
         if store.committed is not None:
-            backend = backend_cls.resume(store_dir, store.committed, metrics, lambda h: stored_job_request(store, h))
+            backend = backend_cls.resume(store, metrics)
             if scenario_file is not None:
                 click.echo("resuming persisted world; --scenario ignored", err=True)
         elif backend_cls is LocalProcessBackend:
@@ -200,6 +201,7 @@ def _run(
     finally:
         backend.close()
         metrics.close()
+        store.close()
     _print_summary(snapshot)
 
 
@@ -220,7 +222,7 @@ def export(
 ) -> None:
     """Export the per-trial results table (parallel-coordinates input)."""
     store = _open_store(store_dir, readonly=True)
-    metrics = FileObservationStore(store_dir / "metrics.jsonl", readonly=True)
+    metrics = FileObservationStore(store_dir / METRICS_FILE, readonly=True)
     matches = [
         e
         for e in store.list(KIND_EXPERIMENT)

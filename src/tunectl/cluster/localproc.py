@@ -110,13 +110,13 @@ class LocalProcessBackend(ExecutionBackend):
         return {j.handle: [j.process.pid, j.started] for j in self._jobs.values() if j.process.returncode is None}
 
     @classmethod
-    def restore(cls, state: Any, metrics: ObservationStore, job_request: Callable, *args, **kwargs):
+    def restore(cls, state: Any, metrics: ObservationStore, job_request: Callable):
         """A fresh backend, once each recorded trainer still running (same
         pid, same start time) is stopped with its group, whose id is its pid."""
         live = {pid: start for pid, start in from_doc(dict[str, tuple[int, int]], state).values()
                 if _start_time(pid) == start}
         _stop_groups(list(live), lambda pid: _start_time(pid) == live[pid])
-        return cls(metrics, *args, **kwargs)
+        return cls(metrics)
 
     def submit(self, request: JobRequest, restart_count: int = 0) -> str:
         run_spec = request.run_spec

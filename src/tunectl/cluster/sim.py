@@ -46,10 +46,6 @@ METRIC_SALT = 0x3E791C
 LIVE_PHASES = (JobPhase.PENDING, JobPhase.RUNNING)
 
 
-class SimulatedCrash(Exception):
-    """Raised by a crash hook to kill the control loop mid-tick (tests)."""
-
-
 class ChaosMode(str, Enum):
     FAIL_TRIAL = "fail-trial"
     KILL_WORKER = "kill-worker"
@@ -469,31 +465,19 @@ class SimWorld:
             },
         )
 
-    def advance_tick(
-        self,
-        controller_step: Callable[[], int] | None = None,
-        crash_hook: Callable[[int, str], None] | None = None,
-    ) -> None:
-        """One tick: chaos, progress, scheduler, autoscaler, controller."""
-
-        def hook(phase: str) -> None:
-            if crash_hook is not None:
-                crash_hook(self.tick, phase)
-
+    def advance_tick(self, controller_step: Callable[[], int] | None = None) -> None:
+        """One tick: chaos, progress, scheduler, autoscaler, controller,
+        then the tick's stats. Each is a method of its own, so a caller that
+        times the phases or kills a run between them wraps the methods; the
+        tick itself takes no hook."""
         self.tick += 1
-        hook("chaos")
         self.chaos_tick()
-        hook("progress")
         self.progress_tick()
-        hook("schedule")
         self.schedule_tick()
-        hook("autoscale")
         self.autoscale_tick()
-        hook("controller")
         if controller_step is not None:
             controller_step()
         self._tick_stats()
-        hook("persist")
 
 
 class SimBackend(ExecutionBackend):
@@ -505,18 +489,11 @@ class SimBackend(ExecutionBackend):
 
     STATE_KEY = "world"
 
-    def __init__(
-        self,
-        world: SimWorld,
-        metrics: ObservationStore,
-        state_dir: str | Path | None = None,
-        crash_hook: Callable[[int, str], None] | None = None,
-    ):
+    def __init__(self, world: SimWorld, metrics: ObservationStore, state_dir: str | Path | None = None):
         self.world = world
         self.events = world.events
         self.metrics = metrics
         self.world.metrics = metrics
-        self.crash_hook = crash_hook
         if state_dir is not None:
             self._open_state(Path(state_dir), 0)
 
@@ -524,12 +501,11 @@ class SimBackend(ExecutionBackend):
         return self.world
 
     @classmethod
-    def restore(cls, state: Any, metrics: ObservationStore, job_request: Callable[[str], JobRequest],
-                crash_hook: Callable[[int, str], None] | None = None) -> SimBackend:
+    def restore(cls, state: Any, metrics: ObservationStore, job_request: Callable[[str], JobRequest]) -> SimBackend:
         world = from_doc(SimWorld, state)
         for handle, job in world.jobs.items():
             job.with_spec(job_request(handle))
-        return cls(world, metrics, crash_hook=crash_hook)
+        return cls(world, metrics)
 
     # -- ExecutionBackend ----------------------------------------------------
 
@@ -563,7 +539,7 @@ class SimBackend(ExecutionBackend):
         self.world.release(handle)
 
     def advance(self, controller_step: Callable[[], int]) -> None:
-        self.world.advance_tick(controller_step, crash_hook=self.crash_hook)
+        self.world.advance_tick(controller_step)
 
     def emit_event(self, kind: str, payload: dict) -> None:
         self.world.emit(kind, payload)

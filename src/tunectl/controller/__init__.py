@@ -24,14 +24,13 @@ from .reconcile import (
     submit_experiment,
     terminal_snapshot,
 )
-from .store import FileResourceStore, ResourceStore
+from .store import ResourceStore
 
 __all__ = [
     "ControllerContext",
     "ExecutionBackend",
     "ExperimentPhase",
     "ExperimentStatus",
-    "FileResourceStore",
     "JobPhase",
     "JobState",
     "OptimalResult",

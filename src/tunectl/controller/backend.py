@@ -7,7 +7,9 @@ Both backends log, commit and resume one way; each supplies only its
 events, its ``state`` and how to ``restore`` itself from it. With a state
 directory, ``persist`` moves the events to ``events.jsonl`` there and
 returns the commit, ``{<STATE_KEY>: <state>, "eventsOffset": <size>}``,
-that the resource store appends to its journal.
+that the resource store appends to its journal. ``resume`` takes the store
+alone: its root is the state directory, its last commit the backend's, and
+its trials and experiments give each rebuilt job its spec.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from typing import Any, Callable, Iterable, NamedTuple
 
 from ..codec import Journal, compact_json, sorted_json
 from ..errors import TunectlError
-from ..resources import CollectorKind, TrialRunSpec, TrialTemplate
+from ..resources import CollectorKind, ExperimentSpec, TrialRunSpec, TrialTemplate, render_trial_spec
+from .model import KIND_EXPERIMENT, KIND_TRIAL, Resource, resource_key
+from .store import ResourceStore
 
 
 class JobPhase(str, Enum):
@@ -40,13 +44,36 @@ class JobState:
 
 
 class JobRequest(NamedTuple):
-    """What a backend's submit takes to run a trial's job; the trial
-    reconciler's ``job_request`` makes it from the trial and its experiment."""
+    """What a backend's submit takes to run a trial's job; ``job_request``
+    makes it from the trial and its experiment."""
 
     run_spec: TrialRunSpec
     template: TrialTemplate
     collector_kind: CollectorKind
     watched_metrics: tuple[str, ...]
+
+
+def job_request(spec: ExperimentSpec, trial: Resource) -> JobRequest:
+    """What a backend's submit takes to run ``trial``'s job in experiment
+    ``spec``: its run spec, the trial template, the collector kind and the
+    watched metrics. Every attempt takes the same, as the experiment's spec
+    never changes, so a resumed simulated world rebuilds its jobs through it."""
+    template, objective = spec.trial_template, spec.objective
+    run_spec = render_trial_spec(template, trial.spec.assignments, trial.name, trial.namespace)
+    watched = (objective.objective_metric_name, *objective.additional_metric_names)
+    return JobRequest(run_spec, template, spec.metric_collector_kind, watched)
+
+
+def stored_job_request(store: ResourceStore, handle: str) -> JobRequest:
+    """``job_request`` of the trial behind job ``handle`` as ``store`` holds
+    it; an error when the store holds no such trial or not its experiment."""
+    namespace, name = handle.split("/", 1)
+    trial = store.get(resource_key(KIND_TRIAL, namespace, name))
+    experiment = trial and store.get(resource_key(KIND_EXPERIMENT, namespace, trial.spec.experiment))
+    if experiment is None:
+        raise TunectlError(f"{store.path or 'the store'} holds no trial, or not its experiment, "
+                           f"of the job {handle} that its world runs")
+    return job_request(experiment.spec, trial)
 
 
 def job_handle(namespace: str, name: str) -> str:
@@ -56,7 +83,7 @@ def job_handle(namespace: str, name: str) -> str:
 
 
 class ExecutionBackend(ABC):
-    WORLD_FILE = "journal.jsonl"  # the store's journal, where the commits go
+    WORLD_FILE = ResourceStore.JOURNAL  # the store's journal, where the commits go
     EVENTS_FILE = "events.jsonl"
     STATE_KEY: str  # the key of the backend's state in its commits
     WRITERS = {"world": "sim", "trainers": "local"}  # the ``run --backend`` that writes each key
@@ -123,7 +150,7 @@ class ExecutionBackend(ABC):
 
     @classmethod
     @abstractmethod
-    def restore(cls, state: Any, metrics, job_request: Callable[[str], JobRequest], *args, **kwargs):
+    def restore(cls, state: Any, metrics, job_request: Callable[[str], JobRequest]):
         """The backend rebuilt from the ``state`` of a commit, each trial
         job's spec from ``job_request`` of its handle."""
 
@@ -135,23 +162,22 @@ class ExecutionBackend(ABC):
         self._events.truncate(events_size)
 
     @classmethod
-    def resume(cls, state_dir: str | Path, commit: str, metrics, job_request: Callable[[str], JobRequest],
-               *args, **kwargs) -> ExecutionBackend:
-        """Rebuild a backend from a ``commit`` that ``persist`` returned,
-        the other arguments going to ``restore``, and cut the events logged
-        after the commit (a torn step): they will be emitted again."""
+    def resume(cls, store: ResourceStore, metrics) -> ExecutionBackend:
+        """Rebuild a backend in the directory of ``store`` from its last
+        commit, which ``persist`` returned, each job's spec from the store,
+        and cut the events logged after the commit (a torn step): they will
+        be emitted again."""
         doc: Any = {}
         try:
-            doc = json.loads(commit)
+            doc = json.loads(store.committed)
             state, offset = doc[cls.STATE_KEY], doc["eventsOffset"]
-            backend = cls.restore(state, metrics, job_request, *args, **kwargs)
+            backend = cls.restore(state, metrics, lambda handle: stored_job_request(store, handle))
         except (ValueError, KeyError, TypeError) as exc:
             other = next((name for key, name in cls.WRITERS.items() if key != cls.STATE_KEY and key in doc), None)
             problem = (f"was written by 'tunectl run --backend {other}'; resume it with that backend or" if other
                        else f"holds no {cls.STATE_KEY} that this version reads;")
-            raise TunectlError(f"the last commit in {Path(state_dir) / cls.WORLD_FILE} {problem} "
-                               "start again in a fresh store") from exc
-        backend._open_state(Path(state_dir), offset)
+            raise TunectlError(f"the last commit in {store.path} {problem} start again in a fresh store") from exc
+        backend._open_state(store.root, offset)
         return backend
 
     def persist(self) -> str | None:

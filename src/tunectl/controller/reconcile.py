@@ -45,9 +45,9 @@ Resources are frozen values. A reconciler reads what the store holds and
 writes a new spec or status, and only when a field changes. A trial's spec,
 its experiment and assignments, is written once, by its create: each submit
 renders the trial's run spec from the experiment's template, which never
-changes, so the trial reconciler, which makes most writes, writes only
-statuses. It builds each with its class constructor; the colder writes use
-``dataclasses.replace``.
+changes, through ``backend.job_request``, so the trial reconciler, which
+makes most writes, writes only statuses. It builds each with its class
+constructor; the colder writes use ``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -67,15 +67,10 @@ from ..errors import (
     UnknownNamespaceError,
 )
 from ..metrics import ObservationStore, best_objective
-from ..resources import (
-    ExperimentSpec,
-    ObjectiveType,
-    RestartPolicy,
-    render_trial_spec,
-)
+from ..resources import ExperimentSpec, ObjectiveType, RestartPolicy
 from ..suggest import SuggestionRequest, get_suggestions
 from ..suggest.registry import assignment_key
-from .backend import ExecutionBackend, JobPhase, JobRequest, job_handle
+from .backend import ExecutionBackend, JobPhase, job_handle, job_request
 from .model import (
     KIND_EXPERIMENT,
     KIND_SUGGESTION,
@@ -326,29 +321,6 @@ class _Either(Container):
 
     def __contains__(self, item) -> bool:
         return item in self._first or item in self._second
-
-
-def job_request(spec: ExperimentSpec, trial: Resource) -> JobRequest:
-    """What a backend's submit takes to run ``trial``'s job in experiment
-    ``spec``: its run spec, the trial template, the collector kind and the
-    watched metrics. Every attempt takes the same, as the experiment's spec
-    never changes, so a resumed simulated world rebuilds its jobs through it."""
-    template, objective = spec.trial_template, spec.objective
-    run_spec = render_trial_spec(template, trial.spec.assignments, trial.name, trial.namespace)
-    watched = (objective.objective_metric_name, *objective.additional_metric_names)
-    return JobRequest(run_spec, template, spec.metric_collector_kind, watched)
-
-
-def stored_job_request(store: ResourceStore, handle: str) -> JobRequest:
-    """``job_request`` of the trial behind job ``handle`` as ``store`` holds
-    it; an error when the store holds no such trial or not its experiment."""
-    namespace, name = handle.split("/", 1)
-    trial = store.get(resource_key(KIND_TRIAL, namespace, name))
-    experiment = trial and store.get(resource_key(KIND_EXPERIMENT, namespace, trial.spec.experiment))
-    if experiment is None:
-        where = getattr(store, "path", "the store")
-        raise TunectlError(f"{where} holds no trial, or not its experiment, of the job {handle} that its world runs")
-    return job_request(experiment.spec, trial)
 
 
 def reconcile_trial(ctx: ControllerContext, key: str) -> int:

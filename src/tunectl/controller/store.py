@@ -4,10 +4,11 @@ An update is accepted only when the caller's expected generation matches the
 stored one; every accepted update increments the generation. Resources are
 frozen values, so ``get`` and ``list`` hand out the stored objects
 themselves, and ``create`` and ``update`` each store one new object at the
-next generation: no reader can change what the store holds. The file-backed
-variant keeps one append-only journal, ``<dir>/journal.jsonl``: each create
-or update appends the resource's document plus its generation as one JSON
-line. An update of any kind that leaves the resource's spec as stored
+next generation: no reader can change what the store holds. A store
+opened on a directory keeps one append-only journal there,
+``<dir>/journal.jsonl``; one opened without keeps its resources in memory
+alone. Each create or update appends the resource's document plus its
+generation as one JSON line. An update of any kind that leaves the resource's spec as stored
 writes a status-only record: the document without its ``spec``. A trial's
 spec never changes after its create, nor an experiment's after its submit,
 and a suggestion's changes only at a ``requested`` bump, so most records
@@ -155,19 +156,44 @@ class ExperimentTrials:
 
 
 class ResourceStore:
-    """In-memory store; the base for the file-backed variant.
+    """The store kept in ``<root>/journal.jsonl``, or in memory alone
+    without a root.
 
     Resources are frozen values, so reads hand out the stored objects
     themselves, and a write stores one new resource at the next generation.
+    Opened ``readonly``, it creates nothing, cuts no torn tail and refuses
+    writes, so it can read a store that a running ``tunectl run`` is
+    appending to. ``committed`` is the body of the last commit it read or
+    wrote, None before any.
     """
 
-    def __init__(self) -> None:
+    JOURNAL = "journal.jsonl"
+    # Directories of the one-YAML-file-per-resource layout of earlier versions.
+    _OLD_LAYOUT = ("experiments", "suggestions", "trials")
+    # The simulated world's files of earlier versions, before the journal held its commits.
+    _OLD_WORLDS = ("world.json", "world.jsonl")
+    # The decoder's message can quote a whole field of the record; an error
+    # shows at most this much of it.
+    UNREADABLE_DETAIL_CHARS = 300
+
+    def __init__(self, root: str | Path | None = None, readonly: bool = False, commit: bool = False) -> None:
         self._lock = threading.Lock()
         self._resources: dict[str, Resource] = {}
         self._keys: dict[str, list[str]] = {}  # kind -> sorted keys
         self._trials: dict[tuple[str, str], ExperimentTrials] = {}
         # Called with each stored resource after its create or update.
         self.watchers: list[Callable[[Resource], None]] = []
+        self.root = self.path = self._journal = None
+        self._readonly = readonly
+        self.committed: str | None = None
+        self._written = False  # a record appended since the last commit
+        if root is not None:
+            self.root = Path(root)
+            self._journal = Journal(self.root / self.JOURNAL)
+            self.path = self._journal.path
+            if not readonly:
+                self.root.mkdir(parents=True, exist_ok=True)
+            self._load(commit)
 
     def create(self, resource: Resource) -> Resource:
         with self._lock:
@@ -228,45 +254,6 @@ class ResourceStore:
             if trials is None:
                 trials = self._trials[resource.namespace, experiment] = ExperimentTrials(experiment)
             trials.put(resource)
-
-    def _persist(self, resource: Resource, previous: Resource | None) -> None:
-        """Record the write of ``resource`` over ``previous``, None for a create."""
-
-    def commit(self, body: str | None) -> None:
-        """Record a backend's commit, after the writes it covers; None, a
-        repeat of the last commit with no write since, or a store that keeps
-        no journal, records nothing."""
-
-
-class FileResourceStore(ResourceStore):
-    """The store kept in ``<root>/journal.jsonl``.
-
-    Opened ``readonly``, it creates nothing, cuts no torn tail and refuses
-    writes, so it can read a store that a running ``tunectl run`` is
-    appending to. ``committed`` is the body of the last commit it read or
-    wrote, None before any.
-    """
-
-    JOURNAL = "journal.jsonl"
-    # Directories of the one-YAML-file-per-resource layout of earlier versions.
-    _OLD_LAYOUT = ("experiments", "suggestions", "trials")
-    # The simulated world's files of earlier versions, before the journal held its commits.
-    _OLD_WORLDS = ("world.json", "world.jsonl")
-    # The decoder's message can quote a whole field of the record; an error
-    # shows at most this much of it.
-    UNREADABLE_DETAIL_CHARS = 300
-
-    def __init__(self, root: str | Path, readonly: bool = False, commit: bool = False):
-        super().__init__()
-        self.root = Path(root)
-        self._journal = Journal(self.root / self.JOURNAL)
-        self.path = self._journal.path
-        self._readonly = readonly
-        self.committed: str | None = None
-        self._written = False  # a record appended since the last commit
-        if not readonly:
-            self.root.mkdir(parents=True, exist_ok=True)
-        self._load(commit)
 
     def _load(self, commit: bool) -> None:
         if not self.path.exists() and any((self.root / d).is_dir() for d in self._OLD_LAYOUT):
@@ -334,11 +321,16 @@ class FileResourceStore(ResourceStore):
         return TunectlError(f"cannot read stored resource {self.path}:{number}{spec}: {detail}")
 
     def _persist(self, resource: Resource, previous: Resource | None) -> None:
-        self._append(_record(resource, previous))
-        self._written = True
+        """Record the write of ``resource`` over ``previous``, None for a create."""
+        if self._journal is not None:
+            self._append(_record(resource, previous))
+            self._written = True
 
     def commit(self, body: str | None) -> None:
-        if body is not None and (body != self.committed or self._written):
+        """Record a backend's commit, after the writes it covers; None, a
+        repeat of the last commit with no write since, or a store that keeps
+        no journal, records nothing."""
+        if self._journal is not None and body is not None and (body != self.committed or self._written):
             with self._lock:
                 self._append(_commit_line(body))
                 self.committed, self._written = body, False
@@ -359,7 +351,11 @@ class FileResourceStore(ResourceStore):
 
     def close(self) -> None:
         """Close the journal's append handle; a later write opens it again."""
-        self._journal.close()
+        if self._journal is not None:
+            self._journal.close()
+
+
+FileResourceStore = ResourceStore  # its earlier name, under which perfbench/tracer.py patches ``_load``
 
 
 _COMMIT = b'{"commit":'  # how a commit line starts; a record's starts with its kind

@@ -34,7 +34,7 @@ from .cluster.sim import AutoscalerConfig, ChaosMode, ChaosPolicy, SimBackend, S
 from .controller.backend import job_handle
 from .controller.model import KIND_EXPERIMENT, TrialPhase
 from .controller.reconcile import run_control_loop, submit_experiment
-from .controller.store import FileResourceStore, ResourceStore
+from .controller.store import ResourceStore
 from .errors import TunectlError, ValidationError
 from .metrics import InMemoryObservationStore
 from .resources import (
@@ -184,15 +184,14 @@ def run_simulated(
     not submit is another store's: the run refuses it and writes nothing.
     """
     world = cfg.world()
-    store = ResourceStore()
     if state_dir is not None:
         ours = {(spec.namespace, spec.name) for spec in experiments}
-        held = FileResourceStore(state_dir, readonly=True).list(KIND_EXPERIMENT)
-        if any((e.namespace, e.name) not in ours for e in held):
-            raise TunectlError(f"{Path(state_dir) / FileResourceStore.JOURNAL} holds experiments that this scenario "
+        held = ResourceStore(state_dir, readonly=True)
+        if any((e.namespace, e.name) not in ours for e in held.list(KIND_EXPERIMENT)):
+            raise TunectlError(f"{held.path} holds experiments that this scenario "
                                "does not submit; give the scenario a directory of its own")
-        (Path(state_dir) / FileResourceStore.JOURNAL).unlink(missing_ok=True)
-        store = FileResourceStore(state_dir)
+        held.path.unlink(missing_ok=True)
+    store = ResourceStore(state_dir)
     metrics = InMemoryObservationStore()
     backend = SimBackend(world, metrics, state_dir=state_dir)
     for spec in experiments:

@@ -1,9 +1,12 @@
-"""Shared builders and hypothesis strategies."""
+"""Shared builders, hypothesis strategies and the simulated tick's kill points."""
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
+import pytest
 from hypothesis import strategies as st
 
 from tunectl.controller.backend import JobPhase
@@ -66,6 +69,50 @@ def _until_concluded(backend, handle: str, bound: float = 5.0) -> None:
     while backend.job_state(handle).phase is JobPhase.RUNNING:
         assert time.monotonic() < deadline, f"{handle} still running after {bound} s"
         backend.advance(lambda: len(backend.changed_jobs()))
+
+
+class SimulatedCrash(Exception):
+    """Raised by a tick hook or a store watcher to kill a control loop mid-run."""
+
+
+TICK_POINTS = ("chaos", "progress", "schedule", "autoscale", "controller", "persist")
+
+
+@contextmanager
+def tick_hook(hook: Callable[[int, str], None]) -> Iterator[None]:
+    """Call ``hook(tick, point)`` at the six points of every simulated tick
+    run inside, with the world's tick: before its chaos, progress, schedule
+    and autoscale phases and its controller step, each under its name, and
+    ``persist`` after its stats, the tick's last work before its commit.
+    The tick's methods are wrapped for the duration, as the benchmark's
+    tracer wraps them to time the phases."""
+    from tunectl.cluster.sim import SimWorld
+
+    def before(point: str, method: Callable) -> Callable:
+        def wrapped(world, *args):
+            hook(world.tick, point)
+            return method(world, *args)
+
+        return wrapped
+
+    def advance_tick(world, controller_step=None):
+        def step():
+            hook(world.tick, "controller")
+            return None if controller_step is None else controller_step()
+
+        advance(world, step)
+
+    def tick_stats(world):
+        stats(world)
+        hook(world.tick, "persist")
+
+    advance, stats = SimWorld.advance_tick, SimWorld._tick_stats
+    with pytest.MonkeyPatch.context() as patch:
+        for point in TICK_POINTS[:4]:
+            patch.setattr(SimWorld, f"{point}_tick", before(point, getattr(SimWorld, f"{point}_tick")))
+        patch.setattr(SimWorld, "advance_tick", advance_tick)
+        patch.setattr(SimWorld, "_tick_stats", tick_stats)
+        yield
 
 
 @st.composite

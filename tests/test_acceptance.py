@@ -16,11 +16,11 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import _until_concluded, make_experiment
+from conftest import TICK_POINTS, SimulatedCrash, _until_concluded, make_experiment, tick_hook
 from tunectl.cluster.localproc import LocalProcessBackend
-from tunectl.cluster.sim import SimBackend, SimWorld, SimulatedCrash
+from tunectl.cluster.sim import SimBackend, SimWorld
 from tunectl.controller.backend import JobPhase, JobRequest
-from tunectl.controller.reconcile import run_control_loop, stored_job_request, submit_experiment
+from tunectl.controller.reconcile import run_control_loop, submit_experiment
 from tunectl.controller.store import FileResourceStore
 from tunectl.errors import ExhaustedSearchSpace
 from tunectl.metrics import (
@@ -403,26 +403,21 @@ def test_criterion_7_storage(tmp_path):
 # Criterion 8: recovery
 # ---------------------------------------------------------------------------
 
-PHASES = ("chaos", "progress", "schedule", "autoscale", "controller", "persist")
-
-
 def _recovery_experiment():
     return _sphere_experiment("rec", "user1", parallel=3, max_trials=10, seed=11, duration=2)
 
 
-def _build_recovery(state_dir, crash_hook=None):
+def _build_recovery(state_dir):
     metrics = FileObservationStore(state_dir / "metrics.jsonl")
     # The store opens at its journal's last commit, where the world resumes.
     store = FileResourceStore(state_dir, commit=True)
     if store.committed is not None:
-        backend = SimBackend.resume(
-            state_dir, store.committed, metrics, lambda handle: stored_job_request(store, handle), crash_hook
-        )
+        backend = SimBackend.resume(store, metrics)
     else:
         world = SimWorld(seed=11)
         world.add_node(6.0)  # tight: trials queue across waves
         world.add_namespace("user1", None)
-        backend = SimBackend(world, metrics, state_dir=state_dir, crash_hook=crash_hook)
+        backend = SimBackend(world, metrics, state_dir=state_dir)
         if store.get("experiment/user1/rec") is None:
             submit_experiment(store, _recovery_experiment())
     return store, metrics, backend
@@ -467,14 +462,14 @@ def test_criterion_8_recovery(tmp_path):
         directory = tmp_path / f"kill-{case:03d}"
         if case % 2 == 0:
             kill_tick = int(rng.integers(1, terminal_tick + 1))
-            kill_phase = PHASES[int(rng.integers(0, len(PHASES)))]
+            kill_phase = TICK_POINTS[int(rng.integers(0, len(TICK_POINTS)))]
 
             def hook(tick, phase, kt=kill_tick, kp=kill_phase):
                 if tick == kt and phase == kp:
                     raise SimulatedCrash(f"kill at tick {kt} phase {kp}")
 
-            store, metrics, backend = _build_recovery(directory, crash_hook=hook)
-            with pytest.raises(SimulatedCrash):
+            store, metrics, backend = _build_recovery(directory)
+            with tick_hook(hook), pytest.raises(SimulatedCrash):
                 run_control_loop(store, metrics, backend)
         else:
             kill_at = int(rng.integers(1, total_mutations + 1))

@@ -830,6 +830,26 @@ def test_run_folds_the_world_journal_and_closes_the_metric_log(runner, tmp_path,
     assert len(commits) == 1 and _commit(commits[0])["world"]["tick"] == 3
 
 
+def test_run_closes_its_store_when_it_ends_and_when_interrupted_in_its_compaction(runner, tmp_path, monkeypatch):
+    from tunectl.controller.store import FileResourceStore
+
+    _submit(runner, tmp_path)
+    store = tmp_path / "store"
+    closed = []
+    close = FileResourceStore.close
+    monkeypatch.setattr(FileResourceStore, "close", lambda self: (closed.append(self.root), close(self)))
+    assert runner.invoke(cli, ["run", "--store", str(store), "--max-ticks", "3"]).exit_code == 0
+    assert closed == [store]
+
+    def interrupted(_store):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(FileResourceStore, "compact", interrupted)
+    result = runner.invoke(cli, ["run", "--store", str(store), "--max-ticks", "3"])
+    assert result.exit_code == 4 and "interrupted; state persisted" in result.output
+    assert closed == [store, store]
+
+
 def test_scenario_with_a_store_ends_with_a_compacted_world(runner, tmp_path):
     # A second run into the same store starts its journal afresh, as its event log.
     store = tmp_path / "state"

@@ -311,14 +311,14 @@ def test_empty_world_is_a_fixed_point():
 
 
 def test_world_serialization_round_trip(tmp_path):
-    world, store = _world(capacities=(4.0, 8.0), seed=13), ResourceStore()
+    world, store = _world(capacities=(4.0, 8.0), seed=13), ResourceStore(tmp_path)
     world.reserve_service("ns", "svc", 0.5)
     for i in range(3):
         stored_submit(world, store, f"t-{i}", _template())
     for _ in range(2):
         world.advance_tick()
     doc = to_doc(world)
-    restored = resumed(world, store, tmp_path)
+    restored = resumed(world, store)
     assert to_doc(restored) == doc
     # The restored CPU totals must agree with the restored placements.
     assert_bookkeeping(restored)

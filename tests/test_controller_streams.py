@@ -21,7 +21,7 @@ import pytest
 
 from conftest import make_experiment
 from tunectl.cluster.sim import ChaosMode, ChaosPolicy, SimBackend, SimWorld
-from tunectl.controller.reconcile import run_control_loop, stored_job_request, submit_experiment, trial_name_for
+from tunectl.controller.reconcile import run_control_loop, submit_experiment, trial_name_for
 from tunectl.controller.store import FileResourceStore
 from tunectl.metrics import FileObservationStore
 from tunectl.resources import (
@@ -86,7 +86,7 @@ def _open(directory, algorithm: str):
     metrics = FileObservationStore(directory / "metrics.jsonl")
     store = FileResourceStore(directory, commit=True)
     if store.committed is not None:
-        backend = SimBackend.resume(directory, store.committed, metrics, lambda h: stored_job_request(store, h))
+        backend = SimBackend.resume(store, metrics)
         return store, metrics, backend
     world = SimWorld(seed=17, chaos=ChaosPolicy(ChaosMode.FAIL_TRIAL, fraction=0.3, interval_ticks=3, seed=2))
     world.add_node(4.0)

@@ -68,11 +68,14 @@ def test_cli_commands_on_a_random_experiment_leave_scipy_unloaded(tmp_path):
 # controller step of tick 3, at its first store write.
 _KILL = """
 import sys
-from tunectl.cluster.sim import SimBackend, SimulatedCrash
+from tunectl.cluster.sim import SimBackend
 from tunectl.controller.reconcile import run_control_loop
 from tunectl.controller.store import FileResourceStore
 from tunectl.metrics import FileObservationStore
 from tunectl.scenarios import ScenarioConfig
+
+class Killed(Exception):
+    pass
 
 store = FileResourceStore("store")
 metrics = FileObservationStore("store/metrics.jsonl")
@@ -80,12 +83,12 @@ backend = SimBackend(ScenarioConfig(1, nodes=(4.0,), namespaces=("team",)).world
 
 def kill(_resource):
     if backend.world.tick == 3:
-        raise SimulatedCrash("killed")
+        raise Killed
 
 store.watchers.append(kill)
 try:
     run_control_loop(store, metrics, backend)
-except SimulatedCrash:
+except Killed:
     print("killed")
 """
 

@@ -619,9 +619,13 @@ def test_a_local_backend_without_a_state_directory_keeps_no_events_and_reads_no_
 
 
 def _recorded_sleeper(tmp_path, started):
-    """A ``sleep`` in a session of its own, and a commit recording it started at ``started``."""
+    """A ``sleep`` in a session of its own, and the store in ``tmp_path``
+    opened at a commit that records it started at ``started``."""
     process = subprocess.Popen(["sleep", "30"], start_new_session=True)
-    return process, f'{{"trainers":{{"ns/t":[{process.pid},{started(process.pid)}]}},"eventsOffset":0}}'
+    writer = FileResourceStore(tmp_path)
+    writer.commit(f'{{"trainers":{{"ns/t":[{process.pid},{started(process.pid)}]}},"eventsOffset":0}}')
+    writer.close()
+    return process, FileResourceStore(tmp_path, commit=True)
 
 
 @pytest.mark.parametrize("proc", [True, False], ids=["proc", "no-proc"])
@@ -629,24 +633,26 @@ def test_a_resume_stops_a_recorded_trainer_that_still_runs(tmp_path, monkeypatch
     # Without /proc a trainer is matched on its pid alone.
     if not proc:
         monkeypatch.setattr(localproc, "_PROC", tmp_path / "no-proc")
-    process, commit = _recorded_sleeper(tmp_path, localproc._start_time)
+    process, store = _recorded_sleeper(tmp_path, localproc._start_time)
     try:
-        LocalProcessBackend.resume(tmp_path, commit, InMemoryObservationStore(), None).close()
+        LocalProcessBackend.resume(store, InMemoryObservationStore()).close()
         assert process.wait(timeout=5) == -15
     finally:
         process.kill()
         process.wait()
+        store.close()
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads start times from /proc")
 def test_a_resume_leaves_a_process_that_reuses_a_recorded_pid_alone(tmp_path):
-    process, commit = _recorded_sleeper(tmp_path, lambda pid: localproc._start_time(pid) - 1)
+    process, store = _recorded_sleeper(tmp_path, lambda pid: localproc._start_time(pid) - 1)
     try:
-        LocalProcessBackend.resume(tmp_path, commit, InMemoryObservationStore(), None).close()
+        LocalProcessBackend.resume(store, InMemoryObservationStore()).close()
         assert process.poll() is None
     finally:
         process.kill()
         process.wait()
+        store.close()
 
 
 def test_a_step_that_records_a_trainer_s_end_commits_it_while_another_trainer_runs(tmp_path):

@@ -7,9 +7,9 @@ import math
 from conftest import make_experiment
 from tunectl.cluster.sim import LIVE_PHASES, AutoscalerConfig, ChaosMode, ChaosPolicy, SimBackend, SimWorld
 from tunectl.codec import to_doc
-from tunectl.controller.backend import JobPhase, JobRequest
+from tunectl.controller.backend import JobPhase, JobRequest, stored_job_request
 from tunectl.controller.model import KIND_EXPERIMENT, KIND_TRIAL, Resource, TrialSpec, TrialStatus, resource_key
-from tunectl.controller.reconcile import stored_job_request, submit_experiment
+from tunectl.controller.reconcile import submit_experiment
 from tunectl.controller.store import ResourceStore
 from tunectl.metrics import InMemoryObservationStore
 from tunectl.resources import (
@@ -50,12 +50,10 @@ def stored_submit(world: SimWorld, store: ResourceStore, trial: str, template: T
     return world.submit_job(stored_job_request(store, f"ns/{trial}"))
 
 
-def resumed(world: SimWorld, store: ResourceStore, state_dir) -> SimWorld:
-    """``world`` committed in ``state_dir`` and resumed from that commit with ``store``."""
-    commit = SimBackend(world, InMemoryObservationStore(), state_dir=state_dir).persist()
-    return SimBackend.resume(
-        state_dir, commit, InMemoryObservationStore(), lambda handle: stored_job_request(store, handle)
-    ).world
+def resumed(world: SimWorld, store: ResourceStore) -> SimWorld:
+    """``world`` committed in the directory of ``store`` and resumed from that commit."""
+    store.commit(SimBackend(world, InMemoryObservationStore(), state_dir=store.root).persist())
+    return SimBackend.resume(store, InMemoryObservationStore()).world
 
 
 def _submit(world: SimWorld, store: ResourceStore, trial: str, workers: int) -> None:
@@ -106,12 +104,12 @@ def test_cpu_totals_match_placements_every_tick():
 
 
 def test_cpu_totals_survive_a_snapshot_round_trip(tmp_path):
-    world, store = _busy_world(), ResourceStore()
+    world, store = _busy_world(), ResourceStore(tmp_path)
     spawned = [0]
     for _ in range(20):
         _tick(world, store, spawned)
     assert any(u.node is not None for j in world.jobs.values() for u in j.units)
-    restored = resumed(world, store, tmp_path)
+    restored = resumed(world, store)
     assert_bookkeeping(restored)
     assert to_doc(restored) == to_doc(world)
     restored_spawned = list(spawned)

@@ -30,19 +30,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_experiment
-from tunectl.cluster.sim import (
-    AutoscalerConfig,
-    ChaosMode,
-    ChaosPolicy,
-    SimBackend,
-    SimJob,
-    SimulatedCrash,
-    SimWorld,
-)
+from conftest import SimulatedCrash, make_experiment, tick_hook
+from tunectl.cluster.sim import AutoscalerConfig, ChaosMode, ChaosPolicy, SimBackend, SimJob, SimWorld
 from tunectl.codec import Journal, json_default
 from tunectl.controller.model import KIND_EXPERIMENT, KIND_TRIAL, TERMINAL_TRIAL
-from tunectl.controller.reconcile import run_control_loop, stored_job_request, submit_experiment, terminal_snapshot
+from tunectl.controller.reconcile import run_control_loop, submit_experiment, terminal_snapshot
 from tunectl.controller.store import FileResourceStore
 from tunectl.errors import TunectlError
 from tunectl.metrics import FileObservationStore, InMemoryObservationStore
@@ -78,20 +70,13 @@ def _experiments():
     ]
 
 
-def _resume(directory, store, metrics, crash_hook=None):
-    """``SimBackend.resume`` from the last commit of ``store``."""
-    return SimBackend.resume(
-        directory, store.committed, metrics, lambda handle: stored_job_request(store, handle), crash_hook=crash_hook
-    )
-
-
-def _open(directory, crash_hook=None):
+def _open(directory):
     """Open the store at its journal's last commit and resume the world
     there, or start a fresh world, as ``tunectl run`` does."""
     metrics = FileObservationStore(directory / METRICS)
     store = FileResourceStore(directory, commit=True)
     if store.committed is not None:
-        return store, metrics, _resume(directory, store, metrics, crash_hook)
+        return store, metrics, SimBackend.resume(store, metrics)
     world = SimWorld(
         seed=23,
         autoscaler=AutoscalerConfig(min_nodes=1, max_nodes=3, node_capacity_cpu=4.0, scale_down_grace_ticks=3),
@@ -99,19 +84,19 @@ def _open(directory, crash_hook=None):
     )
     world.add_node(4.0)
     world.add_namespace("team", 7.0)
-    backend = SimBackend(world, metrics, state_dir=directory, crash_hook=crash_hook)
+    backend = SimBackend(world, metrics, state_dir=directory)
     for spec in _experiments():
         if store.get(f"experiment/team/{spec.name}") is None:
             submit_experiment(store, spec)
     return store, metrics, backend
 
 
-def _run(directory, crash_hook=None, watcher=None, before_compact=None, max_ticks=1_000_000) -> int | None:
+def _run(directory, watcher=None, before_compact=None, max_ticks=1_000_000) -> int | None:
     """Run to the end (or ``max_ticks``) and compact the store, as ``tunectl
     run`` does; on a SimulatedCrash, return the world's tick at the crash
     instead. ``watcher`` sees each stored resource, and None after each
     commit the store appends: a commit counts among the store's writes."""
-    store, metrics, backend = _open(directory, crash_hook)
+    store, metrics, backend = _open(directory)
     if watcher is not None:
         store.watchers.append(watcher)
         commit = store.commit
@@ -284,7 +269,7 @@ def test_a_file_cut_at_any_byte_resumes_at_its_last_complete_line(recorded, tmp_
     assert store.committed == expected
     assert (directory / JOURNAL).read_bytes() == b"".join(complete[:end])
     offset = json.loads(expected)["eventsOffset"]
-    backend = _resume(directory, store, InMemoryObservationStore())
+    backend = SimBackend.resume(store, InMemoryObservationStore())
     assert _commit_text(backend.world, offset) == expected
     assert (directory / EVENTS).read_bytes() == recorded.events[:offset]
 
@@ -330,7 +315,7 @@ def test_a_resume_at_every_commit_rebuilds_the_live_run_s_jobs(recorded, tmp_pat
         directory = tmp_path_factory.mktemp(f"commit-{tick}")
         _lay_out(directory, recorded, b"".join(lines[: at + 1]))
         store = FileResourceStore(directory, commit=True)
-        backend = _resume(directory, store, InMemoryObservationStore())
+        backend = SimBackend.resume(store, InMemoryObservationStore())
         rebuilt = {handle: vars(job) for handle, job in backend.world.jobs.items()}
         assert rebuilt == {handle: vars(job) for handle, job in recorded.jobs[tick].items()}, tick
         backend.close()
@@ -338,8 +323,30 @@ def test_a_resume_at_every_commit_rebuilds_the_live_run_s_jobs(recorded, tmp_pat
     assert sum(map(len, recorded.jobs.values())) > 0
 
 
-# (tick, phase) kills run the crash hook; (mutation, n) kills raise at the
-# n-th store write, a commit's append included, in the middle of a
+def test_a_tick_hook_fires_at_each_tick_s_six_points_in_order():
+    """``tick_hook`` sees each tick's points once, in the tick's order and
+    with its number, the controller point before the step itself, and
+    nothing once its block ends: the points the tick kills below name."""
+    world = SimWorld(seed=3)
+    world.add_node(4.0)
+    world.add_namespace("team")
+    backend = SimBackend(world, InMemoryObservationStore())
+    seen = []
+
+    def step():
+        seen.append((world.tick, "step"))
+        return 0
+
+    with tick_hook(lambda tick, point: seen.append((tick, point))):
+        for _ in range(3):
+            backend.advance(step)
+    backend.advance(step)
+    points = ("chaos", "progress", "schedule", "autoscale", "controller", "step", "persist")
+    assert seen == [(tick, point) for tick in (1, 2, 3) for point in points] + [(4, "step")]
+
+
+# (tick, phase) kills raise from a ``tick_hook``; (mutation, n) kills raise
+# at the n-th store write, a commit's append included, in the middle of a
 # controller step or right after a commit.
 KILLS = [
     ("tick", 1, "schedule"),  # before the first tick's commit
@@ -361,7 +368,8 @@ def _kill(directory, kind, at, phase, mutations) -> int:
             if (tick, ph) == (at, phase):
                 raise SimulatedCrash(f"kill at tick {at} phase {phase}")
 
-        crashed = _run(directory, crash_hook=hook)
+        with tick_hook(hook):
+            crashed = _run(directory)
     else:
         target = mutations if at == -1 else at
         seen = 0
@@ -528,7 +536,7 @@ def test_a_resume_whose_store_holds_no_trial_of_a_job_names_the_journal_and_the_
     before = {path: path.read_bytes() for path in (tmp_path / EVENTS, tmp_path / JOURNAL)}
     store = FileResourceStore(tmp_path, commit=True)
     with pytest.raises(TunectlError) as raised:
-        _resume(tmp_path, store, InMemoryObservationStore())
+        SimBackend.resume(store, InMemoryObservationStore())
     job = next(iter(_world(recorded.commits[i])["jobs"]))
     assert f"{tmp_path / JOURNAL} holds no trial, or not its experiment, of the job {job}" in str(raised.value)
     assert {path: path.read_bytes() for path in before} == before
