@@ -2,10 +2,11 @@
 backend, export per-trial results, print the store as YAML, and execute
 canned scenarios.
 
-The backends are imported only by the commands that run trials (``run``
-and ``scenario``), so ``--help``, ``submit``, ``export`` and ``dump`` start
-without them. No command imports numpy itself: a run loads it only for
-Bayesian optimization, TPE or a noisy simulated objective. ``run`` resumes
+Each command imports what it calls: ``run`` the one backend it runs, and
+``scenarios`` only for a ``--scenario`` file, and ``scenario`` the
+simulator. PyYAML loads only for ``submit``, ``dump``, ``scenario`` and
+``run --scenario``. No command imports numpy itself: a run loads it only
+for Bayesian optimization, TPE or a noisy simulated objective. ``run`` resumes
 either backend at the last commit in the store's journal, and exits 4 at
 one the other backend wrote; every run ends by compacting the journal.
 
@@ -24,14 +25,13 @@ from pathlib import Path
 from typing import Iterator
 
 import click
-import yaml
 
 from .controller.model import KIND_EXPERIMENT, resource_to_doc
 from .controller.reconcile import run_control_loop, submit_experiment
 from .controller.store import ResourceStore
 from .errors import ResourceExistsError, TunectlError, ValidationError
 from .metrics import FileObservationStore
-from .resources import _YAML_DUMPER, parse_experiment
+from .resources import _yaml, parse_experiment
 from .results import build_results_table, render_csv, render_jsonl
 
 EXIT_VALIDATION = 2
@@ -151,11 +151,10 @@ def _run(
     seed: int,
     max_ticks: int,
 ) -> None:
-    from .cluster.localproc import LocalProcessBackend
-    from .cluster.sim import SimBackend
-    from .scenarios import NodeGroup, Quota, ScenarioConfig, load_scenario
-
-    backend_cls = {"sim": SimBackend, "local": LocalProcessBackend}[backend_name]
+    if backend_name == "sim":
+        from .cluster.sim import NodeGroup, Quota, ScenarioConfig, SimBackend as backend_cls
+    else:
+        from .cluster.localproc import LocalProcessBackend as backend_cls
     # The store opens at its journal's last commit, where the backend resumes.
     store = _open_store(store_dir, commit=True)
     metrics = FileObservationStore(store_dir / METRICS_FILE)
@@ -164,11 +163,13 @@ def _run(
             backend = backend_cls.resume(store, metrics)
             if scenario_file is not None:
                 click.echo("resuming persisted world; --scenario ignored", err=True)
-        elif backend_cls is LocalProcessBackend:
-            backend = LocalProcessBackend(metrics, state_dir=store_dir)
+        elif backend_name == "local":
+            backend = backend_cls(metrics, state_dir=store_dir)
         else:
             cfg = ScenarioConfig(seed, nodes=(NodeGroup(8.0, 4),), max_ticks=max_ticks)
             if scenario_file is not None:
+                from .scenarios import load_scenario
+
                 cfg, specs = load_scenario(scenario_file)
                 for spec in specs:
                     try:
@@ -180,7 +181,7 @@ def _run(
             named = {ns.name if isinstance(ns, Quota) else ns for ns in cfg.namespaces}
             unnamed = dict.fromkeys(e.namespace for e in store.list(KIND_EXPERIMENT) if e.namespace not in named)
             cfg = replace(cfg, namespaces=(*cfg.namespaces, *unnamed))
-            backend = SimBackend(cfg.world(), metrics, state_dir=store_dir)
+            backend = backend_cls(cfg.world(), metrics, state_dir=store_dir)
     except ValidationError as exc:
         for error in exc.errors:
             click.echo(error, err=True)
@@ -252,7 +253,8 @@ def export(
 def dump(store_dir: Path) -> None:
     """Print every stored resource as a YAML document, in key order."""
     store = _open_store(store_dir, readonly=True)
-    docs = (yaml.dump(resource_to_doc(r), Dumper=_YAML_DUMPER, sort_keys=False, width=2**20) for r in store.list())
+    yaml, dumper = _yaml("Dumper")
+    docs = (yaml.dump(resource_to_doc(r), Dumper=dumper, sort_keys=False, width=2**20) for r in store.list())
     click.echo("---\n".join(docs), nl=False)
 
 

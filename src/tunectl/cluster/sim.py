@@ -17,6 +17,10 @@ A trial's job is released once its trial concludes, so the world holds
 live jobs only, and each experiment's service in a table of its own: a
 trial and a service never share a job. ``SimBackend`` gives the world's
 events and the whole world to the commit path of ``ExecutionBackend``.
+
+``ScenarioConfig``, with ``NodeGroup`` and ``Quota``, is a scenario file's
+schema, here so that ``tunectl run`` builds its world without importing
+``tunectl.scenarios``.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
-from ..codec import from_doc
+from ..codec import DocumentError, from_doc
 from ..errors import InvalidPayloadError, UnknownNamespaceError
 from ..metrics import MetricPoint, ObservationStore
 from ..metrics import parse_metric_lines  # noqa: F401 -- perfbench/tracer.py wraps it under this module
@@ -71,6 +75,58 @@ class AutoscalerConfig:
     def __post_init__(self) -> None:
         if self.min_nodes > self.max_nodes:
             raise ValueError("require minNodes <= maxNodes")
+
+
+@dataclass(frozen=True)
+class NodeGroup:
+    capacity_cpu: float = field(metadata={"exclusive_minimum": 0})
+    count: int = field(default=1, metadata={"minimum": 1})
+
+
+@dataclass(frozen=True)
+class Quota:
+    name: str
+    cpu_limit: float | None = field(default=None, metadata={"exclusive_minimum": 0, "finite": True})  # None: no quota
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """A simulated world, as a scenario file describes it. A node is a
+    capacity or a group of equal nodes, a namespace a name or a quota, and
+    an experiment a file path relative to the scenario file."""
+
+    seed: int = field(default=0, metadata={"minimum": 0})
+    gang: bool = True
+    nodes: tuple[float | NodeGroup, ...] = ()
+    namespaces: tuple[str | Quota, ...] = ()
+    autoscaler: AutoscalerConfig | None = None
+    chaos: ChaosPolicy | None = None
+    experiments: tuple[str, ...] = ()
+    max_ticks: int = field(default=10_000, metadata={"minimum": 0})
+
+    def __post_init__(self) -> None:
+        """The rules that field metadata cannot state: a bare node capacity
+        is above 0, and no namespace is named twice."""
+        problems = [
+            f"nodes[{i}]: must be > 0"
+            for i, node in enumerate(self.nodes)
+            if not isinstance(node, NodeGroup) and not node > 0
+        ]
+        names = [ns.name if isinstance(ns, Quota) else ns for ns in self.namespaces]
+        problems += [f"namespaces[{i}]: '{name}' is named twice" for i, name in enumerate(names) if name in names[:i]]
+        if problems:
+            raise DocumentError(problems)
+
+    def world(self) -> SimWorld:
+        world = SimWorld(seed=self.seed, gang=self.gang, autoscaler=self.autoscaler, chaos=self.chaos)
+        for node in self.nodes:
+            group = node if isinstance(node, NodeGroup) else NodeGroup(node)
+            for _ in range(group.count):
+                world.add_node(group.capacity_cpu)
+        for namespace in self.namespaces:
+            quota = namespace if isinstance(namespace, Quota) else Quota(namespace)
+            world.add_namespace(quota.name, quota.cpu_limit)
+        return world
 
 
 @dataclass

@@ -21,7 +21,9 @@ reports every problem at once, each under its path, as in
 an absent key when the field has a default and its type admits no None.
 
 ``Journal`` reads the resource journal and the metric log up to their last
-newline, and appends to them with one write per append.
+newline, and appends to them with one write per append: a caller that holds
+lines, as a run's resource store holds a tick's records, appends them in
+one call.
 """
 
 from __future__ import annotations

@@ -480,18 +480,24 @@ def run_control_loop(
     Starvation-free (round-robin within each step) and crash-recoverable:
     each tick ends with one commit, ``backend.persist``, which the store
     appends after the tick's writes, so a resume opens the store and the
-    backend at the same commit. The loop commits its start before
-    the bootstrap step, so a kill within that step resumes from it, and a
-    resumed run's bootstrap step, at a commit, finds nothing to do. It
-    commits once more as it ends, which covers the bootstrap step of a loop
-    that ends before its first tick; the store skips a commit that repeats
-    its last with no write since. The loop leaves no watcher on the store. Returns the terminal
-    snapshot.
+    backend at the same commit. A store opened at its commit holds a tick's
+    records until the ``flush`` before ``persist``. The loop commits its
+    start before the bootstrap step, so a kill within that step resumes from
+    it, and a resumed run's bootstrap step, at a commit, finds nothing to
+    do. It commits once more as it ends, which covers the bootstrap step of
+    a loop that ends before its first tick; the store skips a commit that
+    repeats its last with no write since. The loop leaves no watcher on the
+    store. Returns the terminal snapshot.
     """
     ctx = ControllerContext(store=store, metrics=metrics, backend=backend)
     ticks = 0
-    try:
+
+    def commit() -> None:
+        store.flush()
         store.commit(backend.persist())
+
+    try:
+        commit()
         controller_step(ctx)  # bootstrap: create suggestions/trials before time moves
         while not all_experiments_terminal(store):
             if ticks >= max_ticks:
@@ -513,10 +519,10 @@ def run_control_loop(
                         "spawned": e.status.total_spawned,
                     },
                 )
-            store.commit(backend.persist())
+            commit()
             if stop is not None and stop(ticks):
                 break
-        store.commit(backend.persist())
+        commit()
     finally:
         store.watchers.remove(ctx._written)
     return terminal_snapshot(store, ticks)

@@ -28,12 +28,16 @@ commit line and the experiment creates after it, which only ``submit``
 writes, and drops the rest: the writes of a tick cut short, which the
 resumed run makes again.
 
-Durability (``codec.Journal``): every record reaches the operating system
-before its write returns, and compaction replaces the journal atomically (a
-temporary file and ``os.replace``). A store therefore survives the kill of its process at
-any point: at worst the last record is cut short, and that torn line is
-skipped on load. Nothing calls ``fsync``, so a power loss can lose records
-the operating system had not yet written back.
+Durability (``codec.Journal``): a store opened at its ``commit``, as
+``tunectl run`` opens it, holds its records until ``flush`` (once a tick,
+before the backend's ``persist``), ``commit`` or ``close`` writes them in
+one write; any other store writes each record before its write returns.
+Compaction replaces the journal atomically (a temporary file and
+``os.replace``). A store therefore survives the kill of its process at any
+point: a held record lies past the last commit, where loading drops it
+anyway, and at worst the last line is cut short, which loading skips.
+Nothing calls ``fsync``, so a power loss can lose records the operating
+system had not yet written back.
 
 Every write calls the store's watchers with the stored resource once the
 write is done; loading a store calls none. A controller watches the store to
@@ -163,8 +167,9 @@ class ResourceStore:
     themselves, and a write stores one new resource at the next generation.
     Opened ``readonly``, it creates nothing, cuts no torn tail and refuses
     writes, so it can read a store that a running ``tunectl run`` is
-    appending to. ``committed`` is the body of the last commit it read or
-    wrote, None before any.
+    appending to. Opened at its ``commit``, it holds its records until
+    ``flush``, ``commit`` or ``close``. ``committed`` is the body of the
+    last commit it read or wrote, None before any.
     """
 
     JOURNAL = "journal.jsonl"
@@ -177,7 +182,7 @@ class ResourceStore:
     UNREADABLE_DETAIL_CHARS = 300
 
     def __init__(self, root: str | Path | None = None, readonly: bool = False, commit: bool = False) -> None:
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._resources: dict[str, Resource] = {}
         self._keys: dict[str, list[str]] = {}  # kind -> sorted keys
         self._trials: dict[tuple[str, str], ExperimentTrials] = {}
@@ -187,6 +192,8 @@ class ResourceStore:
         self._readonly = readonly
         self.committed: str | None = None
         self._written = False  # a record appended since the last commit
+        self._hold = commit  # keep records in ``_held`` until ``flush``
+        self._held: list[str] = []
         if root is not None:
             self.root = Path(root)
             self._journal = Journal(self.root / self.JOURNAL)
@@ -327,31 +334,45 @@ class ResourceStore:
             self._written = True
 
     def commit(self, body: str | None) -> None:
-        """Record a backend's commit, after the writes it covers; None, a
-        repeat of the last commit with no write since, or a store that keeps
-        no journal, records nothing."""
+        """Record a backend's commit, after the writes it covers, in one
+        write with any records held; None, a repeat of the last commit with
+        no write since, or a store that keeps no journal, records nothing."""
         if self._journal is not None and body is not None and (body != self.committed or self._written):
             with self._lock:
                 self._append(_commit_line(body))
+                self.flush()
                 self.committed, self._written = body, False
 
     def _append(self, line: str) -> None:
         if self._readonly:
             raise TunectlError(f"store {self.root} is open read-only")
-        self._journal.append([line])
+        self._held.append(line)
+        if not self._hold:
+            self.flush()
+
+    def flush(self) -> None:
+        """Write the records held in one write; a store not opened at its
+        commit holds none."""
+        with self._lock:
+            lines, self._held = self._held, []
+            if lines:
+                self._journal.append(lines)
 
     def compact(self) -> None:
         """Rewrite the journal as one record per resource, in key order,
-        then its last commit."""
+        then its last commit; the records held are in it."""
         with self._lock:
             lines = [_record(self._resources[key]) for key in sorted(self._resources)]
             if self.committed is not None:
                 lines.append(_commit_line(self.committed))
+            self._held = []
             self._journal.replace(lines)
 
     def close(self) -> None:
-        """Close the journal's append handle; a later write opens it again."""
+        """Write the records held and close the journal's append handle; a
+        later write opens it again."""
         if self._journal is not None:
+            self.flush()
             self._journal.close()
 
 

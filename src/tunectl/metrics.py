@@ -130,17 +130,16 @@ class FileObservationStore(ObservationStore):
                 )
             except (KeyError, TypeError, ValueError):
                 continue
-            self._remember(trial, [point])
+            self._by_trial.setdefault(trial, {}).setdefault((point.metric, point.ts, point.value), point)
 
-    def _remember(self, trial: str, points: Sequence[MetricPoint]) -> list[MetricPoint]:
-        """Index the points of ``trial`` not seen before; return them."""
-        known = self._by_trial.setdefault(trial, {})
-        fresh = []
+    def _fresh(self, trial: str, points: Sequence[MetricPoint]) -> dict[tuple, MetricPoint]:
+        """The points of ``trial`` not seen before, keyed as ``_by_trial`` keys them."""
+        known = self._by_trial.get(trial, {})
+        fresh: dict[tuple, MetricPoint] = {}
         for p in points:
             key = (p.metric, p.ts, p.value)
-            if key not in known:
-                known[key] = p
-                fresh.append(p)
+            if key not in known and key not in fresh:
+                fresh[key] = p
         return fresh
 
     def _append(self, docs: Iterable[dict]) -> None:
@@ -166,13 +165,14 @@ class FileObservationStore(ObservationStore):
         for p in points:
             if p.trial != trial:
                 raise ValueError("all points in one batch must share a trial name")
-        with self._lock:
-            fresh = self._remember(trial, points)
+        with self._lock:  # index the points once their append succeeded, so a retry writes them
+            fresh = self._fresh(trial, points)
             if fresh:
                 self._append(
                     {"trial": p.trial, "metric": p.metric, "ts": p.ts, "value": p.value}
-                    for p in fresh
+                    for p in fresh.values()
                 )
+                self._by_trial.setdefault(trial, {}).update(fresh)
 
     def get_observation_log(
         self, trial: str, flt: ObservationFilter | None = None
@@ -186,8 +186,8 @@ class FileObservationStore(ObservationStore):
 
     def delete_observation_log(self, trial: str) -> None:
         with self._lock:
-            self._by_trial.pop(trial, None)
             self._append([{"trial": trial, "deleted": True}])
+            self._by_trial.pop(trial, None)
 
 
 # The in-memory store is the file store with no path.

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable
 
-import yaml
-
 from .codec import DocumentError, from_doc, to_doc
 from .errors import RenderError, ValidationError
 
@@ -349,11 +347,13 @@ def validate_experiment(spec: ExperimentSpec) -> list[str]:
     return _decode_experiment(to_doc(spec))[1]
 
 
-# libyaml's parser and emitter, where PyYAML has them, read and write a
-# document several times faster than the pure-Python ones, with the same
-# values and (for what ``tunectl dump`` emits) the same bytes.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+def _yaml(coder: str) -> tuple[Any, type]:
+    """PyYAML, imported on first use, and its safe ``Loader`` or ``Dumper``:
+    libyaml's, where PyYAML has it, is several times faster than the
+    pure-Python one, with the same values and (for ``tunectl dump``) bytes."""
+    import yaml
+
+    return yaml, getattr(yaml, f"CSafe{coder}", getattr(yaml, f"Safe{coder}"))
 
 
 def parse_experiment(text: str) -> ExperimentSpec:
@@ -365,8 +365,9 @@ def parse_experiment(text: str) -> ExperimentSpec:
     optional fields take their defaults (``metricCollectorKind: pull``,
     ``maxFailedTrialCount: 0``, ...).
     """
+    yaml, loader = _yaml("Loader")
     try:
-        doc = yaml.load(text, Loader=_YAML_LOADER)
+        doc = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         problem = getattr(exc, "problem", None) or str(exc)
@@ -393,6 +394,8 @@ def canonical_yaml(spec: ExperimentSpec) -> str:
     Round-trip stable: ``parse_experiment(canonical_yaml(s)) == s``. Two specs
     differing only in input key order produce identical bytes.
     """
+    import yaml  # on first use, as in ``_yaml``
+
     return yaml.safe_dump(
         to_doc(spec),
         sort_keys=False,

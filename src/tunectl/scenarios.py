@@ -12,25 +12,23 @@ initial nodes, per-namespace quotas, autoscaler and chaos policies, gang
 scheduling, a seed, and experiment file references. It is the document of
 :class:`ScenarioConfig`, decoded by ``codec.from_doc``, and
 ``ScenarioConfig.world`` builds every simulated world the CLI and the
-canned scenarios run.
+canned scenarios run. The schema lives in ``cluster.sim``, re-exported
+here, so a run without a scenario file never imports this module.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import statistics
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
-import yaml
-
 from .cluster.objectives import mnist_surrogate
 from .codec import DocumentError, Journal, from_doc
-from .cluster.sim import AutoscalerConfig, ChaosMode, ChaosPolicy, SimBackend, SimWorld
+from .cluster.sim import AutoscalerConfig, ChaosMode, ChaosPolicy, NodeGroup, Quota, ScenarioConfig, SimBackend
 from .controller.backend import job_handle
 from .controller.model import KIND_EXPERIMENT, TrialPhase
 from .controller.reconcile import run_control_loop, submit_experiment
@@ -79,60 +77,10 @@ class ScenarioOutcome:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NodeGroup:
-    capacity_cpu: float = field(metadata={"exclusive_minimum": 0})
-    count: int = field(default=1, metadata={"minimum": 1})
-
-
-@dataclass(frozen=True)
-class Quota:
-    name: str
-    cpu_limit: float | None = field(default=None, metadata={"exclusive_minimum": 0, "finite": True})  # None: no quota
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """A simulated world, as a scenario file describes it. A node is a
-    capacity or a group of equal nodes, a namespace a name or a quota, and
-    an experiment a file path relative to the scenario file."""
-
-    seed: int = field(default=0, metadata={"minimum": 0})
-    gang: bool = True
-    nodes: tuple[float | NodeGroup, ...] = ()
-    namespaces: tuple[str | Quota, ...] = ()
-    autoscaler: AutoscalerConfig | None = None
-    chaos: ChaosPolicy | None = None
-    experiments: tuple[str, ...] = ()
-    max_ticks: int = field(default=10_000, metadata={"minimum": 0})
-
-    def __post_init__(self) -> None:
-        """The rules that field metadata cannot state: a bare node capacity
-        is above 0, and no namespace is named twice."""
-        problems = [
-            f"nodes[{i}]: must be > 0"
-            for i, node in enumerate(self.nodes)
-            if not isinstance(node, NodeGroup) and not node > 0
-        ]
-        names = [ns.name if isinstance(ns, Quota) else ns for ns in self.namespaces]
-        problems += [f"namespaces[{i}]: '{name}' is named twice" for i, name in enumerate(names) if name in names[:i]]
-        if problems:
-            raise DocumentError(problems)
-
-    def world(self) -> SimWorld:
-        world = SimWorld(seed=self.seed, gang=self.gang, autoscaler=self.autoscaler, chaos=self.chaos)
-        for node in self.nodes:
-            group = node if isinstance(node, NodeGroup) else NodeGroup(node)
-            for _ in range(group.count):
-                world.add_node(group.capacity_cpu)
-        for namespace in self.namespaces:
-            quota = namespace if isinstance(namespace, Quota) else Quota(namespace)
-            world.add_namespace(quota.name, quota.cpu_limit)
-        return world
-
-
 def load_scenario(path: str | Path) -> tuple[ScenarioConfig, list[ExperimentSpec]]:
     """Read a scenario file and the experiment files it names."""
+    import yaml  # here, so a run without a scenario file never loads PyYAML
+
     path = Path(path)
     try:
         cfg = from_doc(ScenarioConfig, yaml.safe_load(path.read_text()))
@@ -553,6 +501,8 @@ def run_portability_pair(seed: int, state_dir: Path | None = None) -> tuple[floa
 
 
 def _scenario_portability(seed: int, state_dir: Path | None) -> ScenarioOutcome:
+    import statistics
+
     outcome = ScenarioOutcome(name="portability", seed=seed)
     started = time.monotonic()
     wide_bests: list[float] = []

@@ -778,6 +778,59 @@ def test_run_interrupted_in_the_journal_s_compaction_resumes(runner, tmp_path, m
     assert outputs[True] == outputs[False]
 
 
+# Runs ``tunectl run ARGV[2:]`` and ends the process inside the controller
+# step of tick ARGV[1], right after the step's first store write, with
+# ``os._exit``: no ``finally`` runs and no file is closed, as under SIGKILL.
+_EXIT_IN_A_STEP = """
+import os
+import sys
+import tunectl.cli
+
+run_control_loop = tunectl.cli.run_control_loop
+
+def cut(store, metrics, backend, **kwargs):
+    def exit_in_the_step(_resource):
+        if backend.world.tick == int(sys.argv[1]):
+            os._exit(9)
+
+    store.watchers.append(exit_in_the_step)
+    return run_control_loop(store, metrics, backend, **kwargs)
+
+tunectl.cli.run_control_loop = cut
+tunectl.cli.cli.main(args=sys.argv[2:], prog_name="tunectl")
+"""
+
+
+@pytest.mark.parametrize("tick", [1, 3])
+def test_a_run_killed_inside_a_step_leaves_its_last_commit_and_resumes_to_the_uninterrupted_files(
+    runner, tmp_path, tick
+):
+    # A run holds a tick's records until the tick's end, so a kill inside
+    # the controller step leaves the journal ending at its last commit,
+    # with none of the step's records past it.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(__file__).resolve().parents[1] / "src"),
+                                                         os.environ.get("PYTHONPATH", "")])}
+    outputs = {}
+    for killed in (False, True):
+        base = tmp_path / str(killed)
+        base.mkdir()
+        _submit(runner, base)
+        store = base / "store"
+        if killed:
+            cut = subprocess.run([sys.executable, "-c", _EXIT_IN_A_STEP, str(tick), "run", "--store", str(store),
+                                  "--seed", "5"], env=env, capture_output=True, text=True, timeout=120)
+            assert cut.returncode == 9, cut.stderr[-2000:]
+            last = (store / "journal.jsonl").read_text().splitlines()[-1]
+            assert last.startswith('{"commit":'), last
+            assert _commit(last)["world"]["tick"] == tick - 1
+        result = runner.invoke(cli, ["run", "--store", str(store), "--seed", "5"])
+        assert result.exit_code == 0, result.output
+        exported = runner.invoke(cli, ["export", "cli-exp", "--store", str(store)])
+        files = {path.relative_to(store): data for path, data in _store_files(store).items()}
+        outputs[killed] = {**files, "csv": exported.output, "summary": result.output}
+    assert outputs[True] == outputs[False]
+
+
 def test_run_on_a_world_whose_jobs_keep_output_lines_exits_4_and_leaves_the_store_untouched(runner, tmp_path):
     # Earlier versions kept a pull job's output as text lines in its "log";
     # a job now keeps its unregistered points as (tick, value) pairs.

@@ -1,7 +1,9 @@
 """Cold commands import only what they use: scipy loads for BO alone, which
 runs none of its subpackages' ``__init__``, and numpy only for BO, TPE and
 noisy simulated objectives: random search, Hyperband and the simulator's
-chaos draw from the stdlib port in ``tunectl.pcg``."""
+chaos draw from the stdlib port in ``tunectl.pcg``. PyYAML loads only for
+the commands that read or write YAML, ``tunectl.scenarios`` only for a
+scenario file, and a run imports only the backend it runs."""
 
 from __future__ import annotations
 
@@ -31,17 +33,26 @@ trialTemplate:
   payload: {functionName: sphere, durationTicks: 2}
 """
 
-# Runs one tunectl command the way the console script does, then reports
-# which of numpy and scipy were imported on the way.
-_CLI = """
+
+def _cli(*modules: str) -> str:
+    """A script that runs one tunectl command the way the console script
+    does, then reports which of ``modules`` were imported on the way."""
+    return f"""
 import sys
 from tunectl.cli import cli
 try:
     cli.main(args=sys.argv[1:], prog_name="tunectl")
 except SystemExit as exc:
     assert not exc.code, exc.code
-print("loaded:", *[m for m in ("numpy", "scipy") if m in sys.modules])
+print("loaded:", *[m for m in {modules!r} if m in sys.modules])
 """
+
+
+_CLI = _cli("numpy", "scipy")
+# What a command loads only when it calls it: PyYAML to read or write YAML,
+# ``statistics`` for the portability scenario's medians, the scenarios for a
+# scenario file, and each backend to run it.
+_SCOPE = _cli("yaml", "statistics", "tunectl.scenarios", "tunectl.cluster.sim", "tunectl.cluster.localproc")
 
 
 def _python(code: str, *args: str, cwd: Path) -> str:
@@ -62,6 +73,39 @@ def test_cli_commands_on_a_random_experiment_leave_scipy_unloaded(tmp_path):
         (["export", "scope", "--store", "store"], "loaded:"),
     ):
         assert _python(_CLI, *command, cwd=tmp_path) == loaded, command
+
+
+def test_only_the_commands_that_read_or_write_yaml_load_it_and_a_run_loads_only_its_backend(tmp_path):
+    (tmp_path / "exp.yaml").write_text(EXPERIMENT)
+    for command, loaded in (
+        (["--help"], "loaded:"),
+        (["submit", "exp.yaml", "--store", "store"], "loaded: yaml"),
+        (["run", "--store", "store", "--seed", "1", "--max-ticks", "2"], "loaded: tunectl.cluster.sim"),
+        (["run", "--store", "store"], "loaded: tunectl.cluster.sim"),  # resumed at the commit of tick 2
+        (["export", "scope", "--store", "store"], "loaded:"),
+        (["dump", "--store", "store"], "loaded: yaml"),
+    ):
+        assert _python(_SCOPE, *command, cwd=tmp_path) == loaded, command
+    assert "Succeeded" in (tmp_path / "store" / "journal.jsonl").read_text()
+
+
+def test_a_run_with_a_scenario_file_loads_yaml_and_the_scenarios(tmp_path):
+    (tmp_path / "exp.yaml").write_text(EXPERIMENT)
+    (tmp_path / "scenario.yaml").write_text("seed: 4\nnodes: [4]\nnamespaces: [team]\nexperiments: [exp.yaml]\n")
+    command = ["run", "--store", "store", "--scenario", "scenario.yaml"]
+    assert _python(_SCOPE, *command, cwd=tmp_path) == "loaded: yaml tunectl.scenarios tunectl.cluster.sim"
+    assert "Succeeded" in (tmp_path / "store" / "journal.jsonl").read_text()
+
+
+def test_a_local_run_loads_no_simulator_and_no_yaml(tmp_path):
+    experiment = EXPERIMENT[: EXPERIMENT.index("trialTemplate:")] + (
+        f"trialTemplate:\n  kind: local-process\n  payload: \"{sys.executable} -c 'print(\\\"1 loss=0.5\\\")'\"\n"
+    )
+    (tmp_path / "exp.yaml").write_text(experiment)
+    assert _python(_SCOPE, "submit", "exp.yaml", "--store", "store", cwd=tmp_path) == "loaded: yaml"
+    command = ["run", "--store", "store", "--backend", "local"]
+    assert _python(_SCOPE, *command, cwd=tmp_path) == "loaded: tunectl.cluster.localproc"
+    assert "Succeeded" in (tmp_path / "store" / "journal.jsonl").read_text()
 
 
 # Runs the simulated control loop on the store and kills it inside the

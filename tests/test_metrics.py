@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tunectl.errors import StorageUnavailableError
 from tunectl.metrics import (
     FileObservationStore,
     InMemoryObservationStore,
@@ -330,3 +331,47 @@ def test_concurrent_appends_and_reads_are_safe(tmp_path):
         assert not errors
         for i in range(4):
             assert len(store.get_observation_log(f"t{i}")) == 200
+
+
+def _fail_one_append(monkeypatch) -> None:
+    """Make the next metric-log append fail as a full disk does."""
+    import errno
+
+    from tunectl.codec import Journal
+
+    append = Journal.append
+    failures = [OSError(errno.ENOSPC, "No space left on device")]
+
+    def failing(self, lines):
+        if failures:
+            raise failures.pop()
+        return append(self, lines)
+
+    monkeypatch.setattr(Journal, "append", failing)
+
+
+def test_a_failed_append_leaves_the_points_unknown_so_the_retry_writes_them(tmp_path, monkeypatch):
+    path = tmp_path / "metrics.jsonl"
+    store = FileObservationStore(path)
+    _fail_one_append(monkeypatch)
+    with pytest.raises(StorageUnavailableError):
+        store.register_observation_log([_point(ts=1)])
+    assert store.get_observation_log("t1") == []
+    store.register_observation_log([_point(ts=1)])  # the controller's retry
+    store.close()
+    assert [p.ts for p in store.get_observation_log("t1")] == [1]
+    assert [p.ts for p in FileObservationStore(path).get_observation_log("t1")] == [1]
+
+
+def test_a_failed_delete_keeps_the_trial_so_the_retry_deletes_it(tmp_path, monkeypatch):
+    path = tmp_path / "metrics.jsonl"
+    store = FileObservationStore(path)
+    store.register_observation_log([_point(ts=1)])
+    _fail_one_append(monkeypatch)
+    with pytest.raises(StorageUnavailableError):
+        store.delete_observation_log("t1")
+    assert [p.ts for p in store.get_observation_log("t1")] == [1]
+    store.delete_observation_log("t1")
+    store.close()
+    assert store.get_observation_log("t1") == []
+    assert FileObservationStore(path).get_observation_log("t1") == []
