@@ -6,9 +6,10 @@ Each command imports what it calls: ``run`` the one backend it runs, and
 ``scenarios`` only for a ``--scenario`` file, and ``scenario`` the
 simulator. PyYAML loads only for ``submit``, ``dump``, ``scenario`` and
 ``run --scenario``. No command imports numpy itself: a run loads it only
-for Bayesian optimization, TPE or a noisy simulated objective. ``run`` resumes
-either backend at the last commit in the store's journal, and exits 4 at
-one the other backend wrote; every run ends by compacting the journal.
+for Bayesian optimization, TPE or a noisy simulated objective. ``run``
+opens its store with ``ExecutionBackend.open_run``, as ``scenario --store``
+does: it resumes either backend at the store's last commit, exits 4 at one
+the other backend wrote, and ends by compacting the journal.
 
 Exit codes: 0 success, 2 validation failure, 3 name conflict, 4 runtime
 error, 5 scenario assertion failure.
@@ -19,13 +20,12 @@ from __future__ import annotations
 import fcntl
 import logging
 import sys
-from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterator
 
 import click
 
+from .controller.backend import ExecutionBackend
 from .controller.model import KIND_EXPERIMENT, resource_to_doc
 from .controller.reconcile import run_control_loop, submit_experiment
 from .controller.store import ResourceStore
@@ -38,7 +38,6 @@ EXIT_VALIDATION = 2
 EXIT_CONFLICT = 3
 EXIT_RUNTIME = 4
 EXIT_ASSERTION = 5
-METRICS_FILE = "metrics.jsonl"  # the observation log, in the store directory
 
 store_option = click.option(
     "--store",
@@ -50,27 +49,25 @@ store_option = click.option(
 )
 
 
-def _open_store(store_dir: Path, readonly: bool = False, commit: bool = False) -> ResourceStore:
+def _open_store(store_dir: Path, readonly: bool = False) -> ResourceStore:
     try:
-        return ResourceStore(store_dir, readonly=readonly, commit=commit)
+        return ResourceStore(store_dir, readonly=readonly)
     except TunectlError as exc:
         click.echo(str(exc), err=True)
         sys.exit(EXIT_RUNTIME)
 
 
-@contextmanager
-def _exclusive(store_dir: Path) -> Iterator[None]:
-    """Hold ``<store>/.lock`` so that a second ``run``, ``submit`` or
-    ``scenario`` on the store exits instead of interleaving its writes with
-    this one, or appending while a run compacts the journal."""
+def _exclusive(store_dir: Path) -> None:
+    """Hold ``<store>/.lock`` until the command ends, so that a second ``run``,
+    ``submit`` or ``scenario`` on the store exits instead of interleaving its
+    writes with this one, or appending while a run compacts the journal."""
     store_dir.mkdir(parents=True, exist_ok=True)
-    with open(store_dir / ".lock", "a") as lock:
-        try:
-            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except BlockingIOError:
-            click.echo(f"store {store_dir} is in use by another 'tunectl run', 'submit' or 'scenario'", err=True)
-            sys.exit(EXIT_RUNTIME)
-        yield
+    lock = click.get_current_context().with_resource(open(store_dir / ".lock", "a"))
+    try:
+        fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        click.echo(f"store {store_dir} is in use by another 'tunectl run', 'submit' or 'scenario'", err=True)
+        sys.exit(EXIT_RUNTIME)
 
 
 @click.group()
@@ -93,15 +90,15 @@ def submit(experiment_file: Path, store_dir: Path) -> None:
         for error in exc.errors:
             click.echo(f"{experiment_file}: {error}", err=True)
         sys.exit(EXIT_VALIDATION)
-    with _exclusive(store_dir):
-        store = _open_store(store_dir)
-        try:
-            resource = submit_experiment(store, spec)
-        except ResourceExistsError as exc:
-            click.echo(str(exc), err=True)
-            sys.exit(EXIT_CONFLICT)
-        finally:
-            store.close()
+    _exclusive(store_dir)
+    store = _open_store(store_dir)
+    try:
+        resource = submit_experiment(store, spec)
+    except ResourceExistsError as exc:
+        click.echo(str(exc), err=True)
+        sys.exit(EXIT_CONFLICT)
+    finally:
+        store.close()
     click.echo(resource.key)
 
 
@@ -130,79 +127,60 @@ def _print_summary(snapshot: dict) -> None:
 )
 @click.option("--seed", type=click.IntRange(min=0), default=0, help="World seed (sim backend).")
 @click.option("--max-ticks", type=click.IntRange(min=0), default=100_000)
-def run(
-    store_dir: Path,
-    backend_name: str,
-    scenario_file: Path | None,
-    seed: int,
-    max_ticks: int,
-) -> None:
+def run(store_dir: Path, backend_name: str, scenario_file: Path | None, seed: int, max_ticks: int) -> None:
     """Drive every experiment in the store to a terminal phase."""
     if backend_name == "local" and scenario_file is not None:
         raise click.UsageError("--scenario describes a simulated world; the local backend runs none")
-    with _exclusive(store_dir):
-        _run(store_dir, backend_name, scenario_file, seed, max_ticks)
-
-
-def _run(
-    store_dir: Path,
-    backend_name: str,
-    scenario_file: Path | None,
-    seed: int,
-    max_ticks: int,
-) -> None:
+    _exclusive(store_dir)
     if backend_name == "sim":
         from .cluster.sim import NodeGroup, Quota, ScenarioConfig, SimBackend as backend_cls
     else:
         from .cluster.localproc import LocalProcessBackend as backend_cls
-    # The store opens at its journal's last commit, where the backend resumes.
-    store = _open_store(store_dir, commit=True)
-    metrics = FileObservationStore(store_dir / METRICS_FILE)
-    try:
-        if store.committed is not None:
-            backend = backend_cls.resume(store, metrics)
-            if scenario_file is not None:
-                click.echo("resuming persisted world; --scenario ignored", err=True)
-        elif backend_name == "local":
-            backend = backend_cls(metrics, state_dir=store_dir)
-        else:
-            cfg = ScenarioConfig(seed, nodes=(NodeGroup(8.0, 4),), max_ticks=max_ticks)
-            if scenario_file is not None:
-                from .scenarios import load_scenario
 
-                cfg, specs = load_scenario(scenario_file)
-                for spec in specs:
-                    try:
-                        submit_experiment(store, spec)
-                    except ResourceExistsError:
-                        pass
-            max_ticks = min(max_ticks, cfg.max_ticks)
-            # Convenience: every submitted experiment needs its namespace.
-            named = {ns.name if isinstance(ns, Quota) else ns for ns in cfg.namespaces}
-            unnamed = dict.fromkeys(e.namespace for e in store.list(KIND_EXPERIMENT) if e.namespace not in named)
-            cfg = replace(cfg, namespaces=(*cfg.namespaces, *unnamed))
-            backend = backend_cls(cfg.world(), metrics, state_dir=store_dir)
+    def build(store: ResourceStore, metrics: FileObservationStore) -> ExecutionBackend:
+        """The backend of a store that holds no commit yet."""
+        nonlocal max_ticks
+        if backend_name == "local":
+            return backend_cls(metrics)
+        cfg = ScenarioConfig(seed, nodes=(NodeGroup(8.0, 4),), max_ticks=max_ticks)
+        if scenario_file is not None:
+            from .scenarios import load_scenario
+
+            cfg, specs = load_scenario(scenario_file)
+            for spec in specs:
+                try:
+                    submit_experiment(store, spec)
+                except ResourceExistsError:
+                    pass
+        max_ticks = min(max_ticks, cfg.max_ticks)
+        # Convenience: every submitted experiment needs its namespace.
+        named = {ns.name if isinstance(ns, Quota) else ns for ns in cfg.namespaces}
+        unnamed = dict.fromkeys(e.namespace for e in store.list(KIND_EXPERIMENT) if e.namespace not in named)
+        return backend_cls(replace(cfg, namespaces=(*cfg.namespaces, *unnamed)).world(), metrics)
+
+    try:
+        opened = backend_cls.open_run(store_dir, build)
     except ValidationError as exc:
         for error in exc.errors:
             click.echo(error, err=True)
         sys.exit(EXIT_VALIDATION)
     except TunectlError as exc:
-        click.echo(f"backend init failed: {exc}", err=True)
+        click.echo(str(exc), err=True)
         sys.exit(EXIT_RUNTIME)
-
-    if not store.list(KIND_EXPERIMENT):
-        click.echo("store has no experiments; submit one first", err=True)
-        sys.exit(EXIT_RUNTIME)
+    store, metrics, backend = opened
+    if scenario_file is not None and store.committed is not None:
+        click.echo("resuming persisted world; --scenario ignored", err=True)
     try:
+        if not store.list(KIND_EXPERIMENT):
+            click.echo("store has no experiments; submit one first", err=True)
+            sys.exit(EXIT_RUNTIME)
         snapshot = run_control_loop(store, metrics, backend, max_ticks=max_ticks)
         store.compact()
     except KeyboardInterrupt:
         click.echo("interrupted; state persisted, re-run to resume", err=True)
         sys.exit(EXIT_RUNTIME)
     finally:
-        backend.close()
-        metrics.close()
-        store.close()
+        opened.close()
     _print_summary(snapshot)
 
 
@@ -223,12 +201,9 @@ def export(
 ) -> None:
     """Export the per-trial results table (parallel-coordinates input)."""
     store = _open_store(store_dir, readonly=True)
-    metrics = FileObservationStore(store_dir / METRICS_FILE, readonly=True)
-    matches = [
-        e
-        for e in store.list(KIND_EXPERIMENT)
-        if e.name == experiment and (namespace is None or e.namespace == namespace)
-    ]
+    metrics = FileObservationStore(store_dir / ExecutionBackend.METRICS_FILE, readonly=True)
+    matches = [e for e in store.list(KIND_EXPERIMENT)
+               if e.name == experiment and (namespace is None or e.namespace == namespace)]
     if not matches:
         click.echo(f"unknown experiment '{experiment}'", err=True)
         sys.exit(EXIT_RUNTIME)
@@ -266,7 +241,7 @@ def dump(store_dir: Path) -> None:
     "store_dir",
     type=click.Path(file_okay=False, path_type=Path),
     default=None,
-    help="Optional state directory of its own (keeps the resource journal, its commits and the event log).",
+    help="Optional run directory of its own (keeps its journal, its metric log and its event log).",
 )
 def scenario(name: str, seed: int, store_dir: Path | None) -> None:
     """Run a canned evaluation scenario and check its acceptance assertions.
@@ -276,9 +251,10 @@ def scenario(name: str, seed: int, store_dir: Path | None) -> None:
 
     if name not in SCENARIOS:
         raise click.BadParameter(f"choose from {', '.join(SCENARIOS)}", param_hint="NAME")
+    if store_dir is not None:
+        _exclusive(store_dir)
     try:
-        with nullcontext() if store_dir is None else _exclusive(store_dir):
-            outcome = run_scenario(name, seed=seed, state_dir=store_dir)
+        outcome = run_scenario(name, seed=seed, state_dir=store_dir)
     except TunectlError as exc:
         click.echo(f"scenario failed to run: {exc}", err=True)
         sys.exit(EXIT_RUNTIME)

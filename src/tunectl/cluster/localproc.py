@@ -25,7 +25,7 @@ its submit, so its trial fails in the step that submits it.
 Each trainer runs in a session (and process group) of its own, so closing
 the backend can stop it together with any children it started.
 
-With a state directory it logs ``job-submitted``, ``job-succeeded`` and
+In a run directory it logs ``job-submitted``, ``job-succeeded`` and
 ``job-failed`` events, the controller step as their tick, and its commits
 hold each trainer that may still run as ``{handle: [pid, start time]}``, so
 a commit changes only when a trainer starts or ends. ``restore`` stops each
@@ -77,14 +77,14 @@ class _LocalJob:
     dropping: bool = False  # the rest of an over-long line is read and dropped
     points: list[MetricPoint] = field(default_factory=list)  # pull: not yet registered
     failed_reason: str | None = None  # a failed push registration
-    started: int | None = None  # the process's start time, with a state directory
+    started: int | None = None  # the process's start time, in a run directory
     last_line: str = ""  # the last non-empty output line, truncated
 
 
 class LocalProcessBackend(ExecutionBackend):
     STATE_KEY = "trainers"
 
-    def __init__(self, metrics: ObservationStore, poll_interval: float = 0.02, state_dir: str | Path | None = None):
+    def __init__(self, metrics: ObservationStore, poll_interval: float = 0.02):
         self.metrics = metrics
         self.poll_interval = poll_interval
         self._jobs: dict[str, _LocalJob] = {}
@@ -92,8 +92,6 @@ class LocalProcessBackend(ExecutionBackend):
         self._changed: set[str] = set()  # handles for ``changed_jobs``
         self.events: list[dict] = []
         self._step = 0  # the controller steps taken, the events' tick
-        if state_dir is not None:
-            self._open_state(Path(state_dir), 0)
 
     def _open_state(self, state_dir: Path, events_size: int) -> None:
         """Also count the steps on from the tick of the last event logged."""
@@ -101,7 +99,7 @@ class LocalProcessBackend(ExecutionBackend):
         self._step = next((json.loads(line)["tick"] for line in self._events.read()[-1:]), 0)
 
     def emit_event(self, kind: str, payload: dict) -> None:
-        """Keep a job event, with a state directory; ``experiment-stats`` is the simulator's series."""
+        """Keep a job event, in a run directory; ``experiment-stats`` is the simulator's series."""
         if self._state_dir is not None and kind.startswith("job-"):
             self.events.append({"tick": self._step, "kind": kind, "payload": payload})
 

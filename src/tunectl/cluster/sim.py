@@ -16,7 +16,7 @@ Nodes are never scaled down while they hold running work.
 A trial's job is released once its trial concludes, so the world holds
 live jobs only, and each experiment's service in a table of its own: a
 trial and a service never share a job. ``SimBackend`` gives the world's
-events and the whole world to the commit path of ``ExecutionBackend``.
+events and the whole world to ``ExecutionBackend.open_run`` and its commits.
 
 ``ScenarioConfig``, with ``NodeGroup`` and ``Quota``, is a scenario file's
 schema, here so that ``tunectl run`` builds its world without importing
@@ -30,7 +30,6 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..codec import DocumentError, from_doc
@@ -213,8 +212,8 @@ class SimWorld:
     ``jobs`` holds the trial jobs not yet released, the live ones and the
     concluded ones whose trial has not yet recorded it, by handle; and
     ``services`` each experiment's service, by handle, until released. The
-    ``events`` emitted (until a backend with a state directory writes them
-    to its file), the ``changed`` trial jobs (until ``changed_jobs`` takes
+    ``events`` emitted (until a backend in a run directory writes them to
+    its event log), the ``changed`` trial jobs (until ``changed_jobs`` takes
     them), the metric store and the count of placed units on each node and
     in each namespace are attached in ``__post_init__``. A tick phase that
     changes a trial job's phase marks it ``changed``."""
@@ -545,13 +544,11 @@ class SimBackend(ExecutionBackend):
 
     STATE_KEY = "world"
 
-    def __init__(self, world: SimWorld, metrics: ObservationStore, state_dir: str | Path | None = None):
+    def __init__(self, world: SimWorld, metrics: ObservationStore):
         self.world = world
         self.events = world.events
         self.metrics = metrics
         self.world.metrics = metrics
-        if state_dir is not None:
-            self._open_state(Path(state_dir), 0)
 
     def state(self) -> SimWorld:
         return self.world

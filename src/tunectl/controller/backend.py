@@ -3,13 +3,13 @@ local-process runner. One TrialJob backend drives possibly-multi-worker
 workloads and reports a coarse job state the trial controller maps onto
 trial phases.
 
-Both backends log, commit and resume one way; each supplies only its
-events, its ``state`` and how to ``restore`` itself from it. With a state
-directory, ``persist`` moves the events to ``events.jsonl`` there and
-returns the commit, ``{<STATE_KEY>: <state>, "eventsOffset": <size>}``,
-that the resource store appends to its journal. ``resume`` takes the store
-alone: its root is the state directory, its last commit the backend's, and
-its trials and experiments give each rebuilt job its spec.
+Both backends open, log, commit and resume one way; each supplies only its
+events, its ``state`` and how to ``restore`` itself from it. ``open_run``
+opens a run directory, or a run in memory: the store at its last commit,
+the metric log, and the backend, resumed from the store alone or else built
+afresh. There ``persist`` moves the events to ``events.jsonl`` and returns
+the commit, ``{<STATE_KEY>: <state>, "eventsOffset": <size>}``, that the
+store appends to its journal.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import Any, Callable, Iterable, NamedTuple
 
 from ..codec import Journal, compact_json, sorted_json
 from ..errors import TunectlError
+from ..metrics import FileObservationStore
 from ..resources import CollectorKind, ExperimentSpec, TrialRunSpec, TrialTemplate, render_trial_spec
 from .model import KIND_EXPERIMENT, KIND_TRIAL, Resource, resource_key
 from .store import ResourceStore
@@ -85,6 +86,7 @@ def job_handle(namespace: str, name: str) -> str:
 class ExecutionBackend(ABC):
     WORLD_FILE = ResourceStore.JOURNAL  # the store's journal, where the commits go
     EVENTS_FILE = "events.jsonl"
+    METRICS_FILE = "metrics.jsonl"  # the metric log
     STATE_KEY: str  # the key of the backend's state in its commits
     WRITERS = {"world": "sim", "trainers": "local"}  # the ``run --backend`` that writes each key
     _state_dir: Path | None = None
@@ -154,9 +156,23 @@ class ExecutionBackend(ABC):
         """The backend rebuilt from the ``state`` of a commit, each trial
         job's spec from ``job_request`` of its handle."""
 
+    @classmethod
+    def open_run(cls, root: str | Path | None,
+                 build: Callable[[ResourceStore, FileObservationStore], ExecutionBackend]) -> OpenRun:
+        """Open the run kept in ``root``, in memory without one: the backend
+        resumes at the store's last commit or, before any, is the one
+        ``build`` makes of the store and the metric log."""
+        store = ResourceStore(root, commit=True)
+        metrics = FileObservationStore(None if root is None else store.root / cls.METRICS_FILE)
+        if store.committed is not None:
+            return OpenRun(store, metrics, cls.resume(store, metrics))
+        backend = build(store, metrics)
+        if root is not None:
+            backend._open_state(store.root, 0)
+        return OpenRun(store, metrics, backend)
+
     def _open_state(self, state_dir: Path, events_size: int) -> None:
         """Write events to ``state_dir``, its event log cut to ``events_size`` bytes."""
-        state_dir.mkdir(parents=True, exist_ok=True)
         self._state_dir = state_dir
         self._events = Journal(state_dir / self.EVENTS_FILE)
         self._events.truncate(events_size)
@@ -181,7 +197,7 @@ class ExecutionBackend(ABC):
         return backend
 
     def persist(self) -> str | None:
-        """Move the events to the event log; return the commit, None without a state directory."""
+        """Move the events to the event log; return the commit, None outside a run directory."""
         if self._state_dir is None:
             return None
         offset = self._events.append(sorted_json(e) + "\n" for e in self.events)
@@ -192,3 +208,17 @@ class ExecutionBackend(ABC):
         """Close the event log; safe to call twice."""
         if self._state_dir is not None:
             self._events.close()
+
+
+class OpenRun(NamedTuple):
+    """A run as ``ExecutionBackend.open_run`` opened it."""
+
+    store: ResourceStore
+    metrics: FileObservationStore
+    backend: ExecutionBackend
+
+    def close(self) -> None:
+        """Close the backend, then the metric log, then the store."""
+        self.backend.close()
+        self.metrics.close()
+        self.store.close()

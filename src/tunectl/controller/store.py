@@ -360,7 +360,9 @@ class ResourceStore:
 
     def compact(self) -> None:
         """Rewrite the journal as one record per resource, in key order,
-        then its last commit; the records held are in it."""
+        then its last commit; the records held are in it. A no-op in memory."""
+        if self._journal is None:
+            return
         with self._lock:
             lines = [_record(self._resources[key]) for key in sorted(self._resources)]
             if self.committed is not None:

@@ -34,7 +34,6 @@ from .controller.model import KIND_EXPERIMENT, TrialPhase
 from .controller.reconcile import run_control_loop, submit_experiment
 from .controller.store import ResourceStore
 from .errors import TunectlError, ValidationError
-from .metrics import InMemoryObservationStore
 from .resources import (
     AlgorithmSpec,
     ExperimentSpec,
@@ -126,10 +125,10 @@ def run_simulated(
 
     With ``drain_to_min_nodes`` the world keeps ticking after termination
     until the autoscaler has shrunk back to its floor (bounded by grace).
-    With a ``state_dir`` the resources start afresh in its journal, which
-    ends compacted with the last commit, and the events are read back from
-    its event log. A journal there that holds an experiment this run does
-    not submit is another store's: the run refuses it and writes nothing.
+    With a ``state_dir`` the run starts afresh there, its journal compacted
+    at the end, and reads its events back from the event log. A journal
+    there that holds an experiment this run does not submit is another
+    store's: the run refuses it and writes nothing.
     """
     world = cfg.world()
     if state_dir is not None:
@@ -139,9 +138,9 @@ def run_simulated(
             raise TunectlError(f"{held.path} holds experiments that this scenario "
                                "does not submit; give the scenario a directory of its own")
         held.path.unlink(missing_ok=True)
-    store = ResourceStore(state_dir)
-    metrics = InMemoryObservationStore()
-    backend = SimBackend(world, metrics, state_dir=state_dir)
+        (held.root / SimBackend.METRICS_FILE).unlink(missing_ok=True)
+    run = SimBackend.open_run(state_dir, lambda _store, metrics: SimBackend(world, metrics))
+    store, metrics, backend = run
     for spec in experiments:
         submit_experiment(store, spec)
     snapshot = run_control_loop(store, metrics, backend, max_ticks=cfg.max_ticks)
@@ -153,13 +152,11 @@ def run_simulated(
                 break
             backend.advance(lambda: 0)
     store.commit(backend.persist())
-    backend.close()
-    if state_dir is not None:
-        store.compact()
-        store.close()
-        lines = Journal(Path(state_dir) / SimBackend.EVENTS_FILE).read()
-        return SimRun(snapshot=snapshot, store=store, events=[json.loads(line) for line in lines])
-    return SimRun(snapshot=snapshot, store=store, events=world.events)
+    store.compact()
+    run.close()
+    log = None if state_dir is None else Journal(store.root / SimBackend.EVENTS_FILE)
+    events = world.events if log is None else [json.loads(line) for line in log.read()]
+    return SimRun(snapshot=snapshot, store=store, events=events)
 
 
 def _sphere_parameters(count: int = 3) -> list[ParameterSpec]:

@@ -407,20 +407,15 @@ def _recovery_experiment():
     return _sphere_experiment("rec", "user1", parallel=3, max_trials=10, seed=11, duration=2)
 
 
-def _build_recovery(state_dir):
-    metrics = FileObservationStore(state_dir / "metrics.jsonl")
-    # The store opens at its journal's last commit, where the world resumes.
-    store = FileResourceStore(state_dir, commit=True)
-    if store.committed is not None:
-        backend = SimBackend.resume(store, metrics)
-    else:
-        world = SimWorld(seed=11)
-        world.add_node(6.0)  # tight: trials queue across waves
-        world.add_namespace("user1", None)
-        backend = SimBackend(world, metrics, state_dir=state_dir)
-        if store.get("experiment/user1/rec") is None:
-            submit_experiment(store, _recovery_experiment())
-    return store, metrics, backend
+def _build_recovery(store, metrics):
+    """The world of a store that holds no commit yet; ``SimBackend.open_run``
+    resumes one that does at its last commit."""
+    world = SimWorld(seed=11)
+    world.add_node(6.0)  # tight: trials queue across waves
+    world.add_namespace("user1", None)
+    if store.get("experiment/user1/rec") is None:
+        submit_experiment(store, _recovery_experiment())
+    return SimBackend(world, metrics)
 
 
 def _on_writes(store, hook) -> None:
@@ -448,9 +443,11 @@ def test_criterion_8_recovery(tmp_path):
         nonlocal mutations
         mutations += 1
 
-    store, metrics, backend = _build_recovery(tmp_path / "clean")
+    run = SimBackend.open_run(tmp_path / "clean", _build_recovery)
+    store, metrics, backend = run
     _on_writes(store, count_mutation)
     clean = run_control_loop(store, metrics, backend)
+    run.close()
     clean_fp = _fingerprint(clean)
     terminal_tick = clean["ticks"]
     total_mutations = mutations
@@ -468,7 +465,7 @@ def test_criterion_8_recovery(tmp_path):
                 if tick == kt and phase == kp:
                     raise SimulatedCrash(f"kill at tick {kt} phase {kp}")
 
-            store, metrics, backend = _build_recovery(directory)
+            store, metrics, backend = SimBackend.open_run(directory, _build_recovery)
             with tick_hook(hook), pytest.raises(SimulatedCrash):
                 run_control_loop(store, metrics, backend)
         else:
@@ -481,7 +478,7 @@ def test_criterion_8_recovery(tmp_path):
                 if seen == ka:
                     raise SimulatedCrash(f"kill at mutation {ka}")
 
-            store, metrics, backend = _build_recovery(directory)
+            store, metrics, backend = SimBackend.open_run(directory, _build_recovery)
             _on_writes(store, mutation_hook)
             try:
                 run_control_loop(store, metrics, backend)
@@ -489,9 +486,9 @@ def test_criterion_8_recovery(tmp_path):
                 pass  # crashed mid-write sequence as intended
         backend.close()
 
-        store, metrics, backend = _build_recovery(directory)
-        resumed = run_control_loop(store, metrics, backend)
-        backend.close()
+        run = SimBackend.open_run(directory, _build_recovery)
+        resumed = run_control_loop(*run)
+        run.close()
         if _fingerprint(resumed) == clean_fp:
             identical += 1
     _report(

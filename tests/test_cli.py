@@ -912,7 +912,7 @@ def test_scenario_with_a_store_ends_with_a_compacted_world(runner, tmp_path):
         assert result.exit_code == 0, result.output
         files.append(_store_files(store))
     assert files[0] == files[1]
-    assert sorted(p.name for p in store.iterdir()) == [".lock", "events.jsonl", "journal.jsonl"]
+    assert sorted(p.name for p in store.iterdir()) == [".lock", "events.jsonl", "journal.jsonl", "metrics.jsonl"]
     *records, last = (store / "journal.jsonl").read_text().splitlines()
     assert {json.loads(line)["kind"] for line in records} == {"experiment", "suggestion", "trial"}
     commit = _commit(last)
@@ -921,6 +921,45 @@ def test_scenario_with_a_store_ends_with_a_compacted_world(runner, tmp_path):
     # The last commit covers every event, the experiment stats of its tick included.
     assert events[-1]["kind"] == "experiment-stats"
     assert commit["eventsOffset"] == (store / "events.jsonl").stat().st_size
+
+
+def test_an_export_of_a_scenario_store_has_the_objective_of_every_succeeded_trial(runner, tmp_path):
+    # The scenario keeps its metric points in the store directory, so the export reads them there.
+    store = str(tmp_path / "state")
+    assert runner.invoke(cli, ["scenario", "chaos-kill", "--store", store]).exit_code == 0
+    result = runner.invoke(cli, ["export", "chaos-kill", "--store", store])
+    assert result.exit_code == 0, result.output
+    succeeded = [row for row in csv.DictReader(io.StringIO(result.output)) if row["phase"] == "Succeeded"]
+    assert len(succeeded) == 24
+    assert all(float(row["loss"]) >= 0.0 for row in succeeded)
+
+
+def test_a_scenario_rerun_into_its_store_leaves_what_a_run_into_an_empty_one_leaves(runner, tmp_path):
+    # A run with another seed starts its journal, metric log and event log afresh.
+    def files(store, *seeds):
+        for seed in seeds:
+            result = runner.invoke(cli, ["scenario", "chaos-kill", "--seed", seed, "--store", str(store)])
+            assert result.exit_code == 0, result.output
+        return {name: (store / name).read_bytes() for name in ("journal.jsonl", "events.jsonl", "metrics.jsonl")}
+
+    rerun, fresh = files(tmp_path / "rerun", "0", "1"), files(tmp_path / "fresh", "1")
+    assert rerun == fresh and rerun != files(tmp_path / "other", "0")
+
+
+def test_the_commands_close_every_file_they_open(tmp_path):
+    # Under -X dev a file left open when its object is collected prints a
+    # ResourceWarning; each command closes what its run opened.
+    (tmp_path / "exp.yaml").write_text(EXPERIMENT)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(__file__).resolve().parents[1] / "src"),
+                                                         os.environ.get("PYTHONPATH", "")])}
+    for command in (["submit", "exp.yaml", "--store", "store"], ["run", "--store", "store"],
+                    ["export", "cli-exp", "--store", "store"], ["scenario", "chaos-kill", "--store", "state"]):
+        done = subprocess.run([sys.executable, "-X", "dev", "-c", "from tunectl.cli import main; main()", *command],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert "ResourceWarning" not in done.stderr, done.stderr[-2000:]
+    assert (tmp_path / "store" / "metrics.jsonl").stat().st_size > 0
+    assert (tmp_path / "state" / "metrics.jsonl").stat().st_size > 0
 
 
 def test_a_scenario_leaves_a_submitted_store_as_it_is(runner, tmp_path, monkeypatch):

@@ -23,7 +23,6 @@ from conftest import make_experiment
 from tunectl.cluster.sim import ChaosMode, ChaosPolicy, SimBackend, SimWorld
 from tunectl.controller.reconcile import run_control_loop, submit_experiment, trial_name_for
 from tunectl.controller.store import FileResourceStore
-from tunectl.metrics import FileObservationStore
 from tunectl.resources import (
     AlgorithmSpec,
     ParameterSpec,
@@ -82,25 +81,18 @@ def _spec(algorithm: str):
     return dataclasses.replace(spec, algorithm=AlgorithmSpec(algorithm, SETTINGS[algorithm]))
 
 
-def _open(directory, algorithm: str):
-    metrics = FileObservationStore(directory / "metrics.jsonl")
-    store = FileResourceStore(directory, commit=True)
-    if store.committed is not None:
-        backend = SimBackend.resume(store, metrics)
-        return store, metrics, backend
-    world = SimWorld(seed=17, chaos=ChaosPolicy(ChaosMode.FAIL_TRIAL, fraction=0.3, interval_ticks=3, seed=2))
-    world.add_node(4.0)
-    world.add_namespace("ns")
-    submit_experiment(store, _spec(algorithm))
-    return store, metrics, SimBackend(world, metrics, state_dir=directory)
-
-
 def _run(directory, algorithm: str, stop_tick: int | None = None) -> dict:
-    store, metrics, backend = _open(directory, algorithm)
+    def build(store, metrics):
+        world = SimWorld(seed=17, chaos=ChaosPolicy(ChaosMode.FAIL_TRIAL, fraction=0.3, interval_ticks=3, seed=2))
+        world.add_node(4.0)
+        world.add_namespace("ns")
+        submit_experiment(store, _spec(algorithm))
+        return SimBackend(world, metrics)
+
+    run = SimBackend.open_run(directory, build)
     stop = None if stop_tick is None else (lambda tick: tick == stop_tick)
-    snapshot = run_control_loop(store, metrics, backend, stop=stop)
-    backend.close()
-    store.close()
+    snapshot = run_control_loop(*run, stop=stop)
+    run.close()
     return snapshot
 
 

@@ -114,16 +114,13 @@ _KILL = """
 import sys
 from tunectl.cluster.sim import SimBackend
 from tunectl.controller.reconcile import run_control_loop
-from tunectl.controller.store import FileResourceStore
-from tunectl.metrics import FileObservationStore
 from tunectl.scenarios import ScenarioConfig
 
 class Killed(Exception):
     pass
 
-store = FileResourceStore("store")
-metrics = FileObservationStore("store/metrics.jsonl")
-backend = SimBackend(ScenarioConfig(1, nodes=(4.0,), namespaces=("team",)).world(), metrics, state_dir="store")
+world = ScenarioConfig(1, nodes=(4.0,), namespaces=("team",)).world()
+store, metrics, backend = SimBackend.open_run("store", lambda _store, metrics: SimBackend(world, metrics))
 
 def kill(_resource):
     if backend.world.tick == 3:

@@ -586,8 +586,8 @@ def test_a_progress_bar_that_never_ends_its_line_holds_the_tail_at_read_bytes(tm
 
 def test_an_idle_trainer_adds_no_line_to_the_journal_or_the_event_log(tmp_path):
     # A local run commits when a trainer starts or ends, not at every poll.
-    store, metrics = FileResourceStore(tmp_path), InMemoryObservationStore()
-    backend = LocalProcessBackend(metrics, poll_interval=0.005, state_dir=tmp_path)
+    run = LocalProcessBackend.open_run(tmp_path, lambda _store, metrics: LocalProcessBackend(metrics, 0.005))
+    store, metrics, backend = run
     submit_experiment(store, _local_experiment("sleep 30", parallel=1, max_trials=1))
     sizes = {}
 
@@ -599,8 +599,7 @@ def test_an_idle_trainer_adds_no_line_to_the_journal_or_the_event_log(tmp_path):
     try:
         run_control_loop(store, metrics, backend, stop=stop)
     finally:
-        backend.close()
-        store.close()
+        run.close()
     assert sizes[3] == sizes[40] and sizes[3][1] > 0
     commit = json.loads(store.committed)
     assert list(commit["trainers"]) == ["ns/exp-0000"] and commit["eventsOffset"] == sizes[3][1]
@@ -665,8 +664,8 @@ def test_a_step_that_records_a_trainer_s_end_commits_it_while_another_trainer_ru
         template=TrialTemplate(kind=TemplateKind.LOCAL_PROCESS, payload='sh -c "sleep ${t}; echo 1 accuracy=0.5"'),
     )
     spec = replace(spec, algorithm=replace(spec.algorithm, settings={}))
-    store, metrics = FileResourceStore(tmp_path), InMemoryObservationStore()
-    backend = LocalProcessBackend(metrics, poll_interval=0.005, state_dir=tmp_path)
+    run = LocalProcessBackend.open_run(tmp_path, lambda _store, metrics: LocalProcessBackend(metrics, 0.005))
+    store, metrics, backend = run
     submit_experiment(store, spec)
     deadline = time.monotonic() + 20
 
@@ -677,8 +676,7 @@ def test_a_step_that_records_a_trainer_s_end_commits_it_while_another_trainer_ru
     try:
         run_control_loop(store, metrics, backend, stop=quick_succeeded)
     finally:
-        backend.close()
-        store.close()
+        run.close()
     resumed = FileResourceStore(tmp_path, commit=True)
     assert resumed.get(f"{KIND_TRIAL}/ns/exp-0000").status.phase is TrialPhase.SUCCEEDED
     resumed.close()

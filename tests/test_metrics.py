@@ -24,9 +24,10 @@ def _point(trial="t1", metric="accuracy", ts=0, value=0.5):
 
 @pytest.fixture(params=["memory", "file"])
 def store(request, tmp_path):
-    if request.param == "memory":
-        return InMemoryObservationStore()
-    return FileObservationStore(tmp_path / "metrics.jsonl")
+    path = None if request.param == "memory" else tmp_path / "metrics.jsonl"
+    opened = FileObservationStore(path)
+    yield opened
+    opened.close()
 
 
 def test_register_then_get_in_timestamp_order(store):
@@ -102,12 +103,20 @@ def test_filter_start_after_end_rejected():
         ObservationFilter(start=10, end=5)
 
 
+def _register_and_close(path, point):
+    """Register ``point`` in the metric log at ``path`` through a store of its own."""
+    store = FileObservationStore(path)
+    store.register_observation_log([point])
+    store.close()
+
+
 def test_file_store_survives_reload(tmp_path):
     path = tmp_path / "metrics.jsonl"
     first = FileObservationStore(path)
     first.register_observation_log([_point(ts=1), _point(ts=2)])
     first.delete_observation_log("t1")
     first.register_observation_log([_point(trial="t2", ts=9, value=0.9)])
+    first.close()
     reloaded = FileObservationStore(path)
     assert reloaded.get_observation_log("t1") == []
     assert [p.value for p in reloaded.get_observation_log("t2")] == [0.9]
@@ -115,7 +124,7 @@ def test_file_store_survives_reload(tmp_path):
 
 def test_file_store_tolerates_torn_final_line(tmp_path):
     path = tmp_path / "metrics.jsonl"
-    FileObservationStore(path).register_observation_log([_point(ts=1)])
+    _register_and_close(path, _point(ts=1))
     with path.open("a") as fp:
         fp.write('{"trial": "t1", "metric": "accuracy", "ts": 2, "val')
     reloaded = FileObservationStore(path)
@@ -124,10 +133,10 @@ def test_file_store_tolerates_torn_final_line(tmp_path):
 
 def test_point_acked_after_torn_tail_survives_reload(tmp_path):
     path = tmp_path / "metrics.jsonl"
-    FileObservationStore(path).register_observation_log([_point(ts=1)])
+    _register_and_close(path, _point(ts=1))
     with path.open("a") as fp:
         fp.write('{"metric": "loss", "tr')
-    FileObservationStore(path).register_observation_log([_point(ts=2)])
+    _register_and_close(path, _point(ts=2))
     reloaded = FileObservationStore(path)
     assert [p.ts for p in reloaded.get_observation_log("t1")] == [1, 2]
 
@@ -142,11 +151,12 @@ def test_every_acked_point_survives_a_torn_write_at_any_cut(tmp_path_factory, co
     first = FileObservationStore(path)
     for ts in range(count):
         first.register_observation_log([_point(ts=ts, value=ts / 10)])
+    first.close()
     data = path.read_bytes()
     kept = data[: int(cut * len(data))]
     path.write_bytes(kept)
     whole_lines = kept.count(b"\n")
-    FileObservationStore(path).register_observation_log([_point(ts=99, value=9.9)])
+    _register_and_close(path, _point(ts=99, value=9.9))
     reloaded = FileObservationStore(path)
     assert [p.ts for p in reloaded.get_observation_log("t1")] == list(range(whole_lines)) + [99]
 
@@ -331,6 +341,7 @@ def test_concurrent_appends_and_reads_are_safe(tmp_path):
         assert not errors
         for i in range(4):
             assert len(store.get_observation_log(f"t{i}")) == 200
+        store.close()
 
 
 def _fail_one_append(monkeypatch) -> None:

@@ -14,6 +14,9 @@ from tunectl.controller.store import ResourceStore
 from tunectl.metrics import InMemoryObservationStore
 from tunectl.resources import (
     CollectorKind,
+    ParameterSpec,
+    ParameterType,
+    Range,
     SimObjectiveDescriptor,
     TemplateKind,
     TrialRunSpec,
@@ -41,19 +44,23 @@ def stored_submit(world: SimWorld, store: ResourceStore, trial: str, template: T
     """Submit the job of ``trial`` in namespace ns as its reconciler would:
     the trial, at x = 1.0, of an experiment named after its template's
     worker count, which are stored first if they are not, so that a resume
-    rebuilds the job from ``store``."""
+    rebuilds the job from ``store`` and a run can open its directory."""
     experiment = f"w{template.worker_count}"
     if store.get(resource_key(KIND_EXPERIMENT, "ns", experiment)) is None:
-        submit_experiment(store, make_experiment([], name=experiment, template=template))
+        x = ParameterSpec("x", ParameterType.DOUBLE, Range(-2.0, 2.0))
+        submit_experiment(store, make_experiment([x], name=experiment, template=template))
     if store.get(resource_key(KIND_TRIAL, "ns", trial)) is None:
         store.create(Resource(KIND_TRIAL, "ns", trial, TrialSpec(experiment, (("x", 1.0),)), TrialStatus()))
     return world.submit_job(stored_job_request(store, f"ns/{trial}"))
 
 
 def resumed(world: SimWorld, store: ResourceStore) -> SimWorld:
-    """``world`` committed in the directory of ``store`` and resumed from that commit."""
-    store.commit(SimBackend(world, InMemoryObservationStore(), state_dir=store.root).persist())
-    return SimBackend.resume(store, InMemoryObservationStore()).world
+    """``world`` committed by a run opened in the directory of ``store``, and
+    resumed from that commit."""
+    run = SimBackend.open_run(store.root, lambda _store, metrics: SimBackend(world, metrics))
+    run.store.commit(run.backend.persist())
+    run.close()
+    return SimBackend.resume(run.store, InMemoryObservationStore()).world
 
 
 def _submit(world: SimWorld, store: ResourceStore, trial: str, workers: int) -> None:

@@ -127,6 +127,7 @@ def test_file_store_round_trip(tmp_path):
     store.create(trial)
     got = store.get("trial/ns/exp-0000")
     store.update(replace(got, status=replace(got.status, phase=TrialPhase.SUCCEEDED, observation=0.0625)))
+    store.close()
 
     reloaded = FileResourceStore(tmp_path)
     exp = reloaded.get("experiment/ns/exp")
@@ -144,12 +145,14 @@ def test_file_store_preserves_generations_across_reload(tmp_path):
     store.create(_experiment_resource())
     res = store.get("experiment/ns/exp")
     store.update(replace(res, status=replace(res.status, phase=ExperimentPhase.RUNNING)))
+    store.close()
 
     reloaded = FileResourceStore(tmp_path)
     res2 = reloaded.get("experiment/ns/exp")
     assert res2.generation == 2
     succeeded = replace(res2, status=replace(res2.status, phase=ExperimentPhase.SUCCEEDED))
     assert reloaded.update(succeeded).generation == 3
+    reloaded.close()
 
 
 # What an algorithm reads from the trial index, copied so it can be compared.
@@ -269,6 +272,7 @@ def test_indexes_match_a_recomputation_after_every_write(tmp_path_factory, write
             )
             store.update(replace(trial, status=replace(trial.status, phase=phase, observation=observation)))
         _assert_indexes(store)
+    store.close()
     _assert_indexes(FileResourceStore(path))  # loading rebuilds the same indexes
 
 
@@ -352,6 +356,18 @@ def _journal_lines(path):
     return [line for line in lines if not line.startswith(b'{"commit":')]
 
 
+def test_compacting_a_store_in_memory_changes_nothing(tmp_path, monkeypatch):
+    # A store without a root keeps no journal, so there is nothing to rewrite.
+    monkeypatch.chdir(tmp_path)
+    store = ResourceStore(commit=True)
+    for resource in _resources_of_every_shape():
+        store.create(resource)
+    written = store.list()
+    store.compact()
+    store.close()
+    assert store.list() == written and list(tmp_path.iterdir()) == []
+
+
 def test_journal_round_trip_through_compaction(tmp_path):
     store = FileResourceStore(tmp_path)
     for resource in _resources_of_every_shape():
@@ -379,6 +395,7 @@ def test_journal_round_trip_through_compaction(tmp_path):
     store.update(replace(trial, status=replace(trial.status, reason="after compaction")))
     assert len(_journal_lines(tmp_path)) == len(written) + 1
     assert FileResourceStore(tmp_path).list() == store.list()
+    store.close()
 
 
 def _write_sequence(store):
@@ -530,7 +547,6 @@ def _sim_experiment_run(root, commits=None, writes=None):
     writes."""
     from tunectl.cluster.sim import SimBackend, SimWorld
     from tunectl.controller.reconcile import run_control_loop, submit_experiment
-    from tunectl.metrics import InMemoryObservationStore
     from tunectl.resources import SimObjectiveDescriptor
 
     spec = make_experiment(
@@ -542,25 +558,26 @@ def _sim_experiment_run(root, commits=None, writes=None):
             kind=TemplateKind.SIMULATED, payload=SimObjectiveDescriptor("sphere", duration_ticks=3)
         ),
     )
-    store = FileResourceStore(root / "store")
-    if writes is not None:
-        store.watchers.append(writes.append)
-    submit_experiment(store, spec)
-    world = SimWorld(seed=4)
-    world.add_node(8.0)
-    world.add_namespace("ns")
-    metrics = InMemoryObservationStore()
-
     class Recording(SimBackend):
         def persist(self):
             if commits is not None:
                 lines = len((root / "store" / FileResourceStore.JOURNAL).read_bytes().splitlines())
-                commits[lines] = (store.list(), _index_of(store, "ns", "exp"))
+                commits[lines] = (run.store.list(), _index_of(run.store, "ns", "exp"))
             return super().persist()
 
-    run_control_loop(store, metrics, Recording(world, metrics, state_dir=root / "state"), max_ticks=200)
-    store.close()
-    return store
+    def build(store, metrics):
+        if writes is not None:
+            store.watchers.append(writes.append)
+        submit_experiment(store, spec)
+        world = SimWorld(seed=4)
+        world.add_node(8.0)
+        world.add_namespace("ns")
+        return Recording(world, metrics)
+
+    run = SimBackend.open_run(root / "store", build)
+    run_control_loop(*run, max_ticks=200)
+    run.close()
+    return run.store
 
 
 def test_a_trial_record_holds_its_spec_only_where_the_spec_changes(tmp_path):

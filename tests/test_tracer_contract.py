@@ -40,20 +40,17 @@ tr = tracer.Tracer()
 tracer.install_layers(tr)
 from tunectl.cluster.sim import SimBackend, SimWorld
 from tunectl.controller.reconcile import run_control_loop, submit_experiment
-from tunectl.controller.store import FileResourceStore
-from tunectl.metrics import FileObservationStore
 from tunectl.resources import parse_experiment
 from tunectl.results import build_results_table, render_csv
 
-root = Path(tempfile.mkdtemp())
-store, metrics = FileResourceStore(root), FileObservationStore(root / "metrics.jsonl")
-submit_experiment(store, parse_experiment(sys.argv[1]))
 world = SimWorld(seed=1)
 world.add_node(4.0)
 world.add_namespace("bench")
-backend = SimBackend(world, metrics, state_dir=root)
+run = SimBackend.open_run(Path(tempfile.mkdtemp()), lambda _store, metrics: SimBackend(world, metrics))
+store, metrics, backend = run
+submit_experiment(store, parse_experiment(sys.argv[1]))
 snapshot = run_control_loop(store, metrics, backend)
-backend.close()
+run.close()
 render_csv(build_results_table(store, metrics, "bench", "sphere"))
 print(json.dumps({"snapshot": snapshot, **tr.summary()}))
 """
@@ -70,16 +67,14 @@ tracer.install_layers(tr)
 from tunectl.cluster.localproc import LocalProcessBackend
 from tunectl.cluster.sim import SimBackend
 from tunectl.controller.reconcile import run_control_loop, submit_experiment
-from tunectl.controller.store import FileResourceStore
-from tunectl.metrics import FileObservationStore
 from tunectl.resources import parse_experiment
 
 root = Path(tempfile.mkdtemp())
-store, metrics = FileResourceStore(root), FileObservationStore(root / "metrics.jsonl")
+run = LocalProcessBackend.open_run(root, lambda _store, metrics: LocalProcessBackend(metrics, poll_interval=0.005))
+store, metrics, backend = run
 submit_experiment(store, parse_experiment(sys.argv[1].replace("PYTHON", sys.executable)))
-backend = LocalProcessBackend(metrics, poll_interval=0.005, state_dir=root)
 snapshot = run_control_loop(store, metrics, backend)
-backend.close()
+run.close()
 events = [json.loads(line)["kind"] for line in (root / "events.jsonl").read_text().splitlines()]
 print(json.dumps({"snapshot": snapshot, "committed": json.loads(store.committed), "events": events, **tr.summary()}))
 """

@@ -50,7 +50,7 @@ from tunectl.resources import (
 from tunectl.results import build_results_table, render_csv
 
 EVENTS, JOURNAL = SimBackend.EVENTS_FILE, FileResourceStore.JOURNAL
-METRICS = "metrics.jsonl"
+METRICS = SimBackend.METRICS_FILE
 COMMIT = '{"commit":'  # a commit line: this, the commit, then "}"
 
 
@@ -70,13 +70,8 @@ def _experiments():
     ]
 
 
-def _open(directory):
-    """Open the store at its journal's last commit and resume the world
-    there, or start a fresh world, as ``tunectl run`` does."""
-    metrics = FileObservationStore(directory / METRICS)
-    store = FileResourceStore(directory, commit=True)
-    if store.committed is not None:
-        return store, metrics, SimBackend.resume(store, metrics)
+def _build(store, metrics):
+    """The world and experiments of a store that holds no commit yet."""
     world = SimWorld(
         seed=23,
         autoscaler=AutoscalerConfig(min_nodes=1, max_nodes=3, node_capacity_cpu=4.0, scale_down_grace_ticks=3),
@@ -84,11 +79,10 @@ def _open(directory):
     )
     world.add_node(4.0)
     world.add_namespace("team", 7.0)
-    backend = SimBackend(world, metrics, state_dir=directory)
     for spec in _experiments():
         if store.get(f"experiment/team/{spec.name}") is None:
             submit_experiment(store, spec)
-    return store, metrics, backend
+    return SimBackend(world, metrics)
 
 
 def _run(directory, watcher=None, before_compact=None, max_ticks=1_000_000) -> int | None:
@@ -96,7 +90,8 @@ def _run(directory, watcher=None, before_compact=None, max_ticks=1_000_000) -> i
     run`` does; on a SimulatedCrash, return the world's tick at the crash
     instead. ``watcher`` sees each stored resource, and None after each
     commit the store appends: a commit counts among the store's writes."""
-    store, metrics, backend = _open(directory)
+    run = SimBackend.open_run(directory, _build)
+    store, metrics, backend = run
     if watcher is not None:
         store.watchers.append(watcher)
         commit = store.commit
@@ -117,9 +112,7 @@ def _run(directory, watcher=None, before_compact=None, max_ticks=1_000_000) -> i
     except SimulatedCrash:
         return backend.world.tick
     finally:
-        backend.close()
-        metrics.close()
-        store.close()
+        run.close()
 
 
 def _outputs(directory) -> dict[str, bytes]:

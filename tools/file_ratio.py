@@ -4,15 +4,13 @@
 
 Runs the ``cli-file`` and ``sim-800`` shapes of ``perfbench/workloads.py``
 (their experiment and world) through ``run_control_loop`` in this process.
-Each round runs every shape twice: once with the in-memory stores, and once
-file-backed as ``tunectl run`` stores a run (``ResourceStore(dir,
-commit=True)``, ``FileObservationStore`` and a ``SimBackend`` state
-directory, then the compaction and the closes), in a fresh temporary
-directory; which of the two goes first alternates from round to round. A
-first round of each shape warms the interpreter and is not counted. Prints,
-per shape, the median seconds of each and their ratio, file-backed over in
-memory. Imports are not timed: a cold CLI process pays them once, and
-``perfbench`` measures that.
+Each round runs every shape twice, opened by ``SimBackend.open_run`` as
+``tunectl run`` opens a run: once in memory, and once file-backed in a fresh
+temporary directory, compaction and closes included; which of the two goes
+first alternates from round to round. A first round of each shape warms
+the interpreter and is not counted. Prints, per shape, the median seconds
+of each and their ratio, file-backed over in memory. Imports are not
+timed: a cold CLI process pays them once, and ``perfbench`` measures that.
 """
 
 from __future__ import annotations
@@ -30,8 +28,6 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import workloads  # noqa: E402 -- perfbench/workloads.py, found through the path above
 from tunectl.cluster.sim import SimBackend, SimWorld  # noqa: E402
 from tunectl.controller.reconcile import run_control_loop, submit_experiment  # noqa: E402
-from tunectl.controller.store import ResourceStore  # noqa: E402
-from tunectl.metrics import FileObservationStore  # noqa: E402
 from tunectl.resources import parse_experiment  # noqa: E402
 
 SHAPES = ("cli-file", "sim-800")
@@ -53,21 +49,15 @@ def run_once(workload: workloads.Workload, seed: int, directory: Path | None) ->
     """Seconds to drive the workload to its end; file-backed in ``directory``
     when one is given, compaction and closes included."""
     specs = [parse_experiment(e.yaml) for e in workload.experiments]
-    if directory is None:
-        store, metrics, state_dir = ResourceStore(), FileObservationStore(), None
-    else:
-        store, state_dir = ResourceStore(directory, commit=True), directory
-        metrics = FileObservationStore(directory / "metrics.jsonl")
+    world = _world(workload, seed)
+    run = SimBackend.open_run(directory, lambda _store, metrics: SimBackend(world, metrics))
+    store, metrics, backend = run
     for spec in specs:
         submit_experiment(store, spec)
-    backend = SimBackend(_world(workload, seed), metrics, state_dir=state_dir)
     start = time.perf_counter()
     run_control_loop(store, metrics, backend)
-    if directory is not None:
-        store.compact()
-    backend.close()
-    metrics.close()
-    store.close()
+    store.compact()
+    run.close()
     return time.perf_counter() - start
 
 
