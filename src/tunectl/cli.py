@@ -2,14 +2,17 @@
 backend, export per-trial results, print the store as YAML, and execute
 canned scenarios.
 
-Each command imports what it calls: ``run`` the one backend it runs, and
-``scenarios`` only for a ``--scenario`` file, and ``scenario`` the
-simulator. PyYAML loads only for ``submit``, ``dump``, ``scenario`` and
-``run --scenario``. No command imports numpy itself: a run loads it only
-for Bayesian optimization, TPE or a noisy simulated objective. ``run``
-opens its store with ``ExecutionBackend.open_run``, as ``scenario --store``
-does: it resumes either backend at the store's last commit, exits 4 at one
-the other backend wrote, and ends by compacting the journal.
+Each command imports what it calls, so ``tunectl --help`` loads click and
+this module alone. ``submit`` loads the store and the experiment parser, not
+the reconcilers; ``run`` the controller and the one backend it runs, and
+``scenarios`` only for a ``--scenario`` file; ``export`` the store, the
+metric log and the results table; ``scenario`` the simulator. PyYAML loads
+only for ``submit``, ``dump``, ``scenario`` and ``run --scenario``. No
+command imports numpy itself: a run loads it only for Bayesian
+optimization, TPE or a noisy simulated objective. ``run`` opens its store
+with ``ExecutionBackend.open_run``, as ``scenario --store`` does: it resumes
+either backend at the store's last commit, exits 4 at one the other backend
+wrote, and ends by compacting the journal.
 
 Exit codes: 0 success, 2 validation failure, 3 name conflict, 4 runtime
 error, 5 scenario assertion failure.
@@ -17,22 +20,24 @@ error, 5 scenario assertion failure.
 
 from __future__ import annotations
 
-import fcntl
-import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
-from .controller.backend import ExecutionBackend
-from .controller.model import KIND_EXPERIMENT, resource_to_doc
-from .controller.reconcile import run_control_loop, submit_experiment
-from .controller.store import ResourceStore
+from . import _lazy
 from .errors import ResourceExistsError, TunectlError, ValidationError
-from .metrics import FileObservationStore
-from .resources import _yaml, parse_experiment
-from .results import build_results_table, render_csv, render_jsonl
+
+if TYPE_CHECKING:
+    from .controller.backend import ExecutionBackend
+    from .controller.store import ResourceStore
+    from .metrics import FileObservationStore
+
+# perfbench/tracer.py wraps these under this module: each loads when first read.
+__getattr__, __dir__ = _lazy(__name__, {
+    "parse_experiment": ".resources", "build_results_table": ".results", "render_csv": ".results",
+})
 
 EXIT_VALIDATION = 2
 EXIT_CONFLICT = 3
@@ -49,7 +54,18 @@ store_option = click.option(
 )
 
 
+def run_control_loop(*args, **kwargs) -> dict:
+    """``controller.reconcile.run_control_loop``, whose module loads only
+    when this is called. ``run`` calls it through this global, which
+    perfbench/launcher.py replaces to keep a run's snapshot."""
+    from .controller.reconcile import run_control_loop
+
+    return run_control_loop(*args, **kwargs)
+
+
 def _open_store(store_dir: Path, readonly: bool = False) -> ResourceStore:
+    from .controller.store import ResourceStore
+
     try:
         return ResourceStore(store_dir, readonly=readonly)
     except TunectlError as exc:
@@ -61,6 +77,8 @@ def _exclusive(store_dir: Path) -> None:
     """Hold ``<store>/.lock`` until the command ends, so that a second ``run``,
     ``submit`` or ``scenario`` on the store exits instead of interleaving its
     writes with this one, or appending while a run compacts the journal."""
+    import fcntl
+
     store_dir.mkdir(parents=True, exist_ok=True)
     lock = click.get_current_context().with_resource(open(store_dir / ".lock", "a"))
     try:
@@ -73,6 +91,8 @@ def _exclusive(store_dir: Path) -> None:
 @click.group()
 @click.option("-v", "--verbose", is_flag=True, help="Enable debug logging.")
 def cli(verbose: bool) -> None:
+    import logging
+
     logging.basicConfig(
         level=logging.DEBUG if verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
@@ -84,6 +104,9 @@ def cli(verbose: bool) -> None:
 @store_option
 def submit(experiment_file: Path, store_dir: Path) -> None:
     """Validate an experiment file and persist it in the Created phase."""
+    from .controller.store import submit_experiment
+    from .resources import parse_experiment
+
     try:
         spec = parse_experiment(experiment_file.read_text())
     except ValidationError as exc:
@@ -131,6 +154,10 @@ def run(store_dir: Path, backend_name: str, scenario_file: Path | None, seed: in
     """Drive every experiment in the store to a terminal phase."""
     if backend_name == "local" and scenario_file is not None:
         raise click.UsageError("--scenario describes a simulated world; the local backend runs none")
+    from dataclasses import replace
+
+    from .controller.model import KIND_EXPERIMENT
+
     _exclusive(store_dir)
     if backend_name == "sim":
         from .cluster.sim import NodeGroup, Quota, ScenarioConfig, SimBackend as backend_cls
@@ -144,6 +171,7 @@ def run(store_dir: Path, backend_name: str, scenario_file: Path | None, seed: in
             return backend_cls(metrics)
         cfg = ScenarioConfig(seed, nodes=(NodeGroup(8.0, 4),), max_ticks=max_ticks)
         if scenario_file is not None:
+            from .controller.store import submit_experiment
             from .scenarios import load_scenario
 
             cfg, specs = load_scenario(scenario_file)
@@ -200,6 +228,11 @@ def export(
     experiment: str, store_dir: Path, namespace: str | None, fmt: str, output_path: Path | None
 ) -> None:
     """Export the per-trial results table (parallel-coordinates input)."""
+    from .controller.backend import ExecutionBackend
+    from .controller.model import KIND_EXPERIMENT
+    from .metrics import FileObservationStore
+    from .results import build_results_table, render_csv, render_jsonl
+
     store = _open_store(store_dir, readonly=True)
     metrics = FileObservationStore(store_dir / ExecutionBackend.METRICS_FILE, readonly=True)
     matches = [e for e in store.list(KIND_EXPERIMENT)
@@ -227,6 +260,9 @@ def export(
 @store_option
 def dump(store_dir: Path) -> None:
     """Print every stored resource as a YAML document, in key order."""
+    from .controller.model import resource_to_doc
+    from .resources import _yaml
+
     store = _open_store(store_dir, readonly=True)
     yaml, dumper = _yaml("Dumper")
     docs = (yaml.dump(resource_to_doc(r), Dumper=dumper, sort_keys=False, width=2**20) for r in store.list())

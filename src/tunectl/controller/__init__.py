@@ -1,53 +1,29 @@
-"""Resource store and the reconciliation control plane."""
+"""Resource store and the reconciliation control plane.
 
-from .backend import ExecutionBackend, JobPhase, JobState
-from .model import (
-    ExperimentPhase,
-    ExperimentStatus,
-    OptimalResult,
-    Resource,
-    SuggestionSpec,
-    SuggestionStatus,
-    TrialPhase,
-    TrialSpec,
-    TrialStatus,
-    resource_key,
-)
-from .reconcile import (
-    ControllerContext,
-    all_experiments_terminal,
-    controller_step,
-    reconcile_experiment,
-    reconcile_suggestion,
-    reconcile_trial,
-    run_control_loop,
-    submit_experiment,
-    terminal_snapshot,
-)
-from .store import ResourceStore
+Importing the package loads none of its modules: each public name imports
+the module that defines it when it is first read, so ``submit``, which
+needs only the store and the model, never loads the reconcilers.
+"""
 
-__all__ = [
-    "ControllerContext",
-    "ExecutionBackend",
-    "ExperimentPhase",
-    "ExperimentStatus",
-    "JobPhase",
-    "JobState",
-    "OptimalResult",
-    "Resource",
-    "ResourceStore",
-    "SuggestionSpec",
-    "SuggestionStatus",
-    "TrialPhase",
-    "TrialSpec",
-    "TrialStatus",
-    "all_experiments_terminal",
-    "controller_step",
-    "reconcile_experiment",
-    "reconcile_suggestion",
-    "reconcile_trial",
-    "resource_key",
-    "run_control_loop",
-    "submit_experiment",
-    "terminal_snapshot",
-]
+from __future__ import annotations
+
+from .. import _lazy
+
+_EXPORTS = {
+    name: module
+    for module, names in {
+        ".backend": ("ExecutionBackend", "JobPhase", "JobState"),
+        ".model": (
+            "ExperimentPhase", "ExperimentStatus", "OptimalResult", "Resource", "SuggestionSpec",
+            "SuggestionStatus", "TrialPhase", "TrialSpec", "TrialStatus", "resource_key",
+        ),
+        ".reconcile": (
+            "ControllerContext", "all_experiments_terminal", "controller_step", "reconcile_experiment",
+            "reconcile_suggestion", "reconcile_trial", "run_control_loop", "terminal_snapshot",
+        ),
+        ".store": ("ResourceStore", "submit_experiment"),
+    }.items()
+    for name in names
+}
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

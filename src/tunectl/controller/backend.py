@@ -161,9 +161,13 @@ class ExecutionBackend(ABC):
                  build: Callable[[ResourceStore, FileObservationStore], ExecutionBackend]) -> OpenRun:
         """Open the run kept in ``root``, in memory without one: the backend
         resumes at the store's last commit or, before any, is the one
-        ``build`` makes of the store and the metric log."""
+        ``build`` makes of the store and the metric log, which then starts
+        empty, as the event log does."""
         store = ResourceStore(root, commit=True)
-        metrics = FileObservationStore(None if root is None else store.root / cls.METRICS_FILE)
+        path = None if root is None else store.root / cls.METRICS_FILE
+        if path is not None and store.committed is None:  # no point of this run precedes its first commit
+            Journal(path).truncate(0)
+        metrics = FileObservationStore(path)
         if store.committed is not None:
             return OpenRun(store, metrics, cls.resume(store, metrics))
         backend = build(store, metrics)

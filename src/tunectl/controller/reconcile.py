@@ -89,7 +89,7 @@ from .model import (
     resource_key,
     trial_name_for,
 )
-from .store import ResourceStore
+from .store import ResourceStore, submit_experiment  # noqa: F401 -- perfbench/worker.py calls it under this module
 
 logger = logging.getLogger(__name__)
 
@@ -124,19 +124,6 @@ class ControllerContext:
 
 def service_name_for(experiment: str) -> str:
     return f"svc-{experiment}"
-
-
-def submit_experiment(store: ResourceStore, spec: ExperimentSpec) -> Resource:
-    """Persist a freshly validated experiment in the Created phase."""
-    return store.create(
-        Resource(
-            kind=KIND_EXPERIMENT,
-            namespace=spec.namespace,
-            name=spec.name,
-            spec=spec,
-            status=ExperimentStatus(),
-        )
-    )
 
 
 def _goal_met(spec: ExperimentSpec, optimal: OptimalResult | None) -> bool:

@@ -67,11 +67,12 @@ from typing import Callable
 
 from ..codec import Journal, compact_json, from_doc
 from ..errors import CasConflictError, ResourceExistsError, TunectlError, ValidationError
-from ..resources import BUDGET_PARAMETER, _check_cross_invariants
+from ..resources import BUDGET_PARAMETER, ExperimentSpec, _check_cross_invariants
 from ..suggest.registry import AssignmentSet, ObservationStatus, TrialObservation, assignment_key
 from .model import (
     KIND_EXPERIMENT,
     KIND_TRIAL,
+    ExperimentStatus,
     Resource,
     TrialPhase,
     clone_resource,
@@ -376,6 +377,11 @@ class ResourceStore:
         if self._journal is not None:
             self.flush()
             self._journal.close()
+
+
+def submit_experiment(store: ResourceStore, spec: ExperimentSpec) -> Resource:
+    """Persist a freshly validated experiment in the Created phase."""
+    return store.create(Resource(KIND_EXPERIMENT, spec.namespace, spec.name, spec, ExperimentStatus()))
 
 
 FileResourceStore = ResourceStore  # its earlier name, under which perfbench/tracer.py patches ``_load``

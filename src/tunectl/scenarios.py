@@ -31,8 +31,8 @@ from .codec import DocumentError, Journal, from_doc
 from .cluster.sim import AutoscalerConfig, ChaosMode, ChaosPolicy, NodeGroup, Quota, ScenarioConfig, SimBackend
 from .controller.backend import job_handle
 from .controller.model import KIND_EXPERIMENT, TrialPhase
-from .controller.reconcile import run_control_loop, submit_experiment
-from .controller.store import ResourceStore
+from .controller.reconcile import run_control_loop
+from .controller.store import ResourceStore, submit_experiment
 from .errors import TunectlError, ValidationError
 from .resources import (
     AlgorithmSpec,
@@ -138,7 +138,6 @@ def run_simulated(
             raise TunectlError(f"{held.path} holds experiments that this scenario "
                                "does not submit; give the scenario a directory of its own")
         held.path.unlink(missing_ok=True)
-        (held.root / SimBackend.METRICS_FILE).unlink(missing_ok=True)
     run = SimBackend.open_run(state_dir, lambda _store, metrics: SimBackend(world, metrics))
     store, metrics, backend = run
     for spec in experiments:

@@ -868,6 +868,27 @@ def test_a_run_stopped_before_its_first_tick_resumes_to_the_uninterrupted_files(
         assert (stopped / "store" / name).read_bytes() == (straight / "store" / name).read_bytes(), name
 
 
+def test_a_stale_metric_point_in_a_store_without_a_commit_reaches_neither_best_nor_export(runner, tmp_path):
+    # No point of a run precedes its first commit, so a fresh start empties
+    # the metric log, as it empties the event log.
+    outputs = {}
+    for stale in (False, True):
+        root = tmp_path / str(stale)
+        root.mkdir()
+        assert _submit(runner, root).exit_code == 0
+        store = root / "store"
+        if stale:
+            (store / "metrics.jsonl").write_text('{"trial":"team/cli-exp-0000","metric":"loss","ts":99,"value":-5.0}\n')
+        result = runner.invoke(cli, ["run", "--store", str(store), "--seed", "1"])
+        assert result.exit_code == 0, result.output
+        exported = runner.invoke(cli, ["export", "cli-exp", "--store", str(store)])
+        assert exported.exit_code == 0, exported.output
+        assert "best:" in result.output and "-5.0" not in result.output + exported.output
+        files = {path.relative_to(store): data for path, data in _store_files(store).items()}
+        outputs[stale] = {**files, "csv": exported.output, "summary": result.output}
+    assert outputs[True] == outputs[False]
+
+
 def test_run_folds_the_world_journal_and_closes_the_metric_log(runner, tmp_path, monkeypatch):
     from tunectl.metrics import FileObservationStore
 

@@ -3,7 +3,8 @@ runs none of its subpackages' ``__init__``, and numpy only for BO, TPE and
 noisy simulated objectives: random search, Hyperband and the simulator's
 chaos draw from the stdlib port in ``tunectl.pcg``. PyYAML loads only for
 the commands that read or write YAML, ``tunectl.scenarios`` only for a
-scenario file, and a run imports only the backend it runs."""
+scenario file, and a run imports only the backend it runs. ``--help`` loads
+the CLI alone, ``submit`` no reconciler, and ``export`` no reconciler."""
 
 from __future__ import annotations
 
@@ -107,6 +108,19 @@ def test_a_local_run_loads_no_simulator_and_no_yaml(tmp_path):
     assert _python(_SCOPE, *command, cwd=tmp_path) == "loaded: tunectl.cluster.localproc"
     assert "Succeeded" in (tmp_path / "store" / "journal.jsonl").read_text()
 
+
+def test_help_submit_and_export_load_only_the_modules_they_call(tmp_path):
+    # --help loads click and the CLI alone; submit needs the store and the
+    # parser, not the reconcilers, the backends or the metric log; export
+    # reads the store and the metric log, and runs no reconciler and no YAML.
+    (tmp_path / "exp.yaml").write_text(EXPERIMENT)
+    package = ("tunectl.resources", "tunectl.controller", "tunectl.metrics", "tunectl.results", "logging")
+    assert _python(_cli(*package), "--help", cwd=tmp_path) == "loaded:"
+    controller = ("tunectl.controller.reconcile", "tunectl.controller.backend", "tunectl.metrics")
+    assert _python(_cli(*controller), "submit", "exp.yaml", "--store", "store", cwd=tmp_path) == "loaded:"
+    assert _python(_cli(), "run", "--store", "store", "--seed", "1", cwd=tmp_path) == "loaded:"
+    assert _python(_cli("tunectl.controller.reconcile", "yaml"), "export", "scope", "--store", "store",
+                   cwd=tmp_path) == "loaded:"
 
 # Runs the simulated control loop on the store and kills it inside the
 # controller step of tick 3, at its first store write.
