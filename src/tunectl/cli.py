@@ -12,10 +12,13 @@ command imports numpy itself: a run loads it only for Bayesian
 optimization, TPE or a noisy simulated objective. ``run`` opens its store
 with ``ExecutionBackend.open_run``, as ``scenario --store`` does: it resumes
 either backend at the store's last commit, exits 4 at one the other backend
-wrote, and ends by compacting the journal.
+wrote, and ends by compacting the journal. ``submit``, ``run`` and
+``scenario --store`` write through a store that holds ``<store>/.lock``
+while open; ``export`` and ``dump`` read without it.
 
 Exit codes: 0 success, 2 validation failure, 3 name conflict, 4 runtime
-error, 5 scenario assertion failure.
+error (a store that another writer holds among them), 5 scenario assertion
+failure.
 """
 
 from __future__ import annotations
@@ -63,32 +66,20 @@ def run_control_loop(*args, **kwargs) -> dict:
     return run_control_loop(*args, **kwargs)
 
 
-def _open_store(store_dir: Path, readonly: bool = False) -> ResourceStore:
-    from .controller.store import ResourceStore
+class _Commands(click.Group):
+    """Exits 2 on a ``ValidationError``, 3 on a ``ResourceExistsError`` and 4
+    on any other ``TunectlError`` that a command raises, its message on stderr."""
 
-    try:
-        return ResourceStore(store_dir, readonly=readonly)
-    except TunectlError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_RUNTIME)
-
-
-def _exclusive(store_dir: Path) -> None:
-    """Hold ``<store>/.lock`` until the command ends, so that a second ``run``,
-    ``submit`` or ``scenario`` on the store exits instead of interleaving its
-    writes with this one, or appending while a run compacts the journal."""
-    import fcntl
-
-    store_dir.mkdir(parents=True, exist_ok=True)
-    lock = click.get_current_context().with_resource(open(store_dir / ".lock", "a"))
-    try:
-        fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
-    except BlockingIOError:
-        click.echo(f"store {store_dir} is in use by another 'tunectl run', 'submit' or 'scenario'", err=True)
-        sys.exit(EXIT_RUNTIME)
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except TunectlError as exc:
+            click.echo("\n".join(exc.errors if isinstance(exc, ValidationError) else [str(exc)]), err=True)
+            codes = {ValidationError: EXIT_VALIDATION, ResourceExistsError: EXIT_CONFLICT}
+            sys.exit(codes.get(type(exc), EXIT_RUNTIME))
 
 
-@click.group()
+@click.group(cls=_Commands)
 @click.option("-v", "--verbose", is_flag=True, help="Enable debug logging.")
 def cli(verbose: bool) -> None:
     import logging
@@ -104,7 +95,7 @@ def cli(verbose: bool) -> None:
 @store_option
 def submit(experiment_file: Path, store_dir: Path) -> None:
     """Validate an experiment file and persist it in the Created phase."""
-    from .controller.store import submit_experiment
+    from .controller.store import ResourceStore, submit_experiment
     from .resources import parse_experiment
 
     try:
@@ -113,13 +104,9 @@ def submit(experiment_file: Path, store_dir: Path) -> None:
         for error in exc.errors:
             click.echo(f"{experiment_file}: {error}", err=True)
         sys.exit(EXIT_VALIDATION)
-    _exclusive(store_dir)
-    store = _open_store(store_dir)
+    store = ResourceStore(store_dir)
     try:
         resource = submit_experiment(store, spec)
-    except ResourceExistsError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_CONFLICT)
     finally:
         store.close()
     click.echo(resource.key)
@@ -158,7 +145,6 @@ def run(store_dir: Path, backend_name: str, scenario_file: Path | None, seed: in
 
     from .controller.model import KIND_EXPERIMENT
 
-    _exclusive(store_dir)
     if backend_name == "sim":
         from .cluster.sim import NodeGroup, Quota, ScenarioConfig, SimBackend as backend_cls
     else:
@@ -186,29 +172,17 @@ def run(store_dir: Path, backend_name: str, scenario_file: Path | None, seed: in
         unnamed = dict.fromkeys(e.namespace for e in store.list(KIND_EXPERIMENT) if e.namespace not in named)
         return backend_cls(replace(cfg, namespaces=(*cfg.namespaces, *unnamed)).world(), metrics)
 
-    try:
-        opened = backend_cls.open_run(store_dir, build)
-    except ValidationError as exc:
-        for error in exc.errors:
-            click.echo(error, err=True)
-        sys.exit(EXIT_VALIDATION)
-    except TunectlError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_RUNTIME)
-    store, metrics, backend = opened
-    if scenario_file is not None and store.committed is not None:
-        click.echo("resuming persisted world; --scenario ignored", err=True)
-    try:
+    with backend_cls.open_run(store_dir, build) as (store, metrics, backend):
+        if scenario_file is not None and store.committed is not None:
+            click.echo("resuming persisted world; --scenario ignored", err=True)
         if not store.list(KIND_EXPERIMENT):
-            click.echo("store has no experiments; submit one first", err=True)
+            raise TunectlError("store has no experiments; submit one first")
+        try:
+            snapshot = run_control_loop(store, metrics, backend, max_ticks=max_ticks)
+            store.compact()
+        except KeyboardInterrupt:
+            click.echo("interrupted; state persisted, re-run to resume", err=True)
             sys.exit(EXIT_RUNTIME)
-        snapshot = run_control_loop(store, metrics, backend, max_ticks=max_ticks)
-        store.compact()
-    except KeyboardInterrupt:
-        click.echo("interrupted; state persisted, re-run to resume", err=True)
-        sys.exit(EXIT_RUNTIME)
-    finally:
-        opened.close()
     _print_summary(snapshot)
 
 
@@ -230,23 +204,19 @@ def export(
     """Export the per-trial results table (parallel-coordinates input)."""
     from .controller.backend import ExecutionBackend
     from .controller.model import KIND_EXPERIMENT
+    from .controller.store import ResourceStore
     from .metrics import FileObservationStore
     from .results import build_results_table, render_csv, render_jsonl
 
-    store = _open_store(store_dir, readonly=True)
+    store = ResourceStore(store_dir, readonly=True)
     metrics = FileObservationStore(store_dir / ExecutionBackend.METRICS_FILE, readonly=True)
     matches = [e for e in store.list(KIND_EXPERIMENT)
                if e.name == experiment and (namespace is None or e.namespace == namespace)]
     if not matches:
-        click.echo(f"unknown experiment '{experiment}'", err=True)
-        sys.exit(EXIT_RUNTIME)
+        raise TunectlError(f"unknown experiment '{experiment}'")
     if len(matches) > 1:
-        click.echo(
-            f"experiment '{experiment}' exists in namespaces "
-            f"{', '.join(sorted(e.namespace for e in matches))}; pass --namespace",
-            err=True,
-        )
-        sys.exit(EXIT_RUNTIME)
+        raise TunectlError(f"experiment '{experiment}' exists in namespaces "
+                           f"{', '.join(sorted(e.namespace for e in matches))}; pass --namespace")
     table = build_results_table(store, metrics, matches[0].namespace, experiment)
     text = render_csv(table) if fmt == "csv" else render_jsonl(table)
     if output_path is None:
@@ -261,9 +231,10 @@ def export(
 def dump(store_dir: Path) -> None:
     """Print every stored resource as a YAML document, in key order."""
     from .controller.model import resource_to_doc
+    from .controller.store import ResourceStore
     from .resources import _yaml
 
-    store = _open_store(store_dir, readonly=True)
+    store = ResourceStore(store_dir, readonly=True)
     yaml, dumper = _yaml("Dumper")
     docs = (yaml.dump(resource_to_doc(r), Dumper=dumper, sort_keys=False, width=2**20) for r in store.list())
     click.echo("---\n".join(docs), nl=False)
@@ -287,13 +258,7 @@ def scenario(name: str, seed: int, store_dir: Path | None) -> None:
 
     if name not in SCENARIOS:
         raise click.BadParameter(f"choose from {', '.join(SCENARIOS)}", param_hint="NAME")
-    if store_dir is not None:
-        _exclusive(store_dir)
-    try:
-        outcome = run_scenario(name, seed=seed, state_dir=store_dir)
-    except TunectlError as exc:
-        click.echo(f"scenario failed to run: {exc}", err=True)
-        sys.exit(EXIT_RUNTIME)
+    outcome = run_scenario(name, seed=seed, state_dir=store_dir)
     for check in outcome.checks:
         status = "PASS" if check.passed else "FAIL"
         click.echo(f"{status} {outcome.name}/{check.name}: {check.detail}")

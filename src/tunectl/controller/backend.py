@@ -5,11 +5,11 @@ trial phases.
 
 Both backends open, log, commit and resume one way; each supplies only its
 events, its ``state`` and how to ``restore`` itself from it. ``open_run``
-opens a run directory, or a run in memory: the store at its last commit,
-the metric log, and the backend, resumed from the store alone or else built
-afresh. There ``persist`` moves the events to ``events.jsonl`` and returns
-the commit, ``{<STATE_KEY>: <state>, "eventsOffset": <size>}``, that the
-store appends to its journal.
+is the one way to open a run directory, or a run in memory: the store at
+its last commit, which holds the directory's lock, the metric log, and the
+backend, resumed from the store alone or else built afresh. There
+``persist`` moves the events to ``events.jsonl`` and returns the commit,
+``{<STATE_KEY>: <state>, "eventsOffset": <size>}``, that the store appends.
 """
 
 from __future__ import annotations
@@ -159,46 +159,47 @@ class ExecutionBackend(ABC):
     @classmethod
     def open_run(cls, root: str | Path | None,
                  build: Callable[[ResourceStore, FileObservationStore], ExecutionBackend]) -> OpenRun:
-        """Open the run kept in ``root``, in memory without one: the backend
-        resumes at the store's last commit or, before any, is the one
-        ``build`` makes of the store and the metric log, which then starts
-        empty, as the event log does."""
+        """Open the run kept in ``root``, in memory without one. The backend
+        resumes at the store's last commit, each job's spec from the store,
+        its events logged after the commit (a torn step) cut, or, before any,
+        is the one ``build`` makes of the store and the metric log, which then
+        starts empty, as the event log does. If it raises, it closes what it opened."""
         store = ResourceStore(root, commit=True)
-        path = None if root is None else store.root / cls.METRICS_FILE
-        if path is not None and store.committed is None:  # no point of this run precedes its first commit
-            Journal(path).truncate(0)
-        metrics = FileObservationStore(path)
-        if store.committed is not None:
-            return OpenRun(store, metrics, cls.resume(store, metrics))
-        backend = build(store, metrics)
-        if root is not None:
-            backend._open_state(store.root, 0)
-        return OpenRun(store, metrics, backend)
+        metrics = backend = None
+        try:
+            path = None if root is None else store.root / cls.METRICS_FILE
+            if path is not None and store.committed is None:  # no point of this run precedes its first commit
+                Journal(path).truncate(0)
+            metrics = FileObservationStore(path)
+            offset, doc = 0, {}
+            if store.committed is None:
+                backend = build(store, metrics)
+            else:
+                try:
+                    doc = json.loads(store.committed)
+                    state, offset = doc[cls.STATE_KEY], doc["eventsOffset"]
+                    backend = cls.restore(state, metrics, lambda handle: stored_job_request(store, handle))
+                except (ValueError, KeyError, TypeError) as exc:
+                    other = next((name for key, name in cls.WRITERS.items()
+                                  if key != cls.STATE_KEY and key in doc), None)
+                    problem = (f"was written by 'tunectl run --backend {other}'; resume it with that backend or"
+                               if other else f"holds no {cls.STATE_KEY} that this version reads;")
+                    raise TunectlError(f"the last commit in {store.path} {problem} "
+                                       "start again in a fresh store") from exc
+            if root is not None:
+                backend._open_state(store.root, offset)
+            return OpenRun(store, metrics, backend)
+        except BaseException:
+            for opened in (backend, metrics, store):
+                if opened is not None:
+                    opened.close()
+            raise
 
     def _open_state(self, state_dir: Path, events_size: int) -> None:
         """Write events to ``state_dir``, its event log cut to ``events_size`` bytes."""
         self._state_dir = state_dir
         self._events = Journal(state_dir / self.EVENTS_FILE)
         self._events.truncate(events_size)
-
-    @classmethod
-    def resume(cls, store: ResourceStore, metrics) -> ExecutionBackend:
-        """Rebuild a backend in the directory of ``store`` from its last
-        commit, which ``persist`` returned, each job's spec from the store,
-        and cut the events logged after the commit (a torn step): they will
-        be emitted again."""
-        doc: Any = {}
-        try:
-            doc = json.loads(store.committed)
-            state, offset = doc[cls.STATE_KEY], doc["eventsOffset"]
-            backend = cls.restore(state, metrics, lambda handle: stored_job_request(store, handle))
-        except (ValueError, KeyError, TypeError) as exc:
-            other = next((name for key, name in cls.WRITERS.items() if key != cls.STATE_KEY and key in doc), None)
-            problem = (f"was written by 'tunectl run --backend {other}'; resume it with that backend or" if other
-                       else f"holds no {cls.STATE_KEY} that this version reads;")
-            raise TunectlError(f"the last commit in {store.path} {problem} start again in a fresh store") from exc
-        backend._open_state(store.root, offset)
-        return backend
 
     def persist(self) -> str | None:
         """Move the events to the event log; return the commit, None outside a run directory."""
@@ -215,14 +216,22 @@ class ExecutionBackend(ABC):
 
 
 class OpenRun(NamedTuple):
-    """A run as ``ExecutionBackend.open_run`` opened it."""
+    """A run as ``ExecutionBackend.open_run`` opened it. Leaving a ``with``
+    block only closes it: compacting after an exception would write a torn
+    tick's records ahead of the last commit."""
 
     store: ResourceStore
     metrics: FileObservationStore
     backend: ExecutionBackend
 
     def close(self) -> None:
-        """Close the backend, then the metric log, then the store."""
+        """Close the backend, then the metric log, then the store and its lock."""
         self.backend.close()
         self.metrics.close()
         self.store.close()
+
+    def __enter__(self) -> OpenRun:
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()

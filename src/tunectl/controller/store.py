@@ -28,6 +28,9 @@ commit line and the experiment creates after it, which only ``submit``
 writes, and drops the rest: the writes of a tick cut short, which the
 resumed run makes again.
 
+A writable store on a directory holds ``<dir>/.lock`` while open: a second
+writer is refused instead of interleaving its writes with a run's.
+
 Durability (``codec.Journal``): a store opened at its ``commit``, as
 ``tunectl run`` opens it, holds its records until ``flush`` (once a tick,
 before the backend's ``persist``), ``commit`` or ``close`` writes them in
@@ -59,11 +62,12 @@ so the controllers read what they need without scanning every resource:
 from __future__ import annotations
 
 import bisect
+import fcntl
 import json
 import threading
 from collections import Counter
 from pathlib import Path
-from typing import Callable
+from typing import BinaryIO, Callable
 
 from ..codec import Journal, compact_json, from_doc
 from ..errors import CasConflictError, ResourceExistsError, TunectlError, ValidationError
@@ -166,14 +170,17 @@ class ResourceStore:
 
     Resources are frozen values, so reads hand out the stored objects
     themselves, and a write stores one new resource at the next generation.
-    Opened ``readonly``, it creates nothing, cuts no torn tail and refuses
-    writes, so it can read a store that a running ``tunectl run`` is
-    appending to. Opened at its ``commit``, it holds its records until
+    Writable on a directory, it takes ``<root>/.lock`` before it reads its
+    journal, refused while another holds it, and lets go in ``close``.
+    Opened ``readonly``, it takes no lock, creates nothing, cuts no torn tail
+    and refuses writes, so it can read a store that a running
+    ``tunectl run`` is appending to. Opened at its ``commit``, it holds its records until
     ``flush``, ``commit`` or ``close``. ``committed`` is the body of the
     last commit it read or wrote, None before any.
     """
 
     JOURNAL = "journal.jsonl"
+    LOCK = ".lock"
     # Directories of the one-YAML-file-per-resource layout of earlier versions.
     _OLD_LAYOUT = ("experiments", "suggestions", "trials")
     # The simulated world's files of earlier versions, before the journal held its commits.
@@ -195,13 +202,24 @@ class ResourceStore:
         self._written = False  # a record appended since the last commit
         self._hold = commit  # keep records in ``_held`` until ``flush``
         self._held: list[str] = []
+        self._held_lock: BinaryIO | None = None
         if root is not None:
             self.root = Path(root)
             self._journal = Journal(self.root / self.JOURNAL)
             self.path = self._journal.path
-            if not readonly:
-                self.root.mkdir(parents=True, exist_ok=True)
-            self._load(commit)
+            try:
+                if not readonly:
+                    self.root.mkdir(parents=True, exist_ok=True)
+                    self._held_lock = (self.root / self.LOCK).open("ab")
+                    fcntl.flock(self._held_lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                self._load(commit)
+            except BlockingIOError:
+                self.close()
+                raise TunectlError(f"store {self.root} is in use by another 'tunectl run', 'submit' or "
+                                   "'scenario', or by a program that opened it") from None
+            except BaseException:
+                self.close()
+                raise
 
     def create(self, resource: Resource) -> Resource:
         with self._lock:
@@ -372,11 +390,13 @@ class ResourceStore:
             self._journal.replace(lines)
 
     def close(self) -> None:
-        """Write the records held and close the journal's append handle; a
-        later write opens it again."""
+        """Write the records held, close the journal's append handle and let
+        go of the lock; safe to call twice."""
         if self._journal is not None:
             self.flush()
             self._journal.close()
+        if self._held_lock is not None:
+            self._held_lock.close()
 
 
 def submit_experiment(store: ResourceStore, spec: ExperimentSpec) -> Resource:

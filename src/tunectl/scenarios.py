@@ -126,33 +126,38 @@ def run_simulated(
     With ``drain_to_min_nodes`` the world keeps ticking after termination
     until the autoscaler has shrunk back to its floor (bounded by grace).
     With a ``state_dir`` the run starts afresh there, its journal compacted
-    at the end, and reads its events back from the event log. A journal
-    there that holds an experiment this run does not submit is another
-    store's: the run refuses it and writes nothing.
+    at the end, and reads its events back from the event log. A writable
+    store checks and empties the directory under its lock, then closes; a
+    writer that takes the lock before the run opens makes the open refuse,
+    and ``tunectl scenario`` exit 4. A journal there that holds an experiment this run does not
+    submit is another store's: the run refuses it, writing only the lock
+    file and the cut of a torn last line.
     """
     world = cfg.world()
     if state_dir is not None:
         ours = {(spec.namespace, spec.name) for spec in experiments}
-        held = ResourceStore(state_dir, readonly=True)
-        if any((e.namespace, e.name) not in ours for e in held.list(KIND_EXPERIMENT)):
-            raise TunectlError(f"{held.path} holds experiments that this scenario "
-                               "does not submit; give the scenario a directory of its own")
-        held.path.unlink(missing_ok=True)
-    run = SimBackend.open_run(state_dir, lambda _store, metrics: SimBackend(world, metrics))
-    store, metrics, backend = run
-    for spec in experiments:
-        submit_experiment(store, spec)
-    snapshot = run_control_loop(store, metrics, backend, max_ticks=cfg.max_ticks)
-    autoscaler = cfg.autoscaler
-    if drain_to_min_nodes and autoscaler is not None:
-        budget = autoscaler.scale_down_grace_ticks + 15
-        for _ in range(budget):
-            if len(world.nodes) <= autoscaler.min_nodes:
-                break
-            backend.advance(lambda: 0)
-    store.commit(backend.persist())
-    store.compact()
-    run.close()
+        held = ResourceStore(state_dir)
+        try:
+            if any((e.namespace, e.name) not in ours for e in held.list(KIND_EXPERIMENT)):
+                raise TunectlError(f"{held.path} holds experiments that this scenario "
+                                   "does not submit; give the scenario a directory of its own")
+            held.path.unlink(missing_ok=True)
+        finally:
+            held.close()
+    with SimBackend.open_run(state_dir, lambda _store, metrics: SimBackend(world, metrics)) as run:
+        store, metrics, backend = run
+        for spec in experiments:
+            submit_experiment(store, spec)
+        snapshot = run_control_loop(store, metrics, backend, max_ticks=cfg.max_ticks)
+        autoscaler = cfg.autoscaler
+        if drain_to_min_nodes and autoscaler is not None:
+            budget = autoscaler.scale_down_grace_ticks + 15
+            for _ in range(budget):
+                if len(world.nodes) <= autoscaler.min_nodes:
+                    break
+                backend.advance(lambda: 0)
+        store.commit(backend.persist())
+        store.compact()
     log = None if state_dir is None else Journal(store.root / SimBackend.EVENTS_FILE)
     events = world.events if log is None else [json.loads(line) for line in log.read()]
     return SimRun(snapshot=snapshot, store=store, events=events)

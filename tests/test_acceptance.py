@@ -443,11 +443,9 @@ def test_criterion_8_recovery(tmp_path):
         nonlocal mutations
         mutations += 1
 
-    run = SimBackend.open_run(tmp_path / "clean", _build_recovery)
-    store, metrics, backend = run
-    _on_writes(store, count_mutation)
-    clean = run_control_loop(store, metrics, backend)
-    run.close()
+    with SimBackend.open_run(tmp_path / "clean", _build_recovery) as (store, metrics, backend):
+        _on_writes(store, count_mutation)
+        clean = run_control_loop(store, metrics, backend)
     clean_fp = _fingerprint(clean)
     terminal_tick = clean["ticks"]
     total_mutations = mutations
@@ -465,9 +463,9 @@ def test_criterion_8_recovery(tmp_path):
                 if tick == kt and phase == kp:
                     raise SimulatedCrash(f"kill at tick {kt} phase {kp}")
 
-            store, metrics, backend = SimBackend.open_run(directory, _build_recovery)
-            with tick_hook(hook), pytest.raises(SimulatedCrash):
-                run_control_loop(store, metrics, backend)
+            with SimBackend.open_run(directory, _build_recovery) as run, tick_hook(hook), \
+                    pytest.raises(SimulatedCrash):
+                run_control_loop(*run)
         else:
             kill_at = int(rng.integers(1, total_mutations + 1))
             seen = 0
@@ -478,17 +476,15 @@ def test_criterion_8_recovery(tmp_path):
                 if seen == ka:
                     raise SimulatedCrash(f"kill at mutation {ka}")
 
-            store, metrics, backend = SimBackend.open_run(directory, _build_recovery)
-            _on_writes(store, mutation_hook)
-            try:
-                run_control_loop(store, metrics, backend)
-            except SimulatedCrash:
-                pass  # crashed mid-write sequence as intended
-        backend.close()
+            with SimBackend.open_run(directory, _build_recovery) as (store, metrics, backend):
+                _on_writes(store, mutation_hook)
+                try:
+                    run_control_loop(store, metrics, backend)
+                except SimulatedCrash:
+                    pass  # crashed mid-write sequence as intended
 
-        run = SimBackend.open_run(directory, _build_recovery)
-        resumed = run_control_loop(*run)
-        run.close()
+        with SimBackend.open_run(directory, _build_recovery) as run:
+            resumed = run_control_loop(*run)
         if _fingerprint(resumed) == clean_fp:
             identical += 1
     _report(

@@ -20,6 +20,7 @@ import yaml
 from click.testing import CliRunner
 
 from tunectl.cli import cli
+from tunectl.errors import TunectlError
 
 EXPERIMENT = """
 name: cli-exp
@@ -676,6 +677,68 @@ def test_submit_on_a_locked_store_exits_4_and_leaves_it_untouched(runner, tmp_pa
     assert "in use" in result.output
     assert _store_files(store) == before
     assert runner.invoke(cli, ["submit", str(other), "--store", str(store)]).exit_code == 0
+
+
+def test_scenario_on_a_locked_store_exits_4_and_leaves_it_untouched(runner, tmp_path):
+    store = tmp_path / "state"
+    assert runner.invoke(cli, ["scenario", "chaos-kill", "--store", str(store)]).exit_code == 0
+    before = _store_files(store)
+    with open(store / ".lock", "a") as held:
+        fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        result = runner.invoke(cli, ["scenario", "chaos-kill", "--seed", "1", "--store", str(store)])
+    assert result.exit_code == 4, result.output
+    assert "in use" in result.output
+    assert _store_files(store) == before
+    assert runner.invoke(cli, ["scenario", "chaos-kill", "--seed", "1", "--store", str(store)]).exit_code == 0
+
+
+def test_export_and_dump_read_a_locked_store(runner, tmp_path):
+    # They only read, and take no lock: a running ``tunectl run`` holds it.
+    _submit(runner, tmp_path)
+    store = tmp_path / "store"
+    assert runner.invoke(cli, ["run", "--store", str(store), "--seed", "5"]).exit_code == 0
+    commands = (["export", "cli-exp"], ["dump"])
+    free = [runner.invoke(cli, [*args, "--store", str(store)]).output for args in commands]
+    with open(store / ".lock", "a") as held:
+        fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        for args, output in zip(commands, free):
+            result = runner.invoke(cli, [*args, "--store", str(store)])
+            assert result.exit_code == 0, result.output
+            assert result.output == output
+
+
+def test_an_error_inside_a_run_exits_4_and_leaves_the_store_free_and_uncompacted(runner, tmp_path, monkeypatch):
+    import tunectl.cli
+
+    _submit(runner, tmp_path)
+    store = tmp_path / "store"
+    loop = tunectl.cli.run_control_loop
+
+    def failing(*args, **kwargs):
+        loop(*args, **kwargs)
+        raise TunectlError("the controller failed")
+
+    monkeypatch.setattr(tunectl.cli, "run_control_loop", failing)
+    result = runner.invoke(cli, ["run", "--store", str(store), "--seed", "5", "--max-ticks", "2"])
+    assert result.exit_code == 4, result.output
+    assert "the controller failed" in result.output
+    commits = [line for line in (store / "journal.jsonl").read_text().splitlines() if line.startswith('{"commit":')]
+    assert len(commits) > 1  # the run was not compacted
+    monkeypatch.undo()
+    assert runner.invoke(cli, ["run", "--store", str(store), "--seed", "5"]).exit_code == 0
+
+
+def test_a_run_refused_at_the_other_backend_s_commit_leaves_the_store_free(runner, tmp_path):
+    # The refused open closes what it opened, its lock included, so the
+    # next command in the same process opens the store.
+    _submit(runner, tmp_path)
+    store = tmp_path / "store"
+    assert runner.invoke(cli, ["run", "--store", str(store), "--seed", "5", "--max-ticks", "2"]).exit_code == 0
+    refused = runner.invoke(cli, ["run", "--store", str(store), "--backend", "local"])
+    assert refused.exit_code == 4, refused.output
+    assert "was written by 'tunectl run --backend sim'" in refused.output
+    result = runner.invoke(cli, ["run", "--store", str(store), "--seed", "5"])
+    assert result.exit_code == 0, result.output
 
 
 OLD_DELTA = {"tick": 4, "nodeSeq": 4, "nodes": {}, "namespaces": {}, "jobs": {}, "released": [], "eventsOffset": 0}

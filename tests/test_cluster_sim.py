@@ -353,15 +353,14 @@ def test_a_backend_with_a_state_directory_writes_its_events_only_to_the_file(tmp
     worlds = {}
     for key, root in (("memory", None), ("file", tmp_path)):
         world = worlds[key] = _world(capacities=(4.0,), seed=5)
-        run = SimBackend.open_run(root, lambda _store, metrics, world=world: SimBackend(world, metrics))
-        backend = run.backend
-        backend.reserve_service("ns", "svc", 0.5)
-        for i in range(3):
-            _submit(world, f"t-{i}")
-        for _ in range(8):
-            backend.advance(lambda: 0)
-            backend.persist()
-        run.close()
+        with SimBackend.open_run(root, lambda _store, metrics, world=world: SimBackend(world, metrics)) as run:
+            backend = run.backend
+            backend.reserve_service("ns", "svc", 0.5)
+            for i in range(3):
+                _submit(world, f"t-{i}")
+            for _ in range(8):
+                backend.advance(lambda: 0)
+                backend.persist()
     written = [json.loads(line) for line in (tmp_path / SimBackend.EVENTS_FILE).read_text().splitlines()]
     assert worlds["file"].events == []
     assert written == json.loads(json.dumps(worlds["memory"].events))

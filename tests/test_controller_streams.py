@@ -89,11 +89,9 @@ def _run(directory, algorithm: str, stop_tick: int | None = None) -> dict:
         submit_experiment(store, _spec(algorithm))
         return SimBackend(world, metrics)
 
-    run = SimBackend.open_run(directory, build)
     stop = None if stop_tick is None else (lambda tick: tick == stop_tick)
-    snapshot = run_control_loop(*run, stop=stop)
-    run.close()
-    return snapshot
+    with SimBackend.open_run(directory, build) as run:
+        return run_control_loop(*run, stop=stop)
 
 
 def _digest(directory) -> str:

@@ -586,9 +586,6 @@ def test_a_progress_bar_that_never_ends_its_line_holds_the_tail_at_read_bytes(tm
 
 def test_an_idle_trainer_adds_no_line_to_the_journal_or_the_event_log(tmp_path):
     # A local run commits when a trainer starts or ends, not at every poll.
-    run = LocalProcessBackend.open_run(tmp_path, lambda _store, metrics: LocalProcessBackend(metrics, 0.005))
-    store, metrics, backend = run
-    submit_experiment(store, _local_experiment("sleep 30", parallel=1, max_trials=1))
     sizes = {}
 
     def stop(ticks):
@@ -596,12 +593,11 @@ def test_an_idle_trainer_adds_no_line_to_the_journal_or_the_event_log(tmp_path):
             sizes[ticks] = [(tmp_path / name).stat().st_size for name in ("journal.jsonl", "events.jsonl")]
         return ticks >= 40
 
-    try:
-        run_control_loop(store, metrics, backend, stop=stop)
-    finally:
-        run.close()
+    with LocalProcessBackend.open_run(tmp_path, lambda _store, metrics: LocalProcessBackend(metrics, 0.005)) as run:
+        submit_experiment(run.store, _local_experiment("sleep 30", parallel=1, max_trials=1))
+        run_control_loop(*run, stop=stop)
     assert sizes[3] == sizes[40] and sizes[3][1] > 0
-    commit = json.loads(store.committed)
+    commit = json.loads(run.store.committed)
     assert list(commit["trainers"]) == ["ns/exp-0000"] and commit["eventsOffset"] == sizes[3][1]
 
 
@@ -618,13 +614,18 @@ def test_a_local_backend_without_a_state_directory_keeps_no_events_and_reads_no_
 
 
 def _recorded_sleeper(tmp_path, started):
-    """A ``sleep`` in a session of its own, and the store in ``tmp_path``
-    opened at a commit that records it started at ``started``."""
+    """A ``sleep`` in a session of its own, and a store in ``tmp_path``
+    whose commit records it started at ``started``."""
     process = subprocess.Popen(["sleep", "30"], start_new_session=True)
     writer = FileResourceStore(tmp_path)
     writer.commit(f'{{"trainers":{{"ns/t":[{process.pid},{started(process.pid)}]}},"eventsOffset":0}}')
     writer.close()
-    return process, FileResourceStore(tmp_path, commit=True)
+    return process
+
+
+def _resume(tmp_path):
+    """Open the local run in ``tmp_path`` at its commit, then close it."""
+    LocalProcessBackend.open_run(tmp_path, lambda _store, metrics: LocalProcessBackend(metrics)).close()
 
 
 @pytest.mark.parametrize("proc", [True, False], ids=["proc", "no-proc"])
@@ -632,26 +633,24 @@ def test_a_resume_stops_a_recorded_trainer_that_still_runs(tmp_path, monkeypatch
     # Without /proc a trainer is matched on its pid alone.
     if not proc:
         monkeypatch.setattr(localproc, "_PROC", tmp_path / "no-proc")
-    process, store = _recorded_sleeper(tmp_path, localproc._start_time)
+    process = _recorded_sleeper(tmp_path, localproc._start_time)
     try:
-        LocalProcessBackend.resume(store, InMemoryObservationStore()).close()
+        _resume(tmp_path)
         assert process.wait(timeout=5) == -15
     finally:
         process.kill()
         process.wait()
-        store.close()
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads start times from /proc")
 def test_a_resume_leaves_a_process_that_reuses_a_recorded_pid_alone(tmp_path):
-    process, store = _recorded_sleeper(tmp_path, lambda pid: localproc._start_time(pid) - 1)
+    process = _recorded_sleeper(tmp_path, lambda pid: localproc._start_time(pid) - 1)
     try:
-        LocalProcessBackend.resume(store, InMemoryObservationStore()).close()
+        _resume(tmp_path)
         assert process.poll() is None
     finally:
         process.kill()
         process.wait()
-        store.close()
 
 
 def test_a_step_that_records_a_trainer_s_end_commits_it_while_another_trainer_runs(tmp_path):
@@ -664,19 +663,15 @@ def test_a_step_that_records_a_trainer_s_end_commits_it_while_another_trainer_ru
         template=TrialTemplate(kind=TemplateKind.LOCAL_PROCESS, payload='sh -c "sleep ${t}; echo 1 accuracy=0.5"'),
     )
     spec = replace(spec, algorithm=replace(spec.algorithm, settings={}))
-    run = LocalProcessBackend.open_run(tmp_path, lambda _store, metrics: LocalProcessBackend(metrics, 0.005))
-    store, metrics, backend = run
-    submit_experiment(store, spec)
     deadline = time.monotonic() + 20
 
     def quick_succeeded(_ticks):
         assert time.monotonic() < deadline
-        return store.get(f"{KIND_TRIAL}/ns/exp-0000").status.phase is TrialPhase.SUCCEEDED
+        return run.store.get(f"{KIND_TRIAL}/ns/exp-0000").status.phase is TrialPhase.SUCCEEDED
 
-    try:
-        run_control_loop(store, metrics, backend, stop=quick_succeeded)
-    finally:
-        run.close()
+    with LocalProcessBackend.open_run(tmp_path, lambda _store, metrics: LocalProcessBackend(metrics, 0.005)) as run:
+        submit_experiment(run.store, spec)
+        run_control_loop(*run, stop=quick_succeeded)
     resumed = FileResourceStore(tmp_path, commit=True)
     assert resumed.get(f"{KIND_TRIAL}/ns/exp-0000").status.phase is TrialPhase.SUCCEEDED
     resumed.close()

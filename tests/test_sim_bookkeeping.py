@@ -11,7 +11,6 @@ from tunectl.controller.backend import JobPhase, JobRequest, stored_job_request
 from tunectl.controller.model import KIND_EXPERIMENT, KIND_TRIAL, Resource, TrialSpec, TrialStatus, resource_key
 from tunectl.controller.reconcile import submit_experiment
 from tunectl.controller.store import ResourceStore
-from tunectl.metrics import InMemoryObservationStore
 from tunectl.resources import (
     CollectorKind,
     ParameterSpec,
@@ -55,12 +54,18 @@ def stored_submit(world: SimWorld, store: ResourceStore, trial: str, template: T
 
 
 def resumed(world: SimWorld, store: ResourceStore) -> SimWorld:
-    """``world`` committed by a run opened in the directory of ``store``, and
-    resumed from that commit."""
-    run = SimBackend.open_run(store.root, lambda _store, metrics: SimBackend(world, metrics))
-    run.store.commit(run.backend.persist())
-    run.close()
-    return SimBackend.resume(run.store, InMemoryObservationStore()).world
+    """``world`` committed by a run opened in the directory of ``store``,
+    closed first so that the run can take the directory's lock, and resumed
+    from that commit."""
+    store.close()
+
+    def build(_store, metrics):
+        return SimBackend(world, metrics)
+
+    with SimBackend.open_run(store.root, build) as run:
+        run.store.commit(run.backend.persist())
+    with SimBackend.open_run(store.root, build) as run:
+        return run.backend.world
 
 
 def _submit(world: SimWorld, store: ResourceStore, trial: str, workers: int) -> None:
@@ -126,6 +131,7 @@ def test_cpu_totals_survive_a_snapshot_round_trip(tmp_path):
         assert_bookkeeping(restored)
     assert to_doc(restored) == to_doc(world)
     assert restored.events[-50:] == world.events[-50:]
+    store.close()
 
 
 def test_nodes_emptied_of_fractional_cpu_units_scale_down():

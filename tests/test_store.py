@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import fcntl
 import json
 from collections import Counter, namedtuple
 from dataclasses import FrozenInstanceError, fields, replace
@@ -138,6 +139,7 @@ def test_file_store_round_trip(tmp_path):
     assert trial2.status.restart_count == 1
     assert trial2.spec.assignments == (("x", 0.25),)
     assert trial2.generation == 2
+    reloaded.close()
 
 
 def test_file_store_preserves_generations_across_reload(tmp_path):
@@ -273,7 +275,9 @@ def test_indexes_match_a_recomputation_after_every_write(tmp_path_factory, write
             store.update(replace(trial, status=replace(trial.status, phase=phase, observation=observation)))
         _assert_indexes(store)
     store.close()
-    _assert_indexes(FileResourceStore(path))  # loading rebuilds the same indexes
+    reloaded = FileResourceStore(path)
+    _assert_indexes(reloaded)  # loading rebuilds the same indexes
+    reloaded.close()
 
 
 def _resources_of_every_shape():
@@ -383,18 +387,22 @@ def test_journal_round_trip_through_compaction(tmp_path):
     records = [json.loads(line) for line in _journal_lines(tmp_path)]
     assert [f"{d['kind']}/{d['namespace']}/{d['name']}" for d in records] == [r.key for r in written]
     assert [d["generation"] for d in records] == [r.generation for r in written]
+    store.close()
     loaded = FileResourceStore(tmp_path)
     assert loaded.list() == written
     for kind in (KIND_EXPERIMENT, KIND_SUGGESTION, KIND_TRIAL):
         assert loaded.keys(kind) == store.keys(kind)
     assert _index_of(loaded, "ns", "exp") == _index_of(store, "ns", "exp")
     assert loaded.trials("ns", "exp").best == store.trials("ns", "exp").best
+    loaded.close()
 
     # The compacted store takes writes again, on a journal of its own.
     trial = store.get(store.keys(KIND_TRIAL)[0])
     store.update(replace(trial, status=replace(trial.status, reason="after compaction")))
     assert len(_journal_lines(tmp_path)) == len(written) + 1
-    assert FileResourceStore(tmp_path).list() == store.list()
+    reloaded = FileResourceStore(tmp_path)
+    assert reloaded.list() == store.list()
+    reloaded.close()
     store.close()
 
 
@@ -441,9 +449,11 @@ def test_reopening_a_journal_cut_at_any_byte_loads_exactly_its_complete_records(
     late = _experiment_resource(name="late")
     reopened.create(late)
     reopened.close()
-    assert {r.key: r for r in FileResourceStore(path).list()} == {
+    reloaded = FileResourceStore(path)
+    assert {r.key: r for r in reloaded.list()} == {
         r.key: r for r in [*expected, reopened.get(late.key)]
     }
+    reloaded.close()
 
 
 def _largest_suggestion_record(store_dir, trials: int) -> int:
@@ -574,9 +584,8 @@ def _sim_experiment_run(root, commits=None, writes=None):
         world.add_namespace("ns")
         return Recording(world, metrics)
 
-    run = SimBackend.open_run(root / "store", build)
-    run_control_loop(*run, max_ticks=200)
-    run.close()
+    with SimBackend.open_run(root / "store", build) as run:
+        run_control_loop(*run, max_ticks=200)
     return run.store
 
 
@@ -642,13 +651,18 @@ def test_a_journal_of_status_only_records_reloads_plain_at_every_commit_and_comp
     # Cut anywhere past a commit, the journal opens at its last commit.
     for lines, expected in commits.items():
         for cut in {lines + 1, *[n for n in commits if n > lines][:1]}:
-            assert opened(f"at-{lines}-{cut}", cut, commit=True)[1] == expected, (lines, cut)
+            loaded, state = opened(f"at-{lines}-{cut}", cut, commit=True)
+            loaded.close()
+            assert state == expected, (lines, cut)
 
     # Compaction writes whole records, and they load to the same store.
     plain.compact()
+    plain.close()
     assert all("spec" in json.loads(line) for line in _journal_lines(tmp_path / "plain"))
-    assert FileResourceStore(tmp_path / "plain").list() == written[0]
-    assert _index_of(FileResourceStore(tmp_path / "plain"), "ns", "exp") == written[1]
+    reloaded = FileResourceStore(tmp_path / "plain")
+    assert reloaded.list() == written[0]
+    assert _index_of(reloaded, "ns", "exp") == written[1]
+    reloaded.close()
 
 
 def test_a_status_only_record_with_no_record_before_it_exits_4_naming_its_line(tmp_path):
@@ -751,9 +765,76 @@ def test_a_compacted_journal_ends_with_its_last_commit_and_opens_at_it(tmp_path)
         opened = FileResourceStore(tmp_path, commit=commit)
         assert opened.committed == '["any", "json"]'
         assert [r.status.trials_pending for r in opened.list(KIND_EXPERIMENT)] == [1, 1]
+        opened.close()
     # A store that never committed compacts to its records alone.
     plain = FileResourceStore(tmp_path / "plain")
     plain.create(_experiment_resource())
     plain.compact()
-    assert FileResourceStore(tmp_path / "plain", commit=True).committed is None
+    plain.close()
+    reloaded = FileResourceStore(tmp_path / "plain", commit=True)
+    assert reloaded.committed is None
+    reloaded.close()
     assert b"commit" not in (tmp_path / "plain" / FileResourceStore.JOURNAL).read_bytes()
+
+
+def _lock_is_free(root) -> bool:
+    """Whether a file of its own can take the store's lock in ``root``."""
+    with open(root / ResourceStore.LOCK, "ab") as fp:
+        try:
+            fcntl.flock(fp, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("commit", [False, True])
+def test_a_second_writable_store_of_a_directory_is_refused_until_the_first_closes(tmp_path, commit):
+    first = FileResourceStore(tmp_path)
+    first.create(_experiment_resource())
+    assert not _lock_is_free(tmp_path)
+    with pytest.raises(TunectlError) as raised:
+        FileResourceStore(tmp_path, commit=commit)
+    assert f"store {tmp_path} is in use by another" in str(raised.value)
+    assert FileResourceStore(tmp_path, readonly=True).list() == first.list()  # a reader takes no lock
+    first.close()
+    assert _lock_is_free(tmp_path)
+    second = FileResourceStore(tmp_path, commit=commit)
+    assert second.list() == first.list()
+    second.close()
+    second.close()  # closing twice is safe
+    assert _lock_is_free(tmp_path)
+
+
+def test_a_read_only_store_neither_takes_nor_creates_the_lock(tmp_path):
+    store = FileResourceStore(tmp_path)
+    store.create(_experiment_resource())
+    store.close()
+    (tmp_path / ResourceStore.LOCK).unlink()
+    assert FileResourceStore(tmp_path, readonly=True).list() == store.list()
+    assert not (tmp_path / ResourceStore.LOCK).exists()
+
+
+def _old_layout(root):
+    (root / FileResourceStore.JOURNAL).unlink()
+    (root / "trials").mkdir()
+
+
+def _old_world(root):
+    (root / "world.jsonl").write_text("{}\n")
+
+
+def _unreadable_record(root):
+    with (root / FileResourceStore.JOURNAL).open("a") as fp:
+        fp.write('{"kind": "trial"}\n')
+
+
+@pytest.mark.parametrize("spoil", [_old_layout, _old_world, _unreadable_record])
+def test_a_store_that_fails_to_load_lets_go_of_its_lock_at_once(tmp_path, spoil):
+    store = FileResourceStore(tmp_path)
+    store.create(_experiment_resource())
+    store.close()
+    spoil(tmp_path)
+    for commit in (False, True):
+        with pytest.raises(TunectlError) as failed:  # keeps the failed store alive with its frames
+            FileResourceStore(tmp_path, commit=commit)
+        assert _lock_is_free(tmp_path), failed.value

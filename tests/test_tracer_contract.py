@@ -46,11 +46,10 @@ from tunectl.results import build_results_table, render_csv
 world = SimWorld(seed=1)
 world.add_node(4.0)
 world.add_namespace("bench")
-run = SimBackend.open_run(Path(tempfile.mkdtemp()), lambda _store, metrics: SimBackend(world, metrics))
-store, metrics, backend = run
-submit_experiment(store, parse_experiment(sys.argv[1]))
-snapshot = run_control_loop(store, metrics, backend)
-run.close()
+with SimBackend.open_run(Path(tempfile.mkdtemp()), lambda _store, metrics: SimBackend(world, metrics)) as run:
+    store, metrics, backend = run
+    submit_experiment(store, parse_experiment(sys.argv[1]))
+    snapshot = run_control_loop(store, metrics, backend)
 render_csv(build_results_table(store, metrics, "bench", "sphere"))
 print(json.dumps({"snapshot": snapshot, **tr.summary()}))
 """
@@ -70,11 +69,10 @@ from tunectl.controller.reconcile import run_control_loop, submit_experiment
 from tunectl.resources import parse_experiment
 
 root = Path(tempfile.mkdtemp())
-run = LocalProcessBackend.open_run(root, lambda _store, metrics: LocalProcessBackend(metrics, poll_interval=0.005))
-store, metrics, backend = run
-submit_experiment(store, parse_experiment(sys.argv[1].replace("PYTHON", sys.executable)))
-snapshot = run_control_loop(store, metrics, backend)
-run.close()
+build = lambda _store, metrics: LocalProcessBackend(metrics, poll_interval=0.005)
+with LocalProcessBackend.open_run(root, build) as (store, metrics, backend):
+    submit_experiment(store, parse_experiment(sys.argv[1].replace("PYTHON", sys.executable)))
+    snapshot = run_control_loop(store, metrics, backend)
 events = [json.loads(line)["kind"] for line in (root / "events.jsonl").read_text().splitlines()]
 print(json.dumps({"snapshot": snapshot, "committed": json.loads(store.committed), "events": events, **tr.summary()}))
 """

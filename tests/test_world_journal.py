@@ -90,29 +90,26 @@ def _run(directory, watcher=None, before_compact=None, max_ticks=1_000_000) -> i
     run`` does; on a SimulatedCrash, return the world's tick at the crash
     instead. ``watcher`` sees each stored resource, and None after each
     commit the store appends: a commit counts among the store's writes."""
-    run = SimBackend.open_run(directory, _build)
-    store, metrics, backend = run
-    if watcher is not None:
-        store.watchers.append(watcher)
-        commit = store.commit
+    with SimBackend.open_run(directory, _build) as (store, metrics, backend):
+        if watcher is not None:
+            store.watchers.append(watcher)
+            commit = store.commit
 
-        def counted(body):
-            last = store.committed
-            commit(body)
-            if store.committed is not last:  # appended: a repeat or None writes nothing
-                watcher(None)
+            def counted(body):
+                last = store.committed
+                commit(body)
+                if store.committed is not last:  # appended: a repeat or None writes nothing
+                    watcher(None)
 
-        store.commit = counted
-    try:
-        run_control_loop(store, metrics, backend, max_ticks=max_ticks)
-        if before_compact is not None:
-            before_compact(backend)
-        store.compact()
-        return None
-    except SimulatedCrash:
-        return backend.world.tick
-    finally:
-        run.close()
+            store.commit = counted
+        try:
+            run_control_loop(store, metrics, backend, max_ticks=max_ticks)
+            if before_compact is not None:
+                before_compact(backend)
+            store.compact()
+            return None
+        except SimulatedCrash:
+            return backend.world.tick
 
 
 def _outputs(directory) -> dict[str, bytes]:
@@ -251,6 +248,7 @@ def test_a_file_cut_at_any_byte_resumes_at_its_last_complete_line(recorded, tmp_
     complete = recorded.journal[: recorded.journal.rfind(b"\n", 0, cut) + 1].splitlines(keepends=True)
     end = max((n for n, line in enumerate(complete, 1) if line.startswith(COMMIT.encode())), default=None)
     store = FileResourceStore(directory, commit=True)
+    store.close()
     if end is None:
         # No commit: the run starts afresh on the whole store, torn tail cut.
         assert store.committed is None
@@ -262,18 +260,16 @@ def test_a_file_cut_at_any_byte_resumes_at_its_last_complete_line(recorded, tmp_
     assert store.committed == expected
     assert (directory / JOURNAL).read_bytes() == b"".join(complete[:end])
     offset = json.loads(expected)["eventsOffset"]
-    backend = SimBackend.resume(store, InMemoryObservationStore())
-    assert _commit_text(backend.world, offset) == expected
-    assert (directory / EVENTS).read_bytes() == recorded.events[:offset]
+    with SimBackend.open_run(directory, _build) as (store, _metrics, backend):
+        assert _commit_text(backend.world, offset) == expected
+        assert (directory / EVENTS).read_bytes() == recorded.events[:offset]
 
-    # A commit that repeats the last one writes nothing; the next tick's
-    # starts a line of its own, after the last.
-    store.commit(backend.persist())
-    assert (directory / JOURNAL).read_bytes() == b"".join(complete[:end])
-    backend.advance(lambda: 0)
-    store.commit(backend.persist())
-    backend.close()
-    store.close()
+        # A commit that repeats the last one writes nothing; the next tick's
+        # starts a line of its own, after the last.
+        store.commit(backend.persist())
+        assert (directory / JOURNAL).read_bytes() == b"".join(complete[:end])
+        backend.advance(lambda: 0)
+        store.commit(backend.persist())
     commits = _commits(directory)
     assert commits[-2] == expected and _world(commits[-1])["tick"] == _world(expected)["tick"] + 1
 
@@ -307,12 +303,9 @@ def test_a_resume_at_every_commit_rebuilds_the_live_run_s_jobs(recorded, tmp_pat
         tick = _world(recorded.commits[i])["tick"]
         directory = tmp_path_factory.mktemp(f"commit-{tick}")
         _lay_out(directory, recorded, b"".join(lines[: at + 1]))
-        store = FileResourceStore(directory, commit=True)
-        backend = SimBackend.resume(store, InMemoryObservationStore())
-        rebuilt = {handle: vars(job) for handle, job in backend.world.jobs.items()}
+        with SimBackend.open_run(directory, _build) as run:
+            rebuilt = {handle: vars(job) for handle, job in run.backend.world.jobs.items()}
         assert rebuilt == {handle: vars(job) for handle, job in recorded.jobs[tick].items()}, tick
-        backend.close()
-        store.close()
     assert sum(map(len, recorded.jobs.values())) > 0
 
 
@@ -527,9 +520,8 @@ def test_a_resume_whose_store_holds_no_trial_of_a_job_names_the_journal_and_the_
     lines = recorded.journal.splitlines(keepends=True)[: recorded.at[i] + 1]
     _lay_out(tmp_path, recorded, b"".join(line for line in lines if b'"kind":"experiment"' not in line))
     before = {path: path.read_bytes() for path in (tmp_path / EVENTS, tmp_path / JOURNAL)}
-    store = FileResourceStore(tmp_path, commit=True)
     with pytest.raises(TunectlError) as raised:
-        SimBackend.resume(store, InMemoryObservationStore())
+        SimBackend.open_run(tmp_path, _build)
     job = next(iter(_world(recorded.commits[i])["jobs"]))
     assert f"{tmp_path / JOURNAL} holds no trial, or not its experiment, of the job {job}" in str(raised.value)
     assert {path: path.read_bytes() for path in before} == before

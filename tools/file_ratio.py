@@ -50,14 +50,12 @@ def run_once(workload: workloads.Workload, seed: int, directory: Path | None) ->
     when one is given, compaction and closes included."""
     specs = [parse_experiment(e.yaml) for e in workload.experiments]
     world = _world(workload, seed)
-    run = SimBackend.open_run(directory, lambda _store, metrics: SimBackend(world, metrics))
-    store, metrics, backend = run
-    for spec in specs:
-        submit_experiment(store, spec)
-    start = time.perf_counter()
-    run_control_loop(store, metrics, backend)
-    store.compact()
-    run.close()
+    with SimBackend.open_run(directory, lambda _store, metrics: SimBackend(world, metrics)) as run:
+        for spec in specs:
+            submit_experiment(run.store, spec)
+        start = time.perf_counter()
+        run_control_loop(*run)
+        run.store.compact()
     return time.perf_counter() - start
 
 
